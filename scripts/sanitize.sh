@@ -1,21 +1,28 @@
 #!/usr/bin/env bash
 # Builds and runs the concurrency-sensitive test suites under ThreadSanitizer
-# and AddressSanitizer. These are the suites that exercise real threads
-# (runtime, chaos, parameter server, the experiment thread pool and the
-# ParallelRunner built on it, plus the lock-free obs instruments recorded
-# from those threads) and the fault plan itself; the rest of the repo is
-# single-threaded sim code covered by the plain build. net_test runs the
-# whole transport matrix under both sanitizers: the multiplexed pipelined
-# ShardClient (receiver threads, pending-table handoff, reconnects) against
-# BOTH server models — the per-model suites are value-parameterized, so the
-# epoll event-loop server's loop/pool/connection lifetimes are TSan/ASan
-# proven on every CI run, including the start/stop hammer. The calendar-queue
+# and under AddressSanitizer + UndefinedBehaviorSanitizer. These are the
+# suites that exercise real threads (runtime, chaos, parameter server, the
+# experiment thread pool and the ParallelRunner built on it, plus the
+# lock-free obs instruments recorded from those threads) and the fault plan
+# itself, plus the single-threaded sim suite for its memory safety.
+# net_test runs the whole transport matrix under both sanitizers: the
+# multiplexed pipelined ShardClient (receiver threads, pending-table
+# handoff, reconnects) against BOTH server models — the per-model suites
+# are value-parameterized, so the epoll event-loop server's
+# loop/pool/connection lifetimes are TSan/ASan proven on every CI run,
+# including the start/stop hammer. The calendar-queue
 # and tuner equivalence property suites ride along for ASan's sake: the
 # pooled event queue recycles nodes through a free list and moves payloads
 # out mid-callback, exactly the lifetime pattern ASan proves sound
 # (DESIGN.md §12 pool lifetime rules). compression_property_test rides along
 # the same way: the codec's error-feedback residuals grow lazily per worker
 # and the round-trip checks hammer span views over reallocating buffers.
+# exactly_once_property_test races copies of one push through the server's
+# watermark and kills links mid-batch, so TSan proves the watermark locking
+# and ASan the connection teardown. sim_test covers the single-threaded DES
+# under ASan+UBSan; the address mode also compiles with
+# -D_GLIBCXX_ASSERTIONS, so an operator[] past a vector's size but inside
+# its capacity (invisible to ASan alone) still aborts.
 #
 # Usage: scripts/sanitize.sh [thread|address|all]   (default: all)
 set -euo pipefail
@@ -24,8 +31,8 @@ cd "$(dirname "$0")/.."
 
 SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         fault_test thread_pool_test parallel_runner_test obs_test net_test
-        calendar_queue_property_test tuner_equivalence_test
-        compression_property_test)
+        exactly_once_property_test sim_test calendar_queue_property_test
+        tuner_equivalence_test compression_property_test)
 MODE="${1:-all}"
 
 run_mode() {

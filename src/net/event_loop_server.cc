@@ -31,9 +31,11 @@ struct EventLoopServer::Conn {
   // Loop thread only.
   std::vector<std::uint8_t> in;
   // Encoded response frames waiting to go out, and how much of the front
-  // frame already left. Pool threads append; the loop thread flushes.
-  // queued_ns stamps when the frame entered the queue so the flush side can
-  // record the full queue → wire residency ("net.eloop.out_queue_s").
+  // frame already left. A pool thread writes its response straight to the
+  // socket when this queue is empty and appends only what did not fit; the
+  // loop thread flushes the queue. queued_ns stamps when the frame was
+  // produced so the flush side can record the full queue → wire residency
+  // ("net.eloop.out_queue_s"; near zero for a direct write).
   struct OutFrame {
     std::vector<std::uint8_t> bytes;
     std::uint64_t queued_ns = 0;
@@ -282,12 +284,30 @@ void EventLoopServer::QueueResponse(const std::shared_ptr<Conn>& conn,
     // (instead of parking it forever) keeps the out-bytes gauge honest —
     // DropConn already zeroed this conn's contribution under the same lock.
     if (conn->dead.load(std::memory_order_acquire)) return;
+    const std::uint64_t queued_ns =
+        out_queue_hist_ != nullptr ? obs::WallNanos() : 0;
+    // Write-through: with nothing queued ahead of it, the frame goes straight
+    // to the socket from this pool thread, skipping the hand-off back to the
+    // loop. out_mutex serializes it against the loop's FlushOut. Only a
+    // partial write, EAGAIN or an error falls back to the queue + wake path
+    // below (the loop then flushes the rest, or drops the connection).
+    if (conn->out.empty()) {
+      std::size_t sent = 0;
+      const auto status = conn->connection.SendSome(frame, sent);
+      if (status == TcpConnection::IoStatus::kOk && sent == frame.size()) {
+        if (out_queue_hist_ != nullptr) {
+          out_queue_hist_->Record((obs::WallNanos() - queued_ns) * 1e-9);
+        }
+        return;
+      }
+      conn->out_offset = sent;
+    }
     if (out_bytes_gauge_ != nullptr) {
       out_bytes_gauge_->Add(static_cast<double>(frame.size()));
     }
     Conn::OutFrame entry;
     entry.bytes = std::move(frame);
-    entry.queued_ns = out_queue_hist_ != nullptr ? obs::WallNanos() : 0;
+    entry.queued_ns = queued_ns;
     conn->out.push_back(std::move(entry));
   }
   {

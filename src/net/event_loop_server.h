@@ -11,10 +11,12 @@
 //   buffer → peel complete frames (header validated on the loop thread; a
 //   malformed header or payload kills only that connection) → each decoded
 //   request is handed to the pool → the pool task runs
-//   RequestExecutor::Execute and appends the encoded response to the
-//   connection's outbound queue → an eventfd wake tells the loop the
-//   connection is dirty → the loop flushes, registering EPOLLOUT only while
-//   a partial write is outstanding.
+//   RequestExecutor::Execute and, when the connection's outbound queue is
+//   empty, writes the encoded response straight to the socket itself
+//   (write-through: no second hand-off back to the loop). Only a partial
+//   write, EAGAIN, or an error queues the remainder → an eventfd wake tells
+//   the loop the connection is dirty → the loop flushes, registering
+//   EPOLLOUT only while a partial write is outstanding.
 //
 // Because pool tasks finish in any order, responses naturally leave
 // out-of-order relative to arrival — the wire v2 pipelining contract
@@ -85,7 +87,9 @@ class EventLoopServer : public ShardServerBase {
   // registration. False = the connection must be dropped. Loop thread only.
   bool FlushOut(const std::shared_ptr<Conn>& conn);
   void DropConn(int fd);
-  // Pool-thread side: queue `frame` on `conn` and wake the loop.
+  // Pool-thread side: write `frame` through to the socket when nothing is
+  // queued ahead of it; otherwise (or for the unsent rest) queue it and wake
+  // the loop.
   void QueueResponse(const std::shared_ptr<Conn>& conn,
                      std::vector<std::uint8_t> frame);
   bool UpdateEpoll(Conn* conn, bool want_write);

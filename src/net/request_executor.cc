@@ -29,6 +29,13 @@ std::string TraceIdHex(std::uint64_t id) {
 
 }  // namespace
 
+PushWatermarks::Client& PushWatermarks::ClientFor(std::uint64_t client_id) {
+  std::scoped_lock lock(mutex_);
+  std::unique_ptr<Client>& client = clients_[client_id];
+  if (client == nullptr) client = std::make_unique<Client>();
+  return *client;
+}
+
 RequestExecutor::RequestExecutor(ParameterServer* store,
                                  std::vector<std::size_t> served_shards,
                                  obs::MetricsRegistry* metrics,
@@ -70,19 +77,17 @@ WireMessage RequestExecutor::Execute(const WireMessage& request,
   const std::uint64_t begin_ns = obs::WallNanos();
   WireMessage response = ExecuteInner(request);
   const std::uint64_t end_ns = obs::WallNanos();
-  const char* name = "serve.commit";
+  const char* name = "serve.reject";
   std::uint32_t shard = 0;
   if (const auto* pull = std::get_if<PullShardReq>(&request)) {
     name = "serve.pull";
     shard = pull->shard;
-  } else if (const auto* push = std::get_if<PushShardReq>(&request)) {
+  } else if (const auto* push = std::get_if<CommitPushReq>(&request)) {
     name = "serve.push";
-    shard = push->shard;
+    if (!push->slices.empty()) shard = push->slices.front().shard;
   } else if (const auto* delta = std::get_if<PullShardDeltaReq>(&request)) {
     name = "serve.pull";
     shard = delta->shard;
-  } else if (!std::holds_alternative<CommitPushReq>(request)) {
-    name = "serve.reject";
   }
   const double begin_s =
       begin_ns > epoch ? (begin_ns - epoch) * 1e-9 : 0.0;
@@ -140,46 +145,62 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
     resp.params = std::move(result.params);
     return resp;
   }
-  if (const auto* push = std::get_if<PushShardReq>(&request)) {
-    if (!ServesShard(push->shard)) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return AckResp{kAckBadShard, push->shard};
-    }
-    if (push->coded != 0) {
-      coded_pushes_.fetch_add(1, std::memory_order_relaxed);
-      // Values were dequantized into doubles by the wire decoder; from here
-      // a coded push is an ordinary sparse/dense push.
-    }
-    if (push->sparse) {
-      obs::ScopedTimer timer(push_hist_);
-      Gradient grad = Gradient::Sparse();
-      grad.sparse().Reserve(push->indices.size());
-      for (std::size_t i = 0; i < push->indices.size(); ++i) {
-        grad.sparse().Add(push->indices[i], push->values[i]);
-      }
-      const bool touched = store_->PushShard(push->shard, grad, push->epoch);
-      pushes_.fetch_add(1, std::memory_order_relaxed);
-      return AckResp{kAckOk, touched ? 1u : 0u};
-    }
-    const ShardInfo info = store_->shard(push->shard);
-    if (push->dense_offset != info.offset || push->dense.size() != info.length) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return AckResp{kAckBadRequest, push->shard};
-    }
-    obs::ScopedTimer timer(push_hist_);
-    const bool touched =
-        store_->PushShardDenseSlice(push->shard, push->dense, push->epoch);
-    pushes_.fetch_add(1, std::memory_order_relaxed);
-    return AckResp{kAckOk, touched ? 1u : 0u};
+  if (const auto* push = std::get_if<CommitPushReq>(&request)) {
+    return ExecutePush(*push);
   }
-  if (std::holds_alternative<CommitPushReq>(request)) {
-    const std::uint64_t version = store_->CommitPush();
-    commits_.fetch_add(1, std::memory_order_relaxed);
-    return AckResp{kAckOk, version};
-  }
-  // A response type arriving at the server is a confused peer.
+  // A response type arriving at the server is a confused peer; a standalone
+  // slice is not a push (applying it would bypass the watermark).
   rejected_.fetch_add(1, std::memory_order_relaxed);
   return AckResp{kAckBadRequest, 0};
+}
+
+AckResp RequestExecutor::ExecutePush(const CommitPushReq& batch) {
+  // Validate every slice before applying any: a bad batch changes nothing.
+  // Sequence numbers start at 1, so 0 can never pass a watermark check.
+  const auto reject = [&](std::uint32_t status, std::uint64_t value) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return AckResp{status, value};
+  };
+  if (batch.push_seq == 0) return reject(kAckBadRequest, 0);
+  for (const PushShardReq& slice : batch.slices) {
+    if (!ServesShard(slice.shard)) return reject(kAckBadShard, slice.shard);
+    if (slice.sparse) continue;
+    const ShardInfo info = store_->shard(slice.shard);
+    if (slice.dense_offset != info.offset ||
+        slice.dense.size() != info.length) {
+      return reject(kAckBadRequest, slice.shard);
+    }
+  }
+  const PushWatermarks::Outcome outcome = watermarks_.ApplyOnce(
+      batch.client_id, batch.push_seq, [&] {
+        obs::ScopedTimer timer(push_hist_);
+        for (const PushShardReq& slice : batch.slices) ApplySlice(slice);
+        commits_.fetch_add(1, std::memory_order_relaxed);
+        return AckResp{kAckOk, store_->CommitPush()};
+      });
+  if (outcome.duplicate) {
+    duplicate_pushes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return outcome.ack;
+}
+
+void RequestExecutor::ApplySlice(const PushShardReq& slice) {
+  if (slice.coded != 0) {
+    // Values were dequantized into doubles by the wire decoder; from here a
+    // coded slice is an ordinary sparse/dense slice.
+    coded_pushes_.fetch_add(1, std::memory_order_relaxed);
+  }
+  pushes_.fetch_add(1, std::memory_order_relaxed);
+  if (!slice.sparse) {
+    store_->PushShardDenseSlice(slice.shard, slice.dense, slice.epoch);
+    return;
+  }
+  Gradient grad = Gradient::Sparse();
+  grad.sparse().Reserve(slice.indices.size());
+  for (std::size_t i = 0; i < slice.indices.size(); ++i) {
+    grad.sparse().Add(slice.indices[i], slice.values[i]);
+  }
+  store_->PushShard(slice.shard, grad, slice.epoch);
 }
 
 ServerStats RequestExecutor::stats() const {
@@ -187,6 +208,7 @@ ServerStats RequestExecutor::stats() const {
   out.pulls = pulls_.load(std::memory_order_relaxed);
   out.pushes = pushes_.load(std::memory_order_relaxed);
   out.commits = commits_.load(std::memory_order_relaxed);
+  out.duplicate_pushes = duplicate_pushes_.load(std::memory_order_relaxed);
   out.rejected = rejected_.load(std::memory_order_relaxed);
   out.delta_not_modified = delta_not_modified_.load(std::memory_order_relaxed);
   out.coded_pushes = coded_pushes_.load(std::memory_order_relaxed);

@@ -9,14 +9,24 @@
 // makes the two models A/B-equivalent by construction: they differ only in
 // how bytes reach Execute(), never in what Execute() does.
 //
+// Pushes are exactly-once. A push is one CommitPushReq batch per server; the
+// executor validates every slice, then applies the slices and commits under
+// the sending client's watermark (PushWatermarks), so a retried, duplicated,
+// or concurrently re-executed batch is answered from the cache instead of
+// being applied again. A standalone PushShardReq is rejected: no path applies
+// a gradient without passing the watermark.
+//
 // Thread safety: Execute() may be called concurrently from any number of
-// threads; the ParameterServer's per-shard locks are the serialization
-// point, and the counters are atomics.
+// threads; the ParameterServer's per-shard locks and the per-client
+// watermark locks are the serialization points, and the counters are atomics.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "net/wire.h"
@@ -35,8 +45,12 @@ namespace specsync::net {
 // executor — and merged into this struct by the server's stats()).
 struct ServerStats {
   std::uint64_t pulls = 0;
+  // Slices applied, and push batches applied + committed.
   std::uint64_t pushes = 0;
   std::uint64_t commits = 0;
+  // Push batches at or below their client's watermark: answered with the
+  // cached ack, nothing applied.
+  std::uint64_t duplicate_pushes = 0;
   // Requests answered with an error ack (bad shard / bad request).
   std::uint64_t rejected = 0;
   // Connections dropped on malformed frames or socket errors.
@@ -46,6 +60,46 @@ struct ServerStats {
   std::uint64_t delta_not_modified = 0;
   // Pushes that arrived in the kind-2 coded encoding (int8/fp16).
   std::uint64_t coded_pushes = 0;
+};
+
+// Per-client exactly-once bookkeeping: the last applied push_seq and the ack
+// it produced. Check, apply and record happen under that client's lock, so
+// when the event-loop pool runs two copies of one frame at once, only one
+// passes the check; the other waits, then gets the cached ack. Entries live
+// as long as the server (one per client that ever pushed).
+class PushWatermarks {
+ public:
+  struct Outcome {
+    AckResp ack;
+    bool duplicate = false;
+  };
+
+  // Runs `apply` (which returns the ack to cache) iff `push_seq` is above
+  // the client's watermark; otherwise returns the cached ack of the last
+  // applied push without running it.
+  template <typename ApplyFn>
+  Outcome ApplyOnce(std::uint64_t client_id, std::uint64_t push_seq,
+                    ApplyFn&& apply) {
+    Client& client = ClientFor(client_id);
+    std::scoped_lock lock(client.mutex);
+    if (push_seq <= client.last_seq) return {client.ack, true};
+    client.ack = apply();
+    client.last_seq = push_seq;
+    return {client.ack, false};
+  }
+
+ private:
+  struct Client {
+    std::mutex mutex;
+    std::uint64_t last_seq = 0;  // guarded by mutex; 0 = nothing applied
+    AckResp ack;                 // guarded by mutex
+  };
+
+  Client& ClientFor(std::uint64_t client_id);
+
+  // Guards the map's shape only; never held while a push applies.
+  std::mutex mutex_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Client>> clients_;
 };
 
 class RequestExecutor {
@@ -69,7 +123,8 @@ class RequestExecutor {
                   std::uint32_t span_track_base = 0);
 
   // Executes one decoded request and returns the response to send back. A
-  // response-typed message (a confused peer) gets a kAckBadRequest ack.
+  // response-typed message (a confused peer) and a standalone PushShardReq
+  // get a kAckBadRequest ack.
   // `trace` (optional) is the request frame's trace context; valid contexts
   // become serve spans when a SpanRecorder is attached.
   WireMessage Execute(const WireMessage& request,
@@ -82,16 +137,21 @@ class RequestExecutor {
 
  private:
   WireMessage ExecuteInner(const WireMessage& request);
+  // Validates every slice, then applies + commits once per (client, seq).
+  AckResp ExecutePush(const CommitPushReq& batch);
+  void ApplySlice(const PushShardReq& slice);
 
   ParameterServer* store_;
   std::vector<std::size_t> served_shards_;
   std::chrono::microseconds service_delay_;
   obs::SpanRecorder* spans_ = nullptr;
   std::uint32_t span_track_base_ = 0;
+  PushWatermarks watermarks_;
 
   std::atomic<std::uint64_t> pulls_{0};
   std::atomic<std::uint64_t> pushes_{0};
   std::atomic<std::uint64_t> commits_{0};
+  std::atomic<std::uint64_t> duplicate_pushes_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> delta_not_modified_{0};
   std::atomic<std::uint64_t> coded_pushes_{0};

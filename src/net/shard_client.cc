@@ -23,11 +23,13 @@ namespace specsync::net {
 
 namespace {
 
-// Process-unique, nonzero trace ids: high half = pid so ids from different
-// bench_transport processes never collide in a merged trace, low half = a
-// per-process sequence. The same id rides every retry attempt of one logical
-// request, so injected duplicates collapse onto one flow in Perfetto.
-std::uint64_t NextTraceId() {
+// Process-unique, nonzero ids: high half = pid so ids from different
+// bench_transport processes never collide, low half = a per-process
+// sequence. Used for trace ids (the same id rides every retry attempt of one
+// logical request, so injected duplicates collapse onto one flow in
+// Perfetto) and for client ids (clients in different worker processes never
+// share a server-side push watermark).
+std::uint64_t NextProcessUniqueId() {
   static std::atomic<std::uint64_t> counter{1};
   const std::uint64_t seq = counter.fetch_add(1, std::memory_order_relaxed);
   return (static_cast<std::uint64_t>(::getpid()) << 32) |
@@ -47,9 +49,9 @@ std::string TraceIdHex(std::uint64_t id) {
   return out;
 }
 
-void RecordNetState(const char* label, std::int64_t a) {
+void RecordNetState(const char* label, std::int64_t a, std::int64_t b = 0) {
   auto& flight = obs::FlightRecorder::Instance();
-  if (flight.enabled()) flight.Record(obs::FlightKind::kNetState, label, a);
+  if (flight.enabled()) flight.Record(obs::FlightKind::kNetState, label, a, b);
 }
 
 }  // namespace
@@ -179,7 +181,10 @@ struct ShardClient::Ticket {
 ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
                          obs::MetricsRegistry* metrics,
                          obs::SpanRecorder* spans)
-    : config_(std::move(config)), faults_(faults), spans_(spans) {
+    : config_(std::move(config)),
+      faults_(faults),
+      spans_(spans),
+      client_id_(NextProcessUniqueId()) {
   std::string error;
   SPECSYNC_CHECK(config_.topology.Validate(&error)) << error;
   SPECSYNC_CHECK_GT(config_.max_attempts, 0u);
@@ -341,7 +346,7 @@ ShardClient::Ticket ShardClient::MakeTicket(std::size_t shard,
   ticket.slot = std::make_unique<PendingSlot>();
   ticket.link->requests.fetch_add(1, std::memory_order_relaxed);
   if (spans_ != nullptr) {
-    ticket.trace_id = NextTraceId();
+    ticket.trace_id = NextProcessUniqueId();
     ticket.started_ns = obs::WallNanos();
   }
   return ticket;
@@ -450,9 +455,20 @@ void ShardClient::IssueAttempt(Ticket& ticket) {
 
 void ShardClient::IssueUntilInFlight(Ticket& ticket) {
   while (!ticket.in_flight) {
-    SPECSYNC_CHECK(ticket.attempts < config_.max_attempts)
-        << "shard " << ticket.shard << " unreachable after "
-        << config_.max_attempts << " attempts";
+    if (ticket.attempts >= config_.max_attempts) {
+      // The record lands before the throw, so a crash dump still shows which
+      // shard was lost and how far this client's pushes had committed.
+      const std::uint64_t acked =
+          last_acked_version_.load(std::memory_order_relaxed);
+      RecordNetState("shard_unreachable",
+                     static_cast<std::int64_t>(ticket.shard),
+                     static_cast<std::int64_t>(acked));
+      SPECSYNC_CHECK(ticket.attempts < config_.max_attempts)
+          << "shard " << ticket.shard << " at "
+          << ToString(ticket.link->endpoint) << " unreachable after "
+          << ticket.attempts << " attempts; this client's pushes were last "
+          << "acked at global version " << acked;
+    }
     IssueAttempt(ticket);
   }
 }
@@ -510,12 +526,9 @@ void ShardClient::RecordClientSpan(const Ticket& ticket) {
   const double begin_s =
       ticket.started_ns > epoch ? (ticket.started_ns - epoch) * 1e-9 : 0.0;
   const double end_s = end_ns > epoch ? (end_ns - epoch) * 1e-9 : 0.0;
-  const char* name = "commit.req";
-  if (std::holds_alternative<PullShardReq>(*ticket.request)) {
-    name = "pull.req";
-  } else if (std::holds_alternative<PushShardReq>(*ticket.request)) {
-    name = "push.req";
-  }
+  const char* name = std::holds_alternative<CommitPushReq>(*ticket.request)
+                         ? "push.req"
+                         : "pull.req";
   spans_->AddSpanWithFlow(
       name, "net.client", config_.trace_track, SimTime::FromSeconds(begin_s),
       SimTime::FromSeconds(end_s), /*flow_out=*/ticket.trace_id,
@@ -656,9 +669,8 @@ std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch,
       (kind == CodecKind::kInt8 || kind == CodecKind::kFp16)
           ? static_cast<std::uint8_t>(kind)
           : 0;
-  // Build the per-shard messages (the client-side half of RouteGradient).
-  std::vector<std::size_t> shards;
-  std::vector<WireMessage> requests;
+  // Build the per-shard slices (the client-side half of RouteGradient).
+  std::vector<PushShardReq> slices;
   if (!grad.is_sparse()) {
     SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
     for (std::size_t s = 0; s < num_shards(); ++s) {
@@ -672,8 +684,7 @@ std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch,
                            static_cast<std::ptrdiff_t>(shard.offset),
                        grad.dense().begin() + static_cast<std::ptrdiff_t>(
                                                   shard.offset + shard.length));
-      shards.push_back(s);
-      requests.emplace_back(std::move(req));
+      slices.push_back(std::move(req));
     }
   } else {
     std::vector<PushShardReq> by_shard(num_shards());
@@ -690,27 +701,24 @@ std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch,
       by_shard[s].epoch = epoch;
       by_shard[s].sparse = true;
       by_shard[s].coded = coded;
-      shards.push_back(s);
-      requests.emplace_back(std::move(by_shard[s]));
+      slices.push_back(std::move(by_shard[s]));
     }
     // Like RouteGradient: an empty gradient still crosses the wire as one
-    // empty message, so the push protocol sees exactly one logical push.
-    if (requests.empty()) {
+    // empty slice, so the push protocol sees exactly one logical push.
+    if (slices.empty()) {
       PushShardReq req;
       req.shard = 0;
       req.epoch = epoch;
       req.sparse = true;
       req.coded = coded;
-      shards.push_back(0);
-      requests.emplace_back(std::move(req));
+      slices.push_back(std::move(req));
     }
   }
   if (coded != 0 && push_saved_counter_ != nullptr) {
     // Payload delta vs the classic encoding, same model CodedRouteBytes uses
     // for the sim (indices+doubles vs indices+quantized values).
     std::uint64_t saved = 0;
-    for (const WireMessage& message : requests) {
-      const auto& req = std::get<PushShardReq>(message);
+    for (const PushShardReq& req : slices) {
       const std::uint64_t raw = req.sparse ? req.indices.size() * 16
                                            : req.dense.size() * 8;
       saved += raw - std::min(raw, CodedRouteBytes(kind, req.sparse, raw));
@@ -718,48 +726,44 @@ std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch,
     push_saved_counter_->Increment(saved);
   }
 
-  // Pipeline all slices, then await them all.
+  // One sequence number per logical push, the same on every retry attempt.
+  // Serializing pushes keeps each server's view of this client's sequence
+  // in order, which is what lets a single watermark reject every repeat.
+  std::scoped_lock push_lock(push_mutex_);
+  const std::uint64_t push_seq = ++push_seq_;
+
+  // One batch per server touched, all pipelined: a single round trip.
+  constexpr std::size_t kNoBatch = ~std::size_t{0};
+  std::vector<std::size_t> link_batch(links_.size(), kNoBatch);
+  std::vector<WireMessage> batches;
+  std::vector<std::size_t> batch_shards;  // first shard of each batch
+  for (PushShardReq& slice : slices) {
+    std::size_t& b = link_batch[shard_link_[slice.shard]];
+    if (b == kNoBatch) {
+      b = batches.size();
+      batches.emplace_back(CommitPushReq{client_id_, push_seq, {}});
+      batch_shards.push_back(slice.shard);
+    }
+    std::get<CommitPushReq>(batches[b]).slices.push_back(std::move(slice));
+  }
   std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    Ticket ticket = MakeTicket(shards[i], &requests[i]);
+  tickets.reserve(batches.size());
+  for (std::size_t i = 0; i < batches.size(); ++i) {
+    Ticket ticket = MakeTicket(batch_shards[i], &batches[i]);
     IssueUntilInFlight(ticket);
     tickets.push_back(std::move(ticket));
   }
-  for (Ticket& ticket : tickets) Await(ticket);
-
-  // One commit per distinct server touched (a server's global version counts
-  // the logical pushes that reached it). All slices have been acked by now,
-  // so the commit orders after them exactly as CommitPush does in-process —
-  // which is why the commits form a second pipelined batch instead of riding
-  // with the slices.
-  std::vector<std::size_t> commit_shards;
-  std::vector<std::size_t> committed_links;
-  for (std::size_t s : shards) {
-    const std::size_t l = shard_link_[s];
-    if (std::find(committed_links.begin(), committed_links.end(), l) !=
-        committed_links.end()) {
-      continue;
-    }
-    committed_links.push_back(l);
-    commit_shards.push_back(s);
-  }
-  std::vector<WireMessage> commit_requests(commit_shards.size(),
-                                           WireMessage(CommitPushReq{}));
-  std::vector<Ticket> commit_tickets;
-  commit_tickets.reserve(commit_shards.size());
-  for (std::size_t i = 0; i < commit_shards.size(); ++i) {
-    Ticket ticket = MakeTicket(commit_shards[i], &commit_requests[i]);
-    IssueUntilInFlight(ticket);
-    commit_tickets.push_back(std::move(ticket));
-  }
   std::uint64_t version = 0;
-  for (Ticket& ticket : commit_tickets) {
+  for (Ticket& ticket : tickets) {
     WireMessage response = Await(ticket);
     const auto* ack = std::get_if<AckResp>(&response);
     SPECSYNC_CHECK(ack != nullptr);
     version = std::max(version, ack->value);
   }
+  // Only this function writes, and pushes are serialized above.
+  last_acked_version_.store(
+      std::max(version, last_acked_version_.load(std::memory_order_relaxed)),
+      std::memory_order_relaxed);
   return version;
 }
 

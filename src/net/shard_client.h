@@ -6,8 +6,9 @@
 // flight on it at once: Pull() issues every shard's PullShardReq back-to-back
 // and only then starts awaiting responses, so N outstanding pulls cost ~1
 // batched round trip instead of N serial ones (the pipelining regression test
-// pins exactly this). Push() does the same for the per-shard slices, then one
-// CommitPushReq per distinct server touched.
+// pins exactly this). Push() groups the per-shard slices by link and sends
+// one CommitPushReq batch per server touched — one pipelined round trip per
+// push, which each server applies and commits exactly once.
 //
 // Link anatomy. Each link owns a receiver thread and a pending-request table
 // (request_id → caller's stack slot + deadline). A caller registers its slot,
@@ -29,19 +30,26 @@
 // receiver needs. Registering the pending entry first, then sending outside
 // the state mutex, is what makes backpressure safe.
 //
-// Reliability. Unchanged at-least-once semantics: every request is timeout +
-// bounded retry with a fresh id per attempt; a shard still unreachable after
-// `max_attempts` fails loudly (SPECSYNC_CHECK). When a link dies (recv/send
-// error, malformed frame), the receiver fails every pending slot so waiters
-// retry immediately instead of burning their full timeout; the first
-// retrying caller reconnects the link and respawns the receiver while the
-// rest wait on the reconnect.
+// Reliability. Every request is timeout + bounded retry with a fresh id per
+// attempt. Pulls are idempotent, so re-executing one is harmless
+// (at-least-once). Pushes are exactly-once: each batch carries this client's
+// process-unique client_id (stable across reconnects) and a push_seq that is
+// the same on every attempt, and the server applies a (client_id, push_seq)
+// at most once, answering repeats from its cached ack. Push() calls are
+// serialized per client so each server sees one client's sequence numbers
+// in order. A shard still unreachable after `max_attempts` fails loudly: a
+// flight-recorder kNetState record, then a CheckError naming the shard, its
+// endpoint, the attempt count, and the global version this client's pushes
+// were last acked at. When a link dies (recv/send error, malformed frame),
+// the receiver fails every pending slot so waiters retry immediately instead
+// of burning their full timeout; the first retrying caller reconnects the
+// link and respawns the receiver while the rest wait on the reconnect.
 //
 // Fault injection: with a FaultPlan attached, every attempt draws one
 // data-link decision on the shared link. Drop = the frame is never sent (the
 // attempt burns its timeout), delay = the send is held back, duplicate = the
-// frame is sent twice (exercising the server's double-execution path and the
-// stale-frame discard).
+// frame is sent twice (exercising the server's duplicate-push watermark and
+// the stale-frame discard).
 //
 // Thread safety: the whole client is thread-safe; concurrent callers share
 // links and pipeline naturally. Give each worker its own client to model
@@ -133,9 +141,10 @@ class ShardClient {
   // One shard's snapshot over the wire.
   ShardPullResult PullShard(std::size_t s);
 
-  // Routes `grad` to its owning shards (all slice messages pipelined), then
-  // commits once per distinct server touched. Returns the largest committed
-  // global version reported. `pool` is accepted and unused, as in Pull().
+  // Routes `grad` to its owning shards and sends one CommitPushReq batch per
+  // server touched, all pipelined; each server applies its batch exactly
+  // once. Returns the largest committed global version reported. `pool` is
+  // accepted and unused, as in Pull().
   std::uint64_t Push(const Gradient& grad, EpochId epoch,
                      ThreadPool* pool = nullptr);
 
@@ -178,8 +187,9 @@ class ShardClient {
   // in-flight on success; a failed attempt is consumed silently (the caller
   // loops).
   void IssueAttempt(Ticket& ticket);
-  // Attempts until the ticket is in flight; SPECSYNC_CHECK-fails once
-  // max_attempts is exhausted.
+  // Attempts until the ticket is in flight. Once max_attempts is exhausted,
+  // records a flight-recorder kNetState event and fails with a CheckError
+  // diagnosing the unreachable shard.
   void IssueUntilInFlight(Ticket& ticket);
   // Blocks until the ticket's response arrives, retrying timed-out and
   // link-failed attempts. Validates error acks.
@@ -194,6 +204,13 @@ class ShardClient {
   FaultPlan* faults_;
   obs::SpanRecorder* spans_ = nullptr;
   std::size_t dim_ = 0;
+  // Exactly-once push identity: client_id_ is fixed for the client's life;
+  // push_seq_ (guarded by push_mutex_) numbers logical pushes from 1.
+  const std::uint64_t client_id_;
+  std::mutex push_mutex_;
+  std::uint64_t push_seq_ = 0;
+  // Largest global version any push batch was acked at (for diagnoses).
+  std::atomic<std::uint64_t> last_acked_version_{0};
   std::vector<std::size_t> shard_link_;  // shard id → links_ index
   std::vector<std::unique_ptr<Link>> links_;
 

@@ -19,11 +19,11 @@
 // MakeShardServer() is the seam callers use; the concrete classes exist for
 // tests that pin model-specific behavior.
 //
-// Failure semantics (both models): requests are processed at-most-once per
-// received frame, but the transport as a whole is at-least-once — a client
-// that times out retries, and a retried PushShard re-applies its slice (see
-// shard_client.h). A malformed frame kills only its connection; the server
-// keeps serving.
+// Failure semantics (both models): pushes are exactly-once — the shared
+// RequestExecutor applies each (client_id, push_seq) batch at most once and
+// answers retries and duplicates from its per-client watermark — while pulls
+// are idempotent and simply re-execute (at-least-once; see shard_client.h).
+// A malformed frame kills only its connection; the server keeps serving.
 #pragma once
 
 #include <atomic>

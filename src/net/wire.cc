@@ -151,6 +151,29 @@ void EncodeCodedPush(const PushShardReq& m, std::vector<std::uint8_t>& out) {
   }
 }
 
+// One slice's payload: the whole of a standalone PushShardReq frame's
+// payload, and one element of a CommitPushReq batch.
+void EncodePushShard(const PushShardReq& m, std::vector<std::uint8_t>& out) {
+  PutU32(out, m.shard);
+  PutU64(out, m.epoch);
+  if (m.coded != 0) {
+    EncodeCodedPush(m, out);
+    return;
+  }
+  PutU8(out, m.sparse ? 1 : 0);
+  if (m.sparse) {
+    PutU64(out, m.indices.size());
+    for (std::size_t i = 0; i < m.indices.size(); ++i) {
+      PutU64(out, m.indices[i]);
+      PutF64(out, m.values[i]);
+    }
+  } else {
+    PutU64(out, m.dense_offset);
+    PutU64(out, m.dense.size());
+    for (double v : m.dense) PutF64(out, v);
+  }
+}
+
 void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
   struct Visitor {
     std::vector<std::uint8_t>& out;
@@ -163,27 +186,13 @@ void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
       PutU64(out, m.params.size());
       for (double v : m.params) PutF64(out, v);
     }
-    void operator()(const PushShardReq& m) {
-      PutU32(out, m.shard);
-      PutU64(out, m.epoch);
-      if (m.coded != 0) {
-        EncodeCodedPush(m, out);
-        return;
-      }
-      PutU8(out, m.sparse ? 1 : 0);
-      if (m.sparse) {
-        PutU64(out, m.indices.size());
-        for (std::size_t i = 0; i < m.indices.size(); ++i) {
-          PutU64(out, m.indices[i]);
-          PutF64(out, m.values[i]);
-        }
-      } else {
-        PutU64(out, m.dense_offset);
-        PutU64(out, m.dense.size());
-        for (double v : m.dense) PutF64(out, v);
-      }
+    void operator()(const PushShardReq& m) { EncodePushShard(m, out); }
+    void operator()(const CommitPushReq& m) {
+      PutU64(out, m.client_id);
+      PutU64(out, m.push_seq);
+      PutU32(out, static_cast<std::uint32_t>(m.slices.size()));
+      for (const PushShardReq& slice : m.slices) EncodePushShard(slice, out);
     }
-    void operator()(const CommitPushReq&) {}
     void operator()(const AckResp& m) {
       PutU32(out, m.status);
       PutU64(out, m.value);
@@ -287,6 +296,83 @@ WireStatus DecodeTraceTail(Reader& r, TraceContext* trace) {
   return WireStatus::kOk;
 }
 
+// Parses one slice (EncodePushShard's layout) from the reader's position.
+WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
+  m.shard = r.TakeU32();
+  m.epoch = r.TakeU64();
+  const std::uint8_t kind = r.TakeU8();
+  if (!r.ok() || kind > 2) {
+    return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
+  }
+  if (kind == 2) {
+    const std::uint8_t codec = r.TakeU8();
+    const std::uint8_t sparse = r.TakeU8();
+    if (!r.ok() ||
+        (codec != static_cast<std::uint8_t>(CodecKind::kInt8) &&
+         codec != static_cast<std::uint8_t>(CodecKind::kFp16)) ||
+        sparse > 1) {
+      return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
+    }
+    m.coded = codec;
+    m.sparse = sparse == 1;
+    const bool int8 = codec == static_cast<std::uint8_t>(CodecKind::kInt8);
+    const double scale = int8 ? r.TakeF64() : 0.0;
+    const std::size_t value_bytes = int8 ? 1 : 2;
+    std::uint64_t count = 0;
+    if (m.sparse) {
+      count = r.TakeU64();
+      if (!r.ok() || !r.CanTake(count, 8 + value_bytes)) {
+        return WireStatus::kTruncated;
+      }
+      m.indices.reserve(count);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        m.indices.push_back(r.TakeU64());
+      }
+    } else {
+      m.dense_offset = r.TakeU64();
+      count = r.TakeU64();
+      if (!r.ok() || !r.CanTake(count, value_bytes)) {
+        return WireStatus::kTruncated;
+      }
+    }
+    std::vector<double>& values = m.sparse ? m.values : m.dense;
+    values.reserve(count);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      if (int8) {
+        values.push_back(
+            DequantizeInt8(static_cast<std::int8_t>(r.TakeU8()), scale));
+      } else {
+        values.push_back(DecodeFp16(r.TakeU16()));
+      }
+    }
+    return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+  }
+  m.sparse = kind == 1;
+  if (m.sparse) {
+    const std::uint64_t nnz = r.TakeU64();
+    if (!r.ok() || !r.CanTake(nnz, 16)) return WireStatus::kTruncated;
+    m.indices.reserve(nnz);
+    m.values.reserve(nnz);
+    for (std::uint64_t i = 0; i < nnz; ++i) {
+      m.indices.push_back(r.TakeU64());
+      m.values.push_back(r.TakeF64());
+    }
+  } else {
+    m.dense_offset = r.TakeU64();
+    const std::uint64_t count = r.TakeU64();
+    if (!r.ok() || !r.CanTake(count, sizeof(double))) {
+      return WireStatus::kTruncated;
+    }
+    m.dense.reserve(count);
+    for (std::uint64_t i = 0; i < count; ++i) m.dense.push_back(r.TakeF64());
+  }
+  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+}
+
+// The smallest slice: u32 shard, u64 epoch, u8 kind, u64 count/nnz. Bounds a
+// batch's claimed slice count before anything is reserved for it.
+constexpr std::size_t kMinPushShardBytes = 4 + 8 + 1 + 8;
+
 }  // namespace
 
 WireStatus DecodePayload(const FrameHeader& header,
@@ -325,90 +411,29 @@ WireStatus DecodePayload(const FrameHeader& header,
     }
     case MsgType::kPushShardReq: {
       PushShardReq m;
-      m.shard = r.TakeU32();
-      m.epoch = r.TakeU64();
-      const std::uint8_t kind = r.TakeU8();
-      if (!r.ok() || kind > 2) {
-        return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
-      }
-      if (kind == 2) {
-        const std::uint8_t codec = r.TakeU8();
-        const std::uint8_t sparse = r.TakeU8();
-        if (!r.ok() ||
-            (codec != static_cast<std::uint8_t>(CodecKind::kInt8) &&
-             codec != static_cast<std::uint8_t>(CodecKind::kFp16)) ||
-            sparse > 1) {
-          return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
-        }
-        m.coded = codec;
-        m.sparse = sparse == 1;
-        const bool int8 = codec == static_cast<std::uint8_t>(CodecKind::kInt8);
-        const double scale = int8 ? r.TakeF64() : 0.0;
-        const std::size_t value_bytes = int8 ? 1 : 2;
-        std::uint64_t count = 0;
-        if (m.sparse) {
-          count = r.TakeU64();
-          if (!r.ok() || !r.CanTake(count, 8 + value_bytes)) {
-            return WireStatus::kTruncated;
-          }
-          m.indices.reserve(count);
-          for (std::uint64_t i = 0; i < count; ++i) {
-            m.indices.push_back(r.TakeU64());
-          }
-        } else {
-          m.dense_offset = r.TakeU64();
-          count = r.TakeU64();
-          if (!r.ok() || !r.CanTake(count, value_bytes)) {
-            return WireStatus::kTruncated;
-          }
-        }
-        std::vector<double>& values = m.sparse ? m.values : m.dense;
-        values.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          if (int8) {
-            values.push_back(DequantizeInt8(
-                static_cast<std::int8_t>(r.TakeU8()), scale));
-          } else {
-            values.push_back(DecodeFp16(r.TakeU16()));
-          }
-        }
-        if (!r.ok()) return WireStatus::kTruncated;
-        const WireStatus tail = DecodeTraceTail(r, trace);
-        if (tail != WireStatus::kOk) return tail;
-        out = std::move(m);
-        return WireStatus::kOk;
-      }
-      m.sparse = kind == 1;
-      if (m.sparse) {
-        const std::uint64_t nnz = r.TakeU64();
-        if (!r.ok() || !r.CanTake(nnz, 16)) return WireStatus::kTruncated;
-        m.indices.reserve(nnz);
-        m.values.reserve(nnz);
-        for (std::uint64_t i = 0; i < nnz; ++i) {
-          m.indices.push_back(r.TakeU64());
-          m.values.push_back(r.TakeF64());
-        }
-      } else {
-        m.dense_offset = r.TakeU64();
-        const std::uint64_t count = r.TakeU64();
-        if (!r.ok() || !r.CanTake(count, sizeof(double))) {
-          return WireStatus::kTruncated;
-        }
-        m.dense.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          m.dense.push_back(r.TakeF64());
-        }
-      }
-      if (!r.ok()) return WireStatus::kTruncated;
+      const WireStatus slice = DecodePushShard(r, m);
+      if (slice != WireStatus::kOk) return slice;
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
       out = std::move(m);
       return WireStatus::kOk;
     }
     case MsgType::kCommitPushReq: {
+      CommitPushReq m;
+      m.client_id = r.TakeU64();
+      m.push_seq = r.TakeU64();
+      const std::uint32_t count = r.TakeU32();
+      if (!r.ok() || !r.CanTake(count, kMinPushShardBytes)) {
+        return WireStatus::kTruncated;
+      }
+      m.slices.resize(count);
+      for (PushShardReq& slice : m.slices) {
+        const WireStatus status = DecodePushShard(r, slice);
+        if (status != WireStatus::kOk) return status;
+      }
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
-      out = CommitPushReq{};
+      out = std::move(m);
       return WireStatus::kOk;
     }
     case MsgType::kAck: {

@@ -1,9 +1,9 @@
 // Wire format for the parameter-server shard protocol.
 //
 // The sharded store's seam (PullShard / PushShard / CommitPush) becomes a
-// real protocol here: five messages in a length-prefixed binary framing with
-// fixed-width little-endian fields, so a ShardServer on one machine and a
-// ShardClient on another agree on bytes, not on C++ object layout.
+// real protocol here: length-prefixed binary framing with fixed-width
+// little-endian fields, so a ShardServer on one machine and a ShardClient on
+// another agree on bytes, not on C++ object layout.
 //
 // Frame layout (header is kHeaderBytes = 20 bytes):
 //   u32 magic          0x53505359 ("YSPS" on the wire, little-endian)
@@ -33,7 +33,9 @@
 //   PullShardReq   u32 shard
 //   PullShardResp  u32 shard, u64 offset, u64 shard_version,
 //                  u64 global_version, u64 count, f64[count]
-//   PushShardReq   u32 shard, u64 epoch, u8 kind (0 dense, 1 sparse,
+//   PushShardReq   one slice (servers answer it standalone with
+//                  kAckBadRequest; it travels inside CommitPushReq):
+//                  u32 shard, u64 epoch, u8 kind (0 dense, 1 sparse,
 //                  2 coded);
 //                  dense:  u64 offset, u64 count, f64[count]  (the shard's
 //                          slice only — never the full vector)
@@ -49,7 +51,13 @@
 //                          is byte-identical. kind 0/1 frames are
 //                          byte-identical to the pre-codec wire — codec=none
 //                          never emits kind 2 (TRCX extension discipline).
-//   CommitPushReq  (empty)
+//   CommitPushReq  u64 client_id, u64 push_seq, u32 count,
+//                  count x PushShardReq payload (each slice byte-identical to
+//                  a standalone PushShardReq payload, kind-2 included; no
+//                  per-slice length prefix — slices are self-delimiting).
+//                  One logical push to one server: the server applies every
+//                  slice and commits at most once per (client_id, push_seq).
+//                  A zero-length payload decodes as kTruncated.
 //   AckResp        u32 status, u64 value
 //   PullShardDeltaReq    u32 shard, u64 known_version  (client holds a cached
 //                        copy at that shard version; server answers
@@ -141,19 +149,29 @@ struct PushShardReq {
   std::uint8_t coded = 0;
   // Dense: the shard's contiguous slice (offset = shard offset in the full
   // vector). Sparse: global (index, value) entries owned by the shard; an
-  // empty entry list is a valid message (the empty-gradient push still
-  // crosses the wire as one message).
+  // empty entry list is a valid slice (the empty-gradient push still
+  // crosses the wire as one batch holding one empty slice).
   std::uint64_t dense_offset = 0;
   std::vector<double> dense;
   std::vector<std::uint64_t> indices;
   std::vector<double> values;
 };
 
-struct CommitPushReq {};
+// One logical push to one server: the slices this server owns, applied and
+// committed together. `client_id` is process-unique per ShardClient and
+// stable across reconnects; `push_seq` starts at 1, grows by one per logical
+// push, and is identical on every retry attempt — the pair is what lets the
+// server apply each push exactly once however often the frame arrives.
+struct CommitPushReq {
+  std::uint64_t client_id = 0;
+  std::uint64_t push_seq = 0;
+  std::vector<PushShardReq> slices;
+};
 
-// Response to PushShardReq (value = whether the slice touched the shard) and
-// CommitPushReq (value = new global version), and the error reply to any
-// request the server cannot serve.
+// Response to CommitPushReq (value = the global version the push committed
+// at, also for a duplicate answered from the server's cache), and the error
+// reply to any request the server cannot serve (a standalone PushShardReq is
+// one: a slice outside a batch is not a push).
 struct AckResp {
   std::uint32_t status = kAckOk;
   std::uint64_t value = 0;

@@ -281,8 +281,12 @@ class CalendarQueue {
   }
 
   // First occupied bucket in [from, limit), or limit when none. One l1-hot
-  // word scan per 64 buckets instead of a probe per bucket.
+  // word scan per 64 buckets instead of a probe per bucket. An empty range
+  // returns before touching the bitmap: FindMin asks for [num_buckets,
+  // num_buckets) after a miss in the last bucket, whose word would lie one
+  // past the end of occupied_ once the ring has >= 64 buckets.
   std::size_t NextOccupied(std::size_t from, std::size_t limit) const {
+    if (from >= limit) return limit;
     std::size_t w = from >> 6;
     std::uint64_t word = occupied_[w] & (~std::uint64_t{0} << (from & 63));
     for (;;) {

@@ -85,15 +85,15 @@ TEST_P(ReassemblyTest, FrameDribbledOneByteAtATimeIsReassembled) {
   TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
-  // A payload-bearing request so the dribble crosses the header/payload seam
-  // and several element boundaries.
+  // A payload-bearing request (a one-slice push batch) so the dribble
+  // crosses the header/payload seam and several element boundaries.
   PushShardReq req;
   req.shard = 0;
   req.epoch = 1;
   req.sparse = true;
   req.indices = {0, 3, 4};
   req.values = {0.5, -1.0, 2.0};
-  const auto frame = EncodeFrame(req, 99);
+  const auto frame = EncodeFrame(CommitPushReq{7, 1, {req}}, 99);
   for (const std::uint8_t byte : frame) {
     ASSERT_TRUE(conn.SendAll(std::span(&byte, 1)));
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -124,9 +124,10 @@ TEST_P(ReassemblyTest, CodedFrameDribbledByteWiseIsReassembled) {
   req.coded = static_cast<std::uint8_t>(CodecKind::kInt8);
   req.indices = {1, 2, 4};
   req.values = {0.25, -1.0, 0.5};  // scale 1/64, all exactly coded
-  const auto frame = EncodeFrame(req, 41);
-  // 20 header + 4 shard + 8 epoch + 3 tags + 8 scale + 8 nnz + 24 idx + 3 q.
-  ASSERT_EQ(frame.size(), 78u);
+  const auto frame = EncodeFrame(CommitPushReq{7, 1, {req}}, 41);
+  // 20 header + 8 client + 8 seq + 4 count, then the slice: 4 shard +
+  // 8 epoch + 3 tags + 8 scale + 8 nnz + 24 idx + 3 q.
+  ASSERT_EQ(frame.size(), 98u);
   for (const std::uint8_t byte : frame) {
     ASSERT_TRUE(conn.SendAll(std::span(&byte, 1)));
     std::this_thread::sleep_for(std::chrono::microseconds(100));

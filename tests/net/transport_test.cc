@@ -426,13 +426,169 @@ TEST_P(TransportTest, SurvivesDropDelayDuplicateInjection) {
   }
   workers.clear();  // join
 
-  // Retried pushes may re-commit (at-least-once), so the version is a floor.
-  EXPECT_GE(store->version(), kWorkers * kPushesPerWorker);
+  // Pushes are exactly-once: drops, delays and duplicates may cost retries,
+  // but every logical push commits exactly one version.
+  EXPECT_EQ(store->version(), kWorkers * kPushesPerWorker);
+  EXPECT_EQ(server->stats().commits, kWorkers * kPushesPerWorker);
   for (const double v : store->Snapshot()) {
     EXPECT_TRUE(std::isfinite(v));
   }
   const ShardClient::Stats stats = client.stats();
   (void)stats;  // per-worker clients carry the interesting counters
+}
+
+// Sends `request` on a raw connection and returns the decoded ack.
+AckResp RawAck(TcpConnection& conn, const WireMessage& request,
+               std::uint64_t id) {
+  EXPECT_TRUE(conn.SendAll(EncodeFrame(request, id)));
+  std::vector<std::uint8_t> reply;
+  EXPECT_EQ(conn.RecvFrame(reply, std::chrono::steady_clock::now() +
+                                      std::chrono::seconds(5)),
+            TcpConnection::RecvStatus::kFrame);
+  std::uint64_t reply_id = 0;
+  WireMessage out;
+  EXPECT_EQ(DecodeFrame(reply, reply_id, out), WireStatus::kOk);
+  EXPECT_EQ(reply_id, id);
+  const auto* ack = std::get_if<AckResp>(&out);
+  return ack != nullptr ? *ack : AckResp{~0u, 0};
+}
+
+PushShardReq SparseSlice(std::uint32_t shard, std::uint64_t index,
+                         double value) {
+  PushShardReq slice;
+  slice.shard = shard;
+  slice.sparse = true;
+  slice.indices = {index};
+  slice.values = {value};
+  return slice;
+}
+
+TEST_P(TransportTest, StandaloneSliceIsRejectedNotApplied) {
+  // A slice outside a batch is not a push: it would bypass the watermark.
+  auto store = MakeStore(10, 2);
+  auto server = StartServer(store.get());
+  const DenseVector before = store->Snapshot();
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+  EXPECT_EQ(RawAck(conn, SparseSlice(0, 1, 4.0), 1).status, kAckBadRequest);
+  EXPECT_EQ(store->Snapshot(), before);
+  EXPECT_EQ(store->shard(0).version, 0u);
+  EXPECT_EQ(server->stats().rejected, 1u);
+}
+
+TEST_P(TransportTest, BadBatchChangesNothing) {
+  // Every slice is validated before any applies: one bad slice anywhere in
+  // the batch leaves the store, its versions and the watermark untouched.
+  auto store = MakeStore(10, 2);  // shards [0,5) and [5,10)
+  ShardServerConfig config;
+  config.served_shards = {0};
+  auto server = StartServer(store.get(), std::move(config));
+  const DenseVector before = store->Snapshot();
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+
+  const CommitPushReq unserved{9, 1, {SparseSlice(0, 1, 4.0),
+                                      SparseSlice(1, 6, 4.0)}};
+  const AckResp bad_shard = RawAck(conn, unserved, 1);
+  EXPECT_EQ(bad_shard.status, kAckBadShard);
+  EXPECT_EQ(bad_shard.value, 1u);
+
+  PushShardReq short_dense;  // shard 0 is 5 wide; ship 4
+  short_dense.dense_offset = 0;
+  short_dense.dense = {1.0, 1.0, 1.0, 1.0};
+  const CommitPushReq bad_length{9, 1, {SparseSlice(0, 1, 4.0), short_dense}};
+  EXPECT_EQ(RawAck(conn, bad_length, 2).status, kAckBadRequest);
+  EXPECT_EQ(RawAck(conn, CommitPushReq{9, 0, {}}, 3).status, kAckBadRequest)
+      << "push_seq 0 is never valid";
+
+  EXPECT_EQ(store->Snapshot(), before);
+  EXPECT_EQ(store->version(), 0u);
+  EXPECT_EQ(store->shard(0).version, 0u);
+  // The rejected seq 1 was never recorded: the same seq still applies.
+  const AckResp ok = RawAck(conn, CommitPushReq{9, 1, {SparseSlice(0, 1, 4.0)}},
+                            4);
+  EXPECT_EQ(ok.status, kAckOk);
+  EXPECT_EQ(ok.value, 1u);
+  EXPECT_EQ(store->Snapshot()[1], before[1] - 4.0);
+}
+
+TEST_P(TransportTest, RepeatedBatchIsAnsweredFromTheWatermark) {
+  auto store = MakeStore(10, 2);
+  auto server = StartServer(store.get());
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+
+  const CommitPushReq first{5, 1, {SparseSlice(0, 2, 1.0)}};
+  const CommitPushReq second{5, 2, {SparseSlice(1, 7, 1.0)}};
+  EXPECT_EQ(RawAck(conn, first, 1).value, 1u);
+  EXPECT_EQ(RawAck(conn, first, 2).value, 1u) << "retry: cached ack";
+  EXPECT_EQ(RawAck(conn, second, 3).value, 2u);
+  // A stale copy of an older push gets the latest cached ack, applies nothing.
+  EXPECT_EQ(RawAck(conn, first, 4).value, 2u);
+  // Another client's seq 1 is its own push.
+  EXPECT_EQ(RawAck(conn, CommitPushReq{6, 1, {SparseSlice(0, 2, 1.0)}}, 5)
+                .value,
+            3u);
+
+  EXPECT_EQ(store->version(), 3u);
+  EXPECT_EQ(store->Snapshot()[2], 3.0 - 2.0);
+  EXPECT_EQ(store->Snapshot()[7], 8.0 - 1.0);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.commits, 3u);
+  EXPECT_EQ(stats.duplicate_pushes, 2u);
+}
+
+TEST_P(TransportTest, UnreachableShardIsDiagnosed) {
+  auto store = MakeStore(10, 1);
+  auto server = StartServer(store.get());
+
+  FaultPlanConfig fault_config;
+  fault_config.data.drop_probability = 1.0;
+  FaultPlan faults(fault_config);
+  ShardClientConfig client_config = ClientConfigFor(*store, server->port());
+  client_config.request_timeout = std::chrono::milliseconds(10);
+  client_config.max_attempts = 3;
+  ShardClient client(client_config, &faults);
+  ASSERT_TRUE(client.Connect());
+  try {
+    client.Push(Gradient::Sparse(), 0);
+    FAIL() << "an all-drop link must exhaust its attempts";
+  } catch (const CheckError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("shard 0 at 127.0.0.1:" +
+                           std::to_string(server->port())),
+              std::string::npos)
+        << message;
+    EXPECT_NE(message.find("after 3 attempts"), std::string::npos) << message;
+    EXPECT_NE(message.find("acked at global version 0"), std::string::npos)
+        << message;
+  }
+  EXPECT_EQ(store->version(), 0u);
+}
+
+TEST_P(TransportTest, LostServerReportsLastAckedPushVersion) {
+  auto store = MakeStore(10, 2);
+  auto server = StartServer(store.get());
+  ShardClientConfig client_config = ClientConfigFor(*store, server->port());
+  client_config.request_timeout = std::chrono::milliseconds(20);
+  client_config.max_attempts = 4;
+  ShardClient client(client_config);
+  ASSERT_TRUE(client.Connect());
+  Gradient g = Gradient::Sparse();
+  g.sparse().Add(7, 1.0);
+  EXPECT_EQ(client.Push(g, 0), 1u);
+  EXPECT_EQ(client.Push(g, 0), 2u);
+
+  server->Stop();  // the endpoint now refuses every reconnect
+  try {
+    (void)client.Pull();
+    FAIL() << "a stopped server must be reported unreachable";
+  } catch (const CheckError& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("after 4 attempts"), std::string::npos) << message;
+    EXPECT_NE(message.find("acked at global version 2"), std::string::npos)
+        << message;
+  }
 }
 
 TEST_P(TransportTest, ClientStatsCountInjectedFaults) {
@@ -659,9 +815,9 @@ TEST_P(TransportTest, ClientAndServerSpansStitchViaFlowIds) {
     EXPECT_NE(event.flow_out, 0u) << event.name;
     out_ids.push_back(event.flow_out);
   }
-  // 4 rounds x (2 shard pulls + commit + shard pushes + commit) — at minimum
-  // one client span per wire request; just require a healthy number.
-  ASSERT_GE(out_ids.size(), 8u);
+  // 4 rounds x (2 shard pulls + 1 push batch): one client span per wire
+  // request.
+  ASSERT_EQ(out_ids.size(), 12u);
 
   std::vector<std::uint64_t> in_ids;
   for (const obs::TraceEvent& event : server_spans.Events()) {
@@ -700,6 +856,9 @@ TEST_P(TransportTest, EventLoopTelemetryReachesRegistry) {
 
   client.reset();  // disconnect: the loop sees EOF and drops the conn
   server->Stop();
+  // One residency sample per response (3 pulls x 2 shards), whether the
+  // pool thread wrote it through or the loop flushed it from the queue.
+  EXPECT_EQ(metrics.histogram("net.eloop.out_queue_s").count(), 6u);
   // Every byte gauge must return to zero once all connections are gone.
   EXPECT_EQ(metrics.gauge("net.eloop.conns").value(), 0.0);
   EXPECT_EQ(metrics.gauge("net.eloop.reassembly_bytes").value(), 0.0);

@@ -108,7 +108,33 @@ TEST(WireTest, EmptySparsePushRoundTrip) {
 }
 
 TEST(WireTest, CommitAndAckRoundTrip) {
-  RoundTrip(CommitPushReq{});
+  CommitPushReq batch;
+  batch.client_id = 0xabcdef0123456789ull;
+  batch.push_seq = 17;
+  PushShardReq dense;
+  dense.shard = 1;
+  dense.epoch = 4;
+  dense.dense_offset = 8;
+  dense.dense = {0.5, -0.25};
+  PushShardReq sparse;
+  sparse.shard = 3;
+  sparse.epoch = 4;
+  sparse.sparse = true;
+  sparse.indices = {30, 31};
+  sparse.values = {1.0, -2.0};
+  batch.slices = {dense, sparse};
+  const CommitPushReq commit = RoundTrip(batch);
+  EXPECT_EQ(commit.client_id, batch.client_id);
+  EXPECT_EQ(commit.push_seq, 17u);
+  ASSERT_EQ(commit.slices.size(), 2u);
+  EXPECT_EQ(commit.slices[0].shard, 1u);
+  EXPECT_EQ(commit.slices[0].dense, dense.dense);
+  EXPECT_EQ(commit.slices[0].dense_offset, 8u);
+  EXPECT_TRUE(commit.slices[1].sparse);
+  EXPECT_EQ(commit.slices[1].indices, sparse.indices);
+  EXPECT_EQ(commit.slices[1].values, sparse.values);
+  EXPECT_TRUE(RoundTrip(CommitPushReq{}).slices.empty());
+
   const AckResp decoded = RoundTrip(AckResp{kAckBadShard, 123});
   EXPECT_EQ(decoded.status, kAckBadShard);
   EXPECT_EQ(decoded.value, 123u);
@@ -189,7 +215,8 @@ TEST(WireTest, TruncatedPayloadRejected) {
 TEST(WireTest, TrailingBytesRejected) {
   auto frame = EncodeFrame(CommitPushReq{}, 1);
   frame.push_back(0xab);
-  PutU32(frame, 16, 1);  // header agrees the junk byte is payload
+  // The header agrees the junk byte is payload.
+  PutU32(frame, 16, static_cast<std::uint32_t>(frame.size() - kHeaderBytes));
   std::uint64_t id = 0;
   WireMessage out;
   EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kMalformed);
@@ -238,6 +265,25 @@ TEST(WireTest, BadCodecByteInCodedPushRejected) {
 TEST(WireTest, RequestIdZeroAndMaxSurvive) {
   RoundTrip(PullShardReq{1}, 0);
   RoundTrip(PullShardReq{1}, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(WireTest, HugeSliceCountRejectedNotOverflowed) {
+  // A batch claiming 2^32 - 1 slices in a 20-byte payload: rejected as
+  // truncated before anything is reserved for the slices.
+  auto frame = EncodeFrame(CommitPushReq{1, 1, {}}, 1);
+  PutU32(frame, kHeaderBytes + 16, 0xffffffffu);  // after client_id, push_seq
+  std::uint64_t id = 0;
+  WireMessage out;
+  EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kTruncated);
+}
+
+TEST(WireTest, MalformedSliceInsideBatchRejected) {
+  // Slice decoding inside a batch is exactly as strict as standalone.
+  auto frame = EncodeFrame(CommitPushReq{1, 1, {PushShardReq{}}}, 1);
+  frame[kHeaderBytes + 20 + 4 + 8] = 3;  // the slice's kind byte
+  std::uint64_t id = 0;
+  WireMessage out;
+  EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kMalformed);
 }
 
 // --- trace-context extension -------------------------------------------------
@@ -531,6 +577,66 @@ TEST(WireCodecTest, DeltaPullFrameBytesPinned) {
   golden.U32(5);   // shard
   golden.U64(77);  // known_version
   EXPECT_EQ(EncodeFrame(PullShardDeltaReq{5, 77}, 21), golden.Finish());
+}
+
+// --- push batches -----------------------------------------------------------
+
+// The batch reuses the slice encoding verbatim: its payload is the batch
+// head followed by each slice's standalone PushShardReq payload, coded
+// slices included, with nothing in between.
+TEST(WireBatchTest, SlicesAreByteIdenticalToStandalonePushPayloads) {
+  PushShardReq dense;
+  dense.shard = 0;
+  dense.epoch = 2;
+  dense.dense_offset = 0;
+  dense.dense = {0.125, 3.0};
+  PushShardReq sparse;
+  sparse.shard = 1;
+  sparse.epoch = 2;
+  sparse.sparse = true;
+  sparse.indices = {5, 9};
+  sparse.values = {-1.5, 0.75};
+  PushShardReq coded;
+  coded.shard = 2;
+  coded.epoch = 2;
+  coded.sparse = true;
+  coded.coded = static_cast<std::uint8_t>(CodecKind::kInt8);
+  coded.indices = {12};
+  coded.values = {0.5};
+
+  GoldenFrame golden;
+  golden.Header(MsgType::kCommitPushReq, 3);
+  golden.U64(0x1122334455667788ull);  // client_id
+  golden.U64(42);                     // push_seq
+  golden.U32(3);                      // count
+  for (const PushShardReq& slice : {dense, sparse, coded}) {
+    const auto standalone = EncodeFrame(slice, 3);
+    golden.bytes.insert(golden.bytes.end(), standalone.begin() + kHeaderBytes,
+                        standalone.end());
+  }
+  EXPECT_EQ(EncodeFrame(CommitPushReq{0x1122334455667788ull, 42,
+                                      {dense, sparse, coded}},
+                        3),
+            golden.Finish());
+}
+
+TEST(WireBatchTest, EmptyBatchFrameBytesPinned) {
+  GoldenFrame golden;
+  golden.Header(MsgType::kCommitPushReq, 9);
+  golden.U64(5);  // client_id
+  golden.U64(6);  // push_seq
+  golden.U32(0);  // count
+  EXPECT_EQ(EncodeFrame(CommitPushReq{5, 6, {}}, 9), golden.Finish());
+}
+
+TEST(WireBatchTest, PreBatchEmptyCommitDecodesTruncated) {
+  // The commit that carried no payload before batches existed must fail
+  // loudly against a batch-aware peer, never read as a zero-slice push.
+  GoldenFrame golden;
+  golden.Header(MsgType::kCommitPushReq, 1);
+  std::uint64_t id = 0;
+  WireMessage out;
+  EXPECT_EQ(DecodeFrame(golden.Finish(), id, out), WireStatus::kTruncated);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "data/synthetic.h"
 #include "models/softmax_regression.h"
@@ -28,6 +29,13 @@ struct SchemeCase {
   SchemeSpec scheme;
   bool stalls = false;
 };
+
+// gtest's default printer dumps the struct's raw bytes, std::string heap
+// pointer included, so the listed test names (which ctest copies) would
+// change from one process to the next. Print the case by its name instead.
+void PrintTo(const SchemeCase& scheme_case, std::ostream* os) {
+  *os << scheme_case.name;
+}
 
 std::vector<SchemeCase> AllSchemes() {
   SpeculationParams cherry;
