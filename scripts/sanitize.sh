@@ -19,7 +19,11 @@
 # and the round-trip checks hammer span views over reallocating buffers.
 # exactly_once_property_test races copies of one push through the server's
 # watermark and kills links mid-batch, so TSan proves the watermark locking
-# and ASan the connection teardown. sim_test covers the single-threaded DES
+# and ASan the connection teardown. chunk_merge_property_test rides along
+# for ASan: the chunk merger indexes a reused accumulator and bitmap by
+# gradient index, where an off-by-one would read stale memory instead of
+# crashing. push_alloc_test is deliberately absent: it replaces the global
+# operator new, which both sanitizers own. sim_test covers the single-threaded DES
 # under ASan+UBSan; the address mode also compiles with
 # -D_GLIBCXX_ASSERTIONS, so an operator[] past a vector's size but inside
 # its capacity (invisible to ASan alone) still aborts.
@@ -32,7 +36,8 @@ cd "$(dirname "$0")/.."
 SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         fault_test thread_pool_test parallel_runner_test obs_test net_test
         exactly_once_property_test sim_test calendar_queue_property_test
-        tuner_equivalence_test compression_property_test)
+        tuner_equivalence_test compression_property_test
+        chunk_merge_property_test)
 MODE="${1:-all}"
 
 run_mode() {

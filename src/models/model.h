@@ -37,6 +37,17 @@ class Gradient {
 
   bool is_sparse() const { return is_sparse_; }
 
+  // In-place Dense(dim) / Sparse() that keep the buffers' capacity, so a
+  // gradient reused across iterations stops allocating once warmed up.
+  void ResetDense(std::size_t dim) {
+    dense_.assign(dim, 0.0);
+    is_sparse_ = false;
+  }
+  void ResetSparse() {
+    sparse_.Clear();
+    is_sparse_ = true;
+  }
+
   DenseVector& dense() { return dense_; }
   const DenseVector& dense() const { return dense_; }
   SparseUpdate& sparse() { return sparse_; }

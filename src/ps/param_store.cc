@@ -215,25 +215,42 @@ std::size_t ParameterServer::shard_bytes(std::size_t s) const {
 std::vector<ParameterServer::ShardRoute> ParameterServer::RouteGradient(
     const Gradient& grad) const {
   std::vector<ShardRoute> routes;
+  RouteGradientInto(grad, routes);
+  return routes;
+}
+
+void ParameterServer::RouteGradientInto(
+    const Gradient& grad, std::vector<ShardRoute>& routes) const {
+  routes.clear();
   if (!grad.is_sparse()) {
     SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
-    routes.reserve(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       routes.push_back(ShardRoute{s, shard_bytes(s)});
     }
-    return routes;
+    return;
   }
-  std::vector<std::size_t> nnz(shards_.size(), 0);
-  for (std::uint64_t index : grad.sparse().indices()) {
-    ++nnz[ShardOf(static_cast<std::size_t>(index))];
-  }
+  // Tally bytes per shard in place, then drop the untouched shards. The
+  // cursor [lo, hi) is the current shard's range: ShardOf's binary search
+  // runs only when an index leaves it, so sorted input routes in O(nnz).
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (nnz[s] > 0) routes.push_back(ShardRoute{s, nnz[s] * 16});
+    routes.push_back(ShardRoute{s, 0});
   }
+  std::size_t shard = 0;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  for (std::uint64_t raw : grad.sparse().indices()) {
+    const auto index = static_cast<std::size_t>(raw);
+    if (index < lo || index >= hi) {
+      shard = ShardOf(index);
+      lo = shards_[shard]->offset;
+      hi = lo + shards_[shard]->length;
+    }
+    routes[shard].bytes += 16;
+  }
+  std::erase_if(routes, [](const ShardRoute& r) { return r.bytes == 0; });
   // An empty gradient still crosses the wire as one (empty) message, so the
   // push protocol and version accounting see exactly one logical push.
   if (routes.empty()) routes.push_back(ShardRoute{0, 0});
-  return routes;
 }
 
 bool ParameterServer::PushShard(std::size_t s, const Gradient& grad,
@@ -278,8 +295,13 @@ std::uint64_t ParameterServer::CommitPush() {
 }
 
 std::uint64_t ParameterServer::Push(const Gradient& grad, EpochId epoch) {
+  return Push(grad, epoch, RouteGradient(grad));
+}
+
+std::uint64_t ParameterServer::Push(const Gradient& grad, EpochId epoch,
+                                    std::span<const ShardRoute> routes) {
   obs::ScopedTimer push_timer(push_hist_);
-  for (const ShardRoute& route : RouteGradient(grad)) {
+  for (const ShardRoute& route : routes) {
     PushShard(route.shard, grad, epoch);
   }
   return CommitPush();

@@ -155,12 +155,24 @@ class ParameterServer {
   // Wire routing of one push: the shards `grad` touches and the bytes each
   // per-shard message carries (dense: every shard, slice bytes; sparse:
   // owning shards, 16 bytes per entry). An empty gradient routes one empty
-  // message to shard 0 so a push is never silently message-free.
+  // message to shard 0 so a push is never silently message-free. Routes
+  // come out in ascending shard order, whatever the index order.
   struct ShardRoute {
     std::size_t shard = 0;
     std::size_t bytes = 0;
   };
   std::vector<ShardRoute> RouteGradient(const Gradient& grad) const;
+  // RouteGradient into a caller-owned buffer (cleared first): allocation-free
+  // once `routes` has held num_shards() entries.
+  void RouteGradientInto(const Gradient& grad,
+                         std::vector<ShardRoute>& routes) const;
+
+  // Push with the routing already done: `routes` must be what
+  // RouteGradientInto(grad) produced. A caller that also needs the routes
+  // (the runtime's consistency gate) routes once per push this way; the
+  // two-argument Push is this plus RouteGradient.
+  std::uint64_t Push(const Gradient& grad, EpochId epoch,
+                     std::span<const ShardRoute> routes);
 
   // Copy of current parameters for evaluation (same as Pull().params).
   DenseVector Snapshot() const { return Pull().params; }

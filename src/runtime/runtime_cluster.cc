@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "core/adaptive_tuner.h"
 #include "data/sharding.h"
+#include "models/chunk_merger.h"
 #include "net/shard_client.h"
 #include "net/shard_server.h"
 #include "obs/obs.h"
@@ -40,30 +41,6 @@ struct WorkerUpMsg {
 };
 using SchedulerMsg =
     std::variant<NotifyMsg, PullMsg, WorkerDownMsg, WorkerUpMsg>;
-
-// Merges per-chunk gradients (each a mean over its chunk) into their average.
-Gradient MergeChunks(std::vector<Gradient> chunks) {
-  SPECSYNC_CHECK(!chunks.empty());
-  const double weight = 1.0 / static_cast<double>(chunks.size());
-  if (!chunks.front().is_sparse()) {
-    Gradient merged = Gradient::Dense(chunks.front().dense().size());
-    for (const Gradient& chunk : chunks) {
-      Axpy(weight, chunk.dense(), merged.dense());
-    }
-    return merged;
-  }
-  Gradient merged = Gradient::Sparse();
-  for (Gradient& chunk : chunks) {
-    chunk.sparse().ScaleValues(weight);
-    const auto indices = chunk.sparse().indices();
-    const auto values = chunk.sparse().values();
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      merged.sparse().Add(indices[i], values[i]);
-    }
-  }
-  merged.sparse().Coalesce();
-  return merged;
-}
 
 }  // namespace
 
@@ -301,9 +278,11 @@ struct RuntimeCluster::Impl {
     return shard_clients[w]->Pull(pull_pool.get());
   }
 
-  void PushGradient(WorkerId w, const Gradient& grad, EpochId epoch) {
+  // `routes` is RouteGradientInto(grad); the wire client routes by itself.
+  void PushGradient(WorkerId w, const Gradient& grad, EpochId epoch,
+                    std::span<const ParameterServer::ShardRoute> routes) {
     if (shard_clients.empty()) {
-      server->Push(grad, epoch);
+      server->Push(grad, epoch, routes);
     } else {
       shard_clients[w]->Push(grad, epoch, pull_pool.get());
     }
@@ -433,6 +412,16 @@ struct RuntimeCluster::Impl {
       return false;  // in-flight work is discarded; re-pull and restart
     };
 
+    // Push buffers reused by every iteration: with obs and the codec off,
+    // the push span (merge, route, store, gate) allocates nothing once the
+    // first push has sized them.
+    std::vector<Gradient> chunks;
+    ChunkMerger merger(model->param_dim());
+    Gradient merged;
+    std::vector<ParameterServer::ShardRoute> routes;
+    std::vector<std::size_t> touched;
+    touched.reserve(server->num_shards());  // a push may touch every shard
+
     for (IterationId iteration = 0; iteration < config.iterations_per_worker;
          ++iteration) {
       bool pushed = false;
@@ -474,7 +463,7 @@ struct RuntimeCluster::Impl {
 
         const SimTime compute_begin = obs != nullptr ? clock.Now() : SimTime();
         const std::vector<std::size_t> batch = sampler.NextBatch();
-        std::vector<Gradient> chunks;
+        chunks.clear();
         bool aborted = false;
         bool crashed = false;
         for (std::size_t begin = 0; begin < batch.size();
@@ -528,36 +517,54 @@ struct RuntimeCluster::Impl {
                              {{"iteration", std::to_string(iteration)}});
         }
 
+        // The push span covers the whole commit and nests one sub-span per
+        // step: push.merge (chunk merge plus codec), push.store (route,
+        // apply, commit), push.gate (consistency bookkeeping, gated runs
+        // only) and push.notify (the scheduler message, speculative runs
+        // only). Recording them is charged to the push span itself.
         const SimTime push_begin = obs != nullptr ? clock.Now() : SimTime();
-        Gradient merged = MergeChunks(std::move(chunks));
+        merger.Merge(chunks, merged);
         // Codec transform happens before BOTH the push and the gate's write
         // set below, so consistency tracking sees the gradient that actually
         // shipped (top-k may shrink the touched-shard set).
         if (codec) codec->Transform(w, merged);
-        PushGradient(w, merged, GlobalEpoch());
+        const SimTime merge_end = obs != nullptr ? clock.Now() : SimTime();
+        // Route once: the store applies these routes and the gate takes its
+        // write set from them (routing is a pure read of the static shard
+        // table).
+        server->RouteGradientInto(merged, routes);
+        PushGradient(w, merged, GlobalEpoch(), routes);
         completed[w].fetch_add(1, std::memory_order_relaxed);
+        const SimTime store_end = obs != nullptr ? clock.Now() : SimTime();
         if (gate) {
-          // The push's write set is whatever shards its gradient routed to
-          // (RouteGradient is a pure read of the static shard table).
-          const auto routes = server->RouteGradient(merged);
-          std::vector<std::size_t> touched;
-          touched.reserve(routes.size());
+          touched.clear();
           for (const ParameterServer::ShardRoute& route : routes) {
             touched.push_back(route.shard);
           }
           gate->OnPush(w, iteration, clock.Now(), touched);
         }
-        if (obs != nullptr) {
-          push_counter->Increment();
-          obs->spans.AddSpan("push", "push", w, push_begin, clock.Now(),
-                             {{"iteration", std::to_string(iteration)}});
-          obs->spans.AddInstant("notify", "control", w, clock.Now(),
-                                {{"iteration", std::to_string(iteration)}});
-        }
+        const SimTime gate_end = obs != nullptr ? clock.Now() : SimTime();
         if (scheduler) {
           SPECSYNC_CHECK(
               scheduler_mailbox.Send(SchedulerMsg{NotifyMsg{w, iteration}}))
               << "worker " << w << ": scheduler mailbox closed before join";
+        }
+        if (obs != nullptr) {
+          const SimTime notify_end = clock.Now();
+          obs->spans.AddSpan("push.merge", "push", w, push_begin, merge_end);
+          obs->spans.AddSpan("push.store", "push", w, merge_end, store_end);
+          if (gate) {
+            obs->spans.AddSpan("push.gate", "push", w, store_end, gate_end);
+          }
+          if (scheduler) {
+            obs->spans.AddSpan("push.notify", "push", w, gate_end,
+                               notify_end);
+          }
+          obs->spans.AddInstant("notify", "control", w, gate_end,
+                                {{"iteration", std::to_string(iteration)}});
+          push_counter->Increment();
+          obs->spans.AddSpan("push", "push", w, push_begin, clock.Now(),
+                             {{"iteration", std::to_string(iteration)}});
         }
         pushed = true;
       }

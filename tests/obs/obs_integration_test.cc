@@ -154,12 +154,7 @@ TEST(ObsIntegrationTest, CountersAndAuditAgreeWithSchedulerStats) {
   EXPECT_GT(gauge("sim.wasted_compute_s"), 0.0);
 }
 
-// The threaded runtime records the same surfaces from real threads: worker
-// threads write spans and PS latency histograms concurrently while the
-// scheduler thread appends audit records. (This test is part of the
-// sanitizer suites — TSan runs it to race-check the lock-free instruments
-// against live worker/scheduler interleavings.)
-TEST(ObsIntegrationTest, RuntimeClusterRecordsAllSurfaces) {
+std::shared_ptr<const Model> SmallSoftmaxModel() {
   Rng rng(5);
   ClassificationSpec spec;
   spec.num_examples = 200;
@@ -167,8 +162,17 @@ TEST(ObsIntegrationTest, RuntimeClusterRecordsAllSurfaces) {
   spec.num_classes = 3;
   auto data = std::make_shared<ClassificationDataset>(
       GenerateClassification(spec, rng));
-  auto model = std::make_shared<SoftmaxRegressionModel>(
-      std::move(data), SoftmaxRegressionConfig{});
+  return std::make_shared<SoftmaxRegressionModel>(std::move(data),
+                                                  SoftmaxRegressionConfig{});
+}
+
+// The threaded runtime records the same surfaces from real threads: worker
+// threads write spans and PS latency histograms concurrently while the
+// scheduler thread appends audit records. (This test is part of the
+// sanitizer suites — TSan runs it to race-check the lock-free instruments
+// against live worker/scheduler interleavings.)
+TEST(ObsIntegrationTest, RuntimeClusterRecordsAllSurfaces) {
+  auto model = SmallSoftmaxModel();
 
   RuntimeConfig config;
   config.num_workers = 4;
@@ -219,6 +223,58 @@ TEST(ObsIntegrationTest, RuntimeClusterRecordsAllSurfaces) {
   }
   EXPECT_EQ(push_spans, result.total_pushes);
   EXPECT_EQ(abort_spans, result.total_aborts);
+}
+
+// Each in-process push span names its costly step: it contains exactly one
+// push.merge, push.store, push.gate and push.notify span on its worker's
+// track, all within its bounds (SSP with speculation, so every push passes
+// through the gate and notifies the scheduler).
+TEST(ObsIntegrationTest, RuntimePushSpansNestTheirSteps) {
+  RuntimeConfig config;
+  config.num_workers = 2;
+  config.num_servers = 2;
+  config.iterations_per_worker = 15;
+  config.batch_size = 16;
+  config.compute_chunks = 4;
+  config.consistency.scheme = RuntimeConsistency::kSsp;
+  config.consistency.staleness = 1;
+  config.fixed_params.abort_time = Duration::Milliseconds(0.5);
+  config.fixed_params.abort_rate = 0.25;
+
+  obs::ObsContext ctx;
+  config.obs = &ctx;
+  RuntimeCluster cluster(SmallSoftmaxModel(),
+                         std::make_shared<ConstantSchedule>(0.1), config);
+  const RuntimeResult result = cluster.Run();
+
+  const auto events = ctx.spans.Events();
+  std::vector<const obs::TraceEvent*> pushes;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "push") pushes.push_back(&e);
+  }
+  ASSERT_EQ(pushes.size(), result.total_pushes);
+  ASSERT_GT(pushes.size(), 0u);
+  // Span ends are stored as begin + duration, so allow rounding slack.
+  constexpr double kSlack = 1e-9;
+  for (const char* step :
+       {"push.merge", "push.store", "push.gate", "push.notify"}) {
+    std::size_t total = 0;
+    for (const obs::TraceEvent& e : events) total += e.name == step ? 1 : 0;
+    EXPECT_EQ(total, pushes.size()) << step;
+    for (const obs::TraceEvent* push : pushes) {
+      std::size_t inside = 0;
+      for (const obs::TraceEvent& e : events) {
+        if (e.name == step && e.track == push->track &&
+            e.begin.seconds() >= push->begin.seconds() - kSlack &&
+            e.end().seconds() <= push->end().seconds() + kSlack) {
+          ++inside;
+        }
+      }
+      EXPECT_EQ(inside, 1u) << step << " in the push span at "
+                            << push->begin.seconds() << " s on track "
+                            << push->track;
+    }
+  }
 }
 
 }  // namespace

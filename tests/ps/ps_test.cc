@@ -129,6 +129,88 @@ TEST(ParamStoreTest, RouteGradientEmptyStillSendsOneMessage) {
   EXPECT_EQ(routes[0].bytes, 0u);
 }
 
+// The per-index routing RouteGradient used before its shard cursor: one
+// ShardOf binary search per entry, then the touched shards in order.
+std::vector<ParameterServer::ShardRoute> ReferenceRoutes(
+    const ParameterServer& server, const std::vector<std::uint64_t>& indices) {
+  std::vector<std::size_t> nnz(server.num_shards(), 0);
+  for (const std::uint64_t index : indices) {
+    ++nnz[server.ShardOf(static_cast<std::size_t>(index))];
+  }
+  std::vector<ParameterServer::ShardRoute> routes;
+  for (std::size_t s = 0; s < nnz.size(); ++s) {
+    if (nnz[s] > 0) routes.push_back({s, nnz[s] * 16});
+  }
+  if (routes.empty()) routes.push_back({0, 0});
+  return routes;
+}
+
+TEST(ParamStoreTest, CursorRoutingMatchesPerIndexShardOf) {
+  struct Case {
+    const char* name;
+    std::size_t dim;
+    std::size_t shards;
+    std::vector<std::uint64_t> indices;
+  };
+  // dim 10 over 3 shards is [0,4) [4,7) [7,10); dim 64 over 4 is 16 each.
+  const std::vector<Case> cases = {
+      {"empty", 10, 3, {}},
+      {"sorted", 10, 3, {0, 1, 3, 4, 6, 7, 9}},
+      {"sorted one shard", 10, 3, {4, 5, 6}},
+      {"unsorted", 10, 3, {9, 0, 5, 2, 7, 4}},
+      {"descending", 10, 3, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}},
+      {"duplicates", 10, 3, {3, 3, 4, 4, 4, 3, 9, 9}},
+      {"shard boundaries", 10, 3, {3, 4, 6, 7, 3, 7}},
+      {"dim-1 only", 10, 3, {9}},
+      {"dim-1 then 0", 10, 3, {9, 0}},
+      {"skips middle shard", 10, 3, {0, 8, 1, 9}},
+      // transport_test.cc's golden schedule: (w*7) % dim, (w*7 + dim/2) % dim.
+      {"golden pair w=3", 64, 4, {21, 53}},
+      {"golden pair w=5", 64, 4, {35, 3}},
+      {"single shard", 7, 1, {6, 0, 3, 3}},
+      {"one index per shard", 4, 4, {3, 2, 1, 0, 0, 3}},
+  };
+  std::vector<ParameterServer::ShardRoute> reused = {{2, 99}, {1, 7}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ParameterServer server(c.dim, c.shards, UnitApplier());
+    Gradient g = Gradient::Sparse();
+    for (const std::uint64_t index : c.indices) g.sparse().Add(index, 1.0);
+    const auto want = ReferenceRoutes(server, c.indices);
+    const auto got = server.RouteGradient(g);
+    server.RouteGradientInto(g, reused);  // stale contents must be cleared
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_EQ(reused.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].shard, want[i].shard) << "route " << i;
+      EXPECT_EQ(got[i].bytes, want[i].bytes) << "route " << i;
+      EXPECT_EQ(reused[i].shard, want[i].shard) << "route " << i;
+      EXPECT_EQ(reused[i].bytes, want[i].bytes) << "route " << i;
+    }
+  }
+  // An index past the end is rejected whatever shard the cursor holds.
+  ParameterServer server(10, 3, UnitApplier());
+  Gradient g = Gradient::Sparse();
+  g.sparse().Add(9, 1.0);
+  g.sparse().Add(10, 1.0);
+  EXPECT_THROW(server.RouteGradient(g), CheckError);
+}
+
+TEST(ParamStoreTest, PushWithRoutesEqualsPush) {
+  ParameterServer a(10, 3, UnitApplier());
+  ParameterServer b(10, 3, UnitApplier());
+  Gradient g = Gradient::Sparse();
+  g.sparse().Add(8, 0.5);
+  g.sparse().Add(1, -0.25);
+  std::vector<ParameterServer::ShardRoute> routes;
+  b.RouteGradientInto(g, routes);
+  EXPECT_EQ(a.Push(g, 0), b.Push(g, 0, routes));
+  EXPECT_EQ(a.Pull().params, b.Pull().params);
+  for (std::size_t s = 0; s < 3; ++s) {
+    EXPECT_EQ(a.shard(s).version, b.shard(s).version) << "shard " << s;
+  }
+}
+
 TEST(ParamStoreTest, PushShardAppliesSliceWithoutCommitting) {
   ParameterServer server(10, 2, UnitApplier());  // [0,5) [5,10)
   server.SetParams(DenseVector(10, 0.0));

@@ -1,0 +1,152 @@
+// Pins the runtime's steady-state push span as allocation-free.
+//
+// This file replaces the global operator new with a counting one, so it is
+// its own test binary. It drives real matrix-factorization gradients through
+// the steps of RuntimeCluster's push span, with per-worker buffers reused the
+// way WorkerLoop reuses them: ChunkMerger::Merge, then
+// ParameterServer::RouteGradientInto, then Push(grad, epoch, routes), then
+// ConsistencyGate::OnPush with the routed shards as the write set. Obs and
+// the codec are off. After each worker's first push has sized its buffers,
+// no push may allocate. The chunk gradients themselves are computed outside
+// the counted window (the model allocates them).
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <span>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "harness/workload.h"
+#include "models/chunk_merger.h"
+#include "ps/consistency.h"
+#include "ps/consistency_gate.h"
+#include "ps/param_store.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+// The aligned forms keep their default (aligned_alloc/free) pairing.
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace specsync {
+namespace {
+
+// Allocations made by `fn`.
+template <typename Fn>
+std::size_t CountAllocations(Fn&& fn) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  fn();
+  g_counting.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(PushAllocTest, CounterSeesAllocations) {
+  // An explicit operator new call cannot be elided, so this proves the
+  // replacement is the one linked in.
+  void* volatile sink = nullptr;
+  EXPECT_EQ(CountAllocations([&] { sink = ::operator new(64); }), 1u);
+  ::operator delete(sink);
+}
+
+TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
+  constexpr std::size_t kWorkers = 2;
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kChunks = 4;
+  constexpr std::size_t kPushes = 1000;
+
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  const std::size_t dim = mf.model->param_dim();
+  ParameterServer server(
+      dim, kShards,
+      std::make_shared<SgdApplier>(mf.schedule, SgdConfig{mf.sgd_clip}));
+  Rng rng(1);
+  server.Initialize(*mf.model, rng);
+
+  // The runtime's SSP gate: per-shard controller with every write set
+  // frozen to all shards.
+  auto controller =
+      std::make_unique<PerShardSspController>(kWorkers, kShards, 2);
+  std::vector<std::size_t> all_shards = {0, 1, 2, 3};
+  for (WorkerId w = 0; w < kWorkers; ++w) {
+    controller->SetWriteSet(w, all_shards);
+  }
+  const PerShardSspController* ssp = controller.get();
+  ConsistencyGate gate(std::move(controller));
+
+  struct WorkerBuffers {
+    explicit WorkerBuffers(std::size_t dim) : merger(dim) {
+      touched.reserve(kShards);
+    }
+    ChunkMerger merger;
+    Gradient merged;
+    std::vector<ParameterServer::ShardRoute> routes;
+    std::vector<std::size_t> touched;
+    IterationId iteration = 0;
+  };
+  std::vector<WorkerBuffers> workers;
+  for (WorkerId w = 0; w < kWorkers; ++w) workers.emplace_back(dim);
+
+  std::vector<Gradient> chunks(kChunks);
+  const std::size_t chunk_size = mf.batch_size / kChunks;
+  const auto push = [&](WorkerId w) {
+    WorkerBuffers& b = workers[w];
+    b.merger.Merge(chunks, b.merged);
+    server.RouteGradientInto(b.merged, b.routes);
+    server.Push(b.merged, /*epoch=*/0, b.routes);
+    b.touched.clear();
+    for (const ParameterServer::ShardRoute& route : b.routes) {
+      b.touched.push_back(route.shard);
+    }
+    gate.OnPush(w, b.iteration++, SimTime::Zero(), b.touched);
+  };
+
+  std::size_t allocations = 0;
+  std::size_t max_nnz = 0;
+  for (std::size_t p = 0; p < kWorkers + kPushes; ++p) {
+    const WorkerId w = p % kWorkers;
+    const PullResult snapshot = server.Pull();
+    const std::vector<std::size_t> batch =
+        rng.SampleIndices(mf.model->dataset_size(), mf.batch_size);
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      mf.model->LossAndGradient(
+          snapshot.params,
+          std::span(batch).subspan(c * chunk_size, chunk_size), chunks[c]);
+    }
+    if (p < kWorkers) {
+      push(w);  // warm-up: the worker's first push sizes its buffers
+      continue;
+    }
+    allocations += CountAllocations([&] { push(w); });
+    max_nnz = std::max(max_nnz, workers[w].merged.sparse().nnz());
+  }
+  EXPECT_EQ(allocations, 0u) << "over " << kPushes << " steady-state pushes";
+  // Non-vacuity: real MF merges, every push committed and gated.
+  EXPECT_GT(max_nnz, 1000u);
+  EXPECT_EQ(server.version(), kWorkers + kPushes);
+  EXPECT_EQ(ssp->completed(0), (kWorkers + kPushes) / kWorkers);
+}
+
+}  // namespace
+}  // namespace specsync
