@@ -12,23 +12,6 @@
 
 namespace specsync::net {
 
-namespace {
-
-std::string TraceIdHex(std::uint64_t id) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out = "0x";
-  bool started = false;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    const unsigned nibble = (id >> shift) & 0xf;
-    if (!started && nibble == 0 && shift != 0) continue;
-    started = true;
-    out += kHex[nibble];
-  }
-  return out;
-}
-
-}  // namespace
-
 PushWatermarks::Client& PushWatermarks::ClientFor(std::uint64_t client_id) {
   std::scoped_lock lock(mutex_);
   std::unique_ptr<Client>& client = clients_[client_id];

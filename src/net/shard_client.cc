@@ -36,19 +36,6 @@ std::uint64_t NextProcessUniqueId() {
          (seq & 0xffffffffull);
 }
 
-std::string TraceIdHex(std::uint64_t id) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out = "0x";
-  bool started = false;
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    const unsigned nibble = (id >> shift) & 0xf;
-    if (!started && nibble == 0 && shift != 0) continue;
-    started = true;
-    out += kHex[nibble];
-  }
-  return out;
-}
-
 void RecordNetState(const char* label, std::int64_t a, std::int64_t b = 0) {
   auto& flight = obs::FlightRecorder::Instance();
   if (flight.enabled()) flight.Record(obs::FlightKind::kNetState, label, a, b);

@@ -3,80 +3,131 @@
 #include <bit>
 #include <cstring>
 
+#include "common/check.h"
 #include "ps/compression.h"
 
 namespace specsync::net {
 
+// Fields and arrays are copied in host byte order, which is the wire's only
+// on a little-endian host. A big-endian port would need a byte-swapping
+// codec; rather than carry one nothing runs, the build refuses.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies host-order bytes; the wire is "
+              "little-endian");
+
 namespace {
 
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
+constexpr std::size_t kTraceExtFrameBytes = 4 + 2 + kTraceExtBytes;
 
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
+// Unchecked write cursor into a frame EncodeFrame has already sized exactly
+// with EncodedPayloadBytes. Loops keep the cursor in a local: a store through
+// a uint8_t* may alias the member, which would force a reload per element.
+class Writer {
+ public:
+  explicit Writer(std::uint8_t* pos) : pos_(pos) {}
 
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void PutU8(std::uint8_t v) { Put(v); }
+  void PutU16(std::uint16_t v) { Put(v); }
+  void PutU32(std::uint32_t v) { Put(v); }
+  void PutU64(std::uint64_t v) { Put(v); }
+  void PutF64(double v) { Put(v); }
+
+  template <typename T>
+  void PutArray(std::span<const T> values) {
+    if (values.empty()) return;  // data() may be null, and memcpy(null) is UB
+    std::memcpy(pos_, values.data(), values.size_bytes());
+    pos_ += values.size_bytes();
   }
-}
 
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  // indices.size() x (u64 index, f64 value); values.size() == indices.size().
+  void PutPairs(std::span<const std::uint64_t> indices,
+                std::span<const double> values) {
+    std::uint8_t* out = pos_;
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      std::memcpy(out, &indices[i], 8);
+      std::memcpy(out + 8, &values[i], 8);
+      out += 16;
+    }
+    pos_ = out;
   }
-}
 
-void PutF64(std::vector<std::uint8_t>& out, double v) {
-  PutU64(out, std::bit_cast<std::uint64_t>(v));
-}
+  // One T per value, as `quantize` maps it.
+  template <typename T, typename Quantize>
+  void PutQuantized(std::span<const double> values, Quantize quantize) {
+    std::uint8_t* out = pos_;
+    for (const double v : values) {
+      const T q = quantize(v);
+      std::memcpy(out, &q, sizeof(q));
+      out += sizeof(q);
+    }
+    pos_ = out;
+  }
 
-// Bounds-checked little-endian reader over one payload. Every Take sets
-// `ok = false` instead of reading past the end, so decoding a truncated
-// payload degrades to a single status check at the end.
+ private:
+  template <typename T>
+  void Put(T v) {
+    std::memcpy(pos_, &v, sizeof(v));
+    pos_ += sizeof(v);
+  }
+
+  std::uint8_t* pos_;
+};
+
+// Bounds-checked reader over one payload. Every Take sets `ok = false`
+// instead of reading past the end, so decoding a truncated payload degrades
+// to a single status check at the end.
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::uint8_t TakeU8() {
-    if (!Need(1)) return 0;
-    return bytes_[pos_++];
-  }
-  std::uint16_t TakeU16() {
-    if (!Need(2)) return 0;
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v = static_cast<std::uint16_t>(v | (bytes_[pos_ + i] << (8 * i)));
-    }
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t TakeU32() {
-    if (!Need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t TakeU64() {
-    if (!Need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  double TakeF64() { return std::bit_cast<double>(TakeU64()); }
+  std::uint8_t TakeU8() { return Take<std::uint8_t>(); }
+  std::uint16_t TakeU16() { return Take<std::uint16_t>(); }
+  std::uint32_t TakeU32() { return Take<std::uint32_t>(); }
+  std::uint64_t TakeU64() { return Take<std::uint64_t>(); }
+  double TakeF64() { return Take<double>(); }
 
-  void Skip(std::size_t n) {
-    if (Need(n)) pos_ += n;
+  // The next count * item_bytes bytes, or an empty view and !ok() when they
+  // are not all there. Every read goes through this one bounds check.
+  std::span<const std::uint8_t> TakeBytes(std::uint64_t count,
+                                          std::size_t item_bytes) {
+    if (!ok_ || !CanTake(count, item_bytes)) {
+      ok_ = false;
+      return {};
+    }
+    const std::span<const std::uint8_t> out =
+        bytes_.subspan(pos_, count * item_bytes);
+    pos_ += out.size();
+    return out;
   }
+
+  // `count` T's copied in one go into `out`, sized once. False (and !ok())
+  // when the payload does not hold them; `out` is then left untouched, so a
+  // corrupt count cannot allocate more than the payload could carry.
+  template <typename T>
+  bool TakeArray(std::uint64_t count, std::vector<T>& out) {
+    const std::span<const std::uint8_t> in = TakeBytes(count, sizeof(T));
+    if (!ok_) return false;
+    out.resize(count);
+    if (!in.empty()) std::memcpy(out.data(), in.data(), in.size());
+    return true;
+  }
+
+  // `count` interleaved (u64 index, f64 value) pairs, split into two arrays.
+  bool TakePairs(std::uint64_t count, std::vector<std::uint64_t>& indices,
+                 std::vector<double>& values) {
+    const std::span<const std::uint8_t> in = TakeBytes(count, 16);
+    if (!ok_) return false;
+    indices.resize(count);
+    values.resize(count);
+    const std::uint8_t* pair = in.data();
+    for (std::size_t i = 0; i < count; ++i, pair += 16) {
+      std::memcpy(&indices[i], pair, 8);
+      std::memcpy(&values[i], pair + 8, 8);
+    }
+    return true;
+  }
+
+  void Skip(std::size_t n) { TakeBytes(n, 1); }
 
   // True when `count` items of `item_bytes` each still fit (overflow-safe:
   // a corrupt count cannot wrap the product back into range).
@@ -88,12 +139,12 @@ class Reader {
   bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:
-  bool Need(std::size_t n) {
-    if (!ok_ || bytes_.size() - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
+  template <typename T>
+  T Take() {
+    T v{};
+    const std::span<const std::uint8_t> in = TakeBytes(1, sizeof(T));
+    if (ok_) std::memcpy(&v, in.data(), sizeof(T));
+    return v;
   }
 
   std::span<const std::uint8_t> bytes_;
@@ -118,99 +169,141 @@ MsgType TypeOf(const WireMessage& message) {
   return std::visit(Visitor{}, message);
 }
 
+const char* MsgTypeName(MsgType type) {
+  switch (type) {
+    case MsgType::kPullShardReq: return "PullShardReq";
+    case MsgType::kPullShardResp: return "PullShardResp";
+    case MsgType::kPushShardReq: return "PushShardReq";
+    case MsgType::kCommitPushReq: return "CommitPushReq";
+    case MsgType::kAck: return "AckResp";
+    case MsgType::kPullShardDeltaReq: return "PullShardDeltaReq";
+    case MsgType::kPullShardNotModified: return "PullShardNotModified";
+  }
+  return "unknown";
+}
+
+bool IsInt8(const PushShardReq& m) {
+  return m.coded == static_cast<std::uint8_t>(CodecKind::kInt8);
+}
+
+// The values a slice ships: the sparse entries' or the dense slice's.
+std::span<const double> SliceValues(const PushShardReq& m) {
+  return m.sparse ? std::span<const double>(m.values)
+                  : std::span<const double>(m.dense);
+}
+
+// EncodePushShard's output size.
+std::size_t PushShardBytes(const PushShardReq& m) {
+  if (m.sparse) {
+    // One index per value: the encoders read values[i] for every index.
+    SPECSYNC_CHECK_EQ(m.indices.size(), m.values.size());
+  }
+  const std::size_t n = SliceValues(m).size();
+  // u32 shard, u64 epoch, u8 kind, then u64 nnz or u64 offset + u64 count.
+  const std::size_t head = 4 + 8 + 1 + (m.sparse ? 8 : 16);
+  if (m.coded == 0) return head + n * (m.sparse ? 16 : 8);
+  // u8 codec, u8 sparse, f64 scale (int8), u64 index per value (sparse).
+  const bool int8 = IsInt8(m);
+  return head + 2 + (int8 ? 8 : 0) + n * ((m.sparse ? 8 : 0) + (int8 ? 1 : 2));
+}
+
 // Kind-2 (coded) value payload. The doubles in the struct are already
 // quantization-idempotent (produced by GradientCodec::Transform or by a
 // previous decode), so re-deriving the quantized form here reproduces the
 // exact bytes the original encoder emitted.
-void EncodeCodedPush(const PushShardReq& m, std::vector<std::uint8_t>& out) {
-  PutU8(out, 2);  // kind
-  PutU8(out, m.coded);
-  PutU8(out, m.sparse ? 1 : 0);
-  const std::span<const double> values =
-      m.sparse ? std::span<const double>(m.values)
-               : std::span<const double>(m.dense);
-  const bool int8 = m.coded == static_cast<std::uint8_t>(CodecKind::kInt8);
-  double scale = 0.0;
-  if (int8) {
-    scale = Int8ScaleFor(values);
-    PutF64(out, scale);
-  }
+void EncodeCodedPush(const PushShardReq& m, Writer& w) {
+  w.PutU8(2);  // kind
+  w.PutU8(m.coded);
+  w.PutU8(m.sparse ? 1 : 0);
+  const std::span<const double> values = SliceValues(m);
+  const bool int8 = IsInt8(m);
+  const double scale = int8 ? Int8ScaleFor(values) : 0.0;
+  if (int8) w.PutF64(scale);
   if (m.sparse) {
-    PutU64(out, m.indices.size());
-    for (std::uint64_t index : m.indices) PutU64(out, index);
+    w.PutU64(m.indices.size());
+    w.PutArray<std::uint64_t>(m.indices);
   } else {
-    PutU64(out, m.dense_offset);
-    PutU64(out, m.dense.size());
+    w.PutU64(m.dense_offset);
+    w.PutU64(m.dense.size());
   }
-  for (double v : values) {
-    if (int8) {
-      PutU8(out, static_cast<std::uint8_t>(QuantizeInt8(v, scale)));
-    } else {
-      PutU16(out, EncodeFp16(v));
-    }
+  if (int8) {
+    w.PutQuantized<std::int8_t>(
+        values, [scale](double v) { return QuantizeInt8(v, scale); });
+  } else {
+    w.PutQuantized<std::uint16_t>(values, EncodeFp16);
   }
 }
 
 // One slice's payload: the whole of a standalone PushShardReq frame's
 // payload, and one element of a CommitPushReq batch.
-void EncodePushShard(const PushShardReq& m, std::vector<std::uint8_t>& out) {
-  PutU32(out, m.shard);
-  PutU64(out, m.epoch);
+void EncodePushShard(const PushShardReq& m, Writer& w) {
+  w.PutU32(m.shard);
+  w.PutU64(m.epoch);
   if (m.coded != 0) {
-    EncodeCodedPush(m, out);
+    EncodeCodedPush(m, w);
     return;
   }
-  PutU8(out, m.sparse ? 1 : 0);
+  w.PutU8(m.sparse ? 1 : 0);
   if (m.sparse) {
-    PutU64(out, m.indices.size());
-    for (std::size_t i = 0; i < m.indices.size(); ++i) {
-      PutU64(out, m.indices[i]);
-      PutF64(out, m.values[i]);
-    }
+    w.PutU64(m.indices.size());
+    w.PutPairs(m.indices, m.values);
   } else {
-    PutU64(out, m.dense_offset);
-    PutU64(out, m.dense.size());
-    for (double v : m.dense) PutF64(out, v);
+    w.PutU64(m.dense_offset);
+    w.PutU64(m.dense.size());
+    w.PutArray<double>(m.dense);
   }
 }
 
-void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
+void EncodePayload(const WireMessage& message, Writer& w) {
   struct Visitor {
-    std::vector<std::uint8_t>& out;
-    void operator()(const PullShardReq& m) { PutU32(out, m.shard); }
+    Writer& w;
+    void operator()(const PullShardReq& m) { w.PutU32(m.shard); }
     void operator()(const PullShardResp& m) {
-      PutU32(out, m.shard);
-      PutU64(out, m.offset);
-      PutU64(out, m.shard_version);
-      PutU64(out, m.global_version);
-      PutU64(out, m.params.size());
-      for (double v : m.params) PutF64(out, v);
+      w.PutU32(m.shard);
+      w.PutU64(m.offset);
+      w.PutU64(m.shard_version);
+      w.PutU64(m.global_version);
+      w.PutU64(m.params.size());
+      w.PutArray<double>(m.params);
     }
-    void operator()(const PushShardReq& m) { EncodePushShard(m, out); }
+    void operator()(const PushShardReq& m) { EncodePushShard(m, w); }
     void operator()(const CommitPushReq& m) {
-      PutU64(out, m.client_id);
-      PutU64(out, m.push_seq);
-      PutU32(out, static_cast<std::uint32_t>(m.slices.size()));
-      for (const PushShardReq& slice : m.slices) EncodePushShard(slice, out);
+      w.PutU64(m.client_id);
+      w.PutU64(m.push_seq);
+      w.PutU32(static_cast<std::uint32_t>(m.slices.size()));
+      for (const PushShardReq& slice : m.slices) EncodePushShard(slice, w);
     }
     void operator()(const AckResp& m) {
-      PutU32(out, m.status);
-      PutU64(out, m.value);
+      w.PutU32(m.status);
+      w.PutU64(m.value);
     }
     void operator()(const PullShardDeltaReq& m) {
-      PutU32(out, m.shard);
-      PutU64(out, m.known_version);
+      w.PutU32(m.shard);
+      w.PutU64(m.known_version);
     }
     void operator()(const PullShardNotModified& m) {
-      PutU32(out, m.shard);
-      PutU64(out, m.shard_version);
-      PutU64(out, m.global_version);
+      w.PutU32(m.shard);
+      w.PutU64(m.shard_version);
+      w.PutU64(m.global_version);
     }
   };
-  std::visit(Visitor{out}, message);
+  std::visit(Visitor{w}, message);
 }
 
 }  // namespace
+
+std::string TraceIdHex(std::uint64_t id) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out = "0x";
+  bool started = false;
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    const unsigned nibble = (id >> shift) & 0xf;
+    if (!started && nibble == 0 && shift != 0) continue;
+    started = true;
+    out += kHex[nibble];
+  }
+  return out;
+}
 
 const char* WireStatusName(WireStatus status) {
   switch (status) {
@@ -226,28 +319,50 @@ const char* WireStatusName(WireStatus status) {
   return "unknown";
 }
 
+std::size_t EncodedPayloadBytes(const WireMessage& message,
+                                const TraceContext* trace) {
+  struct Visitor {
+    std::size_t operator()(const PullShardReq&) { return 4; }
+    std::size_t operator()(const PullShardResp& m) {
+      return 4 + 8 + 8 + 8 + 8 + 8 * m.params.size();
+    }
+    std::size_t operator()(const PushShardReq& m) { return PushShardBytes(m); }
+    std::size_t operator()(const CommitPushReq& m) {
+      std::size_t bytes = 8 + 8 + 4;
+      for (const PushShardReq& slice : m.slices) bytes += PushShardBytes(slice);
+      return bytes;
+    }
+    std::size_t operator()(const AckResp&) { return 4 + 8; }
+    std::size_t operator()(const PullShardDeltaReq&) { return 4 + 8; }
+    std::size_t operator()(const PullShardNotModified&) { return 4 + 8 + 8; }
+  };
+  const bool traced = trace != nullptr && trace->valid();
+  return std::visit(Visitor{}, message) + (traced ? kTraceExtFrameBytes : 0);
+}
+
 std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
                                       std::uint64_t request_id,
                                       const TraceContext* trace) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderBytes + 64);
-  PutU32(frame, kWireMagic);
-  PutU16(frame, kWireVersion);
-  PutU16(frame, static_cast<std::uint16_t>(TypeOf(message)));
-  PutU64(frame, request_id);
-  PutU32(frame, 0);  // payload_bytes, patched below
-  EncodePayload(message, frame);
+  const MsgType type = TypeOf(message);
+  const std::size_t payload = EncodedPayloadBytes(message, trace);
+  SPECSYNC_CHECK_LE(payload, kMaxPayloadBytes)
+      << "refusing to encode a " << MsgTypeName(type) << " frame with "
+      << payload << " payload bytes: the wire caps a payload at "
+      << kMaxPayloadBytes << " bytes";
+  std::vector<std::uint8_t> frame(kHeaderBytes + payload);
+  Writer w(frame.data());
+  w.PutU32(kWireMagic);
+  w.PutU16(kWireVersion);
+  w.PutU16(static_cast<std::uint16_t>(type));
+  w.PutU64(request_id);
+  w.PutU32(static_cast<std::uint32_t>(payload));
+  EncodePayload(message, w);
   if (trace != nullptr && trace->valid()) {
-    PutU32(frame, kTraceExtMagic);
-    PutU16(frame, kTraceExtBytes);
-    PutU64(frame, trace->trace_id);
-    PutU64(frame, trace->parent_span);
+    w.PutU32(kTraceExtMagic);
+    w.PutU16(kTraceExtBytes);
+    w.PutU64(trace->trace_id);
+    w.PutU64(trace->parent_span);
   }
-  const std::uint64_t payload = frame.size() - kHeaderBytes;
-  frame[16] = static_cast<std::uint8_t>(payload);
-  frame[17] = static_cast<std::uint8_t>(payload >> 8);
-  frame[18] = static_cast<std::uint8_t>(payload >> 16);
-  frame[19] = static_cast<std::uint8_t>(payload >> 24);
   return frame;
 }
 
@@ -315,58 +430,46 @@ WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
     }
     m.coded = codec;
     m.sparse = sparse == 1;
-    const bool int8 = codec == static_cast<std::uint8_t>(CodecKind::kInt8);
+    const bool int8 = IsInt8(m);
     const double scale = int8 ? r.TakeF64() : 0.0;
     const std::size_t value_bytes = int8 ? 1 : 2;
     std::uint64_t count = 0;
     if (m.sparse) {
       count = r.TakeU64();
+      // Indices and values together, before the indices are sized.
       if (!r.ok() || !r.CanTake(count, 8 + value_bytes)) {
         return WireStatus::kTruncated;
       }
-      m.indices.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        m.indices.push_back(r.TakeU64());
-      }
+      r.TakeArray(count, m.indices);
     } else {
       m.dense_offset = r.TakeU64();
       count = r.TakeU64();
-      if (!r.ok() || !r.CanTake(count, value_bytes)) {
-        return WireStatus::kTruncated;
-      }
     }
+    const std::span<const std::uint8_t> coded = r.TakeBytes(count, value_bytes);
+    if (!r.ok()) return WireStatus::kTruncated;
     std::vector<double>& values = m.sparse ? m.values : m.dense;
-    values.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
+    values.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
       if (int8) {
-        values.push_back(
-            DequantizeInt8(static_cast<std::int8_t>(r.TakeU8()), scale));
+        values[i] = DequantizeInt8(static_cast<std::int8_t>(coded[i]), scale);
       } else {
-        values.push_back(DecodeFp16(r.TakeU16()));
+        std::uint16_t half = 0;
+        std::memcpy(&half, coded.data() + 2 * i, 2);
+        values[i] = DecodeFp16(half);
       }
     }
-    return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+    return WireStatus::kOk;
   }
   m.sparse = kind == 1;
   if (m.sparse) {
     const std::uint64_t nnz = r.TakeU64();
-    if (!r.ok() || !r.CanTake(nnz, 16)) return WireStatus::kTruncated;
-    m.indices.reserve(nnz);
-    m.values.reserve(nnz);
-    for (std::uint64_t i = 0; i < nnz; ++i) {
-      m.indices.push_back(r.TakeU64());
-      m.values.push_back(r.TakeF64());
-    }
+    if (!r.TakePairs(nnz, m.indices, m.values)) return WireStatus::kTruncated;
   } else {
     m.dense_offset = r.TakeU64();
     const std::uint64_t count = r.TakeU64();
-    if (!r.ok() || !r.CanTake(count, sizeof(double))) {
-      return WireStatus::kTruncated;
-    }
-    m.dense.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) m.dense.push_back(r.TakeF64());
+    if (!r.TakeArray(count, m.dense)) return WireStatus::kTruncated;
   }
-  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+  return WireStatus::kOk;
 }
 
 // The smallest slice: u32 shard, u64 epoch, u8 kind, u64 count/nnz. Bounds a
@@ -398,12 +501,7 @@ WireStatus DecodePayload(const FrameHeader& header,
       m.shard_version = r.TakeU64();
       m.global_version = r.TakeU64();
       const std::uint64_t count = r.TakeU64();
-      if (!r.ok() || !r.CanTake(count, sizeof(double))) {
-        return WireStatus::kTruncated;
-      }
-      m.params.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) m.params.push_back(r.TakeF64());
-      if (!r.ok()) return WireStatus::kTruncated;
+      if (!r.TakeArray(count, m.params)) return WireStatus::kTruncated;
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
       out = std::move(m);

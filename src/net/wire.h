@@ -69,6 +69,14 @@
 // than kMaxPayload, truncated payloads, and trailing bytes are all distinct
 // errors — a transport must never guess at a malformed frame.
 //
+// Codec. Encoding and decoding copy fields and f64/u64 arrays in bulk in the
+// host's byte order, which wire.cc pins to little-endian with a
+// static_assert (there is no byte-swapping path). EncodeFrame computes the
+// exact payload size first (EncodedPayloadBytes), allocates the frame once
+// at that size, and refuses (CheckError) a payload over kMaxPayloadBytes
+// instead of sending a frame every peer would reject. Decoding checks each
+// array's claimed count against the bytes left before sizing anything.
+//
 // Trace-context extension (optional, length-prefixed). A frame MAY carry a
 // trace context after its message fields, still inside payload_bytes:
 //   u32 ext_magic   kTraceExtMagic ("TRCX" on the wire, little-endian)
@@ -85,6 +93,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -118,6 +127,10 @@ struct TraceContext {
   std::uint64_t parent_span = 0;
   bool valid() const { return trace_id != 0; }
 };
+
+// "0x"-prefixed lowercase hex without leading zeros: the `trace_id` span arg
+// both ends of a stitched request record.
+std::string TraceIdHex(std::uint64_t id);
 
 // AckResp status codes.
 inline constexpr std::uint32_t kAckOk = 0;
@@ -218,9 +231,16 @@ struct FrameHeader {
   std::uint32_t payload_bytes = 0;
 };
 
-// Serializes one message into a complete frame (header + payload). A valid
-// (nonzero trace_id) context is appended as the trace extension; null or
-// invalid contexts produce a byte-identical pre-extension frame.
+// The payload_bytes EncodeFrame(message, id, trace) writes: the message's
+// fields plus the trace extension when `trace` is valid.
+std::size_t EncodedPayloadBytes(const WireMessage& message,
+                                const TraceContext* trace = nullptr);
+
+// Serializes one message into a complete frame (header + payload), allocated
+// once at its exact size. A valid (nonzero trace_id) context is appended as
+// the trace extension; null or invalid contexts produce a byte-identical
+// pre-extension frame. Throws CheckError, naming the message type, when the
+// payload would exceed kMaxPayloadBytes.
 std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
                                       std::uint64_t request_id,
                                       const TraceContext* trace = nullptr);

@@ -1,4 +1,5 @@
-// Pins the runtime's steady-state push span as allocation-free.
+// Pins the runtime's steady-state push span as allocation-free, and the wire
+// encoder at one allocation per frame.
 //
 // This file replaces the global operator new with a counting one, so it is
 // its own test binary. It drives real matrix-factorization gradients through
@@ -22,6 +23,7 @@
 
 #include "harness/workload.h"
 #include "models/chunk_merger.h"
+#include "net/wire.h"
 #include "ps/consistency.h"
 #include "ps/consistency_gate.h"
 #include "ps/param_store.h"
@@ -146,6 +148,36 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   EXPECT_GT(max_nnz, 1000u);
   EXPECT_EQ(server.version(), kWorkers + kPushes);
   EXPECT_EQ(ssp->completed(0), (kWorkers + kPushes) / kWorkers);
+}
+
+// EncodeFrame sizes the frame exactly before writing it, so a pull response
+// and an MF-sized push batch each cost the one allocation of the frame.
+TEST(PushAllocTest, EncodeFrameAllocatesOnce) {
+  net::PullShardResp resp;
+  resp.params.assign(2000, 0.25);
+  net::CommitPushReq batch{1, 1, {}};
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    net::PushShardReq slice;
+    slice.shard = s;
+    slice.sparse = true;
+    for (std::uint64_t i = 0; i < 625; ++i) {
+      slice.indices.push_back(s * 10000 + i);
+      slice.values.push_back(0.5);
+    }
+    batch.slices.push_back(std::move(slice));
+  }
+  const net::TraceContext trace{1, 2};
+  const net::TraceContext no_trace;
+  for (const net::WireMessage& message :
+       {net::WireMessage(resp), net::WireMessage(batch)}) {
+    for (const net::TraceContext* context : {&trace, &no_trace}) {
+      std::vector<std::uint8_t> frame;
+      EXPECT_EQ(CountAllocations(
+                    [&] { frame = net::EncodeFrame(message, 7, context); }),
+                1u);
+      EXPECT_GT(frame.size(), 16000u);  // non-vacuity: a full-size frame
+    }
+  }
 }
 
 }  // namespace
