@@ -5,9 +5,9 @@
 // Phase 1 (soak): forks one server process per shard (each owning a full-dim
 // ParameterServer but serving ONLY its own shard, exactly the multi-machine
 // topology on loopback), then drives worker threads in the parent through
-// ShardClients: every iteration is a composed Pull (all shards pipelined on
-// the shared links) followed by a dense Push (per-shard slices + commits).
-// Per-shard RTT histograms, retry/timeout counters, and injected-fault
+// ShardClients: every iteration is a composed Pull (one pull batch per
+// server, pipelined) followed by a dense Push (one commit batch per server).
+// Per-link RTT histograms, retry/timeout counters, and injected-fault
 // counts land in src/obs metrics, printable and exportable as metrics.json.
 // The soak prints a deterministic `equivalence:` line (op counts only, no
 // timings) that CI diffs across --server_model values: both models must
@@ -559,14 +559,17 @@ int main(int argc, char** argv) {
     total.injected_duplicates += tally.stats.injected_duplicates;
   }
 
-  // Per-shard RTTs straight from the client-side histograms.
-  Table rtt({"shard", "requests", "mean_us", "p50_us", "p95_us", "p99_us",
-             "max_us"});
+  // Per-link RTTs straight from the client-side histograms (each server
+  // process owns one shard, so one link per shard).
+  Table rtt({"shard", "link", "requests", "mean_us", "p50_us", "p95_us",
+             "p99_us", "max_us"});
   const auto us = [](double seconds) { return seconds * 1e6; };
   for (std::size_t s = 0; s < args.num_servers; ++s) {
+    const std::string link = net::ToString(
+        client_config.topology.shards[s].endpoint);
     const obs::LatencyHistogram& hist =
-        obs.metrics.histogram("net.shard" + std::to_string(s) + ".rtt_s");
-    rtt.AddRowValues(static_cast<unsigned long long>(s),
+        obs.metrics.histogram("net.link.rtt_s{link=" + link + "}");
+    rtt.AddRowValues(static_cast<unsigned long long>(s), link,
                      static_cast<unsigned long long>(hist.count()),
                      us(hist.mean_seconds()),
                      us(hist.ApproxQuantileSeconds(0.50)),
@@ -579,7 +582,7 @@ int main(int argc, char** argv) {
   rtt.PrintCsv(std::cout);
 
   const obs::LatencyHistogram& all_rtt = obs.metrics.histogram("net.rtt_s");
-  std::cout << "\nall shards: requests=" << total.requests
+  std::cout << "\nall links: requests=" << total.requests
             << " rtt_p50_us=" << us(all_rtt.ApproxQuantileSeconds(0.50))
             << " rtt_p99_us=" << us(all_rtt.ApproxQuantileSeconds(0.99))
             << "\nreliability: retries=" << total.retries

@@ -65,12 +65,12 @@ WireMessage RequestExecutor::Execute(const WireMessage& request,
   if (const auto* pull = std::get_if<PullShardReq>(&request)) {
     name = "serve.pull";
     shard = pull->shard;
+  } else if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
+    name = "serve.pull";
+    if (!batch->entries.empty()) shard = batch->entries.front().shard;
   } else if (const auto* push = std::get_if<CommitPushReq>(&request)) {
     name = "serve.push";
     if (!push->slices.empty()) shard = push->slices.front().shard;
-  } else if (const auto* delta = std::get_if<PullShardDeltaReq>(&request)) {
-    name = "serve.pull";
-    shard = delta->shard;
   }
   const double begin_s =
       begin_ns > epoch ? (begin_ns - epoch) * 1e-9 : 0.0;
@@ -94,39 +94,10 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
       return AckResp{kAckBadShard, pull->shard};
     }
     obs::ScopedTimer timer(pull_hist_);
-    ShardPullResult result = store_->PullShard(pull->shard);
-    pulls_.fetch_add(1, std::memory_order_relaxed);
-    PullShardResp resp;
-    resp.shard = pull->shard;
-    resp.offset = result.offset;
-    resp.shard_version = result.shard_version;
-    resp.global_version = result.version;
-    resp.params = std::move(result.params);
-    return resp;
+    return std::get<PullShardResp>(PullItem({pull->shard, kPullAnyVersion}));
   }
-  if (const auto* delta = std::get_if<PullShardDeltaReq>(&request)) {
-    if (!ServesShard(delta->shard)) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return AckResp{kAckBadShard, delta->shard};
-    }
-    obs::ScopedTimer timer(pull_hist_);
-    // One full snapshot either way: the version check and the slice copy
-    // happen under the same shard lock, so a "not modified" answer can never
-    // race a concurrent push into staleness.
-    ShardPullResult result = store_->PullShard(delta->shard);
-    pulls_.fetch_add(1, std::memory_order_relaxed);
-    if (result.shard_version == delta->known_version) {
-      delta_not_modified_.fetch_add(1, std::memory_order_relaxed);
-      return PullShardNotModified{delta->shard, result.shard_version,
-                                  result.version};
-    }
-    PullShardResp resp;
-    resp.shard = delta->shard;
-    resp.offset = result.offset;
-    resp.shard_version = result.shard_version;
-    resp.global_version = result.version;
-    resp.params = std::move(result.params);
-    return resp;
+  if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
+    return ExecutePull(*batch);
   }
   if (const auto* push = std::get_if<CommitPushReq>(&request)) {
     return ExecutePush(*push);
@@ -135,6 +106,40 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
   // slice is not a push (applying it would bypass the watermark).
   rejected_.fetch_add(1, std::memory_order_relaxed);
   return AckResp{kAckBadRequest, 0};
+}
+
+WireMessage RequestExecutor::ExecutePull(const PullBatchReq& batch) {
+  // Validate every shard before reading any: a shard this server does not
+  // own is a client routing bug, and the whole batch is refused.
+  for (const PullBatchEntry& entry : batch.entries) {
+    if (!ServesShard(entry.shard)) {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      return AckResp{kAckBadShard, entry.shard};
+    }
+  }
+  obs::ScopedTimer timer(pull_hist_);
+  PullBatchResp resp;
+  resp.items.reserve(batch.entries.size());
+  for (const PullBatchEntry& entry : batch.entries) {
+    resp.items.push_back(PullItem(entry));
+  }
+  return resp;
+}
+
+PullBatchItem RequestExecutor::PullItem(const PullBatchEntry& entry) {
+  // One full snapshot either way: the version check and the slice copy
+  // happen under the same shard lock, so a "not modified" answer can never
+  // race a concurrent push into staleness. kPullAnyVersion matches no
+  // shard version, so it always gets the full slice.
+  ShardPullResult result = store_->PullShard(entry.shard);
+  pulls_.fetch_add(1, std::memory_order_relaxed);
+  if (result.shard_version == entry.known_version) {
+    delta_not_modified_.fetch_add(1, std::memory_order_relaxed);
+    return PullShardNotModified{entry.shard, result.shard_version,
+                                result.version};
+  }
+  return PullShardResp{entry.shard, result.offset, result.shard_version,
+                       result.version, std::move(result.params)};
 }
 
 AckResp RequestExecutor::ExecutePush(const CommitPushReq& batch) {

@@ -9,6 +9,11 @@
 // makes the two models A/B-equivalent by construction: they differ only in
 // how bytes reach Execute(), never in what Execute() does.
 //
+// A composed pull is one PullBatchReq per server. The executor validates
+// every shard in it before reading any, then snapshots each shard on its
+// own (version and slice under that shard's lock), answering not-modified
+// where the client's cached version still holds.
+//
 // Pushes are exactly-once. A push is one CommitPushReq batch per server; the
 // executor validates every slice, then applies the slices and commits under
 // the sending client's watermark (PushWatermarks), so a retried, duplicated,
@@ -44,6 +49,7 @@ namespace specsync::net {
 // owned by the transport layer — frames that never decode never reach the
 // executor — and merged into this struct by the server's stats()).
 struct ServerStats {
+  // Shard snapshots read: one per PullShardReq, one per PullBatchReq entry.
   std::uint64_t pulls = 0;
   // Slices applied, and push batches applied + committed.
   std::uint64_t pushes = 0;
@@ -55,8 +61,8 @@ struct ServerStats {
   std::uint64_t rejected = 0;
   // Connections dropped on malformed frames or socket errors.
   std::uint64_t bad_frames = 0;
-  // Delta pulls answered with PullShardNotModified (the shard version
-  // matched the client's cached copy, so no parameter bytes moved).
+  // Pull batch entries answered not-modified (the shard version matched
+  // the client's cached copy, so no parameter bytes moved).
   std::uint64_t delta_not_modified = 0;
   // Pushes that arrived in the kind-2 coded encoding (int8/fp16).
   std::uint64_t coded_pushes = 0;
@@ -111,10 +117,11 @@ class RequestExecutor {
   // touching the store — a test/bench injection point that makes service
   // time controllable when pinning pipelining behavior (zero = off).
   // `spans` (optional) records one "net.server" serve span per request that
-  // arrived with a wire trace context, flow-linked back to the client span
-  // that caused it (DESIGN.md §14). Serve spans land on track
-  // `span_track_base + shard`, letting a recorder shared with other span
-  // sources (the in-process runtime) give server activity its own tracks.
+  // arrived with a wire trace context (a batch is one request), flow-linked
+  // back to the client span that caused it (DESIGN.md §14). Serve spans
+  // land on track `span_track_base + shard` (a batch's first shard), letting
+  // a recorder shared with other span sources (the in-process runtime) give
+  // server activity its own tracks.
   RequestExecutor(ParameterServer* store,
                   std::vector<std::size_t> served_shards,
                   obs::MetricsRegistry* metrics = nullptr,
@@ -137,6 +144,9 @@ class RequestExecutor {
 
  private:
   WireMessage ExecuteInner(const WireMessage& request);
+  // Validates every entry's shard, then answers each from its own snapshot.
+  WireMessage ExecutePull(const PullBatchReq& batch);
+  PullBatchItem PullItem(const PullBatchEntry& entry);
   // Validates every slice, then applies + commits once per (client, seq).
   AckResp ExecutePush(const CommitPushReq& batch);
   void ApplySlice(const PushShardReq& slice);

@@ -43,6 +43,28 @@ void RecordNetState(const char* label, std::int64_t a, std::int64_t b = 0) {
 
 }  // namespace
 
+std::vector<std::vector<std::size_t>> PlanPullBatches(
+    const ClusterTopology& topology, std::size_t max_payload_bytes) {
+  const std::vector<std::size_t> shard_link = topology.ShardLinkIndex();
+  constexpr std::size_t kNoBatch = ~std::size_t{0};
+  // Per link, the batch still being filled; per batch, its response payload.
+  std::vector<std::size_t> open(topology.DistinctEndpoints().size(), kNoBatch);
+  std::vector<std::size_t> payload;
+  std::vector<std::vector<std::size_t>> batches;
+  for (std::size_t s = 0; s < topology.shards.size(); ++s) {
+    const std::size_t item = PullBatchFullItemBytes(topology.shards[s].length);
+    std::size_t& b = open[shard_link[s]];
+    if (b == kNoBatch || payload[b] + item > max_payload_bytes) {
+      b = batches.size();
+      batches.emplace_back();
+      payload.push_back(kPullBatchRespHeadBytes);
+    }
+    batches[b].push_back(s);
+    payload[b] += item;
+  }
+  return batches;
+}
+
 // A caller's wait state, stack-owned by its Ticket. The receiver finds it
 // through the pending table and fulfills it under the link's state mutex.
 struct ShardClient::PendingSlot {
@@ -90,6 +112,7 @@ struct ShardClient::Link {
 
   // Registry mirrors of the per-link state, labeled with this link's
   // endpoint; null without an attached MetricsRegistry.
+  obs::LatencyHistogram* rtt_hist = nullptr;
   obs::Counter* reconnects_counter = nullptr;
   obs::Counter* stale_counter = nullptr;
   obs::Counter* deaths_counter = nullptr;
@@ -177,6 +200,7 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
   SPECSYNC_CHECK_GT(config_.max_attempts, 0u);
   dim_ = config_.topology.dim();
   shard_link_ = config_.topology.ShardLinkIndex();
+  pull_batches_ = PlanPullBatches(config_.topology);
   for (const Endpoint& endpoint : config_.topology.DistinctEndpoints()) {
     auto link = std::make_unique<Link>();
     link->endpoint = endpoint;
@@ -184,11 +208,6 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
   }
   if (metrics != nullptr) {
     rtt_hist_ = &metrics->histogram("net.rtt_s");
-    shard_rtt_.reserve(num_shards());
-    for (std::size_t s = 0; s < num_shards(); ++s) {
-      shard_rtt_.push_back(
-          &metrics->histogram("net.shard" + std::to_string(s) + ".rtt_s"));
-    }
     retry_counter_ = &metrics->counter("net.retries");
     timeout_counter_ = &metrics->counter("net.timeouts");
     for (auto& link : links_) {
@@ -196,6 +215,7 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
       // exporter renders it as {link="host:port"}, the JSON exporter keeps
       // the composite name verbatim.
       const std::string label = "{link=" + ToString(link->endpoint) + "}";
+      link->rtt_hist = &metrics->histogram("net.link.rtt_s" + label);
       link->reconnects_counter =
           &metrics->counter("net.link.reconnects" + label);
       link->stale_counter = &metrics->counter("net.link.stale_frames" + label);
@@ -491,7 +511,7 @@ WireMessage ShardClient::Await(Ticket& ticket) {
                              .count();
       if (rtt_hist_ != nullptr) {
         rtt_hist_->Record(rtt);
-        shard_rtt_[ticket.shard]->Record(rtt);
+        link.rtt_hist->Record(rtt);
       }
       if (spans_ != nullptr && ticket.trace_id != 0) RecordClientSpan(ticket);
       if (const auto* ack = std::get_if<AckResp>(&ticket.slot->response)) {
@@ -563,42 +583,43 @@ ShardPullResult ShardClient::PullShard(std::size_t s) {
   return out;
 }
 
-PullResult ShardClient::Pull(ThreadPool* /*pool*/) {
-  // Delta mode: shards we hold a cached copy of get a conditional
-  // PullShardDeltaReq; the server answers PullShardNotModified (tiny control
-  // frame) when the shard version is unchanged, and we compose that shard
-  // from the cache. Delta is lossless — an unchanged shard version implies
-  // unchanged content, both read under the same shard lock server-side. The
-  // cache lock is held across the whole batch so concurrent Pull() callers
-  // on one client see a consistent cache (workers own their clients, so this
-  // serialization never bites in practice).
+PullResult ShardClient::Pull() {
+  // Delta mode: each entry carries the version of the copy we cache (or
+  // kPullAnyVersion before the first pull); the server answers a shard still
+  // at that version with a not-modified item, and we compose it from the
+  // cache. Delta is lossless — an unchanged shard version implies unchanged
+  // content, both read under the same shard lock server-side. The cache lock
+  // is held across the whole pull so concurrent Pull() callers on one client
+  // see a consistent cache (workers own their clients, so this serialization
+  // never bites in practice).
   const bool delta = config_.compression.delta_pulls();
   std::unique_lock<std::mutex> cache_lock;
   if (delta) {
     cache_lock = std::unique_lock<std::mutex>(cache_mutex_);
     if (cached_versions_.empty()) {
-      cached_versions_.assign(num_shards(), kNoCachedVersion);
+      cached_versions_.assign(num_shards(), kPullAnyVersion);
       cached_params_.resize(num_shards());
     }
   }
 
-  // Issue every shard's pull before awaiting any: all requests ride the
-  // shared links back-to-back, so the batch completes in ~one round trip
-  // regardless of shard count (the v2 pipelining payoff).
+  // Issue every server's batch before awaiting any: the batches ride their
+  // links back-to-back, so the pull costs ~one round trip and one frame per
+  // server, whatever the shard count.
   std::vector<WireMessage> requests;
-  requests.reserve(num_shards());
-  for (std::size_t s = 0; s < num_shards(); ++s) {
-    if (delta && cached_versions_[s] != kNoCachedVersion) {
-      requests.emplace_back(PullShardDeltaReq{static_cast<std::uint32_t>(s),
-                                              cached_versions_[s]});
-    } else {
-      requests.emplace_back(PullShardReq{static_cast<std::uint32_t>(s)});
+  requests.reserve(pull_batches_.size());
+  for (const std::vector<std::size_t>& shards : pull_batches_) {
+    PullBatchReq batch;
+    batch.entries.reserve(shards.size());
+    for (const std::size_t s : shards) {
+      batch.entries.push_back({static_cast<std::uint32_t>(s),
+                               delta ? cached_versions_[s] : kPullAnyVersion});
     }
+    requests.emplace_back(std::move(batch));
   }
   std::vector<Ticket> tickets;
-  tickets.reserve(num_shards());
-  for (std::size_t s = 0; s < num_shards(); ++s) {
-    Ticket ticket = MakeTicket(s, &requests[s]);
+  tickets.reserve(requests.size());
+  for (std::size_t b = 0; b < requests.size(); ++b) {
+    Ticket ticket = MakeTicket(pull_batches_[b].front(), &requests[b]);
     IssueUntilInFlight(ticket);
     tickets.push_back(std::move(ticket));
   }
@@ -606,48 +627,57 @@ PullResult ShardClient::Pull(ThreadPool* /*pool*/) {
   PullResult out;
   out.params.resize(dim_);
   std::uint64_t version = 0;
-  for (std::size_t s = 0; s < tickets.size(); ++s) {
-    const ShardPlacement& shard = config_.topology.shards[s];
-    WireMessage response = Await(tickets[s]);
-    if (const auto* unchanged = std::get_if<PullShardNotModified>(&response)) {
-      SPECSYNC_CHECK(delta);
-      SPECSYNC_CHECK_EQ(unchanged->shard_version, cached_versions_[s]);
-      const std::vector<double>& cached = cached_params_[s];
-      SPECSYNC_CHECK_EQ(cached.size(), shard.length);
-      std::copy(cached.begin(), cached.end(),
-                out.params.begin() + static_cast<std::ptrdiff_t>(shard.offset));
-      version = std::max(version, unchanged->global_version);
-      delta_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (delta_hits_counter_ != nullptr) delta_hits_counter_->Increment();
-      if (pull_saved_counter_ != nullptr) {
-        // The avoided payload: the shard's parameter doubles that a full
-        // PullShardResp would have carried.
-        pull_saved_counter_->Increment(shard.length * sizeof(double));
-      }
-      continue;
-    }
-    auto* resp = std::get_if<PullShardResp>(&response);
-    SPECSYNC_CHECK(resp != nullptr);
-    SPECSYNC_CHECK_EQ(resp->offset, shard.offset);
-    SPECSYNC_CHECK_EQ(resp->params.size(), shard.length);
-    std::copy(resp->params.begin(), resp->params.end(),
-              out.params.begin() + static_cast<std::ptrdiff_t>(resp->offset));
-    version = std::max(version, resp->global_version);
-    if (delta) {
-      cached_params_[s].assign(resp->params.begin(), resp->params.end());
-      cached_versions_[s] = resp->shard_version;
-      delta_misses_.fetch_add(1, std::memory_order_relaxed);
-      if (delta_misses_counter_ != nullptr) {
-        delta_misses_counter_->Increment();
-      }
+  for (std::size_t b = 0; b < tickets.size(); ++b) {
+    WireMessage response = Await(tickets[b]);
+    auto* batch = std::get_if<PullBatchResp>(&response);
+    SPECSYNC_CHECK(batch != nullptr);
+    const std::vector<std::size_t>& shards = pull_batches_[b];
+    SPECSYNC_CHECK_EQ(batch->items.size(), shards.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      version = std::max(
+          version, ComposeShard(shards[i], delta, batch->items[i], out.params));
     }
   }
   out.version = version;
   return out;
 }
 
-std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch,
-                                ThreadPool* /*pool*/) {
+std::uint64_t ShardClient::ComposeShard(std::size_t s, bool delta,
+                                        PullBatchItem& item,
+                                        std::vector<double>& params) {
+  const ShardPlacement& shard = config_.topology.shards[s];
+  const auto at = params.begin() + static_cast<std::ptrdiff_t>(shard.offset);
+  if (const auto* unchanged = std::get_if<PullShardNotModified>(&item)) {
+    SPECSYNC_CHECK(delta);
+    SPECSYNC_CHECK_EQ(unchanged->shard, s);
+    SPECSYNC_CHECK_EQ(unchanged->shard_version, cached_versions_[s]);
+    const std::vector<double>& cached = cached_params_[s];
+    SPECSYNC_CHECK_EQ(cached.size(), shard.length);
+    std::copy(cached.begin(), cached.end(), at);
+    delta_hits_.fetch_add(1, std::memory_order_relaxed);
+    if (delta_hits_counter_ != nullptr) delta_hits_counter_->Increment();
+    if (pull_saved_counter_ != nullptr) {
+      // The avoided payload: the shard's parameter doubles that a full
+      // item would have carried.
+      pull_saved_counter_->Increment(shard.length * sizeof(double));
+    }
+    return unchanged->global_version;
+  }
+  auto& resp = std::get<PullShardResp>(item);
+  SPECSYNC_CHECK_EQ(resp.shard, s);
+  SPECSYNC_CHECK_EQ(resp.offset, shard.offset);
+  SPECSYNC_CHECK_EQ(resp.params.size(), shard.length);
+  std::copy(resp.params.begin(), resp.params.end(), at);
+  if (delta) {
+    cached_params_[s] = std::move(resp.params);
+    cached_versions_[s] = resp.shard_version;
+    delta_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (delta_misses_counter_ != nullptr) delta_misses_counter_->Increment();
+  }
+  return resp.global_version;
+}
+
+std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch) {
   // int8/fp16 ship the kind-2 coded encoding; the gradient must already be
   // codec-transformed so the doubles re-quantize to exactly the bits the
   // server will decode (ps/compression.h's idempotency contract).

@@ -3,11 +3,12 @@
 //
 // One connection per distinct server endpoint — not per shard. All shards a
 // server owns share that server's link, and any number of requests may be in
-// flight on it at once: Pull() issues every shard's PullShardReq back-to-back
-// and only then starts awaiting responses, so N outstanding pulls cost ~1
-// batched round trip instead of N serial ones (the pipelining regression test
-// pins exactly this). Push() groups the per-shard slices by link and sends
-// one CommitPushReq batch per server touched — one pipelined round trip per
+// flight on it at once. Pull() sends one PullBatchReq per server, naming
+// every shard that server owns (split further only if one response would
+// outgrow the frame cap; see PlanPullBatches), issues all batches before
+// awaiting any, and composes the answers: one pipelined round trip and one
+// frame per server. Push() groups the per-shard slices by link and sends one
+// CommitPushReq batch per server touched — one pipelined round trip per
 // push, which each server applies and commits exactly once.
 //
 // Link anatomy. Each link owns a receiver thread and a pending-request table
@@ -38,12 +39,13 @@
 // at most once, answering repeats from its cached ack. Push() calls are
 // serialized per client so each server sees one client's sequence numbers
 // in order. A shard still unreachable after `max_attempts` fails loudly: a
-// flight-recorder kNetState record, then a CheckError naming the shard, its
-// endpoint, the attempt count, and the global version this client's pushes
-// were last acked at. When a link dies (recv/send error, malformed frame),
-// the receiver fails every pending slot so waiters retry immediately instead
-// of burning their full timeout; the first retrying caller reconnects the
-// link and respawns the receiver while the rest wait on the reconnect.
+// flight-recorder kNetState record, then a CheckError naming the request's
+// (first) shard, the link's endpoint, the attempt count, and the global
+// version this client's pushes were last acked at. When a link dies
+// (recv/send error, malformed frame), the receiver fails every pending slot
+// so waiters retry immediately instead of burning their full timeout; the
+// first retrying caller reconnects the link and respawns the receiver while
+// the rest wait on the reconnect.
 //
 // Fault injection: with a FaultPlan attached, every attempt draws one
 // data-link decision on the shared link. Drop = the frame is never sent (the
@@ -69,16 +71,13 @@
 #include "ps/compression.h"
 #include "ps/param_store.h"
 
-namespace specsync {
-class ThreadPool;
-namespace obs {
+namespace specsync::obs {
 class MetricsRegistry;
 class LatencyHistogram;
 class Counter;
 class Gauge;
 class SpanRecorder;
-}  // namespace obs
-}  // namespace specsync
+}  // namespace specsync::obs
 
 namespace specsync::net {
 
@@ -100,18 +99,30 @@ struct ShardClientConfig {
   // Wire compression (ps/compression.h). int8/fp16 make Push() ship the
   // compact kind-2 coded frames (the gradient must already be
   // codec-transformed, so the doubles re-quantize exactly); delta makes
-  // Pull() send conditional PullShardDeltaReq for shards it holds a cached
-  // copy of. kNone keeps every frame byte-identical to the pre-codec wire.
+  // Pull() send each shard it holds a cached copy of with that copy's
+  // version, so an unchanged shard comes back as a not-modified item. kNone
+  // keeps every frame byte-identical to the pre-codec wire.
   CompressionSpec compression;
 };
+
+// Groups the topology's shards into pull batches: each link's shards in
+// shard order, in as few batches as keep every full PullBatchResp payload
+// within `max_payload_bytes` (one batch per link unless the link's shards
+// would overflow it). A shard too large for the cap on its own gets a
+// batch of its own, which the server refuses to encode — as it would a
+// standalone PullShardResp of that size. Batches are ordered by first shard.
+std::vector<std::vector<std::size_t>> PlanPullBatches(
+    const ClusterTopology& topology,
+    std::size_t max_payload_bytes = kMaxPayloadBytes);
 
 class ShardClient {
  public:
   // `faults` (optional, not owned) injects data-link faults per attempt.
-  // `metrics` (optional, not owned) receives RTT histograms "net.rtt_s" and
-  // "net.shard<k>.rtt_s", retry/timeout counters, and per-link labeled
-  // instruments: "net.link.{reconnects,stale_frames,link_deaths}{link=...}"
-  // counters plus "net.link.{in_flight,pending_depth}{link=...}" gauges.
+  // `metrics` (optional, not owned) receives the RTT histogram "net.rtt_s",
+  // retry/timeout counters, and per-link instruments labeled {link=...}:
+  // the RTT histogram "net.link.rtt_s", the counters
+  // "net.link.{reconnects,stale_frames,link_deaths,retransmit_bytes}", and
+  // the gauges "net.link.{in_flight,pending_depth}".
   // `spans` (optional, not owned) records one "net.client" span per
   // completed request, stamped with a process-unique trace_id that also
   // rides every attempt's frame as the wire trace-context extension — the
@@ -130,23 +141,20 @@ class ShardClient {
   // unreachable.
   bool Connect();
 
-  // Composed full-vector snapshot assembled from per-shard responses, all
-  // shards pipelined in one batch. Like the in-process store's composed
-  // Pull, the cross-shard snapshot may be torn under concurrent pushes;
-  // `version` is the largest global version any response reported. `pool` is
-  // accepted for call-site compatibility and unused — pipelining already
-  // overlaps the shard requests without extra threads.
-  PullResult Pull(ThreadPool* pool = nullptr);
+  // Composed full-vector snapshot: one PullBatchReq per server (see
+  // PlanPullBatches), all pipelined, each shard checked against the
+  // topology. Like the in-process store's composed Pull, the cross-shard
+  // snapshot may be torn under concurrent pushes; `version` is the largest
+  // global version any shard reported.
+  PullResult Pull();
 
-  // One shard's snapshot over the wire.
+  // One shard's snapshot over the wire (a standalone PullShardReq).
   ShardPullResult PullShard(std::size_t s);
 
   // Routes `grad` to its owning shards and sends one CommitPushReq batch per
   // server touched, all pipelined; each server applies its batch exactly
-  // once. Returns the largest committed global version reported. `pool` is
-  // accepted and unused, as in Pull().
-  std::uint64_t Push(const Gradient& grad, EpochId epoch,
-                     ThreadPool* pool = nullptr);
+  // once. Returns the largest committed global version reported.
+  std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
   std::size_t dim() const { return dim_; }
   std::size_t num_shards() const { return config_.topology.shards.size(); }
@@ -198,6 +206,12 @@ class ShardClient {
   void RecordClientSpan(const Ticket& ticket);
   // Issue + Await: one synchronous request.
   WireMessage Call(std::size_t shard, const WireMessage& request);
+  // Checks shard `s`'s batch item against the topology and the delta cache,
+  // writes the shard into `params` (refreshing the cache in delta mode), and
+  // returns the global version the item reported. Caller holds the cache
+  // lock in delta mode.
+  std::uint64_t ComposeShard(std::size_t s, bool delta, PullBatchItem& item,
+                             std::vector<double>& params);
   std::size_t ShardOf(std::size_t index) const;
 
   ShardClientConfig config_;
@@ -213,9 +227,10 @@ class ShardClient {
   std::atomic<std::uint64_t> last_acked_version_{0};
   std::vector<std::size_t> shard_link_;  // shard id → links_ index
   std::vector<std::unique_ptr<Link>> links_;
+  // PlanPullBatches(topology): the shards of each PullBatchReq Pull() sends.
+  std::vector<std::vector<std::size_t>> pull_batches_;
 
   obs::LatencyHistogram* rtt_hist_ = nullptr;
-  std::vector<obs::LatencyHistogram*> shard_rtt_;
   obs::Counter* retry_counter_ = nullptr;
   obs::Counter* timeout_counter_ = nullptr;
   obs::Counter* delta_hits_counter_ = nullptr;
@@ -224,10 +239,10 @@ class ShardClient {
   obs::Counter* push_saved_counter_ = nullptr;
 
   // Delta-pull cache: last pulled copy + shard version per shard
-  // (kNoCachedVersion = never pulled; 0 is a real version). Guarded by
-  // cache_mutex_ — Pull() is the only reader/writer, the mutex just keeps
-  // concurrent Pull() callers on one client well-defined.
-  static constexpr std::uint64_t kNoCachedVersion = ~0ull;
+  // (kPullAnyVersion = never pulled; 0 is a real version), which is exactly
+  // the known_version each batch entry carries. Guarded by cache_mutex_ —
+  // Pull() is the only reader/writer, the mutex just keeps concurrent Pull()
+  // callers on one client well-defined.
   std::mutex cache_mutex_;
   std::vector<std::vector<double>> cached_params_;
   std::vector<std::uint64_t> cached_versions_;

@@ -159,11 +159,9 @@ MsgType TypeOf(const WireMessage& message) {
     MsgType operator()(const PushShardReq&) { return MsgType::kPushShardReq; }
     MsgType operator()(const CommitPushReq&) { return MsgType::kCommitPushReq; }
     MsgType operator()(const AckResp&) { return MsgType::kAck; }
-    MsgType operator()(const PullShardDeltaReq&) {
-      return MsgType::kPullShardDeltaReq;
-    }
-    MsgType operator()(const PullShardNotModified&) {
-      return MsgType::kPullShardNotModified;
+    MsgType operator()(const PullBatchReq&) { return MsgType::kPullBatchReq; }
+    MsgType operator()(const PullBatchResp&) {
+      return MsgType::kPullBatchResp;
     }
   };
   return std::visit(Visitor{}, message);
@@ -176,10 +174,29 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kPushShardReq: return "PushShardReq";
     case MsgType::kCommitPushReq: return "CommitPushReq";
     case MsgType::kAck: return "AckResp";
-    case MsgType::kPullShardDeltaReq: return "PullShardDeltaReq";
-    case MsgType::kPullShardNotModified: return "PullShardNotModified";
+    case MsgType::kPullBatchReq: return "PullBatchReq";
+    case MsgType::kPullBatchResp: return "PullBatchResp";
   }
   return "unknown";
+}
+
+// u32 shard, u64 offset, u64 shard_version, u64 global_version, u64 count.
+constexpr std::size_t kPullShardRespHeadBytes = 4 + 8 + 8 + 8 + 8;
+// u32 shard, u64 shard_version, u64 global_version.
+constexpr std::size_t kNotModifiedBytes = 4 + 8 + 8;
+// u32 shard, u64 known_version.
+constexpr std::size_t kPullBatchEntryBytes = 4 + 8;
+
+std::size_t PullShardRespBytes(std::size_t params) {
+  return kPullShardRespHeadBytes + 8 * params;
+}
+
+// A batch item: the kind byte, then its slice.
+std::size_t PullBatchItemBytes(const PullBatchItem& item) {
+  if (const auto* full = std::get_if<PullShardResp>(&item)) {
+    return PullBatchFullItemBytes(full->params.size());
+  }
+  return 1 + kNotModifiedBytes;
 }
 
 bool IsInt8(const PushShardReq& m) {
@@ -254,18 +271,34 @@ void EncodePushShard(const PushShardReq& m, Writer& w) {
   }
 }
 
+// One full shard: the whole of a standalone PullShardResp frame's payload,
+// and the slice of a kind-0 PullBatchResp item.
+void EncodePullShardResp(const PullShardResp& m, Writer& w) {
+  w.PutU32(m.shard);
+  w.PutU64(m.offset);
+  w.PutU64(m.shard_version);
+  w.PutU64(m.global_version);
+  w.PutU64(m.params.size());
+  w.PutArray<double>(m.params);
+}
+
+void EncodePullBatchItem(const PullBatchItem& item, Writer& w) {
+  w.PutU8(static_cast<std::uint8_t>(item.index()));
+  if (const auto* full = std::get_if<PullShardResp>(&item)) {
+    EncodePullShardResp(*full, w);
+    return;
+  }
+  const auto& unchanged = std::get<PullShardNotModified>(item);
+  w.PutU32(unchanged.shard);
+  w.PutU64(unchanged.shard_version);
+  w.PutU64(unchanged.global_version);
+}
+
 void EncodePayload(const WireMessage& message, Writer& w) {
   struct Visitor {
     Writer& w;
     void operator()(const PullShardReq& m) { w.PutU32(m.shard); }
-    void operator()(const PullShardResp& m) {
-      w.PutU32(m.shard);
-      w.PutU64(m.offset);
-      w.PutU64(m.shard_version);
-      w.PutU64(m.global_version);
-      w.PutU64(m.params.size());
-      w.PutArray<double>(m.params);
-    }
+    void operator()(const PullShardResp& m) { EncodePullShardResp(m, w); }
     void operator()(const PushShardReq& m) { EncodePushShard(m, w); }
     void operator()(const CommitPushReq& m) {
       w.PutU64(m.client_id);
@@ -277,14 +310,16 @@ void EncodePayload(const WireMessage& message, Writer& w) {
       w.PutU32(m.status);
       w.PutU64(m.value);
     }
-    void operator()(const PullShardDeltaReq& m) {
-      w.PutU32(m.shard);
-      w.PutU64(m.known_version);
+    void operator()(const PullBatchReq& m) {
+      w.PutU32(static_cast<std::uint32_t>(m.entries.size()));
+      for (const PullBatchEntry& entry : m.entries) {
+        w.PutU32(entry.shard);
+        w.PutU64(entry.known_version);
+      }
     }
-    void operator()(const PullShardNotModified& m) {
-      w.PutU32(m.shard);
-      w.PutU64(m.shard_version);
-      w.PutU64(m.global_version);
+    void operator()(const PullBatchResp& m) {
+      w.PutU32(static_cast<std::uint32_t>(m.items.size()));
+      for (const PullBatchItem& item : m.items) EncodePullBatchItem(item, w);
     }
   };
   std::visit(Visitor{w}, message);
@@ -324,7 +359,7 @@ std::size_t EncodedPayloadBytes(const WireMessage& message,
   struct Visitor {
     std::size_t operator()(const PullShardReq&) { return 4; }
     std::size_t operator()(const PullShardResp& m) {
-      return 4 + 8 + 8 + 8 + 8 + 8 * m.params.size();
+      return PullShardRespBytes(m.params.size());
     }
     std::size_t operator()(const PushShardReq& m) { return PushShardBytes(m); }
     std::size_t operator()(const CommitPushReq& m) {
@@ -333,11 +368,23 @@ std::size_t EncodedPayloadBytes(const WireMessage& message,
       return bytes;
     }
     std::size_t operator()(const AckResp&) { return 4 + 8; }
-    std::size_t operator()(const PullShardDeltaReq&) { return 4 + 8; }
-    std::size_t operator()(const PullShardNotModified&) { return 4 + 8 + 8; }
+    std::size_t operator()(const PullBatchReq& m) {
+      return 4 + kPullBatchEntryBytes * m.entries.size();
+    }
+    std::size_t operator()(const PullBatchResp& m) {
+      std::size_t bytes = kPullBatchRespHeadBytes;
+      for (const PullBatchItem& item : m.items) {
+        bytes += PullBatchItemBytes(item);
+      }
+      return bytes;
+    }
   };
   const bool traced = trace != nullptr && trace->valid();
   return std::visit(Visitor{}, message) + (traced ? kTraceExtFrameBytes : 0);
+}
+
+std::size_t PullBatchFullItemBytes(std::size_t params) {
+  return 1 + PullShardRespBytes(params);
 }
 
 std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
@@ -374,12 +421,20 @@ WireStatus DecodeHeader(std::span<const std::uint8_t> bytes,
   if (magic != kWireMagic) return WireStatus::kBadMagic;
   out.version = r.TakeU16();
   if (out.version != kWireVersion) return WireStatus::kBadVersion;
-  const std::uint16_t type = r.TakeU16();
-  if (type < static_cast<std::uint16_t>(MsgType::kPullShardReq) ||
-      type > static_cast<std::uint16_t>(MsgType::kPullShardNotModified)) {
-    return WireStatus::kBadType;
+  const auto type = static_cast<MsgType>(r.TakeU16());
+  switch (type) {
+    case MsgType::kPullShardReq:
+    case MsgType::kPullShardResp:
+    case MsgType::kPushShardReq:
+    case MsgType::kCommitPushReq:
+    case MsgType::kAck:
+    case MsgType::kPullBatchReq:
+    case MsgType::kPullBatchResp:
+      break;
+    default:
+      return WireStatus::kBadType;  // includes the reserved 6 and 7
   }
-  out.type = static_cast<MsgType>(type);
+  out.type = type;
   out.request_id = r.TakeU64();
   out.payload_bytes = r.TakeU32();
   if (out.payload_bytes > kMaxPayloadBytes) return WireStatus::kOversized;
@@ -476,6 +531,35 @@ WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
 // batch's claimed slice count before anything is reserved for it.
 constexpr std::size_t kMinPushShardBytes = 4 + 8 + 1 + 8;
 
+// Parses one full shard (EncodePullShardResp's layout); false = truncated.
+bool DecodePullShardResp(Reader& r, PullShardResp& m) {
+  m.shard = r.TakeU32();
+  m.offset = r.TakeU64();
+  m.shard_version = r.TakeU64();
+  m.global_version = r.TakeU64();
+  const std::uint64_t count = r.TakeU64();
+  return r.TakeArray(count, m.params);
+}
+
+WireStatus DecodePullBatchItem(Reader& r, PullBatchItem& item) {
+  const std::uint8_t kind = r.TakeU8();
+  if (!r.ok()) return WireStatus::kTruncated;
+  if (kind == 0) {
+    PullShardResp& full = item.emplace<PullShardResp>();
+    return DecodePullShardResp(r, full) ? WireStatus::kOk
+                                        : WireStatus::kTruncated;
+  }
+  if (kind != 1) return WireStatus::kMalformed;
+  PullShardNotModified& unchanged = item.emplace<PullShardNotModified>();
+  unchanged.shard = r.TakeU32();
+  unchanged.shard_version = r.TakeU64();
+  unchanged.global_version = r.TakeU64();
+  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+}
+
+// The smallest item: a kind byte and a not-modified slice.
+constexpr std::size_t kMinPullBatchItemBytes = 1 + kNotModifiedBytes;
+
 }  // namespace
 
 WireStatus DecodePayload(const FrameHeader& header,
@@ -496,12 +580,7 @@ WireStatus DecodePayload(const FrameHeader& header,
     }
     case MsgType::kPullShardResp: {
       PullShardResp m;
-      m.shard = r.TakeU32();
-      m.offset = r.TakeU64();
-      m.shard_version = r.TakeU64();
-      m.global_version = r.TakeU64();
-      const std::uint64_t count = r.TakeU64();
-      if (!r.TakeArray(count, m.params)) return WireStatus::kTruncated;
+      if (!DecodePullShardResp(r, m)) return WireStatus::kTruncated;
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
       out = std::move(m);
@@ -544,25 +623,36 @@ WireStatus DecodePayload(const FrameHeader& header,
       out = m;
       return WireStatus::kOk;
     }
-    case MsgType::kPullShardDeltaReq: {
-      PullShardDeltaReq m;
-      m.shard = r.TakeU32();
-      m.known_version = r.TakeU64();
-      if (!r.ok()) return WireStatus::kTruncated;
+    case MsgType::kPullBatchReq: {
+      PullBatchReq m;
+      const std::uint32_t count = r.TakeU32();
+      if (!r.ok() || !r.CanTake(count, kPullBatchEntryBytes)) {
+        return WireStatus::kTruncated;
+      }
+      m.entries.resize(count);
+      for (PullBatchEntry& entry : m.entries) {
+        entry.shard = r.TakeU32();
+        entry.known_version = r.TakeU64();
+      }
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
-      out = m;
+      out = std::move(m);
       return WireStatus::kOk;
     }
-    case MsgType::kPullShardNotModified: {
-      PullShardNotModified m;
-      m.shard = r.TakeU32();
-      m.shard_version = r.TakeU64();
-      m.global_version = r.TakeU64();
-      if (!r.ok()) return WireStatus::kTruncated;
+    case MsgType::kPullBatchResp: {
+      PullBatchResp m;
+      const std::uint32_t count = r.TakeU32();
+      if (!r.ok() || !r.CanTake(count, kMinPullBatchItemBytes)) {
+        return WireStatus::kTruncated;
+      }
+      m.items.resize(count);
+      for (PullBatchItem& item : m.items) {
+        const WireStatus status = DecodePullBatchItem(r, item);
+        if (status != WireStatus::kOk) return status;
+      }
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
-      out = m;
+      out = std::move(m);
       return WireStatus::kOk;
     }
   }

@@ -59,11 +59,21 @@
 //                  slice and commits at most once per (client_id, push_seq).
 //                  A zero-length payload decodes as kTruncated.
 //   AckResp        u32 status, u64 value
-//   PullShardDeltaReq    u32 shard, u64 known_version  (client holds a cached
-//                        copy at that shard version; server answers
-//                        PullShardResp when the shard moved on, else
-//                        PullShardNotModified)
-//   PullShardNotModified u32 shard, u64 shard_version, u64 global_version
+//   PullBatchReq   u32 count, count x (u32 shard, u64 known_version).
+//                  One composed pull to one server. known_version is the
+//                  shard version the client holds a cached copy at, or
+//                  kPullAnyVersion (~0) to get the shard unconditionally.
+//                  The server validates every shard before reading any.
+//   PullBatchResp  u32 count, count x (u8 kind, slice), in request order:
+//                  kind 0  a full shard, the slice byte-identical to a
+//                          standalone PullShardResp payload;
+//                  kind 1  not modified since known_version, the slice
+//                          u32 shard, u64 shard_version, u64 global_version.
+//                  Other kinds are kMalformed. No per-item length prefix —
+//                  slices are self-delimiting.
+//   Types 6 and 7 are reserved: they were the per-shard delta pull and its
+//   standalone not-modified answer, which PullBatchReq/PullBatchResp
+//   replaced. They decode as kBadType.
 //
 // Decoding is strict: short headers, bad magic/version/type, payloads longer
 // than kMaxPayload, truncated payloads, and trailing bytes are all distinct
@@ -112,8 +122,9 @@ enum class MsgType : std::uint16_t {
   kPushShardReq = 3,
   kCommitPushReq = 4,
   kAck = 5,
-  kPullShardDeltaReq = 6,
-  kPullShardNotModified = 7,
+  // 6 and 7 are reserved (see the payload table above).
+  kPullBatchReq = 8,
+  kPullBatchResp = 9,
 };
 
 // Trace-context extension framing ("XCRT" bytes little-endian spell TRCX).
@@ -190,26 +201,44 @@ struct AckResp {
   std::uint64_t value = 0;
 };
 
-// Conditional pull (delta mode): "send shard `shard` unless it is still at
-// `known_version`". The reply is a full PullShardResp on change, else
-// PullShardNotModified. Delta pulls are lossless — an unchanged shard
-// version proves the content is unchanged, so the cached copy is exact.
-struct PullShardDeltaReq {
+// PullBatchEntry::known_version meaning "send the shard whatever its
+// version" (no shard version ever reaches it).
+inline constexpr std::uint64_t kPullAnyVersion = ~std::uint64_t{0};
+
+// "Send shard `shard` unless it is still at `known_version`". Delta pulls
+// are lossless: the server reads the version and the slice under one shard
+// lock, so an unchanged version proves the client's cached copy is exact.
+struct PullBatchEntry {
   std::uint32_t shard = 0;
-  std::uint64_t known_version = 0;
+  std::uint64_t known_version = kPullAnyVersion;
 };
 
+// One composed pull to one server: every shard the client wants from it.
+struct PullBatchReq {
+  std::vector<PullBatchEntry> entries;
+};
+
+// A batch item saying the shard is still at the client's known version.
 struct PullShardNotModified {
   std::uint32_t shard = 0;
   std::uint64_t shard_version = 0;
   std::uint64_t global_version = 0;
 };
 
-// New message types append at the end: variant indexes are load-bearing for
-// std::get_if call sites and must stay stable.
+// One answered entry. The alternative's index is the item's kind byte on
+// the wire: 0 = full snapshot, 1 = not modified.
+using PullBatchItem = std::variant<PullShardResp, PullShardNotModified>;
+
+// The answer to a PullBatchReq: one item per entry, in request order.
+struct PullBatchResp {
+  std::vector<PullBatchItem> items;
+};
+
+// Call sites match alternatives by type (std::get_if), never by index; on
+// the wire each is told apart by its MsgType.
 using WireMessage =
     std::variant<PullShardReq, PullShardResp, PushShardReq, CommitPushReq,
-                 AckResp, PullShardDeltaReq, PullShardNotModified>;
+                 AckResp, PullBatchReq, PullBatchResp>;
 
 enum class WireStatus {
   kOk = 0,
@@ -235,6 +264,12 @@ struct FrameHeader {
 // fields plus the trace extension when `trace` is valid.
 std::size_t EncodedPayloadBytes(const WireMessage& message,
                                 const TraceContext* trace = nullptr);
+
+// What a PullBatchResp payload spends before its items (the u32 count), and
+// on one full (kind 0) item of `params` doubles: enough for a client to keep
+// each batch's response under kMaxPayloadBytes before sending it.
+inline constexpr std::size_t kPullBatchRespHeadBytes = 4;
+std::size_t PullBatchFullItemBytes(std::size_t params);
 
 // Serializes one message into a complete frame (header + payload), allocated
 // once at its exact size. A valid (nonzero trace_id) context is appended as

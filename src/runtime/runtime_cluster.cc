@@ -135,7 +135,10 @@ struct RuntimeCluster::Impl {
       pull_threads =
           std::min(config.num_servers, ThreadPool::DefaultThreadCount());
     }
-    if (pull_threads > 1 && config.num_servers > 1) {
+    // Wire clients batch each server's shards into one pipelined request,
+    // so only the in-process store fans pulls out over threads.
+    if (pull_threads > 1 && config.num_servers > 1 &&
+        config.transport != RuntimeTransport::kTcpLoopback) {
       pull_pool = std::make_unique<ThreadPool>(pull_threads);
     }
 
@@ -275,7 +278,7 @@ struct RuntimeCluster::Impl {
   // the default transport stays bit-identical to the pre-transport runtime.
   PullResult PullParams(WorkerId w) {
     if (shard_clients.empty()) return server->Pull(pull_pool.get());
-    return shard_clients[w]->Pull(pull_pool.get());
+    return shard_clients[w]->Pull();
   }
 
   // `routes` is RouteGradientInto(grad); the wire client routes by itself.
@@ -284,7 +287,7 @@ struct RuntimeCluster::Impl {
     if (shard_clients.empty()) {
       server->Push(grad, epoch, routes);
     } else {
-      shard_clients[w]->Push(grad, epoch, pull_pool.get());
+      shard_clients[w]->Push(grad, epoch);
     }
   }
 

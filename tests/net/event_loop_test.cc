@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -242,30 +243,40 @@ TEST_P(ReassemblyTest, MalformedPayloadKillsOnlyItsConnection) {
 
 // --- Pipelining regression (the reason wire v2 exists) ----------------------
 
-// With an injected 25 ms service delay per request, a Pull over 8 shards is 8
-// pipelined requests on one connection. The event-loop server runs them on
-// its pool concurrently: the batch costs ~1 delay. The thread-per-connection
-// server is strictly serial per connection: the same batch costs >= 8 delays
-// (a deterministic floor — sleeps do not undershoot). This pins the
-// regression: if the client ever goes back to serial round trips, or the
-// event-loop server serializes its pool, the pipelined bound breaks.
+// A Pull is one batch per server, so the pipelining that matters is across
+// callers: with an injected 25 ms service delay per request, 8 concurrent
+// Pull() calls on one client are 8 pipelined batches on one connection. The
+// event-loop server runs them on its pool concurrently: they cost ~1 delay.
+// The thread-per-connection server is strictly serial per connection: the
+// same 8 batches cost >= 8 delays (a deterministic floor — sleeps do not
+// undershoot). This pins the regression: if the client ever serializes
+// callers on a link, or the event-loop server serializes its pool, the
+// pipelined bound breaks.
 TEST(PipeliningTest, PipelinedPullCostsOneDelayBatchNotNSerialRoundTrips) {
-  constexpr std::size_t kShards = 8;
+  constexpr std::size_t kPullers = 8;
   constexpr std::chrono::milliseconds kDelay{25};
-  const auto timed_pull = [](ShardClient& client) {
-    const auto start = std::chrono::steady_clock::now();
-    const PullResult result = client.Pull();
-    EXPECT_EQ(result.params.size(), 64u);
+  const auto concurrent_pulls = [](ShardClient& client) {
+    std::latch start(kPullers + 1);
+    std::vector<std::jthread> pullers;
+    for (std::size_t p = 0; p < kPullers; ++p) {
+      pullers.emplace_back([&] {
+        start.arrive_and_wait();
+        EXPECT_EQ(client.Pull().params.size(), 64u);
+      });
+    }
+    const auto begin = std::chrono::steady_clock::now();
+    start.arrive_and_wait();
+    pullers.clear();  // join
     return std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - start);
+        std::chrono::steady_clock::now() - begin);
   };
 
-  auto store = MakeStore(64, kShards);
+  auto store = MakeStore(64, 4);
   ShardServerConfig server_config;
   server_config.service_delay = kDelay;
-  server_config.pool_threads = kShards;
+  server_config.pool_threads = kPullers;
 
-  // Event loop: all 8 delayed requests sleep on the pool concurrently.
+  // Event loop: all 8 delayed batches sleep on the pool concurrently.
   server_config.model = ServerModel::kEventLoop;
   auto event_loop = MakeShardServer(store.get(), server_config);
   ASSERT_TRUE(event_loop->Start());
@@ -274,15 +285,16 @@ TEST(PipeliningTest, PipelinedPullCostsOneDelayBatchNotNSerialRoundTrips) {
   {
     ShardClient client(client_config);
     ASSERT_TRUE(client.Connect());
-    (void)timed_pull(client);  // warm the link
-    const auto pipelined = timed_pull(client);
-    EXPECT_GE(pipelined, kDelay);           // the delay is really in the path
-    EXPECT_LT(pipelined, 4 * kDelay);       // ~1 batch, nowhere near 8 serial
+    (void)client.Pull();  // warm the link
+    const auto pipelined = concurrent_pulls(client);
+    EXPECT_GE(pipelined, kDelay);      // the delay is really in the path
+    EXPECT_LT(pipelined, 4 * kDelay);  // ~1 delay, nowhere near 8 serial
+    EXPECT_EQ(client.stats().requests, 1 + kPullers);  // one batch per Pull
   }
   event_loop->Stop();
 
-  // Thread-per-conn: one connection is served serially, so the same batch
-  // pays every delay back to back.
+  // Thread-per-conn: one connection is served serially, so the same 8
+  // batches pay every delay back to back.
   server_config.model = ServerModel::kThreadPerConn;
   auto serial = MakeShardServer(store.get(), server_config);
   ASSERT_TRUE(serial->Start());
@@ -291,8 +303,7 @@ TEST(PipeliningTest, PipelinedPullCostsOneDelayBatchNotNSerialRoundTrips) {
   {
     ShardClient client(client_config);
     ASSERT_TRUE(client.Connect());
-    const auto batch = timed_pull(client);
-    EXPECT_GE(batch, kShards * kDelay);
+    EXPECT_GE(concurrent_pulls(client), kPullers * kDelay);
   }
 }
 

@@ -19,7 +19,9 @@
 //    right after the batch went out (then a reconnect) — injected by a
 //    frame-aware proxy, and again with FaultPlan drops, delays and
 //    duplicates. Parameter bits, global and shard versions, and every
-//    pull/push observation must equal the fault-free direct run.
+//    pull/push observation must equal the fault-free direct run. A pull
+//    batch whose response arrives only after its retry's must count as
+//    stale and leave the delta cache as the fault-free run leaves it.
 //
 // Schedules are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 #include <gtest/gtest.h>
@@ -357,13 +359,20 @@ const char* PushFaultName(PushFault fault) {
 
 // Frame-aware loopback proxy between one ShardClient and one server. Every
 // accepted client connection gets its own upstream connection and two pump
-// threads; faults are keyed by push_seq.
+// threads; push faults are keyed by push_seq. Optionally the response to
+// pull batch number `late_pull` (0-based, in send order) is held back until
+// the next response has been forwarded: the client times out and retries,
+// and the held frame arrives after the retry's answer.
 class FaultProxy {
  public:
+  static constexpr std::size_t kNoLatePull = ~std::size_t{0};
+
   FaultProxy(std::uint16_t upstream_port,
-             std::map<std::uint64_t, PushFault> faults)
+             std::map<std::uint64_t, PushFault> faults,
+             std::size_t late_pull = kNoLatePull)
       : upstream_port_(upstream_port),
         faults_(std::move(faults)),
+        late_pull_(late_pull),
         listener_(TcpListener::BindLoopback(0)) {
     SPECSYNC_CHECK(listener_ != nullptr);
     accept_thread_ = std::thread([this] { AcceptLoop(); });
@@ -416,6 +425,11 @@ class FaultProxy {
     if (DecodeFrame(frame, id, message) != WireStatus::kOk) {
       return PushFault::kNone;
     }
+    if (std::holds_alternative<PullBatchReq>(message)) {
+      std::scoped_lock lock(mutex_);
+      if (pulls_seen_++ == late_pull_) late_ids_.insert(id);
+      return PushFault::kNone;
+    }
     const auto* push = std::get_if<CommitPushReq>(&message);
     if (push == nullptr) return PushFault::kNone;
     std::scoped_lock lock(mutex_);
@@ -449,6 +463,7 @@ class FaultProxy {
 
   void PumpDown(Relay* relay) {
     std::vector<std::uint8_t> frame;
+    std::vector<std::vector<std::uint8_t>> held;  // late, sent after the next
     constexpr auto kForever = std::chrono::steady_clock::time_point::max();
     while (relay->server.RecvFrame(frame, kForever) ==
            TcpConnection::RecvStatus::kFrame) {
@@ -457,20 +472,32 @@ class FaultProxy {
       {
         std::scoped_lock lock(mutex_);
         if (lost_ids_.erase(header.request_id) > 0) continue;
+        if (late_ids_.erase(header.request_id) > 0) {
+          held.push_back(frame);
+          continue;
+        }
       }
-      if (!relay->client.SendAll(frame)) break;
+      bool ok = relay->client.SendAll(frame);
+      for (const std::vector<std::uint8_t>& late : held) {
+        ok = ok && relay->client.SendAll(late);
+      }
+      held.clear();
+      if (!ok) break;
     }
     relay->client.ShutdownBoth();
   }
 
   const std::uint16_t upstream_port_;
   const std::map<std::uint64_t, PushFault> faults_;
+  const std::size_t late_pull_;
   std::unique_ptr<TcpListener> listener_;
   std::thread accept_thread_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<Relay>> relays_;  // guarded by mutex_
   std::set<std::uint64_t> faulted_;                 // guarded by mutex_
   std::set<std::uint64_t> lost_ids_;                // guarded by mutex_
+  std::size_t pulls_seen_ = 0;                      // guarded by mutex_
+  std::set<std::uint64_t> late_ids_;                // guarded by mutex_
 };
 
 // One timeline step: a pull, or a push of a dyadic gradient (exact in
@@ -615,6 +642,68 @@ TEST(ExactlyOnceTransportProperty, ScriptedPushFaultsMatchTheFaultFreeRun) {
     const ServerStats stats = server->stats();
     EXPECT_EQ(stats.commits, timeline.pushes) << context;
     EXPECT_GE(stats.duplicate_pushes, repeats) << context;
+  }
+}
+
+TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
+  // One pull batch's response is held back past the client's timeout and
+  // delivered after the retry's answer. The late frame must be counted as
+  // stale, never composed, and the delta cache must evolve exactly as in
+  // the fault-free run: same snapshots, same hits and misses.
+  const std::uint64_t base = BaseSeed();
+  for (std::size_t trial = 0; trial < 4; ++trial) {
+    const std::uint64_t seed = base + 77 + trial * 104729ULL;
+    Timeline timeline = GenerateTimeline(seed, /*with_push_faults=*/false);
+    timeline.ops.emplace_back();  // a final pull: every timeline has one
+    const std::size_t pulls = static_cast<std::size_t>(std::count_if(
+        timeline.ops.begin(), timeline.ops.end(),
+        [](const TimelineOp& op) { return !op.push; }));
+    const std::size_t late_pull = Rng(seed).Index(pulls);
+    const DirectRun direct = RunDirect(timeline);
+
+    // Runs the timeline through a delta client, behind a proxy holding back
+    // pull batch `late` (kNoLatePull: a clean proxy).
+    const auto run = [&](std::size_t late, ShardClient::Stats& stats) {
+      auto store = MakeStore();
+      auto server = StartEventLoop(store.get());
+      FaultProxy proxy(server->port(), {}, late);
+      ShardClientConfig config = ClientConfigFor(*store, proxy.port());
+      config.compression = *CompressionSpec::Parse("delta");
+      ShardClient client(config);
+      EXPECT_TRUE(client.Connect());
+      const Observations observed = RunTimeline(
+          timeline, [&] { return client.Pull(); },
+          [&](const Gradient& g, EpochId e) { return client.Push(g, e); });
+      // The held frame may trail the last op: wait for the receiver to see
+      // it before reading the counters.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (late != FaultProxy::kNoLatePull &&
+             client.stats().stale_frames == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      stats = client.stats();
+      return observed;
+    };
+    ShardClient::Stats clean;
+    ShardClient::Stats faulted;
+    const Observations clean_run = run(FaultProxy::kNoLatePull, clean);
+    const Observations late_run = run(late_pull, faulted);
+
+    const std::string context = "seed " + std::to_string(seed) +
+                                " late pull " + std::to_string(late_pull) +
+                                " timeline:" + FormatTimeline(timeline);
+    EXPECT_TRUE(clean_run == direct.observed) << context;
+    EXPECT_TRUE(late_run == direct.observed) << context;
+    EXPECT_EQ(faulted.stale_frames, 1u) << context;
+    EXPECT_EQ(faulted.timeouts, 1u) << context;
+    EXPECT_EQ(faulted.retries, 1u) << context;
+    EXPECT_EQ(clean.stale_frames, 0u) << context;
+    EXPECT_EQ(faulted.delta_hits, clean.delta_hits) << context;
+    EXPECT_EQ(faulted.delta_misses, clean.delta_misses) << context;
+    EXPECT_EQ(clean.delta_hits + clean.delta_misses, pulls * kShards)
+        << context;
   }
 }
 

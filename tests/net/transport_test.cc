@@ -20,7 +20,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/thread_pool.h"
 #include "core/scheduler.h"
 #include "core/speculation.h"
 #include "fault/fault_plan.h"
@@ -118,16 +117,84 @@ TEST_P(TransportTest, PullMatchesDirectPullBitwise) {
   EXPECT_EQ(shard_wire.version, shard_direct.version);
 }
 
-TEST_P(TransportTest, PoolArgumentStaysCompatible) {
-  // Pre-mux call sites passed a pull pool; the pipelined client accepts and
-  // ignores it, and the composed pull still matches the direct one.
+TEST_P(TransportTest, PullIsOneRequestPerServer) {
+  // Shards interleaved across two endpoints (one store behind two servers,
+  // each serving every other shard): every Pull() costs exactly one request
+  // per link, delta on or off, and composes the store's own snapshot.
   auto store = MakeStore(101, 5);
-  auto server = StartServer(store.get());
-  ShardClient client(ClientConfigFor(*store, server->port()));
-  ASSERT_TRUE(client.Connect());
-  ThreadPool pool(4);
-  const PullResult wire = client.Pull(&pool);
-  EXPECT_EQ(wire.params, store->Pull().params);
+  ShardServerConfig even_config;
+  even_config.served_shards = {0, 2, 4};
+  auto even = StartServer(store.get(), std::move(even_config));
+  ShardServerConfig odd_config;
+  odd_config.served_shards = {1, 3};
+  auto odd = StartServer(store.get(), std::move(odd_config));
+
+  for (const char* codec : {"none", "delta"}) {
+    ShardClientConfig config = ClientConfigFor(*store, even->port());
+    for (std::size_t s = 1; s < store->num_shards(); s += 2) {
+      config.topology.shards[s].endpoint.port = odd->port();
+    }
+    config.compression = *CompressionSpec::Parse(codec);
+    obs::MetricsRegistry metrics;
+    ShardClient client(config, nullptr, &metrics);
+    ASSERT_TRUE(client.Connect());
+    ASSERT_EQ(client.num_links(), 2u);
+
+    Gradient g = Gradient::Sparse();
+    g.sparse().Add(50, 0.5);  // moves one shard between pulls
+    constexpr int kRounds = 3;
+    for (int round = 0; round < kRounds; ++round) {
+      const std::uint64_t before = client.stats().requests;
+      const PullResult wire = client.Pull();
+      EXPECT_EQ(client.stats().requests - before, client.num_links())
+          << codec << " round " << round;
+      const PullResult direct = store->Pull();
+      EXPECT_EQ(wire.params, direct.params) << codec << " round " << round;
+      EXPECT_EQ(wire.version, direct.version) << codec << " round " << round;
+      store->Push(g, 0);
+    }
+    // RTT is per link: one sample per pull on each.
+    for (const ShardServerBase* server : {even.get(), odd.get()}) {
+      const std::string label =
+          "{link=127.0.0.1:" + std::to_string(server->port()) + "}";
+      EXPECT_EQ(metrics.histogram("net.link.rtt_s" + label).count(),
+                static_cast<std::uint64_t>(kRounds))
+          << codec << ' ' << label;
+    }
+  }
+}
+
+TEST(PullBatchPlanTest, SplitsALinksShardsOnlyToStayUnderTheCap) {
+  // Two endpoints, shards interleaved; lengths 4/4/4/2/1 (36 + 8n payload
+  // bytes per full item, plus its kind byte).
+  ClusterTopology topology;
+  const Endpoint a{"127.0.0.1", 1};
+  const Endpoint b{"127.0.0.1", 2};
+  const std::size_t lengths[] = {4, 4, 4, 2, 1};
+  const Endpoint* owners[] = {&a, &b, &a, &a, &b};
+  std::size_t offset = 0;
+  for (std::size_t s = 0; s < 5; ++s) {
+    topology.shards.push_back({offset, lengths[s], *owners[s]});
+    offset += lengths[s];
+  }
+  using Batches = std::vector<std::vector<std::size_t>>;
+  // Under the real cap: one batch per link, ordered by first shard.
+  EXPECT_EQ(PlanPullBatches(topology), (Batches{{0, 2, 3}, {1, 4}}));
+
+  const std::size_t item4 = PullBatchFullItemBytes(4);  // 69
+  const std::size_t item2 = PullBatchFullItemBytes(2);  // 53
+  // Exactly enough for link a's three shards in one response.
+  const std::size_t all_a = kPullBatchRespHeadBytes + 2 * item4 + item2;
+  EXPECT_EQ(PlanPullBatches(topology, all_a), (Batches{{0, 2, 3}, {1, 4}}));
+  // One byte less: link a splits before the shard that overflows it.
+  EXPECT_EQ(PlanPullBatches(topology, all_a - 1),
+            (Batches{{0, 2}, {1, 4}, {3}}));
+  // Room for a 4-wide and a 1-wide shard: only link b's pair shares one.
+  EXPECT_EQ(PlanPullBatches(topology, kPullBatchRespHeadBytes + item4 +
+                                          PullBatchFullItemBytes(1)),
+            (Batches{{0}, {1, 4}, {2}, {3}}));
+  // A cap below any one shard: each shard alone, none dropped.
+  EXPECT_EQ(PlanPullBatches(topology, 1), (Batches{{0}, {1}, {2}, {3}, {4}}));
 }
 
 // The scripted op timeline: one deterministic sequence of pulls and pushes
@@ -512,6 +579,24 @@ TEST_P(TransportTest, BadBatchChangesNothing) {
   EXPECT_EQ(store->Snapshot()[1], before[1] - 4.0);
 }
 
+TEST_P(TransportTest, PullBatchWithAForeignShardReadsNothing) {
+  // One shard the server does not own anywhere in a batch refuses the whole
+  // batch before any shard is read.
+  auto store = MakeStore(10, 2);
+  ShardServerConfig config;
+  config.served_shards = {0};
+  auto server = StartServer(store.get(), std::move(config));
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+  const AckResp ack = RawAck(
+      conn, PullBatchReq{{{0, kPullAnyVersion}, {1, kPullAnyVersion}}}, 1);
+  EXPECT_EQ(ack.status, kAckBadShard);
+  EXPECT_EQ(ack.value, 1u);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.pulls, 0u);
+  EXPECT_EQ(stats.rejected, 1u);
+}
+
 TEST_P(TransportTest, RepeatedBatchIsAnsweredFromTheWatermark) {
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
@@ -776,6 +861,9 @@ TEST_P(TransportTest, PerLinkCountersExportedToRegistry) {
   EXPECT_EQ(reconnects, client.stats().reconnects);
   EXPECT_EQ(metrics.counter("net.link.stale_frames" + label).value(),
             client.stats().stale_frames);
+  // Every logical request completed once; its RTT lands on its link.
+  EXPECT_EQ(metrics.histogram("net.link.rtt_s" + label).count(),
+            client.stats().requests);
   // Quiescent client: nothing pending or in flight.
   EXPECT_EQ(metrics.gauge("net.link.pending_depth" + label).value(), 0.0);
   EXPECT_EQ(metrics.gauge("net.link.in_flight" + label).value(), 0.0);
@@ -815,9 +903,9 @@ TEST_P(TransportTest, ClientAndServerSpansStitchViaFlowIds) {
     EXPECT_NE(event.flow_out, 0u) << event.name;
     out_ids.push_back(event.flow_out);
   }
-  // 4 rounds x (2 shard pulls + 1 push batch): one client span per wire
-  // request.
-  ASSERT_EQ(out_ids.size(), 12u);
+  // One client span per wire request: 4 rounds x (1 pull batch + 1 push
+  // batch), the pull carrying both shards of the one server.
+  ASSERT_EQ(out_ids.size(), 8u);
 
   std::vector<std::uint64_t> in_ids;
   for (const obs::TraceEvent& event : server_spans.Events()) {
@@ -856,9 +944,10 @@ TEST_P(TransportTest, EventLoopTelemetryReachesRegistry) {
 
   client.reset();  // disconnect: the loop sees EOF and drops the conn
   server->Stop();
-  // One residency sample per response (3 pulls x 2 shards), whether the
-  // pool thread wrote it through or the loop flushed it from the queue.
-  EXPECT_EQ(metrics.histogram("net.eloop.out_queue_s").count(), 6u);
+  // One residency sample per response (3 pulls, each one batch holding
+  // both shards), whether the pool thread wrote it through or the loop
+  // flushed it from the queue.
+  EXPECT_EQ(metrics.histogram("net.eloop.out_queue_s").count(), 3u);
   // Every byte gauge must return to zero once all connections are gone.
   EXPECT_EQ(metrics.gauge("net.eloop.conns").value(), 0.0);
   EXPECT_EQ(metrics.gauge("net.eloop.reassembly_bytes").value(), 0.0);

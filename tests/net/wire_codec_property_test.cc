@@ -1,10 +1,11 @@
 // Property suite for the bulk wire codec (net/wire.cc).
 //
 // The byte-at-a-time encoder and decoder that the bulk codec replaced live
-// on below, verbatim, as the reference. Each trial is a short list of seeded
-// random messages — all seven types; dense, sparse, int8 and fp16 slices;
-// empty arrays; NaN and -0 bit patterns; trace extension on and off — and
-// for every message:
+// on below as the reference, extended in the same style to the pull batch
+// types. Each trial is a short list of seeded random messages — all seven
+// types; dense, sparse, int8 and fp16 slices; pull batches mixing full and
+// not-modified items; empty arrays and batches; NaN and -0 bit patterns;
+// trace extension on and off — and for every message:
 //  - EncodeFrame equals the reference frame byte for byte;
 //  - EncodedPayloadBytes equals the frame's payload size;
 //  - the whole frame, every prefix of it, every payload prefix under a
@@ -13,9 +14,10 @@
 //    to the same message and trace context, compared bit for bit).
 //
 // On failure the harness shrinks the trial (greedy ddmin over messages, then
-// batch slices, then array entries — the compression_property_test recipe)
-// and prints it. Two planted bugs must be caught and shrunk: sparse pairs
-// written value first, and a bulk f64 take that skips CanTake.
+// batch slices or items, then array entries — the compression_property_test
+// recipe) and prints it. Three planted bugs must be caught and shrunk:
+// sparse pairs written value first, a bulk f64 take that skips CanTake, and
+// a pull batch decoder that ignores each item's kind byte.
 //
 // Trials are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 
@@ -145,14 +147,24 @@ MsgType TypeOf(const WireMessage& message) {
     MsgType operator()(const PushShardReq&) { return MsgType::kPushShardReq; }
     MsgType operator()(const CommitPushReq&) { return MsgType::kCommitPushReq; }
     MsgType operator()(const AckResp&) { return MsgType::kAck; }
-    MsgType operator()(const PullShardDeltaReq&) {
-      return MsgType::kPullShardDeltaReq;
-    }
-    MsgType operator()(const PullShardNotModified&) {
-      return MsgType::kPullShardNotModified;
+    MsgType operator()(const PullBatchReq&) { return MsgType::kPullBatchReq; }
+    MsgType operator()(const PullBatchResp&) {
+      return MsgType::kPullBatchResp;
     }
   };
   return std::visit(Visitor{}, message);
+}
+
+// One full shard: a standalone PullShardResp payload, and the slice of a
+// kind-0 PullBatchResp item.
+void EncodePullShardResp(const PullShardResp& m,
+                         std::vector<std::uint8_t>& out) {
+  PutU32(out, m.shard);
+  PutU64(out, m.offset);
+  PutU64(out, m.shard_version);
+  PutU64(out, m.global_version);
+  PutU64(out, m.params.size());
+  for (double v : m.params) PutF64(out, v);
 }
 
 // Kind-2 (coded) value payload. The doubles in the struct are already
@@ -215,14 +227,7 @@ void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
   struct Visitor {
     std::vector<std::uint8_t>& out;
     void operator()(const PullShardReq& m) { PutU32(out, m.shard); }
-    void operator()(const PullShardResp& m) {
-      PutU32(out, m.shard);
-      PutU64(out, m.offset);
-      PutU64(out, m.shard_version);
-      PutU64(out, m.global_version);
-      PutU64(out, m.params.size());
-      for (double v : m.params) PutF64(out, v);
-    }
+    void operator()(const PullShardResp& m) { EncodePullShardResp(m, out); }
     void operator()(const PushShardReq& m) { EncodePushShard(m, out); }
     void operator()(const CommitPushReq& m) {
       PutU64(out, m.client_id);
@@ -234,14 +239,27 @@ void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
       PutU32(out, m.status);
       PutU64(out, m.value);
     }
-    void operator()(const PullShardDeltaReq& m) {
-      PutU32(out, m.shard);
-      PutU64(out, m.known_version);
+    void operator()(const PullBatchReq& m) {
+      PutU32(out, static_cast<std::uint32_t>(m.entries.size()));
+      for (const PullBatchEntry& entry : m.entries) {
+        PutU32(out, entry.shard);
+        PutU64(out, entry.known_version);
+      }
     }
-    void operator()(const PullShardNotModified& m) {
-      PutU32(out, m.shard);
-      PutU64(out, m.shard_version);
-      PutU64(out, m.global_version);
+    void operator()(const PullBatchResp& m) {
+      PutU32(out, static_cast<std::uint32_t>(m.items.size()));
+      for (const PullBatchItem& item : m.items) {
+        if (const auto* full = std::get_if<PullShardResp>(&item)) {
+          PutU8(out, 0);
+          EncodePullShardResp(*full, out);
+        } else {
+          const auto& unchanged = std::get<PullShardNotModified>(item);
+          PutU8(out, 1);
+          PutU32(out, unchanged.shard);
+          PutU64(out, unchanged.shard_version);
+          PutU64(out, unchanged.global_version);
+        }
+      }
     }
   };
   std::visit(Visitor{out}, message);
@@ -281,8 +299,11 @@ WireStatus DecodeHeader(std::span<const std::uint8_t> bytes,
   out.version = r.TakeU16();
   if (out.version != kWireVersion) return WireStatus::kBadVersion;
   const std::uint16_t type = r.TakeU16();
+  // 1..5 and 8..9; 6 and 7 are the retired delta-pull types.
   if (type < static_cast<std::uint16_t>(MsgType::kPullShardReq) ||
-      type > static_cast<std::uint16_t>(MsgType::kPullShardNotModified)) {
+      type > static_cast<std::uint16_t>(MsgType::kPullBatchResp) ||
+      (type > static_cast<std::uint16_t>(MsgType::kAck) &&
+       type < static_cast<std::uint16_t>(MsgType::kPullBatchReq))) {
     return WireStatus::kBadType;
   }
   out.type = static_cast<MsgType>(type);
@@ -392,6 +413,54 @@ WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
 // batch's claimed slice count before anything is reserved for it.
 constexpr std::size_t kMinPushShardBytes = 4 + 8 + 1 + 8;
 
+// Parses one full shard (EncodePullShardResp's layout).
+WireStatus DecodePullShardResp(Reader& r, PullShardResp& m) {
+  m.shard = r.TakeU32();
+  m.offset = r.TakeU64();
+  m.shard_version = r.TakeU64();
+  m.global_version = r.TakeU64();
+  const std::uint64_t count = r.TakeU64();
+  if (!r.ok() || !r.CanTake(count, sizeof(double))) {
+    return WireStatus::kTruncated;
+  }
+  m.params.reserve(count);
+  for (std::uint64_t i = 0; i < count; ++i) m.params.push_back(r.TakeF64());
+  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+}
+
+// The smallest pull batch item: u8 kind, then a not-modified slice.
+constexpr std::size_t kMinPullBatchItemBytes = 1 + 4 + 8 + 8;
+
+// A PullBatchResp's count and items. `ignore_kind` is a planted bug for the
+// harness: every item is read as a full shard whatever its kind byte says.
+WireStatus DecodePullBatchResp(Reader& r, PullBatchResp& m,
+                               bool ignore_kind) {
+  const std::uint32_t count = r.TakeU32();
+  if (!r.ok() || !r.CanTake(count, kMinPullBatchItemBytes)) {
+    return WireStatus::kTruncated;
+  }
+  m.items.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint8_t kind = r.TakeU8();
+    if (!r.ok()) return WireStatus::kTruncated;
+    if (kind == 0 || ignore_kind) {
+      PullShardResp full;
+      const WireStatus status = DecodePullShardResp(r, full);
+      if (status != WireStatus::kOk) return status;
+      m.items.emplace_back(std::move(full));
+      continue;
+    }
+    if (kind != 1) return WireStatus::kMalformed;
+    PullShardNotModified unchanged;
+    unchanged.shard = r.TakeU32();
+    unchanged.shard_version = r.TakeU64();
+    unchanged.global_version = r.TakeU64();
+    if (!r.ok()) return WireStatus::kTruncated;
+    m.items.emplace_back(unchanged);
+  }
+  return WireStatus::kOk;
+}
+
 WireStatus DecodePayload(const FrameHeader& header,
                          std::span<const std::uint8_t> payload,
                          WireMessage& out, TraceContext* trace) {
@@ -410,17 +479,8 @@ WireStatus DecodePayload(const FrameHeader& header,
     }
     case MsgType::kPullShardResp: {
       PullShardResp m;
-      m.shard = r.TakeU32();
-      m.offset = r.TakeU64();
-      m.shard_version = r.TakeU64();
-      m.global_version = r.TakeU64();
-      const std::uint64_t count = r.TakeU64();
-      if (!r.ok() || !r.CanTake(count, sizeof(double))) {
-        return WireStatus::kTruncated;
-      }
-      m.params.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) m.params.push_back(r.TakeF64());
-      if (!r.ok()) return WireStatus::kTruncated;
+      const WireStatus shard = DecodePullShardResp(r, m);
+      if (shard != WireStatus::kOk) return shard;
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
       out = std::move(m);
@@ -463,25 +523,31 @@ WireStatus DecodePayload(const FrameHeader& header,
       out = m;
       return WireStatus::kOk;
     }
-    case MsgType::kPullShardDeltaReq: {
-      PullShardDeltaReq m;
-      m.shard = r.TakeU32();
-      m.known_version = r.TakeU64();
+    case MsgType::kPullBatchReq: {
+      PullBatchReq m;
+      const std::uint32_t count = r.TakeU32();
+      if (!r.ok() || !r.CanTake(count, 4 + 8)) return WireStatus::kTruncated;
+      m.entries.reserve(count);
+      for (std::uint32_t i = 0; i < count; ++i) {
+        PullBatchEntry entry;
+        entry.shard = r.TakeU32();
+        entry.known_version = r.TakeU64();
+        m.entries.push_back(entry);
+      }
       if (!r.ok()) return WireStatus::kTruncated;
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
-      out = m;
+      out = std::move(m);
       return WireStatus::kOk;
     }
-    case MsgType::kPullShardNotModified: {
-      PullShardNotModified m;
-      m.shard = r.TakeU32();
-      m.shard_version = r.TakeU64();
-      m.global_version = r.TakeU64();
-      if (!r.ok()) return WireStatus::kTruncated;
+    case MsgType::kPullBatchResp: {
+      PullBatchResp m;
+      const WireStatus items =
+          DecodePullBatchResp(r, m, /*ignore_kind=*/false);
+      if (items != WireStatus::kOk) return items;
       const WireStatus tail = DecodeTraceTail(r, trace);
       if (tail != WireStatus::kOk) return tail;
-      out = m;
+      out = std::move(m);
       return WireStatus::kOk;
     }
   }
@@ -573,20 +639,23 @@ PushShardReq RandomSlice(Rng& rng) {
   return m;
 }
 
+PullShardResp RandomPullShardResp(Rng& rng) {
+  PullShardResp m;
+  m.shard = RandomU32(rng);
+  m.offset = RandomU64(rng);
+  m.shard_version = RandomU64(rng);
+  m.global_version = RandomU64(rng);
+  const std::size_t n = RandomLength(rng);
+  for (std::size_t i = 0; i < n; ++i) m.params.push_back(RandomRawValue(rng));
+  return m;
+}
+
 WireMessage RandomMessage(Rng& rng) {
   switch (rng.Index(7)) {
     case 0:
       return PullShardReq{RandomU32(rng)};
-    case 1: {
-      PullShardResp m;
-      m.shard = RandomU32(rng);
-      m.offset = RandomU64(rng);
-      m.shard_version = RandomU64(rng);
-      m.global_version = RandomU64(rng);
-      const std::size_t n = RandomLength(rng);
-      for (std::size_t i = 0; i < n; ++i) m.params.push_back(RandomRawValue(rng));
-      return m;
-    }
+    case 1:
+      return RandomPullShardResp(rng);
     case 2:
       return RandomSlice(rng);
     case 3: {
@@ -601,11 +670,30 @@ WireMessage RandomMessage(Rng& rng) {
     }
     case 4:
       return AckResp{RandomU32(rng), RandomU64(rng)};
-    case 5:
-      return PullShardDeltaReq{RandomU32(rng), RandomU64(rng)};
-    default:
-      return PullShardNotModified{RandomU32(rng), RandomU64(rng),
-                                  RandomU64(rng)};
+    case 5: {
+      PullBatchReq m;
+      const std::size_t entries = rng.Index(6);
+      for (std::size_t e = 0; e < entries; ++e) {
+        m.entries.push_back({RandomU32(rng), rng.Index(3) == 0
+                                                 ? kPullAnyVersion
+                                                 : RandomU64(rng)});
+      }
+      return m;
+    }
+    default: {
+      // Full and not-modified items mixed; empty batches included.
+      PullBatchResp m;
+      const std::size_t items = rng.Index(5);
+      for (std::size_t i = 0; i < items; ++i) {
+        if (rng.Index(2) == 0) {
+          m.items.emplace_back(RandomPullShardResp(rng));
+        } else {
+          m.items.emplace_back(PullShardNotModified{
+              RandomU32(rng), RandomU64(rng), RandomU64(rng)});
+        }
+      }
+      return m;
+    }
   }
 }
 
@@ -648,6 +736,14 @@ void DescribeSlice(std::ostream& out, const PushShardReq& m) {
   out << '}';
 }
 
+void DescribePullShardResp(std::ostream& out, const PullShardResp& m) {
+  out << "PullShardResp{shard=" << m.shard << " offset=" << m.offset
+      << " versions=" << m.shard_version << '/' << m.global_version
+      << " params=";
+  DescribeF64s(out, m.params);
+  out << '}';
+}
+
 // Every field of a message in hex, doubles as bit patterns: two messages are
 // the same exactly when their descriptions are.
 std::string Describe(const WireMessage& message) {
@@ -656,13 +752,7 @@ std::string Describe(const WireMessage& message) {
     void operator()(const PullShardReq& m) {
       out << "PullShardReq{shard=" << m.shard << '}';
     }
-    void operator()(const PullShardResp& m) {
-      out << "PullShardResp{shard=" << m.shard << " offset=" << m.offset
-          << " versions=" << m.shard_version << '/' << m.global_version
-          << " params=";
-      DescribeF64s(out, m.params);
-      out << '}';
-    }
+    void operator()(const PullShardResp& m) { DescribePullShardResp(out, m); }
     void operator()(const PushShardReq& m) {
       out << "PushShardReq";
       DescribeSlice(out, m);
@@ -676,14 +766,26 @@ std::string Describe(const WireMessage& message) {
     void operator()(const AckResp& m) {
       out << "AckResp{status=" << m.status << " value=" << m.value << '}';
     }
-    void operator()(const PullShardDeltaReq& m) {
-      out << "PullShardDeltaReq{shard=" << m.shard
-          << " known=" << m.known_version << '}';
+    void operator()(const PullBatchReq& m) {
+      out << "PullBatchReq{entries=";
+      for (const PullBatchEntry& entry : m.entries) {
+        out << '(' << entry.shard << ' ' << entry.known_version << ')';
+      }
+      out << '}';
     }
-    void operator()(const PullShardNotModified& m) {
-      out << "PullShardNotModified{shard=" << m.shard
-          << " versions=" << m.shard_version << '/' << m.global_version
-          << '}';
+    void operator()(const PullBatchResp& m) {
+      out << "PullBatchResp{items=";
+      for (const PullBatchItem& item : m.items) {
+        if (const auto* full = std::get_if<PullShardResp>(&item)) {
+          DescribePullShardResp(out, *full);
+          continue;
+        }
+        const auto& unchanged = std::get<PullShardNotModified>(item);
+        out << "NotModified{shard=" << unchanged.shard
+            << " versions=" << unchanged.shard_version << '/'
+            << unchanged.global_version << '}';
+      }
+      out << '}';
     }
   };
   std::ostringstream out;
@@ -708,6 +810,7 @@ enum class SubjectKind {
   kCodec,              // the real EncodeFrame / DecodePayload
   kSwappedPairs,       // planted: sparse pairs written value first
   kUncheckedBulkTake,  // planted: the pull-response f64 take skips CanTake
+  kIgnoredItemKind,    // planted: pull batch items all decoded as full
 };
 
 // The kSwappedPairs encoder: the real encoder fed every raw sparse pair with
@@ -763,6 +866,23 @@ WireStatus DecodeUncheckedPullResp(const FrameHeader& header,
   return WireStatus::kOk;
 }
 
+// The kIgnoredItemKind decoder for PullBatchResp (other types go to the real
+// decoder): the byte-wise batch decoder with every item's kind byte ignored.
+WireStatus DecodeIgnoringItemKind(const FrameHeader& header,
+                                  std::span<const std::uint8_t> payload,
+                                  WireMessage& out, TraceContext* trace) {
+  if (payload.size() < header.payload_bytes) return WireStatus::kTruncated;
+  if (payload.size() > header.payload_bytes) return WireStatus::kMalformed;
+  ref::Reader r(payload);
+  PullBatchResp m;
+  const WireStatus items = ref::DecodePullBatchResp(r, m, /*ignore_kind=*/true);
+  if (items != WireStatus::kOk) return items;
+  const WireStatus tail = ref::DecodeTraceTail(r, trace);
+  if (tail != WireStatus::kOk) return tail;
+  out = std::move(m);
+  return WireStatus::kOk;
+}
+
 // One decode outcome: the status and, on kOk, what was decoded.
 struct Decoded {
   WireStatus status = WireStatus::kOk;
@@ -796,11 +916,17 @@ std::pair<Decoded, Decoded> DecodeBoth(SubjectKind kind,
                                        std::span<const std::uint8_t> backing) {
   WireMessage got;
   TraceContext got_trace{99, 99};  // stale values must be overwritten
-  const WireStatus got_status =
-      kind == SubjectKind::kUncheckedBulkTake &&
-              header.type == MsgType::kPullShardResp
-          ? DecodeUncheckedPullResp(header, payload, backing, got, &got_trace)
-          : DecodePayload(header, payload, got, &got_trace);
+  WireStatus got_status;
+  if (kind == SubjectKind::kUncheckedBulkTake &&
+      header.type == MsgType::kPullShardResp) {
+    got_status =
+        DecodeUncheckedPullResp(header, payload, backing, got, &got_trace);
+  } else if (kind == SubjectKind::kIgnoredItemKind &&
+             header.type == MsgType::kPullBatchResp) {
+    got_status = DecodeIgnoringItemKind(header, payload, got, &got_trace);
+  } else {
+    got_status = DecodePayload(header, payload, got, &got_trace);
+  }
   WireMessage want;
   TraceContext want_trace{99, 99};
   const WireStatus want_status =
@@ -1006,6 +1132,19 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
           return fails_with(shrunk);
         });
       }
+    } else if (auto* pulls = std::get_if<PullBatchResp>(&message)) {
+      ShrinkList(pulls->items, 0, [&](const std::vector<PullBatchItem>& items) {
+        return fails_with(PullBatchResp{items});
+      });
+      for (std::size_t i = 0; i < pulls->items.size(); ++i) {
+        auto* full = std::get_if<PullShardResp>(&pulls->items[i]);
+        if (full == nullptr) continue;
+        ShrinkList(full->params, 0, [&](const std::vector<double>& params) {
+          PullBatchResp shrunk = *pulls;
+          std::get<PullShardResp>(shrunk.items[i]).params = params;
+          return fails_with(shrunk);
+        });
+      }
     }
   }
   return trial;
@@ -1025,6 +1164,13 @@ std::size_t Entries(const Trial& trial) {
     } else if (const auto* batch = std::get_if<CommitPushReq>(&c.message)) {
       entries += batch->slices.size();
       for (const PushShardReq& s : batch->slices) entries += slice_entries(s);
+    } else if (const auto* pulls = std::get_if<PullBatchResp>(&c.message)) {
+      entries += pulls->items.size();
+      for (const PullBatchItem& item : pulls->items) {
+        if (const auto* full = std::get_if<PullShardResp>(&item)) {
+          entries += full->params.size();
+        }
+      }
     }
   }
   return entries;
@@ -1050,7 +1196,8 @@ TEST(WireCodecPropertyTest, BulkCodecMatchesByteWiseReference) {
 TEST(WireCodecPropertyTest, PlantedBugsAreCaughtAndShrunk) {
   const std::uint64_t base = BaseSeed();
   for (const SubjectKind kind :
-       {SubjectKind::kSwappedPairs, SubjectKind::kUncheckedBulkTake}) {
+       {SubjectKind::kSwappedPairs, SubjectKind::kUncheckedBulkTake,
+        SubjectKind::kIgnoredItemKind}) {
     bool caught = false;
     for (std::uint64_t trial_idx = 0; trial_idx < 200 && !caught;
          ++trial_idx) {
@@ -1062,7 +1209,8 @@ TEST(WireCodecPropertyTest, PlantedBugsAreCaughtAndShrunk) {
       EXPECT_EQ(minimal.cases.size(), 1u)
           << "shrink left a large witness:" << FormatTrial(minimal);
       // A swapped pair needs one entry (plus its slice, in a batch); the
-      // unchecked take needs one double to cut into.
+      // unchecked take needs one double to cut into; an ignored kind needs
+      // one not-modified item.
       EXPECT_LE(Entries(minimal), 2u)
           << "shrink left a large witness:" << FormatTrial(minimal);
     }

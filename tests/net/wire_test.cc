@@ -303,7 +303,9 @@ TEST(WireTraceExtTest, AbsentExtensionEncodesByteIdenticalFrames) {
 TEST(WireTraceExtTest, TraceContextRoundTripsOnEveryMessageType) {
   const TraceContext trace{0xdeadbeef12345678ull, 0x42ull};
   const std::vector<WireMessage> messages = {
-      PullShardReq{1}, PushShardReq{}, CommitPushReq{}, AckResp{kAckOk, 0}};
+      PullShardReq{1},       PushShardReq{},
+      CommitPushReq{},       AckResp{kAckOk, 0},
+      PullBatchReq{{{1, 2}}}, PullBatchResp{{PullShardNotModified{}}}};
   for (const WireMessage& message : messages) {
     const auto frame = std::visit(
         [&](const auto& m) { return EncodeFrame(m, 5, &trace); }, message);
@@ -559,24 +561,33 @@ TEST(WireCodecTest, TruncatedCodedPushRejected) {
             WireStatus::kTruncated);
 }
 
+// A delta pull is a batch entry with a known version, answered by a
+// not-modified item.
 TEST(WireCodecTest, DeltaPullMessagesRoundTrip) {
-  const PullShardDeltaReq req = RoundTrip(PullShardDeltaReq{5, 77});
-  EXPECT_EQ(req.shard, 5u);
-  EXPECT_EQ(req.known_version, 77u);
+  const PullBatchReq req = RoundTrip(PullBatchReq{{{5, 77}}});
+  ASSERT_EQ(req.entries.size(), 1u);
+  EXPECT_EQ(req.entries[0].shard, 5u);
+  EXPECT_EQ(req.entries[0].known_version, 77u);
 
-  const PullShardNotModified resp =
-      RoundTrip(PullShardNotModified{5, 77, 130});
-  EXPECT_EQ(resp.shard, 5u);
-  EXPECT_EQ(resp.shard_version, 77u);
-  EXPECT_EQ(resp.global_version, 130u);
+  const PullBatchResp resp =
+      RoundTrip(PullBatchResp{{PullShardNotModified{5, 77, 130}}});
+  ASSERT_EQ(resp.items.size(), 1u);
+  const auto& unchanged = std::get<PullShardNotModified>(resp.items[0]);
+  EXPECT_EQ(unchanged.shard, 5u);
+  EXPECT_EQ(unchanged.shard_version, 77u);
+  EXPECT_EQ(unchanged.global_version, 130u);
 }
 
-TEST(WireCodecTest, DeltaPullFrameBytesPinned) {
-  GoldenFrame golden;
-  golden.Header(MsgType::kPullShardDeltaReq, 21);
-  golden.U32(5);   // shard
-  golden.U64(77);  // known_version
-  EXPECT_EQ(EncodeFrame(PullShardDeltaReq{5, 77}, 21), golden.Finish());
+TEST(WireCodecTest, RetiredDeltaPullTypesDecodeAsBadType) {
+  // Types 6 and 7 carried the per-shard delta pull and its standalone
+  // not-modified answer; a peer still sending them must fail loudly.
+  for (const std::uint16_t retired : {6, 7}) {
+    auto frame = EncodeFrame(PullShardReq{0}, 1);
+    PutU16(frame, 6, retired);
+    std::uint64_t id = 0;
+    WireMessage out;
+    EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kBadType) << retired;
+  }
 }
 
 // --- push batches -----------------------------------------------------------
@@ -637,6 +648,92 @@ TEST(WireBatchTest, PreBatchEmptyCommitDecodesTruncated) {
   std::uint64_t id = 0;
   WireMessage out;
   EXPECT_EQ(DecodeFrame(golden.Finish(), id, out), WireStatus::kTruncated);
+}
+
+// --- pull batches -----------------------------------------------------------
+
+TEST(WirePullBatchTest, RequestFrameBytesPinned) {
+  GoldenFrame golden;
+  golden.Header(MsgType::kPullBatchReq, 12);
+  golden.U32(2);   // count
+  golden.U32(0);   // shard
+  golden.U64(~std::uint64_t{0});  // known_version: unconditional
+  golden.U32(3);   // shard
+  golden.U64(41);  // known_version
+  EXPECT_EQ(EncodeFrame(PullBatchReq{{{0, kPullAnyVersion}, {3, 41}}}, 12),
+            golden.Finish());
+}
+
+// Each full item's bytes after its kind byte are a standalone PullShardResp
+// payload; a not-modified item is kind 1 and the three version fields.
+TEST(WirePullBatchTest, FullItemsAreByteIdenticalToStandalonePullPayloads) {
+  PullShardResp first;
+  first.shard = 0;
+  first.offset = 0;
+  first.shard_version = 3;
+  first.global_version = 9;
+  first.params = {0.5, -1.25};
+  PullShardResp empty;  // a zero-length shard is a valid item
+  empty.shard = 2;
+  empty.offset = 2;
+  empty.global_version = 9;
+
+  GoldenFrame golden;
+  golden.Header(MsgType::kPullBatchResp, 4);
+  golden.U32(3);  // count
+  golden.U8(0);   // kind: full
+  const auto standalone_first = EncodeFrame(first, 4);
+  golden.bytes.insert(golden.bytes.end(),
+                      standalone_first.begin() + kHeaderBytes,
+                      standalone_first.end());
+  golden.U8(1);    // kind: not modified
+  golden.U32(1);   // shard
+  golden.U64(6);   // shard_version
+  golden.U64(9);   // global_version
+  golden.U8(0);    // kind: full
+  const auto standalone_empty = EncodeFrame(empty, 4);
+  golden.bytes.insert(golden.bytes.end(),
+                      standalone_empty.begin() + kHeaderBytes,
+                      standalone_empty.end());
+  const PullBatchResp batch{{first, PullShardNotModified{1, 6, 9}, empty}};
+  EXPECT_EQ(EncodeFrame(batch, 4), golden.Finish());
+  EXPECT_EQ(EncodedPayloadBytes(batch),
+            kPullBatchRespHeadBytes + PullBatchFullItemBytes(2) + 21 +
+                PullBatchFullItemBytes(0));
+
+  const PullBatchResp decoded = RoundTrip(batch);
+  ASSERT_EQ(decoded.items.size(), 3u);
+  EXPECT_EQ(std::get<PullShardResp>(decoded.items[0]).params, first.params);
+  EXPECT_EQ(std::get<PullShardNotModified>(decoded.items[1]).shard_version,
+            6u);
+  EXPECT_TRUE(std::get<PullShardResp>(decoded.items[2]).params.empty());
+}
+
+TEST(WirePullBatchTest, EmptyBatchesRoundTrip) {
+  EXPECT_TRUE(RoundTrip(PullBatchReq{}).entries.empty());
+  EXPECT_TRUE(RoundTrip(PullBatchResp{}).items.empty());
+}
+
+TEST(WirePullBatchTest, HugeEntryCountRejectedWithoutAllocating) {
+  // 2^32 - 1 entries claimed in a 4-byte payload: rejected as truncated
+  // before anything is sized for them.
+  for (const WireMessage& empty : {WireMessage(PullBatchReq{}),
+                                   WireMessage(PullBatchResp{})}) {
+    auto frame = EncodeFrame(empty, 1);
+    ASSERT_EQ(frame.size(), kHeaderBytes + 4);
+    PutU32(frame, kHeaderBytes, 0xffffffffu);
+    std::uint64_t id = 0;
+    WireMessage out;
+    EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kTruncated);
+  }
+}
+
+TEST(WirePullBatchTest, UnknownItemKindRejected) {
+  auto frame = EncodeFrame(PullBatchResp{{PullShardNotModified{1, 2, 3}}}, 1);
+  frame[kHeaderBytes + 4] = 2;  // the item's kind byte: only 0/1 are defined
+  std::uint64_t id = 0;
+  WireMessage out;
+  EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kMalformed);
 }
 
 }  // namespace
