@@ -4,16 +4,16 @@
 // BENCH_harness.json named the two engine blockers: the Adaptive tuner's
 // O(pushes²) Algorithm-1 replay and DES throughput collapse once sharding
 // multiplies events. This bench tracks both after the calendar-queue /
-// incremental-tuner rewrite, in three sections:
+// incremental-tuner rewrite, in four sections:
 //
 //  1. DES-core hold model — the classic queue benchmark (pop the minimum,
 //     push a successor at popped_time + jitter) at simulator-like occupancy,
-//     run A/B/C over three engines: the *legacy* seed engine reconstructed
+//     run A/B over two engines: the *legacy* seed engine reconstructed
 //     verbatim (std::priority_queue of heap-allocating std::function events —
-//     what src/sim/simulator.h shipped before the rewrite), the pooled
-//     binary heap, and the calendar queue. The ≥3× events/sec acceptance
-//     claim is calendar vs legacy at 16-server occupancy, printed and
-//     recorded per engine in BENCH_scale.json.
+//     what src/sim/simulator.h shipped before the rewrite) and the calendar
+//     queue. The ≥3× events/sec acceptance claim is calendar vs legacy at
+//     16-server occupancy, printed and recorded per engine in
+//     BENCH_scale.json.
 //  2. End-to-end engine cells — a 16-server transfer-bound convex run (the
 //     shape BENCH_harness.json flagged at 7 s/sim-second) and the MF
 //     SpecSync-Adaptive cell whose tuner cost motivated the incremental
@@ -22,6 +22,11 @@
 //     scale the old engines could not reach interactively. Under --smoke
 //     this run is a CI gate: a pinned events/sec floor and wall-time ceiling
 //     fail the job (nonzero exit) on regression.
+//  4. Tuner replay A/B — AdaptiveTuner::OnEpochEnd against the literal
+//     Algorithm-1 loop (tests/core/tuner_full_replay.h) on the same seeded
+//     64-worker epochs of ≥100 pushes each. Every decision must be
+//     bit-identical (FATAL otherwise); the wall-time ratio is
+//     tuner_replay_speedup_mf.
 //
 // Telemetry lands in BENCH_scale.json (override with SPECSYNC_BENCH_JSON);
 // the hold-model rows use sim_events = hold operations so the JSON's
@@ -29,6 +34,7 @@
 //
 // Regenerate: build/bench/bench_scale            (full, ~1 min)
 //             build/bench/bench_scale --smoke    (CI gate, seconds)
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
@@ -40,8 +46,10 @@
 
 #include "benchmarks/bench_util.h"
 #include "common/rng.h"
+#include "core/adaptive_tuner.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_fn.h"
+#include "tests/core/tuner_full_replay.h"
 
 using namespace specsync;
 
@@ -122,11 +130,10 @@ HoldResult HoldLegacy(std::size_t occupancy, std::uint64_t ops,
   return {wall.count(), ops};
 }
 
-template <typename Queue>
-HoldResult HoldPooled(std::size_t occupancy, std::uint64_t ops,
-                      std::uint64_t* sink) {
+HoldResult HoldCalendar(std::size_t occupancy, std::uint64_t ops,
+                        std::uint64_t* sink) {
   Rng rng(bench::kBenchRootSeed);
-  Queue queue;
+  CalendarQueue<EventFn> queue;
   const auto make = [sink](std::uint64_t i, double t) {
     const HoldPayload payload{sink, i, i ^ 0x9e37u, t};
     return EventFn([payload] { *payload.sink += 1 + (payload.version & 0); });
@@ -160,7 +167,7 @@ void RecordHoldCell(bench::BenchReporter& reporter, const std::string& engine,
   reporter.Add(record);
 }
 
-// Runs the three engines at one occupancy; returns calendar-vs-legacy ratio.
+// Runs both engines at one occupancy; returns calendar-vs-legacy ratio.
 double HoldSection(bench::BenchReporter& reporter, std::size_t occupancy,
                    std::uint64_t ops) {
   std::uint64_t sink = 0;
@@ -171,15 +178,10 @@ double HoldSection(bench::BenchReporter& reporter, std::size_t occupancy,
   };
   const HoldResult legacy = best(HoldLegacy(occupancy, ops, &sink),
                                  HoldLegacy(occupancy, ops, &sink));
-  const HoldResult heap =
-      best(HoldPooled<BinaryHeapQueue<EventFn>>(occupancy, ops, &sink),
-           HoldPooled<BinaryHeapQueue<EventFn>>(occupancy, ops, &sink));
-  const HoldResult calendar =
-      best(HoldPooled<CalendarQueue<EventFn>>(occupancy, ops, &sink),
-           HoldPooled<CalendarQueue<EventFn>>(occupancy, ops, &sink));
-  if (sink != 6 * ops) std::abort();  // keeps the callbacks observable
+  const HoldResult calendar = best(HoldCalendar(occupancy, ops, &sink),
+                                   HoldCalendar(occupancy, ops, &sink));
+  if (sink != 4 * ops) std::abort();  // keeps the callbacks observable
   RecordHoldCell(reporter, "legacy-heap", occupancy, legacy);
-  RecordHoldCell(reporter, "pooled-heap", occupancy, heap);
   RecordHoldCell(reporter, "calendar", occupancy, calendar);
   const double ratio =
       legacy.EventsPerSec() > 0.0
@@ -187,13 +189,100 @@ double HoldSection(bench::BenchReporter& reporter, std::size_t occupancy,
           : 0.0;
   Table table({"engine", "events/sec", "vs legacy"});
   table.AddRowValues("legacy-heap", legacy.EventsPerSec(), 1.0);
-  table.AddRowValues("pooled-heap", heap.EventsPerSec(),
-                     heap.EventsPerSec() / legacy.EventsPerSec());
   table.AddRowValues("calendar", calendar.EventsPerSec(), ratio);
   std::cout << "\nhold model, occupancy=" << occupancy << ", " << ops
             << " ops:\n";
   table.PrintPretty(std::cout);
   return ratio;
+}
+
+// --- section 4: tuner replay A/B --------------------------------------------
+
+// One seeded MF-shaped epoch for a homogeneous cluster: every worker's
+// iteration span jitters ±20% around 1 s, it pushes once per span from a
+// random phase over a two-span epoch (so 64 workers yield ~128 pushes), and
+// its last pull starts its last iteration, just after its last push.
+TuningInputs MakeTunerEpoch(Rng& rng, std::size_t workers, EpochId epoch) {
+  constexpr double kEpochSeconds = 2.0;
+  TuningInputs inputs;
+  inputs.num_workers = workers;
+  inputs.finished_epoch = epoch;
+  inputs.epoch_begin = SimTime::Zero();
+  inputs.epoch_end = SimTime::FromSeconds(kEpochSeconds);
+  inputs.iteration_span.resize(workers);
+  inputs.last_pull.resize(workers);
+  for (WorkerId w = 0; w < workers; ++w) {
+    const double span = rng.Uniform(0.8, 1.2);
+    inputs.iteration_span[w] = Duration::Seconds(span);
+    for (double t = rng.Uniform(0.0, span); t < kEpochSeconds; t += span) {
+      inputs.pushes.emplace_back(SimTime::FromSeconds(t), w);
+      inputs.last_pull[w] = SimTime::FromSeconds(t + 0.01);
+    }
+  }
+  std::sort(inputs.pushes.begin(), inputs.pushes.end());
+  return inputs;
+}
+
+void RecordTunerCell(bench::BenchReporter& reporter, const std::string& engine,
+                     double wall_seconds, std::size_t pushes) {
+  bench::BenchReporter::CellRecord record;
+  record.workload = "tuner-replay";
+  record.scheme = engine;
+  record.label = "workers=64";
+  record.wall_seconds = wall_seconds;
+  record.sim_events = pushes;
+  record.pushes = pushes;
+  reporter.Add(record);
+}
+
+bool SameDecision(const SpeculationParams& a, const SpeculationParams& b) {
+  return a.abort_time.seconds() == b.abort_time.seconds() &&
+         a.abort_rate == b.abort_rate &&
+         a.per_worker_rate == b.per_worker_rate;
+}
+
+struct TunerAb {
+  double tuner_seconds = 0.0;
+  double full_replay_seconds = 0.0;
+  std::size_t pushes = 0;   // replayed per side, summed over epochs
+  std::size_t engaged = 0;  // epochs whose decision enabled speculation
+  std::size_t mismatches = 0;
+};
+
+// Times AdaptiveTuner::OnEpochEnd and the reference full replay over the
+// same epochs (best of two passes each) and compares every decision bitwise.
+TunerAb RunTunerAb(std::size_t workers, std::size_t epochs) {
+  Rng rng(bench::kBenchRootSeed);
+  std::vector<TuningInputs> inputs;
+  for (std::size_t e = 0; e < epochs; ++e) {
+    inputs.push_back(MakeTunerEpoch(rng, workers, e));
+  }
+  const AdaptiveTunerConfig config;
+  AdaptiveTuner tuner(config);
+  std::vector<SpeculationParams> got;
+  std::vector<SpeculationParams> want;
+  // One timed pass over every epoch; `full` picks the reference side.
+  const auto pass = [&](bool full) {
+    std::vector<SpeculationParams>& out = full ? want : got;
+    out.clear();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const TuningInputs& epoch : inputs) {
+      out.push_back(full ? reference::FullReplayOnEpochEnd(config, epoch)
+                         : tuner.OnEpochEnd(epoch));
+    }
+    const std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - t0;
+    return wall.count();
+  };
+  TunerAb ab;
+  ab.tuner_seconds = std::min(pass(false), pass(false));
+  ab.full_replay_seconds = std::min(pass(true), pass(true));
+  for (std::size_t e = 0; e < epochs; ++e) {
+    ab.pushes += inputs[e].pushes.size();
+    if (want[e].abort_time > Duration::Zero()) ++ab.engaged;
+    if (!SameDecision(got[e], want[e])) ++ab.mismatches;
+  }
+  return ab;
 }
 
 }  // namespace
@@ -247,48 +336,30 @@ int main(int argc, char** argv) {
   batch.Run(args.threads);
   reporter.AddBatch(batch);
 
-  // 4. Tuner replay A/B — its own *serial* batch, because a wall-time ratio
-  // measured inside a contended thread pool compares scheduler luck, not
-  // replay engines. Both cells pin one explicit seed so the A/B replays the
-  // exact same history (label-derived seeding would hand each series its own
-  // world); "mf-full-replay" runs the retained full Algorithm-1 loop (the
-  // seed's O(pushes²) replay, kept behind incremental=false as the
-  // equivalence reference).
-  bench::CellBatch tuner_batch;
+  // The MF SpecSync-Adaptive cell — its own *serial* batch, so its wall time
+  // tracks the in-situ tuner cost rather than thread-pool contention. 64
+  // workers give ~100+ pushes per epoch, the regime the ROADMAP flagged for
+  // the O(pushes²) replay.
+  bench::CellBatch mf_batch;
   const Workload mf = MakeMfWorkload(/*seed=*/1);
   ExperimentConfig mf_adaptive;
-  // 64 workers: enough pushes per epoch (~100+) that the full replay's
-  // O(pushes²) term dominates the cell — the regime the ROADMAP flagged.
-  // At 40 workers the quadratic term only matches the base sim cost and the
-  // ratio sits uselessly near the noise floor.
   mf_adaptive.cluster = ClusterSpec::Homogeneous(64);
   mf_adaptive.cluster.num_servers = 4;
   mf_adaptive.scheme = SchemeSpec::Adaptive();
   mf_adaptive.max_time = SimTime::FromSeconds(args.smoke ? 400.0 : 1500.0);
   mf_adaptive.stop_on_convergence = false;
   constexpr std::uint64_t kMfSeed = 41;
-  const std::size_t mf_series = tuner_batch.AddSeries(
+  const std::size_t mf_series = mf_batch.AddSeries(
       mf, mf_adaptive, /*replicates=*/1, "mf-adaptive", kMfSeed);
-  AdaptiveTunerConfig full_replay;
-  full_replay.incremental = false;
-  ExperimentConfig mf_full = mf_adaptive;
-  mf_full.scheme = SchemeSpec::Adaptive(full_replay);
-  const std::size_t mf_full_series = tuner_batch.AddSeries(
-      mf, mf_full, /*replicates=*/1, "mf-full-replay", kMfSeed);
-  tuner_batch.Run(/*threads=*/1);
-  reporter.AddBatch(tuner_batch);
+  mf_batch.Run(/*threads=*/1);
+  reporter.AddBatch(mf_batch);
 
   (void)transfer_series;
   (void)mf_series;
-  (void)mf_full_series;
   (void)thousand_series;
   Table cells({"cell", "wall(s)", "sim events", "events/sec"});
   double thousand_wall = 0.0;
   double thousand_rate = 0.0;
-  double mf_incremental_wall = 0.0;
-  double mf_full_wall = 0.0;
-  std::uint64_t mf_incremental_digest = 0;
-  std::uint64_t mf_full_digest = 0;
   const auto scan = [&](const bench::CellBatch& b) {
     for (std::size_t i = 0; i < b.cells().size(); ++i) {
       const CellResult& cell = b.results()[i];
@@ -301,42 +372,51 @@ int main(int argc, char** argv) {
       if (b.cells()[i].label == "workers=1000") {
         thousand_wall = cell.wall_seconds;
         thousand_rate = rate;
-      } else if (b.cells()[i].label == "mf-adaptive") {
-        mf_incremental_wall = cell.wall_seconds;
-        mf_incremental_digest = cell.trace_digest;
-      } else if (b.cells()[i].label == "mf-full-replay") {
-        mf_full_wall = cell.wall_seconds;
-        mf_full_digest = cell.trace_digest;
       }
     }
   };
   scan(batch);
-  scan(tuner_batch);
+  scan(mf_batch);
   std::cout << "\nend-to-end cells (threads=" << args.threads
-            << ", tuner A/B serial):\n";
+            << ", mf-adaptive serial):\n";
   cells.PrintPretty(std::cout);
 
-  // Equivalence-by-construction, checked where the money is: the two replay
-  // engines must have produced the identical event history.
-  if (mf_incremental_digest != mf_full_digest) {
-    std::cout << "FATAL: incremental and full tuner replays diverged ("
-              << mf_incremental_digest << " vs " << mf_full_digest << ")\n";
+  // 4. Tuner replay A/B, serial on the main thread: the tuner against the
+  // literal Algorithm-1 loop on the same seeded 64-worker epochs.
+  constexpr std::size_t kTunerWorkers = 64;
+  const std::size_t tuner_epochs = args.smoke ? 8 : 32;
+  const TunerAb tuner_ab = RunTunerAb(kTunerWorkers, tuner_epochs);
+  RecordTunerCell(reporter, "adaptive-tuner", tuner_ab.tuner_seconds,
+                  tuner_ab.pushes);
+  RecordTunerCell(reporter, "full-replay", tuner_ab.full_replay_seconds,
+                  tuner_ab.pushes);
+  std::cout << "\ntuner replay A/B: " << tuner_epochs << " epochs x "
+            << kTunerWorkers << " workers, "
+            << tuner_ab.pushes / tuner_epochs << " pushes/epoch, "
+            << tuner_ab.engaged << " epochs engaged speculation\n";
+  // Equivalence-by-construction, checked where the money is: every decision
+  // must match the reference bit for bit.
+  if (tuner_ab.mismatches != 0) {
+    std::cout << "FATAL: " << tuner_ab.mismatches << " of " << tuner_epochs
+              << " tuner decisions differ from the full replay\n";
     return 1;
   }
   const double tuner_speedup =
-      mf_incremental_wall > 0.0 ? mf_full_wall / mf_incremental_wall : 0.0;
-  std::cout << "tuner replay speedup (full / incremental) on MF: "
-            << tuner_speedup << "x (acceptance floor 2x)\n";
+      tuner_ab.tuner_seconds > 0.0
+          ? tuner_ab.full_replay_seconds / tuner_ab.tuner_seconds
+          : 0.0;
+  std::cout << "tuner replay speedup (full / incremental): " << tuner_speedup
+            << "x (acceptance floor 2x)\n";
   reporter.AddMetric("tuner_replay_speedup_mf", tuner_speedup);
 
-  // AddBatch already accounted both batches' walls; only the hold-model
-  // sections still need folding into the run total (serial by construction,
-  // so they add to both wall and the serial estimate equally).
+  // AddBatch already accounted both batches' walls; only the hold-model and
+  // tuner sections still need folding into the run total (serial by
+  // construction, so they add to both wall and the serial estimate equally).
   const std::chrono::duration<double> run_wall =
       std::chrono::steady_clock::now() - run_t0;
-  const double hold_wall =
-      run_wall.count() - batch.wall_seconds() - tuner_batch.wall_seconds();
-  reporter.SetRun(args.threads, hold_wall, hold_wall);
+  const double serial_wall =
+      run_wall.count() - batch.wall_seconds() - mf_batch.wall_seconds();
+  reporter.SetRun(args.threads, serial_wall, serial_wall);
   reporter.AddMetric("workers1000_events_per_sec", thousand_rate);
   reporter.AddMetric("workers1000_wall_seconds", thousand_wall);
   reporter.WriteJson();
@@ -367,8 +447,8 @@ int main(int argc, char** argv) {
                 << "x < 1.5x regression canary\n";
       ok = false;
     }
-    // Same idea for the tuner A/B (measured ~3.6x; anything under 1.5x
-    // means the incremental replay lost its asymptotic edge).
+    // Same idea for the tuner A/B (anything under 1.5x means the
+    // incremental replay lost its asymptotic edge).
     if (tuner_speedup < 1.5) {
       std::cout << "SMOKE FAIL: tuner replay speedup " << tuner_speedup
                 << "x < 1.5x regression canary\n";

@@ -10,19 +10,16 @@
 // Per-link RTT histograms, retry/timeout counters, and injected-fault
 // counts land in src/obs metrics, printable and exportable as metrics.json.
 // The soak prints a deterministic `equivalence:` line (op counts only, no
-// timings) that CI diffs across --server_model values: both models must
-// complete the identical protocol work.
+// timings) that CI checks: every worker must complete every pull and push.
 //
-// Phase 2 (fan-in, --clients=N): one in-process server (the --server_model
-// under test) serving every shard, N concurrent clients each running
-// pipelined pulls against it. This is the scaling claim of the event-loop
-// model: p99 RTT holds a pinned ceiling and the server's thread count stays
-// 1 + pool_threads regardless of N, where thread-per-connection spawns O(N)
-// threads. Both numbers are emitted into BENCH_harness.json
-// (fanin_p99_rtt_us, fanin_server_threads) and gated: with
-// --server_model=event_loop the bench FAILS if the server's observed thread
-// count exceeds pool size + a constant, and --fanin_p99_ceiling_us=X (off by
-// default) fails the run when p99 crosses the ceiling.
+// Phase 2 (fan-in, --clients=N): one in-process server serving every shard,
+// N concurrent clients each running pipelined pulls against it. This is the
+// scaling claim of the event-loop server: p99 RTT holds a pinned ceiling and
+// the server's thread count stays 1 + pool_threads regardless of N. Both
+// numbers are emitted into BENCH_harness.json (fanin_p99_rtt_us,
+// fanin_server_threads) and gated: the bench FAILS if the server's observed
+// thread count exceeds pool size + a constant, and --fanin_p99_ceiling_us=X
+// (off by default) fails the run when p99 crosses the ceiling.
 //
 // Fault injection runs over the actual wire: --drop/--delay/--dup attach a
 // FaultPlan to every soak client, so requests are really never sent (burning
@@ -34,10 +31,9 @@
 //   --workers=N       soak worker threads in the parent (default 4)
 //   --iters=N         pull+push iterations per worker   (default 200)
 //   --dim=N           parameter dimension               (default 4096)
-//   --server_model=M  thread_per_conn | event_loop      (default thread_per_conn)
-//   --pool_threads=N  event-loop execution pool size    (default 4)
+//   --pool_threads=N  server execution pool size        (default 4)
 //   --clients=N       fan-in phase client count; 0 = skip (default 0;
-//                     --smoke raises it to 256 for event_loop, 32 otherwise)
+//                     --smoke raises it to 256)
 //   --fanin_iters=N   pipelined pulls per fan-in client (default 20)
 //   --fanin_p99_ceiling_us=X  fail if fan-in p99 RTT exceeds X (default off)
 //   --drop=P --delay=P --dup=P   per-message fault probabilities (default 0)
@@ -71,8 +67,8 @@
 #include "common/table.h"
 #include "fault/fault_plan.h"
 #include "net/endpoint.h"
+#include "net/event_loop_server.h"
 #include "net/shard_client.h"
-#include "net/shard_server.h"
 #include "obs/obs.h"
 #include "obs/span_recorder.h"
 #include "optim/lr_schedule.h"
@@ -87,7 +83,6 @@ struct Args {
   std::size_t workers = 4;
   std::size_t iters = 200;
   std::size_t dim = 4096;
-  net::ServerModel server_model = net::ServerModel::kThreadPerConn;
   std::size_t pool_threads = 4;
   std::size_t clients = 0;  // 0 = skip the fan-in phase
   bool clients_set = false;
@@ -105,7 +100,6 @@ struct Args {
   std::cerr << "bench_transport: bad flag '" << bad << "'\n"
             << "usage: bench_transport [--num_servers=N] [--workers=N]"
                " [--iters=N] [--dim=N]"
-               " [--server_model=thread_per_conn|event_loop]"
                " [--pool_threads=N] [--clients=N] [--fanin_iters=N]"
                " [--fanin_p99_ceiling_us=X]"
                " [--drop=P] [--delay=P] [--dup=P]"
@@ -130,14 +124,6 @@ Args ParseArgs(int argc, char** argv) {
         args.iters = std::stoul(value);
       } else if (key == "--dim") {
         args.dim = std::stoul(value);
-      } else if (key == "--server_model") {
-        if (value == "thread_per_conn") {
-          args.server_model = net::ServerModel::kThreadPerConn;
-        } else if (value == "event_loop") {
-          args.server_model = net::ServerModel::kEventLoop;
-        } else {
-          Usage(arg);
-        }
       } else if (key == "--pool_threads") {
         args.pool_threads = std::stoul(value);
       } else if (key == "--clients") {
@@ -174,13 +160,8 @@ Args ParseArgs(int argc, char** argv) {
     // Smoke must exercise the retry protocol, not just the happy path.
     if (args.drop < 0.0) args.drop = 0.05;
     if (args.delay < 0.0) args.delay = 0.05;
-    if (!args.clients_set) {
-      // The fan-in acceptance point: >= 256 concurrent clients on one
-      // event-loop server. Thread-per-conn gets a lighter load (it would
-      // spawn a thread per client — the very cost the event loop removes).
-      args.clients =
-          args.server_model == net::ServerModel::kEventLoop ? 256 : 32;
-    }
+    // The fan-in acceptance point: >= 256 concurrent clients on one server.
+    if (!args.clients_set) args.clients = 256;
   }
   if (args.drop < 0.0) args.drop = 0.0;
   if (args.delay < 0.0) args.delay = 0.0;
@@ -222,7 +203,7 @@ bool ReadAll(int fd, void* data, std::size_t bytes) {
 
 // The server process for one shard: a full-dim store (identically
 // initialized in every process, so composed pulls are coherent) behind a
-// shard server (the --server_model under test) answering only for `shard`.
+// shard server answering only for `shard`.
 // Reports its ephemeral port through `port_wr`, then serves until the parent
 // closes `shutdown_rd` (EOF).
 int RunShardProcess(std::size_t shard, const Args& args, int port_wr,
@@ -252,10 +233,9 @@ int RunShardProcess(std::size_t shard, const Args& args, int port_wr,
 
   net::ShardServerConfig config;
   config.served_shards = {shard};
-  config.model = args.server_model;
   config.pool_threads = args.pool_threads;
-  auto server =
-      net::MakeShardServer(&store, std::move(config), nullptr, spans_ptr);
+  auto server = std::make_unique<net::EventLoopServer>(
+      &store, std::move(config), nullptr, spans_ptr);
   if (!server->Start()) return 1;
 
   const std::uint16_t port = server->port();
@@ -298,9 +278,9 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
   store.SetParams(std::move(params));
 
   net::ShardServerConfig server_config;
-  server_config.model = args.server_model;
   server_config.pool_threads = args.pool_threads;
-  auto server = net::MakeShardServer(&store, std::move(server_config));
+  auto server =
+      std::make_unique<net::EventLoopServer>(&store, std::move(server_config));
   if (!server->Start()) {
     std::cerr << "fan-in: cannot start server\n";
     return false;
@@ -323,7 +303,7 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
   const auto fanin_start = std::chrono::steady_clock::now();
   {
     // Samples the server's thread count while the fan-in is live — the
-    // number the event-loop model must hold constant.
+    // number the event-loop server must hold constant.
     std::jthread sampler([&] {
       while (sampling.load(std::memory_order_acquire)) {
         const std::size_t now = server->thread_count();
@@ -370,8 +350,7 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
       max_server_threads.load(std::memory_order_relaxed);
   server->Stop();
 
-  std::cout << "fan-in: model=" << net::ServerModelName(args.server_model)
-            << " clients=" << args.clients
+  std::cout << "fan-in: clients=" << args.clients
             << " iters_per_client=" << args.fanin_iters
             << " pool_threads=" << args.pool_threads << "\n"
             << "  rtt_p50_us=" << p50_us << " rtt_p99_us=" << p99_us
@@ -389,16 +368,14 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
 
   bool ok = failures.load(std::memory_order_relaxed) == 0;
   if (!ok) std::cerr << "fan-in: " << failures.load() << " clients failed\n";
-  if (args.server_model == net::ServerModel::kEventLoop) {
-    // The structural claim: server threads = 1 loop + pool, never O(clients).
-    // +2 slack covers sampler skew around Start/Stop edges.
-    const std::size_t ceiling = args.pool_threads + 1 + 2;
-    if (server_threads > ceiling) {
-      std::cerr << "fan-in: event-loop server used " << server_threads
-                << " threads (ceiling " << ceiling << " with pool "
-                << args.pool_threads << ") — O(clients) thread growth\n";
-      ok = false;
-    }
+  // The structural claim: server threads = 1 loop + pool, never O(clients).
+  // +2 slack covers sampler skew around Start/Stop edges.
+  const std::size_t ceiling = args.pool_threads + 1 + 2;
+  if (server_threads > ceiling) {
+    std::cerr << "fan-in: server used " << server_threads
+              << " threads (ceiling " << ceiling << " with pool "
+              << args.pool_threads << ") — O(clients) thread growth\n";
+    ok = false;
   }
   if (args.fanin_p99_ceiling_us > 0.0 && p99_us > args.fanin_p99_ceiling_us) {
     std::cerr << "fan-in: p99 RTT " << p99_us << "us exceeds ceiling "
@@ -416,7 +393,6 @@ int main(int argc, char** argv) {
             << (args.smoke ? " (smoke)" : "") << "\n"
             << "  servers=" << args.num_servers << " workers=" << args.workers
             << " iters=" << args.iters << " dim=" << args.dim
-            << " server_model=" << net::ServerModelName(args.server_model)
             << " drop=" << args.drop << " delay=" << args.delay
             << " dup=" << args.dup << "\n\n";
 
@@ -595,8 +571,8 @@ int main(int argc, char** argv) {
             << "ops=" << total_ops << " wall_s=" << wall_seconds
             << " ops_per_s=" << (total_ops / std::max(wall_seconds, 1e-9))
             << "\n";
-  // Timing-free summary for the cross-model CI diff: identical protocol work
-  // must complete under both server models.
+  // Timing-free summary for the CI check: every worker must complete all of
+  // its pulls and pushes (pulls == pushes == workers × iters, ok=1).
   std::cout << "equivalence: servers=" << args.num_servers
             << " workers=" << args.workers << " iters=" << args.iters
             << " dim=" << args.dim << " pulls=" << total_pulls
@@ -647,8 +623,7 @@ int main(int argc, char** argv) {
   }
 
   // Phase 2 — fan-in scaling on one in-process server.
-  bench::BenchReporter reporter(
-      std::string("bench_transport_") + net::ServerModelName(args.server_model));
+  bench::BenchReporter reporter("bench_transport");
   reporter.AddMetric("soak_ops_per_s",
                      total_ops / std::max(wall_seconds, 1e-9));
   reporter.AddMetric("soak_rtt_p99_us",

@@ -5,12 +5,12 @@
 # experiment thread pool and the ParallelRunner built on it, plus the
 # lock-free obs instruments recorded from those threads) and the fault plan
 # itself, plus the single-threaded sim suite for its memory safety.
-# net_test runs the whole transport matrix under both sanitizers: the
+# net_test runs the whole transport suite under both sanitizers: the
 # multiplexed pipelined ShardClient (receiver threads, pending-table
-# handoff, reconnects) against BOTH server models — the per-model suites
-# are value-parameterized, so the epoll event-loop server's
+# handoff, reconnects) against the epoll event-loop server, so its
 # loop/pool/connection lifetimes are TSan/ASan proven on every CI run,
-# including the start/stop hammer. The calendar-queue
+# including the start/stop hammer. runtime_test's TCP runs go through the
+# same server. The calendar-queue
 # and tuner equivalence property suites ride along for ASan's sake: the
 # pooled event queue recycles nodes through a free list and moves payloads
 # out mid-callback, exactly the lifetime pattern ASan proves sound

@@ -11,21 +11,19 @@
 // O(m²) pairwise push-time differences as candidate Δ and take the best
 // (Algorithm 1, overall O(m³)).
 //
-// Two replay engines produce that argmax:
-//  - the full replay (incremental = false): the literal Algorithm-1 loop,
-//    EstimateImprovement() per candidate — O(C·W·P). Retained as the
-//    executable specification.
-//  - the incremental replay (default): one pass per worker that buckets each
-//    push event into the first candidate window covering it (binary search
-//    over the sorted thresholds pull_i + Δ_c) and turns the buckets into
-//    per-candidate gains by prefix sum, plus a saturation prune that drops
-//    candidates provably never selected — O(W·(P·log C + C)).
-// The engines are bit-identical by construction (DESIGN.md §12 states the
-// invariant; tests/core/tuner_equivalence_test.cc enforces it): the
-// incremental sweep accumulates per-candidate values worker-by-worker with
-// the exact same floating-point expressions and summation order as the
-// reference, so the per-epoch ABORT_TIME sequence and every audit retune
-// record match to the bit.
+// The tuner computes that argmax with an incremental replay: one pass per
+// worker that buckets each push event into the first candidate window
+// covering it (binary search over the sorted thresholds pull_i + Δ_c) and
+// turns the buckets into per-candidate gains by prefix sum, plus a
+// saturation prune that drops candidates provably never selected —
+// O(W·(P·log C + C)) instead of the literal Algorithm-1 loop's O(C·W·P).
+// It is bit-identical to that literal loop (EstimateImprovement() per
+// candidate): the sweep accumulates per-candidate values worker-by-worker
+// with the exact same floating-point expressions and summation order, so the
+// per-epoch ABORT_TIME sequence and every audit retune record match to the
+// bit. DESIGN.md §12 states the invariant; the literal loop lives in
+// tests/core/tuner_full_replay.h, and tests/core/tuner_equivalence_test.cc
+// enforces it.
 //
 // ABORT_RATE is then set so a restart is triggered only when the observed
 // gain covers the estimated loss: Γ = Δ*(m−1)/(T·m) with T the mean iteration
@@ -57,9 +55,6 @@ struct AdaptiveTunerConfig {
   // tuner toward windows wide enough to catch real bursts (see the
   // bench_ablation_tuner study).
   double loss_weight = 1.0;
-  // Replay engine (see the header note). false = the retained full replay;
-  // never changes a decision, only the per-epoch wall time.
-  bool incremental = true;
 };
 
 class AdaptiveTuner final : public SpeculationPolicy {

@@ -59,7 +59,6 @@ ExperimentResult RunExperiment(const Workload& workload,
   sim_config.seed = config.seed;
   sim_config.sgd_clip = workload.sgd_clip;
   sim_config.obs = config.obs;
-  sim_config.event_queue = config.event_queue;
   sim_config.compression = config.compression;
   if (config.cluster.enable_stalls) {
     sim_config.stalls.enabled = true;

@@ -70,9 +70,6 @@ struct ExperimentConfig {
   double loss_target_override = 0.0;
   // Optional observability context, forwarded to ClusterSimConfig::obs.
   obs::ObsContext* obs = nullptr;
-  // DES engine, forwarded to ClusterSimConfig::event_queue. Never changes a
-  // result (identical pop order by construction), only wall time.
-  EventQueueKind event_queue = EventQueueKind::kCalendar;
   // Gradient wire compression, forwarded to ClusterSimConfig::compression.
   CompressionSpec compression;
 };

@@ -11,14 +11,6 @@ std::string ToString(const Endpoint& endpoint) {
   return host + ":" + std::to_string(endpoint.port);
 }
 
-const char* ServerModelName(ServerModel model) {
-  switch (model) {
-    case ServerModel::kThreadPerConn: return "thread_per_conn";
-    case ServerModel::kEventLoop: return "event_loop";
-  }
-  return "unknown";
-}
-
 std::size_t ClusterTopology::dim() const {
   std::size_t total = 0;
   for (const ShardPlacement& shard : shards) total += shard.length;

@@ -1,4 +1,4 @@
-// Transport configuration seam: endpoints, topology, and server model.
+// Transport configuration seam: endpoints and topology.
 //
 // PR-5's transport hard-coded 127.0.0.1 into every socket call, so "the
 // servers are other machines" was a simulation convention, not a config
@@ -16,11 +16,6 @@
 //                     layout); several shards may share one endpoint, in
 //                     which case the client multiplexes them over a single
 //                     connection (see shard_client.h).
-//   ServerModel     — which ShardServer implementation fronts a store:
-//                     kThreadPerConn (PR-5's thread-per-connection server,
-//                     kept for A/B equivalence) or kEventLoop (the epoll
-//                     server that holds thousands of clients on a bounded
-//                     thread count).
 //
 // This header is deliberately dependency-light (strings and integers only)
 // so config surfaces — RuntimeConfig, bench flags — can include it without
@@ -46,14 +41,8 @@ struct Endpoint {
 // "host:port" (the canonical loopback host prints as "127.0.0.1:port").
 std::string ToString(const Endpoint& endpoint);
 
-// Which server implementation answers on an endpoint.
-enum class ServerModel {
-  kThreadPerConn,  // one accept thread + one handler thread per connection
-  kEventLoop,      // epoll loop + bounded execution pool (see
-                   // event_loop_server.h)
-};
-
-const char* ServerModelName(ServerModel model);
+// Exists only because benchmarks/e2e/e2e_bench.cc spells it; nothing reads it.
+enum class ServerModel { kEventLoop };
 
 struct ShardPlacement {
   std::size_t offset = 0;

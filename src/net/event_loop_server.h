@@ -1,10 +1,22 @@
-// EventLoopServer: the epoll-based shard server (ServerModel::kEventLoop).
+// EventLoopServer: the shard server. One or more ParameterServer shards
+// behind a listening socket.
+//
+// It serves the shards of an existing ParameterServer (the single source of
+// truth for layout and versions) over the wire protocol in net/wire.h,
+// executes every request through one RequestExecutor, and answers requests
+// for shards it does not own with kAckBadShard — misrouting is a client bug
+// and must be loud, not silent.
 //
 // One loop thread multiplexes every connection with level-triggered epoll;
 // request execution runs on a bounded ThreadPool. Total thread count is
 // 1 + pool_threads regardless of how many clients connect — the property the
-// fan-in bench pins (thread-per-connection collapses at ~hundreds of
-// clients; this model holds p99 RTT with a constant thread count).
+// fan-in bench pins, holding p99 RTT with a constant thread count.
+//
+// Failure semantics: pushes are exactly-once — the RequestExecutor applies
+// each (client_id, push_seq) batch at most once and answers retries and
+// duplicates from its per-client watermark — while pulls are idempotent and
+// simply re-execute (at-least-once; see shard_client.h). A malformed frame
+// kills only its connection; the server keeps serving.
 //
 // Data flow per connection:
 //   readable → RecvSome() until EAGAIN into the connection's reassembly
@@ -34,6 +46,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -41,39 +54,75 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/shard_server.h"
+#include "net/endpoint.h"
+#include "net/request_executor.h"
+#include "ps/param_store.h"
 
 namespace specsync {
 class ThreadPool;
 }  // namespace specsync
 
+namespace specsync::obs {
+class Counter;
+class Gauge;
+}  // namespace specsync::obs
+
 namespace specsync::net {
 
-class EventLoopServer : public ShardServerBase {
+class TcpListener;
+
+struct ShardServerConfig {
+  // Address to bind. port 0 = pick an ephemeral port (read it back via
+  // port() after Start()). The default binds loopback; a topology naming a
+  // real interface flows through the same field.
+  Endpoint bind{"127.0.0.1", 0};
+  // Shard ids this server answers for; empty = all shards of the store.
+  std::vector<std::size_t> served_shards;
+  // Exists only because benchmarks/e2e/e2e_bench.cc sets it; nothing reads it.
+  ServerModel model = ServerModel::kEventLoop;
+  // Bounded execution pool size. Requests run on this pool so a slow shard
+  // lock never stalls the loop; total server threads = 1 (loop) +
+  // pool_threads, independent of client count.
+  std::size_t pool_threads = 4;
+  // Test/bench injection: artificial per-request service time (see
+  // RequestExecutor). Zero = off.
+  std::chrono::microseconds service_delay{0};
+  // Serve spans (when a SpanRecorder is attached) land on track
+  // `trace_track_base + shard`; set a base when the recorder is shared with
+  // other span sources so server tracks do not collide with theirs.
+  std::uint32_t trace_track_base = 0;
+};
+
+class EventLoopServer {
  public:
-  // `store` is not owned and must outlive the server. `config.model` is
-  // ignored (callers go through MakeShardServer; constructing this class
-  // directly always yields the event-loop model). `metrics` (optional)
-  // additionally darks the loop internals: "net.eloop.epoll_wait_s" /
+  // `store` is not owned and must outlive the server. `metrics` (optional)
+  // receives the executor's service-time histograms "net.server.pull_s" /
+  // "net.server.push_s" and the loop internals: "net.eloop.epoll_wait_s" /
   // "net.eloop.dispatch_s" / "net.eloop.pool_wait_s" / "net.eloop.out_queue_s"
   // histograms, "net.eloop.reassembly_bytes" / "net.eloop.out_queue_bytes" /
   // "net.eloop.conns" gauges, and "net.eloop.accepts" / "net.eloop.drops"
-  // counters. `spans` (optional) records trace-linked serve spans.
+  // counters. `spans` (optional) records trace-linked serve spans
+  // (DESIGN.md §14).
   EventLoopServer(ParameterServer* store, ShardServerConfig config,
                   obs::MetricsRegistry* metrics = nullptr,
                   obs::SpanRecorder* spans = nullptr);
-  ~EventLoopServer() override;
+  ~EventLoopServer();
 
   EventLoopServer(const EventLoopServer&) = delete;
   EventLoopServer& operator=(const EventLoopServer&) = delete;
 
-  bool Start() override;
-  void Stop() override;
-  std::uint16_t port() const override { return port_; }
-  ServerStats stats() const override;
+  // Binds and starts serving. False if the endpoint cannot be bound.
+  bool Start();
+  // Stops accepting, drops every open connection, joins all threads.
+  // Idempotent and safe to call from multiple threads; also run by the
+  // destructor.
+  void Stop();
+  // Listening port (valid after a successful Start()).
+  std::uint16_t port() const { return port_; }
+  ServerStats stats() const;
   // 1 loop thread + pool_threads while running; never a function of the
   // number of connected clients.
-  std::size_t thread_count() const override;
+  std::size_t thread_count() const;
 
  private:
   struct Conn;

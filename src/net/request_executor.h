@@ -1,13 +1,10 @@
-// RequestExecutor: the server-side request→response function, shared by both
-// server models.
+// RequestExecutor: the server-side request→response function.
 //
 // Executing a decoded WireMessage against a ParameterServer is pure protocol
 // logic — which shards this server owns, how a dense slice is validated, what
-// an error ack looks like — and must be byte-identical whether the request
-// arrived on a thread-per-connection handler (ShardServer) or the epoll
-// event loop's execution pool (EventLoopServer). Factoring it here is what
-// makes the two models A/B-equivalent by construction: they differ only in
-// how bytes reach Execute(), never in what Execute() does.
+// an error ack looks like — kept apart from the event-loop server
+// (EventLoopServer), which only decides how bytes reach Execute(), never
+// what Execute() does.
 //
 // A composed pull is one PullBatchReq per server. The executor validates
 // every shard in it before reading any, then snapshots each shard on its
@@ -45,9 +42,9 @@ class SpanRecorder;
 
 namespace specsync::net {
 
-// Aggregate request counters, shared across server models (bad_frames is
-// owned by the transport layer — frames that never decode never reach the
-// executor — and merged into this struct by the server's stats()).
+// Aggregate request counters (bad_frames is owned by the transport layer —
+// frames that never decode never reach the executor — and merged into this
+// struct by the server's stats()).
 struct ServerStats {
   // Shard snapshots read: one per PullShardReq, one per PullBatchReq entry.
   std::uint64_t pulls = 0;

@@ -2,7 +2,7 @@
 //
 // Deliberately minimal: IPv4 with a resolvable-host seam (loopback remains
 // the tested default — see net/endpoint.h), blocking sockets with
-// poll()-bounded receives for the thread-per-connection paths, a small
+// poll()-bounded receives for the client and test-proxy paths, a small
 // non-blocking surface (TryAccept / RecvSome / SendSome) for the epoll
 // event-loop server, TCP_NODELAY on every connection (the protocol is
 // request/response with small frames — Nagle would serialize the pipelined

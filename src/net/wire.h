@@ -2,7 +2,7 @@
 //
 // The sharded store's seam (PullShard / PushShard / CommitPush) becomes a
 // real protocol here: length-prefixed binary framing with fixed-width
-// little-endian fields, so a ShardServer on one machine and a ShardClient on
+// little-endian fields, so a shard server on one machine and a ShardClient on
 // another agree on bytes, not on C++ object layout.
 //
 // Frame layout (header is kHeaderBytes = 20 bytes):

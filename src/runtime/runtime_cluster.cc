@@ -12,8 +12,8 @@
 #include "core/adaptive_tuner.h"
 #include "data/sharding.h"
 #include "models/chunk_merger.h"
+#include "net/event_loop_server.h"
 #include "net/shard_client.h"
-#include "net/shard_server.h"
 #include "obs/obs.h"
 #include "ps/consistency_gate.h"
 #include "runtime/fault_mailbox.h"
@@ -56,7 +56,7 @@ struct RuntimeCluster::Impl {
   std::unique_ptr<ThreadPool> pull_pool;
   // tcp_loopback transport: the store behind a loopback socket plus one
   // client per worker (empty clients vector = in-process direct calls).
-  std::unique_ptr<net::ShardServerBase> shard_server;
+  std::unique_ptr<net::EventLoopServer> shard_server;
   std::vector<std::unique_ptr<net::ShardClient>> shard_clients;
   WallClock clock;
   FaultPlan faults;
@@ -148,17 +148,14 @@ struct RuntimeCluster::Impl {
       obs::SpanRecorder* spans =
           config.obs != nullptr ? &config.obs->spans : nullptr;
       net::ShardServerConfig server_config;
-      server_config.model = config.server_model;
       // Serve spans get their own tracks past the worker tracks and the
       // scheduler track (see the track naming in the obs block below).
       server_config.trace_track_base =
           static_cast<std::uint32_t>(config.num_workers) + 1;
-      shard_server = net::MakeShardServer(server.get(),
-                                          std::move(server_config), metrics,
-                                          spans);
+      shard_server = std::make_unique<net::EventLoopServer>(
+          server.get(), std::move(server_config), metrics, spans);
       SPECSYNC_CHECK(shard_server->Start())
-          << "tcp_loopback transport: cannot start "
-          << net::ServerModelName(config.server_model) << " shard server";
+          << "tcp_loopback transport: cannot start the shard server";
       net::ShardClientConfig client_config;
       client_config.request_timeout = config.net_timeout;
       client_config.max_attempts = config.net_attempts;

@@ -28,11 +28,12 @@ namespace specsync {
 // How workers reach the parameter store.
 //   kInProcess   — direct calls into the shared ParameterServer (the
 //                  pre-transport behavior, bit-identical by construction).
-//   kTcpLoopback — the store sits behind a net::ShardServer on 127.0.0.1 and
-//                  every worker gets its own net::ShardClient: pulls and
-//                  pushes pay real serialization and kernel round trips, and
-//                  data-link fault injection (drop / delay / duplicate)
-//                  happens on the wire with timeout + bounded retry.
+//   kTcpLoopback — the store sits behind a net::EventLoopServer on
+//                  127.0.0.1 and every worker gets its own net::ShardClient:
+//                  pulls and pushes pay real serialization and kernel round
+//                  trips, and data-link fault injection (drop / delay /
+//                  duplicate) happens on the wire with timeout + bounded
+//                  retry.
 enum class RuntimeTransport { kInProcess, kTcpLoopback };
 
 // Consistency model gating worker iteration starts (mirrors the sim's
@@ -82,10 +83,8 @@ struct RuntimeConfig {
   double sgd_clip = 0.0;
   std::uint64_t seed = 123;
   RuntimeTransport transport = RuntimeTransport::kInProcess;
-  // tcp_loopback only: which server model fronts the store. Training results
-  // must be equivalent under both (the golden-digest test pins this); the
-  // event-loop model holds its thread count constant in worker count.
-  net::ServerModel server_model = net::ServerModel::kThreadPerConn;
+  // Exists only because benchmarks/e2e/e2e_bench.cc sets it; nothing reads it.
+  net::ServerModel server_model = net::ServerModel::kEventLoop;
   // tcp_loopback only: per-request response deadline and total attempts
   // before a shard is declared unreachable (which fails the run loudly).
   std::chrono::milliseconds net_timeout{250};

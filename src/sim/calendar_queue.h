@@ -5,18 +5,19 @@
 // num_buckets × width. Pops walk the calendar forward from the current day,
 // so in the DES steady state (event times clustered a bounded horizon past
 // `now`) both Push and PopMin are O(1) amortized — versus O(log n) with two
-// std::function heap allocations per event for the binary-heap queue this
-// replaced.
+// std::function heap allocations per event for the binary-heap queue it
+// replaced (reconstructed in benchmarks/bench_scale.cc as the A/B baseline).
 //
 // ## Ordering contract (the golden-trace invariant)
 //
 // Events pop in strictly increasing (time, sequence) order, where `sequence`
 // is the queue-assigned insertion counter. This is the exact tie-break the
 // old binary heap applied, so pop order — and therefore every pinned trace
-// digest — is bit-identical by construction. The bucket layout, the bucket
+// digest — survived the switch unchanged. The bucket layout, the bucket
 // width, and every resize are invisible to pop order: they only decide where
 // an event waits, never when it pops (regression-proved against an
-// independent reference heap in tests/sim/calendar_queue_property_test.cc).
+// independent flat reference model in
+// tests/sim/calendar_queue_property_test.cc).
 //
 // ## Pool lifetime rules
 //
@@ -437,56 +438,6 @@ class CalendarQueue {
   std::uint32_t cached_min_ = kNil;
   bool cache_valid_ = false;
   CalendarQueueStats stats_;
-};
-
-// The displaced binary heap, kept as a second engine behind the same
-// interface: pooled storage and moved-out payloads (so its cost model is the
-// queue structure, not allocation), the identical (time, sequence) contract.
-// Used for equivalence-by-construction tests (a full golden run on each
-// engine must produce the same digest) and the bench_scale A/B series.
-template <typename T>
-class BinaryHeapQueue {
- public:
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-
-  void Push(SimTime time, T value) {
-    SPECSYNC_CHECK(time.seconds() >= 0.0 && time.is_finite())
-        << "event time must be finite and non-negative: " << time;
-    entries_.push_back(Entry{time.seconds(), next_sequence_++,
-                             std::move(value)});
-    std::push_heap(entries_.begin(), entries_.end(), Later{});
-  }
-
-  SimTime PeekTime() {
-    SPECSYNC_CHECK(!entries_.empty()) << "empty heap queue";
-    return SimTime::FromSeconds(entries_.front().time);
-  }
-
-  T PopMin(SimTime* time_out = nullptr) {
-    SPECSYNC_CHECK(!entries_.empty()) << "empty heap queue";
-    std::pop_heap(entries_.begin(), entries_.end(), Later{});
-    Entry entry = std::move(entries_.back());
-    entries_.pop_back();
-    if (time_out != nullptr) *time_out = SimTime::FromSeconds(entry.time);
-    return std::move(entry.value);
-  }
-
- private:
-  struct Entry {
-    double time = 0.0;
-    std::uint64_t sequence = 0;
-    T value{};
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.sequence > b.sequence;  // FIFO among equal times
-    }
-  };
-
-  std::vector<Entry> entries_;
-  std::uint64_t next_sequence_ = 0;
 };
 
 }  // namespace specsync

@@ -174,7 +174,6 @@ struct ClusterSim::Impl {
         schedule(std::move(schedule_in)),
         speed(std::move(speed_in)),
         config(std::move(config_in)),
-        sim(config.event_queue),
         rng(config.seed),
         network(config.network),
         stalls(config.stalls, Rng(config.seed ^ 0x57A11u)),

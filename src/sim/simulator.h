@@ -1,18 +1,13 @@
 // Discrete-event simulation engine.
 //
-// A single virtual clock over a pluggable event queue. Events at equal times
-// run in scheduling (FIFO) order — the (time, sequence) tie-break key lives in
-// the queue (see calendar_queue.h and DESIGN.md §12) — which, together with
+// A single virtual clock over a calendar event queue (O(1) amortized, pooled
+// nodes, zero steady-state allocation). Events at equal times run in
+// scheduling (FIFO) order — the (time, sequence) tie-break key lives in the
+// queue (see calendar_queue.h and DESIGN.md §12) — which, together with
 // seeded RNGs, makes every simulation bit-deterministic. This is the substrate
 // substituting for the paper's EC2 cluster: what matters to SpecSync is the
 // interleaving of pushes and pulls, and the queue reproduces any interleaving
 // exactly.
-//
-// Two queue engines sit behind the same contract: the default calendar queue
-// (O(1) amortized, pooled nodes, zero steady-state allocation) and the
-// pooled binary heap it replaced (kept for A/B benchmarking and
-// equivalence-by-construction tests). Pop order is identical by construction,
-// so the choice never changes a simulation result — only its wall time.
 #pragma once
 
 #include <cstdint>
@@ -24,22 +19,15 @@
 
 namespace specsync {
 
-enum class EventQueueKind {
-  kCalendar,    // default: bucketed O(1)-amortized scheduler
-  kBinaryHeap,  // reference engine: pooled std::*_heap, O(log n)
-};
-
 class Simulator {
  public:
   using Callback = EventFn;
 
-  explicit Simulator(EventQueueKind queue_kind = EventQueueKind::kCalendar)
-      : queue_kind_(queue_kind) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
-  EventQueueKind queue_kind() const { return queue_kind_; }
 
   // Schedules `fn` at absolute time `at` (must not be in the past).
   void ScheduleAt(SimTime at, Callback fn);
@@ -59,24 +47,17 @@ class Simulator {
   // Stops Run() after the current event returns.
   void RequestStop() { stop_requested_ = true; }
 
-  std::size_t pending_events() const {
-    return queue_kind_ == EventQueueKind::kCalendar ? calendar_.size()
-                                                    : heap_.size();
-  }
+  std::size_t pending_events() const { return calendar_.size(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
-  // Scheduler internals for the calendar engine (empty stats under the heap).
+  // Scheduler internals of the event queue.
   const CalendarQueueStats& calendar_stats() const {
     return calendar_.stats();
   }
 
  private:
-  SimTime PeekTime();
-
   SimTime now_ = SimTime::Zero();
-  EventQueueKind queue_kind_;
   CalendarQueue<EventFn> calendar_;
-  BinaryHeapQueue<EventFn> heap_;
   std::uint64_t events_processed_ = 0;
   bool stop_requested_ = false;
 };

@@ -1,12 +1,13 @@
 // Tuner replay equivalence battery (DESIGN.md §12).
 //
-// The Adaptive tuner ships two Algorithm-1 replay engines: the retained full
-// replay (EstimateImprovement per candidate — the executable specification)
-// and the incremental sweep (sorted candidate thresholds, per-push binary
-// search, saturation pruning). Their contract is bit-identity: the same
-// F̃ value for every candidate, the same per-epoch ABORT_TIME/ABORT_RATE
-// decision, and the same audit retune records, down to the last floating-
-// point bit.
+// The Adaptive tuner replays each epoch with an incremental sweep (sorted
+// candidate thresholds, per-push binary search, saturation pruning). Its
+// contract is bit-identity with the literal Algorithm-1 loop
+// (EstimateImprovement per candidate — the executable specification in
+// tuner_full_replay.h): the same F̃ value for every candidate and the same
+// per-epoch ABORT_TIME/ABORT_RATE decision, down to the last floating-point
+// bit. A pinned golden simulation holds the audited retune sequence to the
+// values both replays produced when the tuner still carried both.
 //
 // Timelines are generated on a coarse binary grid (multiples of 1/8 s, all
 // exactly representable) so window edges frequently land *exactly* on push
@@ -21,7 +22,9 @@
 // Timelines are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -37,6 +40,7 @@
 #include "harness/workload.h"
 #include "obs/obs.h"
 #include "trace/trace.h"
+#include "tuner_full_replay.h"
 
 namespace specsync {
 namespace {
@@ -101,7 +105,7 @@ std::string FormatInputs(const TuningInputs& inputs) {
 
 // --- equivalence checks ------------------------------------------------------
 
-// Bitwise comparison of the two engines on one timeline. Returns a failure
+// Bitwise comparison of the tuner and the reference on one timeline. Returns a failure
 // description, or nullopt when equivalent.
 std::optional<std::string> CheckEquivalence(const TuningInputs& inputs,
                                             double loss_weight,
@@ -130,12 +134,10 @@ std::optional<std::string> CheckEquivalence(const TuningInputs& inputs,
   config.loss_weight = loss_weight;
   config.max_candidates = max_candidates;
   config.per_worker_rate = per_worker_rate;
-  config.incremental = true;
-  AdaptiveTuner incremental(config);
-  config.incremental = false;
-  AdaptiveTuner full(config);
-  const SpeculationParams got = incremental.OnEpochEnd(inputs);
-  const SpeculationParams want = full.OnEpochEnd(inputs);
+  AdaptiveTuner tuner(config);
+  const SpeculationParams got = tuner.OnEpochEnd(inputs);
+  const SpeculationParams want =
+      reference::FullReplayOnEpochEnd(config, inputs);
   if (got.abort_time.seconds() != want.abort_time.seconds() ||
       got.abort_rate != want.abort_rate ||
       got.per_worker_rate != want.per_worker_rate) {
@@ -150,7 +152,8 @@ std::optional<std::string> CheckEquivalence(const TuningInputs& inputs,
 }
 
 // Greedy ddmin over the push timeline: delete the largest chunk that keeps
-// the engines disagreeing, halving the chunk until single pushes survive.
+// the tuner and the reference disagreeing, halving the chunk until single
+// pushes survive.
 TuningInputs ShrinkPushes(TuningInputs inputs, double loss_weight,
                           std::size_t max_candidates, bool per_worker_rate) {
   const auto still_fails = [&](const TuningInputs& candidate) {
@@ -235,8 +238,8 @@ TuningInputs ScriptedBase() {
 
 TEST(TunerEquivalence, ScriptedWindowEdgeExactlyOnPush) {
   // Pushes at pull + Δ exactly: the closed right edge must be included by
-  // both engines (the reference uses `<=`; the incremental bucketing must
-  // bucket the push into that candidate, not the next).
+  // the tuner and the reference (the reference uses `<=`; the incremental
+  // bucketing must bucket the push into that candidate, not the next).
   TuningInputs inputs = ScriptedBase();
   inputs.pushes = {{SimTime::FromSeconds(1.0), 1},   // == w0 pull: excluded
                    {SimTime::FromSeconds(1.5), 1},
@@ -256,10 +259,34 @@ TEST(TunerEquivalence, ScriptedSinglePusherAndNoPullWorkers) {
   EXPECT_EQ(CheckEquivalence(inputs, 1.0, 4096, false), std::nullopt);
 }
 
+// Pinned history of the golden Adaptive simulation below, captured when the
+// tuner still carried both replays and the two produced this exact run: the
+// trace digest plus every audited retune (epoch, time, ABORT_TIME,
+// ABORT_RATE, pushes seen), bit for bit as hex floats. Regenerate only after
+// an intentional behavior change, from the test's failure output.
+constexpr std::uint64_t kGoldenTunerSimDigest = 2301548132764110832ULL;
+struct RetunePin {
+  EpochId epoch;
+  double at_seconds;
+  double abort_time_seconds;
+  double abort_rate;
+  std::uint64_t epoch_pushes;
+};
+constexpr RetunePin kGoldenRetunes[] = {
+    {0, 0x1.de0e710780181p+3, 0x1.0c19651896c84p+1, 0x1.d3125fd8c676ap-4, 8},
+    {1, 0x1.d6f5d89e426e6p+4, 0x1.d0fa34bc7fc2p-1, 0x1.b20ef04ff136fp-5, 8},
+    {2, 0x1.705a424e924fcp+5, 0x1.60e6675d092ep+1, 0x1.3d97dc563ed28p-3, 8},
+    {3, 0x1.ebf68390053e5p+5, 0x1.0b733c296e71p+1, 0x1.ec1eb2367ba3cp-4, 8},
+    {4, 0x1.33a61eacff6ffp+6, 0x1.48d225950888p+0, 0x1.232608e1daf7cp-4, 8},
+    {5, 0x1.8a77385212598p+6, 0x1.6d23e5163e98p+0, 0x1.3af1b2469963ep-4, 8},
+    {6, 0x1.c4815aa53535bp+6, 0x1.3e841787f91p-2, 0x1.1e5c110f3d848p-6, 8},
+};
+
 TEST(TunerEquivalence, GoldenSimDigestAndAuditRetunesIdentical) {
-  // End to end: a full 8-worker Adaptive simulation under each engine must
-  // produce the identical trace digest and the identical audited retune
-  // sequence — every per-epoch ABORT_TIME/ABORT_RATE to the bit.
+  // End to end: a full 8-worker Adaptive simulation must reproduce the
+  // pinned trace digest and the pinned audited retune sequence — every
+  // per-epoch ABORT_TIME/ABORT_RATE to the bit. A drift in the incremental
+  // sweep moves a decision and fails here.
   const Workload workload = MakeConvexWorkload(/*seed=*/1, /*scale=*/0.2);
   ExperimentConfig config;
   config.cluster = ClusterSpec::Homogeneous(8);
@@ -267,28 +294,27 @@ TEST(TunerEquivalence, GoldenSimDigestAndAuditRetunesIdentical) {
   config.max_time = SimTime::FromSeconds(120.0);
   config.stop_on_convergence = false;
   config.seed = 41;
+  obs::ObsContext obs;
+  config.obs = &obs;
+  const ExperimentResult result = RunExperiment(workload, config);
 
-  obs::ObsContext incremental_obs;
-  config.scheme.adaptive.incremental = true;
-  config.obs = &incremental_obs;
-  const ExperimentResult incremental = RunExperiment(workload, config);
-
-  obs::ObsContext full_obs;
-  config.scheme.adaptive.incremental = false;
-  config.obs = &full_obs;
-  const ExperimentResult full = RunExperiment(workload, config);
-
-  EXPECT_EQ(TraceDigest(incremental.sim.trace), TraceDigest(full.sim.trace));
-  const auto got = incremental_obs.audit.retunes();
-  const auto want = full_obs.audit.retunes();
-  ASSERT_GT(want.size(), 0u) << "golden sim produced no retunes to compare";
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].epoch, want[i].epoch);
-    EXPECT_EQ(got[i].at.seconds(), want[i].at.seconds());
-    EXPECT_EQ(got[i].abort_time.seconds(), want[i].abort_time.seconds());
-    EXPECT_EQ(got[i].abort_rate, want[i].abort_rate);
-    EXPECT_EQ(got[i].epoch_pushes, want[i].epoch_pushes);
+  EXPECT_EQ(TraceDigest(result.sim.trace), kGoldenTunerSimDigest);
+  const auto got = obs.audit.retunes();
+  ASSERT_EQ(got.size(), std::size(kGoldenRetunes));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const RetunePin& want = kGoldenRetunes[i];
+    SCOPED_TRACE(::testing::Message() << "retune " << i << ": {" << got[i].epoch
+                                      << ", " << std::hexfloat
+                                      << got[i].at.seconds() << ", "
+                                      << got[i].abort_time.seconds() << ", "
+                                      << got[i].abort_rate << ", "
+                                      << std::defaultfloat
+                                      << got[i].epoch_pushes << "}");
+    EXPECT_EQ(got[i].epoch, want.epoch);
+    EXPECT_EQ(got[i].at.seconds(), want.at_seconds);
+    EXPECT_EQ(got[i].abort_time.seconds(), want.abort_time_seconds);
+    EXPECT_EQ(got[i].abort_rate, want.abort_rate);
+    EXPECT_EQ(got[i].epoch_pushes, want.epoch_pushes);
   }
 }
 
@@ -320,7 +346,7 @@ TEST(TunerEquivalence, WrongPruneIsCaught) {
       AdaptiveTuner::SaturationIndex(inputs, candidates);
   ASSERT_EQ(saturation, 2u);  // every window covers t_last=4 from Δ=3 on
 
-  // The correct engines agree, and pick the saturation candidate.
+  // The tuner agrees with the reference, and picks the saturation candidate.
   ASSERT_EQ(CheckEquivalence(inputs, 1.0, 4096, false), std::nullopt);
   AdaptiveTuner tuner{AdaptiveTunerConfig{}};
   EXPECT_EQ(tuner.OnEpochEnd(inputs).abort_time.seconds(), 3.0);

@@ -27,13 +27,6 @@ TEST(EndpointTest, ToStringCanonicalizesLoopbackSpellings) {
   EXPECT_EQ(ToString(Ep(80, "10.1.2.3")), "10.1.2.3:80");
 }
 
-TEST(EndpointTest, ServerModelNamesAreStable) {
-  // Bench flags and CI grep for these strings; renaming them is a break.
-  EXPECT_STREQ(ServerModelName(ServerModel::kThreadPerConn),
-               "thread_per_conn");
-  EXPECT_STREQ(ServerModelName(ServerModel::kEventLoop), "event_loop");
-}
-
 TEST(TopologyTest, DimSumsShardLengths) {
   ClusterTopology topology;
   topology.shards = {ShardPlacement{0, 4, Ep(1)}, ShardPlacement{4, 6, Ep(1)}};

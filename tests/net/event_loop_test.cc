@@ -1,9 +1,8 @@
-// Event-loop server tests: the epoll model's structural guarantees (constant
+// Event-loop server tests: the server's structural guarantees (constant
 // thread count, pipelined out-of-order service) plus the incremental frame
 // reassembly fuzz — frames split at every byte boundary, coalesced frames,
 // truncated-then-closed streams, and malformed bytes that must kill exactly
-// one connection. The reassembly suite runs against BOTH server models: the
-// wire contract does not care which concurrency model is listening.
+// one connection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +12,13 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "net/endpoint.h"
+#include "net/event_loop_server.h"
 #include "net/shard_client.h"
-#include "net/shard_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "optim/lr_schedule.h"
@@ -61,24 +61,26 @@ bool RecvOne(TcpConnection& conn, std::uint64_t& id, WireMessage& out) {
   return DecodeFrame(reply, id, out) == WireStatus::kOk;
 }
 
-class ReassemblyTest : public ::testing::TestWithParam<ServerModel> {
- protected:
-  std::unique_ptr<ShardServerBase> StartServer(ParameterServer* store,
-                                               ShardServerConfig config = {}) {
-    config.model = GetParam();
-    auto server = MakeShardServer(store, std::move(config));
-    EXPECT_TRUE(server->Start());
-    return server;
-  }
-};
+std::unique_ptr<EventLoopServer> StartServer(ParameterServer* store,
+                                             ShardServerConfig config = {}) {
+  auto server = std::make_unique<EventLoopServer>(store, std::move(config));
+  EXPECT_TRUE(server->Start());
+  return server;
+}
 
-INSTANTIATE_TEST_SUITE_P(
-    Models, ReassemblyTest,
-    ::testing::Values(ServerModel::kThreadPerConn, ServerModel::kEventLoop),
-    [](const ::testing::TestParamInfo<ServerModel>& info) {
-      return info.param == ServerModel::kEventLoop ? "EventLoop"
-                                                   : "ThreadPerConn";
-    });
+// The reassembly suite is value-parameterized over the server implementation,
+// with the event loop as its one value, so every case keeps its name,
+// Models/ReassemblyTest.<Case>/EventLoop. gtest prints the parameter's bytes
+// into that name, hence the explicit enumerator value.
+enum class ServerImpl : std::int32_t { kEventLoop = 1 };
+
+class ReassemblyTest : public ::testing::TestWithParam<ServerImpl> {};
+
+INSTANTIATE_TEST_SUITE_P(Models, ReassemblyTest,
+                         ::testing::Values(ServerImpl::kEventLoop),
+                         [](const ::testing::TestParamInfo<ServerImpl>&) {
+                           return std::string("EventLoop");
+                         });
 
 TEST_P(ReassemblyTest, FrameDribbledOneByteAtATimeIsReassembled) {
   auto store = MakeStore(10, 2);
@@ -246,65 +248,41 @@ TEST_P(ReassemblyTest, MalformedPayloadKillsOnlyItsConnection) {
 // A Pull is one batch per server, so the pipelining that matters is across
 // callers: with an injected 25 ms service delay per request, 8 concurrent
 // Pull() calls on one client are 8 pipelined batches on one connection. The
-// event-loop server runs them on its pool concurrently: they cost ~1 delay.
-// The thread-per-connection server is strictly serial per connection: the
-// same 8 batches cost >= 8 delays (a deterministic floor — sleeps do not
-// undershoot). This pins the regression: if the client ever serializes
-// callers on a link, or the event-loop server serializes its pool, the
-// pipelined bound breaks.
+// server runs them on its pool concurrently: they cost ~1 delay, where a
+// server serial per connection would pay >= 8 delays back to back. This pins
+// the regression: if the client ever serializes callers on a link, or the
+// server serializes its pool, the pipelined bound breaks.
 TEST(PipeliningTest, PipelinedPullCostsOneDelayBatchNotNSerialRoundTrips) {
   constexpr std::size_t kPullers = 8;
   constexpr std::chrono::milliseconds kDelay{25};
-  const auto concurrent_pulls = [](ShardClient& client) {
-    std::latch start(kPullers + 1);
-    std::vector<std::jthread> pullers;
-    for (std::size_t p = 0; p < kPullers; ++p) {
-      pullers.emplace_back([&] {
-        start.arrive_and_wait();
-        EXPECT_EQ(client.Pull().params.size(), 64u);
-      });
-    }
-    const auto begin = std::chrono::steady_clock::now();
-    start.arrive_and_wait();
-    pullers.clear();  // join
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-        std::chrono::steady_clock::now() - begin);
-  };
-
   auto store = MakeStore(64, 4);
   ShardServerConfig server_config;
   server_config.service_delay = kDelay;
   server_config.pool_threads = kPullers;
-
-  // Event loop: all 8 delayed batches sleep on the pool concurrently.
-  server_config.model = ServerModel::kEventLoop;
-  auto event_loop = MakeShardServer(store.get(), server_config);
-  ASSERT_TRUE(event_loop->Start());
-  ShardClientConfig client_config = ClientConfigFor(*store, event_loop->port());
+  // All 8 delayed batches sleep on the pool concurrently.
+  auto server = StartServer(store.get(), server_config);
+  ShardClientConfig client_config = ClientConfigFor(*store, server->port());
   client_config.request_timeout = std::chrono::milliseconds(2000);
-  {
-    ShardClient client(client_config);
-    ASSERT_TRUE(client.Connect());
-    (void)client.Pull();  // warm the link
-    const auto pipelined = concurrent_pulls(client);
-    EXPECT_GE(pipelined, kDelay);      // the delay is really in the path
-    EXPECT_LT(pipelined, 4 * kDelay);  // ~1 delay, nowhere near 8 serial
-    EXPECT_EQ(client.stats().requests, 1 + kPullers);  // one batch per Pull
-  }
-  event_loop->Stop();
+  ShardClient client(client_config);
+  ASSERT_TRUE(client.Connect());
+  (void)client.Pull();  // warm the link
 
-  // Thread-per-conn: one connection is served serially, so the same 8
-  // batches pay every delay back to back.
-  server_config.model = ServerModel::kThreadPerConn;
-  auto serial = MakeShardServer(store.get(), server_config);
-  ASSERT_TRUE(serial->Start());
-  client_config = ClientConfigFor(*store, serial->port());
-  client_config.request_timeout = std::chrono::milliseconds(2000);
-  {
-    ShardClient client(client_config);
-    ASSERT_TRUE(client.Connect());
-    EXPECT_GE(concurrent_pulls(client), kPullers * kDelay);
+  std::latch start(kPullers + 1);
+  std::vector<std::jthread> pullers;
+  for (std::size_t p = 0; p < kPullers; ++p) {
+    pullers.emplace_back([&] {
+      start.arrive_and_wait();
+      EXPECT_EQ(client.Pull().params.size(), 64u);
+    });
   }
+  const auto begin = std::chrono::steady_clock::now();
+  start.arrive_and_wait();
+  pullers.clear();  // join
+  const auto pipelined = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - begin);
+  EXPECT_GE(pipelined, kDelay);      // the delay is really in the path
+  EXPECT_LT(pipelined, 4 * kDelay);  // ~1 delay, nowhere near 8 serial
+  EXPECT_EQ(client.stats().requests, 1 + kPullers);  // one batch per Pull
 }
 
 // --- Thread-count structure -------------------------------------------------
@@ -312,10 +290,8 @@ TEST(PipeliningTest, PipelinedPullCostsOneDelayBatchNotNSerialRoundTrips) {
 TEST(EventLoopTest, ThreadCountStaysConstantUnderManyConnections) {
   auto store = MakeStore(16, 2);
   ShardServerConfig config;
-  config.model = ServerModel::kEventLoop;
   config.pool_threads = 3;
-  auto server = MakeShardServer(store.get(), std::move(config));
-  ASSERT_TRUE(server->Start());
+  auto server = StartServer(store.get(), std::move(config));
   const std::size_t baseline = server->thread_count();
   EXPECT_EQ(baseline, 1u + 3u);  // loop + pool, nothing per-connection
 
@@ -331,26 +307,6 @@ TEST(EventLoopTest, ThreadCountStaysConstantUnderManyConnections) {
   }
   EXPECT_EQ(server->thread_count(), baseline);
   EXPECT_GE(server->stats().pulls, 24u);
-}
-
-TEST(EventLoopTest, ThreadPerConnGrowsWithConnectionsByConstruction) {
-  // The contrast case documenting WHY the event loop exists: the legacy
-  // model's thread count scales with held-open connections.
-  auto store = MakeStore(16, 2);
-  auto server = MakeShardServer(store.get(), ShardServerConfig{});
-  ASSERT_TRUE(server->Start());
-
-  std::vector<TcpConnection> held;
-  for (int i = 0; i < 8; ++i) {
-    TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
-    ASSERT_TRUE(conn.valid());
-    ASSERT_TRUE(conn.SendAll(EncodeFrame(PullShardReq{0}, 1 + i)));
-    std::uint64_t id = 0;
-    WireMessage out;
-    ASSERT_TRUE(RecvOne(conn, id, out));
-    held.push_back(std::move(conn));
-  }
-  EXPECT_GE(server->thread_count(), 1u + 8u);  // accept + one per held conn
 }
 
 }  // namespace

@@ -46,9 +46,9 @@
 #include "common/rng.h"
 #include "fault/fault_plan.h"
 #include "net/endpoint.h"
+#include "net/event_loop_server.h"
 #include "net/request_executor.h"
 #include "net/shard_client.h"
-#include "net/shard_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "optim/lr_schedule.h"
@@ -594,11 +594,10 @@ DirectRun RunDirect(const Timeline& t) {
   return run;
 }
 
-std::unique_ptr<ShardServerBase> StartEventLoop(ParameterServer* store) {
+std::unique_ptr<EventLoopServer> StartEventLoop(ParameterServer* store) {
   ShardServerConfig config;
-  config.model = ServerModel::kEventLoop;
   config.pool_threads = 2;  // copies of one batch can run at once
-  auto server = MakeShardServer(store, std::move(config));
+  auto server = std::make_unique<EventLoopServer>(store, std::move(config));
   SPECSYNC_CHECK(server->Start());
   return server;
 }
@@ -809,10 +808,10 @@ TEST(ExactlyOnceTransportProperty, LostResponseAppliesOnceAcrossRetries) {
 
   auto store = MakeStore();
   ShardServerConfig config;
-  config.model = ServerModel::kEventLoop;
   config.pool_threads = 4;
   config.service_delay = std::chrono::milliseconds(60);
-  auto server = MakeShardServer(store.get(), std::move(config));
+  auto server =
+      std::make_unique<EventLoopServer>(store.get(), std::move(config));
   ASSERT_TRUE(server->Start());
   {
     ShardClientConfig client_config = ClientConfigFor(*store, server->port());
@@ -841,10 +840,10 @@ TEST(ExactlyOnceTransportProperty, TwoCopiesExecutingAtOnceApplyOnce) {
 
   auto store = MakeStore();
   ShardServerConfig config;
-  config.model = ServerModel::kEventLoop;
   config.pool_threads = 2;
   config.service_delay = std::chrono::milliseconds(20);
-  auto server = MakeShardServer(store.get(), std::move(config));
+  auto server =
+      std::make_unique<EventLoopServer>(store.get(), std::move(config));
   ASSERT_TRUE(server->Start());
 
   PushShardReq slice;

@@ -2,16 +2,13 @@
 // observable no-op relative to direct ParameterServer calls — same parameter
 // bytes, same versions, same scheduler decisions — and must survive injected
 // drop / delay / duplicate faults without hanging.
-//
-// The whole behavioral suite is value-parameterized over ServerModel: every
-// guarantee must hold identically behind the thread-per-connection server and
-// the epoll event-loop server (the A/B seam MakeShardServer exists for).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -24,8 +21,8 @@
 #include "core/speculation.h"
 #include "fault/fault_plan.h"
 #include "net/endpoint.h"
+#include "net/event_loop_server.h"
 #include "net/shard_client.h"
-#include "net/shard_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -62,25 +59,27 @@ ShardClientConfig ClientConfigFor(const ParameterServer& store,
   return config;
 }
 
-class TransportTest : public ::testing::TestWithParam<ServerModel> {
- protected:
-  // Builds + starts the parameterized server model for `store`.
-  std::unique_ptr<ShardServerBase> StartServer(ParameterServer* store,
-                                               ShardServerConfig config = {}) {
-    config.model = GetParam();
-    auto server = MakeShardServer(store, std::move(config));
-    EXPECT_TRUE(server->Start());
-    return server;
-  }
-};
+// Builds + starts a shard server for `store`.
+std::unique_ptr<EventLoopServer> StartServer(ParameterServer* store,
+                                             ShardServerConfig config = {}) {
+  auto server = std::make_unique<EventLoopServer>(store, std::move(config));
+  EXPECT_TRUE(server->Start());
+  return server;
+}
 
-INSTANTIATE_TEST_SUITE_P(
-    Models, TransportTest,
-    ::testing::Values(ServerModel::kThreadPerConn, ServerModel::kEventLoop),
-    [](const ::testing::TestParamInfo<ServerModel>& info) {
-      return info.param == ServerModel::kEventLoop ? "EventLoop"
-                                                   : "ThreadPerConn";
-    });
+// The behavioral suite is value-parameterized over the server implementation,
+// with the event loop as its one value, so every case keeps its name,
+// Models/TransportTest.<Case>/EventLoop. gtest prints the parameter's bytes
+// into that name, hence the explicit enumerator value.
+enum class ServerImpl : std::int32_t { kEventLoop = 1 };
+
+class TransportTest : public ::testing::TestWithParam<ServerImpl> {};
+
+INSTANTIATE_TEST_SUITE_P(Models, TransportTest,
+                         ::testing::Values(ServerImpl::kEventLoop),
+                         [](const ::testing::TestParamInfo<ServerImpl>&) {
+                           return std::string("EventLoop");
+                         });
 
 TEST_P(TransportTest, ServerStartStopIsClean) {
   auto store = MakeStore(10, 3);
@@ -154,7 +153,7 @@ TEST_P(TransportTest, PullIsOneRequestPerServer) {
       store->Push(g, 0);
     }
     // RTT is per link: one sample per pull on each.
-    for (const ShardServerBase* server : {even.get(), odd.get()}) {
+    for (const EventLoopServer* server : {even.get(), odd.get()}) {
       const std::string label =
           "{link=127.0.0.1:" + std::to_string(server->port()) + "}";
       EXPECT_EQ(metrics.histogram("net.link.rtt_s" + label).count(),
@@ -876,11 +875,8 @@ TEST_P(TransportTest, ClientAndServerSpansStitchViaFlowIds) {
   // >=95% stitch gate bench_transport's merged trace is held to.
   auto store = MakeStore(20, 2);
   obs::SpanRecorder server_spans;
-  ShardServerConfig server_config;
-  server_config.model = GetParam();
-  auto server =
-      MakeShardServer(store.get(), std::move(server_config), nullptr,
-                      &server_spans);
+  auto server = std::make_unique<EventLoopServer>(
+      store.get(), ShardServerConfig{}, nullptr, &server_spans);
   ASSERT_TRUE(server->Start());
 
   obs::SpanRecorder client_spans;
@@ -921,14 +917,10 @@ TEST_P(TransportTest, ClientAndServerSpansStitchViaFlowIds) {
 }
 
 TEST_P(TransportTest, EventLoopTelemetryReachesRegistry) {
-  if (GetParam() != ServerModel::kEventLoop) {
-    GTEST_SKIP() << "event-loop internals only";
-  }
   auto store = MakeStore(16, 2);
   obs::MetricsRegistry metrics;
-  ShardServerConfig config;
-  config.model = ServerModel::kEventLoop;
-  auto server = MakeShardServer(store.get(), std::move(config), &metrics);
+  auto server = std::make_unique<EventLoopServer>(
+      store.get(), ShardServerConfig{}, &metrics);
   ASSERT_TRUE(server->Start());
 
   auto client = std::make_unique<ShardClient>(
@@ -998,8 +990,8 @@ void RunGoldenSchedule(std::size_t dim, PullFn pull, PushFn push) {
 }
 
 // The acceptance gate: an 8-worker loopback schedule produces the same
-// training digest as the direct in-process run, under BOTH server models.
-TEST(TransportGoldenTest, EightWorkerDigestIdenticalAcrossModelsAndDirect) {
+// training digest as the direct in-process run.
+TEST(TransportGoldenTest, EightWorkerDigestIdenticalToDirect) {
   constexpr std::size_t kDim = 64;
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kGoldenWorkers = 8;
@@ -1012,29 +1004,22 @@ TEST(TransportGoldenTest, EightWorkerDigestIdenticalAcrossModelsAndDirect) {
       });
   const std::uint64_t direct_digest = StoreDigest(*direct_store);
 
-  for (const ServerModel model :
-       {ServerModel::kThreadPerConn, ServerModel::kEventLoop}) {
-    auto store = MakeStore(kDim, kShards);
-    ShardServerConfig config;
-    config.model = model;
-    auto server = MakeShardServer(store.get(), std::move(config));
-    ASSERT_TRUE(server->Start());
+  auto store = MakeStore(kDim, kShards);
+  auto server = StartServer(store.get());
 
-    // One client per worker: eight live connections into one server.
-    std::vector<std::unique_ptr<ShardClient>> clients;
-    for (std::size_t w = 0; w < kGoldenWorkers; ++w) {
-      clients.push_back(std::make_unique<ShardClient>(
-          ClientConfigFor(*store, server->port())));
-      ASSERT_TRUE(clients.back()->Connect());
-    }
-    RunGoldenSchedule(
-        kDim, [&](std::size_t w) { return clients[w]->Pull(); },
-        [&](std::size_t w, const Gradient& g, EpochId e) {
-          clients[w]->Push(g, e);
-        });
-    EXPECT_EQ(StoreDigest(*store), direct_digest)
-        << "model " << ServerModelName(model);
+  // One client per worker: eight live connections into one server.
+  std::vector<std::unique_ptr<ShardClient>> clients;
+  for (std::size_t w = 0; w < kGoldenWorkers; ++w) {
+    clients.push_back(std::make_unique<ShardClient>(
+        ClientConfigFor(*store, server->port())));
+    ASSERT_TRUE(clients.back()->Connect());
   }
+  RunGoldenSchedule(
+      kDim, [&](std::size_t w) { return clients[w]->Pull(); },
+      [&](std::size_t w, const Gradient& g, EpochId e) {
+        clients[w]->Push(g, e);
+      });
+  EXPECT_EQ(StoreDigest(*store), direct_digest);
 }
 
 // Tracing is record-only: the same schedule with full observability attached
@@ -1053,37 +1038,30 @@ TEST(TransportGoldenTest, EightWorkerDigestUnchangedByTracing) {
       });
   const std::uint64_t direct_digest = StoreDigest(*direct_store);
 
-  for (const ServerModel model :
-       {ServerModel::kThreadPerConn, ServerModel::kEventLoop}) {
-    auto store = MakeStore(kDim, kShards);
-    obs::MetricsRegistry metrics;
-    obs::SpanRecorder server_spans;
-    ShardServerConfig config;
-    config.model = model;
-    auto server =
-        MakeShardServer(store.get(), std::move(config), &metrics,
-                        &server_spans);
-    ASSERT_TRUE(server->Start());
+  auto store = MakeStore(kDim, kShards);
+  obs::MetricsRegistry metrics;
+  obs::SpanRecorder server_spans;
+  EventLoopServer server(store.get(), ShardServerConfig{}, &metrics,
+                         &server_spans);
+  ASSERT_TRUE(server.Start());
 
-    obs::SpanRecorder client_spans;
-    std::vector<std::unique_ptr<ShardClient>> clients;
-    for (std::size_t w = 0; w < kGoldenWorkers; ++w) {
-      ShardClientConfig client_config = ClientConfigFor(*store, server->port());
-      client_config.trace_track = static_cast<std::uint32_t>(w);
-      clients.push_back(std::make_unique<ShardClient>(
-          std::move(client_config), nullptr, &metrics, &client_spans));
-      ASSERT_TRUE(clients.back()->Connect());
-    }
-    RunGoldenSchedule(
-        kDim, [&](std::size_t w) { return clients[w]->Pull(); },
-        [&](std::size_t w, const Gradient& g, EpochId e) {
-          clients[w]->Push(g, e);
-        });
-    EXPECT_EQ(StoreDigest(*store), direct_digest)
-        << "model " << ServerModelName(model);
-    EXPECT_GT(client_spans.event_count(), 0u);
-    EXPECT_GT(server_spans.event_count(), 0u);
+  obs::SpanRecorder client_spans;
+  std::vector<std::unique_ptr<ShardClient>> clients;
+  for (std::size_t w = 0; w < kGoldenWorkers; ++w) {
+    ShardClientConfig client_config = ClientConfigFor(*store, server.port());
+    client_config.trace_track = static_cast<std::uint32_t>(w);
+    clients.push_back(std::make_unique<ShardClient>(
+        std::move(client_config), nullptr, &metrics, &client_spans));
+    ASSERT_TRUE(clients.back()->Connect());
   }
+  RunGoldenSchedule(
+      kDim, [&](std::size_t w) { return clients[w]->Pull(); },
+      [&](std::size_t w, const Gradient& g, EpochId e) {
+        clients[w]->Push(g, e);
+      });
+  EXPECT_EQ(StoreDigest(*store), direct_digest);
+  EXPECT_GT(client_spans.event_count(), 0u);
+  EXPECT_GT(server_spans.event_count(), 0u);
 }
 
 }  // namespace

@@ -228,23 +228,6 @@ TEST(RuntimeClusterTest, TcpLoopbackTrainingCompletes) {
   EXPECT_TRUE(AllFinite(result.final_weights));
 }
 
-TEST(RuntimeClusterTest, TcpLoopbackEventLoopServerCompletes) {
-  // Same loopback run behind the epoll server model: training must complete
-  // with the identical push quota (behavioral equivalence of the A/B seam).
-  RuntimeConfig config;
-  config.num_workers = 3;
-  config.iterations_per_worker = 10;
-  config.batch_size = 16;
-  config.transport = RuntimeTransport::kTcpLoopback;
-  config.server_model = net::ServerModel::kEventLoop;
-  auto model = TinyModel(5);
-  RuntimeCluster cluster(model, std::make_shared<ConstantSchedule>(0.2),
-                         config);
-  const RuntimeResult result = cluster.Run();
-  EXPECT_EQ(result.total_pushes, 30u);
-  EXPECT_TRUE(AllFinite(result.final_weights));
-}
-
 TEST(RuntimeClusterTest, TcpLoopbackWithSpeculationCompletes) {
   RuntimeConfig config;
   config.num_workers = 3;

@@ -172,7 +172,7 @@ struct RefQueue {
 // --- subjects ----------------------------------------------------------------
 
 // The queue under test, type-erased so the harness can drive the calendar
-// queue, the pooled heap, and planted-bug impostors identically.
+// queue and planted-bug impostors identically.
 struct Subject {
   std::function<void(double time, int id)> push;
   std::function<bool(int id)> cancel;  // false = nothing removed
@@ -194,25 +194,6 @@ Subject CalendarSubject() {
         auto it = handles->find(id);
         return it != handles->end() && queue->Cancel(it->second);
       },
-      [queue]() -> std::optional<std::pair<double, int>> {
-        if (queue->empty()) return std::nullopt;
-        const double peek = queue->PeekTime().seconds();
-        SimTime popped_at;
-        const int id = queue->PopMin(&popped_at);
-        EXPECT_EQ(peek, popped_at.seconds());
-        return std::make_pair(popped_at.seconds(), id);
-      },
-      [queue] { return queue->size(); },
-  };
-}
-
-Subject PooledHeapSubject() {
-  auto queue = std::make_shared<BinaryHeapQueue<int>>();
-  return {
-      [queue](double time, int id) {
-        queue->Push(SimTime::FromSeconds(time), id);
-      },
-      [](int) { return false; },  // the heap engine does not support cancel
       [queue]() -> std::optional<std::pair<double, int>> {
         if (queue->empty()) return std::nullopt;
         const double peek = queue->PeekTime().seconds();
@@ -258,8 +239,7 @@ struct RunOutcome {
   std::string detail;
 };
 
-RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make,
-                       bool subject_supports_cancel = true) {
+RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
   Subject subject = make();
   RefQueue ref;
   RunOutcome out;
@@ -305,7 +285,6 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make,
         if (!check_pop(i)) return out;
         break;
       case OpKind::kCancel: {
-        if (!subject_supports_cancel) break;
         const bool got = subject.cancel(op.target);
         const bool want = ref.Cancel(op.target);
         if (got != want) {
@@ -340,10 +319,9 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make,
 // Greedy ddmin, same scheme as consistency_property_test: repeatedly delete
 // the largest op chunk that preserves the failure, halving the chunk until
 // single ops survive. The result is 1-minimal.
-Schedule Shrink(Schedule schedule, const SubjectFactory& make,
-                bool subject_supports_cancel = true) {
+Schedule Shrink(Schedule schedule, const SubjectFactory& make) {
   const auto still_fails = [&](const Schedule& candidate) {
-    return !RunSchedule(candidate, make, subject_supports_cancel).ok;
+    return !RunSchedule(candidate, make).ok;
   };
   std::size_t chunk = std::max<std::size_t>(1, schedule.ops.size() / 2);
   for (;;) {
@@ -370,18 +348,15 @@ Schedule Shrink(Schedule schedule, const SubjectFactory& make,
   return schedule;
 }
 
-void RunTrials(const SubjectFactory& make, std::size_t trials,
-               bool subject_supports_cancel) {
+void RunTrials(const SubjectFactory& make, std::size_t trials) {
   const std::uint64_t base = BaseSeed();
   for (std::size_t trial = 0; trial < trials; ++trial) {
     const std::uint64_t seed = base + trial * 1000003ULL;
     const Schedule schedule = GenerateSchedule(seed);
-    const RunOutcome outcome =
-        RunSchedule(schedule, make, subject_supports_cancel);
+    const RunOutcome outcome = RunSchedule(schedule, make);
     if (!outcome.ok) {
-      const Schedule minimal = Shrink(schedule, make, subject_supports_cancel);
-      const RunOutcome replay =
-          RunSchedule(minimal, make, subject_supports_cancel);
+      const Schedule minimal = Shrink(schedule, make);
+      const RunOutcome replay = RunSchedule(minimal, make);
       FAIL() << "seed " << seed << " (trial " << trial
              << "): " << outcome.detail << "\nminimal counterexample ("
              << minimal.ops.size() << " ops): " << FormatOps(minimal)
@@ -393,11 +368,7 @@ void RunTrials(const SubjectFactory& make, std::size_t trials,
 // --- the battery -------------------------------------------------------------
 
 TEST(CalendarQueueProperty, MatchesReferenceOn1kRandomStreams) {
-  RunTrials(CalendarSubject, 1000, /*subject_supports_cancel=*/true);
-}
-
-TEST(CalendarQueueProperty, PooledHeapMatchesReference) {
-  RunTrials(PooledHeapSubject, 300, /*subject_supports_cancel=*/false);
+  RunTrials(CalendarSubject, 1000);
 }
 
 TEST(CalendarQueueProperty, PlantedTieBreakViolationIsCaughtAndShrunk) {
