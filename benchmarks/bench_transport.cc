@@ -5,8 +5,10 @@
 // Phase 1 (soak): forks one server process per shard (each owning a full-dim
 // ParameterServer but serving ONLY its own shard, exactly the multi-machine
 // topology on loopback), then drives worker threads in the parent through
-// ShardClients: every iteration is a composed Pull (one pull batch per
-// server, pipelined) followed by a dense Push (one commit batch per server).
+// ShardClients: a worker's first pull is a composed Pull (one pull batch per
+// server, pipelined); every later one rides the previous iteration's dense
+// push as one fused PushPullReq per server (PushAndPull), and the last push
+// is a plain Push (one commit batch per server).
 // Per-link RTT histograms, retry/timeout counters, and injected-fault
 // counts land in src/obs metrics, printable and exportable as metrics.json.
 // The soak prints a deterministic `equivalence:` line (op counts only, no
@@ -495,11 +497,15 @@ int main(int argc, char** argv) {
           for (std::size_t i = 0; i < args.dim; ++i) {
             grad.dense()[i] = 1e-4 * static_cast<double>((i + w) % 13);
           }
+          PullResult snapshot = client.Pull();
           for (std::size_t it = 0; it < args.iters; ++it) {
-            const PullResult snapshot = client.Pull();
             SPECSYNC_CHECK_EQ(snapshot.params.size(), args.dim);
             ++tallies[w].pulls;
-            client.Push(grad, it);
+            if (it + 1 < args.iters) {
+              snapshot = client.PushAndPull(grad, it).pull;
+            } else {
+              client.Push(grad, it);
+            }
             ++tallies[w].pushes;
           }
           tallies[w].stats = client.stats();

@@ -71,6 +71,9 @@ WireMessage RequestExecutor::Execute(const WireMessage& request,
   } else if (const auto* push = std::get_if<CommitPushReq>(&request)) {
     name = "serve.push";
     if (!push->slices.empty()) shard = push->slices.front().shard;
+  } else if (const auto* fused = std::get_if<PushPullReq>(&request)) {
+    name = "serve.pushpull";
+    if (!fused->push.slices.empty()) shard = fused->push.slices.front().shard;
   }
   const double begin_s =
       begin_ns > epoch ? (begin_ns - epoch) * 1e-9 : 0.0;
@@ -89,34 +92,55 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
     std::this_thread::sleep_for(service_delay_);
   }
   if (const auto* pull = std::get_if<PullShardReq>(&request)) {
-    if (!ServesShard(pull->shard)) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return AckResp{kAckBadShard, pull->shard};
-    }
+    if (!ServesShard(pull->shard)) return Reject(kAckBadShard, pull->shard);
     obs::ScopedTimer timer(pull_hist_);
     return std::get<PullShardResp>(PullItem({pull->shard, kPullAnyVersion}));
   }
   if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
-    return ExecutePull(*batch);
+    if (auto rejected = ValidatePull(*batch)) return *rejected;
+    return ServePull(*batch);
   }
   if (const auto* push = std::get_if<CommitPushReq>(&request)) {
-    return ExecutePush(*push);
+    if (auto rejected = ValidatePush(*push)) return *rejected;
+    return ApplyPush(*push);
+  }
+  if (const auto* fused = std::get_if<PushPullReq>(&request)) {
+    return ExecutePushPull(*fused);
   }
   // A response type arriving at the server is a confused peer; a standalone
   // slice is not a push (applying it would bypass the watermark).
-  rejected_.fetch_add(1, std::memory_order_relaxed);
-  return AckResp{kAckBadRequest, 0};
+  return Reject(kAckBadRequest, 0);
 }
 
-WireMessage RequestExecutor::ExecutePull(const PullBatchReq& batch) {
-  // Validate every shard before reading any: a shard this server does not
-  // own is a client routing bug, and the whole batch is refused.
+WireMessage RequestExecutor::ExecutePushPull(const PushPullReq& fused) {
+  // Both halves validate before either touches the store, so a bad frame
+  // changes nothing. The push then applies (or, for a repeat, answers from
+  // the cache) before the pull reads, so the snapshot includes it; a repeat
+  // still gets a fresh pull.
+  if (auto rejected = ValidatePush(fused.push)) return *rejected;
+  if (auto rejected = ValidatePull(fused.pull)) return *rejected;
+  PushPullResp resp;
+  resp.ack = ApplyPush(fused.push);
+  resp.pull = ServePull(fused.pull);
+  return resp;
+}
+
+AckResp RequestExecutor::Reject(std::uint32_t status, std::uint64_t value) {
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  return AckResp{status, value};
+}
+
+std::optional<AckResp> RequestExecutor::ValidatePull(
+    const PullBatchReq& batch) {
+  // A shard this server does not own is a client routing bug, and the whole
+  // batch is refused.
   for (const PullBatchEntry& entry : batch.entries) {
-    if (!ServesShard(entry.shard)) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return AckResp{kAckBadShard, entry.shard};
-    }
+    if (!ServesShard(entry.shard)) return Reject(kAckBadShard, entry.shard);
   }
+  return std::nullopt;
+}
+
+PullBatchResp RequestExecutor::ServePull(const PullBatchReq& batch) {
   obs::ScopedTimer timer(pull_hist_);
   PullBatchResp resp;
   resp.items.reserve(batch.entries.size());
@@ -142,23 +166,34 @@ PullBatchItem RequestExecutor::PullItem(const PullBatchEntry& entry) {
                        result.version, std::move(result.params)};
 }
 
-AckResp RequestExecutor::ExecutePush(const CommitPushReq& batch) {
-  // Validate every slice before applying any: a bad batch changes nothing.
+std::optional<AckResp> RequestExecutor::ValidatePush(
+    const CommitPushReq& batch) {
   // Sequence numbers start at 1, so 0 can never pass a watermark check.
-  const auto reject = [&](std::uint32_t status, std::uint64_t value) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return AckResp{status, value};
-  };
-  if (batch.push_seq == 0) return reject(kAckBadRequest, 0);
+  if (batch.push_seq == 0) return Reject(kAckBadRequest, 0);
   for (const PushShardReq& slice : batch.slices) {
-    if (!ServesShard(slice.shard)) return reject(kAckBadShard, slice.shard);
-    if (slice.sparse) continue;
+    if (!ServesShard(slice.shard)) return Reject(kAckBadShard, slice.shard);
     const ShardInfo info = store_->shard(slice.shard);
-    if (slice.dense_offset != info.offset ||
-        slice.dense.size() != info.length) {
-      return reject(kAckBadRequest, slice.shard);
+    if (!slice.sparse) {
+      if (slice.dense_offset != info.offset ||
+          slice.dense.size() != info.length) {
+        return Reject(kAckBadRequest, slice.shard);
+      }
+      continue;
+    }
+    // Every entry must belong to the slice's shard: the store would skip
+    // one that does not, and the push would be acked without it.
+    const bool routed = std::ranges::all_of(
+        slice.indices, [&](std::uint64_t index) {
+          return index >= info.offset && index - info.offset < info.length;
+        });
+    if (!routed || slice.indices.size() != slice.values.size()) {
+      return Reject(kAckBadRequest, slice.shard);
     }
   }
+  return std::nullopt;
+}
+
+AckResp RequestExecutor::ApplyPush(const CommitPushReq& batch) {
   const PushWatermarks::Outcome outcome = watermarks_.ApplyOnce(
       batch.client_id, batch.push_seq, [&] {
         obs::ScopedTimer timer(push_hist_);
@@ -179,16 +214,12 @@ void RequestExecutor::ApplySlice(const PushShardReq& slice) {
     coded_pushes_.fetch_add(1, std::memory_order_relaxed);
   }
   pushes_.fetch_add(1, std::memory_order_relaxed);
-  if (!slice.sparse) {
+  if (slice.sparse) {
+    store_->PushShardSparse(slice.shard, slice.indices, slice.values,
+                            slice.epoch);
+  } else {
     store_->PushShardDenseSlice(slice.shard, slice.dense, slice.epoch);
-    return;
   }
-  Gradient grad = Gradient::Sparse();
-  grad.sparse().Reserve(slice.indices.size());
-  for (std::size_t i = 0; i < slice.indices.size(); ++i) {
-    grad.sparse().Add(slice.indices[i], slice.values[i]);
-  }
-  store_->PushShard(slice.shard, grad, slice.epoch);
 }
 
 ServerStats RequestExecutor::stats() const {

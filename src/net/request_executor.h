@@ -12,11 +12,19 @@
 // where the client's cached version still holds.
 //
 // Pushes are exactly-once. A push is one CommitPushReq batch per server; the
-// executor validates every slice, then applies the slices and commits under
-// the sending client's watermark (PushWatermarks), so a retried, duplicated,
-// or concurrently re-executed batch is answered from the cache instead of
-// being applied again. A standalone PushShardReq is rejected: no path applies
-// a gradient without passing the watermark.
+// executor validates every slice (a dense slice must be its shard's exact
+// range, every sparse entry must fall inside its slice's shard), then
+// applies the slices in place and commits under the sending client's
+// watermark (PushWatermarks), so a retried, duplicated, or concurrently
+// re-executed batch is answered from the cache instead of being applied
+// again. A standalone PushShardReq is rejected: no path applies a gradient
+// without passing the watermark.
+//
+// A PushPullReq fuses one push with the same client's next pull: the
+// executor validates both halves, runs the push through the watermark, then
+// serves the pull from the same task, so the snapshot always includes the
+// push. A repeat gets the cached ack and a fresh pull; a frame with a bad
+// half gets a plain error ack and changes nothing.
 //
 // Thread safety: Execute() may be called concurrently from any number of
 // threads; the ParameterServer's per-shard locks and the per-client
@@ -28,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +55,8 @@ namespace specsync::net {
 // frames that never decode never reach the executor — and merged into this
 // struct by the server's stats()).
 struct ServerStats {
-  // Shard snapshots read: one per PullShardReq, one per PullBatchReq entry.
+  // Shard snapshots read: one per PullShardReq, one per pull batch entry
+  // (standalone or fused).
   std::uint64_t pulls = 0;
   // Slices applied, and push batches applied + committed.
   std::uint64_t pushes = 0;
@@ -141,11 +151,19 @@ class RequestExecutor {
 
  private:
   WireMessage ExecuteInner(const WireMessage& request);
-  // Validates every entry's shard, then answers each from its own snapshot.
-  WireMessage ExecutePull(const PullBatchReq& batch);
+  // Validates both halves, applies the push once, then serves the pull.
+  WireMessage ExecutePushPull(const PushPullReq& fused);
+  // Counts a rejected request and returns its error ack.
+  AckResp Reject(std::uint32_t status, std::uint64_t value);
+  // The error ack for a batch naming a shard this server does not own.
+  std::optional<AckResp> ValidatePull(const PullBatchReq& batch);
+  // Answers every entry of a validated batch from its own snapshot.
+  PullBatchResp ServePull(const PullBatchReq& batch);
   PullBatchItem PullItem(const PullBatchEntry& entry);
-  // Validates every slice, then applies + commits once per (client, seq).
-  AckResp ExecutePush(const CommitPushReq& batch);
+  // The error ack for a batch that must not be applied.
+  std::optional<AckResp> ValidatePush(const CommitPushReq& batch);
+  // Applies + commits a validated batch once per (client, seq).
+  AckResp ApplyPush(const CommitPushReq& batch);
   void ApplySlice(const PushShardReq& slice);
 
   ParameterServer* store_;

@@ -41,6 +41,14 @@ void RecordNetState(const char* label, std::int64_t a, std::int64_t b = 0) {
   if (flight.enabled()) flight.Record(obs::FlightKind::kNetState, label, a, b);
 }
 
+// The `T` alternative of a reused frame, keeping its buffers when the frame
+// already holds one.
+template <typename T>
+T& Reuse(WireMessage& frame) {
+  if (auto* held = std::get_if<T>(&frame)) return *held;
+  return frame.emplace<T>();
+}
+
 }  // namespace
 
 std::vector<std::vector<std::size_t>> PlanPullBatches(
@@ -201,6 +209,16 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
   dim_ = config_.topology.dim();
   shard_link_ = config_.topology.ShardLinkIndex();
   pull_batches_ = PlanPullBatches(config_.topology);
+  // The batch a fused push frame carries: its server's first.
+  link_pull_batch_.assign(config_.topology.DistinctEndpoints().size(),
+                          pull_batches_.size());
+  for (std::size_t b = pull_batches_.size(); b-- > 0;) {
+    link_pull_batch_[shard_link_[pull_batches_[b].front()]] = b;
+  }
+  push_frames_.resize(link_pull_batch_.size());
+  link_slices_.resize(link_pull_batch_.size());
+  slice_entries_.resize(num_shards());
+  slice_of_.resize(num_shards());
   for (const Endpoint& endpoint : config_.topology.DistinctEndpoints()) {
     auto link = std::make_unique<Link>();
     link->endpoint = endpoint;
@@ -533,9 +551,12 @@ void ShardClient::RecordClientSpan(const Ticket& ticket) {
   const double begin_s =
       ticket.started_ns > epoch ? (ticket.started_ns - epoch) * 1e-9 : 0.0;
   const double end_s = end_ns > epoch ? (end_ns - epoch) * 1e-9 : 0.0;
-  const char* name = std::holds_alternative<CommitPushReq>(*ticket.request)
-                         ? "push.req"
-                         : "pull.req";
+  const char* name = "pull.req";
+  if (std::holds_alternative<CommitPushReq>(*ticket.request)) {
+    name = "push.req";
+  } else if (std::holds_alternative<PushPullReq>(*ticket.request)) {
+    name = "pushpull.req";
+  }
   spans_->AddSpanWithFlow(
       name, "net.client", config_.trace_track, SimTime::FromSeconds(begin_s),
       SimTime::FromSeconds(end_s), /*flow_out=*/ticket.trace_id,
@@ -584,15 +605,43 @@ ShardPullResult ShardClient::PullShard(std::size_t s) {
 }
 
 PullResult ShardClient::Pull() {
+  PullResult out;
+  Exchange(nullptr, 0, &out);
+  return out;
+}
+
+std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch) {
+  return Exchange(&grad, epoch, nullptr);
+}
+
+ShardClient::PushPullResult ShardClient::PushAndPull(const Gradient& grad,
+                                                     EpochId epoch) {
+  PushPullResult out;
+  out.version = Exchange(&grad, epoch, &out.pull);
+  return out;
+}
+
+std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
+                                    PullResult* pull) {
+  // One sequence number per logical push, the same on every retry attempt.
+  // Serializing pushes keeps each server's view of this client's sequence
+  // in order, which is what lets a single watermark reject every repeat.
+  // Lock order: push, then cache.
+  std::unique_lock<std::mutex> push_lock;
+  if (grad != nullptr) {
+    push_lock = std::unique_lock<std::mutex>(push_mutex_);
+    BuildPushFrames(*grad, epoch, /*fused=*/pull != nullptr);
+  }
+
   // Delta mode: each entry carries the version of the copy we cache (or
   // kPullAnyVersion before the first pull); the server answers a shard still
   // at that version with a not-modified item, and we compose it from the
   // cache. Delta is lossless — an unchanged shard version implies unchanged
   // content, both read under the same shard lock server-side. The cache lock
-  // is held across the whole pull so concurrent Pull() callers on one client
-  // see a consistent cache (workers own their clients, so this serialization
-  // never bites in practice).
-  const bool delta = config_.compression.delta_pulls();
+  // is held across the whole pull so concurrent pulls on one client see a
+  // consistent cache (workers own their clients, so this serialization never
+  // bites in practice).
+  const bool delta = pull != nullptr && config_.compression.delta_pulls();
   std::unique_lock<std::mutex> cache_lock;
   if (delta) {
     cache_lock = std::unique_lock<std::mutex>(cache_mutex_);
@@ -602,44 +651,101 @@ PullResult ShardClient::Pull() {
     }
   }
 
-  // Issue every server's batch before awaiting any: the batches ride their
-  // links back-to-back, so the pull costs ~one round trip and one frame per
-  // server, whatever the shard count.
-  std::vector<WireMessage> requests;
-  requests.reserve(pull_batches_.size());
-  for (const std::vector<std::size_t>& shards : pull_batches_) {
-    PullBatchReq batch;
-    batch.entries.reserve(shards.size());
-    for (const std::size_t s : shards) {
-      batch.entries.push_back({static_cast<std::uint32_t>(s),
-                               delta ? cached_versions_[s] : kPullAnyVersion});
+  // The pull batches: a fused push frame carries its server's first batch;
+  // every other batch is a plain PullBatchReq.
+  std::vector<WireMessage> pull_frames;
+  std::vector<std::size_t> plain_batches;
+  if (pull != nullptr) {
+    std::vector<bool> fused(pull_batches_.size(), false);
+    if (grad != nullptr) {
+      for (const std::size_t l : push_links_) {
+        const std::size_t b = link_pull_batch_[l];
+        FillPullBatch(b, delta, std::get<PushPullReq>(push_frames_[l]).pull);
+        fused[b] = true;
+      }
     }
-    requests.emplace_back(std::move(batch));
-  }
-  std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  for (std::size_t b = 0; b < requests.size(); ++b) {
-    Ticket ticket = MakeTicket(pull_batches_[b].front(), &requests[b]);
-    IssueUntilInFlight(ticket);
-    tickets.push_back(std::move(ticket));
+    for (std::size_t b = 0; b < pull_batches_.size(); ++b) {
+      if (fused[b]) continue;
+      PullBatchReq batch;
+      FillPullBatch(b, delta, batch);
+      pull_frames.emplace_back(std::move(batch));
+      plain_batches.push_back(b);
+    }
   }
 
-  PullResult out;
-  out.params.resize(dim_);
-  std::uint64_t version = 0;
-  for (std::size_t b = 0; b < tickets.size(); ++b) {
-    WireMessage response = Await(tickets[b]);
-    auto* batch = std::get_if<PullBatchResp>(&response);
-    SPECSYNC_CHECK(batch != nullptr);
-    const std::vector<std::size_t>& shards = pull_batches_[b];
-    SPECSYNC_CHECK_EQ(batch->items.size(), shards.size());
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      version = std::max(
-          version, ComposeShard(shards[i], delta, batch->items[i], out.params));
+  // Issue every frame before awaiting any: they ride their links
+  // back-to-back, so the exchange costs ~one round trip and one frame per
+  // server, whatever the shard count.
+  const std::size_t push_count = grad != nullptr ? push_links_.size() : 0;
+  std::vector<Ticket> tickets;
+  tickets.reserve(push_count + pull_frames.size());
+  for (std::size_t i = 0; i < push_count; ++i) {
+    const WireMessage& frame = push_frames_[push_links_[i]];
+    const CommitPushReq& batch =
+        pull != nullptr ? std::get<PushPullReq>(frame).push
+                        : std::get<CommitPushReq>(frame);
+    tickets.push_back(MakeTicket(batch.slices.front().shard, &frame));
+  }
+  for (std::size_t i = 0; i < pull_frames.size(); ++i) {
+    tickets.push_back(
+        MakeTicket(pull_batches_[plain_batches[i]].front(), &pull_frames[i]));
+  }
+  for (Ticket& ticket : tickets) IssueUntilInFlight(ticket);
+
+  if (pull != nullptr) pull->params.resize(dim_);
+  std::uint64_t pushed = 0;
+  std::uint64_t pulled = 0;
+  for (std::size_t t = 0; t < tickets.size(); ++t) {
+    WireMessage response = Await(tickets[t]);
+    if (t >= push_count) {
+      auto* batch = std::get_if<PullBatchResp>(&response);
+      SPECSYNC_CHECK(batch != nullptr);
+      pulled = std::max(pulled, ComposeBatch(plain_batches[t - push_count],
+                                             delta, *batch, pull->params));
+    } else if (pull == nullptr) {
+      const auto* ack = std::get_if<AckResp>(&response);
+      SPECSYNC_CHECK(ack != nullptr);
+      pushed = std::max(pushed, ack->value);
+    } else {
+      auto* fused = std::get_if<PushPullResp>(&response);
+      SPECSYNC_CHECK(fused != nullptr);
+      pushed = std::max(pushed, fused->ack.value);
+      pulled = std::max(pulled, ComposeBatch(link_pull_batch_[push_links_[t]],
+                                             delta, fused->pull,
+                                             pull->params));
     }
   }
-  out.version = version;
-  return out;
+  if (pull != nullptr) pull->version = pulled;
+  if (grad != nullptr) {
+    // Only pushes write, and they are serialized above.
+    last_acked_version_.store(
+        std::max(pushed, last_acked_version_.load(std::memory_order_relaxed)),
+        std::memory_order_relaxed);
+  }
+  return pushed;
+}
+
+void ShardClient::FillPullBatch(std::size_t b, bool delta,
+                                PullBatchReq& batch) const {
+  const std::vector<std::size_t>& shards = pull_batches_[b];
+  batch.entries.resize(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    batch.entries[i] = {static_cast<std::uint32_t>(shards[i]),
+                        delta ? cached_versions_[shards[i]] : kPullAnyVersion};
+  }
+}
+
+std::uint64_t ShardClient::ComposeBatch(std::size_t b, bool delta,
+                                        PullBatchResp& batch,
+                                        std::vector<double>& params) {
+  const std::vector<std::size_t>& shards = pull_batches_[b];
+  SPECSYNC_CHECK_EQ(batch.items.size(), shards.size());
+  std::uint64_t version = 0;
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    version = std::max(
+        version, ComposeShard(shards[i], delta, batch.items[i], params));
+  }
+  return version;
 }
 
 std::uint64_t ShardClient::ComposeShard(std::size_t s, bool delta,
@@ -677,7 +783,8 @@ std::uint64_t ShardClient::ComposeShard(std::size_t s, bool delta,
   return resp.global_version;
 }
 
-std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch) {
+void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
+                                  bool fused) {
   // int8/fp16 ship the kind-2 coded encoding; the gradient must already be
   // codec-transformed so the doubles re-quantize to exactly the bits the
   // server will decode (ps/compression.h's idempotency contract).
@@ -686,102 +793,111 @@ std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch) {
       (kind == CodecKind::kInt8 || kind == CodecKind::kFp16)
           ? static_cast<std::uint8_t>(kind)
           : 0;
-  // Build the per-shard slices (the client-side half of RouteGradient).
-  std::vector<PushShardReq> slices;
+  const std::vector<ShardPlacement>& placement = config_.topology.shards;
+
+  // The shards the push touches, ascending, with each one's entry count
+  // (the client-side half of RouteGradient). The cursor re-searches the
+  // placement only when an index leaves the current shard's range, so
+  // sorted indices route in O(nnz).
+  std::size_t owner = 0;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  const auto owner_of = [&](std::uint64_t raw) {
+    const auto index = static_cast<std::size_t>(raw);
+    if (index < lo || index >= hi) {
+      owner = ShardOf(index);
+      lo = placement[owner].offset;
+      hi = lo + placement[owner].length;
+    }
+    return owner;
+  };
+  push_shards_.clear();
   if (!grad.is_sparse()) {
     SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
-    for (std::size_t s = 0; s < num_shards(); ++s) {
-      const ShardPlacement& shard = config_.topology.shards[s];
-      PushShardReq req;
-      req.shard = static_cast<std::uint32_t>(s);
-      req.epoch = epoch;
-      req.coded = coded;
-      req.dense_offset = shard.offset;
-      req.dense.assign(grad.dense().begin() +
-                           static_cast<std::ptrdiff_t>(shard.offset),
-                       grad.dense().begin() + static_cast<std::ptrdiff_t>(
-                                                  shard.offset + shard.length));
-      slices.push_back(std::move(req));
-    }
+    for (std::size_t s = 0; s < num_shards(); ++s) push_shards_.push_back(s);
   } else {
-    std::vector<PushShardReq> by_shard(num_shards());
-    const auto indices = grad.sparse().indices();
-    const auto values = grad.sparse().values();
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const std::size_t s = ShardOf(static_cast<std::size_t>(indices[i]));
-      by_shard[s].indices.push_back(indices[i]);
-      by_shard[s].values.push_back(values[i]);
+    std::fill(slice_entries_.begin(), slice_entries_.end(), 0);
+    for (const std::uint64_t index : grad.sparse().indices()) {
+      ++slice_entries_[owner_of(index)];
     }
-    for (std::size_t s = 0; s < by_shard.size(); ++s) {
-      if (by_shard[s].indices.empty()) continue;
-      by_shard[s].shard = static_cast<std::uint32_t>(s);
-      by_shard[s].epoch = epoch;
-      by_shard[s].sparse = true;
-      by_shard[s].coded = coded;
-      slices.push_back(std::move(by_shard[s]));
+    for (std::size_t s = 0; s < num_shards(); ++s) {
+      if (slice_entries_[s] > 0) push_shards_.push_back(s);
     }
     // Like RouteGradient: an empty gradient still crosses the wire as one
     // empty slice, so the push protocol sees exactly one logical push.
-    if (slices.empty()) {
-      PushShardReq req;
-      req.shard = 0;
-      req.epoch = epoch;
-      req.sparse = true;
-      req.coded = coded;
-      slices.push_back(std::move(req));
+    if (push_shards_.empty()) push_shards_.push_back(0);
+  }
+
+  // One batch per server touched, ordered by first shard, each holding its
+  // shards' slices in shard order. Frames and slices are reused across
+  // pushes, so steady-state pushes refill buffers instead of growing them.
+  const std::uint64_t push_seq = ++push_seq_;
+  push_links_.clear();
+  std::fill(link_slices_.begin(), link_slices_.end(), 0);
+  for (const std::size_t s : push_shards_) {
+    const std::size_t l = shard_link_[s];
+    if (link_slices_[l]++ == 0) push_links_.push_back(l);
+  }
+  for (const std::size_t l : push_links_) {
+    CommitPushReq& batch = fused ? Reuse<PushPullReq>(push_frames_[l]).push
+                                 : Reuse<CommitPushReq>(push_frames_[l]);
+    batch.client_id = client_id_;
+    batch.push_seq = push_seq;
+    batch.slices.resize(link_slices_[l]);
+    link_slices_[l] = 0;  // now the fill position below
+  }
+  for (const std::size_t s : push_shards_) {
+    const std::size_t l = shard_link_[s];
+    WireMessage& frame = push_frames_[l];
+    CommitPushReq& batch = fused ? std::get<PushPullReq>(frame).push
+                                 : std::get<CommitPushReq>(frame);
+    PushShardReq& slice = batch.slices[link_slices_[l]++];
+    slice_of_[s] = &slice;
+    slice.shard = static_cast<std::uint32_t>(s);
+    slice.epoch = epoch;
+    slice.sparse = grad.is_sparse();
+    slice.coded = coded;
+    if (!slice.sparse) {
+      const ShardPlacement& shard = placement[s];
+      slice.dense_offset = shard.offset;
+      const auto begin =
+          grad.dense().begin() + static_cast<std::ptrdiff_t>(shard.offset);
+      slice.dense.assign(begin,
+                         begin + static_cast<std::ptrdiff_t>(shard.length));
+      slice.indices.clear();
+      slice.values.clear();
+    } else {
+      slice.dense_offset = 0;
+      slice.dense.clear();
+      slice.indices.resize(slice_entries_[s]);
+      slice.values.resize(slice_entries_[s]);
+      slice_entries_[s] = 0;  // now the fill position below
     }
   }
+  if (grad.is_sparse()) {
+    const auto indices = grad.sparse().indices();
+    const auto values = grad.sparse().values();
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      const std::size_t s = owner_of(indices[i]);
+      PushShardReq& slice = *slice_of_[s];
+      const std::size_t at = slice_entries_[s]++;
+      slice.indices[at] = indices[i];
+      slice.values[at] = values[i];
+    }
+  }
+
   if (coded != 0 && push_saved_counter_ != nullptr) {
     // Payload delta vs the classic encoding, same model CodedRouteBytes uses
     // for the sim (indices+doubles vs indices+quantized values).
     std::uint64_t saved = 0;
-    for (const PushShardReq& req : slices) {
+    for (const std::size_t s : push_shards_) {
+      const PushShardReq& req = *slice_of_[s];
       const std::uint64_t raw = req.sparse ? req.indices.size() * 16
                                            : req.dense.size() * 8;
       saved += raw - std::min(raw, CodedRouteBytes(kind, req.sparse, raw));
     }
     push_saved_counter_->Increment(saved);
   }
-
-  // One sequence number per logical push, the same on every retry attempt.
-  // Serializing pushes keeps each server's view of this client's sequence
-  // in order, which is what lets a single watermark reject every repeat.
-  std::scoped_lock push_lock(push_mutex_);
-  const std::uint64_t push_seq = ++push_seq_;
-
-  // One batch per server touched, all pipelined: a single round trip.
-  constexpr std::size_t kNoBatch = ~std::size_t{0};
-  std::vector<std::size_t> link_batch(links_.size(), kNoBatch);
-  std::vector<WireMessage> batches;
-  std::vector<std::size_t> batch_shards;  // first shard of each batch
-  for (PushShardReq& slice : slices) {
-    std::size_t& b = link_batch[shard_link_[slice.shard]];
-    if (b == kNoBatch) {
-      b = batches.size();
-      batches.emplace_back(CommitPushReq{client_id_, push_seq, {}});
-      batch_shards.push_back(slice.shard);
-    }
-    std::get<CommitPushReq>(batches[b]).slices.push_back(std::move(slice));
-  }
-  std::vector<Ticket> tickets;
-  tickets.reserve(batches.size());
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    Ticket ticket = MakeTicket(batch_shards[i], &batches[i]);
-    IssueUntilInFlight(ticket);
-    tickets.push_back(std::move(ticket));
-  }
-  std::uint64_t version = 0;
-  for (Ticket& ticket : tickets) {
-    WireMessage response = Await(ticket);
-    const auto* ack = std::get_if<AckResp>(&response);
-    SPECSYNC_CHECK(ack != nullptr);
-    version = std::max(version, ack->value);
-  }
-  // Only this function writes, and pushes are serialized above.
-  last_acked_version_.store(
-      std::max(version, last_acked_version_.load(std::memory_order_relaxed)),
-      std::memory_order_relaxed);
-  return version;
 }
 
 ShardClient::Stats ShardClient::stats() const {

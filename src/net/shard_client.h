@@ -8,8 +8,13 @@
 // outgrow the frame cap; see PlanPullBatches), issues all batches before
 // awaiting any, and composes the answers: one pipelined round trip and one
 // frame per server. Push() groups the per-shard slices by link and sends one
-// CommitPushReq batch per server touched — one pipelined round trip per
-// push, which each server applies and commits exactly once.
+// CommitPushReq batch per server touched, which each server applies and
+// commits exactly once. PushAndPull() is one pipelined round trip per
+// iteration: each server the push touches gets one PushPullReq carrying its
+// push batch and its (first) pull batch, applied and then served in that
+// order, so the snapshot includes the push; any other pull batch rides as a
+// plain PullBatchReq alongside. All three share one routing, batch-building
+// and composing path, so delta pulls and coded pushes work the same in each.
 //
 // Link anatomy. Each link owns a receiver thread and a pending-request table
 // (request_id → caller's stack slot + deadline). A caller registers its slot,
@@ -156,6 +161,17 @@ class ShardClient {
   // once. Returns the largest committed global version reported.
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
+  // Push() and the next Pull() in one pipelined round trip: one PushPullReq
+  // per server the push touches (its push batch plus its first pull batch)
+  // and a plain PullBatchReq for every other pull batch. Each server serves
+  // the pull after applying the push, so `pull` includes this push (a
+  // retried frame still applies once, and gets a fresh pull).
+  struct PushPullResult {
+    std::uint64_t version = 0;  // as Push() returns it
+    PullResult pull;            // as Pull() returns it
+  };
+  PushPullResult PushAndPull(const Gradient& grad, EpochId epoch);
+
   std::size_t dim() const { return dim_; }
   std::size_t num_shards() const { return config_.topology.shards.size(); }
   // Physical connections (distinct endpoints), not shards.
@@ -206,6 +222,23 @@ class ShardClient {
   void RecordClientSpan(const Ticket& ticket);
   // Issue + Await: one synchronous request.
   WireMessage Call(std::size_t shard, const WireMessage& request);
+  // The engine behind Push, Pull and PushAndPull: pushes `grad` when it is
+  // non-null, pulls into `pull` when that is non-null (fusing the two per
+  // server when both are), every frame pipelined. Returns the largest
+  // global version the push was acked at (0 without a push).
+  std::uint64_t Exchange(const Gradient* grad, EpochId epoch,
+                         PullResult* pull);
+  // Routes `grad` into push_frames_ (PushPullReq frames when `fused`, else
+  // CommitPushReq) under a fresh push_seq and lists the links it touches in
+  // push_links_. Caller holds push_mutex_.
+  void BuildPushFrames(const Gradient& grad, EpochId epoch, bool fused);
+  // Writes pull batch `b`'s entries (cached versions in delta mode) into
+  // `batch`. Caller holds the cache lock in delta mode.
+  void FillPullBatch(std::size_t b, bool delta, PullBatchReq& batch) const;
+  // Composes pull batch `b`'s answer into `params`; returns the largest
+  // global version its items reported.
+  std::uint64_t ComposeBatch(std::size_t b, bool delta, PullBatchResp& batch,
+                             std::vector<double>& params);
   // Checks shard `s`'s batch item against the topology and the delta cache,
   // writes the shard into `params` (refreshing the cache in delta mode), and
   // returns the global version the item reported. Caller holds the cache
@@ -223,12 +256,23 @@ class ShardClient {
   const std::uint64_t client_id_;
   std::mutex push_mutex_;
   std::uint64_t push_seq_ = 0;
+  // Push buffers reused by every push (guarded by push_mutex_): one frame
+  // per link, the links and shards the current push touches, and per-shard
+  // slice entry counts and slice pointers into the frames.
+  std::vector<WireMessage> push_frames_;
+  std::vector<std::size_t> push_links_;
+  std::vector<std::size_t> push_shards_;
+  std::vector<std::size_t> link_slices_;
+  std::vector<std::size_t> slice_entries_;
+  std::vector<PushShardReq*> slice_of_;
   // Largest global version any push batch was acked at (for diagnoses).
   std::atomic<std::uint64_t> last_acked_version_{0};
   std::vector<std::size_t> shard_link_;  // shard id → links_ index
   std::vector<std::unique_ptr<Link>> links_;
-  // PlanPullBatches(topology): the shards of each PullBatchReq Pull() sends.
+  // PlanPullBatches(topology): the shards of each pull batch, and per link
+  // the batch a fused push frame carries (the link's first).
   std::vector<std::vector<std::size_t>> pull_batches_;
+  std::vector<std::size_t> link_pull_batch_;
 
   obs::LatencyHistogram* rtt_hist_ = nullptr;
   obs::Counter* retry_counter_ = nullptr;
@@ -241,8 +285,8 @@ class ShardClient {
   // Delta-pull cache: last pulled copy + shard version per shard
   // (kPullAnyVersion = never pulled; 0 is a real version), which is exactly
   // the known_version each batch entry carries. Guarded by cache_mutex_ —
-  // Pull() is the only reader/writer, the mutex just keeps concurrent Pull()
-  // callers on one client well-defined.
+  // pulls are the only readers/writers, the mutex just keeps concurrent
+  // pulls on one client well-defined.
   std::mutex cache_mutex_;
   std::vector<std::vector<double>> cached_params_;
   std::vector<std::uint64_t> cached_versions_;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <iterator>
 
 #include "common/check.h"
 #include "ps/compression.h"
@@ -152,19 +153,16 @@ class Reader {
   bool ok_ = true;
 };
 
+// The MsgType of each WireMessage alternative, in variant order.
+constexpr MsgType kMessageTypes[] = {
+    MsgType::kPullShardReq,  MsgType::kPullShardResp, MsgType::kPushShardReq,
+    MsgType::kCommitPushReq, MsgType::kAck,           MsgType::kPullBatchReq,
+    MsgType::kPullBatchResp, MsgType::kPushPullReq,   MsgType::kPushPullResp,
+};
+static_assert(std::size(kMessageTypes) == std::variant_size_v<WireMessage>);
+
 MsgType TypeOf(const WireMessage& message) {
-  struct Visitor {
-    MsgType operator()(const PullShardReq&) { return MsgType::kPullShardReq; }
-    MsgType operator()(const PullShardResp&) { return MsgType::kPullShardResp; }
-    MsgType operator()(const PushShardReq&) { return MsgType::kPushShardReq; }
-    MsgType operator()(const CommitPushReq&) { return MsgType::kCommitPushReq; }
-    MsgType operator()(const AckResp&) { return MsgType::kAck; }
-    MsgType operator()(const PullBatchReq&) { return MsgType::kPullBatchReq; }
-    MsgType operator()(const PullBatchResp&) {
-      return MsgType::kPullBatchResp;
-    }
-  };
-  return std::visit(Visitor{}, message);
+  return kMessageTypes[message.index()];
 }
 
 const char* MsgTypeName(MsgType type) {
@@ -176,6 +174,8 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kAck: return "AckResp";
     case MsgType::kPullBatchReq: return "PullBatchReq";
     case MsgType::kPullBatchResp: return "PullBatchResp";
+    case MsgType::kPushPullReq: return "PushPullReq";
+    case MsgType::kPushPullResp: return "PushPullResp";
   }
   return "unknown";
 }
@@ -294,35 +294,69 @@ void EncodePullBatchItem(const PullBatchItem& item, Writer& w) {
   w.PutU64(unchanged.global_version);
 }
 
-void EncodePayload(const WireMessage& message, Writer& w) {
-  struct Visitor {
-    Writer& w;
-    void operator()(const PullShardReq& m) { w.PutU32(m.shard); }
-    void operator()(const PullShardResp& m) { EncodePullShardResp(m, w); }
-    void operator()(const PushShardReq& m) { EncodePushShard(m, w); }
-    void operator()(const CommitPushReq& m) {
-      w.PutU64(m.client_id);
-      w.PutU64(m.push_seq);
-      w.PutU32(static_cast<std::uint32_t>(m.slices.size()));
-      for (const PushShardReq& slice : m.slices) EncodePushShard(slice, w);
-    }
-    void operator()(const AckResp& m) {
-      w.PutU32(m.status);
-      w.PutU64(m.value);
-    }
-    void operator()(const PullBatchReq& m) {
-      w.PutU32(static_cast<std::uint32_t>(m.entries.size()));
-      for (const PullBatchEntry& entry : m.entries) {
-        w.PutU32(entry.shard);
-        w.PutU64(entry.known_version);
-      }
-    }
-    void operator()(const PullBatchResp& m) {
-      w.PutU32(static_cast<std::uint32_t>(m.items.size()));
-      for (const PullBatchItem& item : m.items) EncodePullBatchItem(item, w);
-    }
-  };
-  std::visit(Visitor{w}, message);
+// One overload per message: the payload fields, trace extension excluded.
+// The fused types are their two halves back to back, each byte-identical to
+// the standalone payload.
+void EncodeBody(const PullShardReq& m, Writer& w) { w.PutU32(m.shard); }
+void EncodeBody(const PullShardResp& m, Writer& w) {
+  EncodePullShardResp(m, w);
+}
+void EncodeBody(const PushShardReq& m, Writer& w) { EncodePushShard(m, w); }
+void EncodeBody(const CommitPushReq& m, Writer& w) {
+  w.PutU64(m.client_id);
+  w.PutU64(m.push_seq);
+  w.PutU32(static_cast<std::uint32_t>(m.slices.size()));
+  for (const PushShardReq& slice : m.slices) EncodePushShard(slice, w);
+}
+void EncodeBody(const AckResp& m, Writer& w) {
+  w.PutU32(m.status);
+  w.PutU64(m.value);
+}
+void EncodeBody(const PullBatchReq& m, Writer& w) {
+  w.PutU32(static_cast<std::uint32_t>(m.entries.size()));
+  for (const PullBatchEntry& entry : m.entries) {
+    w.PutU32(entry.shard);
+    w.PutU64(entry.known_version);
+  }
+}
+void EncodeBody(const PullBatchResp& m, Writer& w) {
+  w.PutU32(static_cast<std::uint32_t>(m.items.size()));
+  for (const PullBatchItem& item : m.items) EncodePullBatchItem(item, w);
+}
+void EncodeBody(const PushPullReq& m, Writer& w) {
+  EncodeBody(m.push, w);
+  EncodeBody(m.pull, w);
+}
+void EncodeBody(const PushPullResp& m, Writer& w) {
+  EncodeBody(m.ack, w);
+  EncodeBody(m.pull, w);
+}
+
+// EncodeBody's output size, overload for overload.
+std::size_t BodyBytes(const PullShardReq&) { return 4; }
+std::size_t BodyBytes(const PullShardResp& m) {
+  return PullShardRespBytes(m.params.size());
+}
+std::size_t BodyBytes(const PushShardReq& m) { return PushShardBytes(m); }
+std::size_t BodyBytes(const CommitPushReq& m) {
+  std::size_t bytes = 8 + 8 + 4;
+  for (const PushShardReq& slice : m.slices) bytes += PushShardBytes(slice);
+  return bytes;
+}
+std::size_t BodyBytes(const AckResp&) { return 4 + 8; }
+std::size_t BodyBytes(const PullBatchReq& m) {
+  return 4 + kPullBatchEntryBytes * m.entries.size();
+}
+std::size_t BodyBytes(const PullBatchResp& m) {
+  std::size_t bytes = kPullBatchRespHeadBytes;
+  for (const PullBatchItem& item : m.items) bytes += PullBatchItemBytes(item);
+  return bytes;
+}
+std::size_t BodyBytes(const PushPullReq& m) {
+  return BodyBytes(m.push) + BodyBytes(m.pull);
+}
+std::size_t BodyBytes(const PushPullResp& m) {
+  return BodyBytes(m.ack) + BodyBytes(m.pull);
 }
 
 }  // namespace
@@ -356,31 +390,9 @@ const char* WireStatusName(WireStatus status) {
 
 std::size_t EncodedPayloadBytes(const WireMessage& message,
                                 const TraceContext* trace) {
-  struct Visitor {
-    std::size_t operator()(const PullShardReq&) { return 4; }
-    std::size_t operator()(const PullShardResp& m) {
-      return PullShardRespBytes(m.params.size());
-    }
-    std::size_t operator()(const PushShardReq& m) { return PushShardBytes(m); }
-    std::size_t operator()(const CommitPushReq& m) {
-      std::size_t bytes = 8 + 8 + 4;
-      for (const PushShardReq& slice : m.slices) bytes += PushShardBytes(slice);
-      return bytes;
-    }
-    std::size_t operator()(const AckResp&) { return 4 + 8; }
-    std::size_t operator()(const PullBatchReq& m) {
-      return 4 + kPullBatchEntryBytes * m.entries.size();
-    }
-    std::size_t operator()(const PullBatchResp& m) {
-      std::size_t bytes = kPullBatchRespHeadBytes;
-      for (const PullBatchItem& item : m.items) {
-        bytes += PullBatchItemBytes(item);
-      }
-      return bytes;
-    }
-  };
   const bool traced = trace != nullptr && trace->valid();
-  return std::visit(Visitor{}, message) + (traced ? kTraceExtFrameBytes : 0);
+  return std::visit([](const auto& m) { return BodyBytes(m); }, message) +
+         (traced ? kTraceExtFrameBytes : 0);
 }
 
 std::size_t PullBatchFullItemBytes(std::size_t params) {
@@ -403,7 +415,7 @@ std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
   w.PutU16(static_cast<std::uint16_t>(type));
   w.PutU64(request_id);
   w.PutU32(static_cast<std::uint32_t>(payload));
-  EncodePayload(message, w);
+  std::visit([&w](const auto& m) { EncodeBody(m, w); }, message);
   if (trace != nullptr && trace->valid()) {
     w.PutU32(kTraceExtMagic);
     w.PutU16(kTraceExtBytes);
@@ -430,6 +442,8 @@ WireStatus DecodeHeader(std::span<const std::uint8_t> bytes,
     case MsgType::kAck:
     case MsgType::kPullBatchReq:
     case MsgType::kPullBatchResp:
+    case MsgType::kPushPullReq:
+    case MsgType::kPushPullResp:
       break;
     default:
       return WireStatus::kBadType;  // includes the reserved 6 and 7
@@ -560,6 +574,81 @@ WireStatus DecodePullBatchItem(Reader& r, PullBatchItem& item) {
 // The smallest item: a kind byte and a not-modified slice.
 constexpr std::size_t kMinPullBatchItemBytes = 1 + kNotModifiedBytes;
 
+// One overload per message, EncodeBody's inverse: the payload fields from
+// the reader's position, trace extension excluded.
+WireStatus DecodeBody(Reader& r, PullShardReq& m) {
+  m.shard = r.TakeU32();
+  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+}
+WireStatus DecodeBody(Reader& r, PullShardResp& m) {
+  return DecodePullShardResp(r, m) ? WireStatus::kOk : WireStatus::kTruncated;
+}
+WireStatus DecodeBody(Reader& r, PushShardReq& m) {
+  return DecodePushShard(r, m);
+}
+WireStatus DecodeBody(Reader& r, CommitPushReq& m) {
+  m.client_id = r.TakeU64();
+  m.push_seq = r.TakeU64();
+  const std::uint32_t count = r.TakeU32();
+  if (!r.ok() || !r.CanTake(count, kMinPushShardBytes)) {
+    return WireStatus::kTruncated;
+  }
+  m.slices.resize(count);
+  for (PushShardReq& slice : m.slices) {
+    const WireStatus status = DecodePushShard(r, slice);
+    if (status != WireStatus::kOk) return status;
+  }
+  return WireStatus::kOk;
+}
+WireStatus DecodeBody(Reader& r, AckResp& m) {
+  m.status = r.TakeU32();
+  m.value = r.TakeU64();
+  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+}
+WireStatus DecodeBody(Reader& r, PullBatchReq& m) {
+  const std::uint32_t count = r.TakeU32();
+  if (!r.ok() || !r.CanTake(count, kPullBatchEntryBytes)) {
+    return WireStatus::kTruncated;
+  }
+  m.entries.resize(count);
+  for (PullBatchEntry& entry : m.entries) {
+    entry.shard = r.TakeU32();
+    entry.known_version = r.TakeU64();
+  }
+  return WireStatus::kOk;
+}
+WireStatus DecodeBody(Reader& r, PullBatchResp& m) {
+  const std::uint32_t count = r.TakeU32();
+  if (!r.ok() || !r.CanTake(count, kMinPullBatchItemBytes)) {
+    return WireStatus::kTruncated;
+  }
+  m.items.resize(count);
+  for (PullBatchItem& item : m.items) {
+    const WireStatus status = DecodePullBatchItem(r, item);
+    if (status != WireStatus::kOk) return status;
+  }
+  return WireStatus::kOk;
+}
+WireStatus DecodeBody(Reader& r, PushPullReq& m) {
+  const WireStatus push = DecodeBody(r, m.push);
+  return push != WireStatus::kOk ? push : DecodeBody(r, m.pull);
+}
+WireStatus DecodeBody(Reader& r, PushPullResp& m) {
+  const WireStatus ack = DecodeBody(r, m.ack);
+  return ack != WireStatus::kOk ? ack : DecodeBody(r, m.pull);
+}
+
+// A whole payload: the body, then the optional trace extension. `out` is
+// assigned only when both decode.
+template <typename T>
+WireStatus DecodeMessage(Reader& r, WireMessage& out, TraceContext* trace) {
+  T m;
+  WireStatus status = DecodeBody(r, m);
+  if (status == WireStatus::kOk) status = DecodeTraceTail(r, trace);
+  if (status == WireStatus::kOk) out = std::move(m);
+  return status;
+}
+
 }  // namespace
 
 WireStatus DecodePayload(const FrameHeader& header,
@@ -569,92 +658,24 @@ WireStatus DecodePayload(const FrameHeader& header,
   if (payload.size() > header.payload_bytes) return WireStatus::kMalformed;
   Reader r(payload);
   switch (header.type) {
-    case MsgType::kPullShardReq: {
-      PullShardReq m;
-      m.shard = r.TakeU32();
-      if (!r.ok()) return WireStatus::kTruncated;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
-    }
-    case MsgType::kPullShardResp: {
-      PullShardResp m;
-      if (!DecodePullShardResp(r, m)) return WireStatus::kTruncated;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
-    }
-    case MsgType::kPushShardReq: {
-      PushShardReq m;
-      const WireStatus slice = DecodePushShard(r, m);
-      if (slice != WireStatus::kOk) return slice;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
-    }
-    case MsgType::kCommitPushReq: {
-      CommitPushReq m;
-      m.client_id = r.TakeU64();
-      m.push_seq = r.TakeU64();
-      const std::uint32_t count = r.TakeU32();
-      if (!r.ok() || !r.CanTake(count, kMinPushShardBytes)) {
-        return WireStatus::kTruncated;
-      }
-      m.slices.resize(count);
-      for (PushShardReq& slice : m.slices) {
-        const WireStatus status = DecodePushShard(r, slice);
-        if (status != WireStatus::kOk) return status;
-      }
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
-    }
-    case MsgType::kAck: {
-      AckResp m;
-      m.status = r.TakeU32();
-      m.value = r.TakeU64();
-      if (!r.ok()) return WireStatus::kTruncated;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = m;
-      return WireStatus::kOk;
-    }
-    case MsgType::kPullBatchReq: {
-      PullBatchReq m;
-      const std::uint32_t count = r.TakeU32();
-      if (!r.ok() || !r.CanTake(count, kPullBatchEntryBytes)) {
-        return WireStatus::kTruncated;
-      }
-      m.entries.resize(count);
-      for (PullBatchEntry& entry : m.entries) {
-        entry.shard = r.TakeU32();
-        entry.known_version = r.TakeU64();
-      }
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
-    }
-    case MsgType::kPullBatchResp: {
-      PullBatchResp m;
-      const std::uint32_t count = r.TakeU32();
-      if (!r.ok() || !r.CanTake(count, kMinPullBatchItemBytes)) {
-        return WireStatus::kTruncated;
-      }
-      m.items.resize(count);
-      for (PullBatchItem& item : m.items) {
-        const WireStatus status = DecodePullBatchItem(r, item);
-        if (status != WireStatus::kOk) return status;
-      }
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
-    }
+    case MsgType::kPullShardReq:
+      return DecodeMessage<PullShardReq>(r, out, trace);
+    case MsgType::kPullShardResp:
+      return DecodeMessage<PullShardResp>(r, out, trace);
+    case MsgType::kPushShardReq:
+      return DecodeMessage<PushShardReq>(r, out, trace);
+    case MsgType::kCommitPushReq:
+      return DecodeMessage<CommitPushReq>(r, out, trace);
+    case MsgType::kAck:
+      return DecodeMessage<AckResp>(r, out, trace);
+    case MsgType::kPullBatchReq:
+      return DecodeMessage<PullBatchReq>(r, out, trace);
+    case MsgType::kPullBatchResp:
+      return DecodeMessage<PullBatchResp>(r, out, trace);
+    case MsgType::kPushPullReq:
+      return DecodeMessage<PushPullReq>(r, out, trace);
+    case MsgType::kPushPullResp:
+      return DecodeMessage<PushPullResp>(r, out, trace);
   }
   return WireStatus::kBadType;
 }

@@ -71,6 +71,16 @@
 //                          u32 shard, u64 shard_version, u64 global_version.
 //                  Other kinds are kMalformed. No per-item length prefix —
 //                  slices are self-delimiting.
+//   PushPullReq    a CommitPushReq payload, then a PullBatchReq payload, each
+//                  byte-identical to its standalone payload. One push to one
+//                  server fused with the same client's next pull from it:
+//                  the server validates both halves before touching the
+//                  store, applies the push exactly once (a repeat gets the
+//                  cached ack), then serves the pull, so the snapshot always
+//                  includes the push. A rejected half is answered with a
+//                  plain error AckResp.
+//   PushPullResp   an AckResp payload, then a PullBatchResp payload, each
+//                  byte-identical to its standalone payload.
 //   Types 6 and 7 are reserved: they were the per-shard delta pull and its
 //   standalone not-modified answer, which PullBatchReq/PullBatchResp
 //   replaced. They decode as kBadType.
@@ -125,6 +135,8 @@ enum class MsgType : std::uint16_t {
   // 6 and 7 are reserved (see the payload table above).
   kPullBatchReq = 8,
   kPullBatchResp = 9,
+  kPushPullReq = 10,
+  kPushPullResp = 11,
 };
 
 // Trace-context extension framing ("XCRT" bytes little-endian spell TRCX).
@@ -234,11 +246,26 @@ struct PullBatchResp {
   std::vector<PullBatchItem> items;
 };
 
+// One push to one server and the same client's next pull from it, in one
+// frame: the server applies `push` exactly once, then serves `pull`.
+struct PushPullReq {
+  CommitPushReq push;
+  PullBatchReq pull;
+};
+
+// The answer to a PushPullReq whose halves both validated: the push's ack
+// (the cached one for a repeat) and a pull served after the push applied.
+struct PushPullResp {
+  AckResp ack;
+  PullBatchResp pull;
+};
+
 // Call sites match alternatives by type (std::get_if), never by index; on
 // the wire each is told apart by its MsgType.
 using WireMessage =
     std::variant<PullShardReq, PullShardResp, PushShardReq, CommitPushReq,
-                 AckResp, PullBatchReq, PullBatchResp>;
+                 AckResp, PullBatchReq, PullBatchResp, PushPullReq,
+                 PushPullResp>;
 
 enum class WireStatus {
   kOk = 0,

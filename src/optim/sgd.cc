@@ -47,10 +47,17 @@ void SgdApplier::ApplyDenseSlice(std::span<const double> grad, EpochId epoch,
 std::size_t SgdApplier::ApplySparseSlice(const SparseUpdate& grad,
                                          EpochId epoch, std::size_t offset,
                                          std::span<double> params) const {
+  return ApplySparseSlice(grad.indices(), grad.values(), epoch, offset,
+                          params);
+}
+
+std::size_t SgdApplier::ApplySparseSlice(std::span<const std::uint64_t> indices,
+                                         std::span<const double> values,
+                                         EpochId epoch, std::size_t offset,
+                                         std::span<double> params) const {
+  SPECSYNC_CHECK_EQ(indices.size(), values.size());
   const double eta = schedule_->Rate(epoch);
   const double alpha = -eta;
-  const auto indices = grad.indices();
-  const auto values = grad.values();
   const std::size_t end = offset + params.size();
   std::size_t applied = 0;
   for (std::size_t i = 0; i < indices.size(); ++i) {

@@ -44,6 +44,14 @@ class SgdApplier {
                                std::size_t offset,
                                std::span<double> params) const;
 
+  // The same over decoded entry arrays (the wire path applies a pushed
+  // slice in place): values[i] belongs to indices[i], so the two spans must
+  // be equally long.
+  std::size_t ApplySparseSlice(std::span<const std::uint64_t> indices,
+                               std::span<const double> values, EpochId epoch,
+                               std::size_t offset,
+                               std::span<double> params) const;
+
   double Rate(EpochId epoch) const { return schedule_->Rate(epoch); }
 
  private:

@@ -255,22 +255,31 @@ void ParameterServer::RouteGradientInto(
 
 bool ParameterServer::PushShard(std::size_t s, const Gradient& grad,
                                 EpochId epoch) {
+  if (grad.is_sparse()) {
+    return PushShardSparse(s, grad.sparse().indices(), grad.sparse().values(),
+                           epoch);
+  }
+  SPECSYNC_CHECK_LT(s, shards_.size());
+  SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
+  const Shard& shard = *shards_[s];
+  return PushShardDenseSlice(
+      s,
+      std::span<const double>(grad.dense().data() + shard.offset,
+                              shard.length),
+      epoch);
+}
+
+bool ParameterServer::PushShardSparse(std::size_t s,
+                                      std::span<const std::uint64_t> indices,
+                                      std::span<const double> values,
+                                      EpochId epoch) {
   SPECSYNC_CHECK_LT(s, shards_.size());
   Shard& shard = *shards_[s];
   TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
-  const std::span<double> slice(params_.data() + shard.offset, shard.length);
-  bool touched = false;
-  if (grad.is_sparse()) {
-    touched = applier_->ApplySparseSlice(grad.sparse(), epoch, shard.offset,
-                                         slice) > 0;
-  } else {
-    SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
-    applier_->ApplyDenseSlice(
-        std::span<const double>(grad.dense().data() + shard.offset,
-                                shard.length),
-        epoch, slice);
-    touched = shard.length > 0;
-  }
+  const bool touched =
+      applier_->ApplySparseSlice(
+          indices, values, epoch, shard.offset,
+          std::span<double>(params_.data() + shard.offset, shard.length)) > 0;
   if (touched) ++shard.version;
   return touched;
 }

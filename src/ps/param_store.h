@@ -129,6 +129,13 @@ class ParameterServer {
   bool PushShardDenseSlice(std::size_t s, std::span<const double> slice,
                            EpochId epoch);
 
+  // Wire-path variant of PushShard for sparse gradients: the decoded
+  // entries (values[i] belongs to indices[i]) are applied in place, never
+  // copied into a Gradient first. Entries outside shard `s` are skipped, as
+  // PushShard skips them. Same version semantics as PushShard.
+  bool PushShardSparse(std::size_t s, std::span<const std::uint64_t> indices,
+                       std::span<const double> values, EpochId epoch);
+
   // Completes a logical push whose slices were applied via PushShard: bumps
   // and returns the global version. A network-duplicated slice re-applied
   // without a commit is intentionally not a new logical push.

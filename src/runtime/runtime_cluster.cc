@@ -1,6 +1,7 @@
 #include "runtime/runtime_cluster.h"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <variant>
@@ -278,11 +279,17 @@ struct RuntimeCluster::Impl {
     return shard_clients[w]->Pull();
   }
 
-  // `routes` is RouteGradientInto(grad); the wire client routes by itself.
+  // `routes` is RouteGradientInto(grad) on the in-process store; the wire
+  // client routes by itself. With `next_pull` set (wire clients only), the
+  // push's round trip also pulls the snapshot the next iteration starts
+  // from, served after the push applied.
   void PushGradient(WorkerId w, const Gradient& grad, EpochId epoch,
-                    std::span<const ParameterServer::ShardRoute> routes) {
+                    std::span<const ParameterServer::ShardRoute> routes,
+                    std::optional<PullResult>* next_pull) {
     if (shard_clients.empty()) {
       server->Push(grad, epoch, routes);
+    } else if (next_pull != nullptr) {
+      *next_pull = std::move(shard_clients[w]->PushAndPull(grad, epoch).pull);
     } else {
       shard_clients[w]->Push(grad, epoch);
     }
@@ -373,6 +380,13 @@ struct RuntimeCluster::Impl {
     const std::size_t chunk_size =
         std::max<std::size_t>(1, config.batch_size / config.compute_chunks);
 
+    // Over the wire with no gate, each push but the last also fetches the
+    // next iteration's snapshot in the same round trip (the pull needs no
+    // admission, so nothing has to happen between the two). An abort or a
+    // crash rejoin discards it: those re-pull fresher parameters.
+    const bool fuse_pull = !shard_clients.empty() && !gate;
+    std::optional<PullResult> prefetched;
+
     // Injected crash: honored at iteration start and chunk boundaries (like
     // aborts, an in-flight chunk always completes). One lifecycle event per
     // worker; the down/up messages ride the reliable failure-detection path.
@@ -384,6 +398,7 @@ struct RuntimeCluster::Impl {
     // Returns true when the death is permanent (worker thread exits).
     const auto handle_crash = [&] {
       crash_pending = false;
+      prefetched.reset();
       faults.CountCrash();
       // Excuse this worker from the consistency minimum before going dark,
       // or every SSP-gated peer deadlocks on the corpse (the runtime has no
@@ -447,8 +462,11 @@ struct RuntimeCluster::Impl {
         obs::ScopedTimer iteration_timer(iteration_hist);
         // Shard pulls fan out across the shared pool (a real worker requests
         // every server concurrently and resumes when the slowest responds).
+        // A snapshot the last push prefetched is this pull, already done.
         const SimTime pull_begin = obs != nullptr ? clock.Now() : SimTime();
-        PullResult snapshot = PullParams(w);
+        PullResult snapshot =
+            prefetched.has_value() ? std::move(*prefetched) : PullParams(w);
+        prefetched.reset();
         if (obs != nullptr) {
           pull_counter->Increment();
           obs->spans.AddSpan("pull", "pull", w, pull_begin, clock.Now(),
@@ -519,7 +537,8 @@ struct RuntimeCluster::Impl {
 
         // The push span covers the whole commit and nests one sub-span per
         // step: push.merge (chunk merge plus codec), push.store (route,
-        // apply, commit), push.gate (consistency bookkeeping, gated runs
+        // apply, commit; a fused wire push also carries the next pull's
+        // round trip here), push.gate (consistency bookkeeping, gated runs
         // only) and push.notify (the scheduler message, speculative runs
         // only). Recording them is charged to the push span itself.
         const SimTime push_begin = obs != nullptr ? clock.Now() : SimTime();
@@ -529,11 +548,15 @@ struct RuntimeCluster::Impl {
         // shipped (top-k may shrink the touched-shard set).
         if (codec) codec->Transform(w, merged);
         const SimTime merge_end = obs != nullptr ? clock.Now() : SimTime();
-        // Route once: the store applies these routes and the gate takes its
-        // write set from them (routing is a pure read of the static shard
-        // table).
-        server->RouteGradientInto(merged, routes);
-        PushGradient(w, merged, GlobalEpoch(), routes);
+        // Route once: the in-process store applies these routes and the gate
+        // takes its write set from them (routing is a pure read of the
+        // static shard table). A wire push with no gate reads neither.
+        if (shard_clients.empty() || gate) {
+          server->RouteGradientInto(merged, routes);
+        }
+        const bool last = iteration + 1 == config.iterations_per_worker;
+        PushGradient(w, merged, GlobalEpoch(), routes,
+                     fuse_pull && !last ? &prefetched : nullptr);
         completed[w].fetch_add(1, std::memory_order_relaxed);
         const SimTime store_end = obs != nullptr ? clock.Now() : SimTime();
         if (gate) {

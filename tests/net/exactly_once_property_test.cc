@@ -13,13 +13,21 @@
 //    has teeth: a planted `<` in place of `<=` is caught and shrunk to two
 //    ops, and a planted watermark check made outside the client lock is
 //    caught by the race harness.
+//  * Fused push+pull frames at the executor. The same schedules, sent as
+//    PushPullReq frames, must apply each push once, answer each repeat from
+//    the cache, and serve every pull fresh and after the frame's own push
+//    (read-your-writes: no shard older than right after that push). A
+//    planted executor that serves the pull before applying the push is
+//    caught and shrunk to one frame.
 //  * The real transport. Seeded timelines of pulls and pushes run through a
 //    ShardClient and a real EventLoopServer with faults scripted per push —
 //    a lost response, a duplicated frame, a delayed frame, a link killed
 //    right after the batch went out (then a reconnect) — injected by a
 //    frame-aware proxy, and again with FaultPlan drops, delays and
-//    duplicates. Parameter bits, global and shard versions, and every
-//    pull/push observation must equal the fault-free direct run. A pull
+//    duplicates, each also with about half of the pushes fused with the
+//    next pull (PushAndPull). Parameter bits, global and shard versions,
+//    and every pull/push observation must equal the fault-free direct run,
+//    where a fused step is the push and then the pull. A pull
 //    batch whose response arrives only after its retry's must count as
 //    stale and leave the delta cache as the fault-free run leaves it.
 //
@@ -194,8 +202,8 @@ std::optional<std::string> RunDedupSchedule(const DedupSchedule& ops) {
 
 // Greedy ddmin: drop chunks while the schedule still fails, halving the
 // chunk size when nothing can go.
-template <typename Table>
-DedupSchedule ShrinkDedup(DedupSchedule ops) {
+template <typename Fails>
+DedupSchedule ShrinkDedup(DedupSchedule ops, const Fails& fails) {
   for (std::size_t chunk = std::max<std::size_t>(1, ops.size() / 2);
        chunk >= 1;) {
     bool removed = false;
@@ -205,7 +213,7 @@ DedupSchedule ShrinkDedup(DedupSchedule ops) {
                       candidate.begin() + static_cast<std::ptrdiff_t>(
                                               std::min(ops.size(),
                                                        start + chunk)));
-      if (RunDedupSchedule<Table>(candidate).has_value()) {
+      if (fails(candidate)) {
         ops = std::move(candidate);
         removed = true;
       } else {
@@ -226,7 +234,10 @@ TEST(ExactlyOnceWatermarkProperty, RandomSchedulesApplyEveryPushOnce) {
     const DedupSchedule ops = GenerateDedupSchedule(base + trial * 7919ULL);
     const auto failure = RunDedupSchedule<PushWatermarks>(ops);
     if (!failure.has_value()) continue;
-    const DedupSchedule minimal = ShrinkDedup<PushWatermarks>(ops);
+    const DedupSchedule minimal =
+        ShrinkDedup(ops, [](const DedupSchedule& candidate) {
+          return RunDedupSchedule<PushWatermarks>(candidate).has_value();
+        });
     FAIL() << "seed " << base << " trial " << trial << ": " << *failure
            << "\nshrunk schedule:" << FormatDedup(minimal);
   }
@@ -240,7 +251,10 @@ TEST(ExactlyOnceWatermarkProperty, PlantedLessThanIsCaughtAndShrunk) {
     const DedupSchedule ops = GenerateDedupSchedule(base + trial * 7919ULL);
     if (!RunDedupSchedule<Planted>(ops).has_value()) continue;
     caught = true;
-    const DedupSchedule minimal = ShrinkDedup<Planted>(ops);
+    const DedupSchedule minimal =
+        ShrinkDedup(ops, [](const DedupSchedule& candidate) {
+          return RunDedupSchedule<Planted>(candidate).has_value();
+        });
     EXPECT_TRUE(RunDedupSchedule<Planted>(minimal).has_value());
     // Minimal witness: a push and a retry of it.
     EXPECT_EQ(minimal.size(), 2u) << FormatDedup(minimal);
@@ -359,7 +373,8 @@ const char* PushFaultName(PushFault fault) {
 
 // Frame-aware loopback proxy between one ShardClient and one server. Every
 // accepted client connection gets its own upstream connection and two pump
-// threads; push faults are keyed by push_seq. Optionally the response to
+// threads; push faults are keyed by push_seq (a fused push+pull frame is a
+// push here). Optionally the response to
 // pull batch number `late_pull` (0-based, in send order) is held back until
 // the next response has been forwarded: the client times out and retries,
 // and the held frame arrives after the retry's answer.
@@ -431,6 +446,9 @@ class FaultProxy {
       return PushFault::kNone;
     }
     const auto* push = std::get_if<CommitPushReq>(&message);
+    if (const auto* fused = std::get_if<PushPullReq>(&message)) {
+      push = &fused->push;
+    }
     if (push == nullptr) return PushFault::kNone;
     std::scoped_lock lock(mutex_);
     if (!faulted_.insert(push->push_seq).second) return PushFault::kNone;
@@ -501,9 +519,11 @@ class FaultProxy {
 };
 
 // One timeline step: a pull, or a push of a dyadic gradient (exact in
-// floating point, so application order can never change a bit).
+// floating point, so application order can never change a bit), or — when
+// `fused` — that push and the next pull in one PushAndPull round trip.
 struct TimelineOp {
   bool push = false;
+  bool fused = false;
   Gradient grad = Gradient::Sparse();
   EpochId epoch = 0;
   PushFault fault = PushFault::kNone;
@@ -544,6 +564,14 @@ Timeline GenerateTimeline(std::uint64_t seed, bool with_push_faults) {
   return t;
 }
 
+// Fuses about half of the timeline's pushes with the pull after them (a
+// separate stream, so the timeline itself is the one `seed` generates).
+Timeline WithFusedPushes(Timeline t, std::uint64_t seed) {
+  Rng rng(seed ^ 0xf05edull);
+  for (TimelineOp& op : t.ops) op.fused = op.push && rng.Index(2) == 0;
+  return t;
+}
+
 std::string FormatTimeline(const Timeline& t) {
   std::ostringstream out;
   for (const TimelineOp& op : t.ops) {
@@ -551,7 +579,8 @@ std::string FormatTimeline(const Timeline& t) {
       out << " pull";
       continue;
     }
-    out << " push(" << (op.grad.is_sparse() ? "sparse" : "dense") << ','
+    out << (op.fused ? " pushpull(" : " push(")
+        << (op.grad.is_sparse() ? "sparse" : "dense") << ','
         << PushFaultName(op.fault) << ')';
   }
   return out.str();
@@ -564,19 +593,33 @@ struct Observations {
   bool operator==(const Observations&) const = default;
 };
 
-template <typename PullFn, typename PushFn>
-Observations RunTimeline(const Timeline& t, PullFn pull, PushFn push) {
+template <typename PullFn, typename PushFn, typename PushPullFn>
+Observations RunTimeline(const Timeline& t, PullFn pull, PushFn push,
+                         PushPullFn push_pull) {
   Observations out;
+  const auto observe = [&](PullResult r) {
+    out.versions.push_back(r.version);
+    out.pulls.push_back(std::move(r.params));
+  };
   for (const TimelineOp& op : t.ops) {
-    if (op.push) {
+    if (op.fused) {
+      ShardClient::PushPullResult r = push_pull(op.grad, op.epoch);
+      out.versions.push_back(r.version);
+      observe(std::move(r.pull));
+    } else if (op.push) {
       out.versions.push_back(push(op.grad, op.epoch));
     } else {
-      PullResult r = pull();
-      out.versions.push_back(r.version);
-      out.pulls.push_back(std::move(r.params));
+      observe(pull());
     }
   }
   return out;
+}
+
+Observations RunOnClient(const Timeline& t, ShardClient& client) {
+  return RunTimeline(
+      t, [&] { return client.Pull(); },
+      [&](const Gradient& g, EpochId e) { return client.Push(g, e); },
+      [&](const Gradient& g, EpochId e) { return client.PushAndPull(g, e); });
 }
 
 struct DirectRun {
@@ -584,14 +627,167 @@ struct DirectRun {
   std::uint64_t digest = 0;
 };
 
+// The fault-free reference: direct store calls, a fused step being the
+// push and then the pull.
 DirectRun RunDirect(const Timeline& t) {
   auto store = MakeStore();
   DirectRun run;
   run.observed = RunTimeline(
       t, [&] { return store->Pull(); },
-      [&](const Gradient& g, EpochId e) { return store->Push(g, e); });
+      [&](const Gradient& g, EpochId e) { return store->Push(g, e); },
+      [&](const Gradient& g, EpochId e) {
+        ShardClient::PushPullResult r;
+        r.version = store->Push(g, e);
+        r.pull = store->Pull();
+        return r;
+      });
   run.digest = StoreDigest(*store);
   return run;
+}
+
+// --- fused push+pull frames at the executor ----------------------------------
+
+// How a server runs one PushPullReq: the real executor, or a planted copy
+// that serves the pull half before applying the push half.
+enum class FusedSubject { kExecutor, kPullBeforePush };
+
+WireMessage ExecuteFused(FusedSubject subject, RequestExecutor& executor,
+                         const PushPullReq& fused) {
+  if (subject == FusedSubject::kExecutor) return executor.Execute(fused);
+  const WireMessage pulled = executor.Execute(fused.pull);
+  const WireMessage acked = executor.Execute(fused.push);
+  return PushPullResp{std::get<AckResp>(acked),
+                      std::get<PullBatchResp>(pulled)};
+}
+
+// The frame `client` sends as its push `seq` (every copy is identical): one
+// entry on a shard picked by (client, seq), fused with an unconditional pull
+// of every shard.
+PushPullReq FusedFrame(const ParameterServer& store, std::uint64_t client,
+                       std::uint64_t seq) {
+  const std::size_t index = (client * 7 + seq * 5) % kDim;
+  PushShardReq slice;
+  slice.shard = static_cast<std::uint32_t>(store.ShardOf(index));
+  slice.sparse = true;
+  slice.indices = {index};
+  slice.values = {0.5};
+  PushPullReq fused;
+  fused.push = CommitPushReq{client, seq, {slice}};
+  for (std::uint32_t s = 0; s < store.num_shards(); ++s) {
+    fused.pull.entries.push_back({s, kPullAnyVersion});
+  }
+  return fused;
+}
+
+std::vector<std::uint64_t> ShardVersions(const ParameterServer& store) {
+  std::vector<std::uint64_t> versions;
+  for (std::size_t s = 0; s < store.num_shards(); ++s) {
+    versions.push_back(store.shard(s).version);
+  }
+  return versions;
+}
+
+// Replays a dedup schedule as fused frames against one executor: "next" is
+// a client's new push, "retry" and "stale" are the repeats a lost response,
+// a duplicated frame or a reconnect deliver. Every push must apply exactly
+// once, every repeat must get the cached ack, and every snapshot must be
+// read at serve time (fresh) and include the frame's own push
+// (read-your-writes: each shard at least at its version right after that
+// push applied). Returns the first violation, or nullopt.
+std::optional<std::string> RunFusedSchedule(const DedupSchedule& ops,
+                                            FusedSubject subject) {
+  auto store = MakeStore();
+  RequestExecutor executor(store.get(), {});
+  std::map<std::uint64_t, std::uint64_t> last_sent;   // client → last seq
+  std::map<std::uint64_t, std::uint64_t> latest_ack;  // client → ack value
+  // (client, seq) → shard versions right after that push applied.
+  std::map<std::pair<std::uint64_t, std::uint64_t>,
+           std::vector<std::uint64_t>>
+      after_push;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const DedupOp& op = ops[i];
+    std::uint64_t& last = last_sent[op.client];
+    std::uint64_t seq = 0;
+    switch (op.kind) {
+      case DedupKind::kNext: seq = ++last; break;
+      case DedupKind::kRetry: seq = last; break;
+      case DedupKind::kStale: seq = last >= 2 ? last - 1 : 0; break;
+    }
+    if (seq == 0) continue;
+    const WireMessage response =
+        ExecuteFused(subject, executor, FusedFrame(*store, op.client, seq));
+    std::ostringstream where;
+    where << "op " << i << " (client " << op.client << ", seq " << seq << ")";
+    const auto* fused = std::get_if<PushPullResp>(&response);
+    if (fused == nullptr) return where.str() + ": not a PushPullResp";
+    if (op.kind == DedupKind::kNext) {
+      after_push[{op.client, seq}] = ShardVersions(*store);
+    }
+    if (store->version() != after_push.size() ||
+        executor.stats().commits != after_push.size()) {
+      return where.str() + ": a push applied other than once";
+    }
+    if (op.kind == DedupKind::kNext) {
+      if (fused->ack.value != store->version()) {
+        return where.str() + ": a new push got a stale ack";
+      }
+      latest_ack[op.client] = fused->ack.value;
+    } else if (fused->ack.value != latest_ack[op.client]) {
+      return where.str() + ": a repeat got a different ack";
+    }
+    const std::vector<std::uint64_t>& own = after_push[{op.client, seq}];
+    if (fused->pull.items.size() != store->num_shards()) {
+      return where.str() + ": the pull lost items";
+    }
+    for (std::size_t s = 0; s < fused->pull.items.size(); ++s) {
+      const auto* item = std::get_if<PullShardResp>(&fused->pull.items[s]);
+      if (item == nullptr) return where.str() + ": not a full item";
+      if (item->shard_version < own[s]) {
+        return where.str() + ": shard " + std::to_string(s) +
+               " snapshot misses the frame's own push";
+      }
+      if (item->shard_version != store->shard(s).version) {
+        return where.str() + ": shard " + std::to_string(s) +
+               " snapshot is not fresh";
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(ExactlyOnceFusedProperty, RandomSchedulesApplyOnceAndReadTheirWrites) {
+  const std::uint64_t base = BaseSeed();
+  const auto fails = [](const DedupSchedule& candidate) {
+    return RunFusedSchedule(candidate, FusedSubject::kExecutor).has_value();
+  };
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    const DedupSchedule ops = GenerateDedupSchedule(base + trial * 7919ULL);
+    const auto failure = RunFusedSchedule(ops, FusedSubject::kExecutor);
+    if (!failure.has_value()) continue;
+    FAIL() << "seed " << base << " trial " << trial << ": " << *failure
+           << "\nshrunk schedule:" << FormatDedup(ShrinkDedup(ops, fails));
+  }
+}
+
+TEST(ExactlyOnceFusedProperty, PlantedPullBeforePushIsCaughtAndShrunk) {
+  const auto fails = [](const DedupSchedule& candidate) {
+    return RunFusedSchedule(candidate, FusedSubject::kPullBeforePush)
+        .has_value();
+  };
+  const std::uint64_t base = BaseSeed();
+  bool caught = false;
+  for (std::size_t trial = 0; trial < 200 && !caught; ++trial) {
+    const DedupSchedule ops = GenerateDedupSchedule(base + trial * 7919ULL);
+    const auto failure = RunFusedSchedule(ops, FusedSubject::kPullBeforePush);
+    if (!failure.has_value()) continue;
+    caught = true;
+    EXPECT_NE(failure->find("own push"), std::string::npos) << *failure;
+    const DedupSchedule minimal = ShrinkDedup(ops, fails);
+    EXPECT_TRUE(fails(minimal));
+    // Minimal witness: one new push.
+    EXPECT_EQ(minimal.size(), 1u) << FormatDedup(minimal);
+  }
+  EXPECT_TRUE(caught) << "no schedule exposed the planted pull-first order";
 }
 
 std::unique_ptr<EventLoopServer> StartEventLoop(ParameterServer* store) {
@@ -602,11 +798,14 @@ std::unique_ptr<EventLoopServer> StartEventLoop(ParameterServer* store) {
   return server;
 }
 
-TEST(ExactlyOnceTransportProperty, ScriptedPushFaultsMatchTheFaultFreeRun) {
+// Timelines with a fault scripted per push (fused pushes when `fused`)
+// through the proxy must observe exactly the fault-free direct run.
+void CheckScriptedPushFaults(bool fused) {
   const std::uint64_t base = BaseSeed();
   for (std::size_t trial = 0; trial < 6; ++trial) {
     const std::uint64_t seed = base + trial * 104729ULL;
-    const Timeline timeline = GenerateTimeline(seed, /*with_push_faults=*/true);
+    Timeline timeline = GenerateTimeline(seed, /*with_push_faults=*/true);
+    if (fused) timeline = WithFusedPushes(std::move(timeline), seed);
     const DirectRun direct = RunDirect(timeline);
 
     std::map<std::uint64_t, PushFault> faults;
@@ -627,9 +826,7 @@ TEST(ExactlyOnceTransportProperty, ScriptedPushFaultsMatchTheFaultFreeRun) {
       FaultProxy proxy(server->port(), faults);
       ShardClient client(ClientConfigFor(*store, proxy.port()));
       ASSERT_TRUE(client.Connect());
-      wire = RunTimeline(
-          timeline, [&] { return client.Pull(); },
-          [&](const Gradient& g, EpochId e) { return client.Push(g, e); });
+      wire = RunOnClient(timeline, client);
     }
     server->Stop();  // drains the pool: every copy has executed
 
@@ -642,6 +839,17 @@ TEST(ExactlyOnceTransportProperty, ScriptedPushFaultsMatchTheFaultFreeRun) {
     EXPECT_EQ(stats.commits, timeline.pushes) << context;
     EXPECT_GE(stats.duplicate_pushes, repeats) << context;
   }
+}
+
+TEST(ExactlyOnceTransportProperty, ScriptedPushFaultsMatchTheFaultFreeRun) {
+  CheckScriptedPushFaults(/*fused=*/false);
+}
+
+TEST(ExactlyOnceTransportProperty, ScriptedFusedFaultsMatchTheFaultFreeRun) {
+  // Lost responses, duplicates, delays and killed links on fused frames:
+  // each push still applies once, and every snapshot (a retried frame's
+  // too) is the direct run's snapshot right after the push.
+  CheckScriptedPushFaults(/*fused=*/true);
 }
 
 TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
@@ -670,9 +878,7 @@ TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
       config.compression = *CompressionSpec::Parse("delta");
       ShardClient client(config);
       EXPECT_TRUE(client.Connect());
-      const Observations observed = RunTimeline(
-          timeline, [&] { return client.Pull(); },
-          [&](const Gradient& g, EpochId e) { return client.Push(g, e); });
+      const Observations observed = RunOnClient(timeline, client);
       // The held frame may trail the last op: wait for the receiver to see
       // it before reading the counters.
       const auto deadline =
@@ -706,7 +912,9 @@ TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
   }
 }
 
-TEST(ExactlyOnceTransportProperty, FaultPlanLinksMatchTheFaultFreeRun) {
+// Timelines (fused pushes when `fused`) over FaultPlan-driven links must
+// observe exactly the fault-free direct run.
+void CheckFaultPlanLinks(bool fused) {
   struct Case {
     const char* name;
     double drop, delay, duplicate;
@@ -718,7 +926,8 @@ TEST(ExactlyOnceTransportProperty, FaultPlanLinksMatchTheFaultFreeRun) {
   for (const Case& c : cases) {
     for (std::size_t trial = 0; trial < 2; ++trial) {
       const std::uint64_t seed = base + 31 + trial * 104729ULL;
-      const Timeline timeline = GenerateTimeline(seed, false);
+      Timeline timeline = GenerateTimeline(seed, false);
+      if (fused) timeline = WithFusedPushes(std::move(timeline), seed);
       const DirectRun direct = RunDirect(timeline);
 
       FaultPlanConfig fault_config;
@@ -735,9 +944,7 @@ TEST(ExactlyOnceTransportProperty, FaultPlanLinksMatchTheFaultFreeRun) {
       {
         ShardClient client(ClientConfigFor(*store, server->port()), &faults);
         ASSERT_TRUE(client.Connect());
-        wire = RunTimeline(
-            timeline, [&] { return client.Pull(); },
-            [&](const Gradient& g, EpochId e) { return client.Push(g, e); });
+        wire = RunOnClient(timeline, client);
       }
       server->Stop();
 
@@ -754,6 +961,14 @@ TEST(ExactlyOnceTransportProperty, FaultPlanLinksMatchTheFaultFreeRun) {
       }
     }
   }
+}
+
+TEST(ExactlyOnceTransportProperty, FaultPlanLinksMatchTheFaultFreeRun) {
+  CheckFaultPlanLinks(/*fused=*/false);
+}
+
+TEST(ExactlyOnceTransportProperty, FaultPlanFusedLinksMatchTheFaultFreeRun) {
+  CheckFaultPlanLinks(/*fused=*/true);
 }
 
 TEST(ExactlyOnceTransportProperty, ConcurrentClientsWithDuplicatesMatchDirect) {

@@ -503,9 +503,9 @@ TEST_P(TransportTest, SurvivesDropDelayDuplicateInjection) {
   (void)stats;  // per-worker clients carry the interesting counters
 }
 
-// Sends `request` on a raw connection and returns the decoded ack.
-AckResp RawAck(TcpConnection& conn, const WireMessage& request,
-               std::uint64_t id) {
+// Sends `request` on a raw connection and returns the decoded reply.
+WireMessage RawReply(TcpConnection& conn, const WireMessage& request,
+                     std::uint64_t id) {
   EXPECT_TRUE(conn.SendAll(EncodeFrame(request, id)));
   std::vector<std::uint8_t> reply;
   EXPECT_EQ(conn.RecvFrame(reply, std::chrono::steady_clock::now() +
@@ -515,6 +515,13 @@ AckResp RawAck(TcpConnection& conn, const WireMessage& request,
   WireMessage out;
   EXPECT_EQ(DecodeFrame(reply, reply_id, out), WireStatus::kOk);
   EXPECT_EQ(reply_id, id);
+  return out;
+}
+
+// Sends `request` on a raw connection and returns the decoded ack.
+AckResp RawAck(TcpConnection& conn, const WireMessage& request,
+               std::uint64_t id) {
+  const WireMessage out = RawReply(conn, request, id);
   const auto* ack = std::get_if<AckResp>(&out);
   return ack != nullptr ? *ack : AckResp{~0u, 0};
 }
@@ -620,6 +627,144 @@ TEST_P(TransportTest, RepeatedBatchIsAnsweredFromTheWatermark) {
   const ServerStats stats = server->stats();
   EXPECT_EQ(stats.commits, 3u);
   EXPECT_EQ(stats.duplicate_pushes, 2u);
+}
+
+TEST_P(TransportTest, MisroutedSparseEntryRejectsTheBatch) {
+  // A sparse entry outside its slice's shard (another shard's index, or
+  // one past the vector) would be skipped by the store while the batch is
+  // acked: the whole batch is refused before anything applies, standalone
+  // or fused.
+  auto store = MakeStore(10, 2);  // shards [0,5) and [5,10)
+  auto server = StartServer(store.get());
+  const DenseVector before = store->Snapshot();
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+
+  const CommitPushReq foreign{9, 1, {SparseSlice(0, 1, 4.0),
+                                     SparseSlice(0, 7, 4.0)}};
+  EXPECT_EQ(RawAck(conn, foreign, 1).status, kAckBadRequest);
+  const CommitPushReq past_end{9, 1, {SparseSlice(1, 10, 4.0)}};
+  EXPECT_EQ(RawAck(conn, past_end, 2).status, kAckBadRequest);
+  const PushPullReq fused{foreign, PullBatchReq{{{0, kPullAnyVersion}}}};
+  EXPECT_EQ(RawAck(conn, fused, 3).status, kAckBadRequest);
+
+  EXPECT_EQ(store->Snapshot(), before);
+  EXPECT_EQ(store->version(), 0u);
+  EXPECT_EQ(store->shard(0).version, 0u);
+  EXPECT_EQ(store->shard(1).version, 0u);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.pushes, 0u);
+  EXPECT_EQ(stats.pulls, 0u);
+  EXPECT_EQ(stats.rejected, 3u);
+}
+
+TEST_P(TransportTest, FusedFrameWithAForeignPullShardAppliesNothing) {
+  // The pull half is validated with the push half, before either touches
+  // the store: a shard the server does not own refuses the push too.
+  auto store = MakeStore(10, 2);
+  ShardServerConfig config;
+  config.served_shards = {0};
+  auto server = StartServer(store.get(), std::move(config));
+  const DenseVector before = store->Snapshot();
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+
+  const CommitPushReq push{9, 1, {SparseSlice(0, 1, 4.0)}};
+  const AckResp ack = RawAck(
+      conn,
+      PushPullReq{push, {{{0, kPullAnyVersion}, {1, kPullAnyVersion}}}}, 1);
+  EXPECT_EQ(ack.status, kAckBadShard);
+  EXPECT_EQ(ack.value, 1u);
+  EXPECT_EQ(store->Snapshot(), before);
+  EXPECT_EQ(store->version(), 0u);
+  EXPECT_EQ(server->stats().pulls, 0u);
+  // The refused seq 1 was never recorded: the same push still applies.
+  EXPECT_EQ(RawAck(conn, push, 2).value, 1u);
+}
+
+TEST_P(TransportTest, FusedFrameServesThePullAfterThePush) {
+  // The snapshot always includes the frame's own push; a repeat of the
+  // frame gets the cached ack and a fresh snapshot.
+  auto store = MakeStore(10, 2);
+  auto server = StartServer(store.get());
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+  const PushPullReq fused{CommitPushReq{5, 1, {SparseSlice(0, 2, 1.0)}},
+                          PullBatchReq{{{0, kPullAnyVersion}, {1, 0}}}};
+
+  const auto answer = [&](std::uint64_t id) {
+    const WireMessage out = RawReply(conn, fused, id);
+    const auto* resp = std::get_if<PushPullResp>(&out);
+    EXPECT_NE(resp, nullptr);
+    return resp != nullptr ? *resp : PushPullResp{};
+  };
+  const PushPullResp first = answer(1);
+  EXPECT_EQ(first.ack.status, kAckOk);
+  EXPECT_EQ(first.ack.value, 1u);
+  ASSERT_EQ(first.pull.items.size(), 2u);
+  const auto& shard0 = std::get<PullShardResp>(first.pull.items[0]);
+  EXPECT_EQ(shard0.shard_version, 1u);
+  EXPECT_EQ(shard0.global_version, 1u);
+  EXPECT_EQ(shard0.params[2], 3.0 - 1.0);
+  // Shard 1 is still at the version the entry names: not modified.
+  EXPECT_TRUE(std::holds_alternative<PullShardNotModified>(
+      first.pull.items[1]));
+
+  store->Push(Gradient::Dense(10), 0);  // version 2, both shards move
+  const PushPullResp repeat = answer(2);
+  EXPECT_EQ(repeat.ack.value, 1u) << "the cached ack";
+  ASSERT_EQ(repeat.pull.items.size(), 2u);
+  EXPECT_EQ(std::get<PullShardResp>(repeat.pull.items[0]).global_version, 2u)
+      << "a fresh pull";
+  EXPECT_EQ(std::get<PullShardResp>(repeat.pull.items[1]).shard_version, 1u);
+
+  EXPECT_EQ(store->version(), 2u);
+  EXPECT_EQ(store->Snapshot()[2], 3.0 - 1.0);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.commits, 1u);
+  EXPECT_EQ(stats.duplicate_pushes, 1u);
+  EXPECT_EQ(stats.pulls, 4u);
+}
+
+TEST_P(TransportTest, PushAndPullIsOneRequestPerServer) {
+  // Shards interleaved across two endpoints: PushAndPull() sends one fused
+  // frame to each server its push touches and a plain pull batch to the
+  // other, and its snapshot is the store's own right after the push.
+  auto store = MakeStore(101, 5);
+  ShardServerConfig even_config;
+  even_config.served_shards = {0, 2, 4};
+  auto even = StartServer(store.get(), std::move(even_config));
+  ShardServerConfig odd_config;
+  odd_config.served_shards = {1, 3};
+  auto odd = StartServer(store.get(), std::move(odd_config));
+
+  Gradient sparse = Gradient::Sparse();
+  sparse.sparse().Add(50, 0.5);  // shard 2: the even server only
+  sparse.sparse().Add(90, 0.25);  // shard 4
+  Gradient dense = Gradient::Dense(101);
+  for (std::size_t i = 0; i < 101; ++i) dense.dense()[i] = 0.125 * (i % 7);
+  for (const char* codec : {"none", "delta"}) {
+    ShardClientConfig config = ClientConfigFor(*store, even->port());
+    for (std::size_t s = 1; s < store->num_shards(); s += 2) {
+      config.topology.shards[s].endpoint.port = odd->port();
+    }
+    config.compression = *CompressionSpec::Parse(codec);
+    ShardClient client(config);
+    ASSERT_TRUE(client.Connect());
+    ASSERT_EQ(client.num_links(), 2u);
+    for (const Gradient* g : {&sparse, &dense, &sparse}) {
+      const std::uint64_t before = client.stats().requests;
+      const ShardClient::PushPullResult wire = client.PushAndPull(*g, 0);
+      EXPECT_EQ(client.stats().requests - before, client.num_links())
+          << codec;
+      const PullResult direct = store->Pull();
+      EXPECT_EQ(wire.version, store->version()) << codec;
+      EXPECT_EQ(wire.pull.params, direct.params) << codec;
+      EXPECT_EQ(wire.pull.version, direct.version) << codec;
+    }
+  }
+  // Per codec: the sparse pushes commit on one server, the dense on both.
+  EXPECT_EQ(even->stats().commits + odd->stats().commits, 2u * (1 + 2 + 1));
 }
 
 TEST_P(TransportTest, UnreachableShardIsDiagnosed) {

@@ -2,9 +2,10 @@
 //
 // The byte-at-a-time encoder and decoder that the bulk codec replaced live
 // on below as the reference, extended in the same style to the pull batch
-// types. Each trial is a short list of seeded random messages — all seven
-// types; dense, sparse, int8 and fp16 slices; pull batches mixing full and
-// not-modified items; empty arrays and batches; NaN and -0 bit patterns;
+// types; the fused push+pull types are built from its existing payloads,
+// back to back. Each trial is a short list of seeded random messages — all
+// nine types; dense, sparse, int8 and fp16 slices; pull batches mixing full
+// and not-modified items; empty arrays and batches; NaN and -0 bit patterns;
 // trace extension on and off — and for every message:
 //  - EncodeFrame equals the reference frame byte for byte;
 //  - EncodedPayloadBytes equals the frame's payload size;
@@ -15,7 +16,8 @@
 //
 // On failure the harness shrinks the trial (greedy ddmin over messages, then
 // batch slices or items, then array entries — the compression_property_test
-// recipe) and prints it. Three planted bugs must be caught and shrunk:
+// recipe, descending into both halves of a fused message) and prints it.
+// Three planted bugs must be caught and shrunk:
 // sparse pairs written value first, a bulk f64 take that skips CanTake, and
 // a pull batch decoder that ignores each item's kind byte.
 //
@@ -151,6 +153,8 @@ MsgType TypeOf(const WireMessage& message) {
     MsgType operator()(const PullBatchResp&) {
       return MsgType::kPullBatchResp;
     }
+    MsgType operator()(const PushPullReq&) { return MsgType::kPushPullReq; }
+    MsgType operator()(const PushPullResp&) { return MsgType::kPushPullResp; }
   };
   return std::visit(Visitor{}, message);
 }
@@ -261,6 +265,15 @@ void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
         }
       }
     }
+    // The fused types: the two standalone payloads back to back.
+    void operator()(const PushPullReq& m) {
+      (*this)(m.push);
+      (*this)(m.pull);
+    }
+    void operator()(const PushPullResp& m) {
+      (*this)(m.ack);
+      (*this)(m.pull);
+    }
   };
   std::visit(Visitor{out}, message);
 }
@@ -299,9 +312,9 @@ WireStatus DecodeHeader(std::span<const std::uint8_t> bytes,
   out.version = r.TakeU16();
   if (out.version != kWireVersion) return WireStatus::kBadVersion;
   const std::uint16_t type = r.TakeU16();
-  // 1..5 and 8..9; 6 and 7 are the retired delta-pull types.
+  // 1..5 and 8..11; 6 and 7 are the retired delta-pull types.
   if (type < static_cast<std::uint16_t>(MsgType::kPullShardReq) ||
-      type > static_cast<std::uint16_t>(MsgType::kPullBatchResp) ||
+      type > static_cast<std::uint16_t>(MsgType::kPushPullResp) ||
       (type > static_cast<std::uint16_t>(MsgType::kAck) &&
        type < static_cast<std::uint16_t>(MsgType::kPullBatchReq))) {
     return WireStatus::kBadType;
@@ -461,6 +474,55 @@ WireStatus DecodePullBatchResp(Reader& r, PullBatchResp& m,
   return WireStatus::kOk;
 }
 
+// A CommitPushReq payload: the standalone message, and a fused push half.
+WireStatus DecodeCommitPush(Reader& r, CommitPushReq& m) {
+  m.client_id = r.TakeU64();
+  m.push_seq = r.TakeU64();
+  const std::uint32_t count = r.TakeU32();
+  if (!r.ok() || !r.CanTake(count, kMinPushShardBytes)) {
+    return WireStatus::kTruncated;
+  }
+  m.slices.resize(count);
+  for (PushShardReq& slice : m.slices) {
+    const WireStatus status = DecodePushShard(r, slice);
+    if (status != WireStatus::kOk) return status;
+  }
+  return WireStatus::kOk;
+}
+
+// An AckResp payload: the standalone message, and a fused answer's ack.
+WireStatus DecodeAck(Reader& r, AckResp& m) {
+  m.status = r.TakeU32();
+  m.value = r.TakeU64();
+  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+}
+
+// A PullBatchReq payload: the standalone message, and a fused pull half.
+WireStatus DecodePullBatchReq(Reader& r, PullBatchReq& m) {
+  const std::uint32_t count = r.TakeU32();
+  if (!r.ok() || !r.CanTake(count, 4 + 8)) return WireStatus::kTruncated;
+  m.entries.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    PullBatchEntry entry;
+    entry.shard = r.TakeU32();
+    entry.known_version = r.TakeU64();
+    m.entries.push_back(entry);
+  }
+  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+}
+
+// Finishes a message whose fields decoded with `fields`: the trace tail,
+// then the assignment.
+template <typename T>
+WireStatus Finish(WireStatus fields, Reader& r, TraceContext* trace, T& m,
+                  WireMessage& out) {
+  if (fields != WireStatus::kOk) return fields;
+  const WireStatus tail = DecodeTraceTail(r, trace);
+  if (tail != WireStatus::kOk) return tail;
+  out = std::move(m);
+  return WireStatus::kOk;
+}
+
 WireStatus DecodePayload(const FrameHeader& header,
                          std::span<const std::uint8_t> payload,
                          WireMessage& out, TraceContext* trace) {
@@ -471,84 +533,47 @@ WireStatus DecodePayload(const FrameHeader& header,
     case MsgType::kPullShardReq: {
       PullShardReq m;
       m.shard = r.TakeU32();
-      if (!r.ok()) return WireStatus::kTruncated;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
+      return Finish(r.ok() ? WireStatus::kOk : WireStatus::kTruncated, r,
+                    trace, m, out);
     }
     case MsgType::kPullShardResp: {
       PullShardResp m;
-      const WireStatus shard = DecodePullShardResp(r, m);
-      if (shard != WireStatus::kOk) return shard;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
+      return Finish(DecodePullShardResp(r, m), r, trace, m, out);
     }
     case MsgType::kPushShardReq: {
       PushShardReq m;
-      const WireStatus slice = DecodePushShard(r, m);
-      if (slice != WireStatus::kOk) return slice;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
+      return Finish(DecodePushShard(r, m), r, trace, m, out);
     }
     case MsgType::kCommitPushReq: {
       CommitPushReq m;
-      m.client_id = r.TakeU64();
-      m.push_seq = r.TakeU64();
-      const std::uint32_t count = r.TakeU32();
-      if (!r.ok() || !r.CanTake(count, kMinPushShardBytes)) {
-        return WireStatus::kTruncated;
-      }
-      m.slices.resize(count);
-      for (PushShardReq& slice : m.slices) {
-        const WireStatus status = DecodePushShard(r, slice);
-        if (status != WireStatus::kOk) return status;
-      }
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
+      return Finish(DecodeCommitPush(r, m), r, trace, m, out);
     }
     case MsgType::kAck: {
       AckResp m;
-      m.status = r.TakeU32();
-      m.value = r.TakeU64();
-      if (!r.ok()) return WireStatus::kTruncated;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = m;
-      return WireStatus::kOk;
+      return Finish(DecodeAck(r, m), r, trace, m, out);
     }
     case MsgType::kPullBatchReq: {
       PullBatchReq m;
-      const std::uint32_t count = r.TakeU32();
-      if (!r.ok() || !r.CanTake(count, 4 + 8)) return WireStatus::kTruncated;
-      m.entries.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        PullBatchEntry entry;
-        entry.shard = r.TakeU32();
-        entry.known_version = r.TakeU64();
-        m.entries.push_back(entry);
-      }
-      if (!r.ok()) return WireStatus::kTruncated;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
+      return Finish(DecodePullBatchReq(r, m), r, trace, m, out);
     }
     case MsgType::kPullBatchResp: {
       PullBatchResp m;
-      const WireStatus items =
-          DecodePullBatchResp(r, m, /*ignore_kind=*/false);
-      if (items != WireStatus::kOk) return items;
-      const WireStatus tail = DecodeTraceTail(r, trace);
-      if (tail != WireStatus::kOk) return tail;
-      out = std::move(m);
-      return WireStatus::kOk;
+      return Finish(DecodePullBatchResp(r, m, /*ignore_kind=*/false), r,
+                    trace, m, out);
+    }
+    case MsgType::kPushPullReq: {
+      PushPullReq m;
+      WireStatus fields = DecodeCommitPush(r, m.push);
+      if (fields == WireStatus::kOk) fields = DecodePullBatchReq(r, m.pull);
+      return Finish(fields, r, trace, m, out);
+    }
+    case MsgType::kPushPullResp: {
+      PushPullResp m;
+      WireStatus fields = DecodeAck(r, m.ack);
+      if (fields == WireStatus::kOk) {
+        fields = DecodePullBatchResp(r, m.pull, /*ignore_kind=*/false);
+      }
+      return Finish(fields, r, trace, m, out);
     }
   }
   return WireStatus::kBadType;
@@ -650,48 +675,70 @@ PullShardResp RandomPullShardResp(Rng& rng) {
   return m;
 }
 
+CommitPushReq RandomCommitPush(Rng& rng) {
+  CommitPushReq m;
+  m.client_id = RandomU64(rng);
+  m.push_seq = RandomU64(rng);
+  const std::size_t slices = rng.Index(5);
+  for (std::size_t s = 0; s < slices; ++s) {
+    m.slices.push_back(RandomSlice(rng));
+  }
+  return m;
+}
+
+AckResp RandomAck(Rng& rng) { return AckResp{RandomU32(rng), RandomU64(rng)}; }
+
+PullBatchReq RandomPullBatchReq(Rng& rng) {
+  PullBatchReq m;
+  const std::size_t entries = rng.Index(6);
+  for (std::size_t e = 0; e < entries; ++e) {
+    m.entries.push_back(
+        {RandomU32(rng), rng.Index(3) == 0 ? kPullAnyVersion : RandomU64(rng)});
+  }
+  return m;
+}
+
+// Full and not-modified items mixed; empty batches included.
+PullBatchResp RandomPullBatchResp(Rng& rng) {
+  PullBatchResp m;
+  const std::size_t items = rng.Index(5);
+  for (std::size_t i = 0; i < items; ++i) {
+    if (rng.Index(2) == 0) {
+      m.items.emplace_back(RandomPullShardResp(rng));
+    } else {
+      m.items.emplace_back(
+          PullShardNotModified{RandomU32(rng), RandomU64(rng), RandomU64(rng)});
+    }
+  }
+  return m;
+}
+
 WireMessage RandomMessage(Rng& rng) {
-  switch (rng.Index(7)) {
+  switch (rng.Index(9)) {
     case 0:
       return PullShardReq{RandomU32(rng)};
     case 1:
       return RandomPullShardResp(rng);
     case 2:
       return RandomSlice(rng);
-    case 3: {
-      CommitPushReq m;
-      m.client_id = RandomU64(rng);
-      m.push_seq = RandomU64(rng);
-      const std::size_t slices = rng.Index(5);
-      for (std::size_t s = 0; s < slices; ++s) {
-        m.slices.push_back(RandomSlice(rng));
-      }
-      return m;
-    }
+    case 3:
+      return RandomCommitPush(rng);
     case 4:
-      return AckResp{RandomU32(rng), RandomU64(rng)};
-    case 5: {
-      PullBatchReq m;
-      const std::size_t entries = rng.Index(6);
-      for (std::size_t e = 0; e < entries; ++e) {
-        m.entries.push_back({RandomU32(rng), rng.Index(3) == 0
-                                                 ? kPullAnyVersion
-                                                 : RandomU64(rng)});
-      }
+      return RandomAck(rng);
+    case 5:
+      return RandomPullBatchReq(rng);
+    case 6:
+      return RandomPullBatchResp(rng);
+    case 7: {
+      PushPullReq m;
+      m.push = RandomCommitPush(rng);
+      m.pull = RandomPullBatchReq(rng);
       return m;
     }
     default: {
-      // Full and not-modified items mixed; empty batches included.
-      PullBatchResp m;
-      const std::size_t items = rng.Index(5);
-      for (std::size_t i = 0; i < items; ++i) {
-        if (rng.Index(2) == 0) {
-          m.items.emplace_back(RandomPullShardResp(rng));
-        } else {
-          m.items.emplace_back(PullShardNotModified{
-              RandomU32(rng), RandomU64(rng), RandomU64(rng)});
-        }
-      }
+      PushPullResp m;
+      m.ack = RandomAck(rng);
+      m.pull = RandomPullBatchResp(rng);
       return m;
     }
   }
@@ -787,6 +834,18 @@ std::string Describe(const WireMessage& message) {
       }
       out << '}';
     }
+    void operator()(const PushPullReq& m) {
+      out << "PushPullReq{";
+      (*this)(m.push);
+      (*this)(m.pull);
+      out << '}';
+    }
+    void operator()(const PushPullResp& m) {
+      out << "PushPullResp{";
+      (*this)(m.ack);
+      (*this)(m.pull);
+      out << '}';
+    }
   };
   std::ostringstream out;
   out << std::hex;
@@ -827,7 +886,9 @@ std::vector<std::uint8_t> EncodeSwappedPairs(const Case& c) {
     }
   };
   if (auto* push = std::get_if<PushShardReq>(&message)) swap(*push);
-  if (auto* batch = std::get_if<CommitPushReq>(&message)) {
+  CommitPushReq* batch = std::get_if<CommitPushReq>(&message);
+  if (auto* fused = std::get_if<PushPullReq>(&message)) batch = &fused->push;
+  if (batch != nullptr) {
     for (PushShardReq& slice : batch->slices) swap(slice);
   }
   return EncodeFrame(message, c.request_id, &c.trace);
@@ -1092,6 +1153,42 @@ void ShrinkSlice(PushShardReq& slice, const Fails& fails) {
   slice = project(entries);
 }
 
+// Shrinks a push batch's slice list, then each slice's entries; `fails`
+// tests a candidate batch.
+template <typename Fails>
+void ShrinkCommitPush(CommitPushReq& batch, const Fails& fails) {
+  ShrinkList(batch.slices, 0, [&](const std::vector<PushShardReq>& slices) {
+    CommitPushReq candidate = batch;
+    candidate.slices = slices;
+    return fails(candidate);
+  });
+  for (std::size_t s = 0; s < batch.slices.size(); ++s) {
+    ShrinkSlice(batch.slices[s], [&](const PushShardReq& candidate) {
+      CommitPushReq shrunk = batch;
+      shrunk.slices[s] = candidate;
+      return fails(shrunk);
+    });
+  }
+}
+
+// Shrinks a pull batch answer's item list, then each full item's params;
+// `fails` tests a candidate answer.
+template <typename Fails>
+void ShrinkPullBatchResp(PullBatchResp& pulls, const Fails& fails) {
+  ShrinkList(pulls.items, 0, [&](const std::vector<PullBatchItem>& items) {
+    return fails(PullBatchResp{items});
+  });
+  for (std::size_t i = 0; i < pulls.items.size(); ++i) {
+    auto* full = std::get_if<PullShardResp>(&pulls.items[i]);
+    if (full == nullptr) continue;
+    ShrinkList(full->params, 0, [&](const std::vector<double>& params) {
+      PullBatchResp shrunk = pulls;
+      std::get<PullShardResp>(shrunk.items[i]).params = params;
+      return fails(shrunk);
+    });
+  }
+}
+
 Trial ShrinkTrial(Trial trial, SubjectKind kind) {
   const auto fails = [&](const Trial& candidate) {
     return RunTrial(candidate, kind).has_value();
@@ -1119,32 +1216,21 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
         return fails_with(candidate);
       });
     } else if (auto* batch = std::get_if<CommitPushReq>(&message)) {
-      ShrinkList(batch->slices, 0,
-                 [&](const std::vector<PushShardReq>& slices) {
-                   CommitPushReq candidate = *batch;
-                   candidate.slices = slices;
-                   return fails_with(candidate);
-                 });
-      for (std::size_t s = 0; s < batch->slices.size(); ++s) {
-        ShrinkSlice(batch->slices[s], [&](const PushShardReq& candidate) {
-          CommitPushReq shrunk = *batch;
-          shrunk.slices[s] = candidate;
-          return fails_with(shrunk);
-        });
-      }
+      ShrinkCommitPush(*batch, fails_with);
     } else if (auto* pulls = std::get_if<PullBatchResp>(&message)) {
-      ShrinkList(pulls->items, 0, [&](const std::vector<PullBatchItem>& items) {
-        return fails_with(PullBatchResp{items});
+      ShrinkPullBatchResp(*pulls, fails_with);
+    } else if (auto* fused = std::get_if<PushPullReq>(&message)) {
+      ShrinkCommitPush(fused->push, [&](const CommitPushReq& candidate) {
+        return fails_with(PushPullReq{candidate, fused->pull});
       });
-      for (std::size_t i = 0; i < pulls->items.size(); ++i) {
-        auto* full = std::get_if<PullShardResp>(&pulls->items[i]);
-        if (full == nullptr) continue;
-        ShrinkList(full->params, 0, [&](const std::vector<double>& params) {
-          PullBatchResp shrunk = *pulls;
-          std::get<PullShardResp>(shrunk.items[i]).params = params;
-          return fails_with(shrunk);
-        });
-      }
+      ShrinkList(fused->pull.entries, 0,
+                 [&](const std::vector<PullBatchEntry>& entries) {
+                   return fails_with(PushPullReq{fused->push, {entries}});
+                 });
+    } else if (auto* answer = std::get_if<PushPullResp>(&message)) {
+      ShrinkPullBatchResp(answer->pull, [&](const PullBatchResp& candidate) {
+        return fails_with(PushPullResp{answer->ack, candidate});
+      });
     }
   }
   return trial;
@@ -1155,6 +1241,20 @@ std::size_t Entries(const Trial& trial) {
   const auto slice_entries = [](const PushShardReq& m) {
     return m.sparse ? m.values.size() : m.dense.size();
   };
+  const auto push_entries = [&](const CommitPushReq& batch) {
+    std::size_t entries = batch.slices.size();
+    for (const PushShardReq& s : batch.slices) entries += slice_entries(s);
+    return entries;
+  };
+  const auto pull_entries = [](const PullBatchResp& pulls) {
+    std::size_t entries = pulls.items.size();
+    for (const PullBatchItem& item : pulls.items) {
+      if (const auto* full = std::get_if<PullShardResp>(&item)) {
+        entries += full->params.size();
+      }
+    }
+    return entries;
+  };
   std::size_t entries = 0;
   for (const Case& c : trial.cases) {
     if (const auto* resp = std::get_if<PullShardResp>(&c.message)) {
@@ -1162,15 +1262,13 @@ std::size_t Entries(const Trial& trial) {
     } else if (const auto* push = std::get_if<PushShardReq>(&c.message)) {
       entries += slice_entries(*push);
     } else if (const auto* batch = std::get_if<CommitPushReq>(&c.message)) {
-      entries += batch->slices.size();
-      for (const PushShardReq& s : batch->slices) entries += slice_entries(s);
+      entries += push_entries(*batch);
     } else if (const auto* pulls = std::get_if<PullBatchResp>(&c.message)) {
-      entries += pulls->items.size();
-      for (const PullBatchItem& item : pulls->items) {
-        if (const auto* full = std::get_if<PullShardResp>(&item)) {
-          entries += full->params.size();
-        }
-      }
+      entries += pull_entries(*pulls);
+    } else if (const auto* fused = std::get_if<PushPullReq>(&c.message)) {
+      entries += push_entries(fused->push) + fused->pull.entries.size();
+    } else if (const auto* answer = std::get_if<PushPullResp>(&c.message)) {
+      entries += pull_entries(answer->pull);
     }
   }
   return entries;
@@ -1219,7 +1317,8 @@ TEST(WireCodecPropertyTest, PlantedBugsAreCaughtAndShrunk) {
 }
 
 // Full-size arrays, like a pull response and a push batch on the MF
-// workload, through the bulk memcpy and pair loops: equal to the reference
+// workload (standalone and fused), through the bulk memcpy and pair loops:
+// equal to the reference
 // and round-tripping bit for bit.
 TEST(WireCodecPropertyTest, LargeFramesMatchReference) {
   Rng rng(BaseSeed());
@@ -1237,8 +1336,12 @@ TEST(WireCodecPropertyTest, LargeFramesMatchReference) {
     }
     batch.slices.push_back(std::move(slice));
   }
+  const PushPullReq fused{batch, PullBatchReq{{{0, kPullAnyVersion}}}};
+  const PushPullResp answer{AckResp{kAckOk, 9}, PullBatchResp{{resp}}};
   const TraceContext trace{5, 6};
-  for (const WireMessage& message : {WireMessage(resp), WireMessage(batch)}) {
+  for (const WireMessage& message :
+       {WireMessage(resp), WireMessage(batch), WireMessage(fused),
+        WireMessage(answer)}) {
     const std::vector<std::uint8_t> frame = EncodeFrame(message, 1, &trace);
     EXPECT_EQ(frame, ref::EncodeFrame(message, 1, &trace));
     EXPECT_EQ(EncodedPayloadBytes(message, &trace),

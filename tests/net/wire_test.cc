@@ -305,7 +305,8 @@ TEST(WireTraceExtTest, TraceContextRoundTripsOnEveryMessageType) {
   const std::vector<WireMessage> messages = {
       PullShardReq{1},       PushShardReq{},
       CommitPushReq{},       AckResp{kAckOk, 0},
-      PullBatchReq{{{1, 2}}}, PullBatchResp{{PullShardNotModified{}}}};
+      PullBatchReq{{{1, 2}}}, PullBatchResp{{PullShardNotModified{}}},
+      PushPullReq{},         PushPullResp{}};
   for (const WireMessage& message : messages) {
     const auto frame = std::visit(
         [&](const auto& m) { return EncodeFrame(m, 5, &trace); }, message);
@@ -726,6 +727,56 @@ TEST(WirePullBatchTest, HugeEntryCountRejectedWithoutAllocating) {
     WireMessage out;
     EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kTruncated);
   }
+}
+
+// --- fused push+pull frames ------------------------------------------------
+
+// A fused frame's payload is the two standalone payloads back to back, and
+// each half decodes exactly as its standalone frame does.
+TEST(WireFusedTest, FusedFramesAreTheStandalonePayloadsBackToBack) {
+  PushShardReq slice;
+  slice.shard = 1;
+  slice.sparse = true;
+  slice.indices = {7};
+  slice.values = {-0.5};
+  const CommitPushReq push{3, 4, {slice}};
+  const PullBatchReq pull{{{0, kPullAnyVersion}, {1, 9}}};
+  const AckResp ack{kAckOk, 12};
+  const PullBatchResp answer{{PullShardNotModified{0, 9, 12},
+                              PullShardResp{1, 5, 10, 12, {1.0, 2.0}}}};
+  const auto payload = [](const WireMessage& m) {
+    const std::vector<std::uint8_t> frame = EncodeFrame(m, 1);
+    return std::vector<std::uint8_t>(frame.begin() + kHeaderBytes,
+                                     frame.end());
+  };
+  const auto concat = [](std::vector<std::uint8_t> a,
+                         const std::vector<std::uint8_t>& b) {
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+  };
+  EXPECT_EQ(payload(PushPullReq{push, pull}),
+            concat(payload(push), payload(pull)));
+  EXPECT_EQ(payload(PushPullResp{ack, answer}),
+            concat(payload(ack), payload(answer)));
+
+  std::uint64_t id = 0;
+  WireMessage out;
+  ASSERT_EQ(DecodeFrame(EncodeFrame(PushPullReq{push, pull}, 8), id, out),
+            WireStatus::kOk);
+  EXPECT_EQ(id, 8u);
+  const auto& req = std::get<PushPullReq>(out);
+  EXPECT_EQ(req.push.push_seq, 4u);
+  ASSERT_EQ(req.push.slices.size(), 1u);
+  EXPECT_EQ(req.push.slices[0].indices, slice.indices);
+  ASSERT_EQ(req.pull.entries.size(), 2u);
+  EXPECT_EQ(req.pull.entries[1].known_version, 9u);
+  ASSERT_EQ(DecodeFrame(EncodeFrame(PushPullResp{ack, answer}, 9), id, out),
+            WireStatus::kOk);
+  const auto& resp = std::get<PushPullResp>(out);
+  EXPECT_EQ(resp.ack.value, 12u);
+  ASSERT_EQ(resp.pull.items.size(), 2u);
+  EXPECT_EQ(std::get<PullShardResp>(resp.pull.items[1]).params,
+            (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(WirePullBatchTest, UnknownItemKindRejected) {

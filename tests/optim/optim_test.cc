@@ -105,6 +105,34 @@ TEST(SgdApplierTest, SparseOutOfRangeThrows) {
   EXPECT_THROW(applier.Apply(g, 0, params), CheckError);
 }
 
+TEST(SgdApplierTest, SparseSpanOverloadMatchesSparseUpdate) {
+  auto schedule = std::make_shared<ConstantSchedule>(0.5);
+  SgdApplier applier(schedule, SgdConfig{.clip = 3.0});
+  Gradient g = Gradient::Sparse();
+  g.sparse().Add(4, 5.0);
+  g.sparse().Add(1, -2.0);
+  g.sparse().Add(9, 1.0);  // outside the slice [1, 6): skipped
+  g.sparse().Add(4, 0.25);
+  std::vector<double> a{1.0, 2.0, 3.0, 4.0, 5.0};
+  std::vector<double> b = a;
+  EXPECT_EQ(applier.ApplySparseSlice(g.sparse(), 0, 1, a), 3u);
+  EXPECT_EQ(applier.ApplySparseSlice(g.sparse().indices(),
+                                     g.sparse().values(), 0, 1, b),
+            3u);
+  EXPECT_EQ(a, b);
+}
+
+TEST(SgdApplierTest, SparseSpanOverloadRejectsUnpairedEntries) {
+  auto schedule = std::make_shared<ConstantSchedule>(1.0);
+  SgdApplier applier(schedule);
+  const std::vector<std::uint64_t> indices{0, 1};
+  const std::vector<double> values{1.0};
+  std::vector<double> params{0.0, 0.0};
+  EXPECT_THROW(applier.ApplySparseSlice(indices, values, 0, 0, params),
+               CheckError);
+  EXPECT_EQ(params, (std::vector<double>{0.0, 0.0}));
+}
+
 TEST(SgdApplierTest, NullScheduleThrows) {
   EXPECT_THROW(SgdApplier(nullptr), CheckError);
 }

@@ -249,6 +249,28 @@ TEST(ParamStoreTest, PushShardSkipsForeignSparseEntries) {
   EXPECT_DOUBLE_EQ(pulled.params[7], 1.0);
 }
 
+TEST(ParamStoreTest, PushShardSparseAppliesDecodedEntriesLikePushShard) {
+  ParameterServer a(10, 2, UnitApplier());  // [0,5) [5,10)
+  ParameterServer b(10, 2, UnitApplier());
+  Gradient g = Gradient::Sparse();
+  g.sparse().Add(7, -1.0);
+  g.sparse().Add(2, 0.5);
+  g.sparse().Add(7, 0.25);
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(a.PushShard(s, g, 0),
+              b.PushShardSparse(s, g.sparse().indices(), g.sparse().values(),
+                                0));
+    EXPECT_EQ(a.shard(s).version, b.shard(s).version) << "shard " << s;
+  }
+  EXPECT_EQ(a.Pull().params, b.Pull().params);
+  // No entry inside the shard: nothing applies and the version stays.
+  const std::vector<std::uint64_t> foreign{8};
+  const std::vector<double> value{1.0};
+  EXPECT_FALSE(b.PushShardSparse(0, foreign, value, 0));
+  EXPECT_EQ(b.shard(0).version, 1u);
+  EXPECT_EQ(b.version(), 0u) << "a slice never commits";
+}
+
 // Regression for the version contract: version() counts logical pushes, not
 // shard touches. A sparse push routed to one of four shards must advance the
 // global counter by exactly 1 (it used to be easy to conflate the two).

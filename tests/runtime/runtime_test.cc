@@ -8,6 +8,7 @@
 #include "data/synthetic.h"
 #include "models/matrix_factorization.h"
 #include "models/softmax_regression.h"
+#include "obs/obs.h"
 #include "runtime/mailbox.h"
 #include "runtime/runtime_cluster.h"
 #include "tensor/vector.h"
@@ -244,6 +245,54 @@ TEST(RuntimeClusterTest, TcpLoopbackWithSpeculationCompletes) {
   // Aborted iterations are retried, so the push quota still lands exactly.
   EXPECT_EQ(result.total_pushes, 36u);
   EXPECT_TRUE(AllFinite(result.final_weights));
+}
+
+// Over TCP with no gate, every push but a worker's last also fetches the
+// next iteration's snapshot in the same round trip. Each logical pull (one
+// per attempted iteration) is still served exactly once, and a prefetched
+// snapshot is never reused after an abort.
+void ExpectOnePullServedPerLogicalPull(RuntimeConfig config,
+                                       std::uint64_t quota,
+                                       bool expect_aborts) {
+  obs::ObsContext obs;
+  config.transport = RuntimeTransport::kTcpLoopback;
+  config.obs = &obs;
+  RuntimeCluster cluster(TinyModel(7), std::make_shared<ConstantSchedule>(0.1),
+                         config);
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.total_pushes, quota);
+  EXPECT_TRUE(AllFinite(result.final_weights));
+  EXPECT_EQ(result.total_aborts > 0, expect_aborts);
+  const std::uint64_t pulls = obs.metrics.counter("runtime.pulls").value();
+  // Every attempt pulls once: the completed iterations plus the aborted.
+  EXPECT_EQ(pulls, result.total_pushes + result.total_aborts);
+  // One server: each logical pull is one pull batch it served.
+  EXPECT_EQ(obs.metrics.histogram("net.server.pull_s").count(), pulls);
+  // One round trip per push; only each worker's first pull and the re-pulls
+  // after aborts travel alone.
+  EXPECT_EQ(obs.metrics.histogram("net.rtt_s").count(),
+            result.total_pushes + config.num_workers + result.total_aborts);
+}
+
+TEST(RuntimeClusterTest, TcpAspFusesEachPushWithTheNextPull) {
+  RuntimeConfig config;
+  config.num_workers = 3;
+  config.iterations_per_worker = 12;
+  config.batch_size = 16;
+  ExpectOnePullServedPerLogicalPull(config, 36, /*expect_aborts=*/false);
+}
+
+TEST(RuntimeClusterTest, TcpSpeculationRepullsAfterAbortsWithFusedPushes) {
+  RuntimeConfig config;
+  config.num_workers = 4;
+  config.iterations_per_worker = 25;
+  config.batch_size = 16;
+  config.compute_chunks = 8;
+  config.chunk_delay = std::chrono::microseconds(300);
+  // Hair-trigger speculation, so aborted iterations re-pull.
+  config.fixed_params.abort_time = Duration::Milliseconds(1.0);
+  config.fixed_params.abort_rate = 1.0 / 8.0;
+  ExpectOnePullServedPerLogicalPull(config, 100, /*expect_aborts=*/true);
 }
 
 TEST(RuntimeClusterTest, FinalEvalConfigControlsLossEvaluation) {
