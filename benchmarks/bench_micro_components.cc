@@ -1,11 +1,12 @@
 // Microbenchmarks (google-benchmark): event-queue throughput, parameter-server
-// push/pull, gradient kernels, and the O(m^3) adaptive tuner.
+// push/pull, gradient kernels (MLP and MF), and the O(m^3) adaptive tuner.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 
 #include "core/adaptive_tuner.h"
 #include "data/synthetic.h"
+#include "harness/workload.h"
 #include "models/mlp.h"
 #include "ps/param_store.h"
 #include "sim/simulator.h"
@@ -68,6 +69,25 @@ void BM_MlpGradient(benchmark::State& state) {
                           static_cast<std::int64_t>(batch_size));
 }
 BENCHMARK(BM_MlpGradient)->Arg(16)->Arg(64)->Arg(128);
+
+// The MF workload's sparse gradient at batch 50 (one runtime chunk) and
+// batch 200 (one simulator batch), into one reused output.
+void BM_MfGradient(benchmark::State& state) {
+  const auto batch_size = static_cast<std::size_t>(state.range(0));
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  Rng rng(1);
+  std::vector<double> params(mf.model->param_dim());
+  mf.model->InitParams(params, rng);
+  const std::vector<std::size_t> batch =
+      rng.SampleIndices(mf.model->dataset_size(), batch_size);
+  Gradient grad;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mf.model->LossAndGradient(params, batch, grad));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch_size));
+}
+BENCHMARK(BM_MfGradient)->Arg(50)->Arg(200);
 
 // Algorithm 1 is O(m^3): candidate deltas O(m^2) x evaluation O(m).
 void BM_AdaptiveTunerRetune(benchmark::State& state) {

@@ -22,8 +22,13 @@
 # and ASan the connection teardown. chunk_merge_property_test rides along
 # for ASan: the chunk merger indexes a reused accumulator and bitmap by
 # gradient index, where an off-by-one would read stale memory instead of
-# crashing. wire_codec_property_test rides along for ASan+UBSan: the wire
-# codec copies arrays with bulk memcpy into exactly sized frames and out of
+# crashing. mf_gradient_property_test rides along for the same reason: the
+# MF gradient kernel reuses per-thread scratch (errors, row offsets, sort
+# keys, accumulators) across batches of every size and indexes it by slots
+# decoded from the keys, where a bad decode would read another batch's
+# leftovers; -D_GLIBCXX_ASSERTIONS catches an index past a shrunk vector's
+# size. wire_codec_property_test rides along for ASan+UBSan: the wire codec
+# copies arrays with bulk memcpy into exactly sized frames and out of
 # payloads whose counts are corrupt or cut short, where a missed bound would
 # read or write past a heap block. push_alloc_test is deliberately absent:
 # it replaces the global operator new, which both sanitizers own. sim_test
@@ -41,7 +46,8 @@ SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         fault_test thread_pool_test parallel_runner_test obs_test net_test
         exactly_once_property_test sim_test calendar_queue_property_test
         tuner_equivalence_test compression_property_test
-        chunk_merge_property_test wire_codec_property_test)
+        chunk_merge_property_test mf_gradient_property_test
+        wire_codec_property_test)
 MODE="${1:-all}"
 
 run_mode() {

@@ -34,7 +34,7 @@ double LinearRegressionModel::LossAndGradient(
     Gradient& grad) const {
   SPECSYNC_CHECK_EQ(params.size(), param_dim());
   SPECSYNC_CHECK(!batch.empty());
-  grad = Gradient::Dense(param_dim());
+  grad.ResetDense(param_dim());
   std::span<double> g = grad.dense();
   const std::size_t d = data_->feature_dim();
   const double inv_batch = 1.0 / static_cast<double>(batch.size());

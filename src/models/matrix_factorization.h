@@ -4,6 +4,14 @@
 // (num_items x rank) ] flattened row-major. Loss per rating (u,i,r):
 //   0.5 * (r - U_u . V_i)^2 + 0.5 * reg * (|U_u|^2 + |V_i|^2) / n_touch
 // Gradients are sparse: only the factor rows present in the batch move.
+//
+// LossAndGradient is a row-grouped kernel (DESIGN.md §17). Pass 1 computes
+// each rating's error and loss term and records one key per (rating, side)
+// for the factor row it touches; sorting those 2n keys groups them by row.
+// Pass 2 sums each row's contributions into rank accumulators in batch order
+// and emits the row's entries in index order. The result is canonical
+// (index-sorted, no duplicates) and equals appending every per-rating entry
+// and coalescing with SparseUpdate::Coalesce's stable rule, bit for bit.
 #pragma once
 
 #include <memory>

@@ -96,7 +96,7 @@ double MlpClassifierModel::LossAndGradient(
     Gradient& grad) const {
   SPECSYNC_CHECK_EQ(params.size(), param_dim_);
   SPECSYNC_CHECK(!batch.empty());
-  grad = Gradient::Dense(param_dim_);
+  grad.ResetDense(param_dim_);
   std::span<double> g = grad.dense();
   Workspace ws = MakeWorkspace();
   const double inv_batch = 1.0 / static_cast<double>(batch.size());

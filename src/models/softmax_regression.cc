@@ -46,7 +46,7 @@ double SoftmaxRegressionModel::LossAndGradient(
     Gradient& grad) const {
   SPECSYNC_CHECK_EQ(params.size(), param_dim());
   SPECSYNC_CHECK(!batch.empty());
-  grad = Gradient::Dense(param_dim());
+  grad.ResetDense(param_dim());
   std::span<double> g = grad.dense();
 
   const std::size_t c = data_->num_classes();

@@ -225,27 +225,34 @@ void ParameterServer::RouteGradientInto(
   if (!grad.is_sparse()) {
     SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      routes.push_back(ShardRoute{s, shard_bytes(s)});
+      const Shard& shard = *shards_[s];
+      routes.push_back(ShardRoute{s, shard_bytes(s), shard.offset,
+                                  shard.offset + shard.length});
     }
     return;
   }
-  // Tally bytes per shard in place, then drop the untouched shards. The
-  // cursor [lo, hi) is the current shard's range: ShardOf's binary search
-  // runs only when an index leaves it, so sorted input routes in O(nnz).
+  // Tally bytes and the entry range per shard in place, then drop the
+  // untouched shards. The cursor [lo, hi) is the current shard's range:
+  // ShardOf's binary search runs only when an index leaves it, so sorted
+  // input routes in O(nnz).
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     routes.push_back(ShardRoute{s, 0});
   }
   std::size_t shard = 0;
   std::size_t lo = 0;
   std::size_t hi = 0;
-  for (std::uint64_t raw : grad.sparse().indices()) {
-    const auto index = static_cast<std::size_t>(raw);
+  const auto indices = grad.sparse().indices();
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const auto index = static_cast<std::size_t>(indices[i]);
     if (index < lo || index >= hi) {
       shard = ShardOf(index);
       lo = shards_[shard]->offset;
       hi = lo + shards_[shard]->length;
     }
-    routes[shard].bytes += 16;
+    ShardRoute& route = routes[shard];
+    if (route.bytes == 0) route.begin = i;
+    route.end = i + 1;
+    route.bytes += 16;
   }
   std::erase_if(routes, [](const ShardRoute& r) { return r.bytes == 0; });
   // An empty gradient still crosses the wire as one (empty) message, so the
@@ -267,6 +274,24 @@ bool ParameterServer::PushShard(std::size_t s, const Gradient& grad,
       std::span<const double>(grad.dense().data() + shard.offset,
                               shard.length),
       epoch);
+}
+
+bool ParameterServer::PushRoute(const ShardRoute& route, const Gradient& grad,
+                                EpochId epoch) {
+  SPECSYNC_CHECK_LE(route.begin, route.end);
+  const std::size_t count = route.end - route.begin;
+  if (!grad.is_sparse()) {
+    SPECSYNC_CHECK_LE(route.end, grad.dense().size());
+    return PushShardDenseSlice(
+        route.shard,
+        std::span<const double>(grad.dense()).subspan(route.begin, count),
+        epoch);
+  }
+  SPECSYNC_CHECK_LE(route.end, grad.sparse().nnz());
+  return PushShardSparse(route.shard,
+                         grad.sparse().indices().subspan(route.begin, count),
+                         grad.sparse().values().subspan(route.begin, count),
+                         epoch);
 }
 
 bool ParameterServer::PushShardSparse(std::size_t s,
@@ -311,7 +336,7 @@ std::uint64_t ParameterServer::Push(const Gradient& grad, EpochId epoch,
                                     std::span<const ShardRoute> routes) {
   obs::ScopedTimer push_timer(push_hist_);
   for (const ShardRoute& route : routes) {
-    PushShard(route.shard, grad, epoch);
+    PushRoute(route, grad, epoch);
   }
   return CommitPush();
 }

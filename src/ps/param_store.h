@@ -116,10 +116,10 @@ class ParameterServer {
   // Equivalent to PushShard on every routed shard followed by CommitPush.
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
-  // Applies only shard `s`'s slice of `grad` (the sim's per-shard push
-  // messages land here, each at its own arrival time). Bumps the shard
-  // version iff the slice was non-empty; never bumps the global version.
-  // Returns whether the slice touched the shard.
+  // Applies only shard `s`'s slice of `grad`, scanning every entry of a
+  // sparse gradient. Bumps the shard version iff the slice was non-empty;
+  // never bumps the global version. Returns whether the slice touched the
+  // shard. A caller that has the routes uses PushRoute instead.
   bool PushShard(std::size_t s, const Gradient& grad, EpochId epoch);
 
   // Wire-path variant of PushShard for dense gradients: `slice` is already
@@ -164,15 +164,32 @@ class ParameterServer {
   // owning shards, 16 bytes per entry). An empty gradient routes one empty
   // message to shard 0 so a push is never silently message-free. Routes
   // come out in ascending shard order, whatever the index order.
+  //
+  // [begin, end) is the range of the gradient's entries that holds every
+  // entry of the shard: for a sparse gradient, from the shard's first entry
+  // to one past its last (exactly its own entries when the indices are
+  // sorted; an unsorted gradient may interleave other shards' entries in
+  // it); for a dense one, the shard's slice. PushRoute applies only that
+  // range.
   struct ShardRoute {
     std::size_t shard = 0;
     std::size_t bytes = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
   std::vector<ShardRoute> RouteGradient(const Gradient& grad) const;
   // RouteGradient into a caller-owned buffer (cleared first): allocation-free
   // once `routes` has held num_shards() entries.
   void RouteGradientInto(const Gradient& grad,
                          std::vector<ShardRoute>& routes) const;
+
+  // PushShard(route.shard, grad, epoch) reading only the route's entry
+  // range: the same entries apply in the same order, so the result is
+  // bit-identical, but each shard of a sorted sparse push scans its own
+  // entries instead of the whole gradient. `route` must come from
+  // RouteGradientInto(grad). The store's Push and the simulator's per-shard
+  // push messages (each applied at its own arrival time) land here.
+  bool PushRoute(const ShardRoute& route, const Gradient& grad, EpochId epoch);
 
   // Push with the routing already done: `routes` must be what
   // RouteGradientInto(grad) produced. A caller that also needs the routes

@@ -427,9 +427,9 @@ struct RuntimeCluster::Impl {
       return false;  // in-flight work is discarded; re-pull and restart
     };
 
-    // Push buffers reused by every iteration: with obs and the codec off,
-    // the push span (merge, route, store, gate) allocates nothing once the
-    // first push has sized them.
+    // Compute and push buffers reused by every iteration: with obs and the
+    // codec off, the chunk gradients and the push span (merge, route,
+    // store, gate) allocate nothing once the first iteration has sized them.
     std::vector<Gradient> chunks;
     ChunkMerger merger(model->param_dim());
     Gradient merged;
@@ -481,7 +481,7 @@ struct RuntimeCluster::Impl {
 
         const SimTime compute_begin = obs != nullptr ? clock.Now() : SimTime();
         const std::vector<std::size_t> batch = sampler.NextBatch();
-        chunks.clear();
+        std::size_t num_chunks = 0;
         bool aborted = false;
         bool crashed = false;
         for (std::size_t begin = 0; begin < batch.size();
@@ -489,9 +489,8 @@ struct RuntimeCluster::Impl {
           const std::size_t end = std::min(begin + chunk_size, batch.size());
           std::span<const std::size_t> chunk(batch.data() + begin,
                                              end - begin);
-          Gradient grad;
-          model->LossAndGradient(snapshot.params, chunk, grad);
-          chunks.push_back(std::move(grad));
+          if (chunks.size() == num_chunks) chunks.emplace_back();
+          model->LossAndGradient(snapshot.params, chunk, chunks[num_chunks++]);
           if (config.chunk_delay.count() > 0) {
             // Injected slowdown stretches the artificial per-chunk delay.
             const double factor = faults.SlowdownFactor(w, clock.Now());
@@ -542,7 +541,8 @@ struct RuntimeCluster::Impl {
         // only) and push.notify (the scheduler message, speculative runs
         // only). Recording them is charged to the push span itself.
         const SimTime push_begin = obs != nullptr ? clock.Now() : SimTime();
-        merger.Merge(chunks, merged);
+        merger.Merge(std::span<const Gradient>(chunks).first(num_chunks),
+                     merged);
         // Codec transform happens before BOTH the push and the gate's write
         // set below, so consistency tracking sees the gradient that actually
         // shipped (top-k may shrink the touched-shard set).

@@ -579,7 +579,7 @@ struct ClusterSim::Impl {
   void OnShardPushArrive(WorkerId w, ParameterServer::ShardRoute route,
                          const std::shared_ptr<PushAttempt>& attempt) {
     if (stopped) return;
-    server->PushShard(route.shard, *attempt->grad, GlobalEpoch());
+    server->PushRoute(route, *attempt->grad, GlobalEpoch());
     transfers.Charge(TransferCategory::kPushGrads, route.bytes, sim.now(),
                      route.shard);
     attempt->any_landed = true;
@@ -600,7 +600,7 @@ struct ClusterSim::Impl {
   void OnDuplicateShardPush(ParameterServer::ShardRoute route,
                             const std::shared_ptr<PushAttempt>& attempt) {
     if (stopped) return;
-    server->PushShard(route.shard, *attempt->grad, GlobalEpoch());
+    server->PushRoute(route, *attempt->grad, GlobalEpoch());
     transfers.Charge(TransferCategory::kPushGrads, route.bytes, sim.now(),
                      route.shard);
   }

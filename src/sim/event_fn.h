@@ -27,7 +27,7 @@ namespace specsync {
 class EventFn {
  public:
   // Covers every closure the cluster loop schedules (the largest captures
-  // [this, worker, ShardRoute, shared_ptr] ≈ 48 bytes). Closures above the
+  // [this, worker, ShardRoute, shared_ptr] = 64 bytes). Closures above the
   // limit still work — they are boxed — so this is a perf knob, not an API
   // limit.
   static constexpr std::size_t kInlineBytes = 64;

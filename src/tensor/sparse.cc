@@ -1,33 +1,33 @@
 #include "tensor/sparse.h"
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
+#include <utility>
 
 #include "common/check.h"
 
 namespace specsync {
 
 void SparseUpdate::Coalesce() {
-  if (indices_.size() < 2) return;
-  std::vector<std::size_t> order(indices_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return indices_[a] < indices_[b];
-  });
-  std::vector<std::uint64_t> new_indices;
-  std::vector<double> new_values;
-  new_indices.reserve(indices_.size());
-  new_values.reserve(values_.size());
-  for (std::size_t pos : order) {
-    if (!new_indices.empty() && new_indices.back() == indices_[pos]) {
-      new_values.back() += values_[pos];
+  if (std::adjacent_find(indices_.begin(), indices_.end(),
+                         std::greater_equal<>()) == indices_.end()) {
+    return;  // already canonical
+  }
+  std::vector<std::pair<std::uint64_t, double>> entries;
+  entries.reserve(indices_.size());
+  for (std::size_t i = 0; i < indices_.size(); ++i) {
+    entries.emplace_back(indices_[i], values_[i]);
+  }
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  Clear();
+  for (const auto& [index, value] : entries) {
+    if (!indices_.empty() && indices_.back() == index) {
+      values_.back() += value;
     } else {
-      new_indices.push_back(indices_[pos]);
-      new_values.push_back(values_[pos]);
+      Add(index, value);
     }
   }
-  indices_ = std::move(new_indices);
-  values_ = std::move(new_values);
 }
 
 void SparseUpdate::ScatterAdd(double alpha, std::span<double> dest) const {

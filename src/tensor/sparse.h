@@ -41,7 +41,11 @@ class SparseUpdate {
     values_.clear();
   }
 
-  // Sorts by index and sums duplicate entries (canonical form).
+  // Brings the update to canonical form: sorted by index, no duplicates.
+  // Duplicates of an index are summed in entry order (a stable sort, then a
+  // left-to-right sum), the one rule ChunkMerger and the MF gradient kernel
+  // share, so the result's bits depend only on the entry sequence. Already
+  // strictly increasing indices return at once, without allocating.
   void Coalesce();
 
   // dest[index] += alpha * value for each entry; indices must be < dest size.

@@ -1,0 +1,403 @@
+// Property suite for the matrix-factorization gradient kernel.
+//
+// MatrixFactorizationModel::LossAndGradient groups the batch's contributions
+// by factor row and sums each row's in batch order. Every call is compared
+// bit for bit (loss, indices, value bits) against a transparent reference
+// kept here: append the two rank-long entry runs of every rating in batch
+// order, the way the kernel's predecessor did, then stable-sort by index and
+// sum duplicates left to right. Each trial is a sequence of batches pushed
+// through ONE model and ONE output gradient (which starts out dense), so the
+// kernel's reuse of the caller's gradient and of its own scratch is covered.
+// Generated cases cover duplicate-heavy tiny datasets (3 users x 2 items,
+// batch 64), batch size 1, rank 1 and 16, zero regularization, parameters
+// that are exactly +-0.0, and both sum_gradient settings; values are
+// non-dyadic so any change of summation order shows in the bits.
+//
+// On failure the harness shrinks the trial (greedy ddmin over batches, then
+// batch entries — the chunk_merge_property_test recipe) and prints it. Two
+// planted bugs must be caught and shrunk: duplicates summed in reverse, and
+// a row's first contribution dropped.
+//
+// Trials are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <iterator>
+#include <memory>
+#include <optional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "data/synthetic.h"
+#include "models/matrix_factorization.h"
+
+namespace specsync {
+namespace {
+
+std::uint64_t BaseSeed() {
+  if (const char* env = std::getenv("SPECSYNC_PROPERTY_SEED")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return 20261017;
+}
+
+struct Trial {
+  std::size_t num_users = 1;
+  std::size_t num_items = 1;
+  std::vector<Rating> ratings;
+  MatrixFactorizationConfig config;
+  std::vector<double> params;
+  std::vector<std::vector<std::size_t>> batches;  // each non-empty
+};
+
+double RandomParam(Rng& rng) {
+  constexpr double kSpecial[] = {0.0, -0.0, 1.0 / 3, -0.1};
+  if (rng.Index(10) == 0) return kSpecial[rng.Index(std::size(kSpecial))];
+  return rng.Uniform(-1.0, 1.0);
+}
+
+Trial GenerateTrial(std::uint64_t seed) {
+  Rng rng(seed);
+  Trial t;
+  // Shapes: duplicate-heavy tiny, small random, and MF-like sparse.
+  const std::size_t shape = rng.Index(3);
+  std::size_t max_batch = 0;
+  if (shape == 0) {
+    t.num_users = 3;
+    t.num_items = 2;
+    max_batch = 64;
+  } else if (shape == 1) {
+    t.num_users = 1 + rng.Index(8);
+    t.num_items = 1 + rng.Index(8);
+    max_batch = 1 + rng.Index(32);
+  } else {
+    t.num_users = 20 + rng.Index(60);
+    t.num_items = 20 + rng.Index(40);
+    max_batch = 200;
+  }
+  constexpr std::size_t kRanks[] = {1, 2, 3, 8, 16};
+  t.config.rank = kRanks[rng.Index(std::size(kRanks))];
+  constexpr double kRegs[] = {0.0, 0.02, 0.1, 1.0 / 3};
+  t.config.regularization = kRegs[rng.Index(std::size(kRegs))];
+  t.config.sum_gradient = rng.Index(2) == 0;
+
+  const std::size_t num_ratings = 1 + rng.Index(300);
+  for (std::size_t i = 0; i < num_ratings; ++i) {
+    t.ratings.push_back(
+        Rating{static_cast<std::uint32_t>(rng.Index(t.num_users)),
+               static_cast<std::uint32_t>(rng.Index(t.num_items)),
+               rng.Uniform(0.0, 5.0)});
+  }
+  t.params.resize((t.num_users + t.num_items) * t.config.rank);
+  for (double& p : t.params) p = RandomParam(rng);
+
+  const std::size_t num_batches = 1 + rng.Index(4);
+  for (std::size_t b = 0; b < num_batches; ++b) {
+    const std::size_t size =
+        rng.Index(4) == 0 ? (rng.Index(2) == 0 ? 1 : max_batch)
+                          : 1 + rng.Index(max_batch);
+    std::vector<std::size_t> batch;
+    for (std::size_t i = 0; i < size; ++i) {
+      batch.push_back(rng.Index(num_ratings));  // with replacement
+    }
+    t.batches.push_back(std::move(batch));
+  }
+  return t;
+}
+
+std::shared_ptr<const RatingsDataset> MakeData(const Trial& t) {
+  auto data = std::make_shared<RatingsDataset>(t.num_users, t.num_items);
+  for (const Rating& rating : t.ratings) data->Add(rating);
+  return data;
+}
+
+std::string FormatTrial(const Trial& t) {
+  std::ostringstream out;
+  out.precision(17);
+  out << t.num_users << " users x " << t.num_items << " items, rank "
+      << t.config.rank << ", reg " << t.config.regularization
+      << ", sum_gradient " << t.config.sum_gradient;
+  for (const std::vector<std::size_t>& batch : t.batches) {
+    out << "\n  batch:";
+    for (const std::size_t idx : batch) {
+      const Rating& r = t.ratings[idx];
+      out << " (u" << r.user << ",i" << r.item << ',' << r.value << ')';
+    }
+  }
+  return out.str();
+}
+
+// --- reference ---------------------------------------------------------------
+
+using Entries = std::vector<std::pair<std::uint64_t, double>>;
+
+// The per-rating Add loop: two rank-long runs per rating, in batch order,
+// and the mean loss, in the arithmetic order the kernel must keep.
+double ReferenceEntries(const Trial& t, std::span<const std::size_t> batch,
+                        Entries& entries) {
+  const std::size_t r = t.config.rank;
+  const double reg = t.config.regularization;
+  const double inv_batch = 1.0 / static_cast<double>(batch.size());
+  const double grad_scale = t.config.sum_gradient ? 1.0 : inv_batch;
+  entries.clear();
+  double loss = 0.0;
+  for (const std::size_t idx : batch) {
+    const Rating& rating = t.ratings[idx];
+    const std::size_t uo = rating.user * r;
+    const std::size_t io = (t.num_users + rating.item) * r;
+    double dot = 0.0;
+    for (std::size_t k = 0; k < r; ++k) {
+      dot += t.params[uo + k] * t.params[io + k];
+    }
+    const double err = dot - rating.value;
+    double reg_term = 0.0;
+    for (std::size_t k = 0; k < r; ++k) {
+      const double uk = t.params[uo + k];
+      const double vk = t.params[io + k];
+      reg_term += uk * uk + vk * vk;
+      entries.emplace_back(uo + k, grad_scale * (err * vk + reg * uk));
+      entries.emplace_back(io + k, grad_scale * (err * uk + reg * vk));
+    }
+    loss += 0.5 * err * err + 0.5 * reg * reg_term;
+  }
+  return loss * inv_batch;
+}
+
+enum class SubjectKind {
+  kKernel,              // the real MatrixFactorizationModel
+  kReversedDuplicates,  // planted: a row's contributions summed last to first
+  kDroppedFirst,        // planted: a row's first contribution is lost
+};
+
+// Stable-sorts `entries` by index and sums each index's run: left to right
+// for the reference, or with one of the planted bugs.
+void SumRuns(Entries entries, SubjectKind kind, Gradient& out) {
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.ResetSparse();
+  for (std::size_t begin = 0; begin < entries.size();) {
+    std::size_t end = begin;
+    while (end < entries.size() && entries[end].first == entries[begin].first) {
+      ++end;
+    }
+    double sum = 0.0;
+    switch (kind) {
+      case SubjectKind::kKernel:
+        sum = entries[begin].second;
+        for (std::size_t i = begin + 1; i < end; ++i) sum += entries[i].second;
+        break;
+      case SubjectKind::kReversedDuplicates:
+        sum = entries[end - 1].second;
+        for (std::size_t i = end - 1; i-- > begin;) sum += entries[i].second;
+        break;
+      case SubjectKind::kDroppedFirst:
+        for (std::size_t i = begin + 1; i < end; ++i) sum += entries[i].second;
+        break;
+    }
+    out.sparse().Add(entries[begin].first, sum);
+    begin = end;
+  }
+}
+
+bool SameBits(double a, double b) {
+  std::uint64_t bits_a = 0;
+  std::uint64_t bits_b = 0;
+  std::memcpy(&bits_a, &a, sizeof(a));
+  std::memcpy(&bits_b, &b, sizeof(b));
+  return bits_a == bits_b;
+}
+
+std::optional<std::string> Compare(double got_loss, const Gradient& got,
+                                   double want_loss, const Gradient& want) {
+  if (!SameBits(got_loss, want_loss)) return "loss bits differ";
+  if (!got.is_sparse()) return "gradient is not sparse";
+  const SparseUpdate& g = got.sparse();
+  const SparseUpdate& w = want.sparse();
+  if (g.nnz() != w.nnz()) {
+    return "nnz " + std::to_string(g.nnz()) + ", want " +
+           std::to_string(w.nnz());
+  }
+  for (std::size_t i = 0; i < w.nnz(); ++i) {
+    if (g.indices()[i] != w.indices()[i]) {
+      return "index differs at entry " + std::to_string(i);
+    }
+    if (!SameBits(g.values()[i], w.values()[i])) {
+      return "value bits differ at index " + std::to_string(w.indices()[i]);
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> RunTrial(const Trial& trial, SubjectKind kind) {
+  const MatrixFactorizationModel model(MakeData(trial), trial.config);
+  Gradient got = Gradient::Dense(5);  // reused: the kernel must reset it
+  Gradient want;
+  Entries entries;
+  for (std::size_t b = 0; b < trial.batches.size(); ++b) {
+    const std::vector<std::size_t>& batch = trial.batches[b];
+    const double want_loss = ReferenceEntries(trial, batch, entries);
+    SumRuns(entries, SubjectKind::kKernel, want);
+    double got_loss = want_loss;
+    if (kind == SubjectKind::kKernel) {
+      got_loss = model.LossAndGradient(trial.params, batch, got);
+    } else {
+      SumRuns(entries, kind, got);
+    }
+    if (auto diff = Compare(got_loss, got, want_loss, want)) {
+      return "batch " + std::to_string(b) + ": " + *diff;
+    }
+  }
+  return std::nullopt;
+}
+
+// Greedy ddmin over one list: repeatedly delete the largest run of elements
+// whose removal keeps the failure, halving the run until single elements
+// survive. `keep` is the fewest elements the list may shrink to.
+template <typename T, typename Fails>
+void ShrinkList(std::vector<T>& items, std::size_t keep, const Fails& fails) {
+  std::size_t run = std::max<std::size_t>(1, items.size() / 2);
+  for (;;) {
+    bool removed_any = false;
+    std::size_t offset = 0;
+    while (offset < items.size() && items.size() > keep) {
+      std::vector<T> candidate = items;
+      const std::size_t end =
+          std::min({offset + run, candidate.size(),
+                    offset + (candidate.size() - keep)});
+      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(offset),
+                      candidate.begin() + static_cast<std::ptrdiff_t>(end));
+      if (fails(candidate)) {
+        items = std::move(candidate);
+        removed_any = true;
+      } else {
+        offset += run;
+      }
+    }
+    if (run == 1) {
+      if (!removed_any) break;
+    } else {
+      run /= 2;
+    }
+  }
+}
+
+Trial ShrinkTrial(Trial trial, SubjectKind kind) {
+  const auto fails = [&](const Trial& candidate) {
+    return RunTrial(candidate, kind).has_value();
+  };
+  // Averaged gradients scale every value by 1/batch, so no rating could be
+  // removed without moving the rest: prefer summed ones when they still fail.
+  if (!trial.config.sum_gradient) {
+    Trial candidate = trial;
+    candidate.config.sum_gradient = true;
+    if (fails(candidate)) trial = std::move(candidate);
+  }
+  ShrinkList(trial.batches, 1,
+             [&](const std::vector<std::vector<std::size_t>>& batches) {
+               Trial candidate = trial;
+               candidate.batches = batches;
+               return fails(candidate);
+             });
+  for (std::size_t b = 0; b < trial.batches.size(); ++b) {
+    ShrinkList(trial.batches[b], 1, [&](const std::vector<std::size_t>& batch) {
+      Trial candidate = trial;
+      candidate.batches[b] = batch;
+      return fails(candidate);
+    });
+  }
+  return trial;
+}
+
+std::size_t BatchEntries(const Trial& t) {
+  std::size_t entries = 0;
+  for (const std::vector<std::size_t>& batch : t.batches) {
+    entries += batch.size();
+  }
+  return entries;
+}
+
+TEST(MfGradientPropertyTest, KernelMatchesAppendAndStableCoalesce) {
+  const std::uint64_t base = BaseSeed();
+  for (std::uint64_t trial_idx = 0; trial_idx < 300; ++trial_idx) {
+    const Trial trial = GenerateTrial(base + trial_idx);
+    const auto failure = RunTrial(trial, SubjectKind::kKernel);
+    if (failure.has_value()) {
+      const Trial minimal = ShrinkTrial(trial, SubjectKind::kKernel);
+      FAIL() << *failure << "\nseed " << base + trial_idx
+             << "\nminimal counterexample: " << FormatTrial(minimal);
+    }
+  }
+}
+
+// The harness has teeth: each planted bug is caught within a few trials and
+// shrinks to a small witness. A greedy shrink can stall on a trial where
+// every single removal happens to round the bug away, so the smallest of the
+// first three caught trials' witnesses is the one held to the bound.
+TEST(MfGradientPropertyTest, PlantedBugsAreCaughtAndShrunk) {
+  const std::uint64_t base = BaseSeed();
+  for (const SubjectKind kind :
+       {SubjectKind::kReversedDuplicates, SubjectKind::kDroppedFirst}) {
+    std::optional<Trial> smallest;
+    std::size_t caught = 0;
+    for (std::uint64_t trial_idx = 0; trial_idx < 200 && caught < 3;
+         ++trial_idx) {
+      const Trial trial = GenerateTrial(base + trial_idx);
+      if (!RunTrial(trial, kind).has_value()) continue;
+      ++caught;
+      const Trial minimal = ShrinkTrial(trial, kind);
+      EXPECT_TRUE(RunTrial(minimal, kind).has_value());
+      if (!smallest || BatchEntries(minimal) < BatchEntries(*smallest)) {
+        smallest = minimal;
+      }
+    }
+    ASSERT_TRUE(smallest.has_value()) << "planted bug survived 200 trials";
+    EXPECT_EQ(smallest->batches.size(), 1u)
+        << "shrink left a large witness: " << FormatTrial(*smallest);
+    // Reversal shows only once a row sums three contributions (addition of
+    // two commutes), which takes at least three ratings; a dropped first
+    // contribution shows with one.
+    const std::size_t max_entries =
+        kind == SubjectKind::kReversedDuplicates ? 4u : 1u;
+    EXPECT_LE(BatchEntries(*smallest), max_entries)
+        << "shrink left a large witness: " << FormatTrial(*smallest);
+  }
+}
+
+// The benchmark's own input: an MF-workload-sized dataset (MakeMfWorkload's
+// shape, rank and regularization) with batches of 50 (a runtime chunk) and
+// 200 (a simulator batch) through one model and one reused gradient.
+TEST(MfGradientPropertyTest, MfWorkloadBatchesMatchReference) {
+  Rng rng(BaseSeed());
+  RatingsSpec spec;
+  spec.num_users = 600;
+  spec.num_items = 400;
+  spec.num_ratings = 60000;
+  const RatingsDataset data = GenerateRatings(spec, rng);
+  Trial t;
+  t.num_users = data.num_users();
+  t.num_items = data.num_items();
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    t.ratings.push_back(data.rating(i));
+  }
+  t.config.rank = 8;
+  t.config.regularization = 0.02;
+  t.params.resize((t.num_users + t.num_items) * t.config.rank);
+  MatrixFactorizationModel(MakeData(t), t.config).InitParams(t.params, rng);
+  for (const std::size_t batch_size : {50u, 200u}) {
+    for (int b = 0; b < 10; ++b) {
+      t.batches.push_back(rng.SampleIndices(data.size(), batch_size));
+    }
+  }
+  const auto failure = RunTrial(t, SubjectKind::kKernel);
+  EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+}  // namespace
+}  // namespace specsync

@@ -1,6 +1,7 @@
 // Tests for the parameter server and the ASP/BSP/SSP consistency controllers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
@@ -186,6 +187,19 @@ TEST(ParamStoreTest, CursorRoutingMatchesPerIndexShardOf) {
       EXPECT_EQ(got[i].bytes, want[i].bytes) << "route " << i;
       EXPECT_EQ(reused[i].shard, want[i].shard) << "route " << i;
       EXPECT_EQ(reused[i].bytes, want[i].bytes) << "route " << i;
+      EXPECT_EQ(reused[i].begin, got[i].begin) << "route " << i;
+      EXPECT_EQ(reused[i].end, got[i].end) << "route " << i;
+      // [begin, end) runs from the shard's first entry to its last.
+      if (got[i].bytes == 0) continue;
+      std::size_t first = c.indices.size();
+      std::size_t last = 0;
+      for (std::size_t e = 0; e < c.indices.size(); ++e) {
+        if (server.ShardOf(c.indices[e]) != got[i].shard) continue;
+        first = std::min(first, e);
+        last = e;
+      }
+      EXPECT_EQ(got[i].begin, first) << "route " << i;
+      EXPECT_EQ(got[i].end, last + 1) << "route " << i;
     }
   }
   // An index past the end is rejected whatever shard the cursor holds.
@@ -209,6 +223,49 @@ TEST(ParamStoreTest, PushWithRoutesEqualsPush) {
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(a.shard(s).version, b.shard(s).version) << "shard " << s;
   }
+}
+
+// PushRoute reads only the route's entry range, yet applies exactly what
+// a whole-gradient PushShard applies: sorted, unsorted (other shards'
+// entries inside the range) and duplicate-heavy gradients, and dense ones.
+TEST(ParamStoreTest, PushRouteEqualsWholeGradientPushShard) {
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {0, 1, 3, 4, 6, 7, 9},
+      {9, 0, 5, 2, 7, 4},
+      {3, 3, 4, 4, 4, 3, 9, 9},
+      {0, 8, 1, 9, 0, 5},
+      {}};
+  for (const auto& indices : cases) {
+    ParameterServer whole(10, 3, UnitApplier());
+    ParameterServer ranged(10, 3, UnitApplier());
+    Gradient g = Gradient::Sparse();
+    for (std::size_t e = 0; e < indices.size(); ++e) {
+      g.sparse().Add(indices[e], 0.1 * static_cast<double>(e + 1) / 3.0);
+    }
+    for (const ParameterServer::ShardRoute& route : ranged.RouteGradient(g)) {
+      EXPECT_EQ(whole.PushShard(route.shard, g, 0),
+                ranged.PushRoute(route, g, 0));
+    }
+    EXPECT_EQ(whole.Pull().params, ranged.Pull().params);
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(whole.shard(s).version, ranged.shard(s).version);
+    }
+  }
+  ParameterServer whole(10, 3, UnitApplier());
+  ParameterServer ranged(10, 3, UnitApplier());
+  Gradient dense = Gradient::Dense(10);
+  for (std::size_t i = 0; i < 10; ++i) {
+    dense.dense()[i] = 0.1 * static_cast<double>(i);
+  }
+  const auto routes = ranged.RouteGradient(dense);
+  ASSERT_EQ(routes.size(), 3u);
+  EXPECT_EQ(routes[1].begin, 4u);  // [0,4) [4,7) [7,10)
+  EXPECT_EQ(routes[1].end, 7u);
+  for (const ParameterServer::ShardRoute& route : routes) {
+    EXPECT_TRUE(whole.PushShard(route.shard, dense, 0));
+    EXPECT_TRUE(ranged.PushRoute(route, dense, 0));
+  }
+  EXPECT_EQ(whole.Pull().params, ranged.Pull().params);
 }
 
 TEST(ParamStoreTest, PushShardAppliesSliceWithoutCommitting) {

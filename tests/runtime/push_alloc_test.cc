@@ -1,15 +1,16 @@
-// Pins the runtime's steady-state push span as allocation-free, and the wire
-// encoder at one allocation per frame.
+// Pins the runtime's steady-state compute and push spans as allocation-free,
+// and the wire encoder at one allocation per frame.
 //
 // This file replaces the global operator new with a counting one, so it is
 // its own test binary. It drives real matrix-factorization gradients through
-// the steps of RuntimeCluster's push span, with per-worker buffers reused the
-// way WorkerLoop reuses them: ChunkMerger::Merge, then
+// the steps of RuntimeCluster's compute and push spans, with per-worker
+// buffers reused the way WorkerLoop reuses them: the model's LossAndGradient
+// into each of the worker's chunk gradients, then ChunkMerger::Merge, then
 // ParameterServer::RouteGradientInto, then Push(grad, epoch, routes), then
 // ConsistencyGate::OnPush with the routed shards as the write set. Obs and
-// the codec are off. After each worker's first push has sized its buffers,
-// no push may allocate. The chunk gradients themselves are computed outside
-// the counted window (the model allocates them).
+// the codec are off. After each worker's first iteration has sized its
+// buffers, no iteration may allocate. The snapshot pull and the batch sample
+// stay outside the counted window.
 
 #include <algorithm>
 #include <atomic>
@@ -98,9 +99,10 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   ConsistencyGate gate(std::move(controller));
 
   struct WorkerBuffers {
-    explicit WorkerBuffers(std::size_t dim) : merger(dim) {
+    explicit WorkerBuffers(std::size_t dim) : chunks(kChunks), merger(dim) {
       touched.reserve(kShards);
     }
+    std::vector<Gradient> chunks;
     ChunkMerger merger;
     Gradient merged;
     std::vector<ParameterServer::ShardRoute> routes;
@@ -110,11 +112,15 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   std::vector<WorkerBuffers> workers;
   for (WorkerId w = 0; w < kWorkers; ++w) workers.emplace_back(dim);
 
-  std::vector<Gradient> chunks(kChunks);
   const std::size_t chunk_size = mf.batch_size / kChunks;
-  const auto push = [&](WorkerId w) {
+  const auto iterate = [&](WorkerId w, std::span<const double> params,
+                           std::span<const std::size_t> batch) {
     WorkerBuffers& b = workers[w];
-    b.merger.Merge(chunks, b.merged);
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      mf.model->LossAndGradient(
+          params, batch.subspan(c * chunk_size, chunk_size), b.chunks[c]);
+    }
+    b.merger.Merge(b.chunks, b.merged);
     server.RouteGradientInto(b.merged, b.routes);
     server.Push(b.merged, /*epoch=*/0, b.routes);
     b.touched.clear();
@@ -131,19 +137,17 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
     const PullResult snapshot = server.Pull();
     const std::vector<std::size_t> batch =
         rng.SampleIndices(mf.model->dataset_size(), mf.batch_size);
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      mf.model->LossAndGradient(
-          snapshot.params,
-          std::span(batch).subspan(c * chunk_size, chunk_size), chunks[c]);
-    }
     if (p < kWorkers) {
-      push(w);  // warm-up: the worker's first push sizes its buffers
+      // Warm-up: the worker's first iteration sizes its buffers.
+      iterate(w, snapshot.params, batch);
       continue;
     }
-    allocations += CountAllocations([&] { push(w); });
+    allocations +=
+        CountAllocations([&] { iterate(w, snapshot.params, batch); });
     max_nnz = std::max(max_nnz, workers[w].merged.sparse().nnz());
   }
-  EXPECT_EQ(allocations, 0u) << "over " << kPushes << " steady-state pushes";
+  EXPECT_EQ(allocations, 0u)
+      << "over " << kPushes << " steady-state iterations";
   // Non-vacuity: real MF merges, every push committed and gated.
   EXPECT_GT(max_nnz, 1000u);
   EXPECT_EQ(server.version(), kWorkers + kPushes);

@@ -159,6 +159,44 @@ TEST(SparseTest, CoalesceSortsAndSums) {
   EXPECT_DOUBLE_EQ(update.values()[1], 4.0);
 }
 
+// Duplicates sum in entry order: index 7's entries 0.1, 0.2, 3.0 give
+// (0.1 + 0.2) + 3.0, which differs in the last bit from both other orders.
+TEST(SparseTest, CoalesceSumsDuplicatesInEntryOrder) {
+  SparseUpdate update;
+  update.Add(7, 0.1);
+  update.Add(3, 0.5);
+  update.Add(7, 0.2);
+  update.Add(1, 2.0);
+  update.Add(7, 3.0);
+  update.Coalesce();
+  const double want = (0.1 + 0.2) + 3.0;
+  ASSERT_NE(want, (0.2 + 3.0) + 0.1);  // the pin is order-sensitive
+  ASSERT_NE(want, (0.1 + 3.0) + 0.2);
+  ASSERT_EQ(update.nnz(), 3u);
+  EXPECT_EQ(update.indices()[0], 1u);
+  EXPECT_EQ(update.indices()[1], 3u);
+  EXPECT_EQ(update.indices()[2], 7u);
+  EXPECT_EQ(update.values()[0], 2.0);
+  EXPECT_EQ(update.values()[1], 0.5);
+  EXPECT_EQ(update.values()[2], want);
+}
+
+TEST(SparseTest, CoalesceLeavesCanonicalInputAsIs) {
+  SparseUpdate update;
+  update.Add(0, -0.0);
+  update.Add(4, 0.1);
+  update.Add(9, 1e20);
+  const SparseUpdate before = update;
+  update.Coalesce();
+  ASSERT_EQ(update.nnz(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(update.indices()[i], before.indices()[i]);
+    EXPECT_EQ(std::signbit(update.values()[i]),
+              std::signbit(before.values()[i]));
+    EXPECT_EQ(update.values()[i], before.values()[i]);
+  }
+}
+
 TEST(SparseTest, CoalescePreservesScatterSemantics) {
   SparseUpdate a;
   a.Add(0, 1.0);
