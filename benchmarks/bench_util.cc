@@ -113,29 +113,29 @@ ConsistencySelection ParseConsistencyFlag(const std::string& value,
     bound = static_cast<std::uint64_t>(parsed);
   }
   if (name == "asp") {
-    sel.base = BaseScheme::kAsp;
+    sel.spec.scheme = ConsistencyScheme::kAsp;
   } else if (name == "bsp") {
-    sel.base = BaseScheme::kBsp;
+    sel.spec.scheme = ConsistencyScheme::kBsp;
   } else if (name == "ssp") {
-    sel.base = BaseScheme::kSsp;
+    sel.spec.scheme = ConsistencyScheme::kSsp;
   } else if (name == "pssp") {
-    sel.base = BaseScheme::kPssp;
+    sel.spec.scheme = ConsistencyScheme::kPssp;
   } else if (name == "dssp") {
-    sel.base = BaseScheme::kDssp;
+    sel.spec.scheme = ConsistencyScheme::kDssp;
   } else {
     std::cerr << "usage: " << program << " " << kBenchUsage << "\n";
     std::exit(2);
   }
   if (bound.has_value()) {
-    sel.staleness = *bound;
-    sel.dssp.initial_staleness = *bound;
+    sel.spec.staleness = *bound;
+    sel.spec.dssp.initial_staleness = *bound;
   }
   // The bench flag's dssp is "never tighter than the named bound": floor the
   // dynamic range at the initial bound so dssp:s compares against ssp:s as
   // the same starting tightness that can only loosen under stragglers (a
   // free-floating minimum would let healthy-phase ratios retune the bound
   // below the static comparator and conflate decay with episode response).
-  sel.dssp.min_staleness = sel.dssp.initial_staleness;
+  sel.spec.dssp.min_staleness = sel.spec.dssp.initial_staleness;
   return sel;
 }
 
@@ -168,24 +168,22 @@ std::string ParsePathFlag(const std::string& arg, std::size_t prefix_len,
 
 void ConsistencySelection::Apply(SchemeSpec& scheme) const {
   if (!set) return;
-  scheme.base = base;
-  scheme.ssp_staleness = staleness;
-  scheme.dssp = dssp;
+  scheme.consistency = spec;
 }
 
 std::string ConsistencySelection::Label() const {
   if (!set) return "";
-  switch (base) {
-    case BaseScheme::kAsp:
+  switch (spec.scheme) {
+    case ConsistencyScheme::kAsp:
       return "asp";
-    case BaseScheme::kBsp:
+    case ConsistencyScheme::kBsp:
       return "bsp";
-    case BaseScheme::kSsp:
-      return "ssp:" + std::to_string(staleness);
-    case BaseScheme::kPssp:
-      return "pssp:" + std::to_string(staleness);
-    case BaseScheme::kDssp:
-      return "dssp:" + std::to_string(dssp.initial_staleness);
+    case ConsistencyScheme::kSsp:
+      return "ssp:" + std::to_string(spec.staleness);
+    case ConsistencyScheme::kPssp:
+      return "pssp:" + std::to_string(spec.staleness);
+    case ConsistencyScheme::kDssp:
+      return "dssp:" + std::to_string(spec.dssp.initial_staleness);
   }
   return "";
 }

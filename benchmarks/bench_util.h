@@ -77,9 +77,7 @@ void PrintHeader(const std::string& figure, const std::string& paper_claim);
 // per-shard SSP, or the dynamic bound.
 struct ConsistencySelection {
   bool set = false;
-  BaseScheme base = BaseScheme::kAsp;
-  std::uint64_t staleness = 3;  // kSsp / kPssp bound, kDssp initial bound
-  DynamicSspConfig dssp;
+  ConsistencySpec spec;
 
   void Apply(SchemeSpec& scheme) const;
   // "" when unset, else the flag value back (e.g. "ssp:2", "dssp").

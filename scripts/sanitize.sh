@@ -30,7 +30,11 @@
 # size. wire_codec_property_test rides along for ASan+UBSan: the wire codec
 # copies arrays with bulk memcpy into exactly sized frames and out of
 # payloads whose counts are corrupt or cut short, where a missed bound would
-# read or write past a heap block. push_alloc_test is deliberately absent:
+# read or write past a heap block. consistency_property_test rides along for
+# ASan too: the per-shard controller is now the only SSP for both engines
+# (BSP, SSP, PSSP and DSSP all run on it), and its [worker][shard] clock and
+# write-set tables are indexed under crash churn, where a bad index would
+# read another worker's row. push_alloc_test is deliberately absent:
 # it replaces the global operator new, which both sanitizers own. sim_test
 # covers the single-threaded DES under ASan+UBSan; the address mode also
 # compiles with
@@ -47,7 +51,7 @@ SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         exactly_once_property_test sim_test calendar_queue_property_test
         tuner_equivalence_test compression_property_test
         chunk_merge_property_test mf_gradient_property_test
-        wire_codec_property_test)
+        wire_codec_property_test consistency_property_test)
 MODE="${1:-all}"
 
 run_mode() {

@@ -8,38 +8,6 @@
 
 namespace specsync {
 
-SspController::SspController(std::size_t num_workers, std::uint64_t staleness)
-    : ConsistencyController(num_workers),
-      staleness_(staleness),
-      completed_(num_workers, 0) {
-  SPECSYNC_CHECK_GT(num_workers, 0u);
-}
-
-std::string SspController::name() const {
-  return "SSP(s=" + std::to_string(staleness_) + ")";
-}
-
-std::uint64_t SspController::MinProgress() const {
-  return *std::min_element(completed_.begin(), completed_.end());
-}
-
-bool SspController::MayStart(WorkerId worker,
-                             IterationId next_iteration) const {
-  SPECSYNC_CHECK_LT(worker, completed_.size());
-  // See the header table: a worker may start iteration t (0-based) iff
-  // t <= MinProgress() + s — every worker has finished iteration t - s - 1.
-  return next_iteration <= MinProgress() + staleness_;
-}
-
-void SspController::OnPush(WorkerId worker, IterationId iteration) {
-  SPECSYNC_CHECK_LT(worker, completed_.size());
-  // Iterations complete in order per worker.
-  SPECSYNC_CHECK_EQ(completed_[worker], iteration)
-      << "worker " << worker << " pushed iteration " << iteration
-      << " but has completed " << completed_[worker];
-  completed_[worker] = iteration + 1;
-}
-
 // --- PerShardSspController ---------------------------------------------------
 
 PerShardSspController::PerShardSspController(std::size_t num_workers,
@@ -55,11 +23,6 @@ PerShardSspController::PerShardSspController(std::size_t num_workers,
       live_(num_workers, 1) {
   SPECSYNC_CHECK_GT(num_workers, 0u);
   SPECSYNC_CHECK_GT(num_shards, 0u);
-}
-
-std::string PerShardSspController::name() const {
-  return "PSSP(s=" + std::to_string(staleness_) +
-         ",shards=" + std::to_string(num_shards_) + ")";
 }
 
 void PerShardSspController::SetWriteSet(
@@ -103,9 +66,9 @@ std::optional<std::size_t> PerShardSspController::FirstBlockingShard(
   return std::nullopt;
 }
 
-void PerShardSspController::AdvanceClocks(
-    WorkerId worker, std::span<const std::size_t> touched_shards,
-    IterationId iteration) {
+void PerShardSspController::OnPush(
+    WorkerId worker, IterationId iteration, SimTime /*now*/,
+    std::span<const std::size_t> touched_shards) {
   SPECSYNC_CHECK_LT(worker, num_workers_);
   SPECSYNC_CHECK_EQ(completed_[worker], iteration)
       << "worker " << worker << " pushed iteration " << iteration
@@ -127,17 +90,6 @@ void PerShardSspController::AdvanceClocks(
   for (std::size_t s = 0; s < num_shards_; ++s) {
     if (writes_[worker][s]) clock_[worker][s] = completed_[worker];
   }
-}
-
-void PerShardSspController::OnPush(WorkerId worker, IterationId iteration) {
-  AdvanceClocks(worker, {}, iteration);
-}
-
-void PerShardSspController::OnPushAt(WorkerId worker, IterationId iteration,
-                                     SimTime now,
-                                     std::span<const std::size_t> touched) {
-  (void)now;
-  AdvanceClocks(worker, touched, iteration);
 }
 
 void PerShardSspController::OnWorkerDown(WorkerId worker) {
@@ -192,21 +144,16 @@ DynamicSspController::DynamicSspController(std::size_t num_workers,
   SPECSYNC_CHECK_GT(config_.headroom, 0.0);
 }
 
-std::string DynamicSspController::name() const {
-  return "DSSP(s=" + std::to_string(staleness()) +
-         ",shards=" + std::to_string(num_shards()) + ")";
-}
-
-void DynamicSspController::OnPushAt(WorkerId worker, IterationId iteration,
-                                    SimTime now,
-                                    std::span<const std::size_t> touched) {
+void DynamicSspController::OnPush(WorkerId worker, IterationId iteration,
+                                  SimTime now,
+                                  std::span<const std::size_t> touched) {
   if (last_push_[worker].has_value()) {
     interval_sum_[worker] += now - *last_push_[worker];
     ++interval_count_[worker];
   }
   last_push_[worker] = now;
   ++window_pushes_;
-  PerShardSspController::OnPushAt(worker, iteration, now, touched);
+  PerShardSspController::OnPush(worker, iteration, now, touched);
   MaybeRetune(now);
 }
 
@@ -269,27 +216,38 @@ void DynamicSspController::MaybeRetune(SimTime now) {
   }
 }
 
-// --- factories ---------------------------------------------------------------
+// --- factory -----------------------------------------------------------------
 
-std::unique_ptr<ConsistencyController> MakeAsp(std::size_t num_workers) {
-  return std::make_unique<AspController>(num_workers);
-}
-std::unique_ptr<ConsistencyController> MakeBsp(std::size_t num_workers) {
-  return std::make_unique<BspController>(num_workers);
-}
-std::unique_ptr<ConsistencyController> MakeSsp(std::size_t num_workers,
-                                               std::uint64_t staleness) {
-  return std::make_unique<SspController>(num_workers, staleness);
-}
-std::unique_ptr<ConsistencyController> MakePerShardSsp(
-    std::size_t num_workers, std::size_t num_shards, std::uint64_t staleness) {
-  return std::make_unique<PerShardSspController>(num_workers, num_shards,
-                                                 staleness);
-}
-std::unique_ptr<ConsistencyController> MakeDynamicSsp(
-    std::size_t num_workers, std::size_t num_shards, DynamicSspConfig config) {
-  return std::make_unique<DynamicSspController>(num_workers, num_shards,
-                                                config);
+std::unique_ptr<PerShardSspController> MakeConsistencyController(
+    const ConsistencySpec& spec, std::size_t num_workers,
+    std::size_t num_shards) {
+  switch (spec.scheme) {
+    case ConsistencyScheme::kAsp:
+      return nullptr;
+    case ConsistencyScheme::kBsp:
+    case ConsistencyScheme::kSsp: {
+      // Global bounds: freeze every write set to all shards, which makes the
+      // per-shard controller exactly SSP over the live workers.
+      const std::uint64_t bound =
+          spec.scheme == ConsistencyScheme::kBsp ? 0 : spec.staleness;
+      auto controller = std::make_unique<PerShardSspController>(
+          num_workers, num_shards, bound);
+      std::vector<std::size_t> all(num_shards);
+      for (std::size_t s = 0; s < num_shards; ++s) all[s] = s;
+      for (WorkerId w = 0; w < num_workers; ++w) {
+        controller->SetWriteSet(w, all);
+      }
+      return controller;
+    }
+    case ConsistencyScheme::kPssp:
+      return std::make_unique<PerShardSspController>(num_workers, num_shards,
+                                                     spec.staleness);
+    case ConsistencyScheme::kDssp:
+      return std::make_unique<DynamicSspController>(num_workers, num_shards,
+                                                    spec.dssp);
+  }
+  SPECSYNC_CHECK(false) << "unknown consistency scheme";
+  return nullptr;
 }
 
 }  // namespace specsync

@@ -1,27 +1,24 @@
-// Consistency controllers: ASP, BSP, SSP (paper Sec. II-C) plus the first two
-// stages of the adaptive sync-policy engine — per-shard SSP (PSSP-style
-// per-(worker, shard) clocks) and dynamic SSP (DSSP/ABS-style staleness
-// retuning from observed push inter-arrivals).
+// The consistency layer: how a scheme becomes an iteration-start gate, for
+// both engines. ASP, BSP and SSP are the paper's base models (Sec. II-C);
+// per-shard SSP (PSSP-style per-(worker, shard) clocks) and dynamic SSP
+// (DSSP/ABS-style staleness retuning from observed push inter-arrivals) are
+// the first two stages of the adaptive sync-policy engine.
 //
 // A controller decides when a worker may *start* its next iteration, given
 // everyone's progress. SpecSync layers on top of any of these (the paper
 // implements it over ASP and notes it composes with SSP) — the controller
 // gates iteration starts while SpecSync decides mid-iteration restarts.
 //
-// Two call conventions coexist:
-//  - the original scalar API (MayStart / OnPush), which all pre-existing
-//    controllers implement and whose behavior is pinned by the golden traces;
-//  - the time-and-shard-aware API (MayStartAt / OnPushAt), which the engines
-//    call. Its default implementations drop the extra arguments and forward
-//    to the scalar API, so ASP/BSP/SSP behave bit-identically to before the
-//    shard-aware controllers existed.
+// Every gated scheme runs on one implementation, PerShardSspController, built
+// by MakeConsistencyController; ASP builds no controller and both engines
+// skip gating. The simulator calls the controller from its event loop, the
+// runtime through a ConsistencyGate, so crash handling is the same in both.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -37,37 +34,19 @@ class ConsistencyController {
  public:
   virtual ~ConsistencyController() = default;
 
-  virtual std::string name() const = 0;
-
   // May `worker` start its iteration number `next_iteration` (0-based) now?
   virtual bool MayStart(WorkerId worker, IterationId next_iteration) const = 0;
 
-  // Records that `worker` finished (pushed) its iteration `iteration`.
-  virtual void OnPush(WorkerId worker, IterationId iteration) = 0;
-
-  // Time-and-shard-aware entry points — what the engines actually call.
-  // `touched_shards` lists the parameter-server shards the push's gradient
-  // routed to (empty = unknown/all, the dense case). The defaults ignore the
-  // extra dimensions, so controllers written against the scalar API are
-  // unaffected by the engines switching to these.
-  virtual bool MayStartAt(WorkerId worker, IterationId next_iteration,
-                          SimTime now) const {
-    (void)now;
-    return MayStart(worker, next_iteration);
-  }
-  virtual void OnPushAt(WorkerId worker, IterationId iteration, SimTime now,
-                        std::span<const std::size_t> touched_shards) {
-    (void)now;
-    (void)touched_shards;
-    OnPush(worker, iteration);
-  }
+  // Records that `worker` finished (pushed) its iteration `iteration` at
+  // `now`. `touched_shards` lists the parameter-server shards the push's
+  // gradient routed to (empty = unknown/all, the dense case).
+  virtual void OnPush(WorkerId worker, IterationId iteration, SimTime now,
+                      std::span<const std::size_t> touched_shards) = 0;
 
   // Membership churn (crash / rejoin). A departed worker must stop pinning
-  // the progress minimum or every SSP-gated peer deadlocks on a corpse.
-  // Defaults are no-ops: the static controllers predate fault handling and
-  // their (pinned) behavior is to keep counting everyone.
-  virtual void OnWorkerDown(WorkerId worker) { (void)worker; }
-  virtual void OnWorkerUp(WorkerId worker) { (void)worker; }
+  // the progress minimum or every gated peer deadlocks on a corpse.
+  virtual void OnWorkerDown(WorkerId worker) = 0;
+  virtual void OnWorkerUp(WorkerId worker) = 0;
 
   std::size_t num_workers() const { return num_workers_; }
 
@@ -78,62 +57,7 @@ class ConsistencyController {
   std::size_t num_workers_;
 };
 
-// Asynchronous Parallel: a worker may always proceed.
-class AspController final : public ConsistencyController {
- public:
-  explicit AspController(std::size_t num_workers)
-      : ConsistencyController(num_workers) {}
-  std::string name() const override { return "ASP"; }
-  bool MayStart(WorkerId, IterationId) const override { return true; }
-  void OnPush(WorkerId, IterationId) override {}
-};
-
-// Stale Synchronous Parallel with staleness bound s.
-//
-// Exact boundary semantics (pinned by ConsistencyBoundaryTest — the "t - s"
-// comment used to trail off here, leaving the off-by-one undocumented):
-// a worker may *start* iteration t (0-based) iff t <= MinProgress() + s,
-// where MinProgress() is the completed-iteration count of the slowest
-// worker. Equivalently: every worker must have *finished* iteration t-s-1,
-// i.e. the fastest worker runs at most s iterations of work ahead of the
-// slowest. The boundary cases:
-//
-//   next t | slowest completed c | allowed?
-//   -------+---------------------+--------------------------
-//     t    |  c >= t - s         | yes (t <= c + s)
-//     t    |  c == t - s - 1     | no  (first blocked case)
-//     0    |  anything           | yes (t = 0 <= c + s always)
-//
-// With s = 0 this is BSP: nobody starts t+1 until everyone pushed t. Note
-// the *observed* progress skew between two workers can still reach s + 1
-// mid-iteration: a worker admitted at t = c + s finishes and pushes t while
-// the slowest has still completed only c.
-class SspController : public ConsistencyController {
- public:
-  SspController(std::size_t num_workers, std::uint64_t staleness);
-  std::string name() const override;
-  bool MayStart(WorkerId worker, IterationId next_iteration) const override;
-  void OnPush(WorkerId worker, IterationId iteration) override;
-
-  std::uint64_t staleness() const { return staleness_; }
-  // Completed iteration count of the slowest worker.
-  std::uint64_t MinProgress() const;
-
- private:
-  std::uint64_t staleness_;
-  std::vector<std::uint64_t> completed_;
-};
-
-// Bulk Synchronous Parallel == SSP with staleness 0: nobody starts iteration
-// t+1 until everyone pushed iteration t.
-class BspController final : public SspController {
- public:
-  explicit BspController(std::size_t num_workers)
-      : SspController(num_workers, 0) {}
-  std::string name() const override { return "BSP"; }
-};
-
-// Per-shard SSP (stage 1 of the adaptive sync-policy engine).
+// Per-shard SSP: the one bounded-staleness gate.
 //
 // Keeps one logical clock per (worker, shard): clock(w, s) is w's completed
 // iteration count on every shard in w's *write set* and 0 elsewhere. A
@@ -144,8 +68,9 @@ class BspController final : public SspController {
 //
 // Workers with disjoint write sets never gate on each other — the sparse-MF
 // win: a worker whose gradients only ever touch shards {0, 1} is not held
-// back by a straggler that only writes shard 7. With every write set equal
-// to "all shards" (the dense case) this degenerates exactly to SspController.
+// back by a straggler that only writes shard 7. With every write set frozen
+// to "all shards" (BSP and SSP, see MakeConsistencyController) this is
+// exactly global SSP over the live workers.
 //
 // Write sets are either declared up front (SetWriteSet) or *learned*: the
 // union of shards observed in the worker's pushes. Learning only ever grows
@@ -158,18 +83,15 @@ class BspController final : public SspController {
 //
 // Crash handling: OnWorkerDown excuses the worker from every min (its clocks
 // stop counting); OnWorkerUp re-admits it at its old clocks, so peers block
-// until it catches back up — the SSP bound holds across the rejoin.
+// until it catches back up — the bound holds across the rejoin.
 class PerShardSspController : public ConsistencyController {
  public:
   PerShardSspController(std::size_t num_workers, std::size_t num_shards,
                         std::uint64_t staleness);
 
-  std::string name() const override;
   bool MayStart(WorkerId worker, IterationId next_iteration) const override;
-  // Scalar OnPush = a push that touched every shard (the dense case).
-  void OnPush(WorkerId worker, IterationId iteration) override;
-  void OnPushAt(WorkerId worker, IterationId iteration, SimTime now,
-                std::span<const std::size_t> touched_shards) override;
+  void OnPush(WorkerId worker, IterationId iteration, SimTime now,
+              std::span<const std::size_t> touched_shards) override;
   void OnWorkerDown(WorkerId worker) override;
   void OnWorkerUp(WorkerId worker) override;
 
@@ -198,10 +120,6 @@ class PerShardSspController : public ConsistencyController {
   void SetStalenessBound(std::uint64_t staleness) { staleness_ = staleness; }
 
  private:
-  void AdvanceClocks(WorkerId worker,
-                     std::span<const std::size_t> touched_shards,
-                     IterationId iteration);
-
   std::uint64_t staleness_;
   std::size_t num_shards_;
   std::vector<std::uint64_t> completed_;            // per worker
@@ -241,9 +159,8 @@ class DynamicSspController final : public PerShardSspController {
   DynamicSspController(std::size_t num_workers, std::size_t num_shards,
                        DynamicSspConfig config = {});
 
-  std::string name() const override;
-  void OnPushAt(WorkerId worker, IterationId iteration, SimTime now,
-                std::span<const std::size_t> touched_shards) override;
+  void OnPush(WorkerId worker, IterationId iteration, SimTime now,
+              std::span<const std::size_t> touched_shards) override;
 
   // Retune records land here (not owned; may be null). Attach before use.
   void AttachAudit(obs::DecisionAuditLog* audit) { audit_ = audit; }
@@ -267,14 +184,43 @@ class DynamicSspController final : public PerShardSspController {
   std::uint64_t retunes_ = 0;
 };
 
-std::unique_ptr<ConsistencyController> MakeAsp(std::size_t num_workers);
-std::unique_ptr<ConsistencyController> MakeBsp(std::size_t num_workers);
-std::unique_ptr<ConsistencyController> MakeSsp(std::size_t num_workers,
-                                               std::uint64_t staleness);
-std::unique_ptr<ConsistencyController> MakePerShardSsp(
-    std::size_t num_workers, std::size_t num_shards, std::uint64_t staleness);
-std::unique_ptr<ConsistencyController> MakeDynamicSsp(
-    std::size_t num_workers, std::size_t num_shards,
-    DynamicSspConfig config = {});
+// Which consistency model gates iteration starts. kPssp applies the bound
+// only to the shards a worker's gradients touch; kDssp adds per-epoch
+// retuning of the bound.
+enum class ConsistencyScheme { kAsp, kBsp, kSsp, kPssp, kDssp };
+
+struct ConsistencySpec {
+  ConsistencyScheme scheme = ConsistencyScheme::kAsp;
+  std::uint64_t staleness = 3;  // kSsp and kPssp
+  DynamicSspConfig dssp;        // kDssp
+};
+
+// The one place a scheme becomes a gate. Returns null under kAsp (no gate);
+// otherwise a controller over `num_workers` workers and `num_shards` shards:
+//   kBsp  — per-shard, bound 0, every write set frozen to all shards;
+//   kSsp  — the same with bound spec.staleness;
+//   kPssp — bound spec.staleness, write sets learned from pushes;
+//   kDssp — a DynamicSspController configured by spec.dssp.
+//
+// Exact SSP boundary semantics (pinned by SspBoundaryTest): with dense
+// frozen write sets a worker may *start* iteration t (0-based) iff
+// t <= c + s, where c is the completed-iteration count of the slowest live
+// worker. Equivalently: every live worker must have *finished* iteration
+// t-s-1, i.e. the fastest worker runs at most s iterations of work ahead of
+// the slowest. The boundary cases:
+//
+//   next t | slowest completed c | allowed?
+//   -------+---------------------+--------------------------
+//     t    |  c >= t - s         | yes (t <= c + s)
+//     t    |  c == t - s - 1     | no  (first blocked case)
+//     0    |  anything           | yes (t = 0 <= c + s always)
+//
+// With s = 0 this is BSP: nobody starts t+1 until everyone pushed t. Note
+// the *observed* progress skew between two workers can still reach s + 1
+// mid-iteration: a worker admitted at t = c + s finishes and pushes t while
+// the slowest has still completed only c.
+std::unique_ptr<PerShardSspController> MakeConsistencyController(
+    const ConsistencySpec& spec, std::size_t num_workers,
+    std::size_t num_shards);
 
 }  // namespace specsync

@@ -17,17 +17,13 @@ bool ConsistencyGate::WaitToStart(WorkerId worker,
                                   IterationId next_iteration) {
   std::unique_lock lock(mutex_);
   if (shutdown_) return false;
-  // MayStartAt's time argument never feeds a gating decision (bounds are
-  // count-based; DSSP reads time only on pushes), so a blocked wait needs no
-  // clock re-reads.
-  if (controller_->MayStartAt(worker, next_iteration, SimTime::Zero())) {
+  if (controller_->MayStart(worker, next_iteration)) {
     return true;
   }
   ++blocks_;
   const auto block_begin = std::chrono::steady_clock::now();
   admitted_.wait(lock, [&] {
-    return shutdown_ ||
-           controller_->MayStartAt(worker, next_iteration, SimTime::Zero());
+    return shutdown_ || controller_->MayStart(worker, next_iteration);
   });
   blocked_wall_seconds_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -41,7 +37,7 @@ void ConsistencyGate::OnPush(WorkerId worker, IterationId iteration,
                              std::span<const std::size_t> touched_shards) {
   {
     std::scoped_lock lock(mutex_);
-    controller_->OnPushAt(worker, iteration, now, touched_shards);
+    controller_->OnPush(worker, iteration, now, touched_shards);
   }
   admitted_.notify_all();
 }

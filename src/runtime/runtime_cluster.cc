@@ -66,6 +66,8 @@ struct RuntimeCluster::Impl {
   // Worker -> iteration index the scheduler wants aborted (-1 = none).
   std::vector<std::atomic<std::int64_t>> abort_target;
   std::vector<std::atomic<std::uint64_t>> completed;
+  // Set while the worker is crashed (GlobalEpoch skips it).
+  std::vector<std::atomic<bool>> down;
   std::atomic<std::uint64_t> total_aborts{0};
   std::atomic<std::uint64_t> workers_killed{0};
 
@@ -73,7 +75,7 @@ struct RuntimeCluster::Impl {
   std::unique_ptr<SpecSyncScheduler> scheduler;
   SchedulerStats final_stats;
 
-  // Iteration-start gating (null under kAsp: no gate, no admission checks —
+  // Iteration-start gating (null under ASP: no gate, no admission checks —
   // the pre-consistency loop). Typed views into the gated controller for
   // end-of-run stats; `runtime_dssp` implies `runtime_pssp`.
   std::unique_ptr<ConsistencyGate> gate;
@@ -102,7 +104,8 @@ struct RuntimeCluster::Impl {
         faults(config.faults),
         scheduler_mailbox(&faults, LinkClass::kControl),
         abort_target(config.num_workers),
-        completed(config.num_workers) {
+        completed(config.num_workers),
+        down(config.num_workers) {
     SPECSYNC_CHECK(model != nullptr);
     SPECSYNC_CHECK(schedule != nullptr);
     SPECSYNC_CHECK_GT(config.num_workers, 0u);
@@ -116,6 +119,7 @@ struct RuntimeCluster::Impl {
     }
     for (auto& a : abort_target) a.store(-1, std::memory_order_relaxed);
     for (auto& c : completed) c.store(0, std::memory_order_relaxed);
+    for (auto& d : down) d.store(false, std::memory_order_relaxed);
 
     auto applier =
         std::make_shared<SgdApplier>(schedule, SgdConfig{config.sgd_clip});
@@ -180,44 +184,10 @@ struct RuntimeCluster::Impl {
       }
     }
 
-    if (config.consistency.scheme != RuntimeConsistency::kAsp) {
-      const std::size_t shards = server->num_shards();
-      std::unique_ptr<PerShardSspController> controller;
-      switch (config.consistency.scheme) {
-        case RuntimeConsistency::kBsp:
-          controller = std::make_unique<PerShardSspController>(
-              config.num_workers, shards, 0);
-          break;
-        case RuntimeConsistency::kSsp:
-          controller = std::make_unique<PerShardSspController>(
-              config.num_workers, shards, config.consistency.staleness);
-          break;
-        case RuntimeConsistency::kPssp:
-          controller = std::make_unique<PerShardSspController>(
-              config.num_workers, shards, config.consistency.staleness);
-          break;
-        case RuntimeConsistency::kDssp: {
-          auto dynamic = std::make_unique<DynamicSspController>(
-              config.num_workers, shards, config.consistency.dssp);
-          runtime_dssp = dynamic.get();
-          controller = std::move(dynamic);
-          break;
-        }
-        case RuntimeConsistency::kAsp:
-          break;  // unreachable
-      }
-      // kBsp / kSsp mean *global* bounds: freeze every write set to all
-      // shards so the per-shard controller degenerates to exact SSP while
-      // keeping its crash-excusal (see RuntimeConsistency).
-      if (config.consistency.scheme == RuntimeConsistency::kBsp ||
-          config.consistency.scheme == RuntimeConsistency::kSsp) {
-        std::vector<std::size_t> all(shards);
-        for (std::size_t s = 0; s < shards; ++s) all[s] = s;
-        for (WorkerId w = 0; w < config.num_workers; ++w) {
-          controller->SetWriteSet(w, all);
-        }
-      }
+    if (auto controller = MakeConsistencyController(
+            config.consistency, config.num_workers, server->num_shards())) {
       runtime_pssp = controller.get();
+      runtime_dssp = dynamic_cast<DynamicSspController*>(runtime_pssp);
       gate = std::make_unique<ConsistencyGate>(std::move(controller));
     }
 
@@ -295,13 +265,20 @@ struct RuntimeCluster::Impl {
     }
   }
 
+  // Global epoch for the learning-rate schedule: completed iterations of the
+  // slowest *live* worker, as in the simulator. A crashed worker must not pin
+  // the learning rate; if every worker is down, fall back to the overall
+  // minimum.
   EpochId GlobalEpoch() const {
-    std::uint64_t min_completed = completed[0].load(std::memory_order_relaxed);
-    for (const auto& c : completed) {
-      min_completed =
-          std::min(min_completed, c.load(std::memory_order_relaxed));
+    std::optional<std::uint64_t> min_live;
+    std::uint64_t min_all = completed[0].load(std::memory_order_relaxed);
+    for (WorkerId w = 0; w < config.num_workers; ++w) {
+      const std::uint64_t c = completed[w].load(std::memory_order_relaxed);
+      min_all = std::min(min_all, c);
+      if (down[w].load(std::memory_order_relaxed)) continue;
+      min_live = min_live.has_value() ? std::min(*min_live, c) : c;
     }
-    return min_completed;
+    return min_live.value_or(min_all);
   }
 
   // --- scheduler thread -----------------------------------------------------
@@ -400,9 +377,9 @@ struct RuntimeCluster::Impl {
       crash_pending = false;
       prefetched.reset();
       faults.CountCrash();
+      down[w].store(true, std::memory_order_relaxed);
       // Excuse this worker from the consistency minimum before going dark,
-      // or every SSP-gated peer deadlocks on the corpse (the runtime has no
-      // virtual-time budget to run out — see RuntimeConsistency).
+      // or every SSP-gated peer deadlocks on the corpse.
       if (gate) gate->OnWorkerDown(w);
       if (scheduler) {
         // The mailbox closes only after all workers have joined, so a failed
@@ -418,6 +395,7 @@ struct RuntimeCluster::Impl {
       }
       std::this_thread::sleep_until(clock.ToTimePoint(*crash->rejoin));
       faults.CountRejoin();
+      down[w].store(false, std::memory_order_relaxed);
       if (gate) gate->OnWorkerUp(w);
       if (scheduler) {
         SPECSYNC_CHECK(

@@ -36,27 +36,9 @@ namespace specsync {
 //                  retry.
 enum class RuntimeTransport { kInProcess, kTcpLoopback };
 
-// Consistency model gating worker iteration starts (mirrors the sim's
-// BaseScheme). kAsp installs no gate at all — the pre-consistency runtime
-// loop, bit-identical by construction. The SSP-family schemes wrap a
-// controller in a ConsistencyGate: worker threads block in WaitToStart until
-// the bound admits their next iteration.
-//
-// Unlike the sim (whose static SSP keeps the pinned legacy no-crash-handling
-// behavior and simply runs out its virtual-time budget when a corpse pins the
-// minimum), the runtime has no clock to run out — a deadlocked gate hangs the
-// process. All runtime SSP-family schemes therefore run on the per-shard
-// controller, which excuses crashed workers from the progress minimum:
-// kBsp / kSsp use write sets frozen to every shard (dense per-shard SSP is
-// exactly global SSP, see PerShardSspController), kPssp learns write sets
-// from observed pushes, kDssp additionally retunes the bound each epoch.
-enum class RuntimeConsistency { kAsp, kBsp, kSsp, kPssp, kDssp };
-
-struct RuntimeConsistencyConfig {
-  RuntimeConsistency scheme = RuntimeConsistency::kAsp;
-  std::uint64_t staleness = 3;  // kSsp / kPssp
-  DynamicSspConfig dssp;        // kDssp
-};
+// Exists only because benchmarks/e2e/e2e_bench.cc spells it; the scheme is a
+// ConsistencyScheme (ps/consistency.h).
+using RuntimeConsistency = ConsistencyScheme;
 
 struct RuntimeConfig {
   std::size_t num_workers = 4;
@@ -73,8 +55,11 @@ struct RuntimeConfig {
   bool adaptive = false;
   SpeculationParams fixed_params;
   std::size_t num_servers = 4;
-  // Iteration-start gating (default: ungated ASP, the original loop).
-  RuntimeConsistencyConfig consistency;
+  // Iteration-start gating (default: ungated ASP, the original loop). Every
+  // other scheme wraps MakeConsistencyController's controller in a
+  // ConsistencyGate: worker threads block in WaitToStart until the bound
+  // admits their next iteration, and a crashed worker is excused from it.
+  ConsistencySpec consistency;
   // Threads used to pull shards concurrently (one in-process pool shared by
   // all workers). 0 = auto: min(num_servers, hardware threads). 1 = pull
   // shards inline on the worker thread. Unused under tcp_loopback, where
@@ -124,7 +109,7 @@ struct RuntimeResult {
   FaultStats fault_stats;
   // Workers that died permanently (crash with no rejoin).
   std::uint64_t workers_killed = 0;
-  // Consistency-gate telemetry (all zero under kAsp): block transitions,
+  // Consistency-gate telemetry (all zero under ASP): block transitions,
   // wall time worker threads spent blocked, DSSP bound adjustments, and the
   // bound in force at run end.
   std::uint64_t consistency_blocks = 0;

@@ -12,21 +12,21 @@ namespace specsync {
 
 std::string SchemeSpec::DisplayName() const {
   std::ostringstream out;
-  switch (base) {
-    case BaseScheme::kAsp:
+  switch (consistency.scheme) {
+    case ConsistencyScheme::kAsp:
       out << "ASP";
       break;
-    case BaseScheme::kBsp:
+    case ConsistencyScheme::kBsp:
       out << "BSP";
       break;
-    case BaseScheme::kSsp:
-      out << "SSP(s=" << ssp_staleness << ")";
+    case ConsistencyScheme::kSsp:
+      out << "SSP(s=" << consistency.staleness << ")";
       break;
-    case BaseScheme::kPssp:
-      out << "PSSP(s=" << ssp_staleness << ")";
+    case ConsistencyScheme::kPssp:
+      out << "PSSP(s=" << consistency.staleness << ")";
       break;
-    case BaseScheme::kDssp:
-      out << "DSSP(s0=" << dssp.initial_staleness << ")";
+    case ConsistencyScheme::kDssp:
+      out << "DSSP(s0=" << consistency.dssp.initial_staleness << ")";
       break;
   }
   if (naive.enabled()) {
@@ -46,25 +46,6 @@ std::string SchemeSpec::DisplayName() const {
 }
 
 namespace {
-
-std::unique_ptr<ConsistencyController> MakeController(const SchemeSpec& scheme,
-                                                      std::size_t m,
-                                                      std::size_t num_shards) {
-  switch (scheme.base) {
-    case BaseScheme::kAsp:
-      return MakeAsp(m);
-    case BaseScheme::kBsp:
-      return MakeBsp(m);
-    case BaseScheme::kSsp:
-      return MakeSsp(m, scheme.ssp_staleness);
-    case BaseScheme::kPssp:
-      return MakePerShardSsp(m, num_shards, scheme.ssp_staleness);
-    case BaseScheme::kDssp:
-      return MakeDynamicSsp(m, num_shards, scheme.dssp);
-  }
-  SPECSYNC_CHECK(false) << "unknown base scheme";
-  return nullptr;
-}
 
 std::unique_ptr<SpeculationPolicy> MakePolicy(const SchemeSpec& scheme) {
   switch (scheme.speculation) {
@@ -95,11 +76,9 @@ struct ClusterSim::Impl {
   StallSchedule stalls;
   FaultPlan faults;
   std::unique_ptr<ParameterServer> server;
-  std::unique_ptr<ConsistencyController> controller;
-  // Typed views into `controller` for the per-shard family (null otherwise);
-  // set once at construction from the scheme enum, so no dynamic_cast in the
-  // event path. `dssp` implies `pssp` (DynamicSsp derives from PerShardSsp).
-  PerShardSspController* pssp = nullptr;
+  // Iteration-start gate (null under ASP: every start is admitted). `dssp`
+  // views it when the bound is dynamic; set once at construction.
+  std::unique_ptr<PerShardSspController> controller;
   DynamicSspController* dssp = nullptr;
   std::unique_ptr<SpecSyncScheduler> scheduler;  // null when speculation off
   TrainingTrace trace;
@@ -210,19 +189,9 @@ struct ClusterSim::Impl {
           std::vector<std::uint64_t>(server->num_shards(), kUnknownVersion));
     }
 
-    controller = MakeController(config.scheme, config.num_workers,
-                                server->num_shards());
-    switch (config.scheme.base) {
-      case BaseScheme::kPssp:
-        pssp = static_cast<PerShardSspController*>(controller.get());
-        break;
-      case BaseScheme::kDssp:
-        dssp = static_cast<DynamicSspController*>(controller.get());
-        pssp = dssp;
-        break;
-      default:
-        break;
-    }
+    controller = MakeConsistencyController(
+        config.scheme.consistency, config.num_workers, server->num_shards());
+    dssp = dynamic_cast<DynamicSspController*>(controller.get());
     if (config.scheme.speculation != SpeculationMode::kNone) {
       SchedulerConfig sched_config;
       sched_config.num_workers = config.num_workers;
@@ -336,7 +305,7 @@ struct ClusterSim::Impl {
   void TryBeginIteration(WorkerId w) {
     if (stopped || workers[w].crashed) return;
     WorkerState& worker = workers[w];
-    if (!controller->MayStartAt(w, worker.completed, sim.now())) {
+    if (controller && !controller->MayStart(w, worker.completed)) {
       if (!worker.blocked) {
         worker.blocked = true;
         worker.block_begin = sim.now();
@@ -621,7 +590,9 @@ struct ClusterSim::Impl {
                             {"version", std::to_string(version)},
                             {"missed_updates", std::to_string(missed)}});
       }
-      controller->OnPushAt(w, iteration, sim.now(), attempt.shards);
+      if (controller) {
+        controller->OnPush(w, iteration, sim.now(), attempt.shards);
+      }
       worker.completed = iteration + 1;
 
       if (config.max_pushes != 0 && TotalPushes() >= config.max_pushes) {
@@ -642,7 +613,7 @@ struct ClusterSim::Impl {
     // proceeds exactly as after a real push.
     if (worker.crashed) return;
     const IterationId iteration = worker.completed;
-    controller->OnPushAt(w, iteration, sim.now(), attempt.shards);
+    if (controller) controller->OnPush(w, iteration, sim.now(), attempt.shards);
     worker.completed = iteration + 1;
     SendNotify(w, iteration);
     ReleaseBlockedWorkers();
@@ -740,10 +711,9 @@ struct ClusterSim::Impl {
     SPECSYNC_LOG(kDebug) << "worker " << event.worker << " crashed at "
                          << sim.now();
     if (scheduler) scheduler->OnWorkerDown(event.worker, sim.now());
-    // Excuse the corpse from per-shard mins (no-op for the static schemes,
-    // so fault-injected ASP/BSP/SSP digests are untouched) and re-check every
-    // gated peer — the departure may have been what they were waiting on.
-    controller->OnWorkerDown(event.worker);
+    // Excuse the corpse from the bound and re-check every gated peer — the
+    // departure may have been what they were waiting on.
+    if (controller) controller->OnWorkerDown(event.worker);
     ReleaseBlockedWorkers();
     if (event.rejoin.has_value()) {
       const WorkerId w = event.worker;
@@ -759,7 +729,7 @@ struct ClusterSim::Impl {
     faults.CountRejoin();
     SPECSYNC_LOG(kDebug) << "worker " << w << " rejoined at " << sim.now();
     if (scheduler) scheduler->OnWorkerUp(w, sim.now());
-    controller->OnWorkerUp(w);
+    if (controller) controller->OnWorkerUp(w);
     // No memory of in-flight work: start from a fresh pull.
     TryBeginIteration(w);
   }
@@ -767,7 +737,7 @@ struct ClusterSim::Impl {
   void ReleaseBlockedWorkers() {
     for (WorkerId w = 0; w < config.num_workers; ++w) {
       if (!workers[w].blocked) continue;
-      if (controller->MayStartAt(w, workers[w].completed, sim.now())) {
+      if (controller->MayStart(w, workers[w].completed)) {
         // Clear before scheduling: a second release arriving before the
         // deferred event runs must not schedule the iteration twice.
         ClearBlocked(w);
@@ -852,19 +822,9 @@ struct ClusterSim::Impl {
     for (WorkerId w = 0; w < config.num_workers; ++w) ClearBlocked(w);
     result.consistency.blocks = gate_blocks;
     result.consistency.blocked_seconds = gate_blocked_seconds;
-    if (dssp) {
-      result.consistency.retunes = dssp->retunes();
-    }
-    switch (config.scheme.base) {
-      case BaseScheme::kSsp:
-        result.consistency.final_staleness = config.scheme.ssp_staleness;
-        break;
-      case BaseScheme::kPssp:
-      case BaseScheme::kDssp:
-        result.consistency.final_staleness = pssp->staleness();
-        break;
-      default:
-        break;
+    if (dssp) result.consistency.retunes = dssp->retunes();
+    if (controller) {
+      result.consistency.final_staleness = controller->staleness();
     }
     trace.RecordLoss(sim.now(), result.final_loss, TotalPushes(),
                      GlobalEpoch());

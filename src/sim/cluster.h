@@ -30,21 +30,14 @@
 
 namespace specsync {
 
-// Base consistency models: the three static schemes plus the first two
-// stages of the adaptive sync-policy engine — per-shard SSP (kPssp: the
-// staleness bound applies only to shards a worker's gradients actually
-// touch) and dynamic SSP (kDssp: per-shard gating with the bound retuned
-// each epoch from observed push inter-arrivals).
-enum class BaseScheme { kAsp, kBsp, kSsp, kPssp, kDssp };
 enum class SpeculationMode { kNone, kFixed, kAdaptive };
 
-// Full synchronization-scheme selection: a base consistency model, optional
-// naive waiting, and optional speculative synchronization on top (the paper's
-// Original = kAsp + kNone; SpecSync-Adaptive = kAsp + kAdaptive; etc.).
+// Full synchronization-scheme selection: a base consistency model
+// (ps/consistency.h), optional naive waiting, and optional speculative
+// synchronization on top (the paper's Original = kAsp + kNone;
+// SpecSync-Adaptive = kAsp + kAdaptive; etc.).
 struct SchemeSpec {
-  BaseScheme base = BaseScheme::kAsp;
-  std::uint64_t ssp_staleness = 3;  // kSsp and kPssp
-  DynamicSspConfig dssp;            // kDssp
+  ConsistencySpec consistency;
   NaiveWaitingConfig naive;
   SpeculationMode speculation = SpeculationMode::kNone;
   // Used directly under kFixed (the Cherrypick values).
@@ -56,25 +49,25 @@ struct SchemeSpec {
   static SchemeSpec Original() { return {}; }
   static SchemeSpec Bsp() {
     SchemeSpec s;
-    s.base = BaseScheme::kBsp;
+    s.consistency.scheme = ConsistencyScheme::kBsp;
     return s;
   }
   static SchemeSpec Ssp(std::uint64_t staleness) {
     SchemeSpec s;
-    s.base = BaseScheme::kSsp;
-    s.ssp_staleness = staleness;
+    s.consistency.scheme = ConsistencyScheme::kSsp;
+    s.consistency.staleness = staleness;
     return s;
   }
   static SchemeSpec PerShardSsp(std::uint64_t staleness) {
     SchemeSpec s;
-    s.base = BaseScheme::kPssp;
-    s.ssp_staleness = staleness;
+    s.consistency.scheme = ConsistencyScheme::kPssp;
+    s.consistency.staleness = staleness;
     return s;
   }
   static SchemeSpec DynamicSsp(DynamicSspConfig config = {}) {
     SchemeSpec s;
-    s.base = BaseScheme::kDssp;
-    s.dssp = config;
+    s.consistency.scheme = ConsistencyScheme::kDssp;
+    s.consistency.dssp = config;
     return s;
   }
   static SchemeSpec NaiveWaiting(Duration delay) {

@@ -2,8 +2,8 @@
 //
 // Each trial generates a random push/start schedule (a flat op list:
 // worker steps with per-push shard masks and time deltas, plus crash /
-// rejoin events for the crash-aware controllers), replays it against the
-// controller under test, and checks every admission decision against an
+// rejoin events), replays it against what MakeConsistencyController builds
+// for the scheme under test, and checks every admission decision against an
 // independently written reference model of the documented semantics:
 //
 //  * safety          — the controller never admits an iteration the bound
@@ -135,9 +135,9 @@ std::string FormatOps(const Schedule& s) {
 // ps/consistency.h). Deliberately written as transparent nested loops; it
 // shares no code with the controllers it judges.
 struct RefModel {
-  // kScalar: global SSP — min over every worker, crash-unaware (the pinned
-  // legacy semantics). kPerShard: per-(worker, shard) clocks over live
-  // writers, learned write sets. kAsp: always admit.
+  // kScalar: global SSP — min completed count over the live workers (BSP
+  // and SSP). kPerShard: per-(worker, shard) clocks over live writers,
+  // learned write sets. kAsp: always admit.
   enum class Kind { kAsp, kScalar, kPerShard };
   Kind kind;
   std::size_t num_workers;
@@ -160,11 +160,13 @@ struct RefModel {
   bool Admissible(WorkerId w, IterationId t, std::uint64_t bound) const {
     if (kind == Kind::kAsp) return true;
     if (kind == Kind::kScalar) {
-      std::uint64_t min = completed[0];
-      for (std::size_t i = 1; i < num_workers; ++i) {
-        min = std::min(min, completed[i]);
+      // The asking worker is live, so the min is over a non-empty set.
+      std::optional<std::uint64_t> min;
+      for (std::size_t i = 0; i < num_workers; ++i) {
+        if (!live[i]) continue;
+        min = min.has_value() ? std::min(*min, completed[i]) : completed[i];
       }
-      return t <= min + bound;
+      return t <= *min + bound;
     }
     for (std::size_t s = 0; s < num_shards; ++s) {
       if (!writes[w][s]) continue;
@@ -202,12 +204,12 @@ struct RunOutcome {
 };
 
 struct Subject {
+  // Null under ASP: no gate, every start admitted (what both engines do).
   std::unique_ptr<ConsistencyController> controller;
   RefModel::Kind ref_kind;
-  bool crash_aware = false;  // route Crash/Rejoin ops to the controller
   // Reads the bound in force before each decision (DSSP retunes between
   // pushes; the reference is parametric in the current bound).
-  std::function<std::uint64_t(const ConsistencyController&)> bound;
+  std::function<std::uint64_t(const ConsistencyController*)> bound;
 };
 
 using SubjectFactory = std::function<Subject(const Schedule&)>;
@@ -224,7 +226,10 @@ std::vector<std::size_t> MaskToShards(std::uint32_t mask,
 
 RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
   Subject subject = make(schedule);
-  ConsistencyController& controller = *subject.controller;
+  ConsistencyController* controller = subject.controller.get();
+  const auto may_start = [&](WorkerId w, IterationId t) {
+    return controller == nullptr || controller->MayStart(w, t);
+  };
   RefModel ref(subject.ref_kind, schedule.num_workers, schedule.num_shards);
   std::vector<char> started(schedule.num_workers, 0);
   RunOutcome out;
@@ -250,19 +255,19 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
         if (!ref.live[w]) break;
         ref.live[w] = 0;
         started[w] = 0;  // mid-iteration work dies with the worker
-        if (subject.crash_aware) controller.OnWorkerDown(w);
+        if (controller) controller->OnWorkerDown(w);
         break;
       case OpKind::kRejoin:
         if (ref.live[w]) break;
         ref.live[w] = 1;
-        if (subject.crash_aware) controller.OnWorkerUp(w);
+        if (controller) controller->OnWorkerUp(w);
         break;
       case OpKind::kStep: {
         if (!ref.live[w]) break;
         if (!started[w]) {
           const IterationId t = ref.completed[w];
           const std::uint64_t bound = subject.bound(controller);
-          const bool got = controller.MayStartAt(w, t, now);
+          const bool got = may_start(w, t);
           const bool want = ref.Admissible(w, t, bound);
           if (got != want) {
             mismatch(i, w, t, got, want, bound);
@@ -278,7 +283,7 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
           const IterationId t = ref.completed[w];
           const auto touched = MaskToShards(op.shard_mask,
                                             schedule.num_shards);
-          controller.OnPushAt(w, t, now, touched);
+          if (controller) controller->OnPush(w, t, now, touched);
           ref.OnPush(w, op.shard_mask);
           started[w] = 0;
         }
@@ -304,7 +309,7 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
       now = now + Duration::Milliseconds(1.0);
       if (!started[w]) {
         const std::uint64_t bound = subject.bound(controller);
-        const bool got = controller.MayStartAt(w, t, now);
+        const bool got = may_start(w, t);
         const bool want = ref.Admissible(w, t, bound);
         if (got != want) {
           mismatch(schedule.ops.size(), w, t, got, want, bound);
@@ -313,7 +318,7 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
         if (!got) continue;
         started[w] = 1;
       } else {
-        controller.OnPushAt(w, t, now, {});
+        if (controller) controller->OnPush(w, t, now, {});
         ref.OnPush(w, 0);
         started[w] = 0;
       }
@@ -368,68 +373,75 @@ Schedule Shrink(Schedule schedule, const SubjectFactory& make,
 
 // --- subjects ----------------------------------------------------------------
 
-Subject AspSubject(const Schedule& s) {
-  return {MakeAsp(s.num_workers), RefModel::Kind::kAsp, false,
-          [](const ConsistencyController&) { return std::uint64_t{0}; }};
+Subject FactorySubject(ConsistencySpec spec, const Schedule& s,
+                       RefModel::Kind ref_kind) {
+  return {MakeConsistencyController(spec, s.num_workers, s.num_shards),
+          ref_kind, [](const ConsistencyController* c) {
+            return static_cast<const PerShardSspController*>(c)->staleness();
+          }};
 }
 
+Subject AspSubject(const Schedule& s) {
+  Subject subject = FactorySubject({}, s, RefModel::Kind::kAsp);
+  subject.bound = [](const ConsistencyController*) { return std::uint64_t{0}; };
+  return subject;
+}
+
+// The static schemes are judged against the bound they were asked for, not
+// the one the controller reports.
 Subject BspSubject(const Schedule& s) {
-  return {MakeBsp(s.num_workers), RefModel::Kind::kScalar, false,
-          [](const ConsistencyController&) { return std::uint64_t{0}; }};
+  ConsistencySpec spec;
+  spec.scheme = ConsistencyScheme::kBsp;
+  Subject subject = FactorySubject(spec, s, RefModel::Kind::kScalar);
+  subject.bound = [](const ConsistencyController*) { return std::uint64_t{0}; };
+  return subject;
 }
 
 Subject SspSubject(const Schedule& s) {
-  return {MakeSsp(s.num_workers, s.staleness), RefModel::Kind::kScalar, false,
-          [bound = s.staleness](const ConsistencyController&) {
-            return bound;
-          }};
+  ConsistencySpec spec;
+  spec.scheme = ConsistencyScheme::kSsp;
+  spec.staleness = s.staleness;
+  Subject subject = FactorySubject(spec, s, RefModel::Kind::kScalar);
+  subject.bound = [bound = s.staleness](const ConsistencyController*) {
+    return bound;
+  };
+  return subject;
 }
 
 Subject PerShardSubject(const Schedule& s) {
-  return {MakePerShardSsp(s.num_workers, s.num_shards, s.staleness),
-          RefModel::Kind::kPerShard, true,
-          [](const ConsistencyController& c) {
-            return static_cast<const PerShardSspController&>(c).staleness();
-          }};
+  ConsistencySpec spec;
+  spec.scheme = ConsistencyScheme::kPssp;
+  spec.staleness = s.staleness;
+  return FactorySubject(spec, s, RefModel::Kind::kPerShard);
 }
 
 Subject DynamicSubject(const Schedule& s) {
-  DynamicSspConfig config;
-  config.initial_staleness = s.staleness;
-  return {MakeDynamicSsp(s.num_workers, s.num_shards, config),
-          RefModel::Kind::kPerShard, true,
-          [](const ConsistencyController& c) {
-            return static_cast<const DynamicSspController&>(c).staleness();
-          }};
+  ConsistencySpec spec;
+  spec.scheme = ConsistencyScheme::kDssp;
+  spec.dssp.initial_staleness = s.staleness;
+  return FactorySubject(spec, s, RefModel::Kind::kPerShard);
 }
 
-// The planted bug: admits one iteration past the bound (t <= min + s + 1).
-// The harness must catch it and shrink the witness to a few ops.
-class OffByOneSspController final : public ConsistencyController {
+// The planted bug: dense SSP that admits one iteration past the bound
+// (t <= min + s + 1). The harness must catch it and shrink the witness to a
+// few ops.
+class OffByOneSspController final : public PerShardSspController {
  public:
-  OffByOneSspController(std::size_t num_workers, std::uint64_t staleness)
-      : ConsistencyController(num_workers),
-        staleness_(staleness),
-        completed_(num_workers, 0) {}
-  std::string name() const override { return "BrokenSSP"; }
-  bool MayStart(WorkerId, IterationId next_iteration) const override {
-    std::uint64_t min = completed_[0];
-    for (std::uint64_t c : completed_) min = std::min(min, c);
-    return next_iteration <= min + staleness_ + 1;  // the bug
+  using PerShardSspController::PerShardSspController;
+  bool MayStart(WorkerId worker, IterationId next_iteration) const override {
+    return next_iteration == 0 ||
+           PerShardSspController::MayStart(worker, next_iteration - 1);
   }
-  void OnPush(WorkerId worker, IterationId iteration) override {
-    completed_[worker] = iteration + 1;
-  }
-
- private:
-  std::uint64_t staleness_;
-  std::vector<std::uint64_t> completed_;
 };
 
 Subject BrokenSubject(const Schedule& s) {
-  return {std::make_unique<OffByOneSspController>(s.num_workers, s.staleness),
-          RefModel::Kind::kScalar, false,
-          [bound = s.staleness](const ConsistencyController&) {
+  auto broken = std::make_unique<OffByOneSspController>(
+      s.num_workers, s.num_shards, s.staleness);
+  std::vector<std::size_t> all(s.num_shards);
+  for (std::size_t shard = 0; shard < s.num_shards; ++shard) all[shard] = shard;
+  for (WorkerId w = 0; w < s.num_workers; ++w) broken->SetWriteSet(w, all);
+  return {std::move(broken), RefModel::Kind::kScalar,
+          [bound = s.staleness](const ConsistencyController*) {
             return bound;
           }};
 }
@@ -463,15 +475,17 @@ void CheckController(const SubjectFactory& make, bool with_crashes,
 }
 
 TEST(ConsistencyPropertyTest, AspMatchesReferenceOnRandomSchedules) {
-  CheckController(AspSubject, false, "ASP");
+  CheckController(AspSubject, true, "ASP");
 }
 
+// BSP and SSP run on the same crash-aware controller as PSSP, so they are
+// checked under the same churn.
 TEST(ConsistencyPropertyTest, BspMatchesReferenceOnRandomSchedules) {
-  CheckController(BspSubject, false, "BSP");
+  CheckController(BspSubject, true, "BSP");
 }
 
 TEST(ConsistencyPropertyTest, SspMatchesReferenceOnRandomSchedules) {
-  CheckController(SspSubject, false, "SSP");
+  CheckController(SspSubject, true, "SSP");
 }
 
 TEST(ConsistencyPropertyTest, PerShardSspMatchesReferenceUnderChurn) {
@@ -569,12 +583,12 @@ TEST(ConsistencyPropertyTest, GateDecisionsMatchBareController) {
           if (!live[w]) break;
           if (!started[w]) {
             const bool bare_may =
-                bare_view->MayStartAt(w, completed[w], now);
+                bare_view->MayStart(w, completed[w]);
             // Probe the gate's controller directly (WaitToStart would
             // block on a denial); both wrap the same type, so equal state
             // must mean equal decisions.
             const bool gate_may =
-                gate.controller().MayStartAt(w, completed[w], now);
+                gate.controller().MayStart(w, completed[w]);
             ASSERT_EQ(bare_may, gate_may)
                 << "trial " << trial << " worker " << w << " iteration "
                 << completed[w];
@@ -585,7 +599,7 @@ TEST(ConsistencyPropertyTest, GateDecisionsMatchBareController) {
           } else {
             const auto touched =
                 MaskToShards(op.shard_mask, schedule.num_shards);
-            bare_view->OnPushAt(w, completed[w], now, touched);
+            bare_view->OnPush(w, completed[w], now, touched);
             gate.OnPush(w, completed[w], now, touched);
             ++completed[w];
             started[w] = 0;

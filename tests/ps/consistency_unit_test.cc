@@ -4,6 +4,8 @@
 // dynamic staleness retune rule with its audit trail. Randomized-schedule
 // coverage lives in consistency_property_test.cc.
 
+#include <algorithm>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -18,12 +20,26 @@ namespace {
 
 SimTime Ms(double ms) { return SimTime::FromSeconds(ms / 1000.0); }
 
+// A push whose routing is unknown: it counts as touching every shard.
+void Dense(ConsistencyController& c, WorkerId w, IterationId t) {
+  c.OnPush(w, t, SimTime::Zero(), {});
+}
+
+std::unique_ptr<PerShardSspController> DenseSsp(std::size_t workers,
+                                                std::uint64_t staleness) {
+  ConsistencySpec spec;
+  spec.scheme = ConsistencyScheme::kSsp;
+  spec.staleness = staleness;
+  return MakeConsistencyController(spec, workers, /*num_shards=*/2);
+}
+
 // --- the SSP boundary, row by row -------------------------------------------
 
 TEST(SspBoundaryTest, AdmissionTableMatchesDocumentedSemantics) {
-  // A worker may start iteration t (0-based) iff t <= MinProgress() + s.
-  // Each row drives worker 0 to `t` completed iterations and worker 1 to
-  // `slowest` (so MinProgress() == slowest), then asks about iteration t.
+  // A worker may start iteration t (0-based) iff t <= c + s, where c is the
+  // slowest worker's completed count. Each row drives worker 0 to `t`
+  // completed iterations and worker 1 to `slowest` (so c == slowest), then
+  // asks about iteration t.
   struct Row {
     std::uint64_t staleness;
     std::uint64_t t;        // iteration worker 0 wants to start
@@ -49,11 +65,11 @@ TEST(SspBoundaryTest, AdmissionTableMatchesDocumentedSemantics) {
       {3, 4, 0, false},
   };
   for (const Row& row : rows) {
-    SspController ssp(2, row.staleness);
-    for (std::uint64_t i = 0; i < row.t; ++i) ssp.OnPush(0, i);
-    for (std::uint64_t i = 0; i < row.slowest; ++i) ssp.OnPush(1, i);
-    ASSERT_EQ(ssp.MinProgress(), row.slowest);
-    EXPECT_EQ(ssp.MayStart(0, row.t), row.allowed)
+    auto ssp = DenseSsp(2, row.staleness);
+    for (std::uint64_t i = 0; i < row.t; ++i) Dense(*ssp, 0, i);
+    for (std::uint64_t i = 0; i < row.slowest; ++i) Dense(*ssp, 1, i);
+    ASSERT_EQ(ssp->MinShardClock(0), row.slowest);
+    EXPECT_EQ(ssp->MayStart(0, row.t), row.allowed)
         << "s=" << row.staleness << " t=" << row.t
         << " slowest=" << row.slowest;
   }
@@ -64,13 +80,13 @@ TEST(SspBoundaryTest, ObservedSkewCanReachStalenessPlusOne) {
   // slowest still sits at c: completed-count skew s + 1 is reachable, and
   // exactly s + 1 (the next start is denied).
   constexpr std::uint64_t kStaleness = 2;
-  SspController ssp(2, kStaleness);
+  auto ssp = DenseSsp(2, kStaleness);
   for (std::uint64_t i = 0; i <= kStaleness; ++i) {
-    ASSERT_TRUE(ssp.MayStart(0, i));
-    ssp.OnPush(0, i);
+    ASSERT_TRUE(ssp->MayStart(0, i));
+    Dense(*ssp, 0, i);
   }
-  EXPECT_EQ(ssp.MinProgress(), 0u);  // worker 1 never pushed
-  EXPECT_FALSE(ssp.MayStart(0, kStaleness + 1));
+  EXPECT_EQ(ssp->MinShardClock(0), 0u);  // worker 1 never pushed
+  EXPECT_FALSE(ssp->MayStart(0, kStaleness + 1));
 }
 
 // --- per-shard SSP -----------------------------------------------------------
@@ -84,7 +100,7 @@ TEST(PerShardSspTest, DisjointWriteSetsNeverGateEachOther) {
   pssp.SetWriteSet(1, {1});
   for (std::uint64_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(pssp.MayStart(0, i)) << "iteration " << i;
-    pssp.OnPush(0, i);
+    Dense(pssp, 0, i);
   }
   EXPECT_EQ(pssp.completed(0), 10u);
   EXPECT_EQ(pssp.completed(1), 0u);
@@ -98,12 +114,12 @@ TEST(PerShardSspTest, SharedShardEnforcesTheBound) {
   // Worker 0 is gated on shard 1 (shared with worker 1) once it runs more
   // than s = 1 ahead of worker 1's clock there.
   ASSERT_TRUE(pssp.MayStart(0, 0));
-  pssp.OnPush(0, 0);
+  Dense(pssp, 0, 0);
   ASSERT_TRUE(pssp.MayStart(0, 1));
-  pssp.OnPush(0, 1);
+  Dense(pssp, 0, 1);
   EXPECT_FALSE(pssp.MayStart(0, 2));
   EXPECT_EQ(pssp.FirstBlockingShard(0, 2), std::optional<std::size_t>(1));
-  pssp.OnPush(1, 0);
+  Dense(pssp, 1, 0);
   EXPECT_TRUE(pssp.MayStart(0, 2));
   EXPECT_EQ(pssp.FirstBlockingShard(0, 2), std::nullopt);
 }
@@ -111,22 +127,24 @@ TEST(PerShardSspTest, SharedShardEnforcesTheBound) {
 TEST(PerShardSspTest, DeclaredDenseWriteSetsDegenerateToGlobalSsp) {
   constexpr std::uint64_t kStaleness = 2;
   PerShardSspController pssp(3, 4, kStaleness);
-  SspController ssp(3, kStaleness);
   // With every write set declared as all shards, each worker's shard clocks
   // equal its completed count from the start — including workers that have
   // not pushed yet, which learned sets would leave out of the min. Decisions
-  // must then match global SSP exactly at every probe point.
+  // must then match global SSP (t <= min completed + s) at every probe.
   for (WorkerId w = 0; w < 3; ++w) pssp.SetWriteSet(w, {0, 1, 2, 3});
   const WorkerId pushers[] = {0, 0, 1, 0, 2, 1, 0, 2};
   std::uint64_t completed[3] = {0, 0, 0};
+  const auto global_ssp = [&](WorkerId w) {
+    const std::uint64_t slowest =
+        std::min({completed[0], completed[1], completed[2]});
+    return completed[w] <= slowest + kStaleness;
+  };
   for (WorkerId w : pushers) {
     for (WorkerId probe = 0; probe < 3; ++probe) {
-      ASSERT_EQ(pssp.MayStart(probe, completed[probe]),
-                ssp.MayStart(probe, completed[probe]));
+      ASSERT_EQ(pssp.MayStart(probe, completed[probe]), global_ssp(probe));
     }
-    if (!ssp.MayStart(w, completed[w])) continue;
-    pssp.OnPush(w, completed[w]);  // scalar OnPush = dense
-    ssp.OnPush(w, completed[w]);
+    if (!global_ssp(w)) continue;
+    Dense(pssp, w, completed[w]);
     ++completed[w];
   }
 }
@@ -138,7 +156,7 @@ TEST(PerShardSspTest, WriteSetsAreLearnedFromPushes) {
   EXPECT_TRUE(pssp.MayStart(0, 5));
 
   const std::vector<std::size_t> first = {1};
-  pssp.OnPushAt(0, 0, Ms(1), first);
+  pssp.OnPush(0, 0, Ms(1), first);
   EXPECT_FALSE(pssp.writes(0, 0));
   EXPECT_TRUE(pssp.writes(0, 1));
   EXPECT_EQ(pssp.clock(0, 1), 1u);
@@ -146,23 +164,23 @@ TEST(PerShardSspTest, WriteSetsAreLearnedFromPushes) {
   // Learning only grows the set; a later push touching shard 2 adds it and
   // the whole set's clocks advance together.
   const std::vector<std::size_t> second = {2};
-  pssp.OnPushAt(0, 1, Ms(2), second);
+  pssp.OnPush(0, 1, Ms(2), second);
   EXPECT_TRUE(pssp.writes(0, 1));
   EXPECT_TRUE(pssp.writes(0, 2));
   EXPECT_EQ(pssp.clock(0, 1), 2u);
   EXPECT_EQ(pssp.clock(0, 2), 2u);
 
   // Empty touched set = dense.
-  pssp.OnPushAt(0, 2, Ms(3), {});
+  pssp.OnPush(0, 2, Ms(3), {});
   EXPECT_TRUE(pssp.writes(0, 0));
   EXPECT_EQ(pssp.clock(0, 0), 3u);
 }
 
 TEST(PerShardSspTest, CrashExcusesAndRejoinReinstates) {
   PerShardSspController pssp(2, 1, 0);
-  pssp.OnPush(0, 0);  // both learn dense sets
-  pssp.OnPush(1, 0);
-  pssp.OnPush(0, 1);
+  Dense(pssp, 0, 0);  // both learn dense sets
+  Dense(pssp, 1, 0);
+  Dense(pssp, 0, 1);
   EXPECT_FALSE(pssp.MayStart(0, 2));  // worker 1 sits at 1
   pssp.OnWorkerDown(1);
   EXPECT_FALSE(pssp.live(1));
@@ -174,9 +192,9 @@ TEST(PerShardSspTest, CrashExcusesAndRejoinReinstates) {
 
 TEST(PerShardSspTest, OutOfOrderPushThrows) {
   PerShardSspController pssp(2, 2, 1);
-  pssp.OnPush(0, 0);
-  EXPECT_THROW(pssp.OnPush(0, 0), CheckError);  // duplicate
-  EXPECT_THROW(pssp.OnPush(1, 3), CheckError);  // skipped ahead
+  Dense(pssp, 0, 0);
+  EXPECT_THROW(Dense(pssp, 0, 0), CheckError);  // duplicate
+  EXPECT_THROW(Dense(pssp, 1, 3), CheckError);  // skipped ahead
 }
 
 // --- dynamic SSP -------------------------------------------------------------
@@ -196,18 +214,18 @@ DynamicSspConfig UnsmoothedConfig() {
 // one measured worker, so the bound holds; the second has both and retunes to
 // ceil(4 - 1) = 3.
 void DriveTwoEpochs(DynamicSspController& d) {
-  d.OnPushAt(0, 0, Ms(10), {});
-  d.OnPushAt(0, 1, Ms(20), {});
-  d.OnPushAt(0, 2, Ms(30), {});
-  d.OnPushAt(0, 3, Ms(40), {});
-  d.OnPushAt(1, 0, Ms(40), {});
+  d.OnPush(0, 0, Ms(10), {});
+  d.OnPush(0, 1, Ms(20), {});
+  d.OnPush(0, 2, Ms(30), {});
+  d.OnPush(0, 3, Ms(40), {});
+  d.OnPush(1, 0, Ms(40), {});
   ASSERT_EQ(d.retunes(), 0u);
   ASSERT_EQ(d.staleness(), 0u);
-  d.OnPushAt(0, 4, Ms(50), {});
-  d.OnPushAt(0, 5, Ms(60), {});
-  d.OnPushAt(0, 6, Ms(70), {});
-  d.OnPushAt(0, 7, Ms(80), {});
-  d.OnPushAt(1, 1, Ms(80), {});
+  d.OnPush(0, 4, Ms(50), {});
+  d.OnPush(0, 5, Ms(60), {});
+  d.OnPush(0, 6, Ms(70), {});
+  d.OnPush(0, 7, Ms(80), {});
+  d.OnPush(1, 1, Ms(80), {});
 }
 
 TEST(DynamicSspTest, RetunesBoundFromStragglerRatio) {
@@ -229,8 +247,8 @@ TEST(DynamicSspTest, BoundIsClampedToConfiguredRange) {
 TEST(DynamicSspTest, EqualSpeedsNeverRetune) {
   DynamicSspController d(2, 1, UnsmoothedConfig());
   for (std::uint64_t i = 0; i < 6; ++i) {
-    d.OnPushAt(0, i, Ms(10.0 * static_cast<double>(i + 1)), {});
-    d.OnPushAt(1, i, Ms(10.0 * static_cast<double>(i + 1)), {});
+    d.OnPush(0, i, Ms(10.0 * static_cast<double>(i + 1)), {});
+    d.OnPush(1, i, Ms(10.0 * static_cast<double>(i + 1)), {});
   }
   EXPECT_EQ(d.retunes(), 0u);
   EXPECT_EQ(d.staleness(), 0u);
@@ -245,8 +263,8 @@ TEST(DynamicSspTest, EwmaSmoothsAcrossEpochs) {
   ASSERT_DOUBLE_EQ(d.smoothed_ratio(), 4.0);
   ASSERT_EQ(d.staleness(), 3u);
   // Third epoch: both workers at 10 ms (ratio 1) -> smoothed 0.5*1 + 0.5*4.
-  d.OnPushAt(0, 8, Ms(90), {});
-  d.OnPushAt(1, 2, Ms(90), {});
+  d.OnPush(0, 8, Ms(90), {});
+  d.OnPush(1, 2, Ms(90), {});
   EXPECT_DOUBLE_EQ(d.smoothed_ratio(), 2.5);
   EXPECT_EQ(d.staleness(), 2u);  // ceil(1.5)
   EXPECT_EQ(d.retunes(), 2u);
@@ -268,11 +286,11 @@ TEST(DynamicSspTest, EachAdjustmentEmitsOneAuditRecord) {
 
   // Stable epochs adjust nothing and so log nothing: one record per
   // *adjustment*, not per evaluation.
-  d.OnPushAt(0, 8, Ms(120), {});
-  d.OnPushAt(0, 9, Ms(160), {});
-  d.OnPushAt(0, 10, Ms(200), {});
-  d.OnPushAt(0, 11, Ms(240), {});
-  d.OnPushAt(1, 2, Ms(240), {});  // ratio 4 again: bound already 3
+  d.OnPush(0, 8, Ms(120), {});
+  d.OnPush(0, 9, Ms(160), {});
+  d.OnPush(0, 10, Ms(200), {});
+  d.OnPush(0, 11, Ms(240), {});
+  d.OnPush(1, 2, Ms(240), {});  // ratio 4 again: bound already 3
   EXPECT_EQ(d.retunes(), 1u);
   EXPECT_EQ(audit.retunes().size(), 1u);
 }
@@ -282,31 +300,51 @@ TEST(DynamicSspTest, StragglerDepartureRelaxesTheBound) {
   // next epochs see ratio 1 and the bound relaxes back to min.
   DynamicSspController d(3, 1, UnsmoothedConfig());
   // Two epochs with worker 2 pushing at half the others' rate.
-  d.OnPushAt(0, 0, Ms(10), {});
-  d.OnPushAt(0, 1, Ms(20), {});
-  d.OnPushAt(1, 0, Ms(10), {});
-  d.OnPushAt(1, 1, Ms(20), {});
-  d.OnPushAt(2, 0, Ms(40), {});
-  d.OnPushAt(0, 2, Ms(50), {});
-  d.OnPushAt(0, 3, Ms(60), {});
-  d.OnPushAt(1, 2, Ms(50), {});
-  d.OnPushAt(1, 3, Ms(60), {});
-  d.OnPushAt(2, 1, Ms(80), {});  // ratio 2 measured: bound rises to 1
+  d.OnPush(0, 0, Ms(10), {});
+  d.OnPush(0, 1, Ms(20), {});
+  d.OnPush(1, 0, Ms(10), {});
+  d.OnPush(1, 1, Ms(20), {});
+  d.OnPush(2, 0, Ms(40), {});
+  d.OnPush(0, 2, Ms(50), {});
+  d.OnPush(0, 3, Ms(60), {});
+  d.OnPush(1, 2, Ms(50), {});
+  d.OnPush(1, 3, Ms(60), {});
+  d.OnPush(2, 1, Ms(80), {});  // ratio 2 measured: bound rises to 1
   ASSERT_GT(d.staleness(), 0u);
   d.OnWorkerDown(2);
   // Interleaved equal-speed pushes among the live pair: the first symmetric
   // epoch window sees ratio 1 and the bound drops back.
   std::uint64_t it = 4;
   for (double t = 90.0; t < 130.0; t += 10.0, ++it) {
-    d.OnPushAt(0, it, Ms(t), {});
-    d.OnPushAt(1, it, Ms(t), {});
+    d.OnPush(0, it, Ms(t), {});
+    d.OnPush(1, it, Ms(t), {});
   }
   EXPECT_EQ(d.staleness(), 0u);
 }
 
 TEST(ControllerFactoryTest, PerShardFamilyNames) {
-  EXPECT_EQ(MakePerShardSsp(2, 4, 3)->name(), "PSSP(s=3,shards=4)");
-  EXPECT_EQ(MakeDynamicSsp(2, 4)->name(), "DSSP(s=3,shards=4)");
+  // kPssp: the spec's bound over write sets learned from pushes, so nothing
+  // is written (and nobody gated) before the first push.
+  ConsistencySpec spec;
+  spec.scheme = ConsistencyScheme::kPssp;
+  auto pssp = MakeConsistencyController(spec, 2, 4);
+  EXPECT_EQ(pssp->staleness(), 3u);
+  EXPECT_EQ(pssp->num_shards(), 4u);
+  EXPECT_EQ(dynamic_cast<DynamicSspController*>(pssp.get()), nullptr);
+  EXPECT_FALSE(pssp->writes(0, 0));
+  const std::size_t two[] = {2};
+  pssp->OnPush(0, 0, Ms(1), two);
+  EXPECT_TRUE(pssp->writes(0, 2));
+  EXPECT_FALSE(pssp->writes(0, 0));
+
+  // kDssp: the dynamic controller, starting from spec.dssp's bound.
+  spec.scheme = ConsistencyScheme::kDssp;
+  spec.dssp.initial_staleness = 5;
+  auto dssp = MakeConsistencyController(spec, 2, 4);
+  ASSERT_NE(dynamic_cast<DynamicSspController*>(dssp.get()), nullptr);
+  EXPECT_EQ(dssp->staleness(), 5u);
+  EXPECT_EQ(dssp->num_shards(), 4u);
+  EXPECT_FALSE(dssp->writes(0, 0));
 }
 
 }  // namespace

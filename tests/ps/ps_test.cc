@@ -383,67 +383,95 @@ TEST(ParamStoreTest, PullBytes) {
 
 // --- consistency controllers -------------------------------------------------
 
+std::unique_ptr<PerShardSspController> Make(ConsistencyScheme scheme,
+                                            std::size_t workers,
+                                            std::uint64_t staleness = 3,
+                                            std::size_t shards = 2) {
+  ConsistencySpec spec;
+  spec.scheme = scheme;
+  spec.staleness = staleness;
+  return MakeConsistencyController(spec, workers, shards);
+}
+
+// Dense push, as the engines report it when routing is unknown.
+void DensePush(PerShardSspController& c, WorkerId w, IterationId t) {
+  c.OnPush(w, t, SimTime::Zero(), {});
+}
+
 TEST(AspControllerTest, AlwaysAllows) {
-  AspController asp(3);
-  EXPECT_TRUE(asp.MayStart(0, 0));
-  EXPECT_TRUE(asp.MayStart(2, 1000));
-  EXPECT_EQ(asp.name(), "ASP");
+  // ASP builds no gate: both engines admit every start without asking.
+  EXPECT_EQ(Make(ConsistencyScheme::kAsp, 3), nullptr);
 }
 
 TEST(BspControllerTest, BarriersEachIteration) {
-  BspController bsp(2);
+  auto bsp = Make(ConsistencyScheme::kBsp, 2);
   // Everyone may start iteration 0.
-  EXPECT_TRUE(bsp.MayStart(0, 0));
-  EXPECT_TRUE(bsp.MayStart(1, 0));
-  bsp.OnPush(0, 0);
+  EXPECT_TRUE(bsp->MayStart(0, 0));
+  EXPECT_TRUE(bsp->MayStart(1, 0));
+  DensePush(*bsp, 0, 0);
   // Worker 0 finished iteration 0 but worker 1 has not: 0 must wait.
-  EXPECT_FALSE(bsp.MayStart(0, 1));
-  bsp.OnPush(1, 0);
-  EXPECT_TRUE(bsp.MayStart(0, 1));
-  EXPECT_TRUE(bsp.MayStart(1, 1));
+  EXPECT_FALSE(bsp->MayStart(0, 1));
+  DensePush(*bsp, 1, 0);
+  EXPECT_TRUE(bsp->MayStart(0, 1));
+  EXPECT_TRUE(bsp->MayStart(1, 1));
 }
 
 TEST(SspControllerTest, BoundedStaleness) {
-  SspController ssp(2, 2);
-  EXPECT_EQ(ssp.name(), "SSP(s=2)");
+  auto ssp = Make(ConsistencyScheme::kSsp, 2, 2);
+  EXPECT_EQ(ssp->staleness(), 2u);
   // Worker 0 may run up to 2 iterations ahead of the slowest.
-  EXPECT_TRUE(ssp.MayStart(0, 0));
-  ssp.OnPush(0, 0);
-  EXPECT_TRUE(ssp.MayStart(0, 1));
-  ssp.OnPush(0, 1);
-  EXPECT_TRUE(ssp.MayStart(0, 2));
-  ssp.OnPush(0, 2);
-  EXPECT_FALSE(ssp.MayStart(0, 3));  // 3 > 0 (min) + 2
-  ssp.OnPush(1, 0);
-  EXPECT_TRUE(ssp.MayStart(0, 3));
-  EXPECT_EQ(ssp.MinProgress(), 1u);
+  EXPECT_TRUE(ssp->MayStart(0, 0));
+  DensePush(*ssp, 0, 0);
+  EXPECT_TRUE(ssp->MayStart(0, 1));
+  DensePush(*ssp, 0, 1);
+  EXPECT_TRUE(ssp->MayStart(0, 2));
+  DensePush(*ssp, 0, 2);
+  EXPECT_FALSE(ssp->MayStart(0, 3));  // 3 > 0 (min) + 2
+  DensePush(*ssp, 1, 0);
+  EXPECT_TRUE(ssp->MayStart(0, 3));
+  EXPECT_EQ(ssp->MinShardClock(0), 1u);
 }
 
 TEST(SspControllerTest, OutOfOrderPushThrows) {
-  SspController ssp(2, 1);
-  ssp.OnPush(0, 0);
-  EXPECT_THROW(ssp.OnPush(0, 0), CheckError);  // duplicate
-  EXPECT_THROW(ssp.OnPush(1, 3), CheckError);  // skipped ahead
+  auto ssp = Make(ConsistencyScheme::kSsp, 2, 1);
+  DensePush(*ssp, 0, 0);
+  EXPECT_THROW(DensePush(*ssp, 0, 0), CheckError);  // duplicate
+  EXPECT_THROW(DensePush(*ssp, 1, 3), CheckError);  // skipped ahead
 }
 
 TEST(ControllerFactoryTest, MakesExpectedTypes) {
-  EXPECT_EQ(MakeAsp(2)->name(), "ASP");
-  EXPECT_EQ(MakeBsp(2)->name(), "BSP");
-  EXPECT_EQ(MakeSsp(2, 5)->name(), "SSP(s=5)");
+  // The static schemes: global bounds on write sets frozen to every shard,
+  // so they gate before any push has been seen.
+  auto bsp = Make(ConsistencyScheme::kBsp, 2, /*staleness=*/5, /*shards=*/3);
+  EXPECT_EQ(bsp->staleness(), 0u);  // BSP ignores the spec's bound
+  auto ssp = Make(ConsistencyScheme::kSsp, 2, /*staleness=*/5, /*shards=*/3);
+  EXPECT_EQ(ssp->staleness(), 5u);
+  for (const PerShardSspController* c : {bsp.get(), ssp.get()}) {
+    EXPECT_EQ(c->num_workers(), 2u);
+    EXPECT_EQ(c->num_shards(), 3u);
+    EXPECT_EQ(dynamic_cast<const DynamicSspController*>(c), nullptr);
+    for (WorkerId w = 0; w < 2; ++w) {
+      for (std::size_t s = 0; s < 3; ++s) EXPECT_TRUE(c->writes(w, s));
+    }
+  }
+  // Frozen: a push touching one shard leaves the write set whole.
+  const std::size_t one[] = {1};
+  ssp->OnPush(0, 0, SimTime::Zero(), one);
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_TRUE(ssp->writes(0, s));
 }
 
 // BSP == SSP(0) equivalence property over a random schedule.
 TEST(ControllerEquivalenceTest, BspEqualsSspZero) {
-  BspController bsp(3);
-  SspController ssp0(3, 0);
+  auto bsp = Make(ConsistencyScheme::kBsp, 3);
+  auto ssp0 = Make(ConsistencyScheme::kSsp, 3, 0);
   Rng rng(5);
   std::vector<IterationId> next(3, 0);
   for (int step = 0; step < 200; ++step) {
     const WorkerId w = static_cast<WorkerId>(rng.Index(3));
-    EXPECT_EQ(bsp.MayStart(w, next[w]), ssp0.MayStart(w, next[w]));
-    if (bsp.MayStart(w, next[w])) {
-      bsp.OnPush(w, next[w]);
-      ssp0.OnPush(w, next[w]);
+    EXPECT_EQ(bsp->MayStart(w, next[w]), ssp0->MayStart(w, next[w]));
+    if (bsp->MayStart(w, next[w])) {
+      DensePush(*bsp, w, next[w]);
+      DensePush(*ssp0, w, next[w]);
       ++next[w];
     }
   }

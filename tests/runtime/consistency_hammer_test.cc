@@ -65,10 +65,10 @@ TEST(ConsistencyHammerTest, ManyThreadsCompleteUnderTightBound) {
   // Declare the write sets up front so the bound binds from iteration 0: a
   // learned (lazy) write set would leave not-yet-spawned workers invisible
   // and let the first thread blast through its quota uncontested.
-  auto controller = MakePerShardSsp(kWorkers, kShards, /*staleness=*/1);
+  auto controller = std::make_unique<PerShardSspController>(
+      kWorkers, kShards, /*staleness=*/1);
   for (std::size_t w = 0; w < kWorkers; ++w) {
-    static_cast<PerShardSspController&>(*controller)
-        .SetWriteSet(w, {w % kShards, (w + 1) % kShards});
+    controller->SetWriteSet(w, {w % kShards, (w + 1) % kShards});
   }
   ConsistencyGate gate(std::move(controller));
   GateWatchdog watchdog(gate, std::chrono::seconds(60));
@@ -114,7 +114,8 @@ TEST(ConsistencyHammerTest, CrashChurnNeverWedgesTheGate) {
   constexpr std::size_t kWorkers = 6;
   constexpr std::size_t kShards = 3;
   constexpr std::uint64_t kQuota = 150;
-  ConsistencyGate gate(MakePerShardSsp(kWorkers, kShards, /*staleness=*/2));
+  ConsistencyGate gate(std::make_unique<PerShardSspController>(
+      kWorkers, kShards, /*staleness=*/2));
   GateWatchdog watchdog(gate, std::chrono::seconds(60));
   WallClock clock;
   std::atomic<bool> aborted{false};
@@ -163,8 +164,9 @@ TEST(ConsistencyHammerTest, DynamicControllerRetunesUnderConcurrentAudit) {
   // the fast workers run free and the real 10x ratio expresses itself.
   config.initial_staleness = 0;
   config.max_staleness = 8;
-  auto controller = MakeDynamicSsp(kWorkers, kShards, config);
-  auto* dssp = static_cast<DynamicSspController*>(controller.get());
+  auto controller =
+      std::make_unique<DynamicSspController>(kWorkers, kShards, config);
+  auto* dssp = controller.get();
   obs::DecisionAuditLog audit;
   dssp->AttachAudit(&audit);
   ConsistencyGate gate(std::move(controller));
@@ -205,7 +207,8 @@ TEST(ConsistencyHammerTest, DynamicControllerRetunesUnderConcurrentAudit) {
 TEST(ConsistencyHammerTest, ShutdownReleasesBlockedWaiters) {
   // Worker 1 never pushes, so worker 0 wedges at the bound; Shutdown must
   // wake it with a false return (the runtime's teardown path).
-  ConsistencyGate gate(MakePerShardSsp(2, 1, /*staleness=*/0));
+  ConsistencyGate gate(
+      std::make_unique<PerShardSspController>(2, 1, /*staleness=*/0));
   WallClock clock;
   // Learn both write sets so the bound binds.
   const std::size_t shard0[] = {0};

@@ -89,12 +89,10 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
 
   // The runtime's SSP gate: per-shard controller with every write set
   // frozen to all shards.
-  auto controller =
-      std::make_unique<PerShardSspController>(kWorkers, kShards, 2);
-  std::vector<std::size_t> all_shards = {0, 1, 2, 3};
-  for (WorkerId w = 0; w < kWorkers; ++w) {
-    controller->SetWriteSet(w, all_shards);
-  }
+  ConsistencySpec spec;
+  spec.scheme = ConsistencyScheme::kSsp;
+  spec.staleness = 2;
+  auto controller = MakeConsistencyController(spec, kWorkers, kShards);
   const PerShardSspController* ssp = controller.get();
   ConsistencyGate gate(std::move(controller));
 

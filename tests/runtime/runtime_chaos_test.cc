@@ -231,6 +231,49 @@ TEST(RuntimeChaosTest, CrashWithRejoinCompletesFullQuota) {
   EXPECT_TRUE(AllFinite(result.final_weights));
 }
 
+// Remembers the largest epoch any push asked a rate for. Pushes apply
+// concurrently, so the maximum is kept with a CAS loop.
+class MaxEpochSchedule final : public LearningRateSchedule {
+ public:
+  double Rate(EpochId epoch) const override {
+    EpochId seen = max_epoch_.load(std::memory_order_relaxed);
+    while (epoch > seen &&
+           !max_epoch_.compare_exchange_weak(seen, epoch,
+                                             std::memory_order_relaxed)) {
+    }
+    return 0.1;
+  }
+  EpochId max_epoch() const {
+    return max_epoch_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::atomic<EpochId> max_epoch_{0};
+};
+
+TEST(RuntimeChaosTest, DeadWorkerDoesNotPinTheLearningRateEpoch) {
+  // Worker 2 dies before its first iteration and never returns. The
+  // schedule's epoch is the slowest *live* worker's progress, as in the
+  // simulator, so the survivors' pushes still advance it: the last push of
+  // the last survivor to finish runs at epoch iterations_per_worker - 1.
+  RuntimeConfig config;
+  config.num_workers = 3;
+  config.iterations_per_worker = 20;
+  config.batch_size = 16;
+  // ~2 ms per iteration, so the victim's thread is long dead before the
+  // survivors' last pushes.
+  config.compute_chunks = 4;
+  config.chunk_delay = std::chrono::microseconds(500);
+  config.faults.crashes.push_back(
+      CrashEvent{2, SimTime::Zero(), std::nullopt});
+  auto schedule = std::make_shared<MaxEpochSchedule>();
+  RuntimeCluster cluster(TinyModel(5), schedule, config);
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.workers_killed, 1u);
+  EXPECT_EQ(result.total_pushes, 40u);
+  EXPECT_EQ(schedule->max_epoch(), config.iterations_per_worker - 1);
+}
+
 TEST(RuntimeChaosTest, SlowdownWindowStretchesVictimCompute) {
   // One worker runs 8x slower for the whole run; the wall-clock time is
   // dominated by the victim while the run still completes in full.

@@ -210,6 +210,69 @@ TEST(ConsistencySimTest, CrashExcusesGatedPeersUnderPerShardSsp) {
   }
 }
 
+TEST(ConsistencySimTest, PermanentCrashUnderBspDoesNotStallSurvivors) {
+  // Worker 2 dies for good at t=30 s. BSP excuses it from the barrier, as it
+  // is excused in the runtime: the survivors keep pushing to the end of the
+  // run instead of waiting on the corpse until max_time.
+  ClusterSimConfig config = BaseConfig();
+  config.scheme = SchemeSpec::Bsp();
+  config.faults.crashes.push_back(
+      CrashEvent{2, SimTime::FromSeconds(30.0), std::nullopt});
+  const SimResult result = RunOnce(config);
+  std::vector<std::uint64_t> late_pushes(config.num_workers, 0);
+  for (const PushEvent& push : result.trace.pushes()) {
+    if (push.time > SimTime::FromSeconds(60.0)) ++late_pushes[push.worker];
+  }
+  EXPECT_EQ(late_pushes[2], 0u);
+  for (WorkerId w : {0u, 1u, 3u}) {
+    EXPECT_GT(late_pushes[w], 40u) << "worker " << w;
+  }
+  EXPECT_EQ(result.fault_stats.crashes, 1u);
+}
+
+TEST(ConsistencySimTest, CrashAndRejoinUnderSspHoldsTheBoundAcrossRejoin) {
+  // Worker 2 is down from t=40 s to t=80 s. While it is down the others run
+  // on; once it is back at its old progress they wait for it again, so every
+  // iteration started after the rejoin obeys t <= min completed + s over all
+  // four workers.
+  constexpr std::uint64_t kStaleness = 1;
+  const SimTime crash_at = SimTime::FromSeconds(40.0);
+  const SimTime rejoin_at = SimTime::FromSeconds(80.0);
+  ClusterSimConfig config = BaseConfig();
+  config.scheme = SchemeSpec::Ssp(kStaleness);
+  config.max_time = SimTime::FromSeconds(200.0);
+  config.faults.crashes.push_back(CrashEvent{2, crash_at, rejoin_at});
+  const SimResult result = RunOnce(config);
+
+  std::uint64_t pushes_while_down = 0;
+  std::vector<std::uint64_t> completed(config.num_workers, 0);
+  // An iteration admitted before the rejoin may push after it: skip each
+  // worker's first push past the rejoin.
+  std::vector<char> seen_after_rejoin(config.num_workers, 0);
+  std::vector<std::uint64_t> tail_pushes(config.num_workers, 0);
+  for (const PushEvent& push : result.trace.pushes()) {
+    if (push.time > crash_at + Duration::Seconds(5.0) &&
+        push.time < rejoin_at) {
+      ++pushes_while_down;
+    }
+    if (push.time > rejoin_at) {
+      if (seen_after_rejoin[push.worker]) {
+        const std::uint64_t min_completed =
+            *std::min_element(completed.begin(), completed.end());
+        EXPECT_LE(push.iteration, min_completed + kStaleness)
+            << "worker " << push.worker << " at " << push.time;
+      }
+      seen_after_rejoin[push.worker] = 1;
+      ++tail_pushes[push.worker];
+    }
+    completed[push.worker] = push.iteration + 1;
+  }
+  EXPECT_GT(pushes_while_down, 60u);
+  for (WorkerId w = 0; w < config.num_workers; ++w) {
+    EXPECT_GT(tail_pushes[w], 20u) << "worker " << w;
+  }
+}
+
 TEST(ConsistencySimTest, SchemeDisplayNames) {
   EXPECT_EQ(SchemeSpec::PerShardSsp(2).DisplayName(), "PSSP(s=2)");
   EXPECT_EQ(SchemeSpec::DynamicSsp().DisplayName(), "DSSP(s0=3)");

@@ -1,5 +1,6 @@
 // Property-style invariants checked across every synchronization scheme:
-// whatever the scheme, the PS protocol's bookkeeping must stay coherent.
+// whatever the scheme, the PS protocol's bookkeeping must stay coherent. The
+// same configs also pin the static schemes' trace digests.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -8,6 +9,7 @@
 #include "data/synthetic.h"
 #include "models/softmax_regression.h"
 #include "sim/cluster.h"
+#include "trace/trace.h"
 
 namespace specsync {
 namespace {
@@ -55,27 +57,37 @@ std::vector<SchemeCase> AllSchemes() {
 
 class SchemeInvariantsTest : public ::testing::TestWithParam<SchemeCase> {};
 
-TEST_P(SchemeInvariantsTest, TraceInvariantsHold) {
-  const SchemeCase& scheme_case = GetParam();
+ClusterSimConfig InvariantsConfig(const SchemeSpec& scheme, bool stalls) {
   ClusterSimConfig config;
   config.num_workers = 6;
   config.num_servers = 3;
   config.batch_size = 8;
-  config.scheme = scheme_case.scheme;
+  config.scheme = scheme;
   config.eval_interval = Duration::Seconds(10.0);
   config.eval_subsample = 100;
   config.max_time = SimTime::FromSeconds(150.0);
   config.seed = 77;
-  if (scheme_case.stalls) {
+  if (stalls) {
     config.stalls.enabled = true;
     config.stalls.mean_gap = Duration::Seconds(4.0);
     config.stalls.mean_duration = Duration::Seconds(0.6);
   }
+  return config;
+}
+
+SimResult RunInvariantsSim(const ClusterSimConfig& config) {
   auto speed = std::make_unique<HomogeneousSpeedModel>(Duration::Seconds(1.0),
                                                        0.15);
   ClusterSim sim(SmallModel(), std::make_shared<ConstantSchedule>(0.1),
                  std::move(speed), config);
-  const SimResult result = sim.Run();
+  return sim.Run();
+}
+
+TEST_P(SchemeInvariantsTest, TraceInvariantsHold) {
+  const SchemeCase& scheme_case = GetParam();
+  const ClusterSimConfig config =
+      InvariantsConfig(scheme_case.scheme, scheme_case.stalls);
+  const SimResult result = RunInvariantsSim(config);
 
   ASSERT_GT(result.total_pushes, 0u);
 
@@ -144,6 +156,65 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SchemeCase>& info) {
       return info.param.name;
     });
+
+// Golden trace digests for the static schemes (BSP and SSP) on the configs
+// above: each pins the FNV digest of the run's ordered pull/push/loss trace,
+// so any change to how BSP/SSP gate iteration starts shows up as a mismatch.
+// Fault-free, dense per-shard SSP with every write set frozen to all shards
+// is exactly global SSP, and data/control drops and duplicates change no
+// worker's liveness, so these digests were captured on the scalar SSP
+// controller that preceded the per-shard one and hold unchanged on it.
+// Crashes are not covered: a crashed worker is excused from the bound (see
+// consistency_sim_test). To regenerate after an intentional behavior change,
+// copy the "Actual" digest from the failure message.
+constexpr std::uint64_t kBspDigest = 15026294904235520547ULL;
+constexpr std::uint64_t kSsp1Digest = 5278174934112898985ULL;
+constexpr std::uint64_t kSsp5StallsDigest = 5540474987432216393ULL;
+constexpr std::uint64_t kBspLossyDigest = 10570836635959152783ULL;
+
+// The pin says more when the bound actually held workers back.
+void ExpectGated(const SimResult& result) {
+  EXPECT_GT(result.total_pushes, 100u);
+  EXPECT_GT(result.consistency.blocks, 0u);
+}
+
+TEST(StaticSchemeGoldenTest, BspTraceDigestIsPinned) {
+  const SimResult result =
+      RunInvariantsSim(InvariantsConfig(SchemeSpec::Bsp(), false));
+  ExpectGated(result);
+  EXPECT_EQ(TraceDigest(result.trace), kBspDigest);
+}
+
+TEST(StaticSchemeGoldenTest, Ssp1TraceDigestIsPinned) {
+  const SimResult result =
+      RunInvariantsSim(InvariantsConfig(SchemeSpec::Ssp(1), false));
+  ExpectGated(result);
+  EXPECT_EQ(TraceDigest(result.trace), kSsp1Digest);
+}
+
+TEST(StaticSchemeGoldenTest, Ssp5WithStallsTraceDigestIsPinned) {
+  const SimResult result =
+      RunInvariantsSim(InvariantsConfig(SchemeSpec::Ssp(5), true));
+  // A bound of 5 never binds in this run, so the pin holds every admission
+  // decision to "admit": a spurious block would change the trace.
+  EXPECT_GT(result.total_pushes, 100u);
+  EXPECT_EQ(result.consistency.blocks, 0u);
+  EXPECT_EQ(TraceDigest(result.trace), kSsp5StallsDigest);
+}
+
+TEST(StaticSchemeGoldenTest, BspWithDropsAndDuplicatesTraceDigestIsPinned) {
+  ClusterSimConfig config = InvariantsConfig(SchemeSpec::Bsp(), false);
+  config.faults.data.drop_probability = 0.05;
+  config.faults.data.duplicate_probability = 0.05;
+  config.faults.control.drop_probability = 0.1;
+  config.faults.control.duplicate_probability = 0.1;
+  config.faults.seed = 7;
+  const SimResult result = RunInvariantsSim(config);
+  ExpectGated(result);
+  EXPECT_GT(result.fault_stats.drops, 0u);
+  EXPECT_GT(result.fault_stats.duplicates, 0u);
+  EXPECT_EQ(TraceDigest(result.trace), kBspLossyDigest);
+}
 
 // The conservation law behind DESIGN.md Sec. 6: under ASP with full duty
 // cycle and no delivery batching, mean version lag sits near m-1.
