@@ -31,21 +31,31 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// One dense push, then one pull into a buffer reused across iterations, the
+// way both engines refill each worker's snapshot. Args: {dim, shards}; the
+// {8000, 4} case is the mf-inproc-ssp store's shape.
 void BM_ParamServerPushPull(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
+  const auto shards = static_cast<std::size_t>(state.range(1));
   auto applier =
       std::make_shared<SgdApplier>(std::make_shared<ConstantSchedule>(0.1));
-  ParameterServer server(dim, 8, applier);
+  ParameterServer server(dim, shards, applier);
   Gradient grad = Gradient::Dense(dim);
   for (std::size_t i = 0; i < dim; ++i) grad.dense()[i] = 0.001;
+  PullResult snapshot;
   for (auto _ : state) {
     server.Push(grad, 0);
-    benchmark::DoNotOptimize(server.Pull().version);
+    server.PullInto(&snapshot);
+    benchmark::DoNotOptimize(snapshot.params.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(dim) * 16);
 }
-BENCHMARK(BM_ParamServerPushPull)->Arg(1024)->Arg(16384)->Arg(262144);
+BENCHMARK(BM_ParamServerPushPull)
+    ->Args({1024, 8})
+    ->Args({16384, 8})
+    ->Args({262144, 8})
+    ->Args({8000, 4});
 
 void BM_MlpGradient(benchmark::State& state) {
   const auto batch_size = static_cast<std::size_t>(state.range(0));

@@ -1,12 +1,9 @@
 #include "ps/param_store.h"
 
 #include <algorithm>
-#include <latch>
-
 #include <string>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace specsync {
@@ -89,13 +86,12 @@ ParameterServer::ParameterServer(std::size_t dim, std::size_t num_shards,
 
 void ParameterServer::AttachMetrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
-    pull_hist_ = push_hist_ = queue_wait_hist_ = nullptr;
+    pull_hist_ = push_hist_ = nullptr;
     for (auto& shard : shards_) shard->lock_wait = shard->lock_hold = nullptr;
     return;
   }
   pull_hist_ = &metrics->histogram("ps.pull_s");
   push_hist_ = &metrics->histogram("ps.push_s");
-  queue_wait_hist_ = &metrics->histogram("ps.pull_queue_wait_s");
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::string prefix = "ps.shard" + std::to_string(s);
     shards_[s]->lock_wait = &metrics->histogram(prefix + ".lock_wait_s");
@@ -121,50 +117,23 @@ void ParameterServer::SetParams(DenseVector params) {
   params_ = std::move(params);
 }
 
-PullResult ParameterServer::Pull(ThreadPool* pool) const {
+PullResult ParameterServer::Pull(ThreadPool* /*ignored*/) const {
   PullResult out;
-  PullInto(&out, pool);
+  PullInto(&out);
   return out;
 }
 
-void ParameterServer::PullInto(PullResult* result, ThreadPool* pool) const {
+void ParameterServer::PullInto(PullResult* result) const {
   obs::ScopedTimer pull_timer(pull_hist_);
   PullResult& out = *result;
   // resize() keeps existing capacity, so a caller reusing one PullResult per
-  // worker (the sim's snapshot buffers) pays zero allocations per pull.
+  // worker pays zero allocations per pull.
   out.params.resize(dim_);
-  if (pool == nullptr || shards_.size() == 1) {
-    for (const auto& shard : shards_) {
-      TimedShardLock lock(shard->mutex, shard->lock_wait, shard->lock_hold);
-      std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(shard->offset),
-                  shard->length,
-                  out.params.begin() + static_cast<std::ptrdiff_t>(shard->offset));
-    }
-  } else {
-    // Fan the per-shard copies across the pool; each task writes a disjoint
-    // slice of `out.params`. The latch (not ThreadPool::Wait) scopes the wait
-    // to *this* pull, so concurrent pulls can share one pool.
-    std::latch done(static_cast<std::ptrdiff_t>(shards_.size()));
-    for (const auto& shard_ptr : shards_) {
-      const Shard* shard = shard_ptr.get();
-      double* dest = out.params.data();
-      const std::uint64_t submit_ns =
-          queue_wait_hist_ != nullptr ? obs::WallNanos() : 0;
-      pool->Submit([this, shard, dest, submit_ns, &done] {
-        if (queue_wait_hist_ != nullptr) {
-          queue_wait_hist_->Record(
-              1e-9 * static_cast<double>(obs::WallNanos() - submit_ns));
-        }
-        {
-          TimedShardLock lock(shard->mutex, shard->lock_wait,
-                              shard->lock_hold);
-          std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(shard->offset),
-                      shard->length, dest + shard->offset);
-        }
-        done.count_down();
-      });
-    }
-    done.wait();
+  for (const auto& shard : shards_) {
+    TimedShardLock lock(shard->mutex, shard->lock_wait, shard->lock_hold);
+    std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(shard->offset),
+                shard->length,
+                out.params.begin() + static_cast<std::ptrdiff_t>(shard->offset));
   }
   out.version = version_.load(std::memory_order_acquire);
 }

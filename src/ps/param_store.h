@@ -77,11 +77,10 @@ class ParameterServer {
       std::size_t dim, std::size_t num_shards);
 
   // Attaches latency instrumentation (src/obs): whole-operation histograms
-  // "ps.pull_s" / "ps.push_s", pool fan-out queue wait "ps.pull_queue_wait_s",
-  // and per-shard lock contention "ps.shard<k>.lock_wait_s" /
-  // "ps.shard<k>.lock_hold_s". Resolve-once: the hot paths pay a null check
-  // when detached and two clock reads per timed section when attached.
-  // Attach before concurrent use; null detaches.
+  // "ps.pull_s" / "ps.push_s" and per-shard lock contention
+  // "ps.shard<k>.lock_wait_s" / "ps.shard<k>.lock_hold_s". Resolve-once: the
+  // hot paths pay a null check when detached and two clock reads per timed
+  // section when attached. Attach before concurrent use; null detaches.
   void AttachMetrics(obs::MetricsRegistry* metrics);
 
   // Writes the model's initialization into the store (version stays 0).
@@ -89,16 +88,17 @@ class ParameterServer {
   // Directly sets the parameters (tests, warm starts).
   void SetParams(DenseVector params);
 
-  // Composed snapshot of the full parameter vector plus the global version.
-  // When `pool` is non-null the per-shard copies fan out across it (the
-  // runtime's concurrent pull path); shards write disjoint slices of the
-  // result. See the header note on torn cross-shard snapshots.
-  PullResult Pull(ThreadPool* pool = nullptr) const;
+  // Composed snapshot of the full parameter vector plus the global version,
+  // copied shard by shard on the calling thread. See the header note on torn
+  // cross-shard snapshots. The pool parameter is ignored; it survives only
+  // because benchmarks/e2e/e2e_bench.cc passes one (ROADMAP item 1 deletes
+  // it).
+  PullResult Pull(ThreadPool* ignored = nullptr) const;
 
   // Allocation-free Pull: fills `result` in place, reusing its params buffer
-  // when already sized (the sim's per-worker snapshot buffers pull thousands
-  // of times; this removes a dim-sized allocation + free per pull).
-  void PullInto(PullResult* result, ThreadPool* pool = nullptr) const;
+  // when already sized. Both engines keep one snapshot buffer per worker and
+  // refill it here, so a steady-state pull allocates nothing.
+  void PullInto(PullResult* result) const;
 
   // Snapshot of one shard (internally consistent: slice + shard version are
   // read under the shard's mutex).
@@ -223,7 +223,6 @@ class ParameterServer {
   // Whole-operation instruments (null = off); set once by AttachMetrics.
   obs::LatencyHistogram* pull_hist_ = nullptr;
   obs::LatencyHistogram* push_hist_ = nullptr;
-  obs::LatencyHistogram* queue_wait_hist_ = nullptr;
 };
 
 }  // namespace specsync

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/adaptive_tuner.h"
 #include "data/sharding.h"
 #include "models/chunk_merger.h"
@@ -51,10 +50,6 @@ struct RuntimeCluster::Impl {
   RuntimeConfig config;
 
   std::unique_ptr<ParameterServer> server;
-  // Shared pool for shard-concurrent pulls (null when shards or pull_threads
-  // make the inline path the right one). Pull() scopes its wait with a latch,
-  // so workers can fan out pulls through the same pool concurrently.
-  std::unique_ptr<ThreadPool> pull_pool;
   // tcp_loopback transport: the store behind a loopback socket plus one
   // client per worker (empty clients vector = in-process direct calls).
   std::unique_ptr<net::EventLoopServer> shard_server;
@@ -133,18 +128,6 @@ struct RuntimeCluster::Impl {
           config.compression, config.num_workers,
           ParameterServer::ShardSplit(model->param_dim(),
                                       config.num_servers));
-    }
-
-    std::size_t pull_threads = config.pull_threads;
-    if (pull_threads == 0) {
-      pull_threads =
-          std::min(config.num_servers, ThreadPool::DefaultThreadCount());
-    }
-    // Wire clients batch each server's shards into one pipelined request,
-    // so only the in-process store fans pulls out over threads.
-    if (pull_threads > 1 && config.num_servers > 1 &&
-        config.transport != RuntimeTransport::kTcpLoopback) {
-      pull_pool = std::make_unique<ThreadPool>(pull_threads);
     }
 
     if (config.transport == RuntimeTransport::kTcpLoopback) {
@@ -242,11 +225,15 @@ struct RuntimeCluster::Impl {
   }
 
   // Transport dispatch: direct store calls by default, per-worker wire
-  // clients under tcp_loopback. The in-process path is untouched code, so
-  // the default transport stays bit-identical to the pre-transport runtime.
-  PullResult PullParams(WorkerId w) {
-    if (shard_clients.empty()) return server->Pull(pull_pool.get());
-    return shard_clients[w]->Pull();
+  // clients under tcp_loopback. The in-process pull copies every shard into
+  // the worker's reused snapshot on the worker thread itself; a copy is a
+  // few microseconds, far less than handing shards to other threads.
+  void PullParams(WorkerId w, PullResult* snapshot) {
+    if (shard_clients.empty()) {
+      server->PullInto(snapshot);
+    } else {
+      *snapshot = shard_clients[w]->Pull();
+    }
   }
 
   // `routes` is RouteGradientInto(grad) on the in-process store; the wire
@@ -405,9 +392,11 @@ struct RuntimeCluster::Impl {
       return false;  // in-flight work is discarded; re-pull and restart
     };
 
-    // Compute and push buffers reused by every iteration: with obs and the
-    // codec off, the chunk gradients and the push span (merge, route,
-    // store, gate) allocate nothing once the first iteration has sized them.
+    // Pull, compute and push buffers reused by every iteration: with obs and
+    // the codec off, the in-process pull, the chunk gradients and the push
+    // span (merge, route, store, gate) allocate nothing once the first
+    // iteration has sized them.
+    PullResult snapshot;
     std::vector<Gradient> chunks;
     ChunkMerger merger(model->param_dim());
     Gradient merged;
@@ -438,13 +427,14 @@ struct RuntimeCluster::Impl {
           if (crash_due() && handle_crash()) return;  // crash fired mid-wait
         }
         obs::ScopedTimer iteration_timer(iteration_hist);
-        // Shard pulls fan out across the shared pool (a real worker requests
-        // every server concurrently and resumes when the slowest responds).
         // A snapshot the last push prefetched is this pull, already done.
         const SimTime pull_begin = obs != nullptr ? clock.Now() : SimTime();
-        PullResult snapshot =
-            prefetched.has_value() ? std::move(*prefetched) : PullParams(w);
-        prefetched.reset();
+        if (prefetched.has_value()) {
+          snapshot = std::move(*prefetched);
+          prefetched.reset();
+        } else {
+          PullParams(w, &snapshot);
+        }
         if (obs != nullptr) {
           pull_counter->Increment();
           obs->spans.AddSpan("pull", "pull", w, pull_begin, clock.Now(),

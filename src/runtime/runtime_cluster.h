@@ -60,11 +60,6 @@ struct RuntimeConfig {
   // ConsistencyGate: worker threads block in WaitToStart until the bound
   // admits their next iteration, and a crashed worker is excused from it.
   ConsistencySpec consistency;
-  // Threads used to pull shards concurrently (one in-process pool shared by
-  // all workers). 0 = auto: min(num_servers, hardware threads). 1 = pull
-  // shards inline on the worker thread. Unused under tcp_loopback, where
-  // each pull is one batched request per server.
-  std::size_t pull_threads = 0;
   double sgd_clip = 0.0;
   std::uint64_t seed = 123;
   RuntimeTransport transport = RuntimeTransport::kInProcess;

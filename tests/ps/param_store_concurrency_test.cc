@@ -8,7 +8,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "optim/lr_schedule.h"
 #include "ps/param_store.h"
 #include "tensor/vector.h"
@@ -168,28 +167,42 @@ TEST(ParamStoreConcurrencyTest, DisjointSparsePushesAllLand) {
   }
 }
 
-// Pool-fanned pulls (the runtime's concurrent pull path) share one pool from
-// several reader threads; the latch-scoped wait must keep them independent.
-TEST(ParamStoreConcurrencyTest, PoolFannedPullsShareOnePool) {
+// Inline pulls (the runtime's in-process pull path) from several reader
+// threads, each refilling its own reused buffer while dense pushes land:
+// every shard slice a pull copies must come from one version of that shard,
+// and a reader's successive pulls never go backwards on any shard.
+TEST(ParamStoreConcurrencyTest, ConcurrentInlinePullsNeverTearAShard) {
   constexpr std::size_t kDim = 512;
   constexpr std::size_t kShards = 8;
   ParameterServer server(kDim, kShards, UnitApplier());
   server.SetParams(DenseVector(kDim, 0.0));
-  ThreadPool pool(4);
 
   std::vector<ShardInfo> layout;
   for (std::size_t s = 0; s < kShards; ++s) layout.push_back(server.shard(s));
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> torn_within_shard{0};
+  std::atomic<std::uint64_t> went_backwards{0};
   {
     std::vector<std::jthread> readers;
     for (int r = 0; r < 3; ++r) {
       readers.emplace_back([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-          const PullResult pulled = server.Pull(&pool);
-          for (const ShardInfo& shard : layout) {
+        PullResult pulled;
+        std::vector<double> last(kShards, 0.0);
+        std::uint64_t last_version = 0;
+        do {
+          server.PullInto(&pulled);
+          if (pulled.version < last_version) {
+            went_backwards.fetch_add(1, std::memory_order_relaxed);
+          }
+          last_version = pulled.version;
+          for (std::size_t s = 0; s < kShards; ++s) {
+            const ShardInfo& shard = layout[s];
             const double first = pulled.params[shard.offset];
+            if (first < last[s]) {
+              went_backwards.fetch_add(1, std::memory_order_relaxed);
+            }
+            last[s] = first;
             for (std::size_t i = 1; i < shard.length; ++i) {
               if (pulled.params[shard.offset + i] != first) {
                 torn_within_shard.fetch_add(1, std::memory_order_relaxed);
@@ -197,7 +210,7 @@ TEST(ParamStoreConcurrencyTest, PoolFannedPullsShareOnePool) {
               }
             }
           }
-        }
+        } while (!stop.load(std::memory_order_relaxed));
       });
     }
     {
@@ -213,6 +226,7 @@ TEST(ParamStoreConcurrencyTest, PoolFannedPullsShareOnePool) {
     stop.store(true, std::memory_order_relaxed);
   }  // join readers
   EXPECT_EQ(torn_within_shard.load(), 0u);
+  EXPECT_EQ(went_backwards.load(), 0u);
   EXPECT_EQ(server.version(), 400u);
   const DenseVector params = server.Snapshot();
   for (double v : params) EXPECT_DOUBLE_EQ(v, 400.0);

@@ -1,16 +1,17 @@
-// Pins the runtime's steady-state compute and push spans as allocation-free,
-// and the wire encoder at one allocation per frame.
+// Pins the runtime's steady-state in-process pull, compute and push spans as
+// allocation-free, and the wire encoder at one allocation per frame.
 //
 // This file replaces the global operator new with a counting one, so it is
 // its own test binary. It drives real matrix-factorization gradients through
-// the steps of RuntimeCluster's compute and push spans, with per-worker
-// buffers reused the way WorkerLoop reuses them: the model's LossAndGradient
-// into each of the worker's chunk gradients, then ChunkMerger::Merge, then
-// ParameterServer::RouteGradientInto, then Push(grad, epoch, routes), then
-// ConsistencyGate::OnPush with the routed shards as the write set. Obs and
-// the codec are off. After each worker's first iteration has sized its
-// buffers, no iteration may allocate. The snapshot pull and the batch sample
-// stay outside the counted window.
+// the steps of RuntimeCluster's pull, compute and push spans, with
+// per-worker buffers reused the way WorkerLoop reuses them:
+// ParameterServer::PullInto the worker's snapshot, the model's
+// LossAndGradient into each of the worker's chunk gradients, then
+// ChunkMerger::Merge, then ParameterServer::RouteGradientInto, then
+// Push(grad, epoch, routes), then ConsistencyGate::OnPush with the routed
+// shards as the write set. Obs and the codec are off. After each worker's
+// first iteration has sized its buffers, no iteration may allocate. Only the
+// batch sample stays outside the counted window.
 
 #include <algorithm>
 #include <atomic>
@@ -105,18 +106,20 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
     Gradient merged;
     std::vector<ParameterServer::ShardRoute> routes;
     std::vector<std::size_t> touched;
+    PullResult snapshot;
     IterationId iteration = 0;
   };
   std::vector<WorkerBuffers> workers;
   for (WorkerId w = 0; w < kWorkers; ++w) workers.emplace_back(dim);
 
   const std::size_t chunk_size = mf.batch_size / kChunks;
-  const auto iterate = [&](WorkerId w, std::span<const double> params,
-                           std::span<const std::size_t> batch) {
+  const auto iterate = [&](WorkerId w, std::span<const std::size_t> batch) {
     WorkerBuffers& b = workers[w];
+    server.PullInto(&b.snapshot);
     for (std::size_t c = 0; c < kChunks; ++c) {
-      mf.model->LossAndGradient(
-          params, batch.subspan(c * chunk_size, chunk_size), b.chunks[c]);
+      mf.model->LossAndGradient(b.snapshot.params,
+                                batch.subspan(c * chunk_size, chunk_size),
+                                b.chunks[c]);
     }
     b.merger.Merge(b.chunks, b.merged);
     server.RouteGradientInto(b.merged, b.routes);
@@ -132,17 +135,17 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   std::size_t max_nnz = 0;
   for (std::size_t p = 0; p < kWorkers + kPushes; ++p) {
     const WorkerId w = p % kWorkers;
-    const PullResult snapshot = server.Pull();
     const std::vector<std::size_t> batch =
         rng.SampleIndices(mf.model->dataset_size(), mf.batch_size);
     if (p < kWorkers) {
       // Warm-up: the worker's first iteration sizes its buffers.
-      iterate(w, snapshot.params, batch);
+      iterate(w, batch);
       continue;
     }
-    allocations +=
-        CountAllocations([&] { iterate(w, snapshot.params, batch); });
+    allocations += CountAllocations([&] { iterate(w, batch); });
     max_nnz = std::max(max_nnz, workers[w].merged.sparse().nnz());
+    // Each pull saw every push before it: the snapshot is fresh, not reused.
+    ASSERT_EQ(workers[w].snapshot.version, p);
   }
   EXPECT_EQ(allocations, 0u)
       << "over " << kPushes << " steady-state iterations";
