@@ -290,7 +290,7 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
 
   net::ShardClientConfig client_config;
   client_config.topology = net::ClusterTopology::SingleServer(
-      ParameterServer::ShardSplit(args.dim, args.num_servers),
+      ShardLayout::Even(args.dim, args.num_servers),
       net::Endpoint{"127.0.0.1", server->port()});
   // Generous per-attempt deadline: under 256-way fan-in an individual pull
   // legitimately queues behind hundreds of peers.
@@ -443,10 +443,10 @@ int main(int argc, char** argv) {
   // Endpoint table from the one canonical shard layout: each shard behind
   // its own server process (clients open one link per process).
   net::ShardClientConfig client_config;
-  const auto split = ParameterServer::ShardSplit(args.dim, args.num_servers);
+  const ShardLayout layout = ShardLayout::Even(args.dim, args.num_servers);
   for (std::size_t s = 0; s < args.num_servers; ++s) {
     client_config.topology.shards.push_back(net::ShardPlacement{
-        split[s].first, split[s].second,
+        layout.offset(s), layout.length(s),
         net::Endpoint{"127.0.0.1", children[s].port}});
   }
   client_config.request_timeout = std::chrono::milliseconds(100);

@@ -68,13 +68,13 @@ std::vector<std::size_t> ClusterTopology::ShardLinkIndex() const {
   return out;
 }
 
-ClusterTopology ClusterTopology::SingleServer(
-    const std::vector<std::pair<std::size_t, std::size_t>>& split,
-    const Endpoint& endpoint) {
+ClusterTopology ClusterTopology::SingleServer(const ShardLayout& layout,
+                                              const Endpoint& endpoint) {
   ClusterTopology topology;
-  topology.shards.reserve(split.size());
-  for (const auto& [offset, length] : split) {
-    topology.shards.push_back(ShardPlacement{offset, length, endpoint});
+  topology.shards.reserve(layout.num_shards());
+  for (std::size_t s = 0; s < layout.num_shards(); ++s) {
+    topology.shards.push_back(
+        ShardPlacement{layout.offset(s), layout.length(s), endpoint});
   }
   return topology;
 }

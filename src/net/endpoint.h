@@ -11,21 +11,24 @@
 //   ShardPlacement  — one shard's slice of the parameter vector plus the
 //                     endpoint of the server that owns it.
 //   ClusterTopology — the full shard → endpoint map a client needs. Shards
-//                     must tile the vector contiguously from offset 0
-//                     (ParameterServer::ShardSplit produces the canonical
-//                     layout); several shards may share one endpoint, in
-//                     which case the client multiplexes them over a single
-//                     connection (see shard_client.h).
+//                     must tile the vector contiguously from offset 0 (the
+//                     client reads them as a ps/shard_layout.h ShardLayout;
+//                     ShardLayout::Even is the canonical split); several
+//                     shards may share one endpoint, in which case the
+//                     client multiplexes them over a single connection (see
+//                     shard_client.h).
 //
-// This header is deliberately dependency-light (strings and integers only)
-// so config surfaces — RuntimeConfig, bench flags — can include it without
-// pulling in sockets.
+// This header is deliberately dependency-light (strings, integers and the
+// shard layout only) so config surfaces — RuntimeConfig, bench flags — can
+// include it without pulling in sockets.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "ps/shard_layout.h"
 
 namespace specsync::net {
 
@@ -68,11 +71,10 @@ struct ClusterTopology {
   // Shard index -> index into DistinctEndpoints().
   std::vector<std::size_t> ShardLinkIndex() const;
 
-  // All shards of `split` (ParameterServer::ShardSplit layout) behind one
-  // endpoint — the runtime's loopback default.
-  static ClusterTopology SingleServer(
-      const std::vector<std::pair<std::size_t, std::size_t>>& split,
-      const Endpoint& endpoint);
+  // Every shard of `layout` behind one endpoint — the runtime's loopback
+  // default.
+  static ClusterTopology SingleServer(const ShardLayout& layout,
+                                      const Endpoint& endpoint);
 };
 
 }  // namespace specsync::net

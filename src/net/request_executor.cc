@@ -170,12 +170,13 @@ std::optional<AckResp> RequestExecutor::ValidatePush(
     const CommitPushReq& batch) {
   // Sequence numbers start at 1, so 0 can never pass a watermark check.
   if (batch.push_seq == 0) return Reject(kAckBadRequest, 0);
+  const ShardLayout& layout = store_->layout();
   for (const PushShardReq& slice : batch.slices) {
     if (!ServesShard(slice.shard)) return Reject(kAckBadShard, slice.shard);
-    const ShardInfo info = store_->shard(slice.shard);
+    const std::size_t offset = layout.offset(slice.shard);
+    const std::size_t length = layout.length(slice.shard);
     if (!slice.sparse) {
-      if (slice.dense_offset != info.offset ||
-          slice.dense.size() != info.length) {
+      if (slice.dense_offset != offset || slice.dense.size() != length) {
         return Reject(kAckBadRequest, slice.shard);
       }
       continue;
@@ -184,7 +185,7 @@ std::optional<AckResp> RequestExecutor::ValidatePush(
     // one that does not, and the push would be acked without it.
     const bool routed = std::ranges::all_of(
         slice.indices, [&](std::uint64_t index) {
-          return index >= info.offset && index - info.offset < info.length;
+          return index >= offset && index - offset < length;
         });
     if (!routed || slice.indices.size() != slice.values.size()) {
       return Reject(kAckBadRequest, slice.shard);

@@ -49,6 +49,18 @@ T& Reuse(WireMessage& frame) {
   return frame.emplace<T>();
 }
 
+// The layout a valid topology's placements spell.
+ShardLayout LayoutOf(const ClusterTopology& topology) {
+  std::string error;
+  SPECSYNC_CHECK(topology.Validate(&error)) << error;
+  std::vector<std::size_t> lengths;
+  lengths.reserve(topology.shards.size());
+  for (const ShardPlacement& shard : topology.shards) {
+    lengths.push_back(shard.length);
+  }
+  return ShardLayout::FromLengths(lengths);
+}
+
 }  // namespace
 
 std::vector<std::vector<std::size_t>> PlanPullBatches(
@@ -200,13 +212,11 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
                          obs::MetricsRegistry* metrics,
                          obs::SpanRecorder* spans)
     : config_(std::move(config)),
+      layout_(LayoutOf(config_.topology)),
       faults_(faults),
       spans_(spans),
       client_id_(NextProcessUniqueId()) {
-  std::string error;
-  SPECSYNC_CHECK(config_.topology.Validate(&error)) << error;
   SPECSYNC_CHECK_GT(config_.max_attempts, 0u);
-  dim_ = config_.topology.dim();
   shard_link_ = config_.topology.ShardLinkIndex();
   pull_batches_ = PlanPullBatches(config_.topology);
   // The batch a fused push frame carries: its server's first.
@@ -217,8 +227,6 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
   }
   push_frames_.resize(link_pull_batch_.size());
   link_slices_.resize(link_pull_batch_.size());
-  slice_entries_.resize(num_shards());
-  slice_of_.resize(num_shards());
   for (const Endpoint& endpoint : config_.topology.DistinctEndpoints()) {
     auto link = std::make_unique<Link>();
     link->endpoint = endpoint;
@@ -572,30 +580,13 @@ WireMessage ShardClient::Call(std::size_t shard, const WireMessage& request) {
   return Await(ticket);
 }
 
-std::size_t ShardClient::ShardOf(std::size_t index) const {
-  SPECSYNC_CHECK_LT(index, dim_);
-  // Mirrors ParameterServer::ShardOf over the placement table.
-  const auto& shards = config_.topology.shards;
-  std::size_t lo = 0;
-  std::size_t hi = shards.size();
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (shards[mid].offset <= index) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
 ShardPullResult ShardClient::PullShard(std::size_t s) {
   SPECSYNC_CHECK_LT(s, num_shards());
   WireMessage response = Call(s, PullShardReq{static_cast<std::uint32_t>(s)});
   auto* resp = std::get_if<PullShardResp>(&response);
   SPECSYNC_CHECK(resp != nullptr);
-  SPECSYNC_CHECK_EQ(resp->offset, config_.topology.shards[s].offset);
-  SPECSYNC_CHECK_EQ(resp->params.size(), config_.topology.shards[s].length);
+  SPECSYNC_CHECK_EQ(resp->offset, layout_.offset(s));
+  SPECSYNC_CHECK_EQ(resp->params.size(), layout_.length(s));
   ShardPullResult out;
   out.offset = resp->offset;
   out.params = std::move(resp->params);
@@ -692,7 +683,7 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   }
   for (Ticket& ticket : tickets) IssueUntilInFlight(ticket);
 
-  if (pull != nullptr) pull->params.resize(dim_);
+  if (pull != nullptr) pull->params.resize(dim());
   std::uint64_t pushed = 0;
   std::uint64_t pulled = 0;
   for (std::size_t t = 0; t < tickets.size(); ++t) {
@@ -751,28 +742,29 @@ std::uint64_t ShardClient::ComposeBatch(std::size_t b, bool delta,
 std::uint64_t ShardClient::ComposeShard(std::size_t s, bool delta,
                                         PullBatchItem& item,
                                         std::vector<double>& params) {
-  const ShardPlacement& shard = config_.topology.shards[s];
-  const auto at = params.begin() + static_cast<std::ptrdiff_t>(shard.offset);
+  const std::size_t length = layout_.length(s);
+  const auto at =
+      params.begin() + static_cast<std::ptrdiff_t>(layout_.offset(s));
   if (const auto* unchanged = std::get_if<PullShardNotModified>(&item)) {
     SPECSYNC_CHECK(delta);
     SPECSYNC_CHECK_EQ(unchanged->shard, s);
     SPECSYNC_CHECK_EQ(unchanged->shard_version, cached_versions_[s]);
     const std::vector<double>& cached = cached_params_[s];
-    SPECSYNC_CHECK_EQ(cached.size(), shard.length);
+    SPECSYNC_CHECK_EQ(cached.size(), length);
     std::copy(cached.begin(), cached.end(), at);
     delta_hits_.fetch_add(1, std::memory_order_relaxed);
     if (delta_hits_counter_ != nullptr) delta_hits_counter_->Increment();
     if (pull_saved_counter_ != nullptr) {
       // The avoided payload: the shard's parameter doubles that a full
       // item would have carried.
-      pull_saved_counter_->Increment(shard.length * sizeof(double));
+      pull_saved_counter_->Increment(length * sizeof(double));
     }
     return unchanged->global_version;
   }
   auto& resp = std::get<PullShardResp>(item);
   SPECSYNC_CHECK_EQ(resp.shard, s);
-  SPECSYNC_CHECK_EQ(resp.offset, shard.offset);
-  SPECSYNC_CHECK_EQ(resp.params.size(), shard.length);
+  SPECSYNC_CHECK_EQ(resp.offset, layout_.offset(s));
+  SPECSYNC_CHECK_EQ(resp.params.size(), length);
   std::copy(resp.params.begin(), resp.params.end(), at);
   if (delta) {
     cached_params_[s] = std::move(resp.params);
@@ -793,40 +785,10 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
       (kind == CodecKind::kInt8 || kind == CodecKind::kFp16)
           ? static_cast<std::uint8_t>(kind)
           : 0;
-  const std::vector<ShardPlacement>& placement = config_.topology.shards;
 
-  // The shards the push touches, ascending, with each one's entry count
-  // (the client-side half of RouteGradient). The cursor re-searches the
-  // placement only when an index leaves the current shard's range, so
-  // sorted indices route in O(nnz).
-  std::size_t owner = 0;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  const auto owner_of = [&](std::uint64_t raw) {
-    const auto index = static_cast<std::size_t>(raw);
-    if (index < lo || index >= hi) {
-      owner = ShardOf(index);
-      lo = placement[owner].offset;
-      hi = lo + placement[owner].length;
-    }
-    return owner;
-  };
-  push_shards_.clear();
-  if (!grad.is_sparse()) {
-    SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
-    for (std::size_t s = 0; s < num_shards(); ++s) push_shards_.push_back(s);
-  } else {
-    std::fill(slice_entries_.begin(), slice_entries_.end(), 0);
-    for (const std::uint64_t index : grad.sparse().indices()) {
-      ++slice_entries_[owner_of(index)];
-    }
-    for (std::size_t s = 0; s < num_shards(); ++s) {
-      if (slice_entries_[s] > 0) push_shards_.push_back(s);
-    }
-    // Like RouteGradient: an empty gradient still crosses the wire as one
-    // empty slice, so the push protocol sees exactly one logical push.
-    if (push_shards_.empty()) push_shards_.push_back(0);
-  }
+  // The shards the push touches, ascending, each with its entry range: the
+  // store's own routing, so client and server cut a push alike.
+  layout_.RouteInto(grad, push_routes_);
 
   // One batch per server touched, ordered by first shard, each holding its
   // shards' slices in shard order. Frames and slices are reused across
@@ -834,8 +796,8 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
   const std::uint64_t push_seq = ++push_seq_;
   push_links_.clear();
   std::fill(link_slices_.begin(), link_slices_.end(), 0);
-  for (const std::size_t s : push_shards_) {
-    const std::size_t l = shard_link_[s];
+  for (const ShardRoute& route : push_routes_) {
+    const std::size_t l = shard_link_[route.shard];
     if (link_slices_[l]++ == 0) push_links_.push_back(l);
   }
   for (const std::size_t l : push_links_) {
@@ -846,57 +808,47 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
     batch.slices.resize(link_slices_[l]);
     link_slices_[l] = 0;  // now the fill position below
   }
-  for (const std::size_t s : push_shards_) {
+  for (const ShardRoute& route : push_routes_) {
+    const std::size_t s = route.shard;
     const std::size_t l = shard_link_[s];
     WireMessage& frame = push_frames_[l];
     CommitPushReq& batch = fused ? std::get<PushPullReq>(frame).push
                                  : std::get<CommitPushReq>(frame);
     PushShardReq& slice = batch.slices[link_slices_[l]++];
-    slice_of_[s] = &slice;
     slice.shard = static_cast<std::uint32_t>(s);
     slice.epoch = epoch;
     slice.sparse = grad.is_sparse();
     slice.coded = coded;
+    slice.indices.clear();
+    slice.values.clear();
     if (!slice.sparse) {
-      const ShardPlacement& shard = placement[s];
-      slice.dense_offset = shard.offset;
-      const auto begin =
-          grad.dense().begin() + static_cast<std::ptrdiff_t>(shard.offset);
-      slice.dense.assign(begin,
-                         begin + static_cast<std::ptrdiff_t>(shard.length));
-      slice.indices.clear();
-      slice.values.clear();
-    } else {
-      slice.dense_offset = 0;
-      slice.dense.clear();
-      slice.indices.resize(slice_entries_[s]);
-      slice.values.resize(slice_entries_[s]);
-      slice_entries_[s] = 0;  // now the fill position below
+      // A dense route's range is the shard's slice.
+      slice.dense_offset = route.begin;
+      const auto dense = grad.dense().begin();
+      slice.dense.assign(dense + static_cast<std::ptrdiff_t>(route.begin),
+                         dense + static_cast<std::ptrdiff_t>(route.end));
+      continue;
     }
-  }
-  if (grad.is_sparse()) {
+    slice.dense_offset = 0;
+    slice.dense.clear();
+    // The range holds every entry of the shard, and other shards' entries
+    // too when the indices are unsorted: keep the shard's, in order.
+    const std::size_t lo = layout_.offset(s);
+    const std::size_t hi = lo + layout_.length(s);
     const auto indices = grad.sparse().indices();
     const auto values = grad.sparse().values();
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const std::size_t s = owner_of(indices[i]);
-      PushShardReq& slice = *slice_of_[s];
-      const std::size_t at = slice_entries_[s]++;
-      slice.indices[at] = indices[i];
-      slice.values[at] = values[i];
+    for (std::size_t i = route.begin; i < route.end; ++i) {
+      if (indices[i] < lo || indices[i] >= hi) continue;
+      slice.indices.push_back(indices[i]);
+      slice.values.push_back(values[i]);
     }
   }
 
   if (coded != 0 && push_saved_counter_ != nullptr) {
-    // Payload delta vs the classic encoding, same model CodedRouteBytes uses
-    // for the sim (indices+doubles vs indices+quantized values).
-    std::uint64_t saved = 0;
-    for (const std::size_t s : push_shards_) {
-      const PushShardReq& req = *slice_of_[s];
-      const std::uint64_t raw = req.sparse ? req.indices.size() * 16
-                                           : req.dense.size() * 8;
-      saved += raw - std::min(raw, CodedRouteBytes(kind, req.sparse, raw));
-    }
-    push_saved_counter_->Increment(saved);
+    // Payload delta vs the classic encoding, by the byte model the
+    // simulator charges (indices+doubles vs indices+quantized values).
+    push_saved_counter_->Increment(
+        CodeRoutes(kind, grad.is_sparse(), push_routes_));
   }
 }
 

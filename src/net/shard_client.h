@@ -75,6 +75,7 @@
 #include "net/wire.h"
 #include "ps/compression.h"
 #include "ps/param_store.h"
+#include "ps/shard_layout.h"
 
 namespace specsync::obs {
 class MetricsRegistry;
@@ -87,9 +88,10 @@ class SpanRecorder;
 namespace specsync::net {
 
 struct ShardClientConfig {
-  // Shard → endpoint map (shard id = index; ParameterServer::ShardSplit
-  // produces the canonical slicing). Shards sharing an endpoint share one
-  // multiplexed connection.
+  // Shard → endpoint map (shard id = index; ShardLayout::Even is the
+  // canonical slicing). The client routes pushes over the ShardLayout these
+  // placements spell. Shards sharing an endpoint share one multiplexed
+  // connection.
   ClusterTopology topology;
   // Per-attempt response deadline.
   std::chrono::milliseconds request_timeout{250};
@@ -156,9 +158,10 @@ class ShardClient {
   // One shard's snapshot over the wire (a standalone PullShardReq).
   ShardPullResult PullShard(std::size_t s);
 
-  // Routes `grad` to its owning shards and sends one CommitPushReq batch per
-  // server touched, all pipelined; each server applies its batch exactly
-  // once. Returns the largest committed global version reported.
+  // Routes `grad` to its owning shards (ShardLayout::RouteInto, as the
+  // store routes) and sends one CommitPushReq batch per server touched, all
+  // pipelined; each server applies its batch exactly once. Returns the
+  // largest committed global version reported.
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
   // Push() and the next Pull() in one pipelined round trip: one PushPullReq
@@ -172,8 +175,8 @@ class ShardClient {
   };
   PushPullResult PushAndPull(const Gradient& grad, EpochId epoch);
 
-  std::size_t dim() const { return dim_; }
-  std::size_t num_shards() const { return config_.topology.shards.size(); }
+  std::size_t dim() const { return layout_.dim(); }
+  std::size_t num_shards() const { return layout_.num_shards(); }
   // Physical connections (distinct endpoints), not shards.
   std::size_t num_links() const { return links_.size(); }
 
@@ -245,26 +248,24 @@ class ShardClient {
   // lock in delta mode.
   std::uint64_t ComposeShard(std::size_t s, bool delta, PullBatchItem& item,
                              std::vector<double>& params);
-  std::size_t ShardOf(std::size_t index) const;
 
   ShardClientConfig config_;
+  // The shard geometry config_.topology spells.
+  const ShardLayout layout_;
   FaultPlan* faults_;
   obs::SpanRecorder* spans_ = nullptr;
-  std::size_t dim_ = 0;
   // Exactly-once push identity: client_id_ is fixed for the client's life;
   // push_seq_ (guarded by push_mutex_) numbers logical pushes from 1.
   const std::uint64_t client_id_;
   std::mutex push_mutex_;
   std::uint64_t push_seq_ = 0;
   // Push buffers reused by every push (guarded by push_mutex_): one frame
-  // per link, the links and shards the current push touches, and per-shard
-  // slice entry counts and slice pointers into the frames.
+  // per link, the current push's routes and the links it touches, and per
+  // link its slice count.
   std::vector<WireMessage> push_frames_;
+  std::vector<ShardRoute> push_routes_;
   std::vector<std::size_t> push_links_;
-  std::vector<std::size_t> push_shards_;
   std::vector<std::size_t> link_slices_;
-  std::vector<std::size_t> slice_entries_;
-  std::vector<PushShardReq*> slice_of_;
   // Largest global version any push batch was acked at (for diagnoses).
   std::atomic<std::uint64_t> last_acked_version_{0};
   std::vector<std::size_t> shard_link_;  // shard id → links_ index

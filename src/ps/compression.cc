@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 
@@ -186,28 +187,25 @@ std::uint64_t CodedRouteBytes(CodecKind kind, bool sparse,
   return raw_bytes;
 }
 
-GradientCodec::GradientCodec(
-    CompressionSpec spec, std::size_t num_workers,
-    std::vector<std::pair<std::size_t, std::size_t>> shard_split)
-    : spec_(spec), residuals_(num_workers), supports_(num_workers) {
-  SPECSYNC_CHECK(!shard_split.empty());
-  shard_offsets_.reserve(shard_split.size());
-  shard_lengths_.reserve(shard_split.size());
-  for (const auto& [offset, length] : shard_split) {
-    shard_offsets_.push_back(offset);
-    shard_lengths_.push_back(length);
-    param_dim_ = std::max(param_dim_, offset + length);
+std::uint64_t CodeRoutes(CodecKind kind, bool sparse,
+                         std::span<ShardRoute> routes) {
+  std::uint64_t saved = 0;
+  for (ShardRoute& route : routes) {
+    const std::uint64_t coded = CodedRouteBytes(kind, sparse, route.bytes);
+    if (coded < route.bytes) {
+      saved += route.bytes - coded;
+      route.bytes = coded;
+    }
   }
+  return saved;
 }
 
-std::size_t GradientCodec::ShardOfIndex(std::size_t index) const {
-  // Shards are contiguous ascending slices: the owning shard is the last
-  // offset <= index.
-  const auto it = std::upper_bound(shard_offsets_.begin(),
-                                   shard_offsets_.end(), index);
-  SPECSYNC_CHECK(it != shard_offsets_.begin());
-  return static_cast<std::size_t>(it - shard_offsets_.begin()) - 1;
-}
+GradientCodec::GradientCodec(CompressionSpec spec, std::size_t num_workers,
+                             ShardLayout layout)
+    : spec_(spec),
+      layout_(std::move(layout)),
+      residuals_(num_workers),
+      supports_(num_workers) {}
 
 void GradientCodec::Transform(WorkerId worker, Gradient& grad) {
   switch (spec_.kind) {
@@ -231,8 +229,9 @@ std::span<const double> GradientCodec::residual(WorkerId worker) const {
 
 void GradientCodec::TransformTopK(WorkerId worker, Gradient& grad) {
   SPECSYNC_CHECK_LT(worker, residuals_.size());
+  const std::size_t dim = layout_.dim();
   std::vector<double>& residual = residuals_[worker];
-  if (residual.empty()) residual.assign(param_dim_, 0.0);
+  if (residual.empty()) residual.assign(dim, 0.0);
   std::vector<std::size_t>& support = supports_[worker];
 
   // Fold the input into the residual; `support` becomes the union of the old
@@ -244,20 +243,20 @@ void GradientCodec::TransformTopK(WorkerId worker, Gradient& grad) {
     const auto values = grad.sparse().values();
     input_support = indices.size();
     for (std::size_t i = 0; i < indices.size(); ++i) {
-      SPECSYNC_CHECK_LT(indices[i], param_dim_);
+      SPECSYNC_CHECK_LT(indices[i], dim);
       residual[indices[i]] += values[i];
       support.push_back(static_cast<std::size_t>(indices[i]));
     }
     std::sort(support.begin(), support.end());
     support.erase(std::unique(support.begin(), support.end()), support.end());
   } else {
-    SPECSYNC_CHECK_EQ(grad.dense().size(), param_dim_);
-    input_support = param_dim_;
-    for (std::size_t i = 0; i < param_dim_; ++i) {
+    SPECSYNC_CHECK_EQ(grad.dense().size(), dim);
+    input_support = dim;
+    for (std::size_t i = 0; i < dim; ++i) {
       residual[i] += grad.dense()[i];
     }
     support.clear();
-    for (std::size_t i = 0; i < param_dim_; ++i) {
+    for (std::size_t i = 0; i < dim; ++i) {
       if (residual[i] != 0.0) support.push_back(i);
     }
   }
@@ -306,44 +305,27 @@ void GradientCodec::TransformTopK(WorkerId worker, Gradient& grad) {
 }
 
 void GradientCodec::QuantizeInPlace(Gradient& grad) const {
-  const bool int8 = spec_.kind == CodecKind::kInt8;
+  std::span<double> values;
   if (grad.is_sparse()) {
     grad.sparse().Coalesce();
-    const auto indices = grad.sparse().indices();
-    const auto values = grad.sparse().mutable_values();
-    if (int8) {
-      // Per-shard scales over exactly the entries each PushShardReq ships.
-      std::vector<double> max_abs(shard_offsets_.size(), 0.0);
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        const std::size_t s = ShardOfIndex(indices[i]);
-        max_abs[s] = std::max(max_abs[s], std::fabs(values[i]));
-      }
-      std::vector<double> scales(shard_offsets_.size(), 0.0);
-      for (std::size_t s = 0; s < scales.size(); ++s) {
-        scales[s] = Int8ScaleFor(std::span<const double>(&max_abs[s], 1));
-      }
-      for (std::size_t i = 0; i < indices.size(); ++i) {
-        const double scale = scales[ShardOfIndex(indices[i])];
-        values[i] = DequantizeInt8(QuantizeInt8(values[i], scale), scale);
-      }
-    } else {
-      for (double& v : values) v = DecodeFp16(EncodeFp16(v));
-    }
+    values = grad.sparse().mutable_values();
+  } else {
+    values = grad.dense();
+  }
+  if (spec_.kind == CodecKind::kFp16) {
+    for (double& v : values) v = DecodeFp16(EncodeFp16(v));
     return;
   }
-  std::span<double> dense(grad.dense());
-  for (std::size_t s = 0; s < shard_offsets_.size(); ++s) {
-    const std::size_t begin = std::min(shard_offsets_[s], dense.size());
-    const std::size_t length = std::min(shard_lengths_[s], dense.size() - begin);
-    std::span<double> slice = dense.subspan(begin, length);
-    if (int8) {
-      const double scale = Int8ScaleFor(slice);
-      for (double& v : slice) {
-        v = DequantizeInt8(QuantizeInt8(v, scale), scale);
-      }
-    } else {
-      for (double& v : slice) v = DecodeFp16(EncodeFp16(v));
-    }
+  // Int8: one scale per shard, over exactly the entries its PushShardReq
+  // ships. The indices are coalesced (sorted), so each route's entry range
+  // holds its shard's entries and nothing else.
+  std::vector<ShardRoute> routes;
+  layout_.RouteInto(grad, routes);
+  for (const ShardRoute& route : routes) {
+    const std::span<double> slice =
+        values.subspan(route.begin, route.end - route.begin);
+    const double scale = Int8ScaleFor(slice);
+    for (double& v : slice) v = DequantizeInt8(QuantizeInt8(v, scale), scale);
   }
 }
 

@@ -36,11 +36,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "models/model.h"
+#include "ps/shard_layout.h"
 
 namespace specsync {
 
@@ -100,13 +100,20 @@ inline double DequantizeInt8(std::int8_t q, double scale) {
 std::uint16_t EncodeFp16(double value);
 double DecodeFp16(std::uint16_t half);
 
-// Wire-byte model for the simulator: bytes a per-shard push message carries
-// after coding, given the raw f64 bytes the route planner computed (sparse:
+// Wire-byte model: bytes a per-shard push message carries after coding,
+// given the raw f64 bytes ShardLayout::RouteInto computed (sparse:
 // 16 B/entry, dense: 8 B/param). Int8 ships 1 B per value plus an 8 B scale;
 // fp16 ships 2 B per value. Top-k and delta do not recode values, so their
 // routes charge raw bytes (top-k already shrank the support itself).
 std::uint64_t CodedRouteBytes(CodecKind kind, bool sparse,
                               std::uint64_t raw_bytes);
+
+// Rewrites each route's raw bytes to its coded size under `kind`
+// (CodedRouteBytes), keeping the raw size where coding would not shrink the
+// message, and returns the bytes that saved over all routes. The simulator
+// charges the rewritten routes; the wire client counts the savings.
+std::uint64_t CodeRoutes(CodecKind kind, bool sparse,
+                         std::span<ShardRoute> routes);
 
 // --- the codec --------------------------------------------------------------
 
@@ -117,13 +124,13 @@ std::uint64_t CodedRouteBytes(CodecKind kind, bool sparse,
 // each worker pushes from its own thread).
 class GradientCodec {
  public:
-  // `shard_split` is ParameterServer::ShardSplit(dim, num_shards) — the
-  // slice boundaries quantization scales are computed over.
+  // `layout` is the store's shard layout: the slices quantization scales
+  // are computed over, one per PushShardReq.
   GradientCodec(CompressionSpec spec, std::size_t num_workers,
-                std::vector<std::pair<std::size_t, std::size_t>> shard_split);
+                ShardLayout layout);
 
   const CompressionSpec& spec() const { return spec_; }
-  std::size_t param_dim() const { return param_dim_; }
+  std::size_t param_dim() const { return layout_.dim(); }
 
   // Transforms the gradient `worker` is about to push, in place:
   //  - kTopK: folds the gradient into the worker's residual, emits the top-k
@@ -140,12 +147,9 @@ class GradientCodec {
  private:
   void TransformTopK(WorkerId worker, Gradient& grad);
   void QuantizeInPlace(Gradient& grad) const;
-  std::size_t ShardOfIndex(std::size_t index) const;
 
   CompressionSpec spec_;
-  std::size_t param_dim_ = 0;
-  std::vector<std::size_t> shard_offsets_;  // shard s covers
-  std::vector<std::size_t> shard_lengths_;  // [offset[s], offset[s]+length[s])
+  ShardLayout layout_;
   // Per-worker dense residual (lazily sized to param_dim on first top-k
   // push) plus the sorted support of its nonzero coordinates, kept so a
   // sparse push costs O(nnz log nnz), not O(dim).

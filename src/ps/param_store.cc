@@ -52,35 +52,15 @@ class TimedShardLock {
 
 }  // namespace
 
-std::vector<std::pair<std::size_t, std::size_t>> ParameterServer::ShardSplit(
-    std::size_t dim, std::size_t num_shards) {
-  SPECSYNC_CHECK_GT(dim, 0u);
-  SPECSYNC_CHECK_GT(num_shards, 0u);
-  SPECSYNC_CHECK_LE(num_shards, dim);
-  const std::size_t base = dim / num_shards;
-  const std::size_t extra = dim % num_shards;
-  std::vector<std::pair<std::size_t, std::size_t>> split;
-  split.reserve(num_shards);
-  std::size_t offset = 0;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const std::size_t length = base + (s < extra ? 1 : 0);
-    split.emplace_back(offset, length);
-    offset += length;
-  }
-  SPECSYNC_CHECK_EQ(offset, dim);
-  return split;
-}
-
 ParameterServer::ParameterServer(std::size_t dim, std::size_t num_shards,
                                  std::shared_ptr<const SgdApplier> applier)
-    : dim_(dim), applier_(std::move(applier)), params_(dim, 0.0) {
+    : layout_(ShardLayout::Even(dim, num_shards)),
+      applier_(std::move(applier)),
+      params_(dim, 0.0) {
   SPECSYNC_CHECK(applier_ != nullptr);
   shards_.reserve(num_shards);
-  for (const auto& [offset, length] : ShardSplit(dim, num_shards)) {
-    auto shard = std::make_unique<Shard>();
-    shard->offset = offset;
-    shard->length = length;
-    shards_.push_back(std::move(shard));
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -100,7 +80,7 @@ void ParameterServer::AttachMetrics(obs::MetricsRegistry* metrics) {
 }
 
 void ParameterServer::Initialize(const Model& model, Rng& rng) {
-  SPECSYNC_CHECK_EQ(model.param_dim(), dim_);
+  SPECSYNC_CHECK_EQ(model.param_dim(), dim());
   // Whole-vector write: hold every shard lock (in shard order, the single
   // global lock order — Push and Pull acquire at most one at a time).
   std::vector<std::unique_lock<std::mutex>> locks;
@@ -110,7 +90,7 @@ void ParameterServer::Initialize(const Model& model, Rng& rng) {
 }
 
 void ParameterServer::SetParams(DenseVector params) {
-  SPECSYNC_CHECK_EQ(params.size(), dim_);
+  SPECSYNC_CHECK_EQ(params.size(), dim());
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
@@ -128,12 +108,13 @@ void ParameterServer::PullInto(PullResult* result) const {
   PullResult& out = *result;
   // resize() keeps existing capacity, so a caller reusing one PullResult per
   // worker pays zero allocations per pull.
-  out.params.resize(dim_);
-  for (const auto& shard : shards_) {
-    TimedShardLock lock(shard->mutex, shard->lock_wait, shard->lock_hold);
-    std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(shard->offset),
-                shard->length,
-                out.params.begin() + static_cast<std::ptrdiff_t>(shard->offset));
+  out.params.resize(dim());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    const auto offset = static_cast<std::ptrdiff_t>(layout_.offset(s));
+    TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
+    std::copy_n(params_.begin() + offset, layout_.length(s),
+                out.params.begin() + offset);
   }
   out.version = version_.load(std::memory_order_acquire);
 }
@@ -142,12 +123,12 @@ ShardPullResult ParameterServer::PullShard(std::size_t s) const {
   SPECSYNC_CHECK_LT(s, shards_.size());
   const Shard& shard = *shards_[s];
   ShardPullResult out;
-  out.offset = shard.offset;
-  out.params.resize(shard.length);
+  out.offset = layout_.offset(s);
+  out.params.resize(layout_.length(s));
   {
     TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
-    std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(shard.offset),
-                shard.length, out.params.begin());
+    std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(out.offset),
+                out.params.size(), out.params.begin());
     out.shard_version = shard.version;
   }
   out.version = version_.load(std::memory_order_acquire);
@@ -158,91 +139,16 @@ std::uint64_t ParameterServer::PullShardSlice(std::size_t s,
                                               std::span<double> dest) const {
   SPECSYNC_CHECK_LT(s, shards_.size());
   const Shard& shard = *shards_[s];
-  SPECSYNC_CHECK_EQ(dest.size(), shard.length);
+  SPECSYNC_CHECK_EQ(dest.size(), layout_.length(s));
   TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
-  std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(shard.offset),
-              shard.length, dest.begin());
+  std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(layout_.offset(s)),
+              dest.size(), dest.begin());
   return shard.version;
-}
-
-std::size_t ParameterServer::ShardOf(std::size_t index) const {
-  SPECSYNC_CHECK_LT(index, dim_);
-  // Shards are near-equal; binary search over offsets.
-  auto it = std::upper_bound(
-      shards_.begin(), shards_.end(), index,
-      [](std::size_t idx, const std::unique_ptr<Shard>& s) {
-        return idx < s->offset;
-      });
-  return static_cast<std::size_t>(std::distance(shards_.begin(), it)) - 1;
 }
 
 std::size_t ParameterServer::shard_bytes(std::size_t s) const {
   SPECSYNC_CHECK_LT(s, shards_.size());
-  return shards_[s]->length * sizeof(double);
-}
-
-std::vector<ParameterServer::ShardRoute> ParameterServer::RouteGradient(
-    const Gradient& grad) const {
-  std::vector<ShardRoute> routes;
-  RouteGradientInto(grad, routes);
-  return routes;
-}
-
-void ParameterServer::RouteGradientInto(
-    const Gradient& grad, std::vector<ShardRoute>& routes) const {
-  routes.clear();
-  if (!grad.is_sparse()) {
-    SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shard& shard = *shards_[s];
-      routes.push_back(ShardRoute{s, shard_bytes(s), shard.offset,
-                                  shard.offset + shard.length});
-    }
-    return;
-  }
-  // Tally bytes and the entry range per shard in place, then drop the
-  // untouched shards. The cursor [lo, hi) is the current shard's range:
-  // ShardOf's binary search runs only when an index leaves it, so sorted
-  // input routes in O(nnz).
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    routes.push_back(ShardRoute{s, 0});
-  }
-  std::size_t shard = 0;
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-  const auto indices = grad.sparse().indices();
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto index = static_cast<std::size_t>(indices[i]);
-    if (index < lo || index >= hi) {
-      shard = ShardOf(index);
-      lo = shards_[shard]->offset;
-      hi = lo + shards_[shard]->length;
-    }
-    ShardRoute& route = routes[shard];
-    if (route.bytes == 0) route.begin = i;
-    route.end = i + 1;
-    route.bytes += 16;
-  }
-  std::erase_if(routes, [](const ShardRoute& r) { return r.bytes == 0; });
-  // An empty gradient still crosses the wire as one (empty) message, so the
-  // push protocol and version accounting see exactly one logical push.
-  if (routes.empty()) routes.push_back(ShardRoute{0, 0});
-}
-
-bool ParameterServer::PushShard(std::size_t s, const Gradient& grad,
-                                EpochId epoch) {
-  if (grad.is_sparse()) {
-    return PushShardSparse(s, grad.sparse().indices(), grad.sparse().values(),
-                           epoch);
-  }
-  SPECSYNC_CHECK_LT(s, shards_.size());
-  SPECSYNC_CHECK_EQ(grad.dense().size(), dim_);
-  const Shard& shard = *shards_[s];
-  return PushShardDenseSlice(
-      s,
-      std::span<const double>(grad.dense().data() + shard.offset,
-                              shard.length),
-      epoch);
+  return layout_.length(s) * sizeof(double);
 }
 
 bool ParameterServer::PushRoute(const ShardRoute& route, const Gradient& grad,
@@ -269,11 +175,12 @@ bool ParameterServer::PushShardSparse(std::size_t s,
                                       EpochId epoch) {
   SPECSYNC_CHECK_LT(s, shards_.size());
   Shard& shard = *shards_[s];
+  const std::size_t offset = layout_.offset(s);
   TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
   const bool touched =
       applier_->ApplySparseSlice(
-          indices, values, epoch, shard.offset,
-          std::span<double>(params_.data() + shard.offset, shard.length)) > 0;
+          indices, values, epoch, offset,
+          std::span<double>(params_.data() + offset, layout_.length(s))) > 0;
   if (touched) ++shard.version;
   return touched;
 }
@@ -283,12 +190,12 @@ bool ParameterServer::PushShardDenseSlice(std::size_t s,
                                           EpochId epoch) {
   SPECSYNC_CHECK_LT(s, shards_.size());
   Shard& shard = *shards_[s];
-  SPECSYNC_CHECK_EQ(slice.size(), shard.length);
+  SPECSYNC_CHECK_EQ(slice.size(), layout_.length(s));
   TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
   applier_->ApplyDenseSlice(
-      slice, epoch, std::span<double>(params_.data() + shard.offset,
-                                      shard.length));
-  const bool touched = shard.length > 0;
+      slice, epoch,
+      std::span<double>(params_.data() + layout_.offset(s), slice.size()));
+  const bool touched = !slice.empty();
   if (touched) ++shard.version;
   return touched;
 }
@@ -298,7 +205,9 @@ std::uint64_t ParameterServer::CommitPush() {
 }
 
 std::uint64_t ParameterServer::Push(const Gradient& grad, EpochId epoch) {
-  return Push(grad, epoch, RouteGradient(grad));
+  std::vector<ShardRoute> routes;
+  layout_.RouteInto(grad, routes);
+  return Push(grad, epoch, routes);
 }
 
 std::uint64_t ParameterServer::Push(const Gradient& grad, EpochId epoch,
@@ -314,7 +223,7 @@ ShardInfo ParameterServer::shard(std::size_t s) const {
   SPECSYNC_CHECK_LT(s, shards_.size());
   const Shard& shard = *shards_[s];
   std::scoped_lock lock(shard.mutex);
-  return ShardInfo{shard.offset, shard.length, shard.version};
+  return ShardInfo{layout_.offset(s), layout_.length(s), shard.version};
 }
 
 }  // namespace specsync

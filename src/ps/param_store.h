@@ -23,13 +23,13 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/rng.h"
 #include "models/model.h"
 #include "optim/sgd.h"
+#include "ps/shard_layout.h"
 
 namespace specsync {
 
@@ -65,16 +65,10 @@ struct ShardPullResult {
 
 class ParameterServer {
  public:
-  // Splits `dim` parameters into `num_shards` near-equal contiguous shards.
+  // Splits `dim` parameters into `num_shards` near-equal contiguous shards
+  // (ShardLayout::Even).
   ParameterServer(std::size_t dim, std::size_t num_shards,
                   std::shared_ptr<const SgdApplier> applier);
-
-  // The canonical contiguous near-equal split: element s is shard s's
-  // (offset, length). The constructor, the wire transport's endpoint tables
-  // (src/net), and multi-process harnesses all share this one definition of
-  // the layout, so they can agree on shard boundaries without a handshake.
-  static std::vector<std::pair<std::size_t, std::size_t>> ShardSplit(
-      std::size_t dim, std::size_t num_shards);
 
   // Attaches latency instrumentation (src/obs): whole-operation histograms
   // "ps.pull_s" / "ps.push_s" and per-shard lock contention
@@ -113,30 +107,25 @@ class ParameterServer {
   // Applies one worker's gradient with the learning rate of `epoch`; returns
   // the new global version. Routes to dirty shards only: sparse gradients
   // touch just the shards owning their indices, dense gradients touch all.
-  // Equivalent to PushShard on every routed shard followed by CommitPush.
+  // Equivalent to PushRoute on every route followed by CommitPush.
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
-  // Applies only shard `s`'s slice of `grad`, scanning every entry of a
-  // sparse gradient. Bumps the shard version iff the slice was non-empty;
-  // never bumps the global version. Returns whether the slice touched the
-  // shard. A caller that has the routes uses PushRoute instead.
-  bool PushShard(std::size_t s, const Gradient& grad, EpochId epoch);
-
-  // Wire-path variant of PushShard for dense gradients: `slice` is already
-  // cut to shard `s` (slice.size() must equal the shard's length — a
-  // PushShardReq ships only the shard's slice, never the full vector).
-  // Same version semantics as PushShard.
+  // Applies shard `s`'s slice of a dense gradient: `slice` is already cut to
+  // the shard (slice.size() must equal the shard's length — a PushShardReq
+  // ships only the shard's slice, never the full vector). Bumps the shard
+  // version iff the slice was non-empty; never bumps the global version.
+  // Returns whether the slice touched the shard.
   bool PushShardDenseSlice(std::size_t s, std::span<const double> slice,
                            EpochId epoch);
 
-  // Wire-path variant of PushShard for sparse gradients: the decoded
-  // entries (values[i] belongs to indices[i]) are applied in place, never
-  // copied into a Gradient first. Entries outside shard `s` are skipped, as
-  // PushShard skips them. Same version semantics as PushShard.
+  // Applies the entries of a sparse gradient that fall in shard `s`
+  // (values[i] belongs to indices[i]) in place, never copying them into a
+  // Gradient first; entries outside the shard are skipped. Same version
+  // semantics as PushShardDenseSlice.
   bool PushShardSparse(std::size_t s, std::span<const std::uint64_t> indices,
                        std::span<const double> values, EpochId epoch);
 
-  // Completes a logical push whose slices were applied via PushShard: bumps
+  // Completes a logical push whose slices were applied shard by shard: bumps
   // and returns the global version. A network-duplicated slice re-applied
   // without a commit is intentionally not a new logical push.
   std::uint64_t CommitPush();
@@ -147,54 +136,31 @@ class ParameterServer {
   std::uint64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
-  std::size_t dim() const { return dim_; }
-  std::size_t num_shards() const { return shards_.size(); }
+  // The shard geometry (immutable, so reading it takes no lock).
+  const ShardLayout& layout() const { return layout_; }
+  std::size_t dim() const { return layout_.dim(); }
+  std::size_t num_shards() const { return layout_.num_shards(); }
   ShardInfo shard(std::size_t s) const;
-
-  // Shard owning parameter `index` (offsets are immutable; lock-free).
-  std::size_t ShardOf(std::size_t index) const;
+  std::size_t ShardOf(std::size_t index) const {
+    return layout_.ShardOf(index);
+  }
 
   // Bytes a full pull moves over the wire (8 bytes per parameter).
-  std::size_t pull_bytes() const { return dim_ * sizeof(double); }
+  std::size_t pull_bytes() const { return dim() * sizeof(double); }
   // Bytes the per-shard pull response for shard `s` carries.
   std::size_t shard_bytes(std::size_t s) const;
 
-  // Wire routing of one push: the shards `grad` touches and the bytes each
-  // per-shard message carries (dense: every shard, slice bytes; sparse:
-  // owning shards, 16 bytes per entry). An empty gradient routes one empty
-  // message to shard 0 so a push is never silently message-free. Routes
-  // come out in ascending shard order, whatever the index order.
-  //
-  // [begin, end) is the range of the gradient's entries that holds every
-  // entry of the shard: for a sparse gradient, from the shard's first entry
-  // to one past its last (exactly its own entries when the indices are
-  // sorted; an unsorted gradient may interleave other shards' entries in
-  // it); for a dense one, the shard's slice. PushRoute applies only that
-  // range.
-  struct ShardRoute {
-    std::size_t shard = 0;
-    std::size_t bytes = 0;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-  std::vector<ShardRoute> RouteGradient(const Gradient& grad) const;
-  // RouteGradient into a caller-owned buffer (cleared first): allocation-free
-  // once `routes` has held num_shards() entries.
-  void RouteGradientInto(const Gradient& grad,
-                         std::vector<ShardRoute>& routes) const;
-
-  // PushShard(route.shard, grad, epoch) reading only the route's entry
-  // range: the same entries apply in the same order, so the result is
-  // bit-identical, but each shard of a sorted sparse push scans its own
-  // entries instead of the whole gradient. `route` must come from
-  // RouteGradientInto(grad). The store's Push and the simulator's per-shard
-  // push messages (each applied at its own arrival time) land here.
+  // Applies one route of `grad` to its shard, reading only the route's
+  // entry range, with the version semantics of PushShardDenseSlice.
+  // `route` must come from layout().RouteInto(grad). The store's Push and
+  // the simulator's per-shard push messages (each applied at its own
+  // arrival time) land here.
   bool PushRoute(const ShardRoute& route, const Gradient& grad, EpochId epoch);
 
   // Push with the routing already done: `routes` must be what
-  // RouteGradientInto(grad) produced. A caller that also needs the routes
+  // layout().RouteInto(grad) produced. A caller that also needs the routes
   // (the runtime's consistency gate) routes once per push this way; the
-  // two-argument Push is this plus RouteGradient.
+  // two-argument Push is this plus the routing.
   std::uint64_t Push(const Gradient& grad, EpochId epoch,
                      std::span<const ShardRoute> routes);
 
@@ -203,8 +169,6 @@ class ParameterServer {
 
  private:
   struct Shard {
-    std::size_t offset = 0;
-    std::size_t length = 0;
     mutable std::mutex mutex;
     std::uint64_t version = 0;  // guarded by mutex
     // Contention instruments (null = off); set once by AttachMetrics.
@@ -212,7 +176,7 @@ class ParameterServer {
     obs::LatencyHistogram* lock_hold = nullptr;
   };
 
-  const std::size_t dim_;
+  const ShardLayout layout_;
   std::shared_ptr<const SgdApplier> applier_;
   // Shards guard disjoint slices of this flat vector; the vector itself is
   // sized at construction and never reallocated.

@@ -1,11 +1,15 @@
-// Fault-injecting mailbox: Mailbox's contract with a FaultPlan in the wire.
+// Mailbox for inter-thread message passing, with an optional FaultPlan in
+// the wire.
 //
-// Same interface as Mailbox<T> (Send / Receive / ReceiveUntil / TryReceive /
-// Close), but each Send consults the plan's control-link decision: dropped
-// messages are swallowed, duplicated messages are enqueued twice, and delayed
-// messages become visible to receivers only after their extra delay elapses.
-// With a null or inert plan every message is ready immediately and (ready,
-// seq) ordering degenerates to FIFO — behaviorally identical to Mailbox.
+// Per the Core Guidelines' concurrency advice (CP.mess), runtime nodes never
+// share mutable state directly: workers, the scheduler, and the driver
+// exchange owned messages through mailboxes (Send / Receive / ReceiveUntil /
+// TryReceive / Close). With a plan, each Send consults the plan's
+// control-link decision: dropped messages are swallowed, duplicated messages
+// are enqueued twice, and delayed messages become visible to receivers only
+// after their extra delay elapses. With a null or inert plan every message is
+// ready immediately and (ready, seq) ordering degenerates to FIFO: a plain
+// mailbox.
 //
 // Close() releases all blocked receivers and makes still-delayed messages
 // deliverable immediately (the shutdown path must drain, not wait out,
@@ -23,9 +27,17 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
-#include "runtime/mailbox.h"  // MailboxPoll
 
 namespace specsync {
+
+// Result of a non-blocking mailbox poll. Distinguishes the two reasons a
+// poll can come back empty: an open mailbox that is merely empty right now
+// (kEmpty — more may arrive, keep polling) versus one that is closed AND
+// fully drained (kDrained — nothing will ever arrive again, stop). A plain
+// optional cannot express the difference, which is exactly what a drain
+// loop needs to terminate correctly. kEmpty also covers a mailbox holding
+// only delay-injected messages that are not yet deliverable.
+enum class MailboxPoll { kMessage, kEmpty, kDrained };
 
 template <typename T>
 class FaultMailbox {

@@ -17,7 +17,6 @@
 #include "obs/obs.h"
 #include "ps/consistency_gate.h"
 #include "runtime/fault_mailbox.h"
-#include "runtime/mailbox.h"
 #include "runtime/wall_clock.h"
 
 namespace specsync {
@@ -125,9 +124,7 @@ struct RuntimeCluster::Impl {
 
     if (config.compression.transforms_pushes()) {
       codec = std::make_unique<GradientCodec>(
-          config.compression, config.num_workers,
-          ParameterServer::ShardSplit(model->param_dim(),
-                                      config.num_servers));
+          config.compression, config.num_workers, server->layout());
     }
 
     if (config.transport == RuntimeTransport::kTcpLoopback) {
@@ -148,12 +145,8 @@ struct RuntimeCluster::Impl {
       client_config.request_timeout = config.net_timeout;
       client_config.max_attempts = config.net_attempts;
       client_config.compression = config.compression;
-      const net::Endpoint endpoint{"127.0.0.1", shard_server->port()};
-      for (std::size_t s = 0; s < server->num_shards(); ++s) {
-        const ShardInfo info = server->shard(s);
-        client_config.topology.shards.push_back(
-            net::ShardPlacement{info.offset, info.length, endpoint});
-      }
+      client_config.topology = net::ClusterTopology::SingleServer(
+          server->layout(), net::Endpoint{"127.0.0.1", shard_server->port()});
       for (WorkerId w = 0; w < config.num_workers; ++w) {
         // Client request spans share the worker's track, so wire activity
         // nests visually under the worker that caused it.
@@ -236,12 +229,13 @@ struct RuntimeCluster::Impl {
     }
   }
 
-  // `routes` is RouteGradientInto(grad) on the in-process store; the wire
-  // client routes by itself. With `next_pull` set (wire clients only), the
+  // `routes` is the store layout's RouteInto(grad); the in-process store
+  // pushes them as they are, while a wire client cuts its frames from the
+  // same layout itself. With `next_pull` set (wire clients only), the
   // push's round trip also pulls the snapshot the next iteration starts
   // from, served after the push applied.
   void PushGradient(WorkerId w, const Gradient& grad, EpochId epoch,
-                    std::span<const ParameterServer::ShardRoute> routes,
+                    std::span<const ShardRoute> routes,
                     std::optional<PullResult>* next_pull) {
     if (shard_clients.empty()) {
       server->Push(grad, epoch, routes);
@@ -400,7 +394,7 @@ struct RuntimeCluster::Impl {
     std::vector<Gradient> chunks;
     ChunkMerger merger(model->param_dim());
     Gradient merged;
-    std::vector<ParameterServer::ShardRoute> routes;
+    std::vector<ShardRoute> routes;
     std::vector<std::size_t> touched;
     touched.reserve(server->num_shards());  // a push may touch every shard
 
@@ -520,7 +514,7 @@ struct RuntimeCluster::Impl {
         // takes its write set from them (routing is a pure read of the
         // static shard table). A wire push with no gate reads neither.
         if (shard_clients.empty() || gate) {
-          server->RouteGradientInto(merged, routes);
+          server->layout().RouteInto(merged, routes);
         }
         const bool last = iteration + 1 == config.iterations_per_worker;
         PushGradient(w, merged, GlobalEpoch(), routes,
@@ -529,7 +523,7 @@ struct RuntimeCluster::Impl {
         const SimTime store_end = obs != nullptr ? clock.Now() : SimTime();
         if (gate) {
           touched.clear();
-          for (const ParameterServer::ShardRoute& route : routes) {
+          for (const ShardRoute& route : routes) {
             touched.push_back(route.shard);
           }
           gate->OnPush(w, iteration, clock.Now(), touched);

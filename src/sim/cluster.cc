@@ -179,9 +179,7 @@ struct ClusterSim::Impl {
 
     if (config.compression.transforms_pushes()) {
       codec = std::make_unique<GradientCodec>(
-          config.compression, config.num_workers,
-          ParameterServer::ShardSplit(model->param_dim(),
-                                      config.num_servers));
+          config.compression, config.num_workers, server->layout());
     }
     if (config.compression.delta_pulls()) {
       known_shard_versions.assign(
@@ -486,29 +484,22 @@ struct ClusterSim::Impl {
     // The push fans out as one message per dirty shard (sparse gradients
     // route only to the shards owning their indices); each slice applies at
     // its own arrival, and the worker proceeds once every message resolved.
-    auto routes = server->RouteGradient(*grad);
+    std::vector<ShardRoute> routes;
+    server->layout().RouteInto(*grad, routes);
     if (codec != nullptr) {
       // Charge the coded wire size; the raw-minus-coded delta goes to the
       // savings ledger (top-k's savings are implicit in the smaller nnz).
-      std::uint64_t raw_total = 0;
-      std::uint64_t coded_total = 0;
-      for (ParameterServer::ShardRoute& route : routes) {
-        const std::uint64_t coded = CodedRouteBytes(
-            config.compression.kind, grad->is_sparse(), route.bytes);
-        raw_total += route.bytes;
-        coded_total += coded;
-        if (coded < route.bytes) {
-          transfers.AddSavings(TransferCategory::kPushGrads,
-                               route.bytes - coded);
-          if (codec_push_saved_counter != nullptr) {
-            codec_push_saved_counter->Increment(route.bytes - coded);
-          }
-          route.bytes = coded;
-        }
+      const std::uint64_t saved =
+          CodeRoutes(config.compression.kind, grad->is_sparse(), routes);
+      transfers.AddSavings(TransferCategory::kPushGrads, saved);
+      if (codec_push_saved_counter != nullptr) {
+        codec_push_saved_counter->Increment(saved);
       }
-      if (codec_push_ratio_hist != nullptr && raw_total > 0) {
-        codec_push_ratio_hist->Record(static_cast<double>(coded_total) /
-                                      static_cast<double>(raw_total));
+      std::uint64_t charged = 0;
+      for (const ShardRoute& route : routes) charged += route.bytes;
+      if (codec_push_ratio_hist != nullptr && charged + saved > 0) {
+        codec_push_ratio_hist->Record(static_cast<double>(charged) /
+                                      static_cast<double>(charged + saved));
       }
     }
     auto attempt = std::make_shared<PushAttempt>();
@@ -516,10 +507,10 @@ struct ClusterSim::Impl {
     attempt->pending = routes.size();
     attempt->begin = sim.now();
     attempt->shards.reserve(routes.size());
-    for (const ParameterServer::ShardRoute& route : routes) {
+    for (const ShardRoute& route : routes) {
       attempt->shards.push_back(route.shard);
     }
-    for (const ParameterServer::ShardRoute& route : routes) {
+    for (const ShardRoute& route : routes) {
       const NetworkModel::TransferPlan plan = network.PlanTransfer(
           route.bytes, LinkClass::kData, worker.rng, &faults);
       if (plan.drop) {
@@ -545,7 +536,7 @@ struct ClusterSim::Impl {
     }
   }
 
-  void OnShardPushArrive(WorkerId w, ParameterServer::ShardRoute route,
+  void OnShardPushArrive(WorkerId w, ShardRoute route,
                          const std::shared_ptr<PushAttempt>& attempt) {
     if (stopped) return;
     server->PushRoute(route, *attempt->grad, GlobalEpoch());
@@ -566,7 +557,7 @@ struct ClusterSim::Impl {
   }
 
   // Second delivery of a duplicated slice: server-side effect only.
-  void OnDuplicateShardPush(ParameterServer::ShardRoute route,
+  void OnDuplicateShardPush(ShardRoute route,
                             const std::shared_ptr<PushAttempt>& attempt) {
     if (stopped) return;
     server->PushRoute(route, *attempt->grad, GlobalEpoch());

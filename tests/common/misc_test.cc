@@ -1,13 +1,19 @@
-// Tests for check.h, sim_time.h, logging.h, table.h.
+// Tests for check.h, sim_time.h, logging.h, table.h, and the property
+// suites' seed parsing (tests/support/property.h).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/sim_time.h"
 #include "common/table.h"
+#include "support/property.h"
 
 namespace specsync {
 namespace {
@@ -206,6 +212,37 @@ TEST(TableTest, RowAccess) {
   EXPECT_EQ(table.row_count(), 1u);
   EXPECT_EQ(table.row(0)[0], "v");
   EXPECT_THROW(table.row(1), CheckError);
+}
+
+// --- property seed ----------------------------------------------------------
+
+TEST(PropertySeedTest, ParsesTheVariableAndRejectsGarbageByName) {
+  const char* outer = std::getenv("SPECSYNC_PROPERTY_SEED");
+  const std::optional<std::string> saved =
+      outer != nullptr ? std::optional<std::string>(outer) : std::nullopt;
+
+  ::unsetenv("SPECSYNC_PROPERTY_SEED");
+  EXPECT_EQ(PropertySeed(7), 7u);
+  ::setenv("SPECSYNC_PROPERTY_SEED", "20260808999", 1);
+  EXPECT_EQ(PropertySeed(7), 20260808999u);
+  for (const char* bad :
+       {"abc", "", "12x", "-1", " 5", "99999999999999999999"}) {
+    ::setenv("SPECSYNC_PROPERTY_SEED", bad, 1);
+    try {
+      PropertySeed(7);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + std::string(bad) + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  if (saved.has_value()) {
+    ::setenv("SPECSYNC_PROPERTY_SEED", saved->c_str(), 1);
+  } else {
+    ::unsetenv("SPECSYNC_PROPERTY_SEED");
+  }
 }
 
 }  // namespace

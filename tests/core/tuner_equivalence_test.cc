@@ -39,18 +39,14 @@
 #include "harness/experiment.h"
 #include "harness/workload.h"
 #include "obs/obs.h"
+#include "support/property.h"
 #include "trace/trace.h"
 #include "tuner_full_replay.h"
 
 namespace specsync {
 namespace {
 
-std::uint64_t BaseSeed() {
-  if (const char* env = std::getenv("SPECSYNC_PROPERTY_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 20260808;
-}
+std::uint64_t BaseSeed() { return PropertySeed(20260808); }
 
 // --- timelines ---------------------------------------------------------------
 

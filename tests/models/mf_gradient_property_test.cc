@@ -37,16 +37,12 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "models/matrix_factorization.h"
+#include "support/property.h"
 
 namespace specsync {
 namespace {
 
-std::uint64_t BaseSeed() {
-  if (const char* env = std::getenv("SPECSYNC_PROPERTY_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 20261017;
-}
+std::uint64_t BaseSeed() { return PropertySeed(20261017); }
 
 struct Trial {
   std::size_t num_users = 1;
@@ -255,37 +251,6 @@ std::optional<std::string> RunTrial(const Trial& trial, SubjectKind kind) {
     }
   }
   return std::nullopt;
-}
-
-// Greedy ddmin over one list: repeatedly delete the largest run of elements
-// whose removal keeps the failure, halving the run until single elements
-// survive. `keep` is the fewest elements the list may shrink to.
-template <typename T, typename Fails>
-void ShrinkList(std::vector<T>& items, std::size_t keep, const Fails& fails) {
-  std::size_t run = std::max<std::size_t>(1, items.size() / 2);
-  for (;;) {
-    bool removed_any = false;
-    std::size_t offset = 0;
-    while (offset < items.size() && items.size() > keep) {
-      std::vector<T> candidate = items;
-      const std::size_t end =
-          std::min({offset + run, candidate.size(),
-                    offset + (candidate.size() - keep)});
-      candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(offset),
-                      candidate.begin() + static_cast<std::ptrdiff_t>(end));
-      if (fails(candidate)) {
-        items = std::move(candidate);
-        removed_any = true;
-      } else {
-        offset += run;
-      }
-    }
-    if (run == 1) {
-      if (!removed_any) break;
-    } else {
-      run /= 2;
-    }
-  }
 }
 
 Trial ShrinkTrial(Trial trial, SubjectKind kind) {

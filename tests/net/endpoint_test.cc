@@ -87,10 +87,8 @@ TEST(TopologyTest, ShardLinkIndexMapsEveryShardToItsLink) {
 }
 
 TEST(TopologyTest, SingleServerPlacesEveryShardBehindOneEndpoint) {
-  const std::vector<std::pair<std::size_t, std::size_t>> split = {
-      {0, 3}, {3, 3}, {6, 4}};
-  const ClusterTopology topology =
-      ClusterTopology::SingleServer(split, Ep(7100));
+  const ClusterTopology topology = ClusterTopology::SingleServer(
+      ShardLayout::FromLengths({3, 3, 4}), Ep(7100));
   ASSERT_EQ(topology.shards.size(), 3u);
   EXPECT_EQ(topology.dim(), 10u);
   EXPECT_TRUE(topology.Validate());

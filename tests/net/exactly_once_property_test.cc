@@ -61,16 +61,12 @@
 #include "net/wire.h"
 #include "optim/lr_schedule.h"
 #include "ps/param_store.h"
+#include "support/property.h"
 
 namespace specsync::net {
 namespace {
 
-std::uint64_t BaseSeed() {
-  if (const char* env = std::getenv("SPECSYNC_PROPERTY_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 20261016;
-}
+std::uint64_t BaseSeed() { return PropertySeed(20261016); }
 
 // --- the watermark unit ------------------------------------------------------
 

@@ -13,6 +13,7 @@
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -119,8 +120,11 @@ TEST_P(TransportTest, PullMatchesDirectPullBitwise) {
 TEST_P(TransportTest, PullIsOneRequestPerServer) {
   // Shards interleaved across two endpoints (one store behind two servers,
   // each serving every other shard): every Pull() costs exactly one request
-  // per link, delta on or off, and composes the store's own snapshot.
+  // per link, delta on or off, and composes the store's own snapshot. An
+  // unsorted push with duplicate indices, cut across both links, lands
+  // where the same push applied directly to a twin store lands.
   auto store = MakeStore(101, 5);
+  auto twin = MakeStore(101, 5);
   ShardServerConfig even_config;
   even_config.served_shards = {0, 2, 4};
   auto even = StartServer(store.get(), std::move(even_config));
@@ -159,6 +163,33 @@ TEST_P(TransportTest, PullIsOneRequestPerServer) {
       EXPECT_EQ(metrics.histogram("net.link.rtt_s" + label).count(),
                 static_cast<std::uint64_t>(kRounds))
           << codec << ' ' << label;
+    }
+
+    for (int round = 0; round < kRounds; ++round) twin->Push(g, 0);
+
+    // Shards are [0,21) [21,41) [41,61) [61,81) [81,101); even shards on
+    // one server, odd ones on the other.
+    Gradient mixed = Gradient::Sparse();
+    for (const auto& [index, value] :
+         std::vector<std::pair<std::uint64_t, double>>{{97, 0.3},
+                                                       {3, -1.25},
+                                                       {41, 0.1},
+                                                       {3, 0.7},
+                                                       {60, 2.5},
+                                                       {97, -0.05},
+                                                       {22, 1.0 / 3.0},
+                                                       {0, 0.2},
+                                                       {41, -0.4}}) {
+      mixed.sparse().Add(index, value);
+    }
+    // Each server commits its own batch, so the shared store's global
+    // version moves once per server; parameters and shard versions do not.
+    client.Push(mixed, 0);
+    twin->Push(mixed, 0);
+    EXPECT_EQ(store->Snapshot(), twin->Snapshot()) << codec;
+    for (std::size_t s = 0; s < store->num_shards(); ++s) {
+      EXPECT_EQ(store->shard(s).version, twin->shard(s).version)
+          << codec << " shard " << s;
     }
   }
 }
@@ -955,8 +986,7 @@ TEST_P(TransportTest, CodedPushMatchesDirectApplyBitwise) {
     ShardClient client(client_config);
     ASSERT_TRUE(client.Connect());
 
-    GradientCodec codec(spec, /*num_workers=*/1,
-                        ParameterServer::ShardSplit(10, 3));
+    GradientCodec codec(spec, /*num_workers=*/1, wire_store->layout());
     Gradient dense = Gradient::Dense(10);
     for (std::size_t i = 0; i < 10; ++i) {
       dense.dense()[i] = 0.3 * static_cast<double>(i) - 1.1;

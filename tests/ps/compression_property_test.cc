@@ -39,17 +39,13 @@
 
 #include "common/rng.h"
 #include "ps/compression.h"
-#include "ps/param_store.h"
+#include "ps/shard_layout.h"
+#include "support/property.h"
 
 namespace specsync {
 namespace {
 
-std::uint64_t BaseSeed() {
-  if (const char* env = std::getenv("SPECSYNC_PROPERTY_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 20260808;
-}
+std::uint64_t BaseSeed() { return PropertySeed(20260808); }
 
 // Values that historically break quantizers: signed zeros, double denormals
 // (below half's and float's ranges), the half-precision overflow boundary,
@@ -217,7 +213,7 @@ class Subject {
       spec.topk_fraction = trial.fraction;
       codec_ = std::make_unique<GradientCodec>(
           spec, /*num_workers=*/1,
-          ParameterServer::ShardSplit(trial.dim, trial.num_shards));
+          ShardLayout::Even(trial.dim, trial.num_shards));
     }
   }
 
@@ -483,8 +479,7 @@ TEST(CompressionPropertyTest, QuantizersIdempotentIdentityCodecsExact) {
       CompressionSpec spec;
       spec.kind = kind;
       GradientCodec codec(spec, 1,
-                          ParameterServer::ShardSplit(trial.dim,
-                                                      trial.num_shards));
+                          ShardLayout::Even(trial.dim, trial.num_shards));
       for (const Push& push : trial.pushes) {
         Gradient original = MakeGradient(push, trial.dim);
         Gradient once = MakeGradient(push, trial.dim);

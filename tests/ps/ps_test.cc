@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "data/synthetic.h"
@@ -15,6 +18,31 @@ namespace {
 
 std::shared_ptr<const SgdApplier> UnitApplier() {
   return std::make_shared<SgdApplier>(std::make_shared<ConstantSchedule>(1.0));
+}
+
+std::vector<ShardRoute> Routes(const ShardLayout& layout,
+                               const Gradient& grad) {
+  std::vector<ShardRoute> routes;
+  layout.RouteInto(grad, routes);
+  return routes;
+}
+
+// The reference push of one shard: the whole gradient, every entry of a
+// sparse one scanned (entries outside the shard skipped), a dense one cut to
+// the shard's slice. PushRoute reads only its route's entry range and must
+// apply exactly what this applies.
+bool PushShard(ParameterServer& server, std::size_t s, const Gradient& grad,
+               EpochId epoch) {
+  if (grad.is_sparse()) {
+    return server.PushShardSparse(s, grad.sparse().indices(),
+                                  grad.sparse().values(), epoch);
+  }
+  const ShardLayout& layout = server.layout();
+  return server.PushShardDenseSlice(
+      s,
+      std::span<const double>(grad.dense())
+          .subspan(layout.offset(s), layout.length(s)),
+      epoch);
 }
 
 TEST(ParamStoreTest, ShardPartitioning) {
@@ -92,12 +120,24 @@ TEST(ParamStoreTest, ShardOfMapsIndicesToOwners) {
   EXPECT_EQ(server.ShardOf(7), 2u);
   EXPECT_EQ(server.ShardOf(9), 2u);
   EXPECT_THROW(server.ShardOf(10), CheckError);
+
+  // An explicit uneven layout: [0,1) [1,9) [9,10).
+  const ShardLayout uneven = ShardLayout::FromLengths({1, 8, 1});
+  EXPECT_EQ(uneven.dim(), 10u);
+  EXPECT_EQ(uneven.offset(2), 9u);
+  EXPECT_EQ(uneven.ShardOf(0), 0u);
+  EXPECT_EQ(uneven.ShardOf(1), 1u);
+  EXPECT_EQ(uneven.ShardOf(8), 1u);
+  EXPECT_EQ(uneven.ShardOf(9), 2u);
+  EXPECT_THROW(uneven.ShardOf(10), CheckError);
+  EXPECT_THROW(ShardLayout::FromLengths({}), CheckError);
+  EXPECT_THROW(ShardLayout::FromLengths({0, 0}), CheckError);
 }
 
 TEST(ParamStoreTest, RouteGradientDenseHitsEveryShard) {
   ParameterServer server(10, 3, UnitApplier());
   Gradient g = Gradient::Dense(10);
-  const auto routes = server.RouteGradient(g);
+  const auto routes = Routes(server.layout(), g);
   ASSERT_EQ(routes.size(), 3u);
   EXPECT_EQ(routes[0].shard, 0u);
   EXPECT_EQ(routes[0].bytes, 4u * sizeof(double));
@@ -111,7 +151,7 @@ TEST(ParamStoreTest, RouteGradientSparseHitsOnlyOwningShards) {
   g.sparse().Add(1, 1.0);
   g.sparse().Add(2, 1.0);
   g.sparse().Add(8, 1.0);
-  const auto routes = server.RouteGradient(g);
+  const auto routes = Routes(server.layout(), g);
   ASSERT_EQ(routes.size(), 2u);
   EXPECT_EQ(routes[0].shard, 0u);
   EXPECT_EQ(routes[0].bytes, 2u * 16u);  // two (index, value) entries
@@ -124,21 +164,21 @@ TEST(ParamStoreTest, RouteGradientEmptyStillSendsOneMessage) {
   // version bump), not silently vanish from the protocol.
   ParameterServer server(10, 3, UnitApplier());
   Gradient g = Gradient::Sparse();
-  const auto routes = server.RouteGradient(g);
+  const auto routes = Routes(server.layout(), g);
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes[0].shard, 0u);
   EXPECT_EQ(routes[0].bytes, 0u);
 }
 
-// The per-index routing RouteGradient used before its shard cursor: one
-// ShardOf binary search per entry, then the touched shards in order.
-std::vector<ParameterServer::ShardRoute> ReferenceRoutes(
-    const ParameterServer& server, const std::vector<std::uint64_t>& indices) {
-  std::vector<std::size_t> nnz(server.num_shards(), 0);
+// The per-index routing the store used before its shard cursor: one ShardOf
+// binary search per entry, then the touched shards in order.
+std::vector<ShardRoute> ReferenceRoutes(
+    const ShardLayout& layout, const std::vector<std::uint64_t>& indices) {
+  std::vector<std::size_t> nnz(layout.num_shards(), 0);
   for (const std::uint64_t index : indices) {
-    ++nnz[server.ShardOf(static_cast<std::size_t>(index))];
+    ++nnz[layout.ShardOf(static_cast<std::size_t>(index))];
   }
-  std::vector<ParameterServer::ShardRoute> routes;
+  std::vector<ShardRoute> routes;
   for (std::size_t s = 0; s < nnz.size(); ++s) {
     if (nnz[s] > 0) routes.push_back({s, nnz[s] * 16});
   }
@@ -152,62 +192,69 @@ TEST(ParamStoreTest, CursorRoutingMatchesPerIndexShardOf) {
     std::size_t dim;
     std::size_t shards;
     std::vector<std::uint64_t> indices;
+    // The same dim cut into an explicit uneven slice list.
+    std::vector<std::size_t> uneven;
   };
-  // dim 10 over 3 shards is [0,4) [4,7) [7,10); dim 64 over 4 is 16 each.
+  // dim 10 over 3 shards is [0,4) [4,7) [7,10), unevenly [0,1) [1,9) [9,10);
+  // dim 64 over 4 is 16 each.
   const std::vector<Case> cases = {
-      {"empty", 10, 3, {}},
-      {"sorted", 10, 3, {0, 1, 3, 4, 6, 7, 9}},
-      {"sorted one shard", 10, 3, {4, 5, 6}},
-      {"unsorted", 10, 3, {9, 0, 5, 2, 7, 4}},
-      {"descending", 10, 3, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}},
-      {"duplicates", 10, 3, {3, 3, 4, 4, 4, 3, 9, 9}},
-      {"shard boundaries", 10, 3, {3, 4, 6, 7, 3, 7}},
-      {"dim-1 only", 10, 3, {9}},
-      {"dim-1 then 0", 10, 3, {9, 0}},
-      {"skips middle shard", 10, 3, {0, 8, 1, 9}},
+      {"empty", 10, 3, {}, {1, 8, 1}},
+      {"sorted", 10, 3, {0, 1, 3, 4, 6, 7, 9}, {1, 8, 1}},
+      {"sorted one shard", 10, 3, {4, 5, 6}, {1, 8, 1}},
+      {"unsorted", 10, 3, {9, 0, 5, 2, 7, 4}, {1, 8, 1}},
+      {"descending", 10, 3, {9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, {1, 8, 1}},
+      {"duplicates", 10, 3, {3, 3, 4, 4, 4, 3, 9, 9}, {1, 8, 1}},
+      {"shard boundaries", 10, 3, {3, 4, 6, 7, 3, 7}, {1, 8, 1}},
+      {"dim-1 only", 10, 3, {9}, {1, 8, 1}},
+      {"dim-1 then 0", 10, 3, {9, 0}, {1, 8, 1}},
+      {"skips middle shard", 10, 3, {0, 8, 1, 9}, {1, 8, 1}},
       // transport_test.cc's golden schedule: (w*7) % dim, (w*7 + dim/2) % dim.
-      {"golden pair w=3", 64, 4, {21, 53}},
-      {"golden pair w=5", 64, 4, {35, 3}},
-      {"single shard", 7, 1, {6, 0, 3, 3}},
-      {"one index per shard", 4, 4, {3, 2, 1, 0, 0, 3}},
+      {"golden pair w=3", 64, 4, {21, 53}, {1, 21, 41, 1}},
+      {"golden pair w=5", 64, 4, {35, 3}, {1, 21, 41, 1}},
+      {"single shard", 7, 1, {6, 0, 3, 3}, {6, 1}},
+      {"one index per shard", 4, 4, {3, 2, 1, 0, 0, 3}, {1, 2, 1}},
   };
-  std::vector<ParameterServer::ShardRoute> reused = {{2, 99}, {1, 7}};
+  std::vector<ShardRoute> reused = {{2, 99}, {1, 7}};
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    ParameterServer server(c.dim, c.shards, UnitApplier());
-    Gradient g = Gradient::Sparse();
-    for (const std::uint64_t index : c.indices) g.sparse().Add(index, 1.0);
-    const auto want = ReferenceRoutes(server, c.indices);
-    const auto got = server.RouteGradient(g);
-    server.RouteGradientInto(g, reused);  // stale contents must be cleared
-    ASSERT_EQ(got.size(), want.size());
-    ASSERT_EQ(reused.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].shard, want[i].shard) << "route " << i;
-      EXPECT_EQ(got[i].bytes, want[i].bytes) << "route " << i;
-      EXPECT_EQ(reused[i].shard, want[i].shard) << "route " << i;
-      EXPECT_EQ(reused[i].bytes, want[i].bytes) << "route " << i;
-      EXPECT_EQ(reused[i].begin, got[i].begin) << "route " << i;
-      EXPECT_EQ(reused[i].end, got[i].end) << "route " << i;
-      // [begin, end) runs from the shard's first entry to its last.
-      if (got[i].bytes == 0) continue;
-      std::size_t first = c.indices.size();
-      std::size_t last = 0;
-      for (std::size_t e = 0; e < c.indices.size(); ++e) {
-        if (server.ShardOf(c.indices[e]) != got[i].shard) continue;
-        first = std::min(first, e);
-        last = e;
+    const ShardLayout layouts[] = {ShardLayout::Even(c.dim, c.shards),
+                                   ShardLayout::FromLengths(c.uneven)};
+    for (const ShardLayout& layout : layouts) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (&layout == &layouts[0] ? ", even" : ", uneven"));
+      ASSERT_EQ(layout.dim(), c.dim);
+      Gradient g = Gradient::Sparse();
+      for (const std::uint64_t index : c.indices) g.sparse().Add(index, 1.0);
+      const auto want = ReferenceRoutes(layout, c.indices);
+      const auto got = Routes(layout, g);
+      layout.RouteInto(g, reused);  // stale contents must be cleared
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_EQ(reused.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].shard, want[i].shard) << "route " << i;
+        EXPECT_EQ(got[i].bytes, want[i].bytes) << "route " << i;
+        EXPECT_EQ(reused[i].shard, want[i].shard) << "route " << i;
+        EXPECT_EQ(reused[i].bytes, want[i].bytes) << "route " << i;
+        EXPECT_EQ(reused[i].begin, got[i].begin) << "route " << i;
+        EXPECT_EQ(reused[i].end, got[i].end) << "route " << i;
+        // [begin, end) runs from the shard's first entry to its last.
+        if (got[i].bytes == 0) continue;
+        std::size_t first = c.indices.size();
+        std::size_t last = 0;
+        for (std::size_t e = 0; e < c.indices.size(); ++e) {
+          if (layout.ShardOf(c.indices[e]) != got[i].shard) continue;
+          first = std::min(first, e);
+          last = e;
+        }
+        EXPECT_EQ(got[i].begin, first) << "route " << i;
+        EXPECT_EQ(got[i].end, last + 1) << "route " << i;
       }
-      EXPECT_EQ(got[i].begin, first) << "route " << i;
-      EXPECT_EQ(got[i].end, last + 1) << "route " << i;
+      // An index past the end is rejected whatever shard the cursor holds.
+      Gradient past = Gradient::Sparse();
+      past.sparse().Add(c.dim - 1, 1.0);
+      past.sparse().Add(c.dim, 1.0);
+      EXPECT_THROW(layout.RouteInto(past, reused), CheckError);
     }
   }
-  // An index past the end is rejected whatever shard the cursor holds.
-  ParameterServer server(10, 3, UnitApplier());
-  Gradient g = Gradient::Sparse();
-  g.sparse().Add(9, 1.0);
-  g.sparse().Add(10, 1.0);
-  EXPECT_THROW(server.RouteGradient(g), CheckError);
 }
 
 TEST(ParamStoreTest, PushWithRoutesEqualsPush) {
@@ -216,8 +263,7 @@ TEST(ParamStoreTest, PushWithRoutesEqualsPush) {
   Gradient g = Gradient::Sparse();
   g.sparse().Add(8, 0.5);
   g.sparse().Add(1, -0.25);
-  std::vector<ParameterServer::ShardRoute> routes;
-  b.RouteGradientInto(g, routes);
+  const std::vector<ShardRoute> routes = Routes(b.layout(), g);
   EXPECT_EQ(a.Push(g, 0), b.Push(g, 0, routes));
   EXPECT_EQ(a.Pull().params, b.Pull().params);
   for (std::size_t s = 0; s < 3; ++s) {
@@ -242,8 +288,8 @@ TEST(ParamStoreTest, PushRouteEqualsWholeGradientPushShard) {
     for (std::size_t e = 0; e < indices.size(); ++e) {
       g.sparse().Add(indices[e], 0.1 * static_cast<double>(e + 1) / 3.0);
     }
-    for (const ParameterServer::ShardRoute& route : ranged.RouteGradient(g)) {
-      EXPECT_EQ(whole.PushShard(route.shard, g, 0),
+    for (const ShardRoute& route : Routes(ranged.layout(), g)) {
+      EXPECT_EQ(PushShard(whole, route.shard, g, 0),
                 ranged.PushRoute(route, g, 0));
     }
     EXPECT_EQ(whole.Pull().params, ranged.Pull().params);
@@ -257,12 +303,12 @@ TEST(ParamStoreTest, PushRouteEqualsWholeGradientPushShard) {
   for (std::size_t i = 0; i < 10; ++i) {
     dense.dense()[i] = 0.1 * static_cast<double>(i);
   }
-  const auto routes = ranged.RouteGradient(dense);
+  const auto routes = Routes(ranged.layout(), dense);
   ASSERT_EQ(routes.size(), 3u);
   EXPECT_EQ(routes[1].begin, 4u);  // [0,4) [4,7) [7,10)
   EXPECT_EQ(routes[1].end, 7u);
-  for (const ParameterServer::ShardRoute& route : routes) {
-    EXPECT_TRUE(whole.PushShard(route.shard, dense, 0));
+  for (const ShardRoute& route : routes) {
+    EXPECT_TRUE(PushShard(whole, route.shard, dense, 0));
     EXPECT_TRUE(ranged.PushRoute(route, dense, 0));
   }
   EXPECT_EQ(whole.Pull().params, ranged.Pull().params);
@@ -273,7 +319,7 @@ TEST(ParamStoreTest, PushShardAppliesSliceWithoutCommitting) {
   server.SetParams(DenseVector(10, 0.0));
   Gradient g = Gradient::Dense(10);
   for (double& v : g.dense()) v = -1.0;  // each apply adds +1
-  EXPECT_TRUE(server.PushShard(0, g, 0));
+  EXPECT_TRUE(PushShard(server, 0, g, 0));
   // The slice landed, but no logical push committed yet.
   EXPECT_EQ(server.version(), 0u);
   EXPECT_EQ(server.shard(0).version, 1u);
@@ -282,12 +328,12 @@ TEST(ParamStoreTest, PushShardAppliesSliceWithoutCommitting) {
   EXPECT_DOUBLE_EQ(mid.params[0], 1.0);
   EXPECT_DOUBLE_EQ(mid.params[5], 0.0);  // other shard untouched
 
-  EXPECT_TRUE(server.PushShard(1, g, 0));
+  EXPECT_TRUE(PushShard(server, 1, g, 0));
   EXPECT_EQ(server.CommitPush(), 1u);
   EXPECT_EQ(server.version(), 1u);
 
   // A duplicated slice (network replay) re-applies without a new commit.
-  EXPECT_TRUE(server.PushShard(0, g, 0));
+  EXPECT_TRUE(PushShard(server, 0, g, 0));
   EXPECT_EQ(server.version(), 1u);
   EXPECT_EQ(server.shard(0).version, 2u);
 }
@@ -298,9 +344,9 @@ TEST(ParamStoreTest, PushShardSkipsForeignSparseEntries) {
   Gradient g = Gradient::Sparse();
   g.sparse().Add(7, -1.0);
   // Shard 0 owns none of the entries: nothing applies, no version bump.
-  EXPECT_FALSE(server.PushShard(0, g, 0));
+  EXPECT_FALSE(PushShard(server, 0, g, 0));
   EXPECT_EQ(server.shard(0).version, 0u);
-  EXPECT_TRUE(server.PushShard(1, g, 0));
+  EXPECT_TRUE(PushShard(server, 1, g, 0));
   EXPECT_EQ(server.shard(1).version, 1u);
   const PullResult pulled = server.Pull();
   EXPECT_DOUBLE_EQ(pulled.params[7], 1.0);
@@ -314,7 +360,7 @@ TEST(ParamStoreTest, PushShardSparseAppliesDecodedEntriesLikePushShard) {
   g.sparse().Add(2, 0.5);
   g.sparse().Add(7, 0.25);
   for (std::size_t s = 0; s < 2; ++s) {
-    EXPECT_EQ(a.PushShard(s, g, 0),
+    EXPECT_EQ(PushShard(a, s, g, 0),
               b.PushShardSparse(s, g.sparse().indices(), g.sparse().values(),
                                 0));
     EXPECT_EQ(a.shard(s).version, b.shard(s).version) << "shard " << s;

@@ -7,7 +7,7 @@
 // per-worker buffers reused the way WorkerLoop reuses them:
 // ParameterServer::PullInto the worker's snapshot, the model's
 // LossAndGradient into each of the worker's chunk gradients, then
-// ChunkMerger::Merge, then ParameterServer::RouteGradientInto, then
+// ChunkMerger::Merge, then ShardLayout::RouteInto, then
 // Push(grad, epoch, routes), then ConsistencyGate::OnPush with the routed
 // shards as the write set. Obs and the codec are off. After each worker's
 // first iteration has sized its buffers, no iteration may allocate. Only the
@@ -104,7 +104,7 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
     std::vector<Gradient> chunks;
     ChunkMerger merger;
     Gradient merged;
-    std::vector<ParameterServer::ShardRoute> routes;
+    std::vector<ShardRoute> routes;
     std::vector<std::size_t> touched;
     PullResult snapshot;
     IterationId iteration = 0;
@@ -122,10 +122,10 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
                                 b.chunks[c]);
     }
     b.merger.Merge(b.chunks, b.merged);
-    server.RouteGradientInto(b.merged, b.routes);
+    server.layout().RouteInto(b.merged, b.routes);
     server.Push(b.merged, /*epoch=*/0, b.routes);
     b.touched.clear();
-    for (const ParameterServer::ShardRoute& route : b.routes) {
+    for (const ShardRoute& route : b.routes) {
       b.touched.push_back(route.shard);
     }
     gate.OnPush(w, b.iteration++, SimTime::Zero(), b.touched);

@@ -9,7 +9,7 @@
 #include "models/matrix_factorization.h"
 #include "models/softmax_regression.h"
 #include "obs/obs.h"
-#include "runtime/mailbox.h"
+#include "runtime/fault_mailbox.h"
 #include "runtime/runtime_cluster.h"
 #include "tensor/vector.h"
 
@@ -17,7 +17,7 @@ namespace specsync {
 namespace {
 
 TEST(MailboxTest, SendReceiveOrder) {
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   EXPECT_TRUE(box.Send(1));
   EXPECT_TRUE(box.Send(2));
   EXPECT_EQ(box.size(), 2u);
@@ -26,12 +26,12 @@ TEST(MailboxTest, SendReceiveOrder) {
 }
 
 TEST(MailboxTest, TryReceiveEmpty) {
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   EXPECT_EQ(box.TryReceive(), std::nullopt);
 }
 
 TEST(MailboxTest, CloseReleasesReceiversAndRejectsSends) {
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   box.Send(7);
   box.Close();
   EXPECT_FALSE(box.Send(8));
@@ -42,7 +42,7 @@ TEST(MailboxTest, CloseReleasesReceiversAndRejectsSends) {
 }
 
 TEST(MailboxTest, BlockingReceiveWakesOnSend) {
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   std::atomic<int> got{0};
   std::jthread receiver([&] {
     auto value = box.Receive();
@@ -55,7 +55,7 @@ TEST(MailboxTest, BlockingReceiveWakesOnSend) {
 }
 
 TEST(MailboxTest, ReceiveUntilTimesOut) {
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
   EXPECT_EQ(box.ReceiveUntil(deadline), std::nullopt);
@@ -63,7 +63,7 @@ TEST(MailboxTest, ReceiveUntilTimesOut) {
 }
 
 TEST(MailboxTest, ManyProducersOneConsumer) {
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   constexpr int kPerProducer = 200;
   {
     std::vector<std::jthread> producers;
@@ -79,7 +79,7 @@ TEST(MailboxTest, ManyProducersOneConsumer) {
 }
 
 TEST(MailboxTest, PollStatusDistinguishesEmptyFromDrained) {
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   int out = 0;
   // Open + empty: more may arrive.
   EXPECT_EQ(box.TryReceive(out), MailboxPoll::kEmpty);
@@ -101,7 +101,7 @@ TEST(MailboxTest, PollStatusDistinguishesEmptyFromDrained) {
 TEST(MailboxTest, DrainLoopTerminatesOnPollStatus) {
   // The termination idiom the old bool-optional API couldn't express: poll
   // until kDrained, never spinning forever and never losing pre-close sends.
-  Mailbox<int> box;
+  FaultMailbox<int> box;
   {
     std::jthread producer([&box] {
       for (int i = 0; i < 100; ++i) box.Send(i);

@@ -39,16 +39,12 @@
 #include "common/sim_time.h"
 #include "sim/calendar_queue.h"
 #include "sim/event_fn.h"
+#include "support/property.h"
 
 namespace specsync {
 namespace {
 
-std::uint64_t BaseSeed() {
-  if (const char* env = std::getenv("SPECSYNC_PROPERTY_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 20260808;
-}
+std::uint64_t BaseSeed() { return PropertySeed(20260808); }
 
 // --- schedules ---------------------------------------------------------------
 
