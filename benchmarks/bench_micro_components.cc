@@ -99,6 +99,39 @@ void BM_MfGradient(benchmark::State& state) {
 }
 BENCHMARK(BM_MfGradient)->Arg(50)->Arg(200);
 
+// The same kernel as the simulator sees it: every call reads a batch it has
+// not read recently and one of 40 parameter copies (the 40 workers'
+// snapshots of sim-mf-adaptive, 64 KB each), so the ratings and rows it
+// touches are mostly out of L1 and L2: the snapshots alone are 2.5 MB. The
+// batches are drawn up front, outside the timing, and a batch comes round
+// again only after 511 others.
+void BM_MfGradientCold(benchmark::State& state) {
+  constexpr std::size_t kSnapshots = 40;
+  constexpr std::size_t kBatches = 512;
+  const auto batch_size = static_cast<std::size_t>(state.range(0));
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  Rng rng(1);
+  std::vector<std::vector<double>> snapshots(kSnapshots);
+  for (std::vector<double>& params : snapshots) {
+    params.resize(mf.model->param_dim());
+    mf.model->InitParams(params, rng);
+  }
+  std::vector<std::vector<std::size_t>> batches(kBatches);
+  for (std::vector<std::size_t>& batch : batches) {
+    batch = rng.SampleIndices(mf.model->dataset_size(), batch_size);
+  }
+  Gradient grad;
+  std::size_t call = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mf.model->LossAndGradient(
+        snapshots[call % kSnapshots], batches[call % kBatches], grad));
+    ++call;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch_size));
+}
+BENCHMARK(BM_MfGradientCold)->Arg(50)->Arg(200);
+
 // Algorithm 1 is O(m^3): candidate deltas O(m^2) x evaluation O(m).
 void BM_AdaptiveTunerRetune(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

@@ -60,7 +60,7 @@ run_mode() {
   echo "=== ${sanitizer} sanitizer ==="
   cmake -B "${build_dir}" -S . -DSPECSYNC_SANITIZE="${sanitizer}" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  cmake --build "${build_dir}" -j --target "${SUITES[@]}"
+  cmake --build "${build_dir}" -j "$(nproc)" --target "${SUITES[@]}"
   for suite in "${SUITES[@]}"; do
     echo "--- ${suite} (${sanitizer}) ---"
     "${build_dir}/tests/${suite}"

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -68,6 +69,8 @@ class RatingsDataset {
     SPECSYNC_CHECK_LT(i, ratings_.size());
     return ratings_[i];
   }
+  // Every rating, unchecked: for kernels that validate their indices once.
+  std::span<const Rating> ratings() const { return ratings_; }
 
  private:
   std::size_t num_users_;

@@ -1,8 +1,5 @@
 #include "models/chunk_merger.h"
 
-#include <algorithm>
-#include <bit>
-
 #include "common/check.h"
 
 namespace specsync {
@@ -26,13 +23,11 @@ void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
                               SparseUpdate& out) {
   if (acc_.empty()) {
     acc_.resize(dim_);
-    bits_.assign((dim_ + 63) / 64, 0);
+    occupied_.Reserve(dim_);
   }
   // The merge can never exceed dim_ entries: reserving that once makes every
   // later emit into the same `out` allocation-free.
   out.Reserve(dim_);
-  std::size_t first_word = bits_.size();
-  std::size_t end_word = 0;
   for (const Gradient& chunk : chunks) {
     SPECSYNC_CHECK(chunk.is_sparse()) << "mixed dense and sparse chunks";
     const auto indices = chunk.sparse().indices();
@@ -41,27 +36,14 @@ void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
       const auto index = static_cast<std::size_t>(indices[i]);
       SPECSYNC_CHECK_LT(index, dim_);
       const double value = values[i] * weight;
-      const std::size_t word = index / 64;
-      const std::uint64_t bit = std::uint64_t{1} << (index % 64);
-      if ((bits_[word] & bit) != 0) {
-        acc_[index] += value;
-      } else {
-        bits_[word] |= bit;
+      if (occupied_.Set(index)) {
         acc_[index] = value;
+      } else {
+        acc_[index] += value;
       }
-      first_word = std::min(first_word, word);
-      end_word = std::max(end_word, word + 1);
     }
   }
-  for (std::size_t word = first_word; word < end_word; ++word) {
-    std::uint64_t bits = bits_[word];
-    bits_[word] = 0;
-    for (; bits != 0; bits &= bits - 1) {
-      const std::size_t index =
-          word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      out.Add(index, acc_[index]);
-    }
-  }
+  occupied_.Drain([&](std::size_t index) { out.Add(index, acc_[index]); });
 }
 
 }  // namespace specsync

@@ -6,9 +6,9 @@
 // merge allocates nothing once warmed up.
 //
 // Sparse chunks accumulate into a dense buffer of the parameter dimension
-// with an occupancy bitmap beside it: the first entry for an index sets the
+// with an OccupancyBitmap beside it: the first entry for an index sets the
 // slot, later ones add to it. The merged gradient is read back in index
-// order by scanning the bitmap words, and the scan clears the bits it read.
+// order by draining the bitmap, which clears the bits it read.
 // Dense chunks are summed with Axpy into the output's own buffer.
 //
 // Summation order: duplicates of an index are summed in chunk order, and
@@ -19,11 +19,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "models/model.h"
+#include "tensor/occupancy_bitmap.h"
 
 namespace specsync {
 
@@ -44,8 +44,8 @@ class ChunkMerger {
                    SparseUpdate& out);
 
   std::size_t dim_;
-  std::vector<double> acc_;          // valid only where the bit is set
-  std::vector<std::uint64_t> bits_;  // all zero between merges
+  std::vector<double> acc_;   // valid only where occupied_ is set
+  OccupancyBitmap occupied_;  // empty between merges
 };
 
 }  // namespace specsync

@@ -5,13 +5,20 @@
 //   0.5 * (r - U_u . V_i)^2 + 0.5 * reg * (|U_u|^2 + |V_i|^2) / n_touch
 // Gradients are sparse: only the factor rows present in the batch move.
 //
-// LossAndGradient is a row-grouped kernel (DESIGN.md §17). Pass 1 computes
-// each rating's error and loss term and records one key per (rating, side)
-// for the factor row it touches; sorting those 2n keys groups them by row.
-// Pass 2 sums each row's contributions into rank accumulators in batch order
-// and emits the row's entries in index order. The result is canonical
+// LossAndGradient is one pass over the batch (DESIGN.md §17). For each
+// rating it computes the error and loss term, then adds the rating's
+// user-row and item-row contributions into a per-thread dense accumulator
+// over factor rows, with an OccupancyBitmap beside it: a row's first
+// contribution is assigned, later ones added. Draining the bitmap emits the
+// touched rows in index order. User and item rows are disjoint, so each row
+// sums its contributions in batch order: the result is canonical
 // (index-sorted, no duplicates) and equals appending every per-rating entry
 // and coalescing with SparseUpdate::Coalesce's stable rule, bit for bit.
+// The loop software-prefetches each rating a fixed distance ahead, and at a
+// shorter distance that rating's two parameter rows and two accumulator
+// rows, because with many workers' snapshots the rows it reads are cold.
+// Every batch index is checked before the accumulator is touched, so a bad
+// index throws without leaving the thread's workspace dirty.
 #pragma once
 
 #include <memory>

@@ -1,22 +1,28 @@
 // Property suite for the matrix-factorization gradient kernel.
 //
-// MatrixFactorizationModel::LossAndGradient groups the batch's contributions
-// by factor row and sums each row's in batch order. Every call is compared
-// bit for bit (loss, indices, value bits) against a transparent reference
-// kept here: append the two rank-long entry runs of every rating in batch
-// order, the way the kernel's predecessor did, then stable-sort by index and
-// sum duplicates left to right. Each trial is a sequence of batches pushed
+// MatrixFactorizationModel::LossAndGradient sums each factor row's
+// contributions in batch order, in one pass, into a per-thread accumulator
+// with an occupancy bitmap beside it. Every call is compared bit for bit
+// (loss, indices, value bits) against a transparent reference kept here:
+// append the two rank-long entry runs of every rating in batch order, the
+// way the kernel's predecessors did, then stable-sort by index and sum
+// duplicates left to right. Each trial is a sequence of batches pushed
 // through ONE model and ONE output gradient (which starts out dense), so the
-// kernel's reuse of the caller's gradient and of its own scratch is covered.
-// Generated cases cover duplicate-heavy tiny datasets (3 users x 2 items,
-// batch 64), batch size 1, rank 1 and 16, zero regularization, parameters
-// that are exactly +-0.0, and both sum_gradient settings; values are
-// non-dyadic so any change of summation order shows in the bits.
+// kernel's reuse of the caller's gradient and of its own workspace is
+// covered. Generated cases cover duplicate-heavy tiny datasets (3 users x 2
+// items, batch 64), batch size 1, rank 1 and 16, zero regularization,
+// parameters that are exactly +-0.0, and both sum_gradient settings; values
+// are non-dyadic so any change of summation order shows in the bits. Wide
+// trials (more than 128 factor rows) touch rows 63, 64, 127, 128 and the
+// last row in every batch, so contributions land on both sides of each
+// bitmap word boundary, and they alternate with tiny trials on the same
+// thread, so one workspace serves models of very different sizes.
 //
 // On failure the harness shrinks the trial (greedy ddmin over batches, then
-// batch entries — the chunk_merge_property_test recipe) and prints it. Two
-// planted bugs must be caught and shrunk: duplicates summed in reverse, and
-// a row's first contribution dropped.
+// batch entries — the chunk_merge_property_test recipe) and prints it. Three
+// planted bugs must be caught and shrunk: duplicates summed in reverse, a
+// row's first contribution dropped, and a row's sum carried over from the
+// trial's previous batch (a workspace left dirty between calls).
 //
 // Trials are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 
@@ -34,6 +40,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "models/matrix_factorization.h"
@@ -108,6 +115,63 @@ Trial GenerateTrial(std::uint64_t seed) {
   return t;
 }
 
+// More than 128 factor rows (two bitmap words and a bit), with every batch
+// touching rows 63, 64, 127, 128 and the last row: the first ratings of the
+// trial each touch one of those rows, and every batch holds all of them at
+// random places among random others.
+Trial GenerateWideTrial(std::uint64_t seed) {
+  Rng rng(seed);
+  Trial t;
+  t.num_users = 20 + rng.Index(140);
+  t.num_items = (t.num_users < 129 ? 129 - t.num_users : 1) + rng.Index(100);
+  constexpr std::size_t kRanks[] = {1, 3, 8, 16};
+  t.config.rank = kRanks[rng.Index(std::size(kRanks))];
+  constexpr double kRegs[] = {0.0, 0.02, 1.0 / 3};
+  t.config.regularization = kRegs[rng.Index(std::size(kRegs))];
+  t.config.sum_gradient = rng.Index(2) == 0;
+
+  const std::size_t rows = t.num_users + t.num_items;
+  const auto random_user = [&] {
+    return static_cast<std::uint32_t>(rng.Index(t.num_users));
+  };
+  const auto random_item = [&] {
+    return static_cast<std::uint32_t>(rng.Index(t.num_items));
+  };
+  const std::size_t boundary_rows[] = {63, 64, 127, 128, rows - 1};
+  for (const std::size_t row : boundary_rows) {
+    Rating rating{random_user(), random_item(), rng.Uniform(0.0, 5.0)};
+    if (row < t.num_users) {
+      rating.user = static_cast<std::uint32_t>(row);
+    } else {
+      rating.item = static_cast<std::uint32_t>(row - t.num_users);
+    }
+    t.ratings.push_back(rating);
+  }
+  const std::size_t num_ratings = std::size(boundary_rows) + rng.Index(400);
+  while (t.ratings.size() < num_ratings) {
+    t.ratings.push_back(
+        Rating{random_user(), random_item(), rng.Uniform(0.0, 5.0)});
+  }
+  t.params.resize(rows * t.config.rank);
+  for (double& p : t.params) p = RandomParam(rng);
+
+  const std::size_t num_batches = 1 + rng.Index(4);
+  for (std::size_t b = 0; b < num_batches; ++b) {
+    std::vector<std::size_t> batch;
+    for (std::size_t i = 0; i < std::size(boundary_rows); ++i) {
+      batch.push_back(i);
+    }
+    for (std::size_t extra = rng.Index(200); extra > 0; --extra) {
+      batch.push_back(rng.Index(num_ratings));
+    }
+    for (std::size_t i = batch.size(); i > 1; --i) {
+      std::swap(batch[i - 1], batch[rng.Index(i)]);
+    }
+    t.batches.push_back(std::move(batch));
+  }
+  return t;
+}
+
 std::shared_ptr<const RatingsDataset> MakeData(const Trial& t) {
   auto data = std::make_shared<RatingsDataset>(t.num_users, t.num_items);
   for (const Rating& rating : t.ratings) data->Add(rating);
@@ -170,11 +234,26 @@ enum class SubjectKind {
   kKernel,              // the real MatrixFactorizationModel
   kReversedDuplicates,  // planted: a row's contributions summed last to first
   kDroppedFirst,        // planted: a row's first contribution is lost
+  kCarriedOver,         // planted: a row the previous batch touched starts
+                        // from that batch's sum, not from its first entry
 };
 
+// The value `carried` holds at `index`, if any (its indices are sorted).
+std::optional<double> CarriedValue(const Gradient& carried,
+                                   std::uint64_t index) {
+  if (!carried.is_sparse()) return std::nullopt;
+  const auto indices = carried.sparse().indices();
+  const auto it = std::lower_bound(indices.begin(), indices.end(), index);
+  if (it == indices.end() || *it != index) return std::nullopt;
+  return carried.sparse().values()[static_cast<std::size_t>(
+      it - indices.begin())];
+}
+
 // Stable-sorts `entries` by index and sums each index's run: left to right
-// for the reference, or with one of the planted bugs.
-void SumRuns(Entries entries, SubjectKind kind, Gradient& out) {
+// for the reference, or with one of the planted bugs. `carried` is the
+// subject's output for the trial's previous batch (kCarriedOver reads it).
+void SumRuns(Entries entries, SubjectKind kind, const Gradient& carried,
+             Gradient& out) {
   std::stable_sort(entries.begin(), entries.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   out.ResetSparse();
@@ -196,6 +275,13 @@ void SumRuns(Entries entries, SubjectKind kind, Gradient& out) {
       case SubjectKind::kDroppedFirst:
         for (std::size_t i = begin + 1; i < end; ++i) sum += entries[i].second;
         break;
+      case SubjectKind::kCarriedOver: {
+        const std::optional<double> stale =
+            CarriedValue(carried, entries[begin].first);
+        sum = stale ? *stale + entries[begin].second : entries[begin].second;
+        for (std::size_t i = begin + 1; i < end; ++i) sum += entries[i].second;
+        break;
+      }
     }
     out.sparse().Add(entries[begin].first, sum);
     begin = end;
@@ -235,16 +321,18 @@ std::optional<std::string> RunTrial(const Trial& trial, SubjectKind kind) {
   const MatrixFactorizationModel model(MakeData(trial), trial.config);
   Gradient got = Gradient::Dense(5);  // reused: the kernel must reset it
   Gradient want;
+  Gradient carried;
   Entries entries;
   for (std::size_t b = 0; b < trial.batches.size(); ++b) {
     const std::vector<std::size_t>& batch = trial.batches[b];
     const double want_loss = ReferenceEntries(trial, batch, entries);
-    SumRuns(entries, SubjectKind::kKernel, want);
+    SumRuns(entries, SubjectKind::kKernel, carried, want);
     double got_loss = want_loss;
     if (kind == SubjectKind::kKernel) {
       got_loss = model.LossAndGradient(trial.params, batch, got);
     } else {
-      SumRuns(entries, kind, got);
+      SumRuns(entries, kind, carried, got);
+      carried = got;
     }
     if (auto diff = Compare(got_loss, got, want_loss, want)) {
       return "batch " + std::to_string(b) + ": " + *diff;
@@ -308,7 +396,8 @@ TEST(MfGradientPropertyTest, KernelMatchesAppendAndStableCoalesce) {
 TEST(MfGradientPropertyTest, PlantedBugsAreCaughtAndShrunk) {
   const std::uint64_t base = BaseSeed();
   for (const SubjectKind kind :
-       {SubjectKind::kReversedDuplicates, SubjectKind::kDroppedFirst}) {
+       {SubjectKind::kReversedDuplicates, SubjectKind::kDroppedFirst,
+        SubjectKind::kCarriedOver}) {
     std::optional<Trial> smallest;
     std::size_t caught = 0;
     for (std::uint64_t trial_idx = 0; trial_idx < 200 && caught < 3;
@@ -323,16 +412,32 @@ TEST(MfGradientPropertyTest, PlantedBugsAreCaughtAndShrunk) {
       }
     }
     ASSERT_TRUE(smallest.has_value()) << "planted bug survived 200 trials";
-    EXPECT_EQ(smallest->batches.size(), 1u)
+    // A carried-over sum needs a batch to carry it and a later batch that
+    // touches the same row: two batches of one rating each. Reversal shows
+    // only once a row sums three contributions (addition of two commutes),
+    // which takes at least three ratings; a dropped first contribution shows
+    // with one.
+    const bool carried = kind == SubjectKind::kCarriedOver;
+    EXPECT_EQ(smallest->batches.size(), carried ? 2u : 1u)
         << "shrink left a large witness: " << FormatTrial(*smallest);
-    // Reversal shows only once a row sums three contributions (addition of
-    // two commutes), which takes at least three ratings; a dropped first
-    // contribution shows with one.
     const std::size_t max_entries =
-        kind == SubjectKind::kReversedDuplicates ? 4u : 1u;
+        carried ? 2u : kind == SubjectKind::kReversedDuplicates ? 4u : 1u;
     EXPECT_LE(BatchEntries(*smallest), max_entries)
         << "shrink left a large witness: " << FormatTrial(*smallest);
   }
+}
+
+// 3 users x 2 items, rank 2: every batch repeats rows many times.
+Trial TinyTrial() {
+  Trial t;
+  t.num_users = 3;
+  t.num_items = 2;
+  t.ratings = {{0, 0, 1.0 / 3}, {1, 1, 2.7}, {2, 0, 4.1}, {0, 1, 0.3}};
+  t.config.rank = 2;
+  t.config.regularization = 0.1;
+  t.params = {0.11, -0.7, 1.0 / 3, 0.25, -0.0, 0.9, 0.41, -0.13, 0.6, 0.07};
+  t.batches = {{0, 1, 2, 3, 0, 0, 2}, {3}, {1, 1, 0, 2, 3, 3}};
+  return t;
 }
 
 // The benchmark's own input: an MF-workload-sized dataset (MakeMfWorkload's
@@ -361,6 +466,40 @@ TEST(MfGradientPropertyTest, MfWorkloadBatchesMatchReference) {
     }
   }
   const auto failure = RunTrial(t, SubjectKind::kKernel);
+  EXPECT_FALSE(failure.has_value()) << *failure;
+}
+
+// Wide trials put contributions on both sides of each bitmap word boundary,
+// and each is followed by a tiny trial on the same thread: the workspace
+// grown for a model of up to ~260 rows must serve a 5-row one clean, and
+// the next wide one after it.
+TEST(MfGradientPropertyTest, WideTrialsCrossBitmapWordsAndAlternateWithTiny) {
+  const std::uint64_t base = BaseSeed();
+  const Trial tiny = TinyTrial();
+  for (std::uint64_t trial_idx = 0; trial_idx < 60; ++trial_idx) {
+    const Trial wide = GenerateWideTrial(base + trial_idx);
+    ASSERT_GT(wide.num_users + wide.num_items, 128u);
+    for (const Trial* trial : {&wide, &tiny}) {
+      const auto failure = RunTrial(*trial, SubjectKind::kKernel);
+      if (failure.has_value()) {
+        const Trial minimal = ShrinkTrial(*trial, SubjectKind::kKernel);
+        FAIL() << *failure << "\nwide seed " << base + trial_idx
+               << "\nminimal counterexample: " << FormatTrial(minimal);
+      }
+    }
+  }
+}
+
+// An out-of-range batch index throws before any accumulator row is marked:
+// the valid ratings ahead of it in the batch leave nothing behind, so the
+// thread's next gradient over the same rows still matches the reference.
+TEST(MfGradientPropertyTest, OutOfRangeIndexThrowsAndLeavesWorkspaceClean) {
+  const Trial tiny = TinyTrial();
+  const MatrixFactorizationModel model(MakeData(tiny), tiny.config);
+  Gradient grad;
+  const std::vector<std::size_t> bad = {0, 1, 2, 3, tiny.ratings.size()};
+  EXPECT_THROW(model.LossAndGradient(tiny.params, bad, grad), CheckError);
+  const auto failure = RunTrial(tiny, SubjectKind::kKernel);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }
 
