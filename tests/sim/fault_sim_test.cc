@@ -109,6 +109,98 @@ TEST(FaultSimTest, FaultyRunsAreDeterministic) {
             b.scheduler_stats.duplicate_notifies);
 }
 
+// --- pinned fault paths --------------------------------------------------------
+//
+// Crash, rejoin and a lossy control plane under speculation, pinned to exact
+// values: the trace digest, every ConsistencyStats field and every
+// SchedulerStats field. Any change to the order of the worker protocol's
+// steps under faults (gate, pull, commit, abort, crash, rejoin) moves one of
+// them. Re-capture a pin only for a deliberate behaviour change, by printing
+// the fields of the run below.
+
+struct FaultPin {
+  std::uint64_t digest;
+  ConsistencyStats consistency;
+  SchedulerStats scheduler;
+};
+
+void ExpectPinned(const SimResult& result, const FaultPin& pin) {
+  EXPECT_EQ(TraceDigest(result.trace), pin.digest);
+  EXPECT_EQ(result.consistency.blocks, pin.consistency.blocks);
+  EXPECT_EQ(result.consistency.blocked_seconds,
+            pin.consistency.blocked_seconds);
+  EXPECT_EQ(result.consistency.retunes, pin.consistency.retunes);
+  EXPECT_EQ(result.consistency.final_staleness,
+            pin.consistency.final_staleness);
+  const SchedulerStats& s = result.scheduler_stats;
+  EXPECT_EQ(s.notifies_received, pin.scheduler.notifies_received);
+  EXPECT_EQ(s.checks_performed, pin.scheduler.checks_performed);
+  EXPECT_EQ(s.resyncs_issued, pin.scheduler.resyncs_issued);
+  EXPECT_EQ(s.stale_checks_skipped, pin.scheduler.stale_checks_skipped);
+  EXPECT_EQ(s.retunes, pin.scheduler.retunes);
+  EXPECT_EQ(s.duplicate_notifies, pin.scheduler.duplicate_notifies);
+  EXPECT_EQ(s.late_checks, pin.scheduler.late_checks);
+  EXPECT_EQ(s.lost_worker_epochs_unblocked,
+            pin.scheduler.lost_worker_epochs_unblocked);
+  EXPECT_EQ(s.worker_departures, pin.scheduler.worker_departures);
+  EXPECT_EQ(s.worker_rejoins, pin.scheduler.worker_rejoins);
+}
+
+// FaultyRunsAreDeterministic's config: Cherrypick speculation; data and
+// control drops, duplicates and delays; a crash with rejoin; a slowdown.
+TEST(FaultSimTest, LossyCherrypickWithCrashRejoinIsPinned) {
+  ClusterSimConfig config = BaseConfig();
+  config.faults.data.drop_probability = 0.05;
+  config.faults.data.duplicate_probability = 0.05;
+  config.faults.control.drop_probability = 0.1;
+  config.faults.control.duplicate_probability = 0.1;
+  config.faults.control.delay_probability = 0.2;
+  config.faults.control.delay_mean = Duration::Milliseconds(20.0);
+  config.faults.crashes.push_back(CrashEvent{1, T(40.0), T(70.0)});
+  config.faults.slowdowns.push_back(SlowdownWindow{2, T(10.0), T(30.0), 2.0});
+  const FaultPin pin{
+      .digest = 2776781777255346775ULL,
+      .consistency = {},  // ASP: nothing is gated
+      .scheduler = {.notifies_received = 389,
+                    .checks_performed = 345,
+                    .resyncs_issued = 114,
+                    .stale_checks_skipped = 0,
+                    .retunes = 73,
+                    .duplicate_notifies = 42,
+                    .late_checks = 0,
+                    .lost_worker_epochs_unblocked = 21,
+                    .worker_departures = 1,
+                    .worker_rejoins = 1}};
+  ExpectPinned(RunOnce(config), pin);
+}
+
+// SpecSync-Adaptive over per-shard SSP(2): one permanent crash and one crash
+// with rejoin, so the gate excuses a corpse and re-admits a rejoiner.
+TEST(FaultSimTest, AdaptivePerShardSspWithCrashesIsPinned) {
+  ClusterSimConfig config = BaseConfig();
+  config.scheme = SchemeSpec::PerShardSsp(2);
+  config.scheme.speculation = SpeculationMode::kAdaptive;
+  config.faults.crashes.push_back(CrashEvent{3, T(30.0), std::nullopt});
+  config.faults.crashes.push_back(CrashEvent{1, T(45.0), T(75.0)});
+  const FaultPin pin{
+      .digest = 17070891511131055324ULL,
+      .consistency = {.blocks = 9,
+                      .blocked_seconds = 0x1.e102b5f3aff3p+5,  // ~60.13 s
+                      .retunes = 0,
+                      .final_staleness = 2},
+      .scheduler = {.notifies_received = 283,
+                    .checks_performed = 134,
+                    .resyncs_issued = 60,
+                    .stale_checks_skipped = 0,
+                    .retunes = 84,
+                    .duplicate_notifies = 0,
+                    .late_checks = 0,
+                    .lost_worker_epochs_unblocked = 58,
+                    .worker_departures = 2,
+                    .worker_rejoins = 1}};
+  ExpectPinned(RunOnce(config), pin);
+}
+
 // --- message faults ------------------------------------------------------------
 
 TEST(FaultSimTest, NotifyDropsDoNotStallTraining) {
