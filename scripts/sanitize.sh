@@ -34,7 +34,10 @@
 # ASan too: the per-shard controller is now the only SSP for both engines
 # (BSP, SSP, PSSP and DSSP all run on it), and its [worker][shard] clock and
 # write-set tables are indexed under crash churn, where a bad index would
-# read another worker's row. push_alloc_test is deliberately absent:
+# read another worker's row. protocol_test rides along for both: the worker
+# protocol's per-worker tables are indexed under crash churn (ASan) and, in
+# the runtime, read across worker and scheduler threads (TSan).
+# push_alloc_test is deliberately absent:
 # it replaces the global operator new, which both sanitizers own. sim_test
 # covers the single-threaded DES under ASan+UBSan; the address mode also
 # compiles with
@@ -51,7 +54,7 @@ SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         exactly_once_property_test sim_test calendar_queue_property_test
         tuner_equivalence_test compression_property_test
         chunk_merge_property_test mf_gradient_property_test
-        wire_codec_property_test consistency_property_test)
+        wire_codec_property_test consistency_property_test protocol_test)
 MODE="${1:-all}"
 
 run_mode() {

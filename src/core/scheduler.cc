@@ -267,4 +267,23 @@ TuningInputs SpecSyncScheduler::BuildTuningInputs(SimTime epoch_end) const {
   return inputs;
 }
 
+std::unique_ptr<SpecSyncScheduler> MakeSpecSyncScheduler(
+    std::size_t num_workers, SpeculationMode mode,
+    const SpeculationParams& fixed_params,
+    const AdaptiveTunerConfig& adaptive, Duration default_span) {
+  if (mode == SpeculationMode::kNone) return nullptr;
+  SchedulerConfig config;
+  config.num_workers = num_workers;
+  config.default_span = default_span;
+  std::unique_ptr<SpeculationPolicy> policy;
+  if (mode == SpeculationMode::kFixed) {
+    config.initial_params = fixed_params;
+    policy = std::make_unique<FixedSpeculationPolicy>(fixed_params);
+  } else {
+    policy = std::make_unique<AdaptiveTuner>(adaptive);
+  }
+  return std::make_unique<SpecSyncScheduler>(std::move(config),
+                                             std::move(policy));
+}
+
 }  // namespace specsync

@@ -1,11 +1,15 @@
 // Threaded in-process cluster: the SpecSync protocol under real concurrency.
 //
 // The discrete-event simulator (src/sim) drives the experiments; this runtime
-// exists to demonstrate the identical scheduler logic working in a real
-// system: worker threads genuinely compute gradients, a scheduler thread
-// handles notify messages and arms wall-clock speculation timers, and aborts
-// interrupt in-flight computation between batch chunks. Time is wall time
-// mapped onto SimTime, so SpecSyncScheduler is reused verbatim.
+// runs the same worker protocol (protocol/worker_protocol.h) in a real
+// system. The protocol makes every decision (gating, commits, re-sync
+// aborts, crash and rejoin); the runtime decides when each step runs and how
+// its bytes move: worker threads compute gradients chunk by chunk and honour
+// re-syncs and crashes at chunk boundaries, wait in the gate no longer than
+// a crash falling due, and reach the store directly or over a ShardClient; a
+// scheduler thread receives their messages through a fault-injecting mailbox
+// and arms wall-clock speculation timers. Time is wall time mapped onto
+// SimTime, so SpecSyncScheduler is reused verbatim.
 #pragma once
 
 #include <atomic>
@@ -55,10 +59,9 @@ struct RuntimeConfig {
   bool adaptive = false;
   SpeculationParams fixed_params;
   std::size_t num_servers = 4;
-  // Iteration-start gating (default: ungated ASP, the original loop). Every
-  // other scheme wraps MakeConsistencyController's controller in a
-  // ConsistencyGate: worker threads block in WaitToStart until the bound
-  // admits their next iteration, and a crashed worker is excused from it.
+  // Iteration-start gating (default: ungated ASP, the original loop). Under
+  // every other scheme worker threads block at the protocol's gate until the
+  // bound admits their next iteration, and a crashed worker is excused.
   ConsistencySpec consistency;
   double sgd_clip = 0.0;
   std::uint64_t seed = 123;
@@ -104,7 +107,7 @@ struct RuntimeResult {
   FaultStats fault_stats;
   // Workers that died permanently (crash with no rejoin).
   std::uint64_t workers_killed = 0;
-  // Consistency-gate telemetry (all zero under ASP): block transitions,
+  // The protocol's ConsistencyStats (all zero under ASP): block transitions,
   // wall time worker threads spent blocked, DSSP bound adjustments, and the
   // bound in force at run end.
   std::uint64_t consistency_blocks = 0;

@@ -5,23 +5,26 @@
 // is simulated, but every gradient is genuinely computed on the parameter
 // snapshot the worker pulled — so staleness has its true algorithmic effect
 // on convergence, which is precisely what the paper measures.
+//
+// The simulator is one of the two executors of the worker protocol
+// (protocol/worker_protocol.h), which makes every protocol decision: gating,
+// commits, re-sync aborts, crash and rejoin. The simulator decides when each
+// step runs (events on the virtual clock, naive-waiting delays) and how its
+// bytes move (NetworkModel fan-out per shard, drops, duplicates, stalls,
+// delta pulls and the transfer ledger).
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
 
-#include "core/adaptive_tuner.h"
-#include "core/naive_waiting.h"
 #include "core/scheduler.h"
-#include "core/speculation.h"
 #include "data/sharding.h"
 #include "fault/fault_plan.h"
 #include "models/model.h"
 #include "optim/lr_schedule.h"
+#include "protocol/worker_protocol.h"
 #include "ps/compression.h"
-#include "ps/consistency.h"
-#include "ps/param_store.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "sim/speed_model.h"
@@ -29,65 +32,6 @@
 #include "trace/transfer.h"
 
 namespace specsync {
-
-enum class SpeculationMode { kNone, kFixed, kAdaptive };
-
-// Full synchronization-scheme selection: a base consistency model
-// (ps/consistency.h), optional naive waiting, and optional speculative
-// synchronization on top (the paper's Original = kAsp + kNone;
-// SpecSync-Adaptive = kAsp + kAdaptive; etc.).
-struct SchemeSpec {
-  ConsistencySpec consistency;
-  NaiveWaitingConfig naive;
-  SpeculationMode speculation = SpeculationMode::kNone;
-  // Used directly under kFixed (the Cherrypick values).
-  SpeculationParams fixed_params;
-  AdaptiveTunerConfig adaptive;
-
-  std::string DisplayName() const;
-
-  static SchemeSpec Original() { return {}; }
-  static SchemeSpec Bsp() {
-    SchemeSpec s;
-    s.consistency.scheme = ConsistencyScheme::kBsp;
-    return s;
-  }
-  static SchemeSpec Ssp(std::uint64_t staleness) {
-    SchemeSpec s;
-    s.consistency.scheme = ConsistencyScheme::kSsp;
-    s.consistency.staleness = staleness;
-    return s;
-  }
-  static SchemeSpec PerShardSsp(std::uint64_t staleness) {
-    SchemeSpec s;
-    s.consistency.scheme = ConsistencyScheme::kPssp;
-    s.consistency.staleness = staleness;
-    return s;
-  }
-  static SchemeSpec DynamicSsp(DynamicSspConfig config = {}) {
-    SchemeSpec s;
-    s.consistency.scheme = ConsistencyScheme::kDssp;
-    s.consistency.dssp = config;
-    return s;
-  }
-  static SchemeSpec NaiveWaiting(Duration delay) {
-    SchemeSpec s;
-    s.naive.delay = delay;
-    return s;
-  }
-  static SchemeSpec Cherrypick(SpeculationParams params) {
-    SchemeSpec s;
-    s.speculation = SpeculationMode::kFixed;
-    s.fixed_params = std::move(params);
-    return s;
-  }
-  static SchemeSpec Adaptive(AdaptiveTunerConfig config = {}) {
-    SchemeSpec s;
-    s.speculation = SpeculationMode::kAdaptive;
-    s.adaptive = config;
-    return s;
-  }
-};
 
 struct ClusterSimConfig {
   std::size_t num_workers = 4;
@@ -129,17 +73,6 @@ struct ClusterSimConfig {
   // Record-only: attaching it never changes event order, RNG draws, or the
   // trace digest.
   obs::ObsContext* obs = nullptr;
-};
-
-// What the consistency layer did to the run: how often workers were gated
-// at iteration start, the virtual time they spent gated (the straggler
-// stall-time the dynamic bound is tuned to shrink), and the dynamic
-// controller's retune activity. All zeros under ASP.
-struct ConsistencyStats {
-  std::uint64_t blocks = 0;       // gate transitions allowed -> blocked
-  double blocked_seconds = 0.0;   // total virtual time workers spent gated
-  std::uint64_t retunes = 0;      // staleness-bound adjustments (kDssp)
-  std::uint64_t final_staleness = 0;  // bound in force at run end (SSP family)
 };
 
 struct SimResult {

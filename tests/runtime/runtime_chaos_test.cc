@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "data/synthetic.h"
 #include "models/softmax_regression.h"
+#include "obs/obs.h"
 #include "runtime/fault_mailbox.h"
 #include "runtime/runtime_cluster.h"
 #include "tensor/vector.h"
@@ -296,6 +299,45 @@ TEST(RuntimeChaosTest, SlowdownWindowStretchesVictimCompute) {
   EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             150);
+}
+
+TEST(RuntimeChaosTest, CrashWhileGatedFiresOnTime) {
+  // BSP over two workers. Worker 1 runs 50x slower (~200 ms an iteration),
+  // so worker 0 finishes iteration 0 in a few milliseconds and then waits
+  // in the gate for worker 1's first push. Its crash falls due during that
+  // wait: it must fire at crash.at, ending the gated interval there, not
+  // once worker 1's push admits the corpse.
+  RuntimeConfig config;
+  config.num_workers = 2;
+  config.iterations_per_worker = 2;
+  config.batch_size = 16;
+  config.compute_chunks = 4;
+  config.chunk_delay = std::chrono::microseconds(1000);
+  config.consistency.scheme = ConsistencyScheme::kBsp;
+  config.faults.slowdowns.push_back(SlowdownWindow{
+      1, SimTime::Zero(), SimTime::FromSeconds(3600.0), 50.0});
+  const SimTime crash_at = SimTime::FromSeconds(0.03);
+  config.faults.crashes.push_back(CrashEvent{0, crash_at, std::nullopt});
+  obs::ObsContext ctx;
+  config.obs = &ctx;
+  RuntimeCluster cluster(TinyModel(6), std::make_shared<ConstantSchedule>(0.1),
+                         config);
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.workers_killed, 1u);
+  EXPECT_EQ(result.fault_stats.crashes, 1u);
+  EXPECT_EQ(result.total_pushes, 3u);  // worker 0's iteration 0, then worker 1
+
+  std::optional<double> gated_end;
+  for (const obs::TraceEvent& e : ctx.spans.Events()) {
+    if (e.name != "gated" || e.track != 0) continue;
+    gated_end = std::max(gated_end.value_or(0.0), e.end().seconds());
+  }
+  ASSERT_TRUE(gated_end.has_value());
+  EXPECT_GE(*gated_end, crash_at.seconds());
+  EXPECT_LT(*gated_end, crash_at.seconds() + 0.05);
+  // The dead worker's wait is not counted past its crash: well under the
+  // ~200 ms worker 1 spends on one iteration.
+  EXPECT_LT(result.consistency_blocked_s, 0.1);
 }
 
 }  // namespace
