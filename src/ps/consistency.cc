@@ -13,7 +13,7 @@ namespace specsync {
 PerShardSspController::PerShardSspController(std::size_t num_workers,
                                              std::size_t num_shards,
                                              std::uint64_t staleness)
-    : ConsistencyController(num_workers),
+    : num_workers_(num_workers),
       staleness_(staleness),
       num_shards_(num_shards),
       completed_(num_workers, 0),
@@ -161,7 +161,7 @@ void DynamicSspController::MaybeRetune(SimTime now) {
   // One evaluation per epoch: the slowest live worker must have advanced a
   // full iteration since the last retune check.
   std::optional<std::uint64_t> min_live;
-  for (WorkerId w = 0; w < num_workers_; ++w) {
+  for (WorkerId w = 0; w < num_workers(); ++w) {
     if (!live(w)) continue;
     const std::uint64_t c = completed(w);
     min_live = min_live.has_value() ? std::min(*min_live, c) : c;
@@ -172,7 +172,7 @@ void DynamicSspController::MaybeRetune(SimTime now) {
   // Mean push inter-arrival per live worker with at least one interval.
   double fastest = 0.0, slowest = 0.0;
   std::size_t measured = 0;
-  for (WorkerId w = 0; w < num_workers_; ++w) {
+  for (WorkerId w = 0; w < num_workers(); ++w) {
     if (!live(w) || interval_count_[w] == 0) continue;
     const double mean = interval_sum_[w].seconds() /
                         static_cast<double>(interval_count_[w]);
@@ -183,7 +183,7 @@ void DynamicSspController::MaybeRetune(SimTime now) {
   }
   const std::uint64_t epoch_pushes = window_pushes_;
   window_pushes_ = 0;
-  for (WorkerId w = 0; w < num_workers_; ++w) {
+  for (WorkerId w = 0; w < num_workers(); ++w) {
     interval_sum_[w] = Duration::Zero();
     interval_count_[w] = 0;
   }

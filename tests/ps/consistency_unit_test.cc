@@ -21,7 +21,7 @@ namespace {
 SimTime Ms(double ms) { return SimTime::FromSeconds(ms / 1000.0); }
 
 // A push whose routing is unknown: it counts as touching every shard.
-void Dense(ConsistencyController& c, WorkerId w, IterationId t) {
+void Dense(PerShardSspController& c, WorkerId w, IterationId t) {
   c.OnPush(w, t, SimTime::Zero(), {});
 }
 
