@@ -21,7 +21,10 @@
 // numbers are emitted into BENCH_harness.json (fanin_p99_rtt_us,
 // fanin_server_threads) and gated: the bench FAILS if the server's observed
 // thread count exceeds pool size + a constant, and --fanin_p99_ceiling_us=X
-// (off by default) fails the run when p99 crosses the ceiling.
+// (off by default) fails the run when p99 crosses the ceiling. The peak
+// thread count of the whole process (fanin_process_threads) is emitted too:
+// clients start no threads, so it stays one per client thread plus the
+// server's and a few more; CI gates it.
 //
 // Fault injection runs over the actual wire: --drop/--delay/--dup attach a
 // FaultPlan to every soak client, so requests are really never sent (burning
@@ -58,6 +61,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -267,6 +271,18 @@ struct WorkerTally {
   bool ok = false;
 };
 
+// Threads in this process: the entries of /proc/self/task (0 where /proc is
+// unavailable).
+std::size_t ProcessThreadCount() {
+  std::error_code error;
+  std::size_t count = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", error), end;
+       !error && it != end; it.increment(error)) {
+    ++count;
+  }
+  return count;
+}
+
 // Phase 2: N concurrent clients against ONE in-process server holding every
 // shard. Returns false when a gate (thread count, p99 ceiling) fails.
 bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
@@ -300,19 +316,24 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
   obs::ObsContext obs;  // fan-in RTTs only (kept apart from the soak's)
   std::atomic<std::size_t> failures{0};
   std::atomic<std::size_t> max_server_threads{0};
+  std::atomic<std::size_t> max_process_threads{0};
   std::atomic<bool> sampling{true};
 
   const auto fanin_start = std::chrono::steady_clock::now();
   {
     // Samples the server's thread count while the fan-in is live — the
-    // number the event-loop server must hold constant.
+    // number the event-loop server must hold constant — and the process's,
+    // which the clients must not multiply.
     std::jthread sampler([&] {
-      while (sampling.load(std::memory_order_acquire)) {
-        const std::size_t now = server->thread_count();
-        std::size_t seen = max_server_threads.load(std::memory_order_relaxed);
-        while (now > seen && !max_server_threads.compare_exchange_weak(
+      const auto raise = [](std::atomic<std::size_t>& peak, std::size_t now) {
+        std::size_t seen = peak.load(std::memory_order_relaxed);
+        while (now > seen && !peak.compare_exchange_weak(
                                  seen, now, std::memory_order_relaxed)) {
         }
+      };
+      while (sampling.load(std::memory_order_acquire)) {
+        raise(max_server_threads, server->thread_count());
+        raise(max_process_threads, ProcessThreadCount());
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     });
@@ -350,6 +371,8 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
   const double p99_us = rtt.ApproxQuantileSeconds(0.99) * 1e6;
   const std::size_t server_threads =
       max_server_threads.load(std::memory_order_relaxed);
+  const std::size_t process_threads =
+      max_process_threads.load(std::memory_order_relaxed);
   server->Stop();
 
   std::cout << "fan-in: clients=" << args.clients
@@ -357,6 +380,7 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
             << " pool_threads=" << args.pool_threads << "\n"
             << "  rtt_p50_us=" << p50_us << " rtt_p99_us=" << p99_us
             << " server_threads_peak=" << server_threads
+            << " process_threads_peak=" << process_threads
             << " wall_s=" << wall_seconds << "\n";
 
   reporter.AddMetric("fanin_clients", static_cast<double>(args.clients));
@@ -364,6 +388,8 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
                      static_cast<double>(args.pool_threads));
   reporter.AddMetric("fanin_server_threads",
                      static_cast<double>(server_threads));
+  reporter.AddMetric("fanin_process_threads",
+                     static_cast<double>(process_threads));
   reporter.AddMetric("fanin_rtt_p50_us", p50_us);
   reporter.AddMetric("fanin_rtt_p99_us", p99_us);
   reporter.AddMetric("fanin_wall_s", wall_seconds);

@@ -6,10 +6,11 @@
 # lock-free obs instruments recorded from those threads) and the fault plan
 # itself, plus the single-threaded sim suite for its memory safety.
 # net_test runs the whole transport suite under both sanitizers: the
-# multiplexed pipelined ShardClient (receiver threads, pending-table
-# handoff, reconnects) against the epoll event-loop server, so its
-# loop/pool/connection lifetimes are TSan/ASan proven on every CI run,
-# including the start/stop hammer. runtime_test's TCP runs go through the
+# caller-driven ShardClient (no threads of its own; each caller reads its
+# replies and reconnects inline) against the epoll event-loop server, so
+# the server's loop/pool/connection lifetimes and the client's socket and
+# reply-buffer handling are TSan/ASan proven on every CI run, including the
+# start/stop hammer. runtime_test's TCP runs go through the
 # same server. The calendar-queue
 # and tuner equivalence property suites ride along for ASan's sake: the
 # pooled event queue recycles nodes through a free list and moves payloads

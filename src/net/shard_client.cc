@@ -4,11 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -85,50 +83,27 @@ std::vector<std::vector<std::size_t>> PlanPullBatches(
   return batches;
 }
 
-// A caller's wait state, stack-owned by its Ticket. The receiver finds it
-// through the pending table and fulfills it under the link's state mutex.
-struct ShardClient::PendingSlot {
-  std::condition_variable cv;
-  bool done = false;    // response arrived (guarded by Link::mutex)
-  bool failed = false;  // link died; retry now (guarded by Link::mutex)
-  WireMessage response;
-};
-
-// One multiplexed connection to one server endpoint.
+// One connection to one server endpoint.
 struct ShardClient::Link {
   Endpoint endpoint;
-
-  // Send path. Serializes socket writes only; never held together with
-  // `mutex` except that EnsureLink briefly takes it (alone) to swap in a
-  // fresh connection, and a failed sender shuts the socket down under it so
-  // shutdown cannot race that swap.
-  std::mutex send_mutex;
-
-  // State path: pending table, id allocation, link status.
-  std::mutex mutex;
-  std::condition_variable reconnect_cv;
-  std::unordered_map<std::uint64_t, PendingSlot*> pending;  // guarded by mutex
-  std::uint64_t next_id = 1;                                // guarded by mutex
-  bool link_up = false;                                     // guarded by mutex
-  bool reconnecting = false;                                // guarded by mutex
-
-  // Swapped only by the single reconnecting thread after the receiver has
-  // been joined; read concurrently by senders (send_mutex) and the receiver.
+  // Invalid while the link is down; the next attempt on it reconnects.
   TcpConnection connection;
-  std::thread receiver;
+  // Never reset, not even by a reconnect: a late reply can never carry the
+  // id of a later attempt.
+  std::uint64_t next_id = 1;
 
-  std::atomic<std::uint64_t> requests{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> timeouts{0};
-  std::atomic<std::uint64_t> reconnects{0};
-  std::atomic<std::uint64_t> stale_frames{0};
-  std::atomic<std::uint64_t> injected_drops{0};
-  std::atomic<std::uint64_t> injected_delays{0};
-  std::atomic<std::uint64_t> injected_duplicates{0};
+  std::uint64_t requests = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t timeouts = 0;
+  std::uint64_t reconnects = 0;
+  std::uint64_t stale_frames = 0;
+  std::uint64_t injected_drops = 0;
+  std::uint64_t injected_delays = 0;
+  std::uint64_t injected_duplicates = 0;
   // Wire bytes that were not first-attempt goodput: retried attempts' frames
   // plus the second copy of injected duplicates. Dropped attempts never reach
   // the socket, so they add nothing here.
-  std::atomic<std::uint64_t> retransmit_bytes{0};
+  std::uint64_t retransmit_bytes = 0;
 
   // Registry mirrors of the per-link state, labeled with this link's
   // endpoint; null without an attached MetricsRegistry.
@@ -140,70 +115,36 @@ struct ShardClient::Link {
   obs::Gauge* in_flight_gauge = nullptr;
   obs::Gauge* pending_gauge = nullptr;
 
-  // Call under `mutex` after any pending-table mutation.
-  void SyncPendingGauge() {
-    if (pending_gauge != nullptr) {
-      pending_gauge->Set(static_cast<double>(pending.size()));
-    }
+  void CountRetransmit(std::size_t bytes) {
+    retransmit_bytes += bytes;
+    if (retransmit_counter != nullptr) retransmit_counter->Increment(bytes);
   }
 };
 
-// One logical request's lifecycle across attempts. Owns the slot; the
-// destructor deregisters a still-pending entry so the receiver can never
-// touch a freed slot even when an exception unwinds mid-batch.
+// One logical request of an exchange, across its attempts.
 struct ShardClient::Ticket {
   Link* link = nullptr;
   std::size_t shard = 0;
   const WireMessage* request = nullptr;  // caller-owned, outlives the ticket
-  std::unique_ptr<PendingSlot> slot;
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;                  // the current attempt's
   // Stable across retry attempts (unlike `id`); 0 = tracing off.
   std::uint64_t trace_id = 0;
   std::uint64_t started_ns = 0;
   std::chrono::steady_clock::time_point sent_at{};
   std::size_t attempts = 0;
-  bool in_flight = false;
+  bool in_flight = false;  // the current attempt's reply is still due
+  bool done = false;       // `response` holds the reply
+  WireMessage response;
 
-  Ticket() = default;
-  Ticket(Ticket&& other) noexcept { *this = std::move(other); }
-  Ticket& operator=(Ticket&& other) noexcept {
-    if (this != &other) {
-      Abandon();
-      link = std::exchange(other.link, nullptr);
-      shard = other.shard;
-      request = std::exchange(other.request, nullptr);
-      slot = std::move(other.slot);
-      id = other.id;
-      trace_id = other.trace_id;
-      started_ns = other.started_ns;
-      sent_at = other.sent_at;
-      attempts = other.attempts;
-      // Raw transfer: the in-flight gauge tracks the logical request, which
-      // just changed owner, not state.
-      in_flight = std::exchange(other.in_flight, false);
-    }
-    return *this;
-  }
-  Ticket(const Ticket&) = delete;
-  Ticket& operator=(const Ticket&) = delete;
-  ~Ticket() { Abandon(); }
-
-  // Flips the flag and keeps the per-link in-flight gauge in step; every
-  // state change (as opposed to ownership transfer) goes through here.
+  // Every change of `in_flight` goes through here, keeping the link's
+  // gauges (summed over every client sharing the registry) in step.
   void SetInFlight(bool value) {
     if (in_flight == value) return;
     in_flight = value;
-    if (link != nullptr && link->in_flight_gauge != nullptr) {
-      link->in_flight_gauge->Add(value ? 1.0 : -1.0);
-    }
-  }
-
-  void Abandon() {
-    if (link != nullptr && in_flight) {
-      std::scoped_lock lock(link->mutex);
-      link->pending.erase(id);
-      link->SyncPendingGauge();
-      SetInFlight(false);
+    if (link->in_flight_gauge != nullptr) {
+      const double delta = value ? 1.0 : -1.0;
+      link->in_flight_gauge->Add(delta);
+      link->pending_gauge->Add(delta);
     }
   }
 };
@@ -228,28 +169,26 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
   push_frames_.resize(link_pull_batch_.size());
   link_slices_.resize(link_pull_batch_.size());
   for (const Endpoint& endpoint : config_.topology.DistinctEndpoints()) {
-    auto link = std::make_unique<Link>();
-    link->endpoint = endpoint;
-    links_.push_back(std::move(link));
+    links_.emplace_back().endpoint = endpoint;
   }
   if (metrics != nullptr) {
     rtt_hist_ = &metrics->histogram("net.rtt_s");
     retry_counter_ = &metrics->counter("net.retries");
     timeout_counter_ = &metrics->counter("net.timeouts");
-    for (auto& link : links_) {
+    for (Link& link : links_) {
       // The brace block is the registry's label convention: the Prometheus
       // exporter renders it as {link="host:port"}, the JSON exporter keeps
       // the composite name verbatim.
-      const std::string label = "{link=" + ToString(link->endpoint) + "}";
-      link->rtt_hist = &metrics->histogram("net.link.rtt_s" + label);
-      link->reconnects_counter =
+      const std::string label = "{link=" + ToString(link.endpoint) + "}";
+      link.rtt_hist = &metrics->histogram("net.link.rtt_s" + label);
+      link.reconnects_counter =
           &metrics->counter("net.link.reconnects" + label);
-      link->stale_counter = &metrics->counter("net.link.stale_frames" + label);
-      link->deaths_counter = &metrics->counter("net.link.link_deaths" + label);
-      link->retransmit_counter =
+      link.stale_counter = &metrics->counter("net.link.stale_frames" + label);
+      link.deaths_counter = &metrics->counter("net.link.link_deaths" + label);
+      link.retransmit_counter =
           &metrics->counter("net.link.retransmit_bytes" + label);
-      link->in_flight_gauge = &metrics->gauge("net.link.in_flight" + label);
-      link->pending_gauge = &metrics->gauge("net.link.pending_depth" + label);
+      link.in_flight_gauge = &metrics->gauge("net.link.in_flight" + label);
+      link.pending_gauge = &metrics->gauge("net.link.pending_depth" + label);
     }
     if (config_.compression.delta_pulls()) {
       delta_hits_counter_ = &metrics->counter("net.codec.delta_hits");
@@ -267,26 +206,19 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
   if (spans_ != nullptr) spans_->EnsureWallEpochNanos();
 }
 
-ShardClient::~ShardClient() {
-  for (auto& link : links_) {
-    {
-      std::scoped_lock lock(link->mutex);
-      link->link_up = false;
-    }
-    link->connection.ShutdownBoth();
-    if (link->receiver.joinable()) link->receiver.join();
-  }
-}
+ShardClient::~ShardClient() = default;
+
+std::size_t ShardClient::num_links() const { return links_.size(); }
 
 bool ShardClient::Connect() {
+  std::scoped_lock lock(call_mutex_);
   const auto deadline =
       std::chrono::steady_clock::now() + config_.connect_timeout;
-  for (std::size_t l = 0; l < links_.size(); ++l) {
-    while (!EnsureLink(*links_[l])) {
+  for (Link& link : links_) {
+    while (!link.connection.valid() && !Reconnect(link)) {
       if (std::chrono::steady_clock::now() >= deadline) {
         SPECSYNC_LOG(kWarning) << "ShardClient: endpoint "
-                              << ToString(links_[l]->endpoint)
-                              << " unreachable";
+                              << ToString(link.endpoint) << " unreachable";
         return false;
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -295,100 +227,39 @@ bool ShardClient::Connect() {
   return true;
 }
 
-bool ShardClient::EnsureLink(Link& link) {
-  std::unique_lock lock(link.mutex);
-  if (link.link_up) return true;
-  if (link.reconnecting) {
-    // Someone else is already reconnecting; adopt their verdict as this
-    // attempt's outcome so attempts stay bounded under a dead endpoint.
-    link.reconnect_cv.wait(lock, [&] { return !link.reconnecting; });
-    return link.link_up;
-  }
-  link.reconnecting = true;
-  lock.unlock();
-
-  // The old receiver (if any) is blocked in RecvFrame on the dead
-  // connection; shutdown wakes it, then the join makes the swap below safe.
-  link.connection.ShutdownBoth();
-  if (link.receiver.joinable()) link.receiver.join();
-  TcpConnection fresh = TcpConnection::Connect(link.endpoint);
-  const bool up = fresh.valid();
-  if (up) {
-    std::scoped_lock send_lock(link.send_mutex);
-    link.connection = std::move(fresh);
-  }
-
-  lock.lock();
-  link.reconnecting = false;
-  link.link_up = up;
-  if (up) {
-    RecordNetState("link_up", link.endpoint.port);
-    link.receiver = std::thread([this, &link] { ReceiverLoop(&link); });
-  }
-  link.reconnect_cv.notify_all();
-  return up;
+bool ShardClient::Reconnect(Link& link) {
+  link.connection = TcpConnection::Connect(link.endpoint);
+  if (!link.connection.valid()) return false;
+  RecordNetState("link_up", link.endpoint.port);
+  return true;
 }
 
-void ShardClient::ReceiverLoop(Link* link) {
-  std::vector<std::uint8_t> frame;
-  constexpr auto kForever = std::chrono::steady_clock::time_point::max();
-  for (;;) {
-    const auto status = link->connection.RecvFrame(frame, kForever);
-    if (status != TcpConnection::RecvStatus::kFrame) break;
-    std::uint64_t id = 0;
-    WireMessage response;
-    if (DecodeFrame(frame, id, response) != WireStatus::kOk) break;
-    std::scoped_lock lock(link->mutex);
-    const auto it = link->pending.find(id);
-    if (it == link->pending.end()) {
-      // Late answer to a timed-out attempt, or the echo of an injected
-      // duplicate: nobody is waiting for this id any more.
-      link->stale_frames.fetch_add(1, std::memory_order_relaxed);
-      if (link->stale_counter != nullptr) link->stale_counter->Increment();
-      continue;
-    }
-    PendingSlot* slot = it->second;
-    link->pending.erase(it);
-    link->SyncPendingGauge();
-    slot->response = std::move(response);
-    slot->done = true;
-    slot->cv.notify_one();
+void ShardClient::KillLink(Link& link) {
+  link.connection = TcpConnection();
+  if (link.deaths_counter != nullptr) link.deaths_counter->Increment();
+  RecordNetState("link_down", link.endpoint.port);
+  for (Ticket& ticket : tickets_) {
+    if (ticket.link == &link) ticket.SetInFlight(false);
   }
-  // The link is dead (EOF, error, or lost framing). Fail every waiter so it
-  // retries immediately instead of burning its full timeout; the first
-  // retrying caller runs the reconnect.
-  if (link->deaths_counter != nullptr) link->deaths_counter->Increment();
-  RecordNetState("link_down", link->endpoint.port);
-  std::scoped_lock lock(link->mutex);
-  link->link_up = false;
-  for (auto& [id, slot] : link->pending) {
-    slot->failed = true;
-    slot->cv.notify_one();
-  }
-  link->pending.clear();
-  link->SyncPendingGauge();
 }
 
-ShardClient::Ticket ShardClient::MakeTicket(std::size_t shard,
-                                            const WireMessage* request) {
+void ShardClient::AddTicket(std::size_t shard, const WireMessage* request) {
   SPECSYNC_CHECK_LT(shard, num_shards());
-  Ticket ticket;
-  ticket.link = links_[shard_link_[shard]].get();
+  Ticket& ticket = tickets_.emplace_back();
+  ticket.link = &links_[shard_link_[shard]];
   ticket.shard = shard;
   ticket.request = request;
-  ticket.slot = std::make_unique<PendingSlot>();
-  ticket.link->requests.fetch_add(1, std::memory_order_relaxed);
+  ++ticket.link->requests;
   if (spans_ != nullptr) {
     ticket.trace_id = NextProcessUniqueId();
     ticket.started_ns = obs::WallNanos();
   }
-  return ticket;
 }
 
 void ShardClient::IssueAttempt(Ticket& ticket) {
   Link& link = *ticket.link;
   if (ticket.attempts > 0) {
-    link.retries.fetch_add(1, std::memory_order_relaxed);
+    ++link.retries;
     if (retry_counter_ != nullptr) retry_counter_->Increment();
   }
   ++ticket.attempts;
@@ -398,38 +269,22 @@ void ShardClient::IssueAttempt(Ticket& ticket) {
     decision = faults_->OnMessage(LinkClass::kData);
   }
   if (decision.extra_delay > Duration::Zero()) {
-    link.injected_delays.fetch_add(1, std::memory_order_relaxed);
+    ++link.injected_delays;
     std::this_thread::sleep_for(
         std::chrono::duration<double>(decision.extra_delay.seconds()));
   }
 
-  // (Re)establish the link if it is down. Counted as a reconnect only when
-  // an actual reconnect round ran; the attempt is consumed either way, so a
-  // dead endpoint exhausts max_attempts instead of looping forever.
-  bool was_down;
-  {
-    std::scoped_lock lock(link.mutex);
-    was_down = !link.link_up;
-  }
-  if (was_down) {
-    link.reconnects.fetch_add(1, std::memory_order_relaxed);
+  // Reconnect a dead link. The attempt is consumed either way, so a dead
+  // endpoint exhausts max_attempts instead of looping forever.
+  if (!link.connection.valid()) {
+    ++link.reconnects;
     if (link.reconnects_counter != nullptr) {
       link.reconnects_counter->Increment();
     }
-    if (!EnsureLink(link)) return;  // attempt consumed
+    if (!Reconnect(link)) return;
   }
 
-  // Register the pending entry *before* sending: the response can race back
-  // on the receiver thread before this thread even returns from SendAll.
-  {
-    std::scoped_lock lock(link.mutex);
-    if (!link.link_up) return;  // died in the gap; next attempt reconnects
-    ticket.id = link.next_id++;
-    ticket.slot->done = false;
-    ticket.slot->failed = false;
-    link.pending.emplace(ticket.id, ticket.slot.get());
-    link.SyncPendingGauge();
-  }
+  ticket.id = link.next_id++;
   // The same trace context rides every attempt (the id is per-attempt, the
   // trace is per logical request), so the server's serve spans for retries
   // and duplicates all flow from one client span.
@@ -441,48 +296,25 @@ void ShardClient::IssueAttempt(Ticket& ticket) {
   if (decision.drop) {
     // The frame vanishes in the wire: never sent, so this attempt can only
     // time out. The retry after the timeout is the recovery path.
-    link.injected_drops.fetch_add(1, std::memory_order_relaxed);
+    ++link.injected_drops;
     ticket.SetInFlight(true);
     return;
   }
 
-  bool sent;
-  {
-    // The send happens outside the state mutex on purpose: under deep
-    // pipelining a full kernel buffer blocks this send until the server
-    // drains, which requires our receiver to keep consuming — so the
-    // receiver must never contend with a blocked sender for the state lock.
-    std::scoped_lock send_lock(link.send_mutex);
+  bool sent = link.connection.SendAll(bytes);
+  if (sent && decision.duplicate) {
+    ++link.injected_duplicates;
     sent = link.connection.SendAll(bytes);
-    if (sent && decision.duplicate) {
-      link.injected_duplicates.fetch_add(1, std::memory_order_relaxed);
-      sent = link.connection.SendAll(bytes);
-      // The second copy is pure overhead — it can only become a stale frame.
-      link.retransmit_bytes.fetch_add(bytes.size(),
-                                      std::memory_order_relaxed);
-      if (link.retransmit_counter != nullptr) {
-        link.retransmit_counter->Increment(bytes.size());
-      }
-    }
-    // Shut down under the send mutex so this cannot race EnsureLink's
-    // connection swap.
-    if (!sent) link.connection.ShutdownBoth();
-  }
-  if (sent && ticket.attempts > 1) {
-    // attempts was already bumped for this attempt, so >1 means this frame
-    // repeats an earlier send: its bytes are retransmission, not goodput.
-    link.retransmit_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
-    if (link.retransmit_counter != nullptr) {
-      link.retransmit_counter->Increment(bytes.size());
-    }
+    // The second copy is pure overhead — it can only become a stale frame.
+    link.CountRetransmit(bytes.size());
   }
   if (!sent) {
-    std::scoped_lock lock(link.mutex);
-    link.pending.erase(ticket.id);
-    link.SyncPendingGauge();
-    link.link_up = false;
-    return;  // attempt consumed; next attempt reconnects
+    KillLink(link);
+    return;  // attempt consumed; the next one reconnects
   }
+  // attempts was already bumped for this attempt, so >1 means this frame
+  // repeats an earlier send: its bytes are retransmission, not goodput.
+  if (ticket.attempts > 1) link.CountRetransmit(bytes.size());
   ticket.SetInFlight(true);
 }
 
@@ -491,16 +323,14 @@ void ShardClient::IssueUntilInFlight(Ticket& ticket) {
     if (ticket.attempts >= config_.max_attempts) {
       // The record lands before the throw, so a crash dump still shows which
       // shard was lost and how far this client's pushes had committed.
-      const std::uint64_t acked =
-          last_acked_version_.load(std::memory_order_relaxed);
       RecordNetState("shard_unreachable",
                      static_cast<std::int64_t>(ticket.shard),
-                     static_cast<std::int64_t>(acked));
+                     static_cast<std::int64_t>(last_acked_version_));
       SPECSYNC_CHECK(ticket.attempts < config_.max_attempts)
           << "shard " << ticket.shard << " at "
           << ToString(ticket.link->endpoint) << " unreachable after "
           << ticket.attempts << " attempts; this client's pushes were last "
-          << "acked at global version " << acked;
+          << "acked at global version " << last_acked_version_;
     }
     IssueAttempt(ticket);
   }
@@ -508,49 +338,61 @@ void ShardClient::IssueUntilInFlight(Ticket& ticket) {
 
 WireMessage ShardClient::Await(Ticket& ticket) {
   Link& link = *ticket.link;
-  for (;;) {
-    bool done = false;
-    {
-      std::unique_lock lock(link.mutex);
-      const auto deadline = ticket.sent_at + config_.request_timeout;
-      ticket.slot->cv.wait_until(lock, deadline, [&] {
-        return ticket.slot->done || ticket.slot->failed;
-      });
-      done = ticket.slot->done;
-      if (!done) {
-        if (!ticket.slot->failed) {
-          // Timed out: deregister so a late frame for this id counts as
-          // stale instead of fulfilling a slot nobody awaits.
-          link.pending.erase(ticket.id);
-          link.SyncPendingGauge();
-          link.timeouts.fetch_add(1, std::memory_order_relaxed);
-          if (timeout_counter_ != nullptr) timeout_counter_->Increment();
-        }
-        // On failure the receiver already deregistered everything.
-        ticket.SetInFlight(false);
-      }
+  while (!ticket.done) {
+    if (!ticket.in_flight) {
+      IssueUntilInFlight(ticket);
+      continue;
     }
-    if (done) {
+    const auto status = link.connection.RecvFrame(
+        recv_frame_, ticket.sent_at + config_.request_timeout);
+    if (status == TcpConnection::RecvStatus::kTimeout && recv_frame_.empty()) {
+      // No byte arrived by the deadline: the attempt timed out. Its late
+      // reply, if any, will find no ticket and count as stale.
       ticket.SetInFlight(false);
-      const double rtt = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - ticket.sent_at)
-                             .count();
-      if (rtt_hist_ != nullptr) {
-        rtt_hist_->Record(rtt);
-        link.rtt_hist->Record(rtt);
-      }
-      if (spans_ != nullptr && ticket.trace_id != 0) RecordClientSpan(ticket);
-      if (const auto* ack = std::get_if<AckResp>(&ticket.slot->response)) {
-        // Error acks mean the client routed a request the server does not
-        // own — a wiring bug, not a transient fault.
-        SPECSYNC_CHECK(ack->status == kAckOk)
-            << "shard " << ticket.shard << " rejected request (status "
-            << ack->status << ")";
-      }
-      return std::move(ticket.slot->response);
+      ++link.timeouts;
+      if (timeout_counter_ != nullptr) timeout_counter_->Increment();
+      continue;
     }
-    IssueUntilInFlight(ticket);
+    std::uint64_t id = 0;
+    WireMessage response;
+    if (status != TcpConnection::RecvStatus::kFrame ||
+        DecodeFrame(recv_frame_, id, response) != WireStatus::kOk) {
+      // EOF, a socket error, a malformed frame, or a deadline that fell
+      // mid-frame: either way the stream has lost its framing.
+      KillLink(link);
+      continue;
+    }
+    const auto owner =
+        std::find_if(tickets_.begin(), tickets_.end(), [&](const Ticket& t) {
+          return t.link == &link && t.in_flight && t.id == id;
+        });
+    if (owner == tickets_.end()) {
+      // A late answer to a timed-out attempt, the echo of an injected
+      // duplicate, or an attempt of an exchange that threw.
+      ++link.stale_frames;
+      if (link.stale_counter != nullptr) link.stale_counter->Increment();
+      continue;
+    }
+    owner->SetInFlight(false);
+    owner->done = true;
+    owner->response = std::move(response);
+    if (rtt_hist_ != nullptr) {
+      const double rtt = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - owner->sent_at)
+                             .count();
+      rtt_hist_->Record(rtt);
+      link.rtt_hist->Record(rtt);
+    }
+    if (spans_ != nullptr && owner->trace_id != 0) RecordClientSpan(*owner);
   }
+  if (const auto* ack = std::get_if<AckResp>(&ticket.response)) {
+    // Error acks mean the client routed a request the server does not
+    // own — a wiring bug, not a transient fault.
+    SPECSYNC_CHECK(ack->status == kAckOk)
+        << "shard " << ticket.shard << " rejected request (status "
+        << ack->status << ")";
+  }
+  return std::move(ticket.response);
 }
 
 void ShardClient::RecordClientSpan(const Ticket& ticket) {
@@ -574,27 +416,6 @@ void ShardClient::RecordClientSpan(const Ticket& ticket) {
        {"attempts", std::to_string(ticket.attempts)}});
 }
 
-WireMessage ShardClient::Call(std::size_t shard, const WireMessage& request) {
-  Ticket ticket = MakeTicket(shard, &request);
-  IssueUntilInFlight(ticket);
-  return Await(ticket);
-}
-
-ShardPullResult ShardClient::PullShard(std::size_t s) {
-  SPECSYNC_CHECK_LT(s, num_shards());
-  WireMessage response = Call(s, PullShardReq{static_cast<std::uint32_t>(s)});
-  auto* resp = std::get_if<PullShardResp>(&response);
-  SPECSYNC_CHECK(resp != nullptr);
-  SPECSYNC_CHECK_EQ(resp->offset, layout_.offset(s));
-  SPECSYNC_CHECK_EQ(resp->params.size(), layout_.length(s));
-  ShardPullResult out;
-  out.offset = resp->offset;
-  out.params = std::move(resp->params);
-  out.shard_version = resp->shard_version;
-  out.version = resp->global_version;
-  return out;
-}
-
 PullResult ShardClient::Pull() {
   PullResult out;
   Exchange(nullptr, 0, &out);
@@ -614,38 +435,28 @@ ShardClient::PushPullResult ShardClient::PushAndPull(const Gradient& grad,
 
 std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
                                     PullResult* pull) {
-  // One sequence number per logical push, the same on every retry attempt.
-  // Serializing pushes keeps each server's view of this client's sequence
-  // in order, which is what lets a single watermark reject every repeat.
-  // Lock order: push, then cache.
-  std::unique_lock<std::mutex> push_lock;
-  if (grad != nullptr) {
-    push_lock = std::unique_lock<std::mutex>(push_mutex_);
-    BuildPushFrames(*grad, epoch, /*fused=*/pull != nullptr);
-  }
+  std::scoped_lock lock(call_mutex_);
+  // An exchange that threw (a shard unreachable) left attempts outstanding;
+  // their replies are stale from here on.
+  for (Ticket& ticket : tickets_) ticket.SetInFlight(false);
+  tickets_.clear();
+  if (grad != nullptr) BuildPushFrames(*grad, epoch, /*fused=*/pull != nullptr);
 
   // Delta mode: each entry carries the version of the copy we cache (or
   // kPullAnyVersion before the first pull); the server answers a shard still
   // at that version with a not-modified item, and we compose it from the
   // cache. Delta is lossless — an unchanged shard version implies unchanged
-  // content, both read under the same shard lock server-side. The cache lock
-  // is held across the whole pull so concurrent pulls on one client see a
-  // consistent cache (workers own their clients, so this serialization never
-  // bites in practice).
+  // content, both read under the same shard lock server-side.
   const bool delta = pull != nullptr && config_.compression.delta_pulls();
-  std::unique_lock<std::mutex> cache_lock;
-  if (delta) {
-    cache_lock = std::unique_lock<std::mutex>(cache_mutex_);
-    if (cached_versions_.empty()) {
-      cached_versions_.assign(num_shards(), kPullAnyVersion);
-      cached_params_.resize(num_shards());
-    }
+  if (delta && cached_versions_.empty()) {
+    cached_versions_.assign(num_shards(), kPullAnyVersion);
+    cached_params_.resize(num_shards());
   }
 
   // The pull batches: a fused push frame carries its server's first batch;
   // every other batch is a plain PullBatchReq.
-  std::vector<WireMessage> pull_frames;
-  std::vector<std::size_t> plain_batches;
+  std::size_t plain = 0;
+  plain_batches_.clear();
   if (pull != nullptr) {
     std::vector<bool> fused(pull_batches_.size(), false);
     if (grad != nullptr) {
@@ -657,41 +468,37 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
     }
     for (std::size_t b = 0; b < pull_batches_.size(); ++b) {
       if (fused[b]) continue;
-      PullBatchReq batch;
-      FillPullBatch(b, delta, batch);
-      pull_frames.emplace_back(std::move(batch));
-      plain_batches.push_back(b);
+      if (plain == pull_frames_.size()) pull_frames_.emplace_back();
+      FillPullBatch(b, delta, Reuse<PullBatchReq>(pull_frames_[plain++]));
+      plain_batches_.push_back(b);
     }
   }
 
-  // Issue every frame before awaiting any: they ride their links
+  // Send every frame before reading any reply: they ride their links
   // back-to-back, so the exchange costs ~one round trip and one frame per
   // server, whatever the shard count.
   const std::size_t push_count = grad != nullptr ? push_links_.size() : 0;
-  std::vector<Ticket> tickets;
-  tickets.reserve(push_count + pull_frames.size());
   for (std::size_t i = 0; i < push_count; ++i) {
     const WireMessage& frame = push_frames_[push_links_[i]];
     const CommitPushReq& batch =
         pull != nullptr ? std::get<PushPullReq>(frame).push
                         : std::get<CommitPushReq>(frame);
-    tickets.push_back(MakeTicket(batch.slices.front().shard, &frame));
+    AddTicket(batch.slices.front().shard, &frame);
   }
-  for (std::size_t i = 0; i < pull_frames.size(); ++i) {
-    tickets.push_back(
-        MakeTicket(pull_batches_[plain_batches[i]].front(), &pull_frames[i]));
+  for (std::size_t i = 0; i < plain; ++i) {
+    AddTicket(pull_batches_[plain_batches_[i]].front(), &pull_frames_[i]);
   }
-  for (Ticket& ticket : tickets) IssueUntilInFlight(ticket);
+  for (Ticket& ticket : tickets_) IssueUntilInFlight(ticket);
 
   if (pull != nullptr) pull->params.resize(dim());
   std::uint64_t pushed = 0;
   std::uint64_t pulled = 0;
-  for (std::size_t t = 0; t < tickets.size(); ++t) {
-    WireMessage response = Await(tickets[t]);
+  for (std::size_t t = 0; t < tickets_.size(); ++t) {
+    WireMessage response = Await(tickets_[t]);
     if (t >= push_count) {
       auto* batch = std::get_if<PullBatchResp>(&response);
       SPECSYNC_CHECK(batch != nullptr);
-      pulled = std::max(pulled, ComposeBatch(plain_batches[t - push_count],
+      pulled = std::max(pulled, ComposeBatch(plain_batches_[t - push_count],
                                              delta, *batch, pull->params));
     } else if (pull == nullptr) {
       const auto* ack = std::get_if<AckResp>(&response);
@@ -707,12 +514,7 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
     }
   }
   if (pull != nullptr) pull->version = pulled;
-  if (grad != nullptr) {
-    // Only pushes write, and they are serialized above.
-    last_acked_version_.store(
-        std::max(pushed, last_acked_version_.load(std::memory_order_relaxed)),
-        std::memory_order_relaxed);
-  }
+  last_acked_version_ = std::max(last_acked_version_, pushed);
   return pushed;
 }
 
@@ -752,7 +554,7 @@ std::uint64_t ShardClient::ComposeShard(std::size_t s, bool delta,
     const std::vector<double>& cached = cached_params_[s];
     SPECSYNC_CHECK_EQ(cached.size(), length);
     std::copy(cached.begin(), cached.end(), at);
-    delta_hits_.fetch_add(1, std::memory_order_relaxed);
+    ++delta_hits_;
     if (delta_hits_counter_ != nullptr) delta_hits_counter_->Increment();
     if (pull_saved_counter_ != nullptr) {
       // The avoided payload: the shard's parameter doubles that a full
@@ -769,7 +571,7 @@ std::uint64_t ShardClient::ComposeShard(std::size_t s, bool delta,
   if (delta) {
     cached_params_[s] = std::move(resp.params);
     cached_versions_[s] = resp.shard_version;
-    delta_misses_.fetch_add(1, std::memory_order_relaxed);
+    ++delta_misses_;
     if (delta_misses_counter_ != nullptr) delta_misses_counter_->Increment();
   }
   return resp.global_version;
@@ -853,23 +655,21 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
 }
 
 ShardClient::Stats ShardClient::stats() const {
+  std::scoped_lock lock(call_mutex_);
   Stats out;
-  for (const auto& link : links_) {
-    out.requests += link->requests.load(std::memory_order_relaxed);
-    out.retries += link->retries.load(std::memory_order_relaxed);
-    out.timeouts += link->timeouts.load(std::memory_order_relaxed);
-    out.reconnects += link->reconnects.load(std::memory_order_relaxed);
-    out.stale_frames += link->stale_frames.load(std::memory_order_relaxed);
-    out.injected_drops += link->injected_drops.load(std::memory_order_relaxed);
-    out.injected_delays +=
-        link->injected_delays.load(std::memory_order_relaxed);
-    out.injected_duplicates +=
-        link->injected_duplicates.load(std::memory_order_relaxed);
-    out.retransmit_bytes +=
-        link->retransmit_bytes.load(std::memory_order_relaxed);
+  for (const Link& link : links_) {
+    out.requests += link.requests;
+    out.retries += link.retries;
+    out.timeouts += link.timeouts;
+    out.reconnects += link.reconnects;
+    out.stale_frames += link.stale_frames;
+    out.injected_drops += link.injected_drops;
+    out.injected_delays += link.injected_delays;
+    out.injected_duplicates += link.injected_duplicates;
+    out.retransmit_bytes += link.retransmit_bytes;
   }
-  out.delta_hits = delta_hits_.load(std::memory_order_relaxed);
-  out.delta_misses = delta_misses_.load(std::memory_order_relaxed);
+  out.delta_hits = delta_hits_;
+  out.delta_misses = delta_misses_;
   return out;
 }
 

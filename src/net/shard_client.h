@@ -1,72 +1,59 @@
-// ShardClient: the worker side of the tcp transport, multiplexed and
-// pipelined (wire v2).
+// ShardClient: the worker side of the tcp transport (wire v2).
 //
 // One connection per distinct server endpoint — not per shard. All shards a
-// server owns share that server's link, and any number of requests may be in
-// flight on it at once. Pull() sends one PullBatchReq per server, naming
-// every shard that server owns (split further only if one response would
-// outgrow the frame cap; see PlanPullBatches), issues all batches before
-// awaiting any, and composes the answers: one pipelined round trip and one
-// frame per server. Push() groups the per-shard slices by link and sends one
-// CommitPushReq batch per server touched, which each server applies and
-// commits exactly once. PushAndPull() is one pipelined round trip per
-// iteration: each server the push touches gets one PushPullReq carrying its
-// push batch and its (first) pull batch, applied and then served in that
-// order, so the snapshot includes the push; any other pull batch rides as a
-// plain PullBatchReq alongside. All three share one routing, batch-building
-// and composing path, so delta pulls and coded pushes work the same in each.
+// server owns share that server's link. Pull() sends one PullBatchReq per
+// server, naming every shard that server owns (split further only if one
+// response would outgrow the frame cap; see PlanPullBatches), and composes
+// the answers: one round trip and one frame per server. Push() groups the
+// per-shard slices by link and sends one CommitPushReq batch per server
+// touched, which each server applies and commits exactly once. PushAndPull()
+// is one round trip per iteration: each server the push touches gets one
+// PushPullReq carrying its push batch and its (first) pull batch, applied
+// and then served in that order, so the snapshot includes the push; any
+// other pull batch rides as a plain PullBatchReq alongside. All three share
+// one routing, batch-building and composing path, so delta pulls and coded
+// pushes work the same in each.
 //
-// Link anatomy. Each link owns a receiver thread and a pending-request table
-// (request_id → caller's stack slot + deadline). A caller registers its slot,
-// sends its frame, and sleeps on its slot's condition variable; the receiver
-// matches each arriving frame to its slot by id and wakes exactly that
-// caller. Responses may arrive in any order — that is the v2 contract. A
-// frame whose id has no pending entry (late answer to a timed-out attempt,
-// echo of an injected duplicate) counts as stale and is dropped.
+// The calling thread does its own receive. An exchange first sends every
+// frame, then reads the replies itself from each link's blocking socket, in
+// ticket order. A frame whose id belongs to another outstanding attempt of
+// the same exchange on that link is kept for it; any other id (a late answer
+// to a timed-out attempt, the echo of an injected duplicate) counts as stale
+// and is dropped. A receive error, EOF, a malformed frame, or a deadline that
+// falls mid-frame (the stream's framing is lost with the partial frame)
+// kills the link: every outstanding attempt on it fails and retries at once
+// on a fresh connection. There are no client threads.
 //
-// Locking. Two mutexes per link, never held together:
-//   - the state mutex guards the pending table, id allocation, and link
-//     up/down status;
-//   - the send mutex serializes socket writes so concurrent senders
-//     interleave at frame granularity.
-// Senders must NOT hold the state mutex across a blocking send: when deep
-// pipelining fills the kernel socket buffer, the send blocks until the
-// server drains — which it can only do if our receiver keeps consuming
-// responses, which it could not do if the sender sat on the one lock the
-// receiver needs. Registering the pending entry first, then sending outside
-// the state mutex, is what makes backpressure safe.
+// Why sending everything before reading cannot deadlock: the server never
+// blocks on a write. EventLoopServer queues any unsent remainder of a reply
+// in memory and keeps reading its sockets (DESIGN.md §13), so this client's
+// sends always drain, however many replies it has not read yet.
 //
 // Reliability. Every request is timeout + bounded retry with a fresh id per
-// attempt. Pulls are idempotent, so re-executing one is harmless
-// (at-least-once). Pushes are exactly-once: each batch carries this client's
-// process-unique client_id (stable across reconnects) and a push_seq that is
-// the same on every attempt, and the server applies a (client_id, push_seq)
-// at most once, answering repeats from its cached ack. Push() calls are
-// serialized per client so each server sees one client's sequence numbers
-// in order. A shard still unreachable after `max_attempts` fails loudly: a
-// flight-recorder kNetState record, then a CheckError naming the request's
-// (first) shard, the link's endpoint, the attempt count, and the global
-// version this client's pushes were last acked at. When a link dies
-// (recv/send error, malformed frame), the receiver fails every pending slot
-// so waiters retry immediately instead of burning their full timeout; the
-// first retrying caller reconnects the link and respawns the receiver while
-// the rest wait on the reconnect.
+// attempt; ids grow monotonically per link for the client's life, so a late
+// reply can never match a later attempt. Pulls are idempotent, so
+// re-executing one is harmless (at-least-once). Pushes are exactly-once:
+// each batch carries this client's process-unique client_id (stable across
+// reconnects) and a push_seq that is the same on every attempt, and the
+// server applies a (client_id, push_seq) at most once, answering repeats
+// from its cached ack. A shard still unreachable after `max_attempts` fails
+// loudly: a flight-recorder kNetState record, then a CheckError naming the
+// request's (first) shard, the link's endpoint, the attempt count, and the
+// global version this client's pushes were last acked at.
 //
 // Fault injection: with a FaultPlan attached, every attempt draws one
-// data-link decision on the shared link. Drop = the frame is never sent (the
-// attempt burns its timeout), delay = the send is held back, duplicate = the
-// frame is sent twice (exercising the server's duplicate-push watermark and
-// the stale-frame discard).
+// data-link decision. Drop = the frame is never sent (the attempt burns its
+// timeout), delay = the send is held back, duplicate = the frame is sent
+// twice (exercising the server's duplicate-push watermark and the
+// stale-frame discard).
 //
-// Thread safety: the whole client is thread-safe; concurrent callers share
-// links and pipeline naturally. Give each worker its own client to model
-// independent machines.
+// Thread safety: calls are serialized on one mutex, so a client may be
+// shared, but its callers take turns. Give each worker its own client: that
+// models independent machines, and their requests overlap on the server.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -129,7 +116,8 @@ class ShardClient {
   // retry/timeout counters, and per-link instruments labeled {link=...}:
   // the RTT histogram "net.link.rtt_s", the counters
   // "net.link.{reconnects,stale_frames,link_deaths,retransmit_bytes}", and
-  // the gauges "net.link.{in_flight,pending_depth}".
+  // the gauges "net.link.{in_flight,pending_depth}" (both the attempts
+  // outstanding on the link).
   // `spans` (optional, not owned) records one "net.client" span per
   // completed request, stamped with a process-unique trace_id that also
   // rides every attempt's frame as the wire trace-context extension — the
@@ -144,29 +132,25 @@ class ShardClient {
   ShardClient& operator=(const ShardClient&) = delete;
 
   // Opens one connection per distinct endpoint (retrying within
-  // connect_timeout) and starts the receivers. False if any endpoint stays
-  // unreachable.
+  // connect_timeout). False if any endpoint stays unreachable.
   bool Connect();
 
   // Composed full-vector snapshot: one PullBatchReq per server (see
-  // PlanPullBatches), all pipelined, each shard checked against the
-  // topology. Like the in-process store's composed Pull, the cross-shard
-  // snapshot may be torn under concurrent pushes; `version` is the largest
-  // global version any shard reported.
+  // PlanPullBatches), all sent before any reply is read, each shard checked
+  // against the topology. Like the in-process store's composed Pull, the
+  // cross-shard snapshot may be torn under concurrent pushes; `version` is
+  // the largest global version any shard reported.
   PullResult Pull();
-
-  // One shard's snapshot over the wire (a standalone PullShardReq).
-  ShardPullResult PullShard(std::size_t s);
 
   // Routes `grad` to its owning shards (ShardLayout::RouteInto, as the
   // store routes) and sends one CommitPushReq batch per server touched, all
-  // pipelined; each server applies its batch exactly once. Returns the
-  // largest committed global version reported.
+  // sent before any reply is read; each server applies its batch exactly
+  // once. Returns the largest committed global version reported.
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
-  // Push() and the next Pull() in one pipelined round trip: one PushPullReq
-  // per server the push touches (its push batch plus its first pull batch)
-  // and a plain PullBatchReq for every other pull batch. Each server serves
+  // Push() and the next Pull() in one round trip: one PushPullReq per
+  // server the push touches (its push batch plus its first pull batch) and
+  // a plain PullBatchReq for every other pull batch. Each server serves
   // the pull after applying the push, so `pull` includes this push (a
   // retried frame still applies once, and gets a fresh pull).
   struct PushPullResult {
@@ -178,7 +162,7 @@ class ShardClient {
   std::size_t dim() const { return layout_.dim(); }
   std::size_t num_shards() const { return layout_.num_shards(); }
   // Physical connections (distinct endpoints), not shards.
-  std::size_t num_links() const { return links_.size(); }
+  std::size_t num_links() const;
 
   struct Stats {
     std::uint64_t requests = 0;
@@ -202,41 +186,43 @@ class ShardClient {
 
  private:
   struct Link;
-  struct PendingSlot;
   struct Ticket;
 
-  // (Re)establishes the link if down; only one caller reconnects, the rest
-  // wait for its verdict. False = the endpoint refused this round.
-  bool EnsureLink(Link& link);
-  void ReceiverLoop(Link* link);
-  Ticket MakeTicket(std::size_t shard, const WireMessage* request);
-  // One attempt: fault draw, pending registration, send. Leaves the ticket
-  // in-flight on success; a failed attempt is consumed silently (the caller
-  // loops).
+  // Opens a fresh connection on the link. False = the endpoint refused.
+  bool Reconnect(Link& link);
+  // Closes a dead link and fails every outstanding attempt on it, so each
+  // retries on a fresh connection instead of burning its timeout.
+  void KillLink(Link& link);
+  // Queues a ticket for `request` (caller-owned, outliving the exchange) on
+  // `shard`'s link.
+  void AddTicket(std::size_t shard, const WireMessage* request);
+  // One attempt: fault draw, reconnect if the link is down, send. Leaves the
+  // ticket in flight on success; a failed attempt is consumed silently (the
+  // caller loops).
   void IssueAttempt(Ticket& ticket);
   // Attempts until the ticket is in flight. Once max_attempts is exhausted,
   // records a flight-recorder kNetState event and fails with a CheckError
   // diagnosing the unreachable shard.
   void IssueUntilInFlight(Ticket& ticket);
-  // Blocks until the ticket's response arrives, retrying timed-out and
+  // Reads the ticket's link until its reply arrives, keeping replies for
+  // the exchange's other tickets on that link and retrying timed-out and
   // link-failed attempts. Validates error acks.
   WireMessage Await(Ticket& ticket);
   // Emits the completed request's "net.client" span (spans_ attached only).
   void RecordClientSpan(const Ticket& ticket);
-  // Issue + Await: one synchronous request.
-  WireMessage Call(std::size_t shard, const WireMessage& request);
   // The engine behind Push, Pull and PushAndPull: pushes `grad` when it is
   // non-null, pulls into `pull` when that is non-null (fusing the two per
-  // server when both are), every frame pipelined. Returns the largest
-  // global version the push was acked at (0 without a push).
+  // server when both are), every frame sent before any reply is read.
+  // Returns the largest global version the push was acked at (0 without a
+  // push).
   std::uint64_t Exchange(const Gradient* grad, EpochId epoch,
                          PullResult* pull);
   // Routes `grad` into push_frames_ (PushPullReq frames when `fused`, else
   // CommitPushReq) under a fresh push_seq and lists the links it touches in
-  // push_links_. Caller holds push_mutex_.
+  // push_links_.
   void BuildPushFrames(const Gradient& grad, EpochId epoch, bool fused);
   // Writes pull batch `b`'s entries (cached versions in delta mode) into
-  // `batch`. Caller holds the cache lock in delta mode.
+  // `batch`.
   void FillPullBatch(std::size_t b, bool delta, PullBatchReq& batch) const;
   // Composes pull batch `b`'s answer into `params`; returns the largest
   // global version its items reported.
@@ -244,8 +230,7 @@ class ShardClient {
                              std::vector<double>& params);
   // Checks shard `s`'s batch item against the topology and the delta cache,
   // writes the shard into `params` (refreshing the cache in delta mode), and
-  // returns the global version the item reported. Caller holds the cache
-  // lock in delta mode.
+  // returns the global version the item reported.
   std::uint64_t ComposeShard(std::size_t s, bool delta, PullBatchItem& item,
                              std::vector<double>& params);
 
@@ -255,25 +240,41 @@ class ShardClient {
   FaultPlan* faults_;
   obs::SpanRecorder* spans_ = nullptr;
   // Exactly-once push identity: client_id_ is fixed for the client's life;
-  // push_seq_ (guarded by push_mutex_) numbers logical pushes from 1.
+  // push_seq_ numbers logical pushes from 1.
   const std::uint64_t client_id_;
-  std::mutex push_mutex_;
+
+  // Serializes calls: everything below is guarded by it. Held across a whole
+  // exchange, so each server sees this client's push_seqs in order — which
+  // is what lets a single watermark reject every repeat.
+  mutable std::mutex call_mutex_;
   std::uint64_t push_seq_ = 0;
-  // Push buffers reused by every push (guarded by push_mutex_): one frame
-  // per link, the current push's routes and the links it touches, and per
-  // link its slice count.
+  // Push buffers reused by every push: one frame per link, the current
+  // push's routes and the links it touches, and per link its slice count.
   std::vector<WireMessage> push_frames_;
   std::vector<ShardRoute> push_routes_;
   std::vector<std::size_t> push_links_;
   std::vector<std::size_t> link_slices_;
+  // The current exchange's plain pull frames, the batch each one carries,
+  // and its tickets (push frames first, in push_links_ order).
+  std::vector<WireMessage> pull_frames_;
+  std::vector<std::size_t> plain_batches_;
+  std::vector<Ticket> tickets_;
+  std::vector<std::uint8_t> recv_frame_;
   // Largest global version any push batch was acked at (for diagnoses).
-  std::atomic<std::uint64_t> last_acked_version_{0};
+  std::uint64_t last_acked_version_ = 0;
   std::vector<std::size_t> shard_link_;  // shard id → links_ index
-  std::vector<std::unique_ptr<Link>> links_;
+  std::vector<Link> links_;
   // PlanPullBatches(topology): the shards of each pull batch, and per link
   // the batch a fused push frame carries (the link's first).
   std::vector<std::vector<std::size_t>> pull_batches_;
   std::vector<std::size_t> link_pull_batch_;
+  // Delta-pull cache: last pulled copy + shard version per shard
+  // (kPullAnyVersion = never pulled; 0 is a real version), which is exactly
+  // the known_version each batch entry carries.
+  std::vector<std::vector<double>> cached_params_;
+  std::vector<std::uint64_t> cached_versions_;
+  std::uint64_t delta_hits_ = 0;
+  std::uint64_t delta_misses_ = 0;
 
   obs::LatencyHistogram* rtt_hist_ = nullptr;
   obs::Counter* retry_counter_ = nullptr;
@@ -282,17 +283,6 @@ class ShardClient {
   obs::Counter* delta_misses_counter_ = nullptr;
   obs::Counter* pull_saved_counter_ = nullptr;
   obs::Counter* push_saved_counter_ = nullptr;
-
-  // Delta-pull cache: last pulled copy + shard version per shard
-  // (kPullAnyVersion = never pulled; 0 is a real version), which is exactly
-  // the known_version each batch entry carries. Guarded by cache_mutex_ —
-  // pulls are the only readers/writers, the mutex just keeps concurrent
-  // pulls on one client well-defined.
-  std::mutex cache_mutex_;
-  std::vector<std::vector<double>> cached_params_;
-  std::vector<std::uint64_t> cached_versions_;
-  std::atomic<std::uint64_t> delta_hits_{0};
-  std::atomic<std::uint64_t> delta_misses_{0};
 };
 
 }  // namespace specsync::net

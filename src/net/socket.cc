@@ -146,7 +146,10 @@ TcpConnection::RecvStatus TcpConnection::RecvFrame(
         if (errno == EINTR) continue;
         return RecvStatus::kError;
       }
-      if (pr == 0) return RecvStatus::kTimeout;
+      if (pr == 0) {
+        frame.resize(have);
+        return RecvStatus::kTimeout;
+      }
       const ssize_t n = ::recv(fd_, frame.data() + have, want - have, 0);
       if (n == 0) return RecvStatus::kClosed;
       if (n < 0) {

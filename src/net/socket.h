@@ -62,7 +62,9 @@ class TcpConnection {
 
   // Receives exactly one frame, blocking until `deadline` (steady clock;
   // time_point::max() blocks indefinitely). On kBadFrame the caller must
-  // drop the connection: framing is lost. Blocking sockets only.
+  // drop the connection: framing is lost. On kTimeout `frame` holds the
+  // bytes that did arrive: non-empty means the deadline fell mid-frame, and
+  // framing is lost too. Blocking sockets only.
   RecvStatus RecvFrame(std::vector<std::uint8_t>& frame,
                        std::chrono::steady_clock::time_point deadline);
 

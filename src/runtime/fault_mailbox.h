@@ -4,7 +4,7 @@
 // Per the Core Guidelines' concurrency advice (CP.mess), runtime nodes never
 // share mutable state directly: workers, the scheduler, and the driver
 // exchange owned messages through mailboxes (Send / Receive / ReceiveUntil /
-// TryReceive / Close). With a plan, each Send consults the plan's
+// Close). With a plan, each Send consults the plan's
 // control-link decision: dropped messages are swallowed, duplicated messages
 // are enqueued twice, and delayed messages become visible to receivers only
 // after their extra delay elapses. With a null or inert plan every message is
@@ -29,15 +29,6 @@
 #include "fault/fault_plan.h"
 
 namespace specsync {
-
-// Result of a non-blocking mailbox poll. Distinguishes the two reasons a
-// poll can come back empty: an open mailbox that is merely empty right now
-// (kEmpty — more may arrive, keep polling) versus one that is closed AND
-// fully drained (kDrained — nothing will ever arrive again, stop). A plain
-// optional cannot express the difference, which is exactly what a drain
-// loop needs to terminate correctly. kEmpty also covers a mailbox holding
-// only delay-injected messages that are not yet deliverable.
-enum class MailboxPoll { kMessage, kEmpty, kDrained };
 
 template <typename T>
 class FaultMailbox {
@@ -95,32 +86,6 @@ class FaultMailbox {
     }
   }
 
-  // Non-blocking receive of an already-ready message. nullopt conflates
-  // "nothing ready" and "closed"; see the status overload / drained().
-  std::optional<T> TryReceive() {
-    std::scoped_lock lock(mutex_);
-    if (queue_.empty()) return std::nullopt;
-    if (!closed_ && queue_.top().ready > std::chrono::steady_clock::now()) {
-      return std::nullopt;
-    }
-    return PopLocked();
-  }
-
-  // Non-blocking receive with a drain-aware status. kEmpty covers both a
-  // truly empty open mailbox and one holding only delay-injected messages
-  // whose extra latency has not yet elapsed.
-  MailboxPoll TryReceive(T& out) {
-    std::scoped_lock lock(mutex_);
-    if (queue_.empty()) {
-      return closed_ ? MailboxPoll::kDrained : MailboxPoll::kEmpty;
-    }
-    if (!closed_ && queue_.top().ready > std::chrono::steady_clock::now()) {
-      return MailboxPoll::kEmpty;
-    }
-    out = *PopLocked();
-    return MailboxPoll::kMessage;
-  }
-
   // Closed with nothing left to deliver (delayed messages become deliverable
   // on close, so closed + empty queue really is the end of the stream).
   bool drained() const {
@@ -134,17 +99,6 @@ class FaultMailbox {
       closed_ = true;
     }
     available_.notify_all();
-  }
-
-  bool closed() const {
-    std::scoped_lock lock(mutex_);
-    return closed_;
-  }
-
-  // Messages in flight, including ones whose delay has not yet elapsed.
-  std::size_t size() const {
-    std::scoped_lock lock(mutex_);
-    return queue_.size();
   }
 
  private:

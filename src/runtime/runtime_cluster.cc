@@ -194,8 +194,9 @@ struct RuntimeCluster::Impl {
             clock.ToTimePoint(timers.top().deadline));
       }
       if (!message.has_value()) {
-        // drained(), not closed(): messages sent before Close() must still
-        // be dispatched — the loop only ends once nothing can arrive again.
+        // drained(), not merely closed: messages sent before Close() must
+        // still be dispatched — the loop only ends once nothing can arrive
+        // again.
         if (scheduler_mailbox.drained()) break;
         continue;  // timer deadline reached (or spurious wake): fire timers
       }

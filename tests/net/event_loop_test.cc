@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <latch>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -245,44 +244,49 @@ TEST_P(ReassemblyTest, MalformedPayloadKillsOnlyItsConnection) {
 
 // --- Pipelining regression (the reason wire v2 exists) ----------------------
 
-// A Pull is one batch per server, so the pipelining that matters is across
-// callers: with an injected 25 ms service delay per request, 8 concurrent
-// Pull() calls on one client are 8 pipelined batches on one connection. The
-// server runs them on its pool concurrently: they cost ~1 delay, where a
-// server serial per connection would pay >= 8 delays back to back. This pins
-// the regression: if the client ever serializes callers on a link, or the
-// server serializes its pool, the pipelined bound breaks.
+// What pipelining buys is overlap between requests on one connection: with
+// an injected 25 ms service delay per request, 8 PullBatchReq frames sent
+// back to back on one connection run on the server's pool side by side and
+// cost ~1 delay, where a server serial per connection would pay >= 8 delays.
+// Replies may come back in any order; they are matched by id.
 TEST(PipeliningTest, PipelinedPullCostsOneDelayBatchNotNSerialRoundTrips) {
-  constexpr std::size_t kPullers = 8;
+  constexpr std::size_t kBatches = 8;
   constexpr std::chrono::milliseconds kDelay{25};
   auto store = MakeStore(64, 4);
   ShardServerConfig server_config;
   server_config.service_delay = kDelay;
-  server_config.pool_threads = kPullers;
+  server_config.pool_threads = kBatches;
   // All 8 delayed batches sleep on the pool concurrently.
   auto server = StartServer(store.get(), server_config);
-  ShardClientConfig client_config = ClientConfigFor(*store, server->port());
-  client_config.request_timeout = std::chrono::milliseconds(2000);
-  ShardClient client(client_config);
-  ASSERT_TRUE(client.Connect());
-  (void)client.Pull();  // warm the link
-
-  std::latch start(kPullers + 1);
-  std::vector<std::jthread> pullers;
-  for (std::size_t p = 0; p < kPullers; ++p) {
-    pullers.emplace_back([&] {
-      start.arrive_and_wait();
-      EXPECT_EQ(client.Pull().params.size(), 64u);
-    });
+  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+  PullBatchReq batch;
+  for (std::uint32_t s = 0; s < store->num_shards(); ++s) {
+    batch.entries.push_back({s, kPullAnyVersion});
   }
+  // Warm the connection.
+  ASSERT_TRUE(conn.SendAll(EncodeFrame(batch, kBatches + 1)));
+  std::uint64_t id = 0;
+  WireMessage out;
+  ASSERT_TRUE(RecvOne(conn, id, out));
+
   const auto begin = std::chrono::steady_clock::now();
-  start.arrive_and_wait();
-  pullers.clear();  // join
+  for (std::uint64_t r = 1; r <= kBatches; ++r) {
+    ASSERT_TRUE(conn.SendAll(EncodeFrame(batch, r)));
+  }
+  std::set<std::uint64_t> answered;
+  for (std::size_t r = 0; r < kBatches; ++r) {
+    ASSERT_TRUE(RecvOne(conn, id, out));
+    const auto* reply = std::get_if<PullBatchResp>(&out);
+    ASSERT_NE(reply, nullptr);
+    EXPECT_EQ(reply->items.size(), store->num_shards());
+    EXPECT_TRUE(answered.insert(id).second) << "id " << id << " answered twice";
+  }
   const auto pipelined = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - begin);
+  EXPECT_EQ(answered, (std::set<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8}));
   EXPECT_GE(pipelined, kDelay);      // the delay is really in the path
   EXPECT_LT(pipelined, 4 * kDelay);  // ~1 delay, nowhere near 8 serial
-  EXPECT_EQ(client.stats().requests, 1 + kPullers);  // one batch per Pull
 }
 
 // --- Thread-count structure -------------------------------------------------

@@ -29,7 +29,9 @@
 //    and every pull/push observation must equal the fault-free direct run,
 //    where a fused step is the push and then the pull. A pull
 //    batch whose response arrives only after its retry's must count as
-//    stale and leave the delta cache as the fault-free run leaves it.
+//    stale and leave the delta cache as the fault-free run leaves it. A push
+//    reply split across the client's deadline must cost one link death and
+//    one retry on a fresh connection, never a read that resumes mid-frame.
 //
 // Schedules are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 #include <gtest/gtest.h>
@@ -44,6 +46,7 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -353,8 +356,20 @@ ShardClientConfig ClientConfigFor(const ParameterServer& store,
 }
 
 // What the proxy does to the first copy of one push it forwards (retries of
-// the same push pass untouched, so every scripted push completes).
-enum class PushFault { kNone, kLoseResponse, kDuplicate, kDelay, kKillLink };
+// the same push pass untouched, so every scripted push completes). Generated
+// timelines draw the first five; kSplitReply is scripted by its own test.
+enum class PushFault {
+  kNone,
+  kLoseResponse,
+  kDuplicate,
+  kDelay,
+  kKillLink,
+  kSplitReply
+};
+
+// How long the proxy holds the second half of a split reply: well past the
+// 60 ms request_timeout of ClientConfigFor.
+constexpr std::chrono::milliseconds kSplitPause{150};
 
 const char* PushFaultName(PushFault fault) {
   switch (fault) {
@@ -363,6 +378,7 @@ const char* PushFaultName(PushFault fault) {
     case PushFault::kDuplicate: return "duplicate";
     case PushFault::kDelay: return "delay";
     case PushFault::kKillLink: return "kill_link";
+    case PushFault::kSplitReply: return "split_reply";
   }
   return "?";
 }
@@ -370,10 +386,11 @@ const char* PushFaultName(PushFault fault) {
 // Frame-aware loopback proxy between one ShardClient and one server. Every
 // accepted client connection gets its own upstream connection and two pump
 // threads; push faults are keyed by push_seq (a fused push+pull frame is a
-// push here). Optionally the response to
-// pull batch number `late_pull` (0-based, in send order) is held back until
-// the next response has been forwarded: the client times out and retries,
-// and the held frame arrives after the retry's answer.
+// push here). A split reply forwards the first half of the push's response,
+// pauses past the client's deadline, then forwards the rest. Optionally the
+// response to pull batch number `late_pull` (0-based, in send order) is held
+// back until the next response has been forwarded: the client times out and
+// retries, and the held frame arrives after the retry's answer.
 class FaultProxy {
  public:
   static constexpr std::size_t kNoLatePull = ~std::size_t{0};
@@ -392,7 +409,9 @@ class FaultProxy {
   ~FaultProxy() {
     listener_->Shutdown();
     accept_thread_.join();
-    std::scoped_lock lock(mutex_);
+    // With the accept thread gone nothing adds relays, so join them without
+    // mutex_: a pump that is handling a frame still takes mutex_, and
+    // joining it under the lock would deadlock.
     for (auto& relay : relays_) {
       relay->client.ShutdownBoth();
       relay->server.ShutdownBoth();
@@ -451,6 +470,7 @@ class FaultProxy {
     const auto it = faults_.find(push->push_seq);
     if (it == faults_.end()) return PushFault::kNone;
     if (it->second == PushFault::kLoseResponse) lost_ids_.insert(id);
+    if (it->second == PushFault::kSplitReply) split_ids_.insert(id);
     return it->second;
   }
 
@@ -483,6 +503,7 @@ class FaultProxy {
            TcpConnection::RecvStatus::kFrame) {
       FrameHeader header;
       if (DecodeHeader(frame, header) != WireStatus::kOk) break;
+      bool split = false;
       {
         std::scoped_lock lock(mutex_);
         if (lost_ids_.erase(header.request_id) > 0) continue;
@@ -490,8 +511,15 @@ class FaultProxy {
           held.push_back(frame);
           continue;
         }
+        split = split_ids_.erase(header.request_id) > 0;
       }
-      bool ok = relay->client.SendAll(frame);
+      const std::span<const std::uint8_t> bytes(frame);
+      const std::size_t half = split ? frame.size() / 2 : frame.size();
+      bool ok = relay->client.SendAll(bytes.first(half));
+      if (split) {
+        std::this_thread::sleep_for(kSplitPause);
+        ok = ok && relay->client.SendAll(bytes.subspan(half));
+      }
       for (const std::vector<std::uint8_t>& late : held) {
         ok = ok && relay->client.SendAll(late);
       }
@@ -510,6 +538,7 @@ class FaultProxy {
   std::vector<std::unique_ptr<Relay>> relays_;  // guarded by mutex_
   std::set<std::uint64_t> faulted_;                 // guarded by mutex_
   std::set<std::uint64_t> lost_ids_;                // guarded by mutex_
+  std::set<std::uint64_t> split_ids_;               // guarded by mutex_
   std::size_t pulls_seen_ = 0;                      // guarded by mutex_
   std::set<std::uint64_t> late_ids_;                // guarded by mutex_
 };
@@ -823,6 +852,11 @@ void CheckScriptedPushFaults(bool fused) {
       ShardClient client(ClientConfigFor(*store, proxy.port()));
       ASSERT_TRUE(client.Connect());
       wire = RunOnClient(timeline, client);
+      // The second copy of a duplicated last push may still be on its way
+      // to the server when the client has its answer. One more call on the
+      // link, outside the observations, reaches the server behind it, so
+      // the server has dispatched that copy by the time this call returns.
+      (void)client.Pull();
     }
     server->Stop();  // drains the pool: every copy has executed
 
@@ -875,15 +909,10 @@ TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
       ShardClient client(config);
       EXPECT_TRUE(client.Connect());
       const Observations observed = RunOnClient(timeline, client);
-      // The held frame may trail the last op: wait for the receiver to see
-      // it before reading the counters.
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      while (late != FaultProxy::kNoLatePull &&
-             client.stats().stale_frames == 0 &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
+      // The held frame may trail the last op; the client reads it only in
+      // its next call, so make one more (on both runs, outside the
+      // observations) before reading the counters.
+      (void)client.Pull();
       stats = client.stats();
       return observed;
     };
@@ -903,8 +932,58 @@ TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
     EXPECT_EQ(clean.stale_frames, 0u) << context;
     EXPECT_EQ(faulted.delta_hits, clean.delta_hits) << context;
     EXPECT_EQ(faulted.delta_misses, clean.delta_misses) << context;
-    EXPECT_EQ(clean.delta_hits + clean.delta_misses, pulls * kShards)
+    EXPECT_EQ(clean.delta_hits + clean.delta_misses, (pulls + 1) * kShards)
         << context;
+  }
+}
+
+TEST(ExactlyOnceTransportProperty, ReplySplitAcrossItsDeadlineKillsTheLink) {
+  // Half of one push's reply arrives before the client's deadline and the
+  // rest only after it. The stream has lost its framing at that deadline, so
+  // the client must drop the link rather than time the attempt out and read
+  // on mid-frame: the push is retried once on a fresh connection, answered
+  // from the server's cached ack, and every later call stays in frame.
+  const std::uint64_t base = BaseSeed();
+  for (const bool fused : {false, true}) {
+    for (std::size_t trial = 0; trial < 2; ++trial) {
+      const std::uint64_t seed = base + 13 + trial * 104729ULL;
+      Timeline timeline = GenerateTimeline(seed, /*with_push_faults=*/false);
+      if (fused) timeline = WithFusedPushes(std::move(timeline), seed);
+      if (timeline.pushes == 0) continue;
+      // The split push: one of the timeline's, from a stream of its own.
+      const std::uint64_t split_seq =
+          1 + Rng(seed ^ 0x5b117ull).Index(timeline.pushes);
+      const DirectRun direct = RunDirect(timeline);
+
+      auto store = MakeStore();
+      auto server = StartEventLoop(store.get());
+      Observations wire;
+      ShardClient::Stats stats;
+      {
+        FaultProxy proxy(server->port(),
+                         {{split_seq, PushFault::kSplitReply}});
+        ShardClient client(ClientConfigFor(*store, proxy.port()));
+        ASSERT_TRUE(client.Connect());
+        wire = RunOnClient(timeline, client);
+        stats = client.stats();
+      }
+      server->Stop();
+
+      const std::string context =
+          std::string(fused ? "fused " : "") + "seed " +
+          std::to_string(seed) + " split push " + std::to_string(split_seq) +
+          " timeline:" + FormatTimeline(timeline);
+      EXPECT_TRUE(wire == direct.observed) << context;
+      EXPECT_EQ(StoreDigest(*store), direct.digest) << context;
+      EXPECT_EQ(server->stats().commits, timeline.pushes) << context;
+      EXPECT_EQ(server->stats().duplicate_pushes, 1u) << context;
+      // One link death and its one retry; no attempt timed out, and nothing
+      // read after the split was out of frame.
+      EXPECT_EQ(stats.timeouts, 0u) << context;
+      EXPECT_EQ(stats.retries, 1u) << context;
+      EXPECT_EQ(stats.reconnects, 1u) << context;
+      EXPECT_EQ(stats.stale_frames, 0u) << context;
+    }
   }
 }
 

@@ -109,12 +109,15 @@ TEST_P(TransportTest, PullMatchesDirectPullBitwise) {
   EXPECT_EQ(wire.params, direct.params);
   EXPECT_EQ(wire.version, direct.version);
 
+  // Shard 2's slice of the composed pull is that shard's own snapshot.
   const ShardPullResult shard_direct = store->PullShard(2);
-  const ShardPullResult shard_wire = client.PullShard(2);
-  EXPECT_EQ(shard_wire.offset, shard_direct.offset);
-  EXPECT_EQ(shard_wire.params, shard_direct.params);
-  EXPECT_EQ(shard_wire.shard_version, shard_direct.shard_version);
-  EXPECT_EQ(shard_wire.version, shard_direct.version);
+  const auto shard_wire =
+      wire.params.begin() + static_cast<std::ptrdiff_t>(shard_direct.offset);
+  EXPECT_EQ(std::vector<double>(
+                shard_wire, shard_wire + static_cast<std::ptrdiff_t>(
+                                             shard_direct.params.size())),
+            shard_direct.params);
+  EXPECT_EQ(wire.version, shard_direct.version);
 }
 
 TEST_P(TransportTest, PullIsOneRequestPerServer) {
@@ -864,7 +867,7 @@ TEST_P(TransportTest, ClientStatsCountInjectedFaults) {
   client_config.max_attempts = 3;
   ShardClient client(client_config, &faults);
   ASSERT_TRUE(client.Connect());
-  EXPECT_THROW(client.PullShard(0), CheckError);
+  EXPECT_THROW(client.Pull(), CheckError);
   const ShardClient::Stats stats = client.stats();
   EXPECT_EQ(stats.injected_drops, 3u);
   EXPECT_EQ(stats.timeouts, 3u);
@@ -931,7 +934,7 @@ TEST_P(TransportTest, DuplicateInjectionSecondCopyIsRetransmit) {
   ShardClient client(client_config, &faults);
   ASSERT_TRUE(client.Connect());
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(client.PullShard(0).params, store->PullShard(0).params);
+    EXPECT_EQ(client.Pull().params, store->Pull().params);
   }
 
   const ShardClient::Stats stats = client.stats();

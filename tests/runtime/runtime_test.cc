@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 
 #include "data/synthetic.h"
@@ -16,18 +18,24 @@
 namespace specsync {
 namespace {
 
+// A non-blocking receive: the next ready message, or nullopt at once.
+std::optional<int> ReceiveNow(FaultMailbox<int>& box) {
+  return box.ReceiveUntil(std::chrono::steady_clock::now());
+}
+
 TEST(MailboxTest, SendReceiveOrder) {
   FaultMailbox<int> box;
   EXPECT_TRUE(box.Send(1));
   EXPECT_TRUE(box.Send(2));
-  EXPECT_EQ(box.size(), 2u);
   EXPECT_EQ(box.Receive(), 1);
   EXPECT_EQ(box.Receive(), 2);
+  EXPECT_EQ(ReceiveNow(box), std::nullopt);
 }
 
 TEST(MailboxTest, TryReceiveEmpty) {
   FaultMailbox<int> box;
-  EXPECT_EQ(box.TryReceive(), std::nullopt);
+  EXPECT_EQ(ReceiveNow(box), std::nullopt);
+  EXPECT_FALSE(box.drained());
 }
 
 TEST(MailboxTest, CloseReleasesReceiversAndRejectsSends) {
@@ -38,7 +46,7 @@ TEST(MailboxTest, CloseReleasesReceiversAndRejectsSends) {
   // Messages sent before close still drain.
   EXPECT_EQ(box.Receive(), 7);
   EXPECT_EQ(box.Receive(), std::nullopt);
-  EXPECT_TRUE(box.closed());
+  EXPECT_TRUE(box.drained());
 }
 
 TEST(MailboxTest, BlockingReceiveWakesOnSend) {
@@ -59,7 +67,7 @@ TEST(MailboxTest, ReceiveUntilTimesOut) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
   EXPECT_EQ(box.ReceiveUntil(deadline), std::nullopt);
-  EXPECT_FALSE(box.closed());
+  EXPECT_FALSE(box.drained());
 }
 
 TEST(MailboxTest, ManyProducersOneConsumer) {
@@ -74,33 +82,31 @@ TEST(MailboxTest, ManyProducersOneConsumer) {
     }
   }
   int total = 0;
-  while (auto v = box.TryReceive()) total += *v;
+  while (auto v = ReceiveNow(box)) total += *v;
   EXPECT_EQ(total, 4 * kPerProducer);
 }
 
 TEST(MailboxTest, PollStatusDistinguishesEmptyFromDrained) {
   FaultMailbox<int> box;
-  int out = 0;
   // Open + empty: more may arrive.
-  EXPECT_EQ(box.TryReceive(out), MailboxPoll::kEmpty);
+  EXPECT_EQ(ReceiveNow(box), std::nullopt);
   EXPECT_FALSE(box.drained());
   box.Send(5);
-  EXPECT_EQ(box.TryReceive(out), MailboxPoll::kMessage);
-  EXPECT_EQ(out, 5);
+  EXPECT_EQ(ReceiveNow(box), 5);
   box.Send(6);
   box.Close();
   // Closed but not yet drained: the queued message must still come out.
   EXPECT_FALSE(box.drained());
-  EXPECT_EQ(box.TryReceive(out), MailboxPoll::kMessage);
-  EXPECT_EQ(out, 6);
+  EXPECT_EQ(ReceiveNow(box), 6);
   // Closed + empty: nothing can ever arrive again.
-  EXPECT_EQ(box.TryReceive(out), MailboxPoll::kDrained);
+  EXPECT_EQ(ReceiveNow(box), std::nullopt);
   EXPECT_TRUE(box.drained());
 }
 
 TEST(MailboxTest, DrainLoopTerminatesOnPollStatus) {
-  // The termination idiom the old bool-optional API couldn't express: poll
-  // until kDrained, never spinning forever and never losing pre-close sends.
+  // The runtime's termination idiom: receive until nothing comes and the
+  // mailbox is drained, never spinning forever and never losing pre-close
+  // sends.
   FaultMailbox<int> box;
   {
     std::jthread producer([&box] {
@@ -110,10 +116,11 @@ TEST(MailboxTest, DrainLoopTerminatesOnPollStatus) {
   }
   int received = 0;
   for (;;) {
-    int out = 0;
-    const MailboxPoll poll = box.TryReceive(out);
-    if (poll == MailboxPoll::kDrained) break;
-    if (poll == MailboxPoll::kMessage) ++received;
+    if (ReceiveNow(box).has_value()) {
+      ++received;
+    } else if (box.drained()) {
+      break;
+    }
   }
   EXPECT_EQ(received, 100);
 }
