@@ -17,14 +17,15 @@
 // Phase 2 (fan-in, --clients=N): one in-process server serving every shard,
 // N concurrent clients each running pipelined pulls against it. This is the
 // scaling claim of the event-loop server: p99 RTT holds a pinned ceiling and
-// the server's thread count stays 1 + pool_threads regardless of N. Both
+// the server's thread count stays 1 (its loop) regardless of N. Both
 // numbers are emitted into BENCH_harness.json (fanin_p99_rtt_us,
 // fanin_server_threads) and gated: the bench FAILS if the server's observed
-// thread count exceeds pool size + a constant, and --fanin_p99_ceiling_us=X
-// (off by default) fails the run when p99 crosses the ceiling. The peak
-// thread count of the whole process (fanin_process_threads) is emitted too:
-// clients start no threads, so it stays one per client thread plus the
-// server's and a few more; CI gates it.
+// thread count exceeds the loop + a small constant, and
+// --fanin_p99_ceiling_us=X (off by default) fails the run when p99 crosses
+// the ceiling. The peak thread count of the whole process
+// (fanin_process_threads) is emitted too: clients start no threads, so it
+// stays one per client thread plus the server's loop and a few more; CI
+// gates it.
 //
 // Fault injection runs over the actual wire: --drop/--delay/--dup attach a
 // FaultPlan to every soak client, so requests are really never sent (burning
@@ -36,7 +37,6 @@
 //   --workers=N       soak worker threads in the parent (default 4)
 //   --iters=N         pull+push iterations per worker   (default 200)
 //   --dim=N           parameter dimension               (default 4096)
-//   --pool_threads=N  server execution pool size        (default 4)
 //   --clients=N       fan-in phase client count; 0 = skip (default 0;
 //                     --smoke raises it to 256)
 //   --fanin_iters=N   pipelined pulls per fan-in client (default 20)
@@ -89,7 +89,6 @@ struct Args {
   std::size_t workers = 4;
   std::size_t iters = 200;
   std::size_t dim = 4096;
-  std::size_t pool_threads = 4;
   std::size_t clients = 0;  // 0 = skip the fan-in phase
   bool clients_set = false;
   std::size_t fanin_iters = 20;
@@ -106,7 +105,7 @@ struct Args {
   std::cerr << "bench_transport: bad flag '" << bad << "'\n"
             << "usage: bench_transport [--num_servers=N] [--workers=N]"
                " [--iters=N] [--dim=N]"
-               " [--pool_threads=N] [--clients=N] [--fanin_iters=N]"
+               " [--clients=N] [--fanin_iters=N]"
                " [--fanin_p99_ceiling_us=X]"
                " [--drop=P] [--delay=P] [--dup=P]"
                " [--smoke] [--metrics_out=PATH] [--trace_out=PATH]\n";
@@ -130,8 +129,6 @@ Args ParseArgs(int argc, char** argv) {
         args.iters = std::stoul(value);
       } else if (key == "--dim") {
         args.dim = std::stoul(value);
-      } else if (key == "--pool_threads") {
-        args.pool_threads = std::stoul(value);
       } else if (key == "--clients") {
         args.clients = std::stoul(value);
         args.clients_set = true;
@@ -239,7 +236,6 @@ int RunShardProcess(std::size_t shard, const Args& args, int port_wr,
 
   net::ShardServerConfig config;
   config.served_shards = {shard};
-  config.pool_threads = args.pool_threads;
   auto server = std::make_unique<net::EventLoopServer>(
       &store, std::move(config), nullptr, spans_ptr);
   if (!server->Start()) return 1;
@@ -295,10 +291,8 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
   }
   store.SetParams(std::move(params));
 
-  net::ShardServerConfig server_config;
-  server_config.pool_threads = args.pool_threads;
-  auto server =
-      std::make_unique<net::EventLoopServer>(&store, std::move(server_config));
+  auto server = std::make_unique<net::EventLoopServer>(
+      &store, net::ShardServerConfig{});
   if (!server->Start()) {
     std::cerr << "fan-in: cannot start server\n";
     return false;
@@ -376,16 +370,13 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
   server->Stop();
 
   std::cout << "fan-in: clients=" << args.clients
-            << " iters_per_client=" << args.fanin_iters
-            << " pool_threads=" << args.pool_threads << "\n"
+            << " iters_per_client=" << args.fanin_iters << "\n"
             << "  rtt_p50_us=" << p50_us << " rtt_p99_us=" << p99_us
             << " server_threads_peak=" << server_threads
             << " process_threads_peak=" << process_threads
             << " wall_s=" << wall_seconds << "\n";
 
   reporter.AddMetric("fanin_clients", static_cast<double>(args.clients));
-  reporter.AddMetric("fanin_pool_threads",
-                     static_cast<double>(args.pool_threads));
   reporter.AddMetric("fanin_server_threads",
                      static_cast<double>(server_threads));
   reporter.AddMetric("fanin_process_threads",
@@ -396,13 +387,13 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
 
   bool ok = failures.load(std::memory_order_relaxed) == 0;
   if (!ok) std::cerr << "fan-in: " << failures.load() << " clients failed\n";
-  // The structural claim: server threads = 1 loop + pool, never O(clients).
+  // The structural claim: server threads = 1 loop, never O(clients).
   // +2 slack covers sampler skew around Start/Stop edges.
-  const std::size_t ceiling = args.pool_threads + 1 + 2;
-  if (server_threads > ceiling) {
+  constexpr std::size_t kCeiling = 1 + 2;
+  if (server_threads > kCeiling) {
     std::cerr << "fan-in: server used " << server_threads
-              << " threads (ceiling " << ceiling << " with pool "
-              << args.pool_threads << ") — O(clients) thread growth\n";
+              << " threads (ceiling " << kCeiling
+              << ") — O(clients) thread growth\n";
     ok = false;
   }
   if (args.fanin_p99_ceiling_us > 0.0 && p99_us > args.fanin_p99_ceiling_us) {

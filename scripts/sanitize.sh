@@ -7,10 +7,12 @@
 # itself, plus the single-threaded sim suite for its memory safety.
 # net_test runs the whole transport suite under both sanitizers: the
 # caller-driven ShardClient (no threads of its own; each caller reads its
-# replies and reconnects inline) against the epoll event-loop server, so
-# the server's loop/pool/connection lifetimes and the client's socket and
-# reply-buffer handling are TSan/ASan proven on every CI run, including the
-# start/stop hammer. runtime_test's TCP runs go through the
+# replies and reconnects inline) against the single-threaded epoll
+# event-loop server (it executes every request on its loop thread), so the
+# server's start/stop against its callers' threads, its connection
+# lifetimes and out-queues, and the client's socket and reply-buffer
+# handling are TSan/ASan proven on every CI run, including the start/stop
+# hammer. runtime_test's TCP runs go through the
 # same server. The calendar-queue
 # and tuner equivalence property suites ride along for ASan's sake: the
 # pooled event queue recycles nodes through a free list and moves payloads
@@ -18,7 +20,7 @@
 # (DESIGN.md §12 pool lifetime rules). compression_property_test rides along
 # the same way: the codec's error-feedback residuals grow lazily per worker
 # and the round-trip checks hammer span views over reallocating buffers.
-# exactly_once_property_test races copies of one push through the server's
+# exactly_once_property_test drives copies of one push through the server's
 # watermark and kills links mid-batch, so TSan proves the watermark locking
 # and ASan the connection teardown. chunk_merge_property_test rides along
 # for ASan: the chunk merger indexes a reused accumulator and bitmap by

@@ -7,9 +7,9 @@
 // for shards it does not own with kAckBadShard — misrouting is a client bug
 // and must be loud, not silent.
 //
-// One loop thread multiplexes every connection with level-triggered epoll;
-// request execution runs on a bounded ThreadPool. Total thread count is
-// 1 + pool_threads regardless of how many clients connect — the property the
+// One thread does everything: it multiplexes every connection with
+// level-triggered epoll and executes each request itself. The server has
+// exactly one thread however many clients connect — the property the
 // fan-in bench pins, holding p99 RTT with a constant thread count.
 //
 // Failure semantics: pushes are exactly-once — the RequestExecutor applies
@@ -20,29 +20,28 @@
 //
 // Data flow per connection:
 //   readable → RecvSome() until EAGAIN into the connection's reassembly
-//   buffer → peel complete frames (header validated on the loop thread; a
-//   malformed header or payload kills only that connection) → each decoded
-//   request is handed to the pool → the pool task runs
-//   RequestExecutor::Execute and, when the connection's outbound queue is
-//   empty, writes the encoded response straight to the socket itself
-//   (write-through: no second hand-off back to the loop). Only a partial
-//   write, EAGAIN, or an error queues the remainder → an eventfd wake tells
-//   the loop the connection is dirty → the loop flushes, registering
-//   EPOLLOUT only while a partial write is outstanding.
+//   buffer → peel complete frames (a malformed header or payload kills only
+//   that connection) → RequestExecutor::Execute each request in arrival
+//   order → append the encoded response to the connection's out-queue and
+//   flush it at once. With nothing queued ahead, the response goes straight
+//   to the socket; only a partial write or EAGAIN leaves the unsent rest
+//   queued, with EPOLLOUT armed until the queue drains. A write error drops
+//   the connection after the frames already read have executed.
 //
-// Because pool tasks finish in any order, responses naturally leave
-// out-of-order relative to arrival — the wire v2 pipelining contract
-// (request_id matching) is what makes that legal.
+// Responses on one connection leave in request order. Clients match them
+// by request_id (the wire v2 pipelining contract) and may send several
+// frames before reading any reply.
 //
-// Ownership and shutdown: connections are shared_ptr'd between the loop
-// (fd → conn map) and in-flight pool tasks, so a connection dropped by the
-// loop stays alive until its last task retires (the task appends to a dead
-// queue that is simply never flushed). Stop() runs in strict order:
-//   1. set stopping, wake the loop via eventfd;
-//   2. join the loop thread (nobody touches epoll after this);
-//   3. destroy the pool (drains in-flight Execute calls — the eventfd stays
-//      open so their wake writes hit a live descriptor);
-//   4. drop connections, listener, epoll fd, eventfd.
+// The server never blocks on a write: whatever the socket cannot take waits
+// on the out-queue while the loop keeps reading. A client that sends every
+// frame of an exchange before reading any reply (ShardClient) therefore
+// cannot deadlock against it.
+//
+// Ownership and shutdown: the loop's fd → connection map owns each
+// connection, and nothing else refers to one. Stop() sets the stopping
+// flag, wakes the loop through the eventfd, joins the loop thread (which
+// finishes its current event batch first), then drops every connection and
+// releases the listener, epoll and eventfd descriptors.
 #pragma once
 
 #include <atomic>
@@ -57,10 +56,6 @@
 #include "net/endpoint.h"
 #include "net/request_executor.h"
 #include "ps/param_store.h"
-
-namespace specsync {
-class ThreadPool;
-}  // namespace specsync
 
 namespace specsync::obs {
 class Counter;
@@ -80,10 +75,6 @@ struct ShardServerConfig {
   std::vector<std::size_t> served_shards;
   // Exists only because benchmarks/e2e/e2e_bench.cc sets it; nothing reads it.
   ServerModel model = ServerModel::kEventLoop;
-  // Bounded execution pool size. Requests run on this pool so a slow shard
-  // lock never stalls the loop; total server threads = 1 (loop) +
-  // pool_threads, independent of client count.
-  std::size_t pool_threads = 4;
   // Test/bench injection: artificial per-request service time (see
   // RequestExecutor). Zero = off.
   std::chrono::microseconds service_delay{0};
@@ -98,11 +89,11 @@ class EventLoopServer {
   // `store` is not owned and must outlive the server. `metrics` (optional)
   // receives the executor's service-time histograms "net.server.pull_s" /
   // "net.server.push_s" and the loop internals: "net.eloop.epoll_wait_s" /
-  // "net.eloop.dispatch_s" / "net.eloop.pool_wait_s" / "net.eloop.out_queue_s"
-  // histograms, "net.eloop.reassembly_bytes" / "net.eloop.out_queue_bytes" /
-  // "net.eloop.conns" gauges, and "net.eloop.accepts" / "net.eloop.drops"
-  // counters. `spans` (optional) records trace-linked serve spans
-  // (DESIGN.md §14).
+  // "net.eloop.dispatch_s" (one event batch, request execution included) /
+  // "net.eloop.out_queue_s" histograms, "net.eloop.reassembly_bytes" /
+  // "net.eloop.out_queue_bytes" / "net.eloop.conns" gauges, and
+  // "net.eloop.accepts" / "net.eloop.drops" counters. `spans` (optional)
+  // records trace-linked serve spans (DESIGN.md §14).
   EventLoopServer(ParameterServer* store, ShardServerConfig config,
                   obs::MetricsRegistry* metrics = nullptr,
                   obs::SpanRecorder* spans = nullptr);
@@ -113,14 +104,14 @@ class EventLoopServer {
 
   // Binds and starts serving. False if the endpoint cannot be bound.
   bool Start();
-  // Stops accepting, drops every open connection, joins all threads.
+  // Stops accepting, drops every open connection, joins the loop thread.
   // Idempotent and safe to call from multiple threads; also run by the
   // destructor.
   void Stop();
   // Listening port (valid after a successful Start()).
   std::uint16_t port() const { return port_; }
   ServerStats stats() const;
-  // 1 loop thread + pool_threads while running; never a function of the
+  // 1 while running (the loop thread), 0 otherwise; never a function of the
   // number of connected clients.
   std::size_t thread_count() const;
 
@@ -129,27 +120,21 @@ class EventLoopServer {
 
   void Loop();
   void AcceptNew();
-  // Reads until EAGAIN and peels/dispatches complete frames. False = the
-  // connection must be dropped (EOF, error, malformed input).
-  bool ReadAndDispatch(const std::shared_ptr<Conn>& conn);
+  // Reads until EAGAIN, executing each complete frame and sending its
+  // response. False = the connection must be dropped (EOF, error, malformed
+  // input).
+  bool ReadAndDispatch(Conn& conn);
   // Flushes the outbound queue until empty or EAGAIN; manages EPOLLOUT
-  // registration. False = the connection must be dropped. Loop thread only.
-  bool FlushOut(const std::shared_ptr<Conn>& conn);
+  // registration. False = the connection must be dropped.
+  bool FlushOut(Conn& conn);
   void DropConn(int fd);
-  // Pool-thread side: write `frame` through to the socket when nothing is
-  // queued ahead of it; otherwise (or for the unsent rest) queue it and wake
-  // the loop.
-  void QueueResponse(const std::shared_ptr<Conn>& conn,
-                     std::vector<std::uint8_t> frame);
-  bool UpdateEpoll(Conn* conn, bool want_write);
-  // Flushes every connection freshly marked dirty by pool threads.
-  void DrainDirty();
-  // Signals the eventfd so epoll_wait returns.
-  void Wake();
+  // Appends `frame` to the out-queue and flushes it. False = the connection
+  // must be dropped.
+  bool QueueResponse(Conn& conn, std::vector<std::uint8_t> frame);
+  bool UpdateEpoll(Conn& conn, bool want_write);
   // Releases listener/epoll/eventfd descriptors.
   void Cleanup();
 
-  ParameterServer* store_;
   ShardServerConfig config_;
   RequestExecutor executor_;
   std::unique_ptr<TcpListener> listener_;
@@ -159,7 +144,6 @@ class EventLoopServer {
   // pointer-guarded so the un-instrumented server pays nothing).
   obs::LatencyHistogram* epoll_wait_hist_ = nullptr;  // time blocked in epoll
   obs::LatencyHistogram* dispatch_hist_ = nullptr;    // one event batch
-  obs::LatencyHistogram* pool_wait_hist_ = nullptr;   // submit → task start
   obs::LatencyHistogram* out_queue_hist_ = nullptr;   // queue → fully sent
   obs::Gauge* reassembly_gauge_ = nullptr;  // Σ per-conn `in` bytes
   obs::Gauge* out_bytes_gauge_ = nullptr;   // Σ per-conn queued out bytes
@@ -168,23 +152,19 @@ class EventLoopServer {
   obs::Counter* drops_counter_ = nullptr;
 
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: dirty-connection + stop notifications
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread loop_thread_;
+  int wake_fd_ = -1;  // eventfd: Stop() wakes the loop through it
 
-  // Loop-thread state.
-  std::unordered_map<int, std::shared_ptr<Conn>> conns_;
-
-  // Connections with freshly queued responses, handed from pool threads to
-  // the loop thread.
-  std::mutex dirty_mutex_;
-  std::vector<std::shared_ptr<Conn>> dirty_;
+  // Loop-thread state: every open connection, owned here.
+  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
 
   mutable std::mutex lifecycle_mutex_;
   bool started_ = false;  // guarded by lifecycle_mutex_
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> bad_frames_{0};
+
+  // Declared after every member the loop uses.
+  std::thread loop_thread_;
 };
 
 }  // namespace specsync::net

@@ -26,9 +26,10 @@
 // push. A repeat gets the cached ack and a fresh pull; a frame with a bad
 // half gets a plain error ack and changes nothing.
 //
-// Thread safety: Execute() may be called concurrently from any number of
+// Thread safety: Execute() is safe to call concurrently from any number of
 // threads; the ParameterServer's per-shard locks and the per-client
 // watermark locks are the serialization points, and the counters are atomics.
+// One EventLoopServer calls it from its loop thread only.
 #pragma once
 
 #include <atomic>
@@ -77,9 +78,9 @@ struct ServerStats {
 
 // Per-client exactly-once bookkeeping: the last applied push_seq and the ack
 // it produced. Check, apply and record happen under that client's lock, so
-// when the event-loop pool runs two copies of one frame at once, only one
-// passes the check; the other waits, then gets the cached ack. Entries live
-// as long as the server (one per client that ever pushed).
+// when two callers run copies of one frame at once, only one passes the
+// check; the other waits, then gets the cached ack. Entries live as long as
+// the server (one per client that ever pushed).
 class PushWatermarks {
  public:
   struct Outcome {

@@ -19,9 +19,9 @@
 //   - A client MAY have any number of requests in flight on one connection
 //     (v1 promised strict request/response lockstep per connection).
 //   - A server MAY answer out of order: responses are matched to requests by
-//     request_id, never by arrival position. Servers that execute requests
-//     concurrently (the event-loop model's bounded pool) reply as each
-//     finishes.
+//     request_id, never by arrival position. A server that executes
+//     requests concurrently may reply as each finishes (EventLoopServer
+//     executes them one at a time, in arrival order).
 //   - request_id is an opaque 64-bit token chosen by the client; a server
 //     echoes it verbatim and never interprets it. Clients that pipeline must
 //     keep ids unique among their own in-flight requests on a connection.

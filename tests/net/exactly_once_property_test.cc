@@ -816,9 +816,7 @@ TEST(ExactlyOnceFusedProperty, PlantedPullBeforePushIsCaughtAndShrunk) {
 }
 
 std::unique_ptr<EventLoopServer> StartEventLoop(ParameterServer* store) {
-  ShardServerConfig config;
-  config.pool_threads = 2;  // copies of one batch can run at once
-  auto server = std::make_unique<EventLoopServer>(store, std::move(config));
+  auto server = std::make_unique<EventLoopServer>(store, ShardServerConfig{});
   SPECSYNC_CHECK(server->Start());
   return server;
 }
@@ -855,10 +853,10 @@ void CheckScriptedPushFaults(bool fused) {
       // The second copy of a duplicated last push may still be on its way
       // to the server when the client has its answer. One more call on the
       // link, outside the observations, reaches the server behind it, so
-      // the server has dispatched that copy by the time this call returns.
+      // the server has executed that copy by the time this call returns.
       (void)client.Pull();
     }
-    server->Stop();  // drains the pool: every copy has executed
+    server->Stop();
 
     const std::string context = "seed " + std::to_string(seed) +
                                 " timeline:" + FormatTimeline(timeline);
@@ -1098,7 +1096,6 @@ TEST(ExactlyOnceTransportProperty, LostResponseAppliesOnceAcrossRetries) {
 
   auto store = MakeStore();
   ShardServerConfig config;
-  config.pool_threads = 4;
   config.service_delay = std::chrono::milliseconds(60);
   auto server =
       std::make_unique<EventLoopServer>(store.get(), std::move(config));
@@ -1111,7 +1108,16 @@ TEST(ExactlyOnceTransportProperty, LostResponseAppliesOnceAcrossRetries) {
     ASSERT_TRUE(client.Connect());
     EXPECT_THROW(client.Push(g, 0), CheckError);
   }
-  server->Stop();  // every delayed copy has executed by now
+  // The loop runs the three delayed copies one after another, so the last
+  // finishes well after the client has given up. Stop() only finishes the
+  // read batch in hand: wait for all three copies first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server->stats().commits + server->stats().duplicate_pushes < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server->Stop();
 
   EXPECT_EQ(StoreDigest(*store), StoreDigest(*direct_store));
   const ServerStats stats = server->stats();
@@ -1120,9 +1126,9 @@ TEST(ExactlyOnceTransportProperty, LostResponseAppliesOnceAcrossRetries) {
 }
 
 TEST(ExactlyOnceTransportProperty, TwoCopiesExecutingAtOnceApplyOnce) {
-  // Both copies of one batch sit in the pool at the same time (the service
-  // delay holds them there together), then race for the client's
-  // watermark: one applies, the other is answered from the cache.
+  // Both copies of one batch arrive in one read and run back to back on the
+  // loop thread: the first applies, the second is answered from the
+  // client's watermark cache.
   auto direct_store = MakeStore();
   Gradient g = Gradient::Sparse();
   g.sparse().Add(9, 1.0);
@@ -1130,7 +1136,6 @@ TEST(ExactlyOnceTransportProperty, TwoCopiesExecutingAtOnceApplyOnce) {
 
   auto store = MakeStore();
   ShardServerConfig config;
-  config.pool_threads = 2;
   config.service_delay = std::chrono::milliseconds(20);
   auto server =
       std::make_unique<EventLoopServer>(store.get(), std::move(config));

@@ -1107,7 +1107,6 @@ TEST_P(TransportTest, EventLoopTelemetryReachesRegistry) {
   for (int i = 0; i < 3; ++i) (void)client->Pull();
   EXPECT_EQ(metrics.gauge("net.eloop.conns").value(), 1.0);
   EXPECT_EQ(metrics.counter("net.eloop.accepts").value(), 1u);
-  EXPECT_GT(metrics.histogram("net.eloop.pool_wait_s").count(), 0u);
   EXPECT_GT(metrics.histogram("net.eloop.out_queue_s").count(), 0u);
   EXPECT_GT(metrics.histogram("net.eloop.epoll_wait_s").count(), 0u);
   EXPECT_GT(metrics.histogram("net.eloop.dispatch_s").count(), 0u);
@@ -1115,8 +1114,8 @@ TEST_P(TransportTest, EventLoopTelemetryReachesRegistry) {
   client.reset();  // disconnect: the loop sees EOF and drops the conn
   server->Stop();
   // One residency sample per response (3 pulls, each one batch holding
-  // both shards), whether the pool thread wrote it through or the loop
-  // flushed it from the queue.
+  // both shards), whether the socket took it at once or the loop flushed
+  // it from the queue later.
   EXPECT_EQ(metrics.histogram("net.eloop.out_queue_s").count(), 3u);
   // Every byte gauge must return to zero once all connections are gone.
   EXPECT_EQ(metrics.gauge("net.eloop.conns").value(), 0.0);
