@@ -1,9 +1,9 @@
 // Live-protocol demo: the SpecSync scheduler running against real threads.
 //
 // Unlike the simulator (virtual time), this spins up actual worker threads
-// and a scheduler thread exchanging notify / re-sync messages through
-// mailboxes; aborts interrupt genuinely in-flight gradient computation at
-// batch-chunk boundaries. Useful to convince yourself the protocol is not a
+// that deliver their notify messages to the scheduler and fire its
+// speculation checks themselves; aborts interrupt genuinely in-flight
+// gradient computation at batch-chunk boundaries. Useful to convince yourself the protocol is not a
 // simulation artifact.
 //
 // Run: ./build/examples/threaded_runtime_demo

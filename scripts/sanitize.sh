@@ -39,7 +39,11 @@
 # write-set tables are indexed under crash churn, where a bad index would
 # read another worker's row. protocol_test rides along for both: the worker
 # protocol's per-worker tables are indexed under crash churn (ASan) and, in
-# the runtime, read across worker and scheduler threads (TSan).
+# the runtime, read across worker threads (TSan). obs_integration_test
+# rides along for TSan: the runtime has no scheduler thread, so the
+# scheduler's audit records and retune instants are written from whichever
+# worker thread delivers the notify or fires the check, under the runtime's
+# scheduler mutex, while the other workers record their own spans.
 # push_alloc_test is deliberately absent:
 # it replaces the global operator new, which both sanitizers own. sim_test
 # covers the single-threaded DES under ASan+UBSan; the address mode also
@@ -57,7 +61,8 @@ SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         exactly_once_property_test sim_test calendar_queue_property_test
         tuner_equivalence_test compression_property_test
         chunk_merge_property_test mf_gradient_property_test
-        wire_codec_property_test consistency_property_test protocol_test)
+        wire_codec_property_test consistency_property_test protocol_test
+        obs_integration_test)
 MODE="${1:-all}"
 
 run_mode() {

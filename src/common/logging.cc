@@ -27,13 +27,7 @@ Logger& Logger::Get() {
 Logger::Logger() = default;
 
 void Logger::set_min_level(LogLevel level) {
-  std::scoped_lock lock(mutex_);
-  min_level_ = level;
-}
-
-LogLevel Logger::min_level() const {
-  std::scoped_lock lock(mutex_);
-  return min_level_;
+  min_level_.store(level, std::memory_order_relaxed);
 }
 
 void Logger::set_sink(Sink sink) {
@@ -42,10 +36,10 @@ void Logger::set_sink(Sink sink) {
 }
 
 void Logger::Write(LogLevel level, const std::string& message) {
+  if (!Enabled(level)) return;
   Sink sink;
   {
     std::scoped_lock lock(mutex_);
-    if (level < min_level_) return;
     sink = sink_;
   }
   if (sink) {

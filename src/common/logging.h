@@ -26,7 +26,10 @@ class Logger {
   static Logger& Get();
 
   void set_min_level(LogLevel level);
-  LogLevel min_level() const;
+  // One relaxed load: SPECSYNC_LOG asks this before evaluating anything.
+  bool Enabled(LogLevel level) const {
+    return level >= min_level_.load(std::memory_order_relaxed);
+  }
 
   // Replaces the sink; pass nullptr to restore the default (stderr) sink.
   void set_sink(Sink sink);
@@ -36,8 +39,8 @@ class Logger {
  private:
   Logger();
 
-  mutable std::mutex mutex_;
-  LogLevel min_level_ = LogLevel::kInfo;
+  std::atomic<LogLevel> min_level_{LogLevel::kInfo};
+  std::mutex mutex_;  // guards sink_
   Sink sink_;
 };
 
@@ -59,8 +62,8 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
-// Discards everything streamed into it (the suppressed occurrences of
-// SPECSYNC_LOG_EVERY_N).
+// Discards everything streamed into it (disabled SPECSYNC_LOG lines and the
+// suppressed occurrences of SPECSYNC_LOG_EVERY_N).
 class NullLogMessage {
  public:
   template <typename T>
@@ -79,8 +82,13 @@ inline bool ShouldLogEveryN(std::atomic<std::uint64_t>& counter,
 }  // namespace internal
 }  // namespace specsync
 
-#define SPECSYNC_LOG(level) \
-  ::specsync::internal::LogMessage(::specsync::LogLevel::level)
+// A line below the minimum level costs one atomic load: its operands are
+// never evaluated and no message is built.
+#define SPECSYNC_LOG(level)                                                \
+  if (!::specsync::Logger::Get().Enabled(::specsync::LogLevel::level))     \
+    ::specsync::internal::NullLogMessage();                                \
+  else                                                                     \
+    ::specsync::internal::LogMessage(::specsync::LogLevel::level)
 
 // Rate-limited logging for per-event warnings that would otherwise flood the
 // sink (dropped messages, failed metric writes): emits the first occurrence

@@ -41,9 +41,9 @@ struct SchedulerConfig {
   // History retention multiple (in units of the longest span estimate).
   double history_horizon_spans = 50.0;
   // A check timer firing later than its armed deadline plus this slack is
-  // counted as late (drivers with slightly jittery wall-clock timers stay
-  // under it; fault-injected delays exceed it). The counting window is
-  // always clamped to the armed deadline regardless.
+  // counted as late. Both engines fire every check as of its deadline (a
+  // runtime worker at its first poll point after it), so only a delayed
+  // timer counts. The window is always clamped to the armed deadline.
   Duration late_check_slack = Duration::Milliseconds(10.0);
 };
 

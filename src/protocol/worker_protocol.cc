@@ -75,8 +75,8 @@ WorkerProtocol::WorkerProtocol(
   controller_ = MakeConsistencyController(
       config.scheme.consistency, config.num_workers, store_->num_shards());
   if (auto* dssp = dynamic_cast<DynamicSspController*>(controller_.get())) {
-    // DecisionAuditLog is internally locked: DSSP retunes from runtime
-    // worker threads interleave safely with the scheduler thread's records.
+    // DecisionAuditLog is internally locked: DSSP retunes and the
+    // scheduler's records interleave safely across runtime worker threads.
     if (obs_ != nullptr) dssp->AttachAudit(&obs_->audit);
     dssp_ = dssp;
   }

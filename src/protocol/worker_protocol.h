@@ -9,10 +9,10 @@
 // the executor carries them and hands them to Deliver.
 //
 // Threading: the DES calls everything from one event loop. In the runtime,
-// worker w's steps run on worker w's thread, Deliver/ReSyncDue/PostReSync on
-// the scheduler thread, and Finish after every thread joined. The fields
-// other threads read (completed, liveness, the posted re-sync) are atomics;
-// the consistency controller sits behind the gate's lock.
+// worker w's thread runs w's steps and w's scheduler calls (Deliver and
+// ReSyncDue under one mutex, PostReSync), and Finish runs after every thread
+// joined. The fields other threads read (completed, liveness, the posted
+// re-sync) are atomics; the consistency controller sits behind its lock.
 #pragma once
 
 #include <atomic>

@@ -1,10 +1,9 @@
-// Mailbox for inter-thread message passing, with an optional FaultPlan in
-// the wire.
+// Mailbox for message passing, with an optional FaultPlan in the wire.
 //
-// Per the Core Guidelines' concurrency advice (CP.mess), runtime nodes never
-// share mutable state directly: workers, the scheduler, and the driver
-// exchange owned messages through mailboxes (Send / Receive / ReceiveUntil /
-// Close). With a plan, each Send consults the plan's
+// The runtime gives each worker one as the outbox of its control messages,
+// which the worker itself drains into the scheduler (Send / ReceiveUntil /
+// Close); Receive blocks, for a receiver on another thread. With a plan,
+// each Send consults the plan's
 // control-link decision: dropped messages are swallowed, duplicated messages
 // are enqueued twice, and delayed messages become visible to receivers only
 // after their extra delay elapses. With a null or inert plan every message is

@@ -1,9 +1,10 @@
 #include "runtime/runtime_cluster.h"
 
 #include <algorithm>
+#include <mutex>
 #include <optional>
-#include <queue>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -29,8 +30,7 @@ struct RuntimeCluster::Impl {
   // client per worker (empty clients vector = in-process direct calls).
   std::unique_ptr<net::EventLoopServer> shard_server;
   std::vector<std::unique_ptr<net::ShardClient>> shard_clients;
-  // Worker -> scheduler thread (the scheduler side of the protocol).
-  FaultMailbox<ControlMessage> scheduler_mailbox;
+  std::mutex scheduler_mutex;  // every worker's Deliver and ReSyncDue calls
 
   // Observability (null = off) for what only the runtime records: the wall
   // time of each iteration attempt and the push's sub-steps.
@@ -44,8 +44,7 @@ struct RuntimeCluster::Impl {
         config(std::move(config_in)),
         faults(config.faults),
         protocol(model, schedule_in, ProtocolConfig(config), faults,
-                 Rng(config.seed)),
-        scheduler_mailbox(&faults, LinkClass::kControl) {
+                 Rng(config.seed)) {
     SPECSYNC_CHECK_GT(config.compute_chunks, 0u);
     SPECSYNC_CHECK_LE(config.compute_chunks, config.batch_size);
 
@@ -127,20 +126,6 @@ struct RuntimeCluster::Impl {
   // Obs-only timestamps: reading the clock costs nothing when obs is off.
   SimTime Stamp() const { return obs != nullptr ? clock.Now() : SimTime(); }
 
-  // Carries a worker's message to the scheduler thread: lossy for pulls and
-  // notifies, reliable for down/up notices. The mailbox closes only after
-  // every worker joined, so a failed send is a shutdown-ordering bug.
-  void Post(const std::optional<ControlMessage>& message) {
-    if (!message.has_value()) return;
-    using Kind = ControlMessage::Kind;
-    const bool lifecycle = message->kind == Kind::kWorkerDown ||
-                           message->kind == Kind::kWorkerUp;
-    const bool sent = lifecycle ? scheduler_mailbox.SendReliable(*message)
-                                : scheduler_mailbox.Send(*message);
-    SPECSYNC_CHECK(sent) << "worker " << message->worker
-                         << ": scheduler mailbox closed before join";
-  }
-
   // Transport dispatch: the in-process store pushes `routes` (the layout's
   // RouteInto(grad)) as they are; a wire client cuts its frames itself.
   // With `next_pull` set (wire clients only), the push's round trip also
@@ -159,55 +144,6 @@ struct RuntimeCluster::Impl {
     return result.version;
   }
 
-  // --- scheduler thread -----------------------------------------------------
-
-  void SchedulerLoop() {
-    struct Timer {
-      SimTime deadline;
-      WorkerId worker;
-      std::uint64_t token;
-      IterationId iteration;
-      bool operator>(const Timer& other) const {
-        return deadline > other.deadline;
-      }
-    };
-    std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers;
-
-    for (;;) {
-      // Fire due timers first.
-      while (!timers.empty() && timers.top().deadline <= clock.Now()) {
-        const Timer timer = timers.top();
-        timers.pop();
-        if (protocol.ReSyncDue(timer.worker, timer.token, clock.Now())) {
-          // "Send" the re-sync. It rides the control link, so it too can be
-          // lost.
-          const bool lost =
-              faults.enabled() && faults.OnMessage(LinkClass::kControl).drop;
-          if (!lost) protocol.PostReSync(timer.worker, timer.iteration);
-        }
-      }
-      std::optional<ControlMessage> message;
-      if (timers.empty()) {
-        message = scheduler_mailbox.Receive();
-      } else {
-        message = scheduler_mailbox.ReceiveUntil(
-            clock.ToTimePoint(timers.top().deadline));
-      }
-      if (!message.has_value()) {
-        // drained(), not merely closed: messages sent before Close() must
-        // still be dispatched — the loop only ends once nothing can arrive
-        // again.
-        if (scheduler_mailbox.drained()) break;
-        continue;  // timer deadline reached (or spurious wake): fire timers
-      }
-      const SimTime now = clock.Now();
-      if (const auto request = protocol.Deliver(*message, now)) {
-        timers.push(Timer{now + request->delay, message->worker,
-                          request->token, message->iteration});
-      }
-    }
-  }
-
   // --- worker threads --------------------------------------------------------
 
   void WorkerLoop(WorkerId w, std::vector<std::size_t> shard) {
@@ -222,6 +158,58 @@ struct RuntimeCluster::Impl {
     // crash rejoin discards it: those re-pull fresher parameters.
     const bool fuse_pull = !shard_clients.empty() && !protocol.gated();
     std::optional<PullResult> prefetched;
+
+    // No scheduler thread: this worker's messages ride its own outbox (lossy
+    // for pulls and notifies, reliable for down/up notices), which it
+    // delivers itself right after each send and at each poll point, and it
+    // fires the check its last delivered notify armed.
+    FaultMailbox<ControlMessage> outbox(&faults, LinkClass::kControl);
+    struct PendingCheck {
+      std::uint64_t token;
+      SimTime deadline;
+      IterationId iteration;  // the notified one; the window covers the next
+    };
+    std::optional<PendingCheck> check;
+    // Stamps each ready message with its delivery time, read under the lock:
+    // the scheduler's ledgers need monotone times. A notify's check replaces
+    // the pending one, so a check not yet due never reaches the scheduler.
+    const auto drain = [&] {
+      while (const auto message =
+                 outbox.ReceiveUntil(std::chrono::steady_clock::now())) {
+        std::scoped_lock lock(scheduler_mutex);
+        const SimTime now = clock.Now();
+        if (const auto request = protocol.Deliver(*message, now)) {
+          check = PendingCheck{request->token, now + request->delay,
+                               message->iteration};
+        }
+      }
+    };
+    // The outbox closes only when this worker exits, after its last send.
+    const auto post = [&](const std::optional<ControlMessage>& message) {
+      if (!message.has_value()) return;
+      using Kind = ControlMessage::Kind;
+      const bool lifecycle = message->kind == Kind::kWorkerDown ||
+                             message->kind == Kind::kWorkerUp;
+      SPECSYNC_CHECK(lifecycle ? outbox.SendReliable(*message)
+                               : outbox.Send(*message));
+      drain();
+    };
+    // A poll point fires a check whose deadline passed, as of the deadline:
+    // HandleCheckTimer clamps its window there, so it counts the pushes an
+    // exact timer would.
+    const auto poll = [&] {
+      drain();
+      if (!check.has_value() || clock.Now() < check->deadline) return;
+      const PendingCheck due = *std::exchange(check, std::nullopt);
+      std::unique_lock lock(scheduler_mutex);
+      const bool resync = protocol.ReSyncDue(w, due.token, due.deadline);
+      lock.unlock();
+      // The re-sync rides the control link, so it too can be lost.
+      if (resync &&
+          !(faults.enabled() && faults.OnMessage(LinkClass::kControl).drop)) {
+        protocol.PostReSync(w, due.iteration);
+      }
+    };
 
     // Injected crash: honored at iteration start, in the gate, and at chunk
     // boundaries (like aborts, an in-flight chunk always completes). One
@@ -242,10 +230,10 @@ struct RuntimeCluster::Impl {
     const auto go_down = [&] {
       crash_pending = false;
       prefetched.reset();
-      Post(protocol.Crash(w, clock.Now()));
+      post(protocol.Crash(w, clock.Now()));
       if (!crash->rejoin.has_value()) return true;
       std::this_thread::sleep_until(clock.ToTimePoint(*crash->rejoin));
-      Post(protocol.Rejoin(w));
+      post(protocol.Rejoin(w));
       return false;
     };
 
@@ -263,7 +251,7 @@ struct RuntimeCluster::Impl {
     while (protocol.completed(w) < config.iterations_per_worker) {
       const IterationId iteration = protocol.completed(w);
       if (crash_due()) {
-        if (go_down()) return;
+        if (go_down()) break;
         continue;
       }
       // Block until the bound admits this iteration. Re-entry after an
@@ -275,6 +263,7 @@ struct RuntimeCluster::Impl {
              protocol.AwaitAdmission(w, gate_deadline())) {
       }
       if (!admitted) continue;  // a crash fell due in the gate
+      poll();  // a check due by now is moot: RecordPull drops its re-sync
       obs::ScopedTimer iteration_timer(iteration_hist);
       // A snapshot the last push prefetched is this pull, already done. The
       // in-process pull copies every shard into the reused snapshot on this
@@ -288,7 +277,7 @@ struct RuntimeCluster::Impl {
       } else {
         snapshot = shard_clients[w]->Pull();
       }
-      Post(protocol.RecordPull(w, pull_begin, clock.Now(), snapshot.version));
+      post(protocol.RecordPull(w, pull_begin, clock.Now(), snapshot.version));
 
       const std::vector<std::size_t> batch = sampler.NextBatch();
       std::size_t num_chunks = 0;
@@ -309,7 +298,9 @@ struct RuntimeCluster::Impl {
             std::this_thread::sleep_for(config.chunk_delay);
           }
         }
-        // A crash, or a re-sync aimed at this iteration (abort-and-refresh).
+        // A crash, or a re-sync aimed at this iteration (abort-and-refresh):
+        // a check due by now aborts at this, the first boundary after it.
+        poll();
         if (crash_due() || protocol.TakeReSync(w, clock.Now()).has_value()) {
           interrupted = true;
           break;
@@ -322,8 +313,8 @@ struct RuntimeCluster::Impl {
       // step: push.merge (chunk merge plus codec), push.store (route,
       // apply, commit; a fused wire push also carries the next pull's
       // round trip here), push.gate (consistency bookkeeping, gated runs
-      // only) and push.notify (the scheduler message, speculative runs
-      // only). Recording them is charged to the push span itself.
+      // only) and push.notify (delivering the notify to the scheduler,
+      // speculative runs only). Recording them is charged to the push span.
       const SimTime push_begin = Stamp();
       merger.Merge(std::span<const Gradient>(chunks).first(num_chunks),
                    merged);
@@ -339,7 +330,8 @@ struct RuntimeCluster::Impl {
       const SimTime store_end = Stamp();
       protocol.Commit(w, clock.Now(), plan.write_set, /*landed=*/true);
       const SimTime gate_end = Stamp();
-      Post(protocol.Notify(w, iteration, gate_end));
+      poll();  // before the notify supersedes a due check
+      post(protocol.Notify(w, iteration, gate_end));
       if (obs != nullptr) {
         obs->spans.AddSpan("push.merge", "push", w, push_begin, merge_end);
         obs->spans.AddSpan("push.store", "push", w, merge_end, store_end);
@@ -352,16 +344,16 @@ struct RuntimeCluster::Impl {
       }
       protocol.RecordPush(w, push_begin, Stamp(), iteration, version);
     }
+    // Quota met, or dead for good: delayed messages go out now (closing
+    // makes them ready). A check still pending has nothing left to abort.
+    outbox.Close();
+    drain();
   }
 
   RuntimeResult Run() {
     const auto start = std::chrono::steady_clock::now();
     auto shards = ShardIndices(model->dataset_size(), config.num_workers);
 
-    std::jthread scheduler_thread;
-    if (protocol.scheduler() != nullptr) {
-      scheduler_thread = std::jthread([this] { SchedulerLoop(); });
-    }
     {
       std::vector<std::jthread> workers;
       workers.reserve(config.num_workers);
@@ -372,8 +364,6 @@ struct RuntimeCluster::Impl {
             });
       }
     }  // join workers
-    scheduler_mailbox.Close();
-    if (scheduler_thread.joinable()) scheduler_thread.join();
     // Quiesce the wire before reading results: no in-flight push may race
     // the final snapshot. Clients disconnect first so the server's handler
     // threads see clean EOFs rather than resets.

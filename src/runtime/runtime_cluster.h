@@ -6,10 +6,11 @@
 // aborts, crash and rejoin); the runtime decides when each step runs and how
 // its bytes move: worker threads compute gradients chunk by chunk and honour
 // re-syncs and crashes at chunk boundaries, wait in the gate no longer than
-// a crash falling due, and reach the store directly or over a ShardClient; a
-// scheduler thread receives their messages through a fault-injecting mailbox
-// and arms wall-clock speculation timers. Time is wall time mapped onto
-// SimTime, so SpecSyncScheduler is reused verbatim.
+// a crash falling due, and reach the store directly or over a ShardClient.
+// No thread serves the scheduler: each worker delivers its own control
+// messages (through a fault-injecting outbox) and fires its own speculation
+// checks at its chunk boundaries. Time is wall time mapped onto SimTime, so
+// SpecSyncScheduler is reused verbatim.
 #pragma once
 
 #include <atomic>
@@ -85,15 +86,15 @@ struct RuntimeConfig {
   // final_eval_samples examples are evaluated (0 = the full dataset).
   bool final_eval = true;
   std::size_t final_eval_samples = 2000;
-  // Fault injection: control-link faults apply to the scheduler mailbox and
-  // re-sync delivery, slowdown windows scale chunk_delay, and crash events
+  // Fault injection: control-link faults apply to each worker's outbox and
+  // to re-sync delivery, slowdown windows scale chunk_delay, and crash events
   // kill (and optionally rejoin) worker threads. Default = disabled, which
   // leaves the runtime's behavior untouched.
   FaultPlanConfig faults;
   // Optional observability context (src/obs), not owned; must outlive the
   // cluster. Worker threads record pull/compute/push/abort spans on the
-  // wall-clock SimTime axis, the scheduler thread records its decision audit,
-  // and the parameter store its lock/latency histograms.
+  // wall-clock SimTime axis and, through their scheduler calls, its decision
+  // audit; the parameter store records its lock/latency histograms.
   obs::ObsContext* obs = nullptr;
 };
 

@@ -169,6 +169,37 @@ TEST(LoggingTest, LogEveryNSkipsArgumentEvaluationWhenSuppressed) {
   Logger::Get().set_min_level(LogLevel::kInfo);
 }
 
+TEST(LoggingTest, DisabledLevelNeverEvaluatesOperands) {
+  std::vector<std::string> captured;
+  Logger::Get().set_sink([&](LogLevel, const std::string& msg) {
+    captured.push_back(msg);
+  });
+  Logger::Get().set_min_level(LogLevel::kInfo);
+  int evaluations = 0;
+  const auto expensive = [&] {
+    ++evaluations;
+    return 7;
+  };
+  SPECSYNC_LOG(kDebug) << "debug " << expensive();
+  EXPECT_EQ(evaluations, 0);
+  EXPECT_TRUE(captured.empty());
+
+  SPECSYNC_LOG(kInfo) << "info " << expensive();
+  EXPECT_EQ(evaluations, 1);
+  ASSERT_EQ(captured.size(), 1u);
+  EXPECT_EQ(captured[0], "info 7");
+
+  // Lowering the level enables the same line.
+  Logger::Get().set_min_level(LogLevel::kDebug);
+  SPECSYNC_LOG(kDebug) << "debug " << expensive();
+  EXPECT_EQ(evaluations, 2);
+  ASSERT_EQ(captured.size(), 2u);
+  EXPECT_EQ(captured[1], "debug 7");
+
+  Logger::Get().set_sink(nullptr);
+  Logger::Get().set_min_level(LogLevel::kInfo);
+}
+
 // --- table ------------------------------------------------------------------
 
 TEST(TableTest, RowWidthMismatchThrows) {

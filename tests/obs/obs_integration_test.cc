@@ -167,10 +167,10 @@ std::shared_ptr<const Model> SmallSoftmaxModel() {
 }
 
 // The threaded runtime records the same surfaces from real threads: worker
-// threads write spans and PS latency histograms concurrently while the
-// scheduler thread appends audit records. (This test is part of the
-// sanitizer suites — TSan runs it to race-check the lock-free instruments
-// against live worker/scheduler interleavings.)
+// threads write spans and PS latency histograms concurrently, and append
+// the scheduler's audit records through the scheduler calls they make
+// themselves. (This test is part of the sanitizer suites — TSan runs it to
+// race-check the instruments against live worker interleavings.)
 TEST(ObsIntegrationTest, RuntimeClusterRecordsAllSurfaces) {
   auto model = SmallSoftmaxModel();
 

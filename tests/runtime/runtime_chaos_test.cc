@@ -213,6 +213,36 @@ TEST(RuntimeChaosTest, LossyControlPlaneWithKilledWorkerStillConverges) {
   EXPECT_TRUE(AllFinite(result.final_weights));
 }
 
+TEST(RuntimeChaosTest, DelayedNotifiesAreAllDelivered) {
+  // Every control message is delayed, none lost or copied. A worker holds
+  // its delayed messages until its next poll point, and one that exits
+  // (quota met, or dead for good) delivers the rest at once: every push's
+  // notify reaches the scheduler, the dead worker's included.
+  RuntimeConfig config;
+  config.num_workers = 4;
+  config.iterations_per_worker = 30;
+  config.batch_size = 16;
+  config.compute_chunks = 8;
+  config.chunk_delay = std::chrono::microseconds(200);
+  config.fixed_params.abort_time = Duration::Milliseconds(1.0);
+  config.fixed_params.abort_rate = 1.0 / 8.0;
+  config.faults.control.delay_probability = 1.0;
+  config.faults.control.delay_mean = Duration::Milliseconds(1.0);
+  config.faults.crashes.push_back(
+      CrashEvent{3, SimTime::FromSeconds(0.02), std::nullopt});
+  RuntimeCluster cluster(TinyModel(7), std::make_shared<ConstantSchedule>(0.2),
+                         config);
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.workers_killed, 1u);
+  EXPECT_GE(result.total_pushes, 90u);
+  EXPECT_LT(result.total_pushes, 120u);
+  EXPECT_GT(result.fault_stats.delays, 0u);
+  EXPECT_EQ(result.fault_stats.drops, 0u);
+  // Delays reorder a worker's notifies, and the scheduler ignores one that
+  // arrives after a later iteration's, but it still counts it received.
+  EXPECT_EQ(result.scheduler_stats.notifies_received, result.total_pushes);
+}
+
 TEST(RuntimeChaosTest, CrashWithRejoinCompletesFullQuota) {
   RuntimeConfig config;
   config.num_workers = 3;

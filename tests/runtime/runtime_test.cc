@@ -2,10 +2,15 @@
 // cluster under real concurrency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "models/matrix_factorization.h"
@@ -365,6 +370,202 @@ TEST(RuntimeClusterTest, DsspRetunesOnRealThreads) {
   EXPECT_GT(result.consistency_retunes, 0u);
   EXPECT_GT(result.final_staleness, 0u);
   EXPECT_TRUE(AllFinite(result.final_weights));
+}
+
+// --- the control plane --------------------------------------------------------
+
+std::size_t ThreadCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(tasks, std::filesystem::directory_iterator()));
+}
+
+// Forwards to a real model and records every gradient call: when it
+// started (obs::WallNanos), and the process's thread count as the calling
+// worker sees it.
+class WatchedModel final : public Model {
+ public:
+  struct Call {
+    std::uint64_t start_ns;
+    std::size_t threads;
+  };
+
+  explicit WatchedModel(std::shared_ptr<const Model> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::size_t param_dim() const override { return inner_->param_dim(); }
+  std::size_t dataset_size() const override { return inner_->dataset_size(); }
+  void InitParams(std::span<double> params, Rng& rng) const override {
+    inner_->InitParams(params, rng);
+  }
+  double LossAndGradient(std::span<const double> params,
+                         std::span<const std::size_t> batch,
+                         Gradient& grad) const override {
+    const Call call{obs::WallNanos(), ThreadCount()};
+    {
+      std::scoped_lock lock(mutex_);
+      calls_.push_back(call);
+    }
+    return inner_->LossAndGradient(params, batch, grad);
+  }
+  double Loss(std::span<const double> params,
+              std::span<const std::size_t> batch) const override {
+    return inner_->Loss(params, batch);
+  }
+
+  std::vector<Call> calls() const {
+    std::scoped_lock lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  std::shared_ptr<const Model> inner_;
+  mutable std::mutex mutex_;
+  mutable std::vector<Call> calls_;
+};
+
+// A run's obs::WallNanos instant on its SimTime axis.
+SimTime OnRunClock(const obs::ObsContext& obs, std::uint64_t wall_ns) {
+  return SimTime::FromSeconds(
+      static_cast<double>(wall_ns - obs.spans.wall_epoch_nanos()) * 1e-9);
+}
+
+std::vector<obs::TraceEvent> SpansNamed(const obs::ObsContext& obs,
+                                        const std::string& name,
+                                        std::uint32_t track) {
+  std::vector<obs::TraceEvent> spans;
+  for (const obs::TraceEvent& e : obs.spans.Events()) {
+    if (e.name == name && e.track == track) spans.push_back(e);
+  }
+  return spans;
+}
+
+TEST(RuntimeControlPlaneTest, SpeculativeRunStartsOnlyWorkerThreads) {
+  // The workers deliver their own messages and fire their own checks, so a
+  // speculative in-process run adds exactly one thread per worker.
+  RuntimeConfig config;
+  config.num_workers = 3;
+  config.iterations_per_worker = 20;
+  config.batch_size = 16;
+  config.compute_chunks = 4;
+  config.chunk_delay = std::chrono::microseconds(200);
+  config.fixed_params.abort_time = Duration::Milliseconds(1.0);
+  config.fixed_params.abort_rate = 1.0 / 8.0;
+  auto model = std::make_shared<WatchedModel>(TinyModel(10));
+  RuntimeCluster cluster(model, std::make_shared<ConstantSchedule>(0.1),
+                         config);
+  // A sanitizer may start a helper thread with the process's first spawned
+  // thread; spawn one first so the baseline already counts it. In a plain
+  // build the baseline is this test's own thread.
+  std::jthread([] {}).join();
+  const std::size_t baseline = ThreadCount();
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.total_pushes, 60u);
+  EXPECT_GT(result.scheduler_stats.notifies_received, 0u);
+  std::size_t most = 0;
+  for (const WatchedModel::Call& call : model->calls()) {
+    most = std::max(most, call.threads);
+  }
+  EXPECT_EQ(most, baseline + config.num_workers);
+}
+
+TEST(RuntimeControlPlaneTest, AbortLandsAtFirstChunkBoundaryAfterDeadline) {
+  // One worker and a zero abort rate: every check re-syncs, so the check
+  // armed by each notify aborts the next iteration. Its 4.5 ms deadline
+  // falls inside the second 3 ms chunk; the abort lands at the end of the
+  // chunk that straddles it, and the audit records the decision as of the
+  // armed deadline.
+  RuntimeConfig config;
+  config.num_workers = 1;
+  config.iterations_per_worker = 6;
+  config.batch_size = 16;
+  config.compute_chunks = 4;
+  config.chunk_delay = std::chrono::microseconds(3000);
+  config.fixed_params.abort_time = Duration::Milliseconds(4.5);
+  config.fixed_params.abort_rate = 0.0;
+  obs::ObsContext obs;
+  config.obs = &obs;
+  auto model = std::make_shared<WatchedModel>(TinyModel(11));
+  RuntimeCluster cluster(model, std::make_shared<ConstantSchedule>(0.1),
+                         config);
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.total_pushes, 6u);
+  EXPECT_GT(result.total_aborts, 0u);
+  EXPECT_EQ(result.scheduler_stats.late_checks, 0u);
+
+  const std::vector<obs::CheckRecord> checks = obs.audit.checks();
+  for (const obs::CheckRecord& check : checks) {
+    EXPECT_EQ(check.outcome, obs::CheckOutcome::kResync);
+    EXPECT_EQ(check.fired_at, check.armed_deadline);
+    EXPECT_FALSE(check.late);
+  }
+  std::vector<SimTime> chunk_starts;
+  for (const WatchedModel::Call& call : model->calls()) {
+    chunk_starts.push_back(OnRunClock(obs, call.start_ns));
+  }
+  std::sort(chunk_starts.begin(), chunk_starts.end());
+  const std::vector<obs::TraceEvent> aborts =
+      SpansNamed(obs, "aborted_compute", 0);
+  ASSERT_EQ(aborts.size(), result.total_aborts);
+  for (const obs::TraceEvent& abort : aborts) {
+    const SimTime landed = abort.end();
+    // The check that caused it: the last one due by the abort.
+    std::optional<SimTime> deadline;
+    for (const obs::CheckRecord& check : checks) {
+      if (check.armed_deadline <= landed) deadline = check.armed_deadline;
+    }
+    ASSERT_TRUE(deadline.has_value()) << "abort at " << landed;
+    // The chunk that ended at the abort started no later than the deadline
+    // (plus scheduling slack far below a chunk): no boundary at or after
+    // the deadline came before the one that aborted.
+    const auto chunk = std::prev(
+        std::upper_bound(chunk_starts.begin(), chunk_starts.end(), landed));
+    EXPECT_LT(*chunk, *deadline + Duration::Milliseconds(1.0));
+  }
+}
+
+TEST(RuntimeControlPlaneTest, CheckDueInTheGateAbortsNothing) {
+  // BSP over two workers, worker 1 twenty times slower: after each push
+  // worker 0 waits in the gate for worker 1, and its 2 ms check falls due
+  // there. Worker 0's zero rate makes every such check re-sync; the check
+  // fires once worker 0 is admitted, before its pull, which discards the
+  // re-sync. Worker 1's rate is out of reach, so nothing aborts.
+  RuntimeConfig config;
+  config.num_workers = 2;
+  config.iterations_per_worker = 5;
+  config.batch_size = 16;
+  config.compute_chunks = 4;
+  config.chunk_delay = std::chrono::microseconds(500);
+  config.consistency.scheme = ConsistencyScheme::kBsp;
+  config.fixed_params.abort_time = Duration::Milliseconds(2.0);
+  config.fixed_params.per_worker_rate = {0.0, 1e9};
+  config.faults.slowdowns.push_back(SlowdownWindow{
+      1, SimTime::Zero(), SimTime::FromSeconds(3600.0), 20.0});
+  obs::ObsContext obs;
+  config.obs = &obs;
+  RuntimeCluster cluster(TinyModel(12), std::make_shared<ConstantSchedule>(0.1),
+                         config);
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.total_pushes, 10u);
+  EXPECT_EQ(result.total_aborts, 0u);
+
+  const std::vector<obs::TraceEvent> gated = SpansNamed(obs, "gated", 0);
+  std::size_t performed = 0;
+  for (const obs::CheckRecord& check : obs.audit.checks()) {
+    if (check.worker != 0) continue;
+    ++performed;
+    EXPECT_EQ(check.outcome, obs::CheckOutcome::kResync);
+    EXPECT_TRUE(std::any_of(gated.begin(), gated.end(),
+                            [&](const obs::TraceEvent& wait) {
+                              return wait.begin <= check.fired_at &&
+                                     check.fired_at <= wait.end();
+                            }))
+        << "check at " << check.fired_at << " fell outside every gate wait";
+  }
+  // The notifies of iterations 0-3 each armed one; the last one's check
+  // is still pending when the worker exits.
+  EXPECT_EQ(performed, config.iterations_per_worker - 1);
 }
 
 }  // namespace
