@@ -5,6 +5,11 @@
 # experiment thread pool and the ParallelRunner built on it, plus the
 # lock-free obs instruments recorded from those threads) and the fault plan
 # itself, plus the single-threaded sim suite for its memory safety.
+# runtime_test and runtime_chaos_test run training on worker threads only:
+# every worker calls the scheduler under the runtime's one mutex, waits at
+# the shared gate, pushes to the shared store and draws from the shared
+# fault plan, so TSan proves those handoffs. Each worker's notify outbox
+# has one owner and no lock; TSan would flag a second thread touching it.
 # net_test runs the whole transport suite under both sanitizers: the
 # caller-driven ShardClient (no threads of its own; each caller reads its
 # replies and reconnects inline) against the single-threaded epoll
@@ -12,9 +17,9 @@
 # server's start/stop against its callers' threads, its connection
 # lifetimes and out-queues, and the client's socket and reply-buffer
 # handling are TSan/ASan proven on every CI run, including the start/stop
-# hammer. runtime_test's TCP runs go through the
-# same server. The calendar-queue
-# and tuner equivalence property suites ride along for ASan's sake: the
+# hammer. runtime_test's TCP runs go through the same server. The
+# calendar-queue and tuner equivalence property suites ride along for
+# ASan's sake: the
 # pooled event queue recycles nodes through a free list and moves payloads
 # out mid-callback, exactly the lifetime pattern ASan proves sound
 # (DESIGN.md §12 pool lifetime rules). compression_property_test rides along

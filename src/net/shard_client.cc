@@ -113,7 +113,6 @@ struct ShardClient::Link {
   obs::Counter* deaths_counter = nullptr;
   obs::Counter* retransmit_counter = nullptr;
   obs::Gauge* in_flight_gauge = nullptr;
-  obs::Gauge* pending_gauge = nullptr;
 
   void CountRetransmit(std::size_t bytes) {
     retransmit_bytes += bytes;
@@ -137,14 +136,12 @@ struct ShardClient::Ticket {
   WireMessage response;
 
   // Every change of `in_flight` goes through here, keeping the link's
-  // gauges (summed over every client sharing the registry) in step.
+  // gauge (summed over every client sharing the registry) in step.
   void SetInFlight(bool value) {
     if (in_flight == value) return;
     in_flight = value;
     if (link->in_flight_gauge != nullptr) {
-      const double delta = value ? 1.0 : -1.0;
-      link->in_flight_gauge->Add(delta);
-      link->pending_gauge->Add(delta);
+      link->in_flight_gauge->Add(value ? 1.0 : -1.0);
     }
   }
 };
@@ -188,7 +185,6 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
       link.retransmit_counter =
           &metrics->counter("net.link.retransmit_bytes" + label);
       link.in_flight_gauge = &metrics->gauge("net.link.in_flight" + label);
-      link.pending_gauge = &metrics->gauge("net.link.pending_depth" + label);
     }
     if (config_.compression.delta_pulls()) {
       delta_hits_counter_ = &metrics->counter("net.codec.delta_hits");

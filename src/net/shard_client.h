@@ -116,8 +116,7 @@ class ShardClient {
   // retry/timeout counters, and per-link instruments labeled {link=...}:
   // the RTT histogram "net.link.rtt_s", the counters
   // "net.link.{reconnects,stale_frames,link_deaths,retransmit_bytes}", and
-  // the gauges "net.link.{in_flight,pending_depth}" (both the attempts
-  // outstanding on the link).
+  // the gauge "net.link.in_flight" (the attempts outstanding on the link).
   // `spans` (optional, not owned) records one "net.client" span per
   // completed request, stamped with a process-unique trace_id that also
   // rides every attempt's frame as the wire trace-context extension — the

@@ -171,7 +171,6 @@ std::optional<ControlMessage> WorkerProtocol::RecordPull(
     WorkerId w, SimTime begin, SimTime end, std::uint64_t version) {
   Slot& slot = slots_[w];
   slot.snapshot_version = version;
-  slot.resync.store(kNoReSync, std::memory_order_relaxed);
   slot.computing = true;
   slot.compute_start = end;
   if (obs_ != nullptr) {
@@ -192,20 +191,14 @@ void WorkerProtocol::EndCompute(WorkerId w, SimTime now) {
   }
 }
 
-void WorkerProtocol::PostReSync(WorkerId w, IterationId notified_iteration) {
-  // The speculation window after a notify covers the next iteration.
-  slots_[w].resync.store(static_cast<std::int64_t>(notified_iteration + 1),
-                         std::memory_order_release);
-}
-
-std::optional<Duration> WorkerProtocol::TakeReSync(WorkerId w, SimTime now) {
+std::optional<Duration> WorkerProtocol::ReSync(WorkerId w,
+                                               IterationId notified_iteration,
+                                               SimTime now) {
   Slot& slot = slots_[w];
-  const std::int64_t target =
-      slot.resync.exchange(kNoReSync, std::memory_order_acq_rel);
-  if (target == kNoReSync) return std::nullopt;
-  const auto iteration = static_cast<IterationId>(target);
-  // Too late once the iteration committed, moot while the worker pulls (the
-  // snapshot will be fresh anyway), and at most one abort per iteration.
+  // The speculation window after a notify covers the next iteration. Too
+  // late once it committed, moot while the worker pulls (the snapshot will
+  // be fresh anyway), and at most one abort per iteration.
+  const IterationId iteration = notified_iteration + 1;
   if (!slot.computing || completed(w) != iteration ||
       slot.last_abort == iteration) {
     return std::nullopt;

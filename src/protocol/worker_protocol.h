@@ -9,10 +9,10 @@
 // the executor carries them and hands them to Deliver.
 //
 // Threading: the DES calls everything from one event loop. In the runtime,
-// worker w's thread runs w's steps and w's scheduler calls (Deliver and
-// ReSyncDue under one mutex, PostReSync), and Finish runs after every thread
-// joined. The fields other threads read (completed, liveness, the posted
-// re-sync) are atomics; the consistency controller sits behind its lock.
+// worker w's thread runs w's steps, w's re-syncs and w's scheduler calls
+// (Deliver and ReSyncDue, under one mutex), and Finish runs after every
+// thread joined. The fields other threads read (completed, liveness) are
+// atomics; the consistency controller sits behind its lock.
 #pragma once
 
 #include <atomic>
@@ -189,21 +189,19 @@ class WorkerProtocol {
   bool AwaitAdmission(WorkerId w,
                       std::chrono::steady_clock::time_point deadline);
 
-  // Worker w pulled `version` over [begin, end] and computes from `end`,
-  // discarding any re-sync posted before (the snapshot is fresh anyway).
+  // Worker w pulled `version` over [begin, end] and computes from `end`.
   // Returns the scheduler's pull notice.
   std::optional<ControlMessage> RecordPull(WorkerId w, SimTime begin,
                                            SimTime end, std::uint64_t version);
   void EndCompute(WorkerId w, SimTime now);
 
-  // Scheduler side: a re-sync for the notify of `notified_iteration` reached
-  // worker w, which acts on it at its next TakeReSync.
-  void PostReSync(WorkerId w, IterationId notified_iteration);
-  // Applies a posted re-sync under the paper's rule (Sec. IV-A): abort iff
-  // the worker is computing iteration n + 1 and has not aborted it yet, so
+  // A re-sync for the notify of `notified_iteration` reached worker w at
+  // `now`, and the paper's rule (Sec. IV-A) applies at once: abort iff the
+  // worker is computing iteration n + 1 and has not aborted it yet, so
   // duplicated or late re-syncs abort an iteration at most once. Returns the
   // wasted compute time of an abort; the worker then re-pulls.
-  std::optional<Duration> TakeReSync(WorkerId w, SimTime now);
+  std::optional<Duration> ReSync(WorkerId w, IterationId notified_iteration,
+                                 SimTime now);
 
   // Codec transform, then routes (if `route` or gated), then the write set.
   void PrepareCommit(WorkerId w, Gradient& grad, PushPlan& plan, bool route);
@@ -245,12 +243,9 @@ class WorkerProtocol {
                      std::uint64_t total_pushes, double final_loss) const;
 
  private:
-  static constexpr std::int64_t kNoReSync = -1;
-
   struct Slot {
     std::atomic<IterationId> completed{0};
     std::atomic<bool> live{true};
-    std::atomic<std::int64_t> resync{kNoReSync};  // posted re-sync's target
     std::uint64_t snapshot_version = 0;
     std::optional<IterationId> last_abort;
     bool computing = false;

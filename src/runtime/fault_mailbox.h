@@ -1,24 +1,19 @@
-// Mailbox for message passing, with an optional FaultPlan in the wire.
+// A single-owner outbox with an optional FaultPlan in the wire.
 //
-// The runtime gives each worker one as the outbox of its control messages,
-// which the worker itself drains into the scheduler (Send / ReceiveUntil /
-// Close); Receive blocks, for a receiver on another thread. With a plan,
-// each Send consults the plan's
-// control-link decision: dropped messages are swallowed, duplicated messages
-// are enqueued twice, and delayed messages become visible to receivers only
-// after their extra delay elapses. With a null or inert plan every message is
-// ready immediately and (ready, seq) ordering degenerates to FIFO: a plain
-// mailbox.
+// The runtime gives each worker one for its notifies, which the worker
+// itself delivers to the scheduler: it sends, then pops whatever is ready.
+// One thread owns the outbox, so nothing here locks. With a plan, each Send
+// consults the plan's decision for the outbox's link: dropped messages are
+// swallowed, duplicated ones are enqueued twice, and delayed ones become
+// ready only after their extra delay elapses. With a null or inert plan
+// every message is ready at once and (ready, seq) order is plain FIFO.
 //
-// Close() releases all blocked receivers and makes still-delayed messages
-// deliverable immediately (the shutdown path must drain, not wait out,
-// injected latency).
+// An exiting owner pops with TimePoint::max(): every still-delayed message
+// is delivered at once, injected latency flushed rather than waited out.
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <tuple>
@@ -43,61 +38,28 @@ class FaultMailbox {
   FaultMailbox(const FaultMailbox&) = delete;
   FaultMailbox& operator=(const FaultMailbox&) = delete;
 
-  // Enqueues a message subject to fault injection; returns false if the
-  // mailbox is closed. A dropped message still returns true — the sender
-  // cannot tell a swallowed message from a delivered one.
-  bool Send(T message) {
+  // Enqueues a message subject to fault injection. The sender cannot tell a
+  // swallowed message from a delivered one.
+  void Send(T message) {
     FaultDecision decision;
     if (plan_ != nullptr && plan_->enabled()) {
       decision = plan_->OnMessage(link_);
     }
-    return Enqueue(std::move(message), decision);
+    if (decision.drop) return;
+    const TimePoint ready =
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(decision.extra_delay.seconds()));
+    if (decision.duplicate) queue_.push(Entry{ready, next_seq_++, message});
+    queue_.push(Entry{ready, next_seq_++, std::move(message)});
   }
 
-  // Enqueues bypassing fault injection. For lifecycle/control-plane events
-  // (worker down/up) modeled as reliable failure detection, not as messages
-  // on the lossy link.
-  bool SendReliable(T message) { return Enqueue(std::move(message), {}); }
-
-  // Blocks until a ready message arrives or the mailbox closes; nullopt on
-  // close with an empty queue.
-  std::optional<T> Receive() { return ReceiveUntil(TimePoint::max()); }
-
-  // As Receive(), but also returns nullopt once `deadline` passes.
-  std::optional<T> ReceiveUntil(TimePoint deadline) {
-    std::unique_lock lock(mutex_);
-    for (;;) {
-      const TimePoint now = std::chrono::steady_clock::now();
-      if (!queue_.empty() && (closed_ || queue_.top().ready <= now)) {
-        return PopLocked();
-      }
-      if (closed_ && queue_.empty()) return std::nullopt;
-      if (now >= deadline) return std::nullopt;
-      TimePoint wake = deadline;
-      if (!queue_.empty() && queue_.top().ready < wake) {
-        wake = queue_.top().ready;
-      }
-      if (wake == TimePoint::max()) {
-        available_.wait(lock);
-      } else {
-        available_.wait_until(lock, wake);
-      }
-    }
-  }
-
-  // Closed with nothing left to deliver (delayed messages become deliverable
-  // on close, so closed + empty queue really is the end of the stream).
-  bool drained() const {
-    std::scoped_lock lock(mutex_);
-    return closed_ && queue_.empty();
-  }
-
-  void Close() {
-    {
-      std::scoped_lock lock(mutex_);
-      closed_ = true;
-    }
-    available_.notify_all();
+  // The next message ready by `now`, in (ready, seq) order; nullopt if none.
+  std::optional<T> PopReady(TimePoint now) {
+    if (queue_.empty() || queue_.top().ready > now) return std::nullopt;
+    T message = std::move(const_cast<Entry&>(queue_.top()).message);
+    queue_.pop();
+    return message;
   }
 
  private:
@@ -112,38 +74,10 @@ class FaultMailbox {
     }
   };
 
-  bool Enqueue(T message, const FaultDecision& decision) {
-    {
-      std::scoped_lock lock(mutex_);
-      if (closed_) return false;
-      if (decision.drop) return true;
-      const TimePoint ready =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(decision.extra_delay.seconds()));
-      if (decision.duplicate) queue_.push(Entry{ready, next_seq_++, message});
-      queue_.push(Entry{ready, next_seq_++, std::move(message)});
-    }
-    // A new front entry may move a receiver's wake-up earlier; duplicates
-    // can satisfy two receivers at once.
-    available_.notify_all();
-    return true;
-  }
-
-  // Requires mutex_ held and queue_ non-empty.
-  std::optional<T> PopLocked() {
-    T message = std::move(const_cast<Entry&>(queue_.top()).message);
-    queue_.pop();
-    return message;
-  }
-
   FaultPlan* plan_;
   LinkClass link_;
-  mutable std::mutex mutex_;
-  std::condition_variable available_;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   std::uint64_t next_seq_ = 0;
-  bool closed_ = false;
 };
 
 }  // namespace specsync

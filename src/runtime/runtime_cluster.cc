@@ -159,10 +159,11 @@ struct RuntimeCluster::Impl {
     const bool fuse_pull = !shard_clients.empty() && !protocol.gated();
     std::optional<PullResult> prefetched;
 
-    // No scheduler thread: this worker's messages ride its own outbox (lossy
-    // for pulls and notifies, reliable for down/up notices), which it
-    // delivers itself right after each send and at each poll point, and it
-    // fires the check its last delivered notify armed.
+    // No scheduler thread: this worker hands its pull, down and up notices
+    // to the scheduler itself, as the sim does. Its notifies ride its own
+    // outbox, the lossy control link, which it delivers right after each
+    // send and at each poll point; it fires the check its last delivered
+    // notify armed.
     FaultMailbox<ControlMessage> outbox(&faults, LinkClass::kControl);
     struct PendingCheck {
       std::uint64_t token;
@@ -170,45 +171,46 @@ struct RuntimeCluster::Impl {
       IterationId iteration;  // the notified one; the window covers the next
     };
     std::optional<PendingCheck> check;
-    // Stamps each ready message with its delivery time, read under the lock:
-    // the scheduler's ledgers need monotone times. A notify's check replaces
+    // Stamps a message with its delivery time, read under the lock: the
+    // scheduler's ledgers need monotone times. A notify's check replaces
     // the pending one, so a check not yet due never reaches the scheduler.
-    const auto drain = [&] {
-      while (const auto message =
-                 outbox.ReceiveUntil(std::chrono::steady_clock::now())) {
-        std::scoped_lock lock(scheduler_mutex);
-        const SimTime now = clock.Now();
-        if (const auto request = protocol.Deliver(*message, now)) {
-          check = PendingCheck{request->token, now + request->delay,
-                               message->iteration};
-        }
+    const auto deliver = [&](const ControlMessage& message) {
+      std::scoped_lock lock(scheduler_mutex);
+      const SimTime now = clock.Now();
+      if (const auto request = protocol.Deliver(message, now)) {
+        check = PendingCheck{request->token, now + request->delay,
+                             message.iteration};
       }
     };
-    // The outbox closes only when this worker exits, after its last send.
-    const auto post = [&](const std::optional<ControlMessage>& message) {
+    const auto drain = [&](std::chrono::steady_clock::time_point until) {
+      while (const auto message = outbox.PopReady(until)) deliver(*message);
+    };
+    // Delayed notifies already due arrive ahead of a direct notice.
+    const auto notice = [&](const std::optional<ControlMessage>& message) {
       if (!message.has_value()) return;
-      using Kind = ControlMessage::Kind;
-      const bool lifecycle = message->kind == Kind::kWorkerDown ||
-                             message->kind == Kind::kWorkerUp;
-      SPECSYNC_CHECK(lifecycle ? outbox.SendReliable(*message)
-                               : outbox.Send(*message));
-      drain();
+      drain(std::chrono::steady_clock::now());
+      deliver(*message);
     };
     // A poll point fires a check whose deadline passed, as of the deadline:
     // HandleCheckTimer clamps its window there, so it counts the pushes an
-    // exact timer would.
-    const auto poll = [&] {
-      drain();
-      if (!check.has_value() || clock.Now() < check->deadline) return;
+    // exact timer would. Returns the notified iteration of a re-sync that
+    // got through; only a chunk boundary acts on it, the other poll points
+    // finding the worker not computing.
+    const auto poll = [&]() -> std::optional<IterationId> {
+      drain(std::chrono::steady_clock::now());
+      if (!check.has_value() || clock.Now() < check->deadline) {
+        return std::nullopt;
+      }
       const PendingCheck due = *std::exchange(check, std::nullopt);
       std::unique_lock lock(scheduler_mutex);
       const bool resync = protocol.ReSyncDue(w, due.token, due.deadline);
       lock.unlock();
       // The re-sync rides the control link, so it too can be lost.
-      if (resync &&
-          !(faults.enabled() && faults.OnMessage(LinkClass::kControl).drop)) {
-        protocol.PostReSync(w, due.iteration);
+      if (!resync ||
+          (faults.enabled() && faults.OnMessage(LinkClass::kControl).drop)) {
+        return std::nullopt;
       }
+      return due.iteration;
     };
 
     // Injected crash: honored at iteration start, in the gate, and at chunk
@@ -230,10 +232,10 @@ struct RuntimeCluster::Impl {
     const auto go_down = [&] {
       crash_pending = false;
       prefetched.reset();
-      post(protocol.Crash(w, clock.Now()));
+      notice(protocol.Crash(w, clock.Now()));
       if (!crash->rejoin.has_value()) return true;
       std::this_thread::sleep_until(clock.ToTimePoint(*crash->rejoin));
-      post(protocol.Rejoin(w));
+      notice(protocol.Rejoin(w));
       return false;
     };
 
@@ -263,7 +265,7 @@ struct RuntimeCluster::Impl {
              protocol.AwaitAdmission(w, gate_deadline())) {
       }
       if (!admitted) continue;  // a crash fell due in the gate
-      poll();  // a check due by now is moot: RecordPull drops its re-sync
+      poll();  // a check due by now is moot: the worker is not computing
       obs::ScopedTimer iteration_timer(iteration_hist);
       // A snapshot the last push prefetched is this pull, already done. The
       // in-process pull copies every shard into the reused snapshot on this
@@ -277,7 +279,8 @@ struct RuntimeCluster::Impl {
       } else {
         snapshot = shard_clients[w]->Pull();
       }
-      post(protocol.RecordPull(w, pull_begin, clock.Now(), snapshot.version));
+      notice(
+          protocol.RecordPull(w, pull_begin, clock.Now(), snapshot.version));
 
       const std::vector<std::size_t> batch = sampler.NextBatch();
       std::size_t num_chunks = 0;
@@ -300,8 +303,10 @@ struct RuntimeCluster::Impl {
         }
         // A crash, or a re-sync aimed at this iteration (abort-and-refresh):
         // a check due by now aborts at this, the first boundary after it.
-        poll();
-        if (crash_due() || protocol.TakeReSync(w, clock.Now()).has_value()) {
+        const std::optional<IterationId> resync = poll();
+        if (crash_due() ||
+            (resync.has_value() &&
+             protocol.ReSync(w, *resync, clock.Now()).has_value())) {
           interrupted = true;
           break;
         }
@@ -331,7 +336,10 @@ struct RuntimeCluster::Impl {
       protocol.Commit(w, clock.Now(), plan.write_set, /*landed=*/true);
       const SimTime gate_end = Stamp();
       poll();  // before the notify supersedes a due check
-      post(protocol.Notify(w, iteration, gate_end));
+      if (const auto notify = protocol.Notify(w, iteration, gate_end)) {
+        outbox.Send(*notify);
+        drain(std::chrono::steady_clock::now());
+      }
       if (obs != nullptr) {
         obs->spans.AddSpan("push.merge", "push", w, push_begin, merge_end);
         obs->spans.AddSpan("push.store", "push", w, merge_end, store_end);
@@ -344,10 +352,9 @@ struct RuntimeCluster::Impl {
       }
       protocol.RecordPush(w, push_begin, Stamp(), iteration, version);
     }
-    // Quota met, or dead for good: delayed messages go out now (closing
-    // makes them ready). A check still pending has nothing left to abort.
-    outbox.Close();
-    drain();
+    // Quota met, or dead for good: delayed notifies go out now. A check
+    // still pending has nothing left to abort.
+    drain(std::chrono::steady_clock::time_point::max());
   }
 
   RuntimeResult Run() {
@@ -365,8 +372,8 @@ struct RuntimeCluster::Impl {
       }
     }  // join workers
     // Quiesce the wire before reading results: no in-flight push may race
-    // the final snapshot. Clients disconnect first so the server's handler
-    // threads see clean EOFs rather than resets.
+    // the final snapshot. Clients disconnect first so the server's loop
+    // thread sees clean EOFs rather than resets.
     shard_clients.clear();
     if (shard_server) shard_server->Stop();
 

@@ -7,10 +7,11 @@
 // its bytes move: worker threads compute gradients chunk by chunk and honour
 // re-syncs and crashes at chunk boundaries, wait in the gate no longer than
 // a crash falling due, and reach the store directly or over a ShardClient.
-// No thread serves the scheduler: each worker delivers its own control
-// messages (through a fault-injecting outbox) and fires its own speculation
-// checks at its chunk boundaries. Time is wall time mapped onto SimTime, so
-// SpecSyncScheduler is reused verbatim.
+// No thread serves the scheduler: each worker hands it its pull, down and
+// up notices directly, delivers its notifies through a fault-injecting
+// outbox, and fires its own speculation checks at its chunk boundaries.
+// Time is wall time mapped onto SimTime, so SpecSyncScheduler is reused
+// verbatim.
 #pragma once
 
 #include <atomic>
@@ -86,8 +87,8 @@ struct RuntimeConfig {
   // final_eval_samples examples are evaluated (0 = the full dataset).
   bool final_eval = true;
   std::size_t final_eval_samples = 2000;
-  // Fault injection: control-link faults apply to each worker's outbox and
-  // to re-sync delivery, slowdown windows scale chunk_delay, and crash events
+  // Fault injection: control-link faults apply to notifies (each worker's
+  // outbox) and re-syncs, slowdown windows scale chunk_delay, and crash events
   // kill (and optionally rejoin) worker threads. Default = disabled, which
   // leaves the runtime's behavior untouched.
   FaultPlanConfig faults;

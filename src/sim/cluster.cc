@@ -460,8 +460,8 @@ struct ClusterSim::Impl {
     if (stopped) return;
     transfers.Charge(TransferCategory::kReSync, kControlMessageBytes,
                      sim.now());
-    protocol.PostReSync(w, notified_iteration);
-    const std::optional<Duration> wasted = protocol.TakeReSync(w, sim.now());
+    const std::optional<Duration> wasted =
+        protocol.ReSync(w, notified_iteration, sim.now());
     if (!wasted.has_value()) return;
     trace.RecordAbort(w, sim.now(), *wasted);
     wasted_compute_seconds += wasted->seconds();

@@ -1042,7 +1042,6 @@ TEST_P(TransportTest, PerLinkCountersExportedToRegistry) {
   EXPECT_EQ(metrics.histogram("net.link.rtt_s" + label).count(),
             client.stats().requests);
   // Quiescent client: nothing pending or in flight.
-  EXPECT_EQ(metrics.gauge("net.link.pending_depth" + label).value(), 0.0);
   EXPECT_EQ(metrics.gauge("net.link.in_flight" + label).value(), 0.0);
 }
 

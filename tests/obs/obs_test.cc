@@ -360,7 +360,7 @@ TEST(ObsExportTest, PrometheusLabeledMetricsSplitNameAndLabels) {
   ObsContext ctx;
   ctx.metrics.counter("net.link.reconnects{link=127.0.0.1:9000}").Increment(2);
   ctx.metrics.counter("net.link.reconnects{link=127.0.0.1:9001}").Increment(5);
-  ctx.metrics.gauge("net.link.pending_depth{link=127.0.0.1:9000}").Set(3.0);
+  ctx.metrics.gauge("net.link.in_flight{link=127.0.0.1:9000}").Set(3.0);
   ctx.metrics.histogram("net.rtt_s{link=127.0.0.1:9000}").Record(1e-3);
 
   std::ostringstream os;
@@ -371,7 +371,7 @@ TEST(ObsExportTest, PrometheusLabeledMetricsSplitNameAndLabels) {
             std::string::npos);
   EXPECT_NE(out.find("net_link_reconnects{link=\"127.0.0.1:9001\"} 5"),
             std::string::npos);
-  EXPECT_NE(out.find("net_link_pending_depth{link=\"127.0.0.1:9000\"} 3"),
+  EXPECT_NE(out.find("net_link_in_flight{link=\"127.0.0.1:9000\"} 3"),
             std::string::npos);
   // One # TYPE line per family even with several labeled variants.
   const std::string type_line = "# TYPE net_link_reconnects counter";

@@ -82,8 +82,8 @@ TEST(WorkerProtocolTest, DuplicatedReSyncsAbortAnIterationOnce) {
   ProtocolFixture protocol(2);
   RunIteration(*protocol, 0, T(1.0));  // iteration 0 commits, notifies
   protocol->RecordPull(0, T(1.0), T(1.0), 0);   // computing iteration 1
-  protocol->PostReSync(0, /*notified_iteration=*/0);
-  const std::optional<Duration> wasted = protocol->TakeReSync(0, T(1.25));
+  const std::optional<Duration> wasted =
+      protocol->ReSync(0, /*notified_iteration=*/0, T(1.25));
   ASSERT_TRUE(wasted.has_value());
   EXPECT_EQ(*wasted, Duration::Seconds(0.25));
   EXPECT_EQ(protocol->aborts(), 1u);
@@ -91,10 +91,8 @@ TEST(WorkerProtocolTest, DuplicatedReSyncsAbortAnIterationOnce) {
   // The worker re-pulls and restarts iteration 1; the duplicate re-sync of
   // the same notify, and a replay delivered later still, leave it alone.
   protocol->RecordPull(0, T(1.5), T(1.5), 0);
-  protocol->PostReSync(0, 0);
-  EXPECT_FALSE(protocol->TakeReSync(0, T(1.6)).has_value());
-  protocol->PostReSync(0, 0);
-  EXPECT_FALSE(protocol->TakeReSync(0, T(1.7)).has_value());
+  EXPECT_FALSE(protocol->ReSync(0, 0, T(1.6)).has_value());
+  EXPECT_FALSE(protocol->ReSync(0, 0, T(1.7)).has_value());
   EXPECT_EQ(protocol->aborts(), 1u);
   EXPECT_EQ(protocol->completed(0), 1u);
 }
@@ -103,27 +101,22 @@ TEST(WorkerProtocolTest, ReSyncIsIgnoredWhilePullingAndAfterCommit) {
   ProtocolFixture protocol(2);
   RunIteration(*protocol, 0, T(1.0));
 
-  // Delivered mid-pull and acted on at once (the DES): not computing.
-  protocol->PostReSync(0, 0);
-  EXPECT_FALSE(protocol->TakeReSync(0, T(1.1)).has_value());
-  // Delivered mid-pull and noticed only at the first chunk boundary (the
-  // threads): starting the computation discarded it.
-  protocol->PostReSync(0, 0);
+  // Delivered mid-pull: not computing, so the snapshot will be fresh anyway,
+  // and the computation that starts next is not aborted by it.
+  EXPECT_FALSE(protocol->ReSync(0, 0, T(1.1)).has_value());
   protocol->RecordPull(0, T(1.2), T(1.2), 0);
-  EXPECT_FALSE(protocol->TakeReSync(0, T(1.3)).has_value());
+  EXPECT_EQ(protocol->aborts(), 0u);
 
   // Iteration 1 commits; a late re-sync for it no longer aborts anything,
   // not even the computation of iteration 2.
   protocol->EndCompute(0, T(1.4));
   ASSERT_EQ(protocol->Commit(0, T(1.4), {}, /*landed=*/true), 1u);
   protocol->RecordPull(0, T(1.5), T(1.5), 0);
-  protocol->PostReSync(0, 0);
-  EXPECT_FALSE(protocol->TakeReSync(0, T(1.6)).has_value());
+  EXPECT_FALSE(protocol->ReSync(0, 0, T(1.6)).has_value());
   EXPECT_EQ(protocol->aborts(), 0u);
 
   // The re-sync for iteration 2's own window does abort it.
-  protocol->PostReSync(0, 1);
-  EXPECT_TRUE(protocol->TakeReSync(0, T(1.7)).has_value());
+  EXPECT_TRUE(protocol->ReSync(0, 1, T(1.7)).has_value());
   EXPECT_EQ(protocol->aborts(), 1u);
 }
 

@@ -6,13 +6,13 @@
 // the steps of RuntimeCluster's WorkerLoop, with per-worker buffers reused
 // the way WorkerLoop reuses them: WorkerProtocol::Admit at the SSP gate,
 // ParameterServer::PullInto the worker's snapshot and RecordPull (which
-// starts the computation), the model's LossAndGradient into each chunk
-// gradients with a TakeReSync at every chunk boundary, EndCompute, then
-// ChunkMerger::Merge, PrepareCommit (routes and write set), Push(grad,
-// epoch, routes), Commit, Notify and RecordPush. Speculation is on, so the
-// pull and notify messages are built; obs and the codec are off. After each
-// worker's first iteration has sized its buffers, no iteration may
-// allocate. Only the batch sample stays outside the counted window.
+// starts the computation), the model's LossAndGradient into each chunk's
+// gradient, EndCompute, then ChunkMerger::Merge, PrepareCommit (routes and
+// write set), Push(grad, epoch, routes), Commit, Notify and RecordPush.
+// Speculation is on, so the pull and notify messages are built; obs and the
+// codec are off. After each worker's first iteration has sized its buffers,
+// no iteration may allocate. Only the batch sample stays outside the counted
+// window.
 
 #include <algorithm>
 #include <atomic>
@@ -120,7 +120,6 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
       mf.model->LossAndGradient(b.snapshot.params,
                                 batch.subspan(c * chunk_size, chunk_size),
                                 b.chunks[c]);
-      protocol.TakeReSync(w, now);
     }
     protocol.EndCompute(w, now);
     b.merger.Merge(b.chunks, b.merged);

@@ -1,4 +1,4 @@
-// Tests for the threaded runtime: mailbox semantics and the full in-process
+// Tests for the threaded runtime: the plain outbox and the full in-process
 // cluster under real concurrency.
 #include <gtest/gtest.h>
 
@@ -23,111 +23,27 @@
 namespace specsync {
 namespace {
 
-// A non-blocking receive: the next ready message, or nullopt at once.
-std::optional<int> ReceiveNow(FaultMailbox<int>& box) {
-  return box.ReceiveUntil(std::chrono::steady_clock::now());
+// --- plain outbox --------------------------------------------------------------
+
+// The next message ready by now, or nullopt at once.
+std::optional<int> PopNow(FaultMailbox<int>& box) {
+  return box.PopReady(std::chrono::steady_clock::now());
 }
 
 TEST(MailboxTest, SendReceiveOrder) {
   FaultMailbox<int> box;
-  EXPECT_TRUE(box.Send(1));
-  EXPECT_TRUE(box.Send(2));
-  EXPECT_EQ(box.Receive(), 1);
-  EXPECT_EQ(box.Receive(), 2);
-  EXPECT_EQ(ReceiveNow(box), std::nullopt);
+  box.Send(1);
+  box.Send(2);
+  EXPECT_EQ(PopNow(box), 1);
+  EXPECT_EQ(PopNow(box), 2);
+  EXPECT_EQ(PopNow(box), std::nullopt);
 }
 
 TEST(MailboxTest, TryReceiveEmpty) {
   FaultMailbox<int> box;
-  EXPECT_EQ(ReceiveNow(box), std::nullopt);
-  EXPECT_FALSE(box.drained());
-}
-
-TEST(MailboxTest, CloseReleasesReceiversAndRejectsSends) {
-  FaultMailbox<int> box;
-  box.Send(7);
-  box.Close();
-  EXPECT_FALSE(box.Send(8));
-  // Messages sent before close still drain.
-  EXPECT_EQ(box.Receive(), 7);
-  EXPECT_EQ(box.Receive(), std::nullopt);
-  EXPECT_TRUE(box.drained());
-}
-
-TEST(MailboxTest, BlockingReceiveWakesOnSend) {
-  FaultMailbox<int> box;
-  std::atomic<int> got{0};
-  std::jthread receiver([&] {
-    auto value = box.Receive();
-    got.store(value.value_or(-1));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  box.Send(42);
-  receiver.join();
-  EXPECT_EQ(got.load(), 42);
-}
-
-TEST(MailboxTest, ReceiveUntilTimesOut) {
-  FaultMailbox<int> box;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-  EXPECT_EQ(box.ReceiveUntil(deadline), std::nullopt);
-  EXPECT_FALSE(box.drained());
-}
-
-TEST(MailboxTest, ManyProducersOneConsumer) {
-  FaultMailbox<int> box;
-  constexpr int kPerProducer = 200;
-  {
-    std::vector<std::jthread> producers;
-    for (int p = 0; p < 4; ++p) {
-      producers.emplace_back([&box] {
-        for (int i = 0; i < kPerProducer; ++i) box.Send(1);
-      });
-    }
-  }
-  int total = 0;
-  while (auto v = ReceiveNow(box)) total += *v;
-  EXPECT_EQ(total, 4 * kPerProducer);
-}
-
-TEST(MailboxTest, PollStatusDistinguishesEmptyFromDrained) {
-  FaultMailbox<int> box;
-  // Open + empty: more may arrive.
-  EXPECT_EQ(ReceiveNow(box), std::nullopt);
-  EXPECT_FALSE(box.drained());
-  box.Send(5);
-  EXPECT_EQ(ReceiveNow(box), 5);
-  box.Send(6);
-  box.Close();
-  // Closed but not yet drained: the queued message must still come out.
-  EXPECT_FALSE(box.drained());
-  EXPECT_EQ(ReceiveNow(box), 6);
-  // Closed + empty: nothing can ever arrive again.
-  EXPECT_EQ(ReceiveNow(box), std::nullopt);
-  EXPECT_TRUE(box.drained());
-}
-
-TEST(MailboxTest, DrainLoopTerminatesOnPollStatus) {
-  // The runtime's termination idiom: receive until nothing comes and the
-  // mailbox is drained, never spinning forever and never losing pre-close
-  // sends.
-  FaultMailbox<int> box;
-  {
-    std::jthread producer([&box] {
-      for (int i = 0; i < 100; ++i) box.Send(i);
-      box.Close();
-    });
-  }
-  int received = 0;
-  for (;;) {
-    if (ReceiveNow(box).has_value()) {
-      ++received;
-    } else if (box.drained()) {
-      break;
-    }
-  }
-  EXPECT_EQ(received, 100);
+  EXPECT_EQ(PopNow(box), std::nullopt);
+  // Even the exit flush finds nothing in a box that never saw a send.
+  EXPECT_EQ(box.PopReady(FaultMailbox<int>::TimePoint::max()), std::nullopt);
 }
 
 // --- runtime cluster ----------------------------------------------------------
