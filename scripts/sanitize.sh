@@ -49,6 +49,9 @@
 # scheduler's audit records and retune instants are written from whichever
 # worker thread delivers the notify or fires the check, under the runtime's
 # scheduler mutex, while the other workers record their own spans.
+# shard_route_property_test rides along for ASan+UBSan: sorted routing
+# turns lower_bound iterators into entry ranges, where a cut past the end
+# would hand PushRoute a range outside the gradient.
 # push_alloc_test is deliberately absent:
 # it replaces the global operator new, which both sanitizers own. sim_test
 # covers the single-threaded DES under ASan+UBSan; the address mode also
@@ -65,6 +68,7 @@ SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         fault_test thread_pool_test parallel_runner_test obs_test net_test
         exactly_once_property_test sim_test calendar_queue_property_test
         tuner_equivalence_test compression_property_test
+        shard_route_property_test
         chunk_merge_property_test mf_gradient_property_test
         wire_codec_property_test consistency_property_test protocol_test
         obs_integration_test)

@@ -22,13 +22,9 @@ BatchSampler::BatchSampler(std::vector<std::size_t> shard,
   SPECSYNC_CHECK_GT(batch_size_, 0u);
 }
 
-std::vector<std::size_t> BatchSampler::NextBatch() {
-  std::vector<std::size_t> batch;
-  batch.reserve(batch_size_);
-  for (std::size_t i = 0; i < batch_size_; ++i) {
-    batch.push_back(shard_[rng_.Index(shard_.size())]);
-  }
-  return batch;
+void BatchSampler::NextBatch(std::vector<std::size_t>& batch) {
+  batch.resize(batch_size_);
+  for (std::size_t& index : batch) index = shard_[rng_.Index(shard_.size())];
 }
 
 }  // namespace specsync

@@ -22,8 +22,9 @@ class BatchSampler {
  public:
   BatchSampler(std::vector<std::size_t> shard, std::size_t batch_size, Rng rng);
 
-  // Returns `batch_size` indices drawn uniformly from the shard.
-  std::vector<std::size_t> NextBatch();
+  // Replaces `batch` with `batch_size` indices drawn uniformly from the
+  // shard. A buffer reused across calls stops allocating after the first.
+  void NextBatch(std::vector<std::size_t>& batch);
 
   std::size_t shard_size() const { return shard_.size(); }
   std::size_t batch_size() const { return batch_size_; }

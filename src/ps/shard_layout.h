@@ -56,13 +56,15 @@ class ShardLayout {
   // The shard owning parameter `index`; throws CheckError past dim().
   std::size_t ShardOf(std::size_t index) const;
 
-  // Cuts `grad` along the shard lines into `routes` (cleared first; no
-  // allocation once it has held num_shards() entries): a dense gradient
-  // routes to every shard, a sparse one to the shards owning its indices,
-  // in ascending shard order whatever the index order. An empty gradient
-  // routes one empty message to shard 0, so a push is never silently
-  // message-free. Throws CheckError on an index past dim() or a dense
-  // gradient of the wrong size.
+  // Cuts `grad` along the shard lines into `routes` (cleared first; one
+  // allocation at most, none once it has held num_shards() entries): a dense
+  // gradient routes to every shard, a sparse one to the shards owning its
+  // indices, in ascending shard order whatever the index order. A sparse
+  // gradient whose indices are strictly increasing (SparseUpdate's flag)
+  // routes in O(shards · log nnz), without reading each entry; any other
+  // order walks the entries once. An empty gradient routes one empty message
+  // to shard 0, so a push is never silently message-free. Throws CheckError
+  // on an index past dim() or a dense gradient of the wrong size.
   void RouteInto(const Gradient& grad, std::vector<ShardRoute>& routes) const;
 
  private:

@@ -239,11 +239,12 @@ struct RuntimeCluster::Impl {
       return false;
     };
 
-    // Pull, compute and push buffers reused by every iteration: with obs and
-    // the codec off, the in-process pull, the chunk gradients and the push
-    // span (merge, route, store, gate) allocate nothing once the first
-    // iteration has sized them.
+    // Pull, sample, compute and push buffers reused by every iteration: with
+    // obs and the codec off, the in-process pull, the batch sample, the chunk
+    // gradients and the push span (merge, route, store, gate) allocate
+    // nothing once the first iteration has sized them.
     PullResult snapshot;
+    std::vector<std::size_t> batch;
     std::vector<Gradient> chunks;
     ChunkMerger merger(model->param_dim());
     Gradient merged;
@@ -282,7 +283,7 @@ struct RuntimeCluster::Impl {
       notice(
           protocol.RecordPull(w, pull_begin, clock.Now(), snapshot.version));
 
-      const std::vector<std::size_t> batch = sampler.NextBatch();
+      sampler.NextBatch(batch);
       std::size_t num_chunks = 0;
       bool interrupted = false;
       for (std::size_t begin = 0; begin < batch.size(); begin += chunk_size) {

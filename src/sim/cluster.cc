@@ -53,6 +53,9 @@ struct ClusterSim::Impl {
   // Shared pull buffer (single-threaded event loop): OnPullComplete donates
   // the worker's old snapshot into it, PullInto refills it in place.
   PullResult pull_scratch;
+  // Shared batch buffer (single-threaded event loop): each compute-done
+  // event samples into it and is done with it before the next event runs.
+  std::vector<std::size_t> batch_scratch;
 
   // --- convergence tracking ------------------------------------------------
   std::size_t below_target_streak = 0;
@@ -307,8 +310,8 @@ struct ClusterSim::Impl {
     // any pushes applied since then are invisible to it (the staleness the
     // paper studies).
     auto attempt = std::make_shared<PushAttempt>();
-    const std::vector<std::size_t> batch = worker.sampler->NextBatch();
-    model->LossAndGradient(worker.snapshot, batch, attempt->grad);
+    worker.sampler->NextBatch(batch_scratch);
+    model->LossAndGradient(worker.snapshot, batch_scratch, attempt->grad);
     // The push fans out as one message per dirty shard (sparse gradients
     // route only to the shards owning their indices); each slice applies at
     // its own arrival, and the worker proceeds once every message resolved.

@@ -1,7 +1,6 @@
 #include "tensor/sparse.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "common/check.h"
@@ -9,10 +8,7 @@
 namespace specsync {
 
 void SparseUpdate::Coalesce() {
-  if (std::adjacent_find(indices_.begin(), indices_.end(),
-                         std::greater_equal<>()) == indices_.end()) {
-    return;  // already canonical
-  }
+  if (increasing_) return;  // already canonical
   std::vector<std::pair<std::uint64_t, double>> entries;
   entries.reserve(indices_.size());
   for (std::size_t i = 0; i < indices_.size(); ++i) {

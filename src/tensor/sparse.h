@@ -24,12 +24,17 @@ class SparseUpdate {
   }
 
   void Add(std::uint64_t index, double value) {
+    increasing_ = increasing_ && (indices_.empty() || indices_.back() < index);
     indices_.push_back(index);
     values_.push_back(value);
   }
 
   std::size_t nnz() const { return indices_.size(); }
   bool empty() const { return indices_.empty(); }
+  // True when the indices are strictly increasing (canonical form), as they
+  // are whenever every entry was added in index order. Add, Clear and
+  // Coalesce keep it current; it costs one comparison per Add.
+  bool strictly_increasing() const { return increasing_; }
   std::span<const std::uint64_t> indices() const { return indices_; }
   std::span<const double> values() const { return values_; }
   // In-place value rewrites (the gradient codec quantizes without changing
@@ -39,13 +44,15 @@ class SparseUpdate {
   void Clear() {
     indices_.clear();
     values_.clear();
+    increasing_ = true;
   }
 
   // Brings the update to canonical form: sorted by index, no duplicates.
   // Duplicates of an index are summed in entry order (a stable sort, then a
   // left-to-right sum), the one rule ChunkMerger and the MF gradient kernel
-  // share, so the result's bits depend only on the entry sequence. Already
-  // strictly increasing indices return at once, without allocating.
+  // share, so the result's bits depend only on the entry sequence. An update
+  // already strictly_increasing() returns at once, without a scan or an
+  // allocation.
   void Coalesce();
 
   // dest[index] += alpha * value for each entry; indices must be < dest size.
@@ -60,6 +67,7 @@ class SparseUpdate {
  private:
   std::vector<std::uint64_t> indices_;
   std::vector<double> values_;
+  bool increasing_ = true;
 };
 
 // Densifies into a vector of the given size (entries outside are an error).

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/stats.h"
@@ -146,7 +148,8 @@ TEST(ShardingTest, MoreShardsThanItems) {
 
 TEST(BatchSamplerTest, BatchShapeAndRange) {
   BatchSampler sampler({5, 6, 7}, 8, Rng(1));
-  const auto batch = sampler.NextBatch();
+  std::vector<std::size_t> batch = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  sampler.NextBatch(batch);  // replaces, never appends
   EXPECT_EQ(batch.size(), 8u);
   for (std::size_t idx : batch) {
     EXPECT_TRUE(idx == 5 || idx == 6 || idx == 7);
@@ -160,7 +163,35 @@ TEST(BatchSamplerTest, EmptyShardThrows) {
 TEST(BatchSamplerTest, DeterministicForSeed) {
   BatchSampler a({1, 2, 3, 4}, 4, Rng(9));
   BatchSampler b({1, 2, 3, 4}, 4, Rng(9));
-  EXPECT_EQ(a.NextBatch(), b.NextBatch());
+  std::vector<std::size_t> batch_a;
+  std::vector<std::size_t> batch_b;
+  a.NextBatch(batch_a);
+  b.NextBatch(batch_b);
+  EXPECT_EQ(batch_a, batch_b);
+}
+
+// The buffer is filled by exactly the draws of a hand-written rng.Index loop
+// over the same stream, batch after batch, and is reused in place.
+TEST(BatchSamplerTest, BufferDrawsMatchIndexLoopAndStayInPlace) {
+  const std::vector<std::size_t> shard = {3, 14, 15, 92, 65, 35, 89};
+  constexpr std::size_t kBatch = 5;
+  Rng parent(42);
+  Rng sampler_rng = parent.Fork();
+  Rng parent_again(42);
+  Rng reference = parent_again.Fork();
+  BatchSampler sampler(shard, kBatch, std::move(sampler_rng));
+  std::vector<std::size_t> batch;
+  const std::size_t* data = nullptr;
+  for (int round = 0; round < 2; ++round) {
+    sampler.NextBatch(batch);
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      want.push_back(shard[reference.Index(shard.size())]);
+    }
+    EXPECT_EQ(batch, want) << "batch " << round;
+    if (round == 0) data = batch.data();
+    EXPECT_EQ(batch.data(), data) << "batch " << round;
+  }
 }
 
 }  // namespace

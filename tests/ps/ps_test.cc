@@ -12,6 +12,7 @@
 #include "models/softmax_regression.h"
 #include "ps/consistency.h"
 #include "ps/param_store.h"
+#include "support/shard_routes.h"
 
 namespace specsync {
 namespace {
@@ -168,22 +169,6 @@ TEST(ParamStoreTest, RouteGradientEmptyStillSendsOneMessage) {
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes[0].shard, 0u);
   EXPECT_EQ(routes[0].bytes, 0u);
-}
-
-// The per-index routing the store used before its shard cursor: one ShardOf
-// binary search per entry, then the touched shards in order.
-std::vector<ShardRoute> ReferenceRoutes(
-    const ShardLayout& layout, const std::vector<std::uint64_t>& indices) {
-  std::vector<std::size_t> nnz(layout.num_shards(), 0);
-  for (const std::uint64_t index : indices) {
-    ++nnz[layout.ShardOf(static_cast<std::size_t>(index))];
-  }
-  std::vector<ShardRoute> routes;
-  for (std::size_t s = 0; s < nnz.size(); ++s) {
-    if (nnz[s] > 0) routes.push_back({s, nnz[s] * 16});
-  }
-  if (routes.empty()) routes.push_back({0, 0});
-  return routes;
 }
 
 TEST(ParamStoreTest, CursorRoutingMatchesPerIndexShardOf) {

@@ -1,18 +1,19 @@
-// Pins the runtime's steady-state in-process pull, compute and push spans as
-// allocation-free, and the wire encoder at one allocation per frame.
+// Pins the runtime's steady-state in-process iteration (pull, batch sample,
+// compute and push) as allocation-free, and the wire encoder at one
+// allocation per frame.
 //
 // This file replaces the global operator new with a counting one, so it is
 // its own test binary. It drives real matrix-factorization gradients through
 // the steps of RuntimeCluster's WorkerLoop, with per-worker buffers reused
 // the way WorkerLoop reuses them: WorkerProtocol::Admit at the SSP gate,
 // ParameterServer::PullInto the worker's snapshot and RecordPull (which
-// starts the computation), the model's LossAndGradient into each chunk's
-// gradient, EndCompute, then ChunkMerger::Merge, PrepareCommit (routes and
-// write set), Push(grad, epoch, routes), Commit, Notify and RecordPush.
-// Speculation is on, so the pull and notify messages are built; obs and the
-// codec are off. After each worker's first iteration has sized its buffers,
-// no iteration may allocate. Only the batch sample stays outside the counted
-// window.
+// starts the computation), BatchSampler::NextBatch into the worker's batch,
+// the model's LossAndGradient into each chunk's gradient, EndCompute, then
+// ChunkMerger::Merge, PrepareCommit (routes and write set), Push(grad,
+// epoch, routes), Commit, Notify and RecordPush. Speculation is on, so the
+// pull and notify messages are built; obs and the codec are off. After each
+// worker's first iteration has sized its buffers, no iteration may
+// allocate.
 
 #include <algorithm>
 #include <atomic>
@@ -20,10 +21,12 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/sharding.h"
 #include "fault/fault_plan.h"
 #include "harness/workload.h"
 #include "models/chunk_merger.h"
@@ -93,11 +96,15 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   WorkerProtocol protocol(mf.model, mf.schedule, config, faults, Rng(1));
   ParameterServer& server = protocol.store();
   Rng rng(1);
+  auto shards = ShardIndices(mf.model->dataset_size(), kWorkers);
 
   struct WorkerBuffers {
-    explicit WorkerBuffers(std::size_t dim) : chunks(kChunks), merger(dim) {
+    WorkerBuffers(std::size_t dim, BatchSampler sampler_in)
+        : sampler(std::move(sampler_in)), chunks(kChunks), merger(dim) {
       plan.write_set.reserve(kShards);
     }
+    BatchSampler sampler;
+    std::vector<std::size_t> batch;
     std::vector<Gradient> chunks;
     ChunkMerger merger;
     Gradient merged;
@@ -105,17 +112,22 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
     PullResult snapshot;
   };
   std::vector<WorkerBuffers> workers;
-  for (WorkerId w = 0; w < kWorkers; ++w) workers.emplace_back(dim);
+  for (WorkerId w = 0; w < kWorkers; ++w) {
+    workers.emplace_back(dim, BatchSampler(std::move(shards[w]),
+                                           mf.batch_size, rng.Fork()));
+  }
 
   const std::size_t chunk_size = mf.batch_size / kChunks;
   const SimTime now = SimTime::Zero();
   bool all_admitted = true;
-  const auto iterate = [&](WorkerId w, std::span<const std::size_t> batch) {
+  const auto iterate = [&](WorkerId w) {
     WorkerBuffers& b = workers[w];
     const IterationId iteration = protocol.completed(w);
     all_admitted = protocol.Admit(w, now) && all_admitted;
     server.PullInto(&b.snapshot);
     protocol.RecordPull(w, now, now, b.snapshot.version);
+    b.sampler.NextBatch(b.batch);
+    const std::span<const std::size_t> batch(b.batch);
     for (std::size_t c = 0; c < kChunks; ++c) {
       mf.model->LossAndGradient(b.snapshot.params,
                                 batch.subspan(c * chunk_size, chunk_size),
@@ -135,14 +147,12 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   std::size_t max_nnz = 0;
   for (std::size_t p = 0; p < kWorkers + kPushes; ++p) {
     const WorkerId w = p % kWorkers;
-    const std::vector<std::size_t> batch =
-        rng.SampleIndices(mf.model->dataset_size(), mf.batch_size);
     if (p < kWorkers) {
       // Warm-up: the worker's first iteration sizes its buffers.
-      iterate(w, batch);
+      iterate(w);
       continue;
     }
-    allocations += CountAllocations([&] { iterate(w, batch); });
+    allocations += CountAllocations([&] { iterate(w); });
     max_nnz = std::max(max_nnz, workers[w].merged.sparse().nnz());
     // Each pull saw every push before it: the snapshot is fresh, not reused.
     ASSERT_EQ(workers[w].snapshot.version, p);

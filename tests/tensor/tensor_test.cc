@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -236,6 +237,60 @@ TEST(SparseTest, EmptyAndClear) {
   update.Clear();
   EXPECT_TRUE(update.empty());
   EXPECT_EQ(update.wire_bytes(), 0u);
+}
+
+// strictly_increasing() follows every Add: an index not above the last one
+// clears it, Clear and Coalesce restore it, and it travels with the update.
+TEST(SparseTest, StrictlyIncreasingTracksAdd) {
+  SparseUpdate update;
+  EXPECT_TRUE(update.strictly_increasing());  // empty
+  update.Add(2, 1.0);
+  update.Add(5, 1.0);
+  EXPECT_TRUE(update.strictly_increasing());
+  update.Add(4, 1.0);  // out of order
+  EXPECT_FALSE(update.strictly_increasing());
+  update.Add(9, 1.0);  // a later increase does not restore it
+  EXPECT_FALSE(update.strictly_increasing());
+  update.Clear();
+  EXPECT_TRUE(update.strictly_increasing());
+
+  update.Add(3, 1.0);
+  update.Add(3, 2.0);  // duplicate
+  EXPECT_FALSE(update.strictly_increasing());
+  update.Coalesce();
+  EXPECT_TRUE(update.strictly_increasing());
+  ASSERT_EQ(update.nnz(), 1u);
+  EXPECT_EQ(update.values()[0], 3.0);
+}
+
+TEST(SparseTest, StrictlyIncreasingSurvivesCopyMoveAndValueRewrites) {
+  SparseUpdate sorted;
+  sorted.Add(1, 1.0);
+  sorted.Add(4, 2.0);
+  SparseUpdate unsorted;
+  unsorted.Add(4, 1.0);
+  unsorted.Add(1, 2.0);
+
+  const SparseUpdate sorted_copy = sorted;
+  const SparseUpdate unsorted_copy = unsorted;
+  EXPECT_TRUE(sorted_copy.strictly_increasing());
+  EXPECT_FALSE(unsorted_copy.strictly_increasing());
+  SparseUpdate assigned;
+  assigned = unsorted;
+  EXPECT_FALSE(assigned.strictly_increasing());
+
+  SparseUpdate sorted_moved = std::move(sorted);
+  SparseUpdate unsorted_moved = std::move(unsorted);
+  EXPECT_TRUE(sorted_moved.strictly_increasing());
+  EXPECT_FALSE(unsorted_moved.strictly_increasing());
+
+  // Value rewrites leave the support, and so the flag, alone.
+  for (SparseUpdate* update : {&sorted_moved, &unsorted_moved}) {
+    const bool before = update->strictly_increasing();
+    update->mutable_values()[0] = -7.0;
+    update->ScaleValues(0.5);
+    EXPECT_EQ(update->strictly_increasing(), before);
+  }
 }
 
 // --- nn_ops ------------------------------------------------------------------
