@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark): event-queue throughput, parameter-server
-// push/pull, gradient kernels (MLP and MF), and the O(m^3) adaptive tuner.
+// push/pull, gradient kernels (MLP and MF), the runtime's chunk merge, and the
+// O(m^3) adaptive tuner.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -7,6 +8,7 @@
 #include "core/adaptive_tuner.h"
 #include "data/synthetic.h"
 #include "harness/workload.h"
+#include "models/chunk_merger.h"
 #include "models/mlp.h"
 #include "ps/param_store.h"
 #include "sim/simulator.h"
@@ -131,6 +133,34 @@ void BM_MfGradientCold(benchmark::State& state) {
                           static_cast<std::int64_t>(batch_size));
 }
 BENCHMARK(BM_MfGradientCold)->Arg(50)->Arg(200);
+
+// The runtime's push-side merge: the four 50-rating MF chunk gradients of
+// one 200-rating batch, merged by one reused merger into one reused output.
+void BM_ChunkMerge(benchmark::State& state) {
+  constexpr std::size_t kChunks = 4;
+  constexpr std::size_t kChunkSize = 50;
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  Rng rng(1);
+  std::vector<double> params(mf.model->param_dim());
+  mf.model->InitParams(params, rng);
+  const std::vector<std::size_t> batch =
+      rng.SampleIndices(mf.model->dataset_size(), kChunks * kChunkSize);
+  std::vector<Gradient> chunks(kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    mf.model->LossAndGradient(
+        params, std::span(batch).subspan(c * kChunkSize, kChunkSize),
+        chunks[c]);
+  }
+  ChunkMerger merger(mf.model->param_dim());
+  Gradient out;
+  for (auto _ : state) {
+    merger.Merge(chunks, out);
+    benchmark::DoNotOptimize(out.sparse().values().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kChunks * kChunkSize));
+}
+BENCHMARK(BM_ChunkMerge);
 
 // Algorithm 1 is O(m^3): candidate deltas O(m^2) x evaluation O(m).
 void BM_AdaptiveTunerRetune(benchmark::State& state) {

@@ -31,11 +31,15 @@
 # for ASan: the chunk merger indexes a reused accumulator and bitmap by
 # gradient index, where an off-by-one would read stale memory instead of
 # crashing. mf_gradient_property_test rides along for the same reason: the
-# MF gradient kernel reuses per-thread scratch (errors, row offsets, sort
-# keys, accumulators) across batches of every size and indexes it by slots
-# decoded from the keys, where a bad decode would read another batch's
-# leftovers; -D_GLIBCXX_ASSERTIONS catches an index past a shrunk vector's
-# size. wire_codec_property_test rides along for ASan+UBSan: the wire codec
+# MF gradient kernel reuses a per-thread row accumulator and occupancy
+# bitmap across batches and models of every size and indexes both by factor
+# row, where a missed bound would read another batch's leftovers;
+# -D_GLIBCXX_ASSERTIONS catches an index past a shrunk vector's size.
+# tensor_test rides along for ASan+UBSan: SparseUpdate::AssignOccupied, the
+# drain both accumulators emit through, sizes its arrays once and writes
+# them through raw pointers, where a miscounted size would write past the
+# end, and reads the accumulator through bounds-asserted subspans.
+# wire_codec_property_test rides along for ASan+UBSan: the wire codec
 # copies arrays with bulk memcpy into exactly sized frames and out of
 # payloads whose counts are corrupt or cut short, where a missed bound would
 # read or write past a heap block. consistency_property_test rides along for
@@ -68,7 +72,7 @@ SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         fault_test thread_pool_test parallel_runner_test obs_test net_test
         exactly_once_property_test sim_test calendar_queue_property_test
         tuner_equivalence_test compression_property_test
-        shard_route_property_test
+        shard_route_property_test tensor_test
         chunk_merge_property_test mf_gradient_property_test
         wire_codec_property_test consistency_property_test protocol_test
         obs_integration_test)

@@ -1,5 +1,8 @@
 #include "models/chunk_merger.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/check.h"
 
 namespace specsync {
@@ -21,6 +24,20 @@ void ChunkMerger::Merge(std::span<const Gradient> chunks, Gradient& out) {
 
 void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
                               SparseUpdate& out) {
+  // Every chunk is checked before the first bit is set, so a bad merge
+  // throws with the bitmap still empty and the next merge is unaffected.
+  for (const Gradient& chunk : chunks) {
+    SPECSYNC_CHECK(chunk.is_sparse()) << "mixed dense and sparse chunks";
+    const SparseUpdate& update = chunk.sparse();
+    if (update.empty()) continue;
+    const auto indices = update.indices();
+    // A strictly increasing chunk's last index bounds the others.
+    const std::uint64_t max_index =
+        update.strictly_increasing()
+            ? indices.back()
+            : *std::max_element(indices.begin(), indices.end());
+    SPECSYNC_CHECK_LT(max_index, dim_);
+  }
   if (acc_.empty()) {
     acc_.resize(dim_);
     occupied_.Reserve(dim_);
@@ -29,12 +46,10 @@ void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
   // later emit into the same `out` allocation-free.
   out.Reserve(dim_);
   for (const Gradient& chunk : chunks) {
-    SPECSYNC_CHECK(chunk.is_sparse()) << "mixed dense and sparse chunks";
     const auto indices = chunk.sparse().indices();
     const auto values = chunk.sparse().values();
     for (std::size_t i = 0; i < indices.size(); ++i) {
       const auto index = static_cast<std::size_t>(indices[i]);
-      SPECSYNC_CHECK_LT(index, dim_);
       const double value = values[i] * weight;
       if (occupied_.Set(index)) {
         acc_[index] = value;
@@ -43,7 +58,7 @@ void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
       }
     }
   }
-  occupied_.Drain([&](std::size_t index) { out.Add(index, acc_[index]); });
+  out.AssignOccupied(occupied_, acc_, 1);
 }
 
 }  // namespace specsync

@@ -8,7 +8,8 @@
 // Sparse chunks accumulate into a dense buffer of the parameter dimension
 // with an OccupancyBitmap beside it: the first entry for an index sets the
 // slot, later ones add to it. The merged gradient is read back in index
-// order by draining the bitmap, which clears the bits it read.
+// order in one sized write (SparseUpdate::AssignOccupied), which drains the
+// bitmap and clears the bits it read.
 // Dense chunks are summed with Axpy into the output's own buffer.
 //
 // Summation order: duplicates of an index are summed in chunk order, and
@@ -35,8 +36,9 @@ class ChunkMerger {
 
   // Overwrites `out` with the mean of `chunks` (each a mean over its chunk):
   // sparse chunks give an index-sorted, duplicate-free sparse gradient, dense
-  // chunks a dense one. All chunks must share one representation, and a
-  // merge that fails that or the index bound leaves the merger unusable.
+  // chunks a dense one. All chunks must share one representation, and every
+  // sparse index must be < dim. A merge that fails either throws before it
+  // touches the accumulator, so the merger stays usable.
   void Merge(std::span<const Gradient> chunks, Gradient& out);
 
  private:

@@ -153,12 +153,9 @@ double MatrixFactorizationModel::LossAndGradient(
     accumulate(item_row, v, u, err);
   }
 
-  // Touched rows come out in ascending order and a row's entries are
-  // contiguous, so the output is index-sorted with no duplicates.
-  occupied.Drain([&](std::size_t row) {
-    const double* a = acc + row * r;
-    for (std::size_t k = 0; k < r; ++k) out.Add(row * r + k, a[k]);
-  });
+  // Touched rows come out in ascending order, each as its `rank` entries,
+  // into the capacity reserved above: index-sorted with no duplicates.
+  out.AssignOccupied(occupied, std::span<const double>(acc, rows * r), r);
   return loss * inv_batch;
 }
 

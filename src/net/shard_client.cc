@@ -629,12 +629,20 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
     }
     slice.dense_offset = 0;
     slice.dense.clear();
-    // The range holds every entry of the shard, and other shards' entries
-    // too when the indices are unsorted: keep the shard's, in order.
-    const std::size_t lo = layout_.offset(s);
-    const std::size_t hi = lo + layout_.length(s);
     const auto indices = grad.sparse().indices();
     const auto values = grad.sparse().values();
+    if (grad.sparse().strictly_increasing()) {
+      // A sorted gradient's range holds exactly the shard's entries.
+      const auto begin = static_cast<std::ptrdiff_t>(route.begin);
+      const auto end = static_cast<std::ptrdiff_t>(route.end);
+      slice.indices.assign(indices.begin() + begin, indices.begin() + end);
+      slice.values.assign(values.begin() + begin, values.begin() + end);
+      continue;
+    }
+    // An unsorted range holds every entry of the shard and other shards'
+    // entries too: keep the shard's, in order.
+    const std::size_t lo = layout_.offset(s);
+    const std::size_t hi = lo + layout_.length(s);
     for (std::size_t i = route.begin; i < route.end; ++i) {
       if (indices[i] < lo || indices[i] >= hi) continue;
       slice.indices.push_back(indices[i]);

@@ -7,6 +7,7 @@
 // sign. Drain then visits the set slots in ascending order by scanning only
 // the words between the lowest and highest touched word, and clears every
 // bit it reads: between accumulations the bitmap is all zero.
+// SparseUpdate::AssignOccupied is the drain both accumulators emit through.
 #pragma once
 
 #include <bit>
@@ -36,6 +37,15 @@ class OccupancyBitmap {
     if (word < first_word_) first_word_ = word;
     if (word >= end_word_) end_word_ = word + 1;
     return (old & bit) == 0;
+  }
+
+  // The number of occupied slots: a popcount of the touched words.
+  std::size_t Count() const {
+    std::size_t count = 0;
+    for (std::size_t word = first_word_; word < end_word_; ++word) {
+      count += static_cast<std::size_t>(std::popcount(words_[word]));
+    }
+    return count;
   }
 
   // Calls visit(slot) for every occupied slot in ascending order and leaves

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "tensor/occupancy_bitmap.h"
 
 namespace specsync {
 
@@ -24,6 +25,28 @@ void SparseUpdate::Coalesce() {
       Add(index, value);
     }
   }
+}
+
+void SparseUpdate::AssignOccupied(OccupancyBitmap& occupied,
+                                  std::span<const double> acc,
+                                  std::size_t width) {
+  const std::size_t nnz = occupied.Count() * width;
+  indices_.resize(nnz);
+  values_.resize(nnz);
+  std::uint64_t* index = indices_.data();
+  double* value = values_.data();
+  occupied.Drain([&](std::size_t slot) {
+    const std::size_t first = slot * width;
+    // subspan is bounds-checked under -D_GLIBCXX_ASSERTIONS, free otherwise.
+    const std::span<const double> run = acc.subspan(first, width);
+    for (std::size_t k = 0; k < width; ++k) {
+      index[k] = first + k;
+      value[k] = run[k];
+    }
+    index += width;
+    value += width;
+  });
+  increasing_ = true;
 }
 
 void SparseUpdate::ScatterAdd(double alpha, std::span<double> dest) const {

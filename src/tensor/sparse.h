@@ -14,6 +14,8 @@
 
 namespace specsync {
 
+class OccupancyBitmap;
+
 class SparseUpdate {
  public:
   SparseUpdate() = default;
@@ -32,8 +34,8 @@ class SparseUpdate {
   std::size_t nnz() const { return indices_.size(); }
   bool empty() const { return indices_.empty(); }
   // True when the indices are strictly increasing (canonical form), as they
-  // are whenever every entry was added in index order. Add, Clear and
-  // Coalesce keep it current; it costs one comparison per Add.
+  // are whenever every entry was added in index order. Add, Clear, Coalesce
+  // and AssignOccupied keep it current; it costs one comparison per Add.
   bool strictly_increasing() const { return increasing_; }
   std::span<const std::uint64_t> indices() const { return indices_; }
   std::span<const double> values() const { return values_; }
@@ -46,6 +48,16 @@ class SparseUpdate {
     values_.clear();
     increasing_ = true;
   }
+
+  // Overwrites the update with the occupied runs of a dense accumulator and
+  // leaves `occupied` empty: for each occupied slot s, in ascending order,
+  // the `width` entries (s * width + k, acc[s * width + k]), k < width. Every
+  // occupied slot must satisfy (s + 1) * width <= acc.size(). The arrays are
+  // sized once and written in place, so nothing allocates when the capacity
+  // was reserved. Slots drain in ascending order and their runs are
+  // disjoint, so the result is strictly increasing by construction.
+  void AssignOccupied(OccupancyBitmap& occupied, std::span<const double> acc,
+                      std::size_t width);
 
   // Brings the update to canonical form: sorted by index, no duplicates.
   // Duplicates of an index are summed in entry order (a stable sort, then a

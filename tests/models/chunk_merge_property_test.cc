@@ -13,7 +13,8 @@
 // On failure the harness shrinks the trial (greedy ddmin over merges, then
 // chunks, then entries — the compression_property_test recipe) and prints
 // it. Two planted bugs must be caught and shrunk: chunks merged in reverse
-// order, and an occupancy bitmap that is not reset between merges.
+// order, and an occupancy bitmap that is not reset between merges. A merge
+// that throws must leave the merger usable for the next one.
 //
 // Trials are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 
@@ -31,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "harness/workload.h"
 #include "models/chunk_merger.h"
@@ -381,6 +383,51 @@ TEST(ChunkMergePropertyTest, PlantedBugsAreCaughtAndShrunk) {
       }
     }
     EXPECT_TRUE(caught) << "planted bug survived 200 trials";
+  }
+}
+
+// A merge that throws, for a dense chunk after sparse ones or an index past
+// dim in a sorted or an unsorted chunk, leaves the merger as it was: before
+// every merge of a trial, the same chunks plus a bad one must throw, and the
+// merge itself must still equal the reference bit for bit.
+TEST(ChunkMergePropertyTest, ThrowingMergeLeavesMergerUsable) {
+  enum class Bad { kDenseAfterSparse, kSortedPastDim, kUnsortedPastDim };
+  const std::uint64_t base = BaseSeed();
+  for (const Bad bad : {Bad::kDenseAfterSparse, Bad::kSortedPastDim,
+                        Bad::kUnsortedPastDim}) {
+    for (std::uint64_t trial_idx = 0; trial_idx < 100; ++trial_idx) {
+      const Trial trial = GenerateTrial(base + trial_idx);
+      ChunkMerger merger(trial.dim);
+      Gradient out;
+      for (std::size_t m = 0; m < trial.merges.size(); ++m) {
+        const std::vector<Gradient> chunks =
+            MakeChunks(trial.merges[m], trial.dim);
+        if (!trial.merges[m].dense) {
+          std::vector<Gradient> throwing = chunks;
+          Gradient last = Gradient::Sparse();
+          switch (bad) {
+            case Bad::kDenseAfterSparse:
+              last = Gradient::Dense(trial.dim);
+              break;
+            case Bad::kSortedPastDim:
+              last.sparse().Add(0, 1.0);
+              last.sparse().Add(trial.dim, 1.0);
+              break;
+            case Bad::kUnsortedPastDim:
+              last.sparse().Add(trial.dim, 1.0);
+              last.sparse().Add(0, 1.0);
+              break;
+          }
+          throwing.push_back(std::move(last));
+          EXPECT_THROW(merger.Merge(throwing, out), CheckError);
+        }
+        merger.Merge(chunks, out);
+        const auto diff = Compare(out, ReferenceMerge(chunks));
+        ASSERT_FALSE(diff.has_value())
+            << "bad chunk " << static_cast<int>(bad) << ", seed "
+            << base + trial_idx << ", merge " << m << ": " << *diff;
+      }
+    }
   }
 }
 

@@ -1,13 +1,17 @@
-// Tests for vector.h, matrix.h, sparse.h, nn_ops.h.
+// Tests for vector.h, matrix.h, sparse.h, occupancy_bitmap.h, nn_ops.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "tensor/matrix.h"
 #include "tensor/nn_ops.h"
+#include "tensor/occupancy_bitmap.h"
 #include "tensor/sparse.h"
 #include "tensor/vector.h"
 
@@ -290,6 +294,88 @@ TEST(SparseTest, StrictlyIncreasingSurvivesCopyMoveAndValueRewrites) {
     update->mutable_values()[0] = -7.0;
     update->ScaleValues(0.5);
     EXPECT_EQ(update->strictly_increasing(), before);
+  }
+}
+
+// --- occupancy drain ---------------------------------------------------------
+
+// AssignOccupied writes the occupied runs of a dense accumulator exactly as
+// Adds in slot order would, flags the result sorted, empties the bitmap and
+// writes in place. The slots cover both ends of the first word, the start of
+// the second, one full word and the last slot; they are set out of order.
+TEST(OccupancyDrainTest, AssignOccupiedMatchesAddReference) {
+  constexpr std::size_t kSlots = 200;
+  std::vector<std::size_t> slots = {kSlots - 1, 64, 63, 0};
+  for (std::size_t s = 191; s >= 128; --s) slots.push_back(s);  // a full word
+  for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<double> acc(kSlots * width);
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+      acc[i] = 0.1 + static_cast<double>(i) / 3.0;
+    }
+    OccupancyBitmap occupied;
+    occupied.Reserve(kSlots);
+    for (const std::size_t s : slots) EXPECT_TRUE(occupied.Set(s));
+    EXPECT_FALSE(occupied.Set(64));  // a second write adds
+    EXPECT_EQ(occupied.Count(), slots.size());
+
+    std::vector<std::size_t> ascending = slots;
+    std::sort(ascending.begin(), ascending.end());
+    SparseUpdate reference;
+    for (const std::size_t s : ascending) {
+      for (std::size_t k = 0; k < width; ++k) {
+        reference.Add(s * width + k, acc[s * width + k]);
+      }
+    }
+
+    SparseUpdate update;
+    update.Add(5, 1.0);
+    update.Add(2, 1.0);  // unsorted leftovers are overwritten
+    update.Reserve(slots.size() * width);
+    const std::uint64_t* indices = update.indices().data();
+    const double* values = update.values().data();
+    update.AssignOccupied(occupied, acc, width);
+    EXPECT_EQ(update.indices().data(), indices);
+    EXPECT_EQ(update.values().data(), values);
+    ASSERT_EQ(update.nnz(), reference.nnz());
+    for (std::size_t i = 0; i < reference.nnz(); ++i) {
+      EXPECT_EQ(update.indices()[i], reference.indices()[i]) << "entry " << i;
+      EXPECT_EQ(update.values()[i], reference.values()[i]) << "entry " << i;
+    }
+    EXPECT_TRUE(reference.strictly_increasing());
+    EXPECT_TRUE(update.strictly_increasing());
+
+    // The drain cleared every bit it read: a second call yields nothing,
+    // and a later drain over the same words sees only the new slots.
+    EXPECT_EQ(occupied.Count(), 0u);
+    update.AssignOccupied(occupied, acc, width);
+    EXPECT_TRUE(update.empty());
+    EXPECT_TRUE(update.strictly_increasing());
+    EXPECT_TRUE(occupied.Set(kSlots - 1));
+    EXPECT_TRUE(occupied.Set(0));
+    EXPECT_EQ(occupied.Count(), 2u);
+    update.AssignOccupied(occupied, acc, width);
+    ASSERT_EQ(update.nnz(), 2 * width);
+    EXPECT_EQ(update.indices().front(), 0u);
+    EXPECT_EQ(update.indices().back(), kSlots * width - 1);
+    EXPECT_EQ(update.values().back(), acc.back());
+  }
+}
+
+TEST(OccupancyDrainTest, EmptyBitmapGivesEmptySortedUpdate) {
+  const std::vector<double> acc(128, 1.0);
+  OccupancyBitmap never_reserved;
+  OccupancyBitmap reserved;
+  reserved.Reserve(128);
+  for (OccupancyBitmap* occupied : {&never_reserved, &reserved}) {
+    EXPECT_EQ(occupied->Count(), 0u);
+    SparseUpdate update;
+    update.Add(3, 1.0);
+    update.Add(1, 1.0);
+    ASSERT_FALSE(update.strictly_increasing());
+    update.AssignOccupied(*occupied, acc, 1);
+    EXPECT_TRUE(update.empty());
+    EXPECT_TRUE(update.strictly_increasing());
   }
 }
 
