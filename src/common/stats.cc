@@ -92,74 +92,4 @@ std::ostream& operator<<(std::ostream& os, const BoxSummary& box) {
             << "}";
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  SPECSYNC_CHECK_GT(buckets, 0u);
-  SPECSYNC_CHECK_LT(lo, hi);
-}
-
-void Histogram::Add(double x) {
-  std::size_t bucket;
-  if (x < lo_) {
-    bucket = 0;
-  } else if (x >= hi_) {
-    bucket = counts_.size() - 1;
-  } else {
-    bucket = static_cast<std::size_t>((x - lo_) / width_);
-    bucket = std::min(bucket, counts_.size() - 1);
-  }
-  ++counts_[bucket];
-  ++total_;
-}
-
-void Histogram::Merge(const Histogram& other) {
-  SPECSYNC_CHECK_EQ(counts_.size(), other.counts_.size())
-      << "histogram merge with mismatched bucket count";
-  SPECSYNC_CHECK(lo_ == other.lo_ && hi_ == other.hi_)
-      << "histogram merge with mismatched range [" << other.lo_ << ", "
-      << other.hi_ << ") into [" << lo_ << ", " << hi_ << ")";
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    counts_[b] += other.counts_[b];
-  }
-  total_ += other.total_;
-}
-
-double Histogram::ApproxQuantile(double q) const {
-  SPECSYNC_CHECK(q >= 0.0 && q <= 1.0) << "q=" << q;
-  if (total_ == 0) return 0.0;
-  // Rank of the target observation (1-based, clamped into [1, total]).
-  const double rank = std::max(1.0, q * static_cast<double>(total_));
-  std::size_t cumulative = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (counts_[b] == 0) continue;
-    const double before = static_cast<double>(cumulative);
-    cumulative += counts_[b];
-    if (static_cast<double>(cumulative) < rank) continue;
-    // Interpolate within the bucket by the rank's position among its counts.
-    const double frac = (rank - before) / static_cast<double>(counts_[b]);
-    return bucket_lo(b) + width_ * frac;
-  }
-  return hi_;  // unreachable with consistent counts; safe fallback
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  SPECSYNC_CHECK_LT(bucket, counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  SPECSYNC_CHECK_LT(bucket, counts_.size());
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket) + width_;
-}
-
-double Histogram::fraction(std::size_t bucket) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(count(bucket)) / static_cast<double>(total_);
-}
-
 }  // namespace specsync

@@ -1,6 +1,6 @@
 // Descriptive statistics used by the trace analyses and the benchmark
-// harness: running moments, quantiles, the five-number box-plot summary the
-// paper uses in Fig. 3, and fixed-width histograms.
+// harness: running moments, quantiles, and the five-number box-plot summary
+// the paper uses in Fig. 3.
 #pragma once
 
 #include <cstddef>
@@ -52,36 +52,5 @@ struct BoxSummary {
 };
 
 std::ostream& operator<<(std::ostream& os, const BoxSummary& box);
-
-// Fixed-width histogram over [lo, hi); values outside are clamped into the
-// first/last bucket so no observation is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  // Bucket-wise sum of another histogram with the identical layout (same lo,
-  // hi, bucket count) — per-thread or per-cell histograms roll up into one.
-  // Mismatched layouts are a programming error (checked).
-  void Merge(const Histogram& other);
-  // Quantile estimated from the bucket counts (q in [0,1]): finds the bucket
-  // holding the q-th observation and interpolates linearly within it. 0 for
-  // an empty histogram.
-  double ApproxQuantile(double q) const;
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const;
-  std::size_t total() const { return total_; }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-  // Fraction of observations in the bucket (0 if empty histogram).
-  double fraction(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace specsync

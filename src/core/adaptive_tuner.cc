@@ -1,7 +1,6 @@
 #include "core/adaptive_tuner.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
@@ -19,28 +18,6 @@ Duration MeanSpan(const TuningInputs& inputs) {
     total += span;
   }
   return total / static_cast<double>(inputs.iteration_span.size());
-}
-
-double AdaptiveTuner::EstimateImprovement(const TuningInputs& inputs,
-                                          Duration delta, double loss_weight) {
-  const double m = static_cast<double>(inputs.num_workers);
-  double improvement = 0.0;
-  for (WorkerId i = 0; i < inputs.num_workers; ++i) {
-    if (!inputs.last_pull[i].has_value()) continue;  // no pull observed
-    const SimTime pull = *inputs.last_pull[i];
-    // Gain: pushes by others in (pull, pull + delta].
-    std::size_t uncovered = 0;
-    for (const auto& [time, worker] : inputs.pushes) {
-      if (worker == i) continue;
-      if (time > pull && time <= pull + delta) ++uncovered;
-      if (time > pull + delta) break;  // pushes are time-ordered
-    }
-    // Loss: expected missed peers under uniform pull arrivals (Eq. 6).
-    const double loss =
-        loss_weight * (delta / inputs.iteration_span[i]) * (m - 1.0);
-    improvement += static_cast<double>(uncovered) - loss;
-  }
-  return improvement;
 }
 
 std::vector<Duration> AdaptiveTuner::CandidateDeltas(

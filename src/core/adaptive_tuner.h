@@ -7,9 +7,11 @@
 //    (Eq. 6),
 //  - objective      F̃(Δ)  = Σ_i [ũ_i(Δ) − l̃_i(Δ)] (Eq. 7).
 // ũ_i is a step function of Δ and l̃_i is linear, so F̃ is maximized where a
-// speculation window right-aligns with some push: it suffices to enumerate the
-// O(m²) pairwise push-time differences as candidate Δ and take the best
-// (Algorithm 1, overall O(m³)).
+// speculation window right-aligns with some push. Algorithm 1 enumerates the
+// O(m²) pairwise push-time differences as candidate Δ and takes the best
+// (overall O(m³)); those equal the right-aligning offsets push − pull_i only
+// where a pull coincides with a push, so the enumeration can miss the
+// maximum (EXPERIMENTS.md measures one such epoch).
 //
 // The tuner computes that argmax with an incremental replay: one pass per
 // worker that buckets each push event into the first candidate window
@@ -17,8 +19,8 @@
 // turns the buckets into per-candidate gains by prefix sum, plus a
 // saturation prune that drops candidates provably never selected —
 // O(W·(P·log C + C)) instead of the literal Algorithm-1 loop's O(C·W·P).
-// It is bit-identical to that literal loop (EstimateImprovement() per
-// candidate): the sweep accumulates per-candidate values worker-by-worker
+// It is bit-identical to that literal loop (the reference EstimateImprovement
+// per candidate): the sweep accumulates per-candidate values worker-by-worker
 // with the exact same floating-point expressions and summation order, so the
 // per-epoch ABORT_TIME sequence and every audit retune record match to the
 // bit. DESIGN.md §12 states the invariant; the literal loop lives in
@@ -64,20 +66,16 @@ class AdaptiveTuner final : public SpeculationPolicy {
   std::string name() const override { return "adaptive"; }
   SpeculationParams OnEpochEnd(const TuningInputs& inputs) override;
 
-  // Eq. 7 for a specific Δ — exposed for tests and the ablation bench. This
-  // is the reference evaluation the incremental sweep must match bitwise.
-  // `loss_weight` scales the l̃ term (1.0 = the paper's objective).
-  static double EstimateImprovement(const TuningInputs& inputs, Duration delta,
-                                    double loss_weight = 1.0);
-
   // The candidate set Algorithm 1 enumerates (positive pairwise differences,
   // deduplicated, capped at max_delta). Exposed for tests/ablation.
   static std::vector<Duration> CandidateDeltas(const TuningInputs& inputs,
                                                Duration max_delta,
                                                std::size_t max_candidates);
 
-  // F̃ for every candidate via the incremental sweep; element c equals
-  // EstimateImprovement(inputs, candidates[c], loss_weight) to the bit.
+  // F̃ for every candidate via the incremental sweep; element c equals the
+  // literal Eq. 7 loop (reference::EstimateImprovement in
+  // tests/core/tuner_full_replay.h) at candidates[c] to the bit. `loss_weight`
+  // scales the l̃ term (1.0 = the paper's objective).
   // `candidates` must be sorted ascending (CandidateDeltas output is).
   // Exposed for the equivalence battery; the member path reuses scratch.
   static std::vector<double> EvaluateCandidates(

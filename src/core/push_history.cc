@@ -70,37 +70,9 @@ std::optional<SimTime> PushHistory::LastPullBefore(WorkerId worker,
   return *std::prev(it);
 }
 
-std::optional<SimTime> PushHistory::LastPull(WorkerId worker) const {
-  SPECSYNC_CHECK_LT(worker, num_workers_);
-  if (pulls_[worker].empty()) return std::nullopt;
-  return pulls_[worker].back();
-}
-
 std::optional<IterationId> PushHistory::LastIteration(WorkerId worker) const {
   SPECSYNC_CHECK_LT(worker, num_workers_);
   return last_iteration_[worker];
-}
-
-std::optional<Duration> PushHistory::MeanIterationSpan(WorkerId worker,
-                                                       SimTime begin,
-                                                       SimTime end) const {
-  SPECSYNC_CHECK_LT(worker, num_workers_);
-  SimTime prev = SimTime::Infinite();
-  bool have_prev = false;
-  Duration total = Duration::Zero();
-  std::size_t gaps = 0;
-  for (const PushRecord& rec : pushes_) {
-    if (rec.worker != worker) continue;
-    if (rec.time <= begin || rec.time > end) continue;
-    if (have_prev) {
-      total += rec.time - prev;
-      ++gaps;
-    }
-    prev = rec.time;
-    have_prev = true;
-  }
-  if (gaps == 0) return std::nullopt;
-  return total / static_cast<double>(gaps);
 }
 
 void PushHistory::Trim(SimTime now, Duration horizon) {

@@ -51,18 +51,10 @@ class PushHistory {
   // Most recent pull by `worker` at or before `time` (nullopt if none).
   std::optional<SimTime> LastPullBefore(WorkerId worker, SimTime time) const;
 
-  // Most recent pull by `worker` overall.
-  std::optional<SimTime> LastPull(WorkerId worker) const;
-
   // Highest iteration ever recorded for `worker` (nullopt before its first
   // push). Survives Trim — the scheduler uses it to recognize duplicated or
   // reordered notifies from faulty links.
   std::optional<IterationId> LastIteration(WorkerId worker) const;
-
-  // Mean time between consecutive pushes of `worker` within (begin, end];
-  // nullopt with fewer than two pushes in the window.
-  std::optional<Duration> MeanIterationSpan(WorkerId worker, SimTime begin,
-                                            SimTime end) const;
 
   // Drops records older than `horizon` before `now` (bounds memory over long
   // runs; the tuner only ever replays the previous epoch).

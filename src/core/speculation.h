@@ -74,11 +74,4 @@ class FixedSpeculationPolicy final : public SpeculationPolicy {
   SpeculationParams params_;
 };
 
-// A policy that always disables speculation (plain ASP/SSP behaviour).
-class DisabledSpeculationPolicy final : public SpeculationPolicy {
- public:
-  std::string name() const override { return "disabled"; }
-  SpeculationParams OnEpochEnd(const TuningInputs&) override { return {}; }
-};
-
 }  // namespace specsync

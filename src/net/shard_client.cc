@@ -173,9 +173,8 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
     retry_counter_ = &metrics->counter("net.retries");
     timeout_counter_ = &metrics->counter("net.timeouts");
     for (Link& link : links_) {
-      // The brace block is the registry's label convention: the Prometheus
-      // exporter renders it as {link="host:port"}, the JSON exporter keeps
-      // the composite name verbatim.
+      // The brace block is the registry's label convention: the JSON
+      // exporter keeps the composite name verbatim.
       const std::string label = "{link=" + ToString(link.endpoint) + "}";
       link.rtt_hist = &metrics->histogram("net.link.rtt_s" + label);
       link.reconnects_counter =

@@ -74,7 +74,7 @@ class LatencyHistogram {
   // bucket); exact enough for p50/p95/p99 summaries.
   //
   // Pinned degenerate behavior (exporters rely on every case being finite —
-  // a JSON or Prometheus dump must never see NaN from here):
+  // a JSON dump must never see NaN from here):
   //   - empty histogram                  -> 0.0 for every q;
   //   - all observations in bucket 0     -> min(max_seconds(),
   //     kFirstUpperBoundSeconds), i.e. never an interpolation against the

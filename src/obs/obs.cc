@@ -1,8 +1,6 @@
 #include "obs/obs.h"
 
 #include <fstream>
-#include <utility>
-#include <vector>
 
 #include "common/logging.h"
 #include "obs/json.h"
@@ -13,108 +11,6 @@ namespace {
 
 using internal::JsonEscape;
 using internal::JsonNumber;
-
-// Registry names may carry an embedded label block — `base{key=value,...}`,
-// the convention the net layer uses for per-link/per-shard instruments (e.g.
-// "net.link.reconnects{link=127.0.0.1:9000}"). Prometheus exposition is
-// strict about both halves: metric names match [a-zA-Z_:][a-zA-Z0-9_:]*,
-// label names match [a-zA-Z_][a-zA-Z0-9_]*, and label values are quoted
-// strings with \\, \", and \n escaped. The splitter below produces a legal
-// family name plus parsed labels so histogram output can merge in its own
-// `le` label.
-struct PromName {
-  std::string family;
-  std::vector<std::pair<std::string, std::string>> labels;
-};
-
-std::string SanitizeIdent(const std::string& raw, bool allow_colon) {
-  std::string out;
-  out.reserve(raw.size() + 1);
-  for (char c : raw) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' ||
-                    (allow_colon && c == ':');
-    out += ok ? c : '_';
-  }
-  if (out.empty()) out = "_";
-  if (out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
-  return out;
-}
-
-std::string EscapeLabelValue(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    if (c == '\\' || c == '"') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-PromName ParsePrometheusName(const std::string& name) {
-  PromName out;
-  const std::size_t brace = name.find('{');
-  if (brace == std::string::npos || name.back() != '}') {
-    out.family = SanitizeIdent(name, /*allow_colon=*/true);
-    return out;
-  }
-  out.family = SanitizeIdent(name.substr(0, brace), /*allow_colon=*/true);
-  // key=value pairs separated by ','; values must not contain ',' or '}'
-  // (endpoint strings — host:port — and shard ids never do).
-  std::size_t pos = brace + 1;
-  const std::size_t end = name.size() - 1;
-  while (pos < end) {
-    std::size_t comma = name.find(',', pos);
-    if (comma == std::string::npos || comma > end) comma = end;
-    const std::string pair = name.substr(pos, comma - pos);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string::npos) {
-      out.labels.emplace_back(SanitizeIdent(pair.substr(0, eq),
-                                            /*allow_colon=*/false),
-                              EscapeLabelValue(pair.substr(eq + 1)));
-    }
-    pos = comma + 1;
-  }
-  if (out.labels.empty()) {
-    // Braces that held no key=value pair are not the label convention —
-    // sanitize the whole composite name rather than silently dropping bytes.
-    out.family = SanitizeIdent(name, /*allow_colon=*/true);
-  }
-  return out;
-}
-
-// Renders `{k="v",...}` merging an optional extra label (histogram `le`).
-std::string LabelBlock(const PromName& prom, const std::string& extra_key = "",
-                       const std::string& extra_value = "") {
-  if (prom.labels.empty() && extra_key.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, value] : prom.labels) {
-    if (!first) out += ",";
-    first = false;
-    out += key + "=\"" + value + "\"";
-  }
-  if (!extra_key.empty()) {
-    if (!first) out += ",";
-    out += extra_key + "=\"" + extra_value + "\"";
-  }
-  out += "}";
-  return out;
-}
-
-// One # TYPE line per metric family: labeled variants of the same base name
-// sort adjacently in the registry's name-ordered snapshots, so tracking the
-// previously emitted family suffices.
-void EmitTypeLine(std::ostream& os, const std::string& family,
-                  const char* type, std::string& last_family) {
-  if (family == last_family) return;
-  last_family = family;
-  os << "# TYPE " << family << " " << type << "\n";
-}
 
 void WriteHistogramJson(const LatencyHistogram& h, std::ostream& os) {
   os << "{\"count\":" << h.count()
@@ -166,42 +62,6 @@ void WriteMetricsJson(const ObsContext& obs, std::ostream& os) {
      << ",\"decision_audit\":";
   obs.audit.ExportJson(os);
   os << "}\n";
-}
-
-void WriteMetricsPrometheus(const MetricsRegistry& metrics, std::ostream& os) {
-  std::string last_family;
-  for (const auto& [name, value] : metrics.CounterValues()) {
-    const PromName prom = ParsePrometheusName(name);
-    EmitTypeLine(os, prom.family, "counter", last_family);
-    os << prom.family << LabelBlock(prom) << " " << value << "\n";
-  }
-  last_family.clear();
-  for (const auto& [name, value] : metrics.GaugeValues()) {
-    const PromName prom = ParsePrometheusName(name);
-    EmitTypeLine(os, prom.family, "gauge", last_family);
-    os << prom.family << LabelBlock(prom) << " " << JsonNumber(value) << "\n";
-  }
-  last_family.clear();
-  for (const auto& [name, histogram] : metrics.Histograms()) {
-    const PromName prom = ParsePrometheusName(name);
-    EmitTypeLine(os, prom.family, "histogram", last_family);
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b + 1 < LatencyHistogram::kBuckets; ++b) {
-      const std::uint64_t count = histogram->bucket_count(b);
-      if (count == 0) continue;
-      cumulative += count;
-      os << prom.family << "_bucket"
-         << LabelBlock(prom, "le",
-                       JsonNumber(LatencyHistogram::UpperBoundSeconds(b)))
-         << " " << cumulative << "\n";
-    }
-    os << prom.family << "_bucket" << LabelBlock(prom, "le", "+Inf") << " "
-       << histogram->count() << "\n"
-       << prom.family << "_sum" << LabelBlock(prom) << " "
-       << JsonNumber(histogram->sum_seconds()) << "\n"
-       << prom.family << "_count" << LabelBlock(prom) << " "
-       << histogram->count() << "\n";
-  }
 }
 
 bool WriteMetricsJsonFile(const ObsContext& obs, const std::string& path) {

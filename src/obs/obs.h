@@ -8,8 +8,8 @@
 // not (instrumentation reads the clocks, never the other way around).
 //
 // Exporters write one snapshot per run: metrics.json (counters, gauges,
-// histogram summaries, and the decision audit) plus a Prometheus-style text
-// rendering, and the Chrome trace via SpanRecorder::ExportChromeTrace.
+// histogram summaries, and the decision audit) and the Chrome trace via
+// SpanRecorder::ExportChromeTrace.
 #pragma once
 
 #include <ostream>
@@ -32,10 +32,6 @@ struct ObsContext {
 //  max_s,p50_s,p95_s,p99_s,buckets:[{le_s,count}...]}},"decision_audit":{..}}
 // Histogram buckets with zero count are elided to keep files small.
 void WriteMetricsJson(const ObsContext& obs, std::ostream& os);
-
-// Prometheus text exposition (counters, gauges, histogram count/sum and
-// cumulative le-buckets). Metric names are sanitized ('.' -> '_').
-void WriteMetricsPrometheus(const MetricsRegistry& metrics, std::ostream& os);
 
 // Convenience file writers; return false (and log a warning) when the path
 // cannot be opened.

@@ -1,7 +1,6 @@
 #include "optim/lr_schedule.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace specsync {
 
@@ -23,10 +22,6 @@ double StepDecaySchedule::Rate(EpochId epoch) const {
     if (epoch >= boundary) rate *= factor_;
   }
   return rate;
-}
-
-double InverseSqrtSchedule::Rate(EpochId epoch) const {
-  return base_rate_ / std::sqrt(1.0 + static_cast<double>(epoch));
 }
 
 }  // namespace specsync

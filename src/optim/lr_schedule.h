@@ -43,16 +43,4 @@ class StepDecaySchedule final : public LearningRateSchedule {
   double factor_;
 };
 
-// 1/sqrt(t) decay, common for convex problems: rate = base / sqrt(1 + epoch).
-class InverseSqrtSchedule final : public LearningRateSchedule {
- public:
-  explicit InverseSqrtSchedule(double base_rate) : base_rate_(base_rate) {
-    SPECSYNC_CHECK_GT(base_rate, 0.0);
-  }
-  double Rate(EpochId epoch) const override;
-
- private:
-  double base_rate_;
-};
-
 }  // namespace specsync

@@ -21,15 +21,14 @@
 //
 // ## Pool lifetime rules
 //
-// Nodes live in one contiguous pool (`nodes_`) recycled through a free list;
-// handles carry a generation counter so a stale Cancel() of a reused slot is
-// a safe no-op. Two rules keep the pool sound (ASan-enforced by the property
-// and sim suites):
+// Nodes live in one contiguous pool (`nodes_`) recycled through a free list.
+// Two rules keep the pool sound (ASan-enforced by the property and sim
+// suites):
 //  1. PopMin() moves the payload OUT of the pool before returning — a
 //     callback that pushes new events may grow the pool and relocate every
 //     node, so callers must never invoke a payload in place.
-//  2. A node's payload is destroyed (moved from) exactly once: on pop, on
-//     cancel, or with the queue. The free list stores only empty payloads.
+//  2. A node's payload is destroyed (moved from) exactly once: on pop or with
+//     the queue. The free list stores only empty payloads.
 //
 // ## Monotonicity contract
 //
@@ -53,7 +52,6 @@ namespace specsync {
 struct CalendarQueueStats {
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
-  std::uint64_t cancels = 0;
   std::uint64_t resizes = 0;
   std::size_t max_size = 0;
   // Buckets inspected across all FindMin scans (scan_steps / pops ~ 1 when
@@ -67,11 +65,6 @@ struct CalendarQueueStats {
 template <typename T>
 class CalendarQueue {
  public:
-  struct Handle {
-    std::uint32_t index = kNil;
-    std::uint32_t generation = 0;
-  };
-
   CalendarQueue() { Rebuild(kMinBuckets, /*new_width=*/1.0); }
 
   CalendarQueue(const CalendarQueue&) = delete;
@@ -86,7 +79,7 @@ class CalendarQueue {
   // Schedules `value` at `time`; assigns the next sequence number (FIFO among
   // equal times). `time` must be finite, non-negative, and not before the
   // last popped time.
-  Handle Push(SimTime time, T value) {
+  void Push(SimTime time, T value) {
     const double t = time.seconds();
     SPECSYNC_CHECK(t >= 0.0 && time.is_finite())
         << "event time must be finite and non-negative: " << time;
@@ -111,26 +104,6 @@ class CalendarQueue {
       cached_min_ = index;
     }
     MaybeRebuildForDrift();
-    return Handle{index, node.generation};
-  }
-
-  // Removes a pending event. Returns false (and does nothing) when the
-  // handle's event already popped, was already cancelled, or the slot was
-  // recycled — stale cancels are always safe.
-  bool Cancel(Handle handle) {
-    if (handle.index >= nodes_.size()) return false;
-    Node& node = nodes_[handle.index];
-    if (node.bucket == kFreeBucket || node.generation != handle.generation) {
-      return false;
-    }
-    UnlinkFromBucket(handle.index);
-    node.value = T{};  // destroy the payload now, not at slot reuse
-    FreeNode(handle.index);
-    --size_;
-    ++stats_.cancels;
-    if (cache_valid_ && handle.index == cached_min_) cache_valid_ = false;
-    MaybeShrink();
-    return true;
   }
 
   // Time of the minimum-(time, sequence) event. Queue must be non-empty.
@@ -182,7 +155,6 @@ class CalendarQueue {
     std::uint64_t vb = 0;            // virtual (un-wrapped) bucket index
     std::uint32_t next = kNil;       // intra-bucket chain, (time, seq) sorted
     std::uint32_t bucket = kFreeBucket;  // kFreeBucket = on the free list
-    std::uint32_t generation = 0;    // bumped on free; validates handles
     T value{};
   };
 
@@ -213,7 +185,6 @@ class CalendarQueue {
   void FreeNode(std::uint32_t index) {
     Node& node = nodes_[index];
     node.bucket = kFreeBucket;
-    ++node.generation;
     node.next = free_head_;
     free_head_ = index;
   }
@@ -249,7 +220,7 @@ class CalendarQueue {
   // beyond ~4 links per push, with a grace of two full calendars — and
   // rebuild with a freshly measured width. Purely layout (pop order is
   // bucket-independent) and deterministic: the trigger depends only on the
-  // push/cancel history, never on wall time.
+  // push/pop history, never on wall time.
   void MaybeRebuildForDrift() {
     ++pushes_since_rebuild_;
     if (insert_steps_since_rebuild_ <=

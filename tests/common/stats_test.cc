@@ -109,40 +109,6 @@ TEST(BoxSummaryTest, EmptySampleIsZeroed) {
   EXPECT_EQ(box.p50, 0.0);
 }
 
-TEST(HistogramTest, BucketAssignment) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.Add(0.5);   // bucket 0
-  hist.Add(3.0);   // bucket 1
-  hist.Add(9.99);  // bucket 4
-  EXPECT_EQ(hist.count(0), 1u);
-  EXPECT_EQ(hist.count(1), 1u);
-  EXPECT_EQ(hist.count(4), 1u);
-  EXPECT_EQ(hist.total(), 3u);
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdges) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.Add(-3.0);
-  hist.Add(42.0);
-  EXPECT_EQ(hist.count(0), 1u);
-  EXPECT_EQ(hist.count(4), 1u);
-}
-
-TEST(HistogramTest, BucketBoundsAndFractions) {
-  Histogram hist(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(hist.bucket_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(hist.bucket_hi(2), 6.0);
-  EXPECT_EQ(hist.fraction(0), 0.0);  // empty histogram
-  hist.Add(1.0);
-  hist.Add(5.0);
-  EXPECT_DOUBLE_EQ(hist.fraction(0), 0.5);
-}
-
-TEST(HistogramTest, InvalidConstructionThrows) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 3), CheckError);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), CheckError);
-}
-
 // Property: quantiles of a large normal sample approximate the theoretical
 // inverse CDF.
 class QuantileNormalTest : public ::testing::TestWithParam<double> {};
@@ -162,90 +128,6 @@ TEST_P(QuantileNormalTest, MatchesTheory) {
 
 INSTANTIATE_TEST_SUITE_P(ReferencePoints, QuantileNormalTest,
                          ::testing::Values(0.5, 0.8413, 0.1587));
-
-TEST(HistogramTest, MergeSumsBucketsAndTotals) {
-  Histogram a(0.0, 10.0, 5);
-  Histogram b(0.0, 10.0, 5);
-  a.Add(1.0);  // bucket 0
-  a.Add(3.0);  // bucket 1
-  b.Add(1.5);  // bucket 0
-  b.Add(9.0);  // bucket 4
-  a.Merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.count(0), 2u);
-  EXPECT_EQ(a.count(1), 1u);
-  EXPECT_EQ(a.count(4), 1u);
-  // The source histogram is untouched.
-  EXPECT_EQ(b.total(), 2u);
-}
-
-TEST(HistogramTest, MergeWithEmptyIsIdentity) {
-  Histogram a(0.0, 10.0, 5);
-  a.Add(4.0);
-  Histogram empty(0.0, 10.0, 5);
-  a.Merge(empty);
-  EXPECT_EQ(a.total(), 1u);
-  EXPECT_EQ(a.count(2), 1u);
-}
-
-TEST(HistogramTest, MergeMismatchedLayoutThrows) {
-  Histogram a(0.0, 10.0, 5);
-  Histogram wrong_buckets(0.0, 10.0, 4);
-  Histogram wrong_range(0.0, 20.0, 5);
-  EXPECT_ANY_THROW(a.Merge(wrong_buckets));
-  EXPECT_ANY_THROW(a.Merge(wrong_range));
-}
-
-TEST(HistogramTest, ApproxQuantileEmptyIsZero) {
-  Histogram h(0.0, 10.0, 10);
-  EXPECT_EQ(h.ApproxQuantile(0.5), 0.0);
-}
-
-TEST(HistogramTest, ApproxQuantileUniformFill) {
-  // 100 observations spread one per 0.1-wide step across [0, 10): the
-  // interpolated quantiles should track the true values to bucket width.
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.Add(0.05 + 0.1 * i);
-  EXPECT_NEAR(h.ApproxQuantile(0.5), 5.0, 1.0);
-  EXPECT_NEAR(h.ApproxQuantile(0.9), 9.0, 1.0);
-  EXPECT_NEAR(h.ApproxQuantile(0.1), 1.0, 1.0);
-  // Quantiles are monotone in q.
-  EXPECT_LE(h.ApproxQuantile(0.25), h.ApproxQuantile(0.75));
-}
-
-TEST(HistogramTest, ApproxQuantileSingleBucketInterpolates) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 4; ++i) h.Add(3.5);  // all in bucket [3, 4)
-  const double q25 = h.ApproxQuantile(0.25);
-  const double q100 = h.ApproxQuantile(1.0);
-  EXPECT_GE(q25, 3.0);
-  EXPECT_LE(q100, 4.0);
-  EXPECT_LE(q25, q100);
-}
-
-TEST(HistogramTest, ApproxQuantileMatchesAfterMerge) {
-  // Quantiles over the merged histogram equal quantiles over one histogram
-  // fed both streams.
-  Histogram merged(0.0, 100.0, 50);
-  Histogram a(0.0, 100.0, 50);
-  Histogram b(0.0, 100.0, 50);
-  for (int i = 0; i < 60; ++i) {
-    const double x = static_cast<double>(i) + 0.5;
-    merged.Add(x);
-    (i % 2 == 0 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  for (double q : {0.1, 0.5, 0.9, 0.99}) {
-    EXPECT_DOUBLE_EQ(a.ApproxQuantile(q), merged.ApproxQuantile(q));
-  }
-}
-
-TEST(HistogramTest, ApproxQuantileRejectsOutOfRangeQ) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(5.0);
-  EXPECT_ANY_THROW(h.ApproxQuantile(-0.1));
-  EXPECT_ANY_THROW(h.ApproxQuantile(1.5));
-}
 
 }  // namespace
 }  // namespace specsync

@@ -47,31 +47,14 @@ TEST(PushHistoryTest, OutOfOrderPushThrows) {
 
 TEST(PushHistoryTest, LastPullQueries) {
   PushHistory history(2);
-  EXPECT_FALSE(history.LastPull(0).has_value());
+  EXPECT_FALSE(history.LastPullBefore(0, T(10.0)).has_value());
   history.RecordPull(0, T(1.0));
   history.RecordPull(0, T(5.0));
   history.RecordPull(1, T(3.0));
-  EXPECT_EQ(history.LastPull(0), T(5.0));
+  EXPECT_EQ(history.LastPullBefore(0, T(10.0)), T(5.0));
   EXPECT_EQ(history.LastPullBefore(0, T(4.0)), T(1.0));
   EXPECT_EQ(history.LastPullBefore(0, T(5.0)), T(5.0));  // at-or-before
   EXPECT_FALSE(history.LastPullBefore(0, T(0.5)).has_value());
-}
-
-TEST(PushHistoryTest, MeanIterationSpan) {
-  PushHistory history(2);
-  history.RecordPush(0, 0, T(1.0));
-  history.RecordPush(1, 0, T(1.5));
-  history.RecordPush(0, 1, T(3.0));
-  history.RecordPush(0, 2, T(6.0));
-  const auto span = history.MeanIterationSpan(0, T(0.0), T(10.0));
-  ASSERT_TRUE(span.has_value());
-  EXPECT_DOUBLE_EQ(span->seconds(), 2.5);  // gaps 2.0 and 3.0
-  // Only one push in window -> no span.
-  EXPECT_FALSE(history.MeanIterationSpan(1, T(0.0), T(10.0)).has_value());
-  // Window that cuts off the first push: single remaining gap.
-  const auto partial = history.MeanIterationSpan(0, T(2.0), T(10.0));
-  ASSERT_TRUE(partial.has_value());
-  EXPECT_DOUBLE_EQ(partial->seconds(), 3.0);
 }
 
 TEST(PushHistoryTest, TrimDropsOldRecords) {
@@ -84,14 +67,14 @@ TEST(PushHistoryTest, TrimDropsOldRecords) {
   EXPECT_EQ(history.push_count(), 1u);
   EXPECT_EQ(history.pushes()[0].time, T(10.0));
   EXPECT_EQ(history.LastPullBefore(0, T(5.0)), std::nullopt);
-  EXPECT_EQ(history.LastPull(0), T(10.0));
+  EXPECT_EQ(history.LastPullBefore(0, T(12.0)), T(10.0));
 }
 
 TEST(PushHistoryTest, InvalidWorkerThrows) {
   PushHistory history(2);
   EXPECT_THROW(history.RecordPush(2, 0, T(1.0)), CheckError);
   EXPECT_THROW(history.RecordPull(5, T(1.0)), CheckError);
-  EXPECT_THROW(history.LastPull(2), CheckError);
+  EXPECT_THROW(history.LastPullBefore(2, T(1.0)), CheckError);
 }
 
 }  // namespace

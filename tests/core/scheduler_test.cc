@@ -29,6 +29,11 @@ std::unique_ptr<SpeculationPolicy> Keep(Duration abort_time,
   return std::make_unique<FixedSpeculationPolicy>(params);
 }
 
+// Fixed policy that never speculates: SpeculationParams{} every epoch.
+std::unique_ptr<SpeculationPolicy> NoSpeculation() {
+  return std::make_unique<FixedSpeculationPolicy>(SpeculationParams{});
+}
+
 TEST(SchedulerTest, NotifyRequestsCheckAfterAbortTime) {
   SpecSyncScheduler scheduler(Config(4, D(2.0), 0.5), Keep(D(2.0), 0.5));
   const auto request = scheduler.HandleNotify(0, 0, T(10.0));
@@ -38,7 +43,7 @@ TEST(SchedulerTest, NotifyRequestsCheckAfterAbortTime) {
 
 TEST(SchedulerTest, NoCheckWhenSpeculationDisabled) {
   SpecSyncScheduler scheduler(Config(4, Duration::Zero(), 0.0),
-                              std::make_unique<DisabledSpeculationPolicy>());
+                              NoSpeculation());
   EXPECT_FALSE(scheduler.HandleNotify(0, 0, T(1.0)).has_value());
 }
 
@@ -154,8 +159,7 @@ TEST(SchedulerTest, SpanEstimateTracksPushGaps) {
   SchedulerConfig config = Config(2, Duration::Zero(), 0.0);
   config.span_ewma_alpha = 1.0;  // use latest gap directly
   config.default_span = D(99.0);
-  SpecSyncScheduler scheduler(config,
-                              std::make_unique<DisabledSpeculationPolicy>());
+  SpecSyncScheduler scheduler(config, NoSpeculation());
   scheduler.HandleNotify(0, 0, T(10.0));
   EXPECT_DOUBLE_EQ(scheduler.iteration_spans()[0].seconds(), 99.0);
   scheduler.HandleNotify(0, 1, T(14.0));
@@ -174,9 +178,7 @@ TEST(SchedulerTest, StatsCountNotifies) {
 TEST(SchedulerTest, InvalidConfigThrows) {
   SchedulerConfig bad;
   bad.num_workers = 0;
-  EXPECT_THROW(
-      SpecSyncScheduler(bad, std::make_unique<DisabledSpeculationPolicy>()),
-      CheckError);
+  EXPECT_THROW(SpecSyncScheduler(bad, NoSpeculation()), CheckError);
   SchedulerConfig no_policy = Config(2, D(1.0), 0.5);
   EXPECT_THROW(SpecSyncScheduler(no_policy, nullptr), CheckError);
 }

@@ -116,7 +116,7 @@ std::optional<std::string> CheckEquivalence(const TuningInputs& inputs,
       AdaptiveTuner::EvaluateCandidates(inputs, candidates, loss_weight);
   for (std::size_t c = 0; c < candidates.size(); ++c) {
     const double want =
-        AdaptiveTuner::EstimateImprovement(inputs, candidates[c], loss_weight);
+        reference::EstimateImprovement(inputs, candidates[c], loss_weight);
     if (values[c] != want) {
       std::ostringstream msg;
       msg << "candidate " << c << " (delta " << candidates[c].seconds()

@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "data/synthetic.h"
-#include "models/linear_regression.h"
 #include "models/matrix_factorization.h"
 #include "models/mlp.h"
 #include "models/softmax_regression.h"
@@ -102,15 +101,6 @@ TEST(GradientCheckTest, MatrixFactorization) {
   config.sum_gradient = false;  // gradient of the reported mean loss
   MatrixFactorizationModel model(SmallRatings(6), config);
   CheckGradient(model, 16);
-}
-
-TEST(GradientCheckTest, LinearRegression) {
-  auto data = SmallClassData(7);
-  std::vector<double> targets(data->size());
-  Rng rng(8);
-  for (double& t : targets) t = rng.Normal(0.0, 1.0);
-  LinearRegressionModel model(data, std::move(targets), 0.01);
-  CheckGradient(model, 17);
 }
 
 TEST(MfModelTest, SumGradientIsBatchTimesMean) {
@@ -247,33 +237,6 @@ TEST(GradientTest, SparseAddTo) {
   std::vector<double> dest(3, 0.0);
   g.AddTo(-1.0, dest);
   EXPECT_EQ(dest, (std::vector<double>{0.0, -3.0, 0.0}));
-}
-
-TEST(LinearRegressionTest, TargetSizeMismatchThrows) {
-  auto data = SmallClassData(22, 10, 4, 2);
-  EXPECT_THROW(LinearRegressionModel(data, std::vector<double>(5)), CheckError);
-}
-
-TEST(LinearRegressionTest, RecoversPlantedWeights) {
-  // Plant y = w.x + b exactly; full-batch GD must drive loss to ~0.
-  auto raw = SmallClassData(23, 300, 6, 2);
-  std::vector<double> w_true{1.0, -2.0, 0.5, 0.0, 3.0, -1.0};
-  std::vector<double> targets(raw->size());
-  for (std::size_t i = 0; i < raw->size(); ++i) {
-    targets[i] = Dot(raw->example(i).features, w_true) + 0.7;
-  }
-  LinearRegressionModel model(raw, std::move(targets), 0.0);
-  Rng rng(24);
-  std::vector<double> params(model.param_dim());
-  model.InitParams(params, rng);
-  std::vector<std::size_t> all(raw->size());
-  std::iota(all.begin(), all.end(), 0u);
-  Gradient grad;
-  for (int step = 0; step < 2000; ++step) {
-    model.LossAndGradient(params, all, grad);
-    Axpy(-0.5, grad.dense(), params);
-  }
-  EXPECT_LT(model.Loss(params, all), 1e-3);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Unit tests for the observability layer (src/obs): metrics instruments and
 // registry, span recorder + Chrome trace export, decision audit log, and the
-// metrics.json / Prometheus snapshot exporters.
+// metrics.json snapshot exporter.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -334,100 +334,6 @@ TEST(ObsExportTest, MetricsJsonContainsAllSections) {
   EXPECT_NE(out.find("\"span_events\":1"), std::string::npos);
   EXPECT_NE(out.find("\"decision_audit\""), std::string::npos);
   EXPECT_NE(out.find("\"keep\""), std::string::npos);
-}
-
-TEST(ObsExportTest, PrometheusTextShape) {
-  ObsContext ctx;
-  ctx.metrics.counter("sim.pushes").Increment(10);
-  ctx.metrics.gauge("sim.final_loss").Set(0.25);
-  ctx.metrics.histogram("ps.pull_s").Record(1e-3);
-  ctx.metrics.histogram("ps.pull_s").Record(2e-3);
-
-  std::ostringstream os;
-  WriteMetricsPrometheus(ctx.metrics, os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("# TYPE sim_pushes counter"), std::string::npos);
-  EXPECT_NE(out.find("sim_pushes 10"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE sim_final_loss gauge"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE ps_pull_s histogram"), std::string::npos);
-  // The +Inf bucket carries the total count, and appears exactly once.
-  EXPECT_NE(out.find("ps_pull_s_bucket{le=\"+Inf\"} 2"), std::string::npos);
-  EXPECT_EQ(out.find("+Inf"), out.rfind("+Inf"));
-  EXPECT_NE(out.find("ps_pull_s_count 2"), std::string::npos);
-}
-
-TEST(ObsExportTest, PrometheusLabeledMetricsSplitNameAndLabels) {
-  ObsContext ctx;
-  ctx.metrics.counter("net.link.reconnects{link=127.0.0.1:9000}").Increment(2);
-  ctx.metrics.counter("net.link.reconnects{link=127.0.0.1:9001}").Increment(5);
-  ctx.metrics.gauge("net.link.in_flight{link=127.0.0.1:9000}").Set(3.0);
-  ctx.metrics.histogram("net.rtt_s{link=127.0.0.1:9000}").Record(1e-3);
-
-  std::ostringstream os;
-  WriteMetricsPrometheus(ctx.metrics, os);
-  const std::string out = os.str();
-  // Embedded labels split off the name; values are quoted.
-  EXPECT_NE(out.find("net_link_reconnects{link=\"127.0.0.1:9000\"} 2"),
-            std::string::npos);
-  EXPECT_NE(out.find("net_link_reconnects{link=\"127.0.0.1:9001\"} 5"),
-            std::string::npos);
-  EXPECT_NE(out.find("net_link_in_flight{link=\"127.0.0.1:9000\"} 3"),
-            std::string::npos);
-  // One # TYPE line per family even with several labeled variants.
-  const std::string type_line = "# TYPE net_link_reconnects counter";
-  const auto first = out.find(type_line);
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(out.find(type_line, first + 1), std::string::npos);
-  // Histogram labels merge with the le bucket label.
-  EXPECT_NE(out.find("net_rtt_s_bucket{link=\"127.0.0.1:9000\",le=\"+Inf\"} 1"),
-            std::string::npos);
-  EXPECT_NE(out.find("net_rtt_s_count{link=\"127.0.0.1:9000\"} 1"),
-            std::string::npos);
-}
-
-TEST(ObsExportTest, PrometheusNameAndLabelSanitization) {
-  ObsContext ctx;
-  // Dots/dashes fold to underscores; a leading digit gets a prefix.
-  ctx.metrics.counter("9lives.cat-metric").Increment();
-  // Label values must escape backslash, quote, and newline per the
-  // exposition format — and survive a round trip through the escaping.
-  const std::string raw_value = "pa\\th\"quo\nte";
-  ctx.metrics.counter("weird{path=" + raw_value + "}").Increment();
-
-  std::ostringstream os;
-  WriteMetricsPrometheus(ctx.metrics, os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("_9lives_cat_metric 1"), std::string::npos);
-  const std::string escaped = "weird{path=\"pa\\\\th\\\"quo\\nte\"} 1";
-  const auto pos = out.find(escaped);
-  ASSERT_NE(pos, std::string::npos) << out;
-
-  // Round trip: un-escaping the exported value restores the raw label value.
-  std::string exported = out.substr(out.find("path=\"", pos) + 6);
-  exported = exported.substr(0, exported.find("\"} 1"));
-  std::string unescaped;
-  for (std::size_t i = 0; i < exported.size(); ++i) {
-    if (exported[i] == '\\' && i + 1 < exported.size()) {
-      const char next = exported[++i];
-      unescaped += next == 'n' ? '\n' : next;
-    } else {
-      unescaped += exported[i];
-    }
-  }
-  EXPECT_EQ(unescaped, raw_value);
-}
-
-TEST(ObsExportTest, PrometheusMalformedLabelBlockKeptVerbatim) {
-  ObsContext ctx;
-  // An unparsable label block (no '=' inside) is not a label convention hit:
-  // the whole composite name sanitizes as one identifier instead of emitting
-  // invalid exposition syntax.
-  ctx.metrics.counter("odd{notalabel}").Increment();
-  std::ostringstream os;
-  WriteMetricsPrometheus(ctx.metrics, os);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("odd_notalabel_ 1"), std::string::npos);
-  EXPECT_EQ(out.find("odd{"), std::string::npos);
 }
 
 TEST(SpanRecorderTest, FlowEventsExportAsChromeFlowPairs) {

@@ -29,12 +29,6 @@ TEST(LrScheduleTest, StepDecayRequiresSortedBoundaries) {
   EXPECT_THROW(StepDecaySchedule(0.1, {250, 200}, 0.1), CheckError);
 }
 
-TEST(LrScheduleTest, InverseSqrt) {
-  InverseSqrtSchedule schedule(1.0);
-  EXPECT_DOUBLE_EQ(schedule.Rate(0), 1.0);
-  EXPECT_DOUBLE_EQ(schedule.Rate(3), 0.5);
-}
-
 TEST(SgdApplierTest, BasicStep) {
   auto schedule = std::make_shared<ConstantSchedule>(0.5);
   SgdApplier applier(schedule);

@@ -3,16 +3,14 @@
 // Each trial generates a random event-stream schedule — pushes with delta
 // mixtures that force duplicate timestamps, zero-delay self-inserts (a push
 // landing exactly at the last popped time), sub-bucket-width clusters, and
-// far-future outliers (resize + direct-search paths) — interleaved with pops
-// and cancels (including stale cancels of already-popped handles). The
-// schedule replays against the queue under test and an independently written
-// reference model (a flat vector popped by min-(time, sequence) scan, no
-// shared code), and every observable must match exactly:
+// far-future outliers (resize + direct-search paths) — interleaved with pops.
+// The schedule replays against the queue under test and an independently
+// written reference model (a flat vector popped by min-(time, sequence) scan,
+// no shared code), and every observable must match exactly:
 //
-//  * pop order      — each pop returns the same (time, id) pair;
-//  * peek           — PeekTime before each pop equals the reference min;
-//  * cancel result  — Cancel(id) removed an event iff the reference still
-//                     held it (stale/duplicate cancels are no-ops on both).
+//  * pop order  — each pop returns the same (time, id) pair;
+//  * peek       — PeekTime before each pop equals the reference min;
+//  * size       — the queue holds as many events as the reference.
 //
 // On failure the harness shrinks the op list to a 1-minimal counterexample
 // (greedy ddmin, same scheme as consistency_property_test) and prints it. A
@@ -25,7 +23,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -48,18 +45,15 @@ std::uint64_t BaseSeed() { return PropertySeed(20260808); }
 
 // --- schedules ---------------------------------------------------------------
 
-enum class OpKind { kPush, kPop, kCancel };
+enum class OpKind { kPush, kPop };
 
 // One schedule event. kPush schedules event `id` at (last popped time +
-// delta); kPop pops the minimum if any; kCancel cancels push `target` — a
-// no-op (checked to agree on both sides) when that push never ran, already
-// popped, or was already cancelled. Every op is executable after arbitrary
-// deletions, which keeps shrinking well-defined.
+// delta); kPop pops the minimum if any. Every op is executable after
+// arbitrary deletions, which keeps shrinking well-defined.
 struct Op {
   OpKind kind = OpKind::kPush;
   int id = 0;        // kPush: unique event id (its index in the op list)
   double delta = 0;  // kPush: seconds after the queue's current floor
-  int target = 0;    // kCancel: id of the push to cancel
 };
 
 struct Schedule {
@@ -74,7 +68,7 @@ Schedule GenerateSchedule(std::uint64_t seed) {
   for (std::size_t i = 0; i < len; ++i) {
     Op op;
     const std::size_t roll = rng.Index(100);
-    if (roll < 55) {
+    if (roll < 65) {
       op.kind = OpKind::kPush;
       op.id = static_cast<int>(i);
       // Delta mixture: exact duplicates of the floor (zero-delay
@@ -93,11 +87,8 @@ Schedule GenerateSchedule(std::uint64_t seed) {
       } else {
         op.delta = rng.Uniform(1e6, 1e9);
       }
-    } else if (roll < 85) {
-      op.kind = OpKind::kPop;
     } else {
-      op.kind = OpKind::kCancel;
-      op.target = static_cast<int>(rng.Index(len));
+      op.kind = OpKind::kPop;
     }
     s.ops.push_back(op);
   }
@@ -115,9 +106,6 @@ std::string FormatOps(const Schedule& s) {
         break;
       case OpKind::kPop:
         out << "pop";
-        break;
-      case OpKind::kCancel:
-        out << "X" << op.target;
         break;
     }
   }
@@ -141,15 +129,6 @@ struct RefQueue {
   void Push(double time, int id) {
     entries.push_back(Entry{time, next_sequence++, id});
   }
-  bool Cancel(int id) {
-    for (auto it = entries.begin(); it != entries.end(); ++it) {
-      if (it->id == id) {
-        entries.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
   std::optional<Entry> Pop() {
     if (entries.empty()) return std::nullopt;
     auto min = entries.begin();
@@ -171,7 +150,6 @@ struct RefQueue {
 // queue and planted-bug impostors identically.
 struct Subject {
   std::function<void(double time, int id)> push;
-  std::function<bool(int id)> cancel;  // false = nothing removed
   // Returns (PeekTime, popped id); checks internally that peek matches pop.
   std::function<std::optional<std::pair<double, int>>()> pop;
   std::function<std::size_t()> size;
@@ -181,14 +159,9 @@ using SubjectFactory = std::function<Subject()>;
 
 Subject CalendarSubject() {
   auto queue = std::make_shared<CalendarQueue<int>>();
-  auto handles = std::make_shared<std::map<int, CalendarQueue<int>::Handle>>();
   return {
-      [queue, handles](double time, int id) {
-        (*handles)[id] = queue->Push(SimTime::FromSeconds(time), id);
-      },
-      [queue, handles](int id) {
-        auto it = handles->find(id);
-        return it != handles->end() && queue->Cancel(it->second);
+      [queue](double time, int id) {
+        queue->Push(SimTime::FromSeconds(time), id);
       },
       [queue]() -> std::optional<std::pair<double, int>> {
         if (queue->empty()) return std::nullopt;
@@ -209,7 +182,6 @@ Subject LifoTieBreakSubject() {
   auto queue = std::make_shared<RefQueue>();
   return {
       [queue](double time, int id) { queue->Push(time, id); },
-      [queue](int id) { return queue->Cancel(id); },
       [queue]() -> std::optional<std::pair<double, int>> {
         if (queue->entries.empty()) return std::nullopt;
         auto min = queue->entries.begin();
@@ -280,19 +252,6 @@ RunOutcome RunSchedule(const Schedule& schedule, const SubjectFactory& make) {
       case OpKind::kPop:
         if (!check_pop(i)) return out;
         break;
-      case OpKind::kCancel: {
-        const bool got = subject.cancel(op.target);
-        const bool want = ref.Cancel(op.target);
-        if (got != want) {
-          std::ostringstream what;
-          what << "cancel(" << op.target << ") mismatch: subject "
-               << (got ? "removed" : "no-op") << ", reference "
-               << (want ? "removed" : "no-op");
-          fail(i, what.str());
-          return out;
-        }
-        break;
-      }
     }
     if (subject.size() != ref.entries.size()) {
       std::ostringstream what;
@@ -432,30 +391,6 @@ TEST(CalendarQueueTest, GrowAndShrinkPreserveStrictKeyOrder) {
   EXPECT_EQ(pops, 20000);
 }
 
-TEST(CalendarQueueTest, StaleCancelAfterSlotReuseIsNoOp) {
-  CalendarQueue<int> queue;
-  const auto handle = queue.Push(SimTime::FromSeconds(1.0), 1);
-  EXPECT_EQ(queue.PopMin(), 1);
-  // The node was freed; its slot may be recycled by the next push. The stale
-  // handle's generation no longer matches, so the cancel is a no-op.
-  queue.Push(SimTime::FromSeconds(2.0), 2);
-  EXPECT_FALSE(queue.Cancel(handle));
-  EXPECT_EQ(queue.size(), 1u);
-  EXPECT_EQ(queue.PopMin(), 2);
-}
-
-TEST(CalendarQueueTest, CancelledEventNeverPops) {
-  CalendarQueue<int> queue;
-  queue.Push(SimTime::FromSeconds(1.0), 1);
-  const auto doomed = queue.Push(SimTime::FromSeconds(1.0), 2);
-  queue.Push(SimTime::FromSeconds(1.0), 3);
-  EXPECT_TRUE(queue.Cancel(doomed));
-  EXPECT_FALSE(queue.Cancel(doomed));  // double cancel is a no-op
-  EXPECT_EQ(queue.PopMin(), 1);
-  EXPECT_EQ(queue.PopMin(), 3);
-  EXPECT_TRUE(queue.empty());
-}
-
 TEST(CalendarQueueTest, SchedulingBeforeTheLastPopIsRejected) {
   CalendarQueue<int> queue;
   queue.Push(SimTime::FromSeconds(5.0), 1);
@@ -493,10 +428,10 @@ TEST(CalendarQueueTest, PopDuringCallbackPushStormIsPoolSafe) {
   EXPECT_EQ(fired, 65);
 }
 
-TEST(CalendarQueueTest, CancelAndTeardownDestroyBoxedPayloads) {
-  // Closures above EventFn's inline budget are heap-boxed; cancelling a
-  // pending event and destroying a non-empty queue must both free the box
-  // (ASan catches leaks and double-frees).
+TEST(CalendarQueueTest, PopAndTeardownDestroyBoxedPayloads) {
+  // Closures above EventFn's inline budget are heap-boxed; a popped payload
+  // and a non-empty queue must each free their box exactly once, and the
+  // popped slot must not keep a copy (ASan catches leaks and double-frees).
   auto token = std::make_shared<int>(42);
   struct Big {
     std::shared_ptr<int> token;
@@ -505,14 +440,13 @@ TEST(CalendarQueueTest, CancelAndTeardownDestroyBoxedPayloads) {
   static_assert(sizeof(Big) > EventFn::kInlineBytes);
   {
     CalendarQueue<EventFn> queue;
-    const auto doomed = queue.Push(
-        SimTime::FromSeconds(1.0),
-        [big = Big{token, {}}] { FAIL() << "cancelled event fired"; });
+    queue.Push(SimTime::FromSeconds(1.0),
+               [big = Big{token, {}}] { FAIL() << "popped event fired"; });
     queue.Push(SimTime::FromSeconds(2.0),
                [big = Big{token, {}}] { FAIL() << "never-popped event fired"; });
     EXPECT_EQ(token.use_count(), 3);
-    EXPECT_TRUE(queue.Cancel(doomed));
-    EXPECT_EQ(token.use_count(), 2) << "cancel must destroy the payload now";
+    { EventFn popped = queue.PopMin(); }
+    EXPECT_EQ(token.use_count(), 2) << "the pool kept the popped payload";
   }
   EXPECT_EQ(token.use_count(), 1) << "teardown must destroy pending payloads";
 }

@@ -1,27 +1,15 @@
 // Edge-case coverage for the trace analyses: empty traces, a single worker
 // (PAP counts only *other* workers' pushes), and a run where every iteration
-// aborts. The exporters and AnalyzePap must degrade gracefully — headers and
-// zeros, not crashes — because short or pathological sims produce exactly
-// these shapes.
+// aborts. The ledger totals and AnalyzePap must degrade gracefully — zeros,
+// not crashes — because short or pathological sims produce exactly these
+// shapes.
 #include <gtest/gtest.h>
-
-#include <sstream>
-#include <string>
 
 #include "trace/pap_analysis.h"
 #include "trace/trace.h"
-#include "trace/trace_export.h"
 
 namespace specsync {
 namespace {
-
-std::size_t CountLines(const std::string& s) {
-  std::size_t lines = 0;
-  for (char c : s) {
-    if (c == '\n') ++lines;
-  }
-  return lines;
-}
 
 TEST(TraceEdgeCasesTest, EmptyTraceAnalyzesToZeros) {
   const TrainingTrace trace(4);  // four workers, no events recorded
@@ -36,17 +24,6 @@ TEST(TraceEdgeCasesTest, EmptyTraceAnalyzesToZeros) {
   EXPECT_EQ(trace.total_pushes(), 0u);
   EXPECT_EQ(trace.total_aborts(), 0u);
   EXPECT_EQ(trace.total_wasted_compute().seconds(), 0.0);
-}
-
-TEST(TraceEdgeCasesTest, EmptyTraceExportsHeadersOnly) {
-  const TrainingTrace trace(4);
-  std::ostringstream loss_csv;
-  ExportLossCurve(trace, loss_csv);
-  EXPECT_EQ(CountLines(loss_csv.str()), 1u) << loss_csv.str();
-
-  std::ostringstream events_csv;
-  ExportEvents(trace, events_csv);
-  EXPECT_EQ(CountLines(events_csv.str()), 1u) << events_csv.str();
 }
 
 TEST(TraceEdgeCasesTest, EmptyTracesDigestEqualOnlyWithSameShape) {
@@ -73,7 +50,7 @@ TEST(TraceEdgeCasesTest, SingleWorkerHasNoPushesAfterPull) {
   EXPECT_EQ(pap.median_first_two, 0.0);
 }
 
-TEST(TraceEdgeCasesTest, AllAbortsTraceExportsAndAccountsWaste) {
+TEST(TraceEdgeCasesTest, AllAbortsTraceAccountsWaste) {
   // Pathological run: every speculation window fires, no push ever lands.
   TrainingTrace trace(3);
   double total_waste = 0.0;
@@ -94,18 +71,10 @@ TEST(TraceEdgeCasesTest, AllAbortsTraceExportsAndAccountsWaste) {
   const PapResult pap = AnalyzePap(trace, PapConfig{});
   EXPECT_EQ(pap.median_first_two, 0.0);
 
-  // ExportEvents must carry one row per pull and per abort; no push rows.
-  std::ostringstream events_csv;
-  ExportEvents(trace, events_csv);
-  const std::string csv = events_csv.str();
-  EXPECT_EQ(CountLines(csv), 1u + 6u + 6u) << csv;
-  EXPECT_NE(csv.find("abort"), std::string::npos);
-  EXPECT_EQ(csv.find("push,"), std::string::npos);
-
-  // The loss curve is empty (no evals ran) but still well-formed.
-  std::ostringstream loss_csv;
-  ExportLossCurve(trace, loss_csv);
-  EXPECT_EQ(CountLines(loss_csv.str()), 1u);
+  // One record per pull and per abort; no loss samples (no evals ran).
+  EXPECT_EQ(trace.pulls().size(), 6u);
+  EXPECT_EQ(trace.aborts().size(), 6u);
+  EXPECT_TRUE(trace.losses().empty());
 }
 
 }  // namespace
