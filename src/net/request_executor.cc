@@ -94,7 +94,7 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
   if (const auto* pull = std::get_if<PullShardReq>(&request)) {
     if (!ServesShard(pull->shard)) return Reject(kAckBadShard, pull->shard);
     obs::ScopedTimer timer(pull_hist_);
-    return std::get<PullShardResp>(PullItem({pull->shard, kPullAnyVersion}));
+    return PullItem(pull->shard);
   }
   if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
     if (auto rejected = ValidatePull(*batch)) return *rejected;
@@ -145,24 +145,15 @@ PullBatchResp RequestExecutor::ServePull(const PullBatchReq& batch) {
   PullBatchResp resp;
   resp.items.reserve(batch.entries.size());
   for (const PullBatchEntry& entry : batch.entries) {
-    resp.items.push_back(PullItem(entry));
+    resp.items.push_back(PullItem(entry.shard));
   }
   return resp;
 }
 
-PullBatchItem RequestExecutor::PullItem(const PullBatchEntry& entry) {
-  // One full snapshot either way: the version check and the slice copy
-  // happen under the same shard lock, so a "not modified" answer can never
-  // race a concurrent push into staleness. kPullAnyVersion matches no
-  // shard version, so it always gets the full slice.
-  ShardPullResult result = store_->PullShard(entry.shard);
+PullShardResp RequestExecutor::PullItem(std::uint32_t shard) {
+  ShardPullResult result = store_->PullShard(shard);
   pulls_.fetch_add(1, std::memory_order_relaxed);
-  if (result.shard_version == entry.known_version) {
-    delta_not_modified_.fetch_add(1, std::memory_order_relaxed);
-    return PullShardNotModified{entry.shard, result.shard_version,
-                                result.version};
-  }
-  return PullShardResp{entry.shard, result.offset, result.shard_version,
+  return PullShardResp{shard, result.offset, result.shard_version,
                        result.version, std::move(result.params)};
 }
 
@@ -209,11 +200,6 @@ AckResp RequestExecutor::ApplyPush(const CommitPushReq& batch) {
 }
 
 void RequestExecutor::ApplySlice(const PushShardReq& slice) {
-  if (slice.coded != 0) {
-    // Values were dequantized into doubles by the wire decoder; from here a
-    // coded slice is an ordinary sparse/dense slice.
-    coded_pushes_.fetch_add(1, std::memory_order_relaxed);
-  }
   pushes_.fetch_add(1, std::memory_order_relaxed);
   if (slice.sparse) {
     store_->PushShardSparse(slice.shard, slice.indices, slice.values,
@@ -230,8 +216,6 @@ ServerStats RequestExecutor::stats() const {
   out.commits = commits_.load(std::memory_order_relaxed);
   out.duplicate_pushes = duplicate_pushes_.load(std::memory_order_relaxed);
   out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.delta_not_modified = delta_not_modified_.load(std::memory_order_relaxed);
-  out.coded_pushes = coded_pushes_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -8,8 +8,7 @@
 //
 // A composed pull is one PullBatchReq per server. The executor validates
 // every shard in it before reading any, then snapshots each shard on its
-// own (version and slice under that shard's lock), answering not-modified
-// where the client's cached version still holds.
+// own (version and slice under that shard's lock).
 //
 // Pushes are exactly-once. A push is one CommitPushReq batch per server; the
 // executor validates every slice (a dense slice must be its shard's exact
@@ -69,11 +68,6 @@ struct ServerStats {
   std::uint64_t rejected = 0;
   // Connections dropped on malformed frames or socket errors.
   std::uint64_t bad_frames = 0;
-  // Pull batch entries answered not-modified (the shard version matched
-  // the client's cached copy, so no parameter bytes moved).
-  std::uint64_t delta_not_modified = 0;
-  // Pushes that arrived in the kind-2 coded encoding (int8/fp16).
-  std::uint64_t coded_pushes = 0;
 };
 
 // Per-client exactly-once bookkeeping: the last applied push_seq and the ack
@@ -160,7 +154,8 @@ class RequestExecutor {
   std::optional<AckResp> ValidatePull(const PullBatchReq& batch);
   // Answers every entry of a validated batch from its own snapshot.
   PullBatchResp ServePull(const PullBatchReq& batch);
-  PullBatchItem PullItem(const PullBatchEntry& entry);
+  // One shard's snapshot, version and slice read under its lock.
+  PullShardResp PullItem(std::uint32_t shard);
   // The error ack for a batch that must not be applied.
   std::optional<AckResp> ValidatePush(const CommitPushReq& batch);
   // Applies + commits a validated batch once per (client, seq).
@@ -179,8 +174,6 @@ class RequestExecutor {
   std::atomic<std::uint64_t> commits_{0};
   std::atomic<std::uint64_t> duplicate_pushes_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> delta_not_modified_{0};
-  std::atomic<std::uint64_t> coded_pushes_{0};
 
   obs::LatencyHistogram* pull_hist_ = nullptr;
   obs::LatencyHistogram* push_hist_ = nullptr;

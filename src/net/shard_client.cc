@@ -34,6 +34,9 @@ std::uint64_t NextProcessUniqueId() {
          (seq & 0xffffffffull);
 }
 
+// Startup grace for connecting: covers a server racing its Start().
+constexpr std::chrono::milliseconds kConnectTimeout{2000};
+
 void RecordNetState(const char* label, std::int64_t a, std::int64_t b = 0) {
   auto& flight = obs::FlightRecorder::Instance();
   if (flight.enabled()) flight.Record(obs::FlightKind::kNetState, label, a, b);
@@ -185,15 +188,6 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
           &metrics->counter("net.link.retransmit_bytes" + label);
       link.in_flight_gauge = &metrics->gauge("net.link.in_flight" + label);
     }
-    if (config_.compression.delta_pulls()) {
-      delta_hits_counter_ = &metrics->counter("net.codec.delta_hits");
-      delta_misses_counter_ = &metrics->counter("net.codec.delta_misses");
-      pull_saved_counter_ = &metrics->counter("net.codec.pull_bytes_saved");
-    }
-    if (config_.compression.kind == CodecKind::kInt8 ||
-        config_.compression.kind == CodecKind::kFp16) {
-      push_saved_counter_ = &metrics->counter("net.codec.push_bytes_saved");
-    }
   }
   // Anchor the span clock before the first request so every span maps onto
   // a defined monotonic epoch (a runtime that owns a run clock has already
@@ -208,7 +202,7 @@ std::size_t ShardClient::num_links() const { return links_.size(); }
 bool ShardClient::Connect() {
   std::scoped_lock lock(call_mutex_);
   const auto deadline =
-      std::chrono::steady_clock::now() + config_.connect_timeout;
+      std::chrono::steady_clock::now() + kConnectTimeout;
   for (Link& link : links_) {
     while (!link.connection.valid() && !Reconnect(link)) {
       if (std::chrono::steady_clock::now() >= deadline) {
@@ -437,17 +431,6 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   tickets_.clear();
   if (grad != nullptr) BuildPushFrames(*grad, epoch, /*fused=*/pull != nullptr);
 
-  // Delta mode: each entry carries the version of the copy we cache (or
-  // kPullAnyVersion before the first pull); the server answers a shard still
-  // at that version with a not-modified item, and we compose it from the
-  // cache. Delta is lossless — an unchanged shard version implies unchanged
-  // content, both read under the same shard lock server-side.
-  const bool delta = pull != nullptr && config_.compression.delta_pulls();
-  if (delta && cached_versions_.empty()) {
-    cached_versions_.assign(num_shards(), kPullAnyVersion);
-    cached_params_.resize(num_shards());
-  }
-
   // The pull batches: a fused push frame carries its server's first batch;
   // every other batch is a plain PullBatchReq.
   std::size_t plain = 0;
@@ -457,14 +440,14 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
     if (grad != nullptr) {
       for (const std::size_t l : push_links_) {
         const std::size_t b = link_pull_batch_[l];
-        FillPullBatch(b, delta, std::get<PushPullReq>(push_frames_[l]).pull);
+        FillPullBatch(b, std::get<PushPullReq>(push_frames_[l]).pull);
         fused[b] = true;
       }
     }
     for (std::size_t b = 0; b < pull_batches_.size(); ++b) {
       if (fused[b]) continue;
       if (plain == pull_frames_.size()) pull_frames_.emplace_back();
-      FillPullBatch(b, delta, Reuse<PullBatchReq>(pull_frames_[plain++]));
+      FillPullBatch(b, Reuse<PullBatchReq>(pull_frames_[plain++]));
       plain_batches_.push_back(b);
     }
   }
@@ -491,21 +474,20 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   for (std::size_t t = 0; t < tickets_.size(); ++t) {
     WireMessage response = Await(tickets_[t]);
     if (t >= push_count) {
-      auto* batch = std::get_if<PullBatchResp>(&response);
+      const auto* batch = std::get_if<PullBatchResp>(&response);
       SPECSYNC_CHECK(batch != nullptr);
       pulled = std::max(pulled, ComposeBatch(plain_batches_[t - push_count],
-                                             delta, *batch, pull->params));
+                                             *batch, pull->params));
     } else if (pull == nullptr) {
       const auto* ack = std::get_if<AckResp>(&response);
       SPECSYNC_CHECK(ack != nullptr);
       pushed = std::max(pushed, ack->value);
     } else {
-      auto* fused = std::get_if<PushPullResp>(&response);
+      const auto* fused = std::get_if<PushPullResp>(&response);
       SPECSYNC_CHECK(fused != nullptr);
       pushed = std::max(pushed, fused->ack.value);
       pulled = std::max(pulled, ComposeBatch(link_pull_batch_[push_links_[t]],
-                                             delta, fused->pull,
-                                             pull->params));
+                                             fused->pull, pull->params));
     }
   }
   if (pull != nullptr) pull->version = pulled;
@@ -513,76 +495,35 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   return pushed;
 }
 
-void ShardClient::FillPullBatch(std::size_t b, bool delta,
-                                PullBatchReq& batch) const {
+void ShardClient::FillPullBatch(std::size_t b, PullBatchReq& batch) const {
   const std::vector<std::size_t>& shards = pull_batches_[b];
   batch.entries.resize(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    batch.entries[i] = {static_cast<std::uint32_t>(shards[i]),
-                        delta ? cached_versions_[shards[i]] : kPullAnyVersion};
+    batch.entries[i].shard = static_cast<std::uint32_t>(shards[i]);
   }
 }
 
-std::uint64_t ShardClient::ComposeBatch(std::size_t b, bool delta,
-                                        PullBatchResp& batch,
-                                        std::vector<double>& params) {
+std::uint64_t ShardClient::ComposeBatch(std::size_t b,
+                                        const PullBatchResp& batch,
+                                        std::vector<double>& params) const {
   const std::vector<std::size_t>& shards = pull_batches_[b];
   SPECSYNC_CHECK_EQ(batch.items.size(), shards.size());
   std::uint64_t version = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    version = std::max(
-        version, ComposeShard(shards[i], delta, batch.items[i], params));
+    const std::size_t s = shards[i];
+    const PullShardResp& item = batch.items[i];
+    SPECSYNC_CHECK_EQ(item.shard, s);
+    SPECSYNC_CHECK_EQ(item.offset, layout_.offset(s));
+    SPECSYNC_CHECK_EQ(item.params.size(), layout_.length(s));
+    std::copy(item.params.begin(), item.params.end(),
+              params.begin() + static_cast<std::ptrdiff_t>(item.offset));
+    version = std::max(version, item.global_version);
   }
   return version;
 }
 
-std::uint64_t ShardClient::ComposeShard(std::size_t s, bool delta,
-                                        PullBatchItem& item,
-                                        std::vector<double>& params) {
-  const std::size_t length = layout_.length(s);
-  const auto at =
-      params.begin() + static_cast<std::ptrdiff_t>(layout_.offset(s));
-  if (const auto* unchanged = std::get_if<PullShardNotModified>(&item)) {
-    SPECSYNC_CHECK(delta);
-    SPECSYNC_CHECK_EQ(unchanged->shard, s);
-    SPECSYNC_CHECK_EQ(unchanged->shard_version, cached_versions_[s]);
-    const std::vector<double>& cached = cached_params_[s];
-    SPECSYNC_CHECK_EQ(cached.size(), length);
-    std::copy(cached.begin(), cached.end(), at);
-    ++delta_hits_;
-    if (delta_hits_counter_ != nullptr) delta_hits_counter_->Increment();
-    if (pull_saved_counter_ != nullptr) {
-      // The avoided payload: the shard's parameter doubles that a full
-      // item would have carried.
-      pull_saved_counter_->Increment(length * sizeof(double));
-    }
-    return unchanged->global_version;
-  }
-  auto& resp = std::get<PullShardResp>(item);
-  SPECSYNC_CHECK_EQ(resp.shard, s);
-  SPECSYNC_CHECK_EQ(resp.offset, layout_.offset(s));
-  SPECSYNC_CHECK_EQ(resp.params.size(), length);
-  std::copy(resp.params.begin(), resp.params.end(), at);
-  if (delta) {
-    cached_params_[s] = std::move(resp.params);
-    cached_versions_[s] = resp.shard_version;
-    ++delta_misses_;
-    if (delta_misses_counter_ != nullptr) delta_misses_counter_->Increment();
-  }
-  return resp.global_version;
-}
-
 void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
                                   bool fused) {
-  // int8/fp16 ship the kind-2 coded encoding; the gradient must already be
-  // codec-transformed so the doubles re-quantize to exactly the bits the
-  // server will decode (ps/compression.h's idempotency contract).
-  const CodecKind kind = config_.compression.kind;
-  const std::uint8_t coded =
-      (kind == CodecKind::kInt8 || kind == CodecKind::kFp16)
-          ? static_cast<std::uint8_t>(kind)
-          : 0;
-
   // The shards the push touches, ascending, each with its entry range: the
   // store's own routing, so client and server cut a push alike.
   layout_.RouteInto(grad, push_routes_);
@@ -615,7 +556,6 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
     slice.shard = static_cast<std::uint32_t>(s);
     slice.epoch = epoch;
     slice.sparse = grad.is_sparse();
-    slice.coded = coded;
     slice.indices.clear();
     slice.values.clear();
     if (!slice.sparse) {
@@ -648,13 +588,6 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
       slice.values.push_back(values[i]);
     }
   }
-
-  if (coded != 0 && push_saved_counter_ != nullptr) {
-    // Payload delta vs the classic encoding, by the byte model the
-    // simulator charges (indices+doubles vs indices+quantized values).
-    push_saved_counter_->Increment(
-        CodeRoutes(kind, grad.is_sparse(), push_routes_));
-  }
 }
 
 ShardClient::Stats ShardClient::stats() const {
@@ -671,8 +604,6 @@ ShardClient::Stats ShardClient::stats() const {
     out.injected_duplicates += link.injected_duplicates;
     out.retransmit_bytes += link.retransmit_bytes;
   }
-  out.delta_hits = delta_hits_;
-  out.delta_misses = delta_misses_;
   return out;
 }
 

@@ -11,8 +11,7 @@
 // PushPullReq carrying its push batch and its (first) pull batch, applied
 // and then served in that order, so the snapshot includes the push; any
 // other pull batch rides as a plain PullBatchReq alongside. All three share
-// one routing, batch-building and composing path, so delta pulls and coded
-// pushes work the same in each.
+// one routing, batch-building and composing path.
 //
 // The calling thread does its own receive. An exchange first sends every
 // frame, then reads the replies itself from each link's blocking socket, in
@@ -60,7 +59,6 @@
 #include "fault/fault_plan.h"
 #include "net/endpoint.h"
 #include "net/wire.h"
-#include "ps/compression.h"
 #include "ps/param_store.h"
 #include "ps/shard_layout.h"
 
@@ -84,19 +82,10 @@ struct ShardClientConfig {
   std::chrono::milliseconds request_timeout{250};
   // Total attempts per request before declaring the shard unreachable.
   std::size_t max_attempts = 16;
-  // Startup grace for connecting (covers the server racing its Start()).
-  std::chrono::milliseconds connect_timeout{2000};
   // Track ("tid") client request spans are recorded on when a SpanRecorder
   // is attached — give each worker its own track so its net spans interleave
   // with its compute spans on one timeline.
   std::uint32_t trace_track = 0;
-  // Wire compression (ps/compression.h). int8/fp16 make Push() ship the
-  // compact kind-2 coded frames (the gradient must already be
-  // codec-transformed, so the doubles re-quantize exactly); delta makes
-  // Pull() send each shard it holds a cached copy of with that copy's
-  // version, so an unchanged shard comes back as a not-modified item. kNone
-  // keeps every frame byte-identical to the pre-codec wire.
-  CompressionSpec compression;
 };
 
 // Groups the topology's shards into pull batches: each link's shards in
@@ -130,8 +119,9 @@ class ShardClient {
   ShardClient(const ShardClient&) = delete;
   ShardClient& operator=(const ShardClient&) = delete;
 
-  // Opens one connection per distinct endpoint (retrying within
-  // connect_timeout). False if any endpoint stays unreachable.
+  // Opens one connection per distinct endpoint (retrying for up to two
+  // seconds, which covers a server racing its Start()). False if any
+  // endpoint stays unreachable.
   bool Connect();
 
   // Composed full-vector snapshot: one PullBatchReq per server (see
@@ -177,9 +167,6 @@ class ShardClient {
     // second copy of injected duplicates. Kept apart from request traffic so
     // goodput accounting is not inflated by a lossy link's retry storm.
     std::uint64_t retransmit_bytes = 0;
-    // Delta pulls answered from the local cache / with a fresh snapshot.
-    std::uint64_t delta_hits = 0;
-    std::uint64_t delta_misses = 0;
   };
   Stats stats() const;
 
@@ -220,18 +207,12 @@ class ShardClient {
   // CommitPushReq) under a fresh push_seq and lists the links it touches in
   // push_links_.
   void BuildPushFrames(const Gradient& grad, EpochId epoch, bool fused);
-  // Writes pull batch `b`'s entries (cached versions in delta mode) into
-  // `batch`.
-  void FillPullBatch(std::size_t b, bool delta, PullBatchReq& batch) const;
-  // Composes pull batch `b`'s answer into `params`; returns the largest
-  // global version its items reported.
-  std::uint64_t ComposeBatch(std::size_t b, bool delta, PullBatchResp& batch,
-                             std::vector<double>& params);
-  // Checks shard `s`'s batch item against the topology and the delta cache,
-  // writes the shard into `params` (refreshing the cache in delta mode), and
-  // returns the global version the item reported.
-  std::uint64_t ComposeShard(std::size_t s, bool delta, PullBatchItem& item,
-                             std::vector<double>& params);
+  // Writes pull batch `b`'s entries into `batch`.
+  void FillPullBatch(std::size_t b, PullBatchReq& batch) const;
+  // Checks pull batch `b`'s answer against the topology, composes it into
+  // `params`, and returns the largest global version its items reported.
+  std::uint64_t ComposeBatch(std::size_t b, const PullBatchResp& batch,
+                             std::vector<double>& params) const;
 
   ShardClientConfig config_;
   // The shard geometry config_.topology spells.
@@ -267,21 +248,10 @@ class ShardClient {
   // the batch a fused push frame carries (the link's first).
   std::vector<std::vector<std::size_t>> pull_batches_;
   std::vector<std::size_t> link_pull_batch_;
-  // Delta-pull cache: last pulled copy + shard version per shard
-  // (kPullAnyVersion = never pulled; 0 is a real version), which is exactly
-  // the known_version each batch entry carries.
-  std::vector<std::vector<double>> cached_params_;
-  std::vector<std::uint64_t> cached_versions_;
-  std::uint64_t delta_hits_ = 0;
-  std::uint64_t delta_misses_ = 0;
 
   obs::LatencyHistogram* rtt_hist_ = nullptr;
   obs::Counter* retry_counter_ = nullptr;
   obs::Counter* timeout_counter_ = nullptr;
-  obs::Counter* delta_hits_counter_ = nullptr;
-  obs::Counter* delta_misses_counter_ = nullptr;
-  obs::Counter* pull_saved_counter_ = nullptr;
-  obs::Counter* push_saved_counter_ = nullptr;
 };
 
 }  // namespace specsync::net

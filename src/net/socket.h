@@ -84,8 +84,8 @@ class TcpConnection {
 
   // Writes a prefix of `bytes`; `n` reports how much went out. Non-blocking
   // sockets. Retries EINTR internally; an empty span is a clean no-op, so a
-  // caller draining a partially-sent frame (e.g. an odd-sized coded payload)
-  // can loop on the remaining suffix without special cases.
+  // caller draining a partially-sent frame can loop on the remaining suffix
+  // without special cases.
   IoStatus SendSome(std::span<const std::uint8_t> bytes, std::size_t& n);
 
   // Half-closes both directions, waking a peer blocked in RecvFrame.

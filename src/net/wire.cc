@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "common/check.h"
-#include "ps/compression.h"
 
 namespace specsync::net {
 
@@ -48,18 +47,6 @@ class Writer {
       std::memcpy(out, &indices[i], 8);
       std::memcpy(out + 8, &values[i], 8);
       out += 16;
-    }
-    pos_ = out;
-  }
-
-  // One T per value, as `quantize` maps it.
-  template <typename T, typename Quantize>
-  void PutQuantized(std::span<const double> values, Quantize quantize) {
-    std::uint8_t* out = pos_;
-    for (const double v : values) {
-      const T q = quantize(v);
-      std::memcpy(out, &q, sizeof(q));
-      out += sizeof(q);
     }
     pos_ = out;
   }
@@ -182,73 +169,24 @@ const char* MsgTypeName(MsgType type) {
 
 // u32 shard, u64 offset, u64 shard_version, u64 global_version, u64 count.
 constexpr std::size_t kPullShardRespHeadBytes = 4 + 8 + 8 + 8 + 8;
-// u32 shard, u64 shard_version, u64 global_version.
-constexpr std::size_t kNotModifiedBytes = 4 + 8 + 8;
-// u32 shard, u64 known_version.
+// u32 shard, u64 reserved.
 constexpr std::size_t kPullBatchEntryBytes = 4 + 8;
+// The value a pull-batch entry's reserved slot always holds.
+constexpr std::uint64_t kPullEntryReserved = ~std::uint64_t{0};
 
 std::size_t PullShardRespBytes(std::size_t params) {
   return kPullShardRespHeadBytes + 8 * params;
 }
 
-// A batch item: the kind byte, then its slice.
-std::size_t PullBatchItemBytes(const PullBatchItem& item) {
-  if (const auto* full = std::get_if<PullShardResp>(&item)) {
-    return PullBatchFullItemBytes(full->params.size());
-  }
-  return 1 + kNotModifiedBytes;
-}
-
-bool IsInt8(const PushShardReq& m) {
-  return m.coded == static_cast<std::uint8_t>(CodecKind::kInt8);
-}
-
-// The values a slice ships: the sparse entries' or the dense slice's.
-std::span<const double> SliceValues(const PushShardReq& m) {
-  return m.sparse ? std::span<const double>(m.values)
-                  : std::span<const double>(m.dense);
-}
-
 // EncodePushShard's output size.
 std::size_t PushShardBytes(const PushShardReq& m) {
   if (m.sparse) {
-    // One index per value: the encoders read values[i] for every index.
+    // One index per value: the encoder reads values[i] for every index.
     SPECSYNC_CHECK_EQ(m.indices.size(), m.values.size());
   }
-  const std::size_t n = SliceValues(m).size();
   // u32 shard, u64 epoch, u8 kind, then u64 nnz or u64 offset + u64 count.
   const std::size_t head = 4 + 8 + 1 + (m.sparse ? 8 : 16);
-  if (m.coded == 0) return head + n * (m.sparse ? 16 : 8);
-  // u8 codec, u8 sparse, f64 scale (int8), u64 index per value (sparse).
-  const bool int8 = IsInt8(m);
-  return head + 2 + (int8 ? 8 : 0) + n * ((m.sparse ? 8 : 0) + (int8 ? 1 : 2));
-}
-
-// Kind-2 (coded) value payload. The doubles in the struct are already
-// quantization-idempotent (produced by GradientCodec::Transform or by a
-// previous decode), so re-deriving the quantized form here reproduces the
-// exact bytes the original encoder emitted.
-void EncodeCodedPush(const PushShardReq& m, Writer& w) {
-  w.PutU8(2);  // kind
-  w.PutU8(m.coded);
-  w.PutU8(m.sparse ? 1 : 0);
-  const std::span<const double> values = SliceValues(m);
-  const bool int8 = IsInt8(m);
-  const double scale = int8 ? Int8ScaleFor(values) : 0.0;
-  if (int8) w.PutF64(scale);
-  if (m.sparse) {
-    w.PutU64(m.indices.size());
-    w.PutArray<std::uint64_t>(m.indices);
-  } else {
-    w.PutU64(m.dense_offset);
-    w.PutU64(m.dense.size());
-  }
-  if (int8) {
-    w.PutQuantized<std::int8_t>(
-        values, [scale](double v) { return QuantizeInt8(v, scale); });
-  } else {
-    w.PutQuantized<std::uint16_t>(values, EncodeFp16);
-  }
+  return head + (m.sparse ? 16 * m.values.size() : 8 * m.dense.size());
 }
 
 // One slice's payload: the whole of a standalone PushShardReq frame's
@@ -256,10 +194,6 @@ void EncodeCodedPush(const PushShardReq& m, Writer& w) {
 void EncodePushShard(const PushShardReq& m, Writer& w) {
   w.PutU32(m.shard);
   w.PutU64(m.epoch);
-  if (m.coded != 0) {
-    EncodeCodedPush(m, w);
-    return;
-  }
   w.PutU8(m.sparse ? 1 : 0);
   if (m.sparse) {
     w.PutU64(m.indices.size());
@@ -272,7 +206,7 @@ void EncodePushShard(const PushShardReq& m, Writer& w) {
 }
 
 // One full shard: the whole of a standalone PullShardResp frame's payload,
-// and the slice of a kind-0 PullBatchResp item.
+// and the slice of a PullBatchResp item.
 void EncodePullShardResp(const PullShardResp& m, Writer& w) {
   w.PutU32(m.shard);
   w.PutU64(m.offset);
@@ -280,18 +214,6 @@ void EncodePullShardResp(const PullShardResp& m, Writer& w) {
   w.PutU64(m.global_version);
   w.PutU64(m.params.size());
   w.PutArray<double>(m.params);
-}
-
-void EncodePullBatchItem(const PullBatchItem& item, Writer& w) {
-  w.PutU8(static_cast<std::uint8_t>(item.index()));
-  if (const auto* full = std::get_if<PullShardResp>(&item)) {
-    EncodePullShardResp(*full, w);
-    return;
-  }
-  const auto& unchanged = std::get<PullShardNotModified>(item);
-  w.PutU32(unchanged.shard);
-  w.PutU64(unchanged.shard_version);
-  w.PutU64(unchanged.global_version);
 }
 
 // One overload per message: the payload fields, trace extension excluded.
@@ -316,12 +238,15 @@ void EncodeBody(const PullBatchReq& m, Writer& w) {
   w.PutU32(static_cast<std::uint32_t>(m.entries.size()));
   for (const PullBatchEntry& entry : m.entries) {
     w.PutU32(entry.shard);
-    w.PutU64(entry.known_version);
+    w.PutU64(kPullEntryReserved);
   }
 }
 void EncodeBody(const PullBatchResp& m, Writer& w) {
   w.PutU32(static_cast<std::uint32_t>(m.items.size()));
-  for (const PullBatchItem& item : m.items) EncodePullBatchItem(item, w);
+  for (const PullShardResp& item : m.items) {
+    w.PutU8(0);  // kind
+    EncodePullShardResp(item, w);
+  }
 }
 void EncodeBody(const PushPullReq& m, Writer& w) {
   EncodeBody(m.push, w);
@@ -349,7 +274,9 @@ std::size_t BodyBytes(const PullBatchReq& m) {
 }
 std::size_t BodyBytes(const PullBatchResp& m) {
   std::size_t bytes = kPullBatchRespHeadBytes;
-  for (const PullBatchItem& item : m.items) bytes += PullBatchItemBytes(item);
+  for (const PullShardResp& item : m.items) {
+    bytes += PullBatchFullItemBytes(item.params.size());
+  }
   return bytes;
 }
 std::size_t BodyBytes(const PushPullReq& m) {
@@ -485,49 +412,8 @@ WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
   m.shard = r.TakeU32();
   m.epoch = r.TakeU64();
   const std::uint8_t kind = r.TakeU8();
-  if (!r.ok() || kind > 2) {
+  if (!r.ok() || kind > 1) {
     return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
-  }
-  if (kind == 2) {
-    const std::uint8_t codec = r.TakeU8();
-    const std::uint8_t sparse = r.TakeU8();
-    if (!r.ok() ||
-        (codec != static_cast<std::uint8_t>(CodecKind::kInt8) &&
-         codec != static_cast<std::uint8_t>(CodecKind::kFp16)) ||
-        sparse > 1) {
-      return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
-    }
-    m.coded = codec;
-    m.sparse = sparse == 1;
-    const bool int8 = IsInt8(m);
-    const double scale = int8 ? r.TakeF64() : 0.0;
-    const std::size_t value_bytes = int8 ? 1 : 2;
-    std::uint64_t count = 0;
-    if (m.sparse) {
-      count = r.TakeU64();
-      // Indices and values together, before the indices are sized.
-      if (!r.ok() || !r.CanTake(count, 8 + value_bytes)) {
-        return WireStatus::kTruncated;
-      }
-      r.TakeArray(count, m.indices);
-    } else {
-      m.dense_offset = r.TakeU64();
-      count = r.TakeU64();
-    }
-    const std::span<const std::uint8_t> coded = r.TakeBytes(count, value_bytes);
-    if (!r.ok()) return WireStatus::kTruncated;
-    std::vector<double>& values = m.sparse ? m.values : m.dense;
-    values.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      if (int8) {
-        values[i] = DequantizeInt8(static_cast<std::int8_t>(coded[i]), scale);
-      } else {
-        std::uint16_t half = 0;
-        std::memcpy(&half, coded.data() + 2 * i, 2);
-        values[i] = DecodeFp16(half);
-      }
-    }
-    return WireStatus::kOk;
   }
   m.sparse = kind == 1;
   if (m.sparse) {
@@ -555,24 +441,17 @@ bool DecodePullShardResp(Reader& r, PullShardResp& m) {
   return r.TakeArray(count, m.params);
 }
 
-WireStatus DecodePullBatchItem(Reader& r, PullBatchItem& item) {
+// One item: the kind byte, which must be 0, then a full shard.
+WireStatus DecodePullBatchItem(Reader& r, PullShardResp& item) {
   const std::uint8_t kind = r.TakeU8();
   if (!r.ok()) return WireStatus::kTruncated;
-  if (kind == 0) {
-    PullShardResp& full = item.emplace<PullShardResp>();
-    return DecodePullShardResp(r, full) ? WireStatus::kOk
-                                        : WireStatus::kTruncated;
-  }
-  if (kind != 1) return WireStatus::kMalformed;
-  PullShardNotModified& unchanged = item.emplace<PullShardNotModified>();
-  unchanged.shard = r.TakeU32();
-  unchanged.shard_version = r.TakeU64();
-  unchanged.global_version = r.TakeU64();
-  return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
+  if (kind != 0) return WireStatus::kMalformed;
+  return DecodePullShardResp(r, item) ? WireStatus::kOk
+                                      : WireStatus::kTruncated;
 }
 
-// The smallest item: a kind byte and a not-modified slice.
-constexpr std::size_t kMinPullBatchItemBytes = 1 + kNotModifiedBytes;
+// The smallest item: a kind byte and an empty shard.
+constexpr std::size_t kMinPullBatchItemBytes = 1 + kPullShardRespHeadBytes;
 
 // One overload per message, EncodeBody's inverse: the payload fields from
 // the reader's position, trace extension excluded.
@@ -613,7 +492,7 @@ WireStatus DecodeBody(Reader& r, PullBatchReq& m) {
   m.entries.resize(count);
   for (PullBatchEntry& entry : m.entries) {
     entry.shard = r.TakeU32();
-    entry.known_version = r.TakeU64();
+    if (r.TakeU64() != kPullEntryReserved) return WireStatus::kMalformed;
   }
   return WireStatus::kOk;
 }
@@ -623,7 +502,7 @@ WireStatus DecodeBody(Reader& r, PullBatchResp& m) {
     return WireStatus::kTruncated;
   }
   m.items.resize(count);
-  for (PullBatchItem& item : m.items) {
+  for (PullShardResp& item : m.items) {
     const WireStatus status = DecodePullBatchItem(r, item);
     if (status != WireStatus::kOk) return status;
   }

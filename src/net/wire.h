@@ -35,42 +35,33 @@
 //                  u64 global_version, u64 count, f64[count]
 //   PushShardReq   one slice (servers answer it standalone with
 //                  kAckBadRequest; it travels inside CommitPushReq):
-//                  u32 shard, u64 epoch, u8 kind (0 dense, 1 sparse,
-//                  2 coded);
+//                  u32 shard, u64 epoch, u8 kind (0 dense, 1 sparse);
 //                  dense:  u64 offset, u64 count, f64[count]  (the shard's
 //                          slice only — never the full vector)
 //                  sparse: u64 nnz, nnz x (u64 index, f64 value)  (global
 //                          indices, pre-routed to the owning shard)
-//                  coded:  u8 codec (CodecKind: 2 int8, 3 fp16), u8 sparse,
-//                          f64 scale (int8 only; 0 when all-zero);
-//                          dense:  u64 offset, u64 count, count x (i8|u16)
-//                          sparse: u64 nnz, nnz x u64 index, nnz x (i8|u16)
-//                          Values decode back into doubles; the encoder
-//                          re-derives q from the (already quantization-
-//                          idempotent) doubles, so encode(decode(frame))
-//                          is byte-identical. kind 0/1 frames are
-//                          byte-identical to the pre-codec wire — codec=none
-//                          never emits kind 2 (TRCX extension discipline).
+//                  Other kinds are kMalformed (kind 2 was a quantized
+//                  slice; gradient compression is modelled only in the
+//                  simulator, see ps/compression.h).
 //   CommitPushReq  u64 client_id, u64 push_seq, u32 count,
 //                  count x PushShardReq payload (each slice byte-identical to
-//                  a standalone PushShardReq payload, kind-2 included; no
-//                  per-slice length prefix — slices are self-delimiting).
+//                  a standalone PushShardReq payload; no per-slice length
+//                  prefix — slices are self-delimiting).
 //                  One logical push to one server: the server applies every
 //                  slice and commits at most once per (client_id, push_seq).
 //                  A zero-length payload decodes as kTruncated.
 //   AckResp        u32 status, u64 value
-//   PullBatchReq   u32 count, count x (u32 shard, u64 known_version).
-//                  One composed pull to one server. known_version is the
-//                  shard version the client holds a cached copy at, or
-//                  kPullAnyVersion (~0) to get the shard unconditionally.
-//                  The server validates every shard before reading any.
-//   PullBatchResp  u32 count, count x (u8 kind, slice), in request order:
-//                  kind 0  a full shard, the slice byte-identical to a
-//                          standalone PullShardResp payload;
-//                  kind 1  not modified since known_version, the slice
-//                          u32 shard, u64 shard_version, u64 global_version.
-//                  Other kinds are kMalformed. No per-item length prefix —
-//                  slices are self-delimiting.
+//   PullBatchReq   u32 count, count x (u32 shard, u64 reserved).
+//                  One composed pull to one server. The reserved slot is
+//                  always ~0; any other value is kMalformed (it was the
+//                  cached version of a delta pull). The server validates
+//                  every shard before reading any.
+//   PullBatchResp  u32 count, count x (u8 kind, slice), in request order.
+//                  The kind is always 0 and the slice byte-identical to a
+//                  standalone PullShardResp payload; other kinds are
+//                  kMalformed (kind 1 was a delta pull's not-modified
+//                  answer). No per-item length prefix — slices are
+//                  self-delimiting.
 //   PushPullReq    a CommitPushReq payload, then a PullBatchReq payload, each
 //                  byte-identical to its standalone payload. One push to one
 //                  server fused with the same client's next pull from it:
@@ -176,13 +167,6 @@ struct PushShardReq {
   std::uint32_t shard = 0;
   std::uint64_t epoch = 0;
   bool sparse = false;
-  // Quantization codec for the value payload: 0 ships raw f64 (the classic
-  // kind 0/1 encodings); CodecKind::kInt8 / kFp16 (2 / 3) ship the compact
-  // kind-2 encoding. Values in this struct are ALWAYS doubles — the codec
-  // only changes their wire representation, and quantization idempotency
-  // (ps/compression.h) guarantees the encoder can recover the exact wire
-  // bits from the doubles.
-  std::uint8_t coded = 0;
   // Dense: the shard's contiguous slice (offset = shard offset in the full
   // vector). Sparse: global (index, value) entries owned by the shard; an
   // empty entry list is a valid slice (the empty-gradient push still
@@ -213,16 +197,9 @@ struct AckResp {
   std::uint64_t value = 0;
 };
 
-// PullBatchEntry::known_version meaning "send the shard whatever its
-// version" (no shard version ever reaches it).
-inline constexpr std::uint64_t kPullAnyVersion = ~std::uint64_t{0};
-
-// "Send shard `shard` unless it is still at `known_version`". Delta pulls
-// are lossless: the server reads the version and the slice under one shard
-// lock, so an unchanged version proves the client's cached copy is exact.
+// One shard of a composed pull.
 struct PullBatchEntry {
   std::uint32_t shard = 0;
-  std::uint64_t known_version = kPullAnyVersion;
 };
 
 // One composed pull to one server: every shard the client wants from it.
@@ -230,20 +207,9 @@ struct PullBatchReq {
   std::vector<PullBatchEntry> entries;
 };
 
-// A batch item saying the shard is still at the client's known version.
-struct PullShardNotModified {
-  std::uint32_t shard = 0;
-  std::uint64_t shard_version = 0;
-  std::uint64_t global_version = 0;
-};
-
-// One answered entry. The alternative's index is the item's kind byte on
-// the wire: 0 = full snapshot, 1 = not modified.
-using PullBatchItem = std::variant<PullShardResp, PullShardNotModified>;
-
-// The answer to a PullBatchReq: one item per entry, in request order.
+// The answer to a PullBatchReq: one full shard per entry, in request order.
 struct PullBatchResp {
-  std::vector<PullBatchItem> items;
+  std::vector<PullShardResp> items;
 };
 
 // One push to one server and the same client's next pull from it, in one
@@ -293,8 +259,8 @@ std::size_t EncodedPayloadBytes(const WireMessage& message,
                                 const TraceContext* trace = nullptr);
 
 // What a PullBatchResp payload spends before its items (the u32 count), and
-// on one full (kind 0) item of `params` doubles: enough for a client to keep
-// each batch's response under kMaxPayloadBytes before sending it.
+// on one item of `params` doubles: enough for a client to keep each batch's
+// response under kMaxPayloadBytes before sending it.
 inline constexpr std::size_t kPullBatchRespHeadBytes = 4;
 std::size_t PullBatchFullItemBytes(std::size_t params);
 

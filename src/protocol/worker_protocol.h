@@ -136,7 +136,9 @@ struct WorkerProtocolConfig {
   SchemeSpec scheme;      // naive waiting is the executor's (it delays pulls)
   // The iteration span the scheduler assumes before a worker pushed twice.
   Duration default_span = Duration::Seconds(1.0);
-  CompressionSpec compression;  // topk/int8/fp16 transform every commit
+  // topk/int8/fp16 transform every commit. Only the simulator sets it; the
+  // braces let the runtime's designated initializer leave it out.
+  CompressionSpec compression{};
   // Optional, not owned. Counters and gauges are named "<metric_prefix>.*".
   obs::ObsContext* obs = nullptr;
   std::string metric_prefix;

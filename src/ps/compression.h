@@ -1,4 +1,4 @@
-// Pluggable gradient compression for the sharded PS wire path.
+// Pluggable gradient compression, modelled in the simulator.
 //
 // SpecSync's economics hinge on how cheap it is to move parameters after a
 // speculative abort: shrinking bytes-on-wire shifts the optimal ABORT_TIME
@@ -6,21 +6,24 @@
 // ships the same three families): top-k sparsification with per-worker
 // error-feedback residuals, low-precision quantization (int8 / fp16), and
 // delta-encoded pulls that skip shards whose per-shard version has not
-// advanced.
+// advanced. The paper's workers push raw gradients, so only the simulator
+// uses it: the worker protocol transforms each commit and the simulator
+// charges the coded bytes (CodeRoutes) to its transfer model. The threaded
+// runtime and the TCP wire carry raw doubles.
 //
-// Determinism contract (load-bearing — golden digests and the wire tests pin
+// Determinism contract (load-bearing — the simulator's golden digests pin
 // it):
 //  - codec=none is the identity: no transform, no RNG, no allocation. Every
 //    caller gates on `CompressionSpec::enabled()` so the uncompressed path is
 //    byte-for-byte the pre-codec code path.
-//  - Quantization is *idempotent*: Transform() maps a gradient onto exactly
-//    the values the wire decoder would produce, so the in-process transport
-//    and the TCP transport see bit-identical parameter streams. Int8 achieves
-//    this with power-of-two scale selection (see Int8ScaleFor); fp16 because
-//    every half value round-trips through double exactly.
-//  - Quantization scales are chosen *per shard slice* (the unit a
-//    PushShardReq carries), so the wire encoder can recompute the scale from
-//    the slice it ships and land on the same bits.
+//  - Quantization is *idempotent*: Transform() quantizes and dequantizes in
+//    place, so the store applies exactly what a receiver of the quantized
+//    message would decode, and re-quantizing reproduces the same bits. Int8
+//    achieves this with power-of-two scale selection (see Int8ScaleFor);
+//    fp16 because every half value round-trips through double exactly.
+//  - Quantization scales are chosen *per shard slice*: each covers one of
+//    ShardLayout::RouteInto's routes, the unit the simulator charges as one
+//    message, so no scale spans two messages.
 //  - Top-k selection breaks magnitude ties by smaller index, so the selected
 //    support is a pure function of the accumulated values.
 //
@@ -75,7 +78,7 @@ struct CompressionSpec {
   std::string Label() const;
 };
 
-// --- deterministic quantization helpers (shared by codec + wire codec) ------
+// --- deterministic quantization helpers --------------------------------------
 
 // Smallest power of two >= max|v| / 127, or 0.0 when all values are zero.
 // Power-of-two scales make q = round(v / scale) and v' = q * scale exact
@@ -100,32 +103,29 @@ inline double DequantizeInt8(std::int8_t q, double scale) {
 std::uint16_t EncodeFp16(double value);
 double DecodeFp16(std::uint16_t half);
 
-// Wire-byte model: bytes a per-shard push message carries after coding,
-// given the raw f64 bytes ShardLayout::RouteInto computed (sparse:
-// 16 B/entry, dense: 8 B/param). Int8 ships 1 B per value plus an 8 B scale;
-// fp16 ships 2 B per value. Top-k and delta do not recode values, so their
-// routes charge raw bytes (top-k already shrank the support itself).
+// The simulator's byte model: bytes a per-shard push message carries after
+// coding, given the raw f64 bytes ShardLayout::RouteInto computed (sparse:
+// 16 B/entry, dense: 8 B/param). Int8 ships 1 B per value plus an 8 B
+// scale; fp16 ships 2 B per value. Top-k and delta do not recode values, so
+// their routes charge raw bytes (top-k already shrank the support itself).
 std::uint64_t CodedRouteBytes(CodecKind kind, bool sparse,
                               std::uint64_t raw_bytes);
 
 // Rewrites each route's raw bytes to its coded size under `kind`
 // (CodedRouteBytes), keeping the raw size where coding would not shrink the
 // message, and returns the bytes that saved over all routes. The simulator
-// charges the rewritten routes; the wire client counts the savings.
+// charges the rewritten routes and banks the savings.
 std::uint64_t CodeRoutes(CodecKind kind, bool sparse,
                          std::span<ShardRoute> routes);
 
 // --- the codec --------------------------------------------------------------
 
-// Worker-side compression stage. One instance serves all workers of an
-// engine; per-worker error-feedback residuals are isolated, so concurrent
-// Transform() calls for *distinct* workers are safe (the runtime's worker
-// threads), while calls for the same worker must be serialized (they are:
-// each worker pushes from its own thread).
+// Worker-side compression stage. One instance serves every worker of the
+// simulator; each worker's error-feedback residual is its own.
 class GradientCodec {
  public:
   // `layout` is the store's shard layout: the slices quantization scales
-  // are computed over, one per PushShardReq.
+  // are computed over, one per route.
   GradientCodec(CompressionSpec spec, std::size_t num_workers,
                 ShardLayout layout);
 
@@ -136,7 +136,7 @@ class GradientCodec {
   //  - kTopK: folds the gradient into the worker's residual, emits the top-k
   //    accumulated coordinates as a sparse gradient, keeps the rest.
   //  - kInt8/kFp16: per-shard-slice quantize/dequantize so the in-memory
-  //    values equal what the wire would deliver.
+  //    values equal what the quantized message would deliver.
   //  - kNone/kDelta: identity.
   void Transform(WorkerId worker, Gradient& grad);
 

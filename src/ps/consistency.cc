@@ -17,7 +17,6 @@ PerShardSspController::PerShardSspController(std::size_t num_workers,
       staleness_(staleness),
       num_shards_(num_shards),
       completed_(num_workers, 0),
-      clock_(num_workers, std::vector<std::uint64_t>(num_shards, 0)),
       writes_(num_workers, std::vector<char>(num_shards, 0)),
       write_set_frozen_(num_workers, 0),
       live_(num_workers, 1) {
@@ -33,7 +32,6 @@ void PerShardSspController::SetWriteSet(
   for (std::size_t s : shards) {
     SPECSYNC_CHECK_LT(s, num_shards_);
     writes_[worker][s] = 1;
-    clock_[worker][s] = completed_[worker];
   }
 }
 
@@ -43,7 +41,7 @@ std::optional<std::uint64_t> PerShardSspController::MinShardClock(
   std::optional<std::uint64_t> min_clock;
   for (WorkerId w = 0; w < num_workers_; ++w) {
     if (!live_[w] || !writes_[w][shard]) continue;
-    const std::uint64_t c = clock_[w][shard];
+    const std::uint64_t c = completed_[w];
     min_clock = min_clock.has_value() ? std::min(*min_clock, c) : c;
   }
   return min_clock;
@@ -85,11 +83,6 @@ void PerShardSspController::OnPush(
     }
   }
   completed_[worker] = iteration + 1;
-  // A finished iteration is finished on every shard the worker owns-writes;
-  // see the header note on why partial advancement breaks liveness.
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    if (writes_[worker][s]) clock_[worker][s] = completed_[worker];
-  }
 }
 
 void PerShardSspController::OnWorkerDown(WorkerId worker) {
@@ -111,7 +104,7 @@ std::uint64_t PerShardSspController::clock(WorkerId worker,
                                            std::size_t shard) const {
   SPECSYNC_CHECK_LT(worker, num_workers_);
   SPECSYNC_CHECK_LT(shard, num_shards_);
-  return clock_[worker][shard];
+  return writes_[worker][shard] != 0 ? completed_[worker] : 0;
 }
 
 bool PerShardSspController::writes(WorkerId worker, std::size_t shard) const {

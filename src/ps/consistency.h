@@ -32,12 +32,13 @@ class DecisionAuditLog;
 
 // Per-shard SSP: the one bounded-staleness gate.
 //
-// Keeps one logical clock per (worker, shard): clock(w, s) is w's completed
-// iteration count on every shard in w's *write set* and 0 elsewhere. A
-// worker is gated only on the shards it actually writes: it may start
-// iteration t iff for every shard s in its write set,
+// A worker's clock on shard s, clock(w, s), is its completed iteration count
+// when s is in w's *write set* and 0 elsewhere, so the gate stores only the
+// completed counts and the write sets. A worker is gated only on the shards
+// it actually writes: it may start iteration t iff for every shard s in its
+// write set,
 //
-//     t <= min{ clock(w', s) : live w' with s in write_set(w') } + staleness.
+//     t <= min{ completed(w') : live w' with s in write_set(w') } + staleness.
 //
 // Workers with disjoint write sets never gate on each other — the sparse-MF
 // win: a worker whose gradients only ever touch shards {0, 1} is not held
@@ -47,8 +48,8 @@ class DecisionAuditLog;
 //
 // Write sets are either declared up front (SetWriteSet) or *learned*: the
 // union of shards observed in the worker's pushes. Learning only ever grows
-// a set; a worker with an empty (not yet learned) set is ungated. Every push
-// advances the clocks of the worker's whole current write set — a finished
+// a set; a worker with an empty (not yet learned) set is ungated. A push
+// advances the worker's clock on its whole current write set — a finished
 // iteration is finished on every shard the worker owns-writes, even when one
 // batch's gradient happened to miss a shard — which is what makes the
 // per-shard liveness argument go through (the least-progressed live writer
@@ -75,8 +76,7 @@ class PerShardSspController {
   void OnWorkerUp(WorkerId worker);
 
   // Declares `worker`'s write set and freezes it (disables learning for that
-  // worker). Clocks for newly added shards start at the worker's current
-  // completed count.
+  // worker). Its clock on every shard of the set is its completed count.
   void SetWriteSet(WorkerId worker, const std::vector<std::size_t>& shards);
 
   // The first shard in `worker`'s write set that currently blocks iteration
@@ -88,11 +88,12 @@ class PerShardSspController {
   std::size_t num_workers() const { return num_workers_; }
   std::size_t num_shards() const { return num_shards_; }
   std::uint64_t completed(WorkerId worker) const;
+  // completed(worker) on a shard it writes, else 0.
   std::uint64_t clock(WorkerId worker, std::size_t shard) const;
   bool writes(WorkerId worker, std::size_t shard) const;
   bool live(WorkerId worker) const;
-  // Minimum clock on `shard` over live writers; nullopt when no live worker
-  // writes it (an unwritten shard gates nobody).
+  // Minimum completed count over `shard`'s live writers; nullopt when no
+  // live worker writes it (an unwritten shard gates nobody).
   std::optional<std::uint64_t> MinShardClock(std::size_t shard) const;
 
  protected:
@@ -103,10 +104,9 @@ class PerShardSspController {
   std::size_t num_workers_;
   std::uint64_t staleness_;
   std::size_t num_shards_;
-  std::vector<std::uint64_t> completed_;            // per worker
-  std::vector<std::vector<std::uint64_t>> clock_;   // [worker][shard]
-  std::vector<std::vector<char>> writes_;           // [worker][shard]
-  std::vector<char> write_set_frozen_;              // SetWriteSet called
+  std::vector<std::uint64_t> completed_;   // per worker
+  std::vector<std::vector<char>> writes_;  // [worker][shard]
+  std::vector<char> write_set_frozen_;     // SetWriteSet called
   std::vector<char> live_;
 };
 

@@ -19,6 +19,17 @@
 
 namespace specsync {
 
+namespace {
+
+// tcp_loopback only: per-request response deadline and total attempts
+// before a shard is declared unreachable (which fails the run loudly).
+constexpr std::chrono::milliseconds kNetTimeout{250};
+constexpr std::size_t kNetAttempts = 16;
+// Examples the end-of-run loss is evaluated over.
+constexpr std::size_t kFinalEvalSamples = 2000;
+
+}  // namespace
+
 struct RuntimeCluster::Impl {
   std::shared_ptr<const Model> model;
   RuntimeConfig config;
@@ -63,9 +74,8 @@ struct RuntimeCluster::Impl {
       SPECSYNC_CHECK(shard_server->Start())
           << "tcp_loopback transport: cannot start the shard server";
       net::ShardClientConfig client_config;
-      client_config.request_timeout = config.net_timeout;
-      client_config.max_attempts = config.net_attempts;
-      client_config.compression = config.compression;
+      client_config.request_timeout = kNetTimeout;
+      client_config.max_attempts = kNetAttempts;
       client_config.topology = net::ClusterTopology::SingleServer(
           protocol.store().layout(),
           net::Endpoint{"127.0.0.1", shard_server->port()});
@@ -118,7 +128,6 @@ struct RuntimeCluster::Impl {
             .sgd_clip = config.sgd_clip,
             .scheme = scheme,
             .default_span = Duration::Milliseconds(10.0),
-            .compression = config.compression,
             .obs = config.obs,
             .metric_prefix = "runtime"};
   }
@@ -240,9 +249,9 @@ struct RuntimeCluster::Impl {
     };
 
     // Pull, sample, compute and push buffers reused by every iteration: with
-    // obs and the codec off, the in-process pull, the batch sample, the chunk
-    // gradients and the push span (merge, route, store, gate) allocate
-    // nothing once the first iteration has sized them.
+    // obs off, the in-process pull, the batch sample, the chunk gradients and
+    // the push span (merge, route, store, gate) allocate nothing once the
+    // first iteration has sized them.
     PullResult snapshot;
     std::vector<std::size_t> batch;
     std::vector<Gradient> chunks;
@@ -316,11 +325,10 @@ struct RuntimeCluster::Impl {
       protocol.EndCompute(w, clock.Now());
 
       // The push span covers the whole commit and nests one sub-span per
-      // step: push.merge (chunk merge plus codec), push.store (route,
-      // apply, commit; a fused wire push also carries the next pull's
-      // round trip here), push.gate (consistency bookkeeping, gated runs
-      // only) and push.notify (delivering the notify to the scheduler,
-      // speculative runs only). Recording them is charged to the push span.
+      // step: push.merge (chunk merge), push.store (route, apply, commit; a
+      // fused wire push also carries the next pull's round trip here),
+      // push.gate (consistency bookkeeping, gated runs only) and push.notify
+      // (delivering the notify to the scheduler, speculative runs only). Recording them is charged to the push span.
       const SimTime push_begin = Stamp();
       merger.Merge(std::span<const Gradient>(chunks).first(num_chunks),
                    merged);
@@ -382,7 +390,7 @@ struct RuntimeCluster::Impl {
     result.final_weights = protocol.store().Snapshot();
     if (config.final_eval) {
       result.final_loss =
-          model->FullLoss(result.final_weights, config.final_eval_samples);
+          model->FullLoss(result.final_weights, kFinalEvalSamples);
     }
     result.total_pushes = protocol.store().version();
     result.total_aborts = protocol.aborts();

@@ -25,7 +25,6 @@
 #include "models/model.h"
 #include "net/endpoint.h"
 #include "optim/lr_schedule.h"
-#include "ps/compression.h"
 #include "ps/consistency.h"
 #include "ps/param_store.h"
 
@@ -70,23 +69,11 @@ struct RuntimeConfig {
   RuntimeTransport transport = RuntimeTransport::kInProcess;
   // Exists only because benchmarks/e2e/e2e_bench.cc sets it; nothing reads it.
   net::ServerModel server_model = net::ServerModel::kEventLoop;
-  // tcp_loopback only: per-request response deadline and total attempts
-  // before a shard is declared unreachable (which fails the run loudly).
-  std::chrono::milliseconds net_timeout{250};
-  std::size_t net_attempts = 16;
-  // Gradient wire compression (ps/compression.h). topk/int8/fp16 transform
-  // each worker's merged gradient (with per-worker error-feedback residuals
-  // for topk) before it is pushed — on both transports, so in-process and
-  // tcp_loopback stay bit-identical per the codec's determinism contract.
-  // delta additionally makes tcp_loopback pulls conditional. kNone leaves
-  // every path byte-for-byte untouched.
-  CompressionSpec compression;
   // End-of-run evaluation: final_eval=false skips FullLoss entirely
   // (RuntimeResult::final_loss stays 0 — transport benches that only care
-  // about wire behavior can spend nothing here); otherwise
-  // final_eval_samples examples are evaluated (0 = the full dataset).
+  // about wire behavior can spend nothing here); otherwise the loss is
+  // evaluated over the first 2000 examples.
   bool final_eval = true;
-  std::size_t final_eval_samples = 2000;
   // Fault injection: control-link faults apply to notifies (each worker's
   // outbox) and re-syncs, slowdown windows scale chunk_delay, and crash events
   // kill (and optionally rejoin) worker threads. Default = disabled, which

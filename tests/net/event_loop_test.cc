@@ -109,27 +109,20 @@ TEST_P(ReassemblyTest, FrameDribbledOneByteAtATimeIsReassembled) {
   EXPECT_EQ(std::get<AckResp>(out).status, kAckOk);
 }
 
-TEST_P(ReassemblyTest, CodedFrameDribbledByteWiseIsReassembled) {
-  // The kind-2 coded encoding has an odd-sized layout (1-byte codec tag,
-  // 8-byte scale, 1-byte values): dribbling it exercises reassembly seams no
-  // f64-aligned frame hits. The int8 values are chosen pre-quantized so the
-  // decoded push applies exactly.
+TEST_P(ReassemblyTest, TracedPullFrameDribbledByteWiseIsReassembled) {
+  // The trace extension's 6-byte head (u32 magic, u16 length) leaves the
+  // frame off 8-byte alignment: dribbling it exercises reassembly seams no
+  // f64-aligned frame hits.
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
   TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
-  PushShardReq req;
-  req.shard = 0;
-  req.epoch = 2;
-  req.sparse = true;
-  req.coded = static_cast<std::uint8_t>(CodecKind::kInt8);
-  req.indices = {1, 2, 4};
-  req.values = {0.25, -1.0, 0.5};  // scale 1/64, all exactly coded
-  const auto frame = EncodeFrame(CommitPushReq{7, 1, {req}}, 41);
-  // 20 header + 8 client + 8 seq + 4 count, then the slice: 4 shard +
-  // 8 epoch + 3 tags + 8 scale + 8 nnz + 24 idx + 3 q.
-  ASSERT_EQ(frame.size(), 98u);
+  const TraceContext trace{0x1234, 0x1234};
+  const auto frame = EncodeFrame(PullBatchReq{{{1}}}, 41, &trace);
+  // 20 header + 4 count + 12 entry, then the extension: 4 magic +
+  // 2 length + 8 trace id + 8 parent span.
+  ASSERT_EQ(frame.size(), 58u);
   for (const std::uint8_t byte : frame) {
     ASSERT_TRUE(conn.SendAll(std::span(&byte, 1)));
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -139,8 +132,11 @@ TEST_P(ReassemblyTest, CodedFrameDribbledByteWiseIsReassembled) {
   WireMessage out;
   ASSERT_TRUE(RecvOne(conn, id, out));
   EXPECT_EQ(id, 41u);
-  ASSERT_TRUE(std::holds_alternative<AckResp>(out));
-  EXPECT_EQ(std::get<AckResp>(out).status, kAckOk);
+  const auto* batch = std::get_if<PullBatchResp>(&out);
+  ASSERT_NE(batch, nullptr);
+  ASSERT_EQ(batch->items.size(), 1u);
+  EXPECT_EQ(batch->items[0].shard, 1u);
+  EXPECT_EQ(batch->items[0].params, store->PullShard(1).params);
 }
 
 TEST_P(ReassemblyTest, FrameSplitAtEveryByteBoundaryIsReassembled) {
@@ -260,7 +256,7 @@ TEST(PipeliningTest, PipelinedPullsAreAnsweredOnceInArrivalOrder) {
   ASSERT_TRUE(conn.valid());
   PullBatchReq batch;
   for (std::uint32_t s = 0; s < store->num_shards(); ++s) {
-    batch.entries.push_back({s, kPullAnyVersion});
+    batch.entries.push_back({s});
   }
 
   const auto begin = std::chrono::steady_clock::now();

@@ -29,8 +29,7 @@
 //    and every pull/push observation must equal the fault-free direct run,
 //    where a fused step is the push and then the pull. A pull
 //    batch whose response arrives only after its retry's must count as
-//    stale and leave the delta cache as the fault-free run leaves it. A push
-//    reply split across the client's deadline must cost one link death and
+//    stale and change no snapshot. A push reply split across the client's deadline must cost one link death and
 //    one retry on a fresh connection, never a read that resumes mid-frame.
 //
 // Schedules are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
@@ -699,7 +698,7 @@ PushPullReq FusedFrame(const ParameterServer& store, std::uint64_t client,
   PushPullReq fused;
   fused.push = CommitPushReq{client, seq, {slice}};
   for (std::uint32_t s = 0; s < store.num_shards(); ++s) {
-    fused.pull.entries.push_back({s, kPullAnyVersion});
+    fused.pull.entries.push_back({s});
   }
   return fused;
 }
@@ -765,8 +764,7 @@ std::optional<std::string> RunFusedSchedule(const DedupSchedule& ops,
       return where.str() + ": the pull lost items";
     }
     for (std::size_t s = 0; s < fused->pull.items.size(); ++s) {
-      const auto* item = std::get_if<PullShardResp>(&fused->pull.items[s]);
-      if (item == nullptr) return where.str() + ": not a full item";
+      const PullShardResp* item = &fused->pull.items[s];
       if (item->shard_version < own[s]) {
         return where.str() + ": shard " + std::to_string(s) +
                " snapshot misses the frame's own push";
@@ -883,8 +881,7 @@ TEST(ExactlyOnceTransportProperty, ScriptedFusedFaultsMatchTheFaultFreeRun) {
 TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
   // One pull batch's response is held back past the client's timeout and
   // delivered after the retry's answer. The late frame must be counted as
-  // stale, never composed, and the delta cache must evolve exactly as in
-  // the fault-free run: same snapshots, same hits and misses.
+  // stale and never composed: the snapshots are the fault-free run's.
   const std::uint64_t base = BaseSeed();
   for (std::size_t trial = 0; trial < 4; ++trial) {
     const std::uint64_t seed = base + 77 + trial * 104729ULL;
@@ -896,14 +893,13 @@ TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
     const std::size_t late_pull = Rng(seed).Index(pulls);
     const DirectRun direct = RunDirect(timeline);
 
-    // Runs the timeline through a delta client, behind a proxy holding back
+    // Runs the timeline through a client, behind a proxy holding back
     // pull batch `late` (kNoLatePull: a clean proxy).
     const auto run = [&](std::size_t late, ShardClient::Stats& stats) {
       auto store = MakeStore();
       auto server = StartEventLoop(store.get());
       FaultProxy proxy(server->port(), {}, late);
       ShardClientConfig config = ClientConfigFor(*store, proxy.port());
-      config.compression = *CompressionSpec::Parse("delta");
       ShardClient client(config);
       EXPECT_TRUE(client.Connect());
       const Observations observed = RunOnClient(timeline, client);
@@ -928,10 +924,6 @@ TEST(ExactlyOnceTransportProperty, LatePullBatchResponseIsStaleAndHarmless) {
     EXPECT_EQ(faulted.timeouts, 1u) << context;
     EXPECT_EQ(faulted.retries, 1u) << context;
     EXPECT_EQ(clean.stale_frames, 0u) << context;
-    EXPECT_EQ(faulted.delta_hits, clean.delta_hits) << context;
-    EXPECT_EQ(faulted.delta_misses, clean.delta_misses) << context;
-    EXPECT_EQ(clean.delta_hits + clean.delta_misses, (pulls + 1) * kShards)
-        << context;
   }
 }
 

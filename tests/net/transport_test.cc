@@ -123,9 +123,9 @@ TEST_P(TransportTest, PullMatchesDirectPullBitwise) {
 TEST_P(TransportTest, PullIsOneRequestPerServer) {
   // Shards interleaved across two endpoints (one store behind two servers,
   // each serving every other shard): every Pull() costs exactly one request
-  // per link, delta on or off, and composes the store's own snapshot. An
-  // unsorted push with duplicate indices, cut across both links, lands
-  // where the same push applied directly to a twin store lands.
+  // per link and composes the store's own snapshot. An unsorted push with
+  // duplicate indices, cut across both links, lands where the same push
+  // applied directly to a twin store lands.
   auto store = MakeStore(101, 5);
   auto twin = MakeStore(101, 5);
   ShardServerConfig even_config;
@@ -135,65 +135,62 @@ TEST_P(TransportTest, PullIsOneRequestPerServer) {
   odd_config.served_shards = {1, 3};
   auto odd = StartServer(store.get(), std::move(odd_config));
 
-  for (const char* codec : {"none", "delta"}) {
-    ShardClientConfig config = ClientConfigFor(*store, even->port());
-    for (std::size_t s = 1; s < store->num_shards(); s += 2) {
-      config.topology.shards[s].endpoint.port = odd->port();
-    }
-    config.compression = *CompressionSpec::Parse(codec);
-    obs::MetricsRegistry metrics;
-    ShardClient client(config, nullptr, &metrics);
-    ASSERT_TRUE(client.Connect());
-    ASSERT_EQ(client.num_links(), 2u);
+  ShardClientConfig config = ClientConfigFor(*store, even->port());
+  for (std::size_t s = 1; s < store->num_shards(); s += 2) {
+    config.topology.shards[s].endpoint.port = odd->port();
+  }
+  obs::MetricsRegistry metrics;
+  ShardClient client(config, nullptr, &metrics);
+  ASSERT_TRUE(client.Connect());
+  ASSERT_EQ(client.num_links(), 2u);
 
-    Gradient g = Gradient::Sparse();
-    g.sparse().Add(50, 0.5);  // moves one shard between pulls
-    constexpr int kRounds = 3;
-    for (int round = 0; round < kRounds; ++round) {
-      const std::uint64_t before = client.stats().requests;
-      const PullResult wire = client.Pull();
-      EXPECT_EQ(client.stats().requests - before, client.num_links())
-          << codec << " round " << round;
-      const PullResult direct = store->Pull();
-      EXPECT_EQ(wire.params, direct.params) << codec << " round " << round;
-      EXPECT_EQ(wire.version, direct.version) << codec << " round " << round;
-      store->Push(g, 0);
-    }
-    // RTT is per link: one sample per pull on each.
-    for (const EventLoopServer* server : {even.get(), odd.get()}) {
-      const std::string label =
-          "{link=127.0.0.1:" + std::to_string(server->port()) + "}";
-      EXPECT_EQ(metrics.histogram("net.link.rtt_s" + label).count(),
-                static_cast<std::uint64_t>(kRounds))
-          << codec << ' ' << label;
-    }
+  Gradient g = Gradient::Sparse();
+  g.sparse().Add(50, 0.5);  // moves one shard between pulls
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::uint64_t before = client.stats().requests;
+    const PullResult wire = client.Pull();
+    EXPECT_EQ(client.stats().requests - before, client.num_links())
+        << "round " << round;
+    const PullResult direct = store->Pull();
+    EXPECT_EQ(wire.params, direct.params) << "round " << round;
+    EXPECT_EQ(wire.version, direct.version) << "round " << round;
+    store->Push(g, 0);
+  }
+  // RTT is per link: one sample per pull on each.
+  for (const EventLoopServer* server : {even.get(), odd.get()}) {
+    const std::string label =
+        "{link=127.0.0.1:" + std::to_string(server->port()) + "}";
+    EXPECT_EQ(metrics.histogram("net.link.rtt_s" + label).count(),
+              static_cast<std::uint64_t>(kRounds))
+        << label;
+  }
 
-    for (int round = 0; round < kRounds; ++round) twin->Push(g, 0);
+  for (int round = 0; round < kRounds; ++round) twin->Push(g, 0);
 
-    // Shards are [0,21) [21,41) [41,61) [61,81) [81,101); even shards on
-    // one server, odd ones on the other.
-    Gradient mixed = Gradient::Sparse();
-    for (const auto& [index, value] :
-         std::vector<std::pair<std::uint64_t, double>>{{97, 0.3},
-                                                       {3, -1.25},
-                                                       {41, 0.1},
-                                                       {3, 0.7},
-                                                       {60, 2.5},
-                                                       {97, -0.05},
-                                                       {22, 1.0 / 3.0},
-                                                       {0, 0.2},
-                                                       {41, -0.4}}) {
-      mixed.sparse().Add(index, value);
-    }
-    // Each server commits its own batch, so the shared store's global
-    // version moves once per server; parameters and shard versions do not.
-    client.Push(mixed, 0);
-    twin->Push(mixed, 0);
-    EXPECT_EQ(store->Snapshot(), twin->Snapshot()) << codec;
-    for (std::size_t s = 0; s < store->num_shards(); ++s) {
-      EXPECT_EQ(store->shard(s).version, twin->shard(s).version)
-          << codec << " shard " << s;
-    }
+  // Shards are [0,21) [21,41) [41,61) [61,81) [81,101); even shards on
+  // one server, odd ones on the other.
+  Gradient mixed = Gradient::Sparse();
+  for (const auto& [index, value] :
+       std::vector<std::pair<std::uint64_t, double>>{{97, 0.3},
+                                                     {3, -1.25},
+                                                     {41, 0.1},
+                                                     {3, 0.7},
+                                                     {60, 2.5},
+                                                     {97, -0.05},
+                                                     {22, 1.0 / 3.0},
+                                                     {0, 0.2},
+                                                     {41, -0.4}}) {
+    mixed.sparse().Add(index, value);
+  }
+  // Each server commits its own batch, so the shared store's global
+  // version moves once per server; parameters and shard versions do not.
+  client.Push(mixed, 0);
+  twin->Push(mixed, 0);
+  EXPECT_EQ(store->Snapshot(), twin->Snapshot());
+  for (std::size_t s = 0; s < store->num_shards(); ++s) {
+    EXPECT_EQ(store->shard(s).version, twin->shard(s).version)
+        << "shard " << s;
   }
 }
 
@@ -629,7 +626,7 @@ TEST_P(TransportTest, PullBatchWithAForeignShardReadsNothing) {
   TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
   const AckResp ack = RawAck(
-      conn, PullBatchReq{{{0, kPullAnyVersion}, {1, kPullAnyVersion}}}, 1);
+      conn, PullBatchReq{{{0}, {1}}}, 1);
   EXPECT_EQ(ack.status, kAckBadShard);
   EXPECT_EQ(ack.value, 1u);
   const ServerStats stats = server->stats();
@@ -679,7 +676,7 @@ TEST_P(TransportTest, MisroutedSparseEntryRejectsTheBatch) {
   EXPECT_EQ(RawAck(conn, foreign, 1).status, kAckBadRequest);
   const CommitPushReq past_end{9, 1, {SparseSlice(1, 10, 4.0)}};
   EXPECT_EQ(RawAck(conn, past_end, 2).status, kAckBadRequest);
-  const PushPullReq fused{foreign, PullBatchReq{{{0, kPullAnyVersion}}}};
+  const PushPullReq fused{foreign, PullBatchReq{{{0}}}};
   EXPECT_EQ(RawAck(conn, fused, 3).status, kAckBadRequest);
 
   EXPECT_EQ(store->Snapshot(), before);
@@ -706,7 +703,7 @@ TEST_P(TransportTest, FusedFrameWithAForeignPullShardAppliesNothing) {
   const CommitPushReq push{9, 1, {SparseSlice(0, 1, 4.0)}};
   const AckResp ack = RawAck(
       conn,
-      PushPullReq{push, {{{0, kPullAnyVersion}, {1, kPullAnyVersion}}}}, 1);
+      PushPullReq{push, {{{0}, {1}}}}, 1);
   EXPECT_EQ(ack.status, kAckBadShard);
   EXPECT_EQ(ack.value, 1u);
   EXPECT_EQ(store->Snapshot(), before);
@@ -724,7 +721,7 @@ TEST_P(TransportTest, FusedFrameServesThePullAfterThePush) {
   TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
   const PushPullReq fused{CommitPushReq{5, 1, {SparseSlice(0, 2, 1.0)}},
-                          PullBatchReq{{{0, kPullAnyVersion}, {1, 0}}}};
+                          PullBatchReq{{{0}, {1}}}};
 
   const auto answer = [&](std::uint64_t id) {
     const WireMessage out = RawReply(conn, fused, id);
@@ -736,21 +733,18 @@ TEST_P(TransportTest, FusedFrameServesThePullAfterThePush) {
   EXPECT_EQ(first.ack.status, kAckOk);
   EXPECT_EQ(first.ack.value, 1u);
   ASSERT_EQ(first.pull.items.size(), 2u);
-  const auto& shard0 = std::get<PullShardResp>(first.pull.items[0]);
+  const PullShardResp& shard0 = first.pull.items[0];
   EXPECT_EQ(shard0.shard_version, 1u);
   EXPECT_EQ(shard0.global_version, 1u);
   EXPECT_EQ(shard0.params[2], 3.0 - 1.0);
-  // Shard 1 is still at the version the entry names: not modified.
-  EXPECT_TRUE(std::holds_alternative<PullShardNotModified>(
-      first.pull.items[1]));
+  EXPECT_EQ(first.pull.items[1].shard_version, 0u);  // the push missed it
 
   store->Push(Gradient::Dense(10), 0);  // version 2, both shards move
   const PushPullResp repeat = answer(2);
   EXPECT_EQ(repeat.ack.value, 1u) << "the cached ack";
   ASSERT_EQ(repeat.pull.items.size(), 2u);
-  EXPECT_EQ(std::get<PullShardResp>(repeat.pull.items[0]).global_version, 2u)
-      << "a fresh pull";
-  EXPECT_EQ(std::get<PullShardResp>(repeat.pull.items[1]).shard_version, 1u);
+  EXPECT_EQ(repeat.pull.items[0].global_version, 2u) << "a fresh pull";
+  EXPECT_EQ(repeat.pull.items[1].shard_version, 1u);
 
   EXPECT_EQ(store->version(), 2u);
   EXPECT_EQ(store->Snapshot()[2], 3.0 - 1.0);
@@ -777,28 +771,25 @@ TEST_P(TransportTest, PushAndPullIsOneRequestPerServer) {
   sparse.sparse().Add(90, 0.25);  // shard 4
   Gradient dense = Gradient::Dense(101);
   for (std::size_t i = 0; i < 101; ++i) dense.dense()[i] = 0.125 * (i % 7);
-  for (const char* codec : {"none", "delta"}) {
-    ShardClientConfig config = ClientConfigFor(*store, even->port());
-    for (std::size_t s = 1; s < store->num_shards(); s += 2) {
-      config.topology.shards[s].endpoint.port = odd->port();
-    }
-    config.compression = *CompressionSpec::Parse(codec);
-    ShardClient client(config);
-    ASSERT_TRUE(client.Connect());
-    ASSERT_EQ(client.num_links(), 2u);
-    for (const Gradient* g : {&sparse, &dense, &sparse}) {
-      const std::uint64_t before = client.stats().requests;
-      const ShardClient::PushPullResult wire = client.PushAndPull(*g, 0);
-      EXPECT_EQ(client.stats().requests - before, client.num_links())
-          << codec;
-      const PullResult direct = store->Pull();
-      EXPECT_EQ(wire.version, store->version()) << codec;
-      EXPECT_EQ(wire.pull.params, direct.params) << codec;
-      EXPECT_EQ(wire.pull.version, direct.version) << codec;
-    }
+  ShardClientConfig config = ClientConfigFor(*store, even->port());
+  for (std::size_t s = 1; s < store->num_shards(); s += 2) {
+    config.topology.shards[s].endpoint.port = odd->port();
   }
-  // Per codec: the sparse pushes commit on one server, the dense on both.
-  EXPECT_EQ(even->stats().commits + odd->stats().commits, 2u * (1 + 2 + 1));
+  ShardClient client(config);
+  ASSERT_TRUE(client.Connect());
+  ASSERT_EQ(client.num_links(), 2u);
+  for (const Gradient* g : {&sparse, &dense, &sparse}) {
+    const std::uint64_t before = client.stats().requests;
+    const ShardClient::PushPullResult wire = client.PushAndPull(*g, 0);
+    EXPECT_EQ(client.stats().requests - before, client.num_links())
+       ;
+    const PullResult direct = store->Pull();
+    EXPECT_EQ(wire.version, store->version());
+    EXPECT_EQ(wire.pull.params, direct.params);
+    EXPECT_EQ(wire.pull.version, direct.version);
+  }
+  // The sparse pushes commit on one server, the dense on both.
+  EXPECT_EQ(even->stats().commits + odd->stats().commits, 1u + 2 + 1);
 }
 
 TEST_P(TransportTest, UnreachableShardIsDiagnosed) {
@@ -941,69 +932,6 @@ TEST_P(TransportTest, DuplicateInjectionSecondCopyIsRetransmit) {
   EXPECT_EQ(stats.injected_duplicates, stats.requests);
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_GT(stats.retransmit_bytes, 0u);
-}
-
-// --- compression over the wire ----------------------------------------------
-
-TEST_P(TransportTest, DeltaPullServesUnchangedShardsViaNotModified) {
-  auto store = MakeStore(12, 3);
-  auto server = StartServer(store.get());
-
-  ShardClientConfig client_config = ClientConfigFor(*store, server->port());
-  client_config.compression = *CompressionSpec::Parse("delta");
-  ShardClient client(client_config);
-  ASSERT_TRUE(client.Connect());
-
-  // Cold cache: every shard is a miss shipping the full slice.
-  EXPECT_EQ(client.Pull().params, store->Pull().params);
-  EXPECT_EQ(client.stats().delta_misses, 3u);
-  EXPECT_EQ(client.stats().delta_hits, 0u);
-
-  // Nothing changed: every shard answered not-modified from the cache.
-  EXPECT_EQ(client.Pull().params, store->Pull().params);
-  EXPECT_EQ(client.stats().delta_hits, 3u);
-
-  // Touch only shard 0 (indices [0,4)): exactly one miss, two hits, and the
-  // composed snapshot still matches the store bit for bit.
-  Gradient g = Gradient::Sparse();
-  g.sparse().Add(1, 2.0);
-  store->Push(g, 0);
-  EXPECT_EQ(client.Pull().params, store->Pull().params);
-  EXPECT_EQ(client.stats().delta_misses, 4u);
-  EXPECT_EQ(client.stats().delta_hits, 5u);
-}
-
-TEST_P(TransportTest, CodedPushMatchesDirectApplyBitwise) {
-  // int8/fp16 ship the compact kind-2 frames; because Transform() already
-  // made the gradient idempotent under re-quantization, the wire store must
-  // land bit-identical to applying the transformed gradient directly.
-  for (const char* literal : {"int8", "fp16"}) {
-    const CompressionSpec spec = *CompressionSpec::Parse(literal);
-    auto direct_store = MakeStore(10, 3);
-    auto wire_store = MakeStore(10, 3);
-    auto server = StartServer(wire_store.get());
-
-    ShardClientConfig client_config =
-        ClientConfigFor(*wire_store, server->port());
-    client_config.compression = spec;
-    ShardClient client(client_config);
-    ASSERT_TRUE(client.Connect());
-
-    GradientCodec codec(spec, /*num_workers=*/1, wire_store->layout());
-    Gradient dense = Gradient::Dense(10);
-    for (std::size_t i = 0; i < 10; ++i) {
-      dense.dense()[i] = 0.3 * static_cast<double>(i) - 1.1;
-    }
-    Gradient sparse = Gradient::Sparse();
-    sparse.sparse().Add(2, -0.0625);
-    sparse.sparse().Add(7, 5e-324);  // denormal: flushed to zero identically
-    for (Gradient* grad : {&dense, &sparse}) {
-      codec.Transform(WorkerId{0}, *grad);
-      const std::uint64_t direct_version = direct_store->Push(*grad, 0);
-      EXPECT_EQ(client.Push(*grad, 0), direct_version) << literal;
-    }
-    EXPECT_EQ(wire_store->Snapshot(), direct_store->Snapshot()) << literal;
-  }
 }
 
 // --- observability ----------------------------------------------------------

@@ -4,15 +4,18 @@
 // on below as the reference, extended in the same style to the pull batch
 // types; the fused push+pull types are built from its existing payloads,
 // back to back. Each trial is a short list of seeded random messages — all
-// nine types; dense, sparse, int8 and fp16 slices; pull batches mixing full
-// and not-modified items; empty arrays and batches; NaN and -0 bit patterns;
-// trace extension on and off — and for every message:
+// nine types; dense and sparse slices; pull batches; empty arrays and
+// batches; NaN and -0 bit patterns; trace extension on and off — and for
+// every message:
 //  - EncodeFrame equals the reference frame byte for byte;
 //  - EncodedPayloadBytes equals the frame's payload size;
 //  - the whole frame, every prefix of it, every payload prefix under a
-//    header patched to that length, and a few random single-byte flips
-//    decode to the reference decoder's WireStatus (and, when both accept,
-//    to the same message and trace context, compared bit for bit).
+//    header patched to that length, a few random single-byte flips, and
+//    each kind byte or reserved slot rewritten into a retired encoding
+//    (a quantized slice, a not-modified item, a delta pull's cached
+//    version) decode to the reference decoder's WireStatus (and, when
+//    both accept, to the same message and trace context, compared bit for
+//    bit).
 //
 // On failure the harness shrinks the trial (greedy ddmin over messages, then
 // batch slices or items, then array entries — the compression_property_test
@@ -41,7 +44,6 @@
 
 #include "common/rng.h"
 #include "net/wire.h"
-#include "ps/compression.h"
 #include "support/property.h"
 
 namespace specsync::net {
@@ -161,7 +163,7 @@ MsgType TypeOf(const WireMessage& message) {
 }
 
 // One full shard: a standalone PullShardResp payload, and the slice of a
-// kind-0 PullBatchResp item.
+// PullBatchResp item.
 void EncodePullShardResp(const PullShardResp& m,
                          std::vector<std::uint8_t>& out) {
   PutU32(out, m.shard);
@@ -172,48 +174,22 @@ void EncodePullShardResp(const PullShardResp& m,
   for (double v : m.params) PutF64(out, v);
 }
 
-// Kind-2 (coded) value payload. The doubles in the struct are already
-// quantization-idempotent (produced by GradientCodec::Transform or by a
-// previous decode), so re-deriving the quantized form here reproduces the
-// exact bytes the original encoder emitted.
-void EncodeCodedPush(const PushShardReq& m, std::vector<std::uint8_t>& out) {
-  PutU8(out, 2);  // kind
-  PutU8(out, m.coded);
-  PutU8(out, m.sparse ? 1 : 0);
-  const std::span<const double> values =
-      m.sparse ? std::span<const double>(m.values)
-               : std::span<const double>(m.dense);
-  const bool int8 = m.coded == static_cast<std::uint8_t>(CodecKind::kInt8);
-  double scale = 0.0;
-  if (int8) {
-    scale = Int8ScaleFor(values);
-    PutF64(out, scale);
-  }
-  if (m.sparse) {
-    PutU64(out, m.indices.size());
-    for (std::uint64_t index : m.indices) PutU64(out, index);
-  } else {
-    PutU64(out, m.dense_offset);
-    PutU64(out, m.dense.size());
-  }
-  for (double v : values) {
-    if (int8) {
-      PutU8(out, static_cast<std::uint8_t>(QuantizeInt8(v, scale)));
-    } else {
-      PutU16(out, EncodeFp16(v));
-    }
-  }
-}
+// A byte of an encoded frame and the value that turns the frame into a
+// retired encoding: a slice's kind byte into 2 (a quantized slice), an
+// item's kind byte into 1 (a not-modified answer), the first byte of an
+// entry's reserved slot into 0 (a delta pull's cached version).
+struct RetiredByte {
+  std::size_t pos = 0;
+  std::uint8_t value = 0;
+};
 
 // One slice's payload: the whole of a standalone PushShardReq frame's
 // payload, and one element of a CommitPushReq batch.
-void EncodePushShard(const PushShardReq& m, std::vector<std::uint8_t>& out) {
+void EncodePushShard(const PushShardReq& m, std::vector<std::uint8_t>& out,
+                     std::vector<RetiredByte>& retired) {
   PutU32(out, m.shard);
   PutU64(out, m.epoch);
-  if (m.coded != 0) {
-    EncodeCodedPush(m, out);
-    return;
-  }
+  retired.push_back({out.size(), 2});
   PutU8(out, m.sparse ? 1 : 0);
   if (m.sparse) {
     PutU64(out, m.indices.size());
@@ -228,17 +204,23 @@ void EncodePushShard(const PushShardReq& m, std::vector<std::uint8_t>& out) {
   }
 }
 
-void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
+void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out,
+                   std::vector<RetiredByte>& retired) {
   struct Visitor {
     std::vector<std::uint8_t>& out;
+    std::vector<RetiredByte>& retired;
     void operator()(const PullShardReq& m) { PutU32(out, m.shard); }
     void operator()(const PullShardResp& m) { EncodePullShardResp(m, out); }
-    void operator()(const PushShardReq& m) { EncodePushShard(m, out); }
+    void operator()(const PushShardReq& m) {
+      EncodePushShard(m, out, retired);
+    }
     void operator()(const CommitPushReq& m) {
       PutU64(out, m.client_id);
       PutU64(out, m.push_seq);
       PutU32(out, static_cast<std::uint32_t>(m.slices.size()));
-      for (const PushShardReq& slice : m.slices) EncodePushShard(slice, out);
+      for (const PushShardReq& slice : m.slices) {
+        EncodePushShard(slice, out, retired);
+      }
     }
     void operator()(const AckResp& m) {
       PutU32(out, m.status);
@@ -248,22 +230,16 @@ void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
       PutU32(out, static_cast<std::uint32_t>(m.entries.size()));
       for (const PullBatchEntry& entry : m.entries) {
         PutU32(out, entry.shard);
-        PutU64(out, entry.known_version);
+        retired.push_back({out.size(), 0});
+        PutU64(out, ~std::uint64_t{0});  // reserved
       }
     }
     void operator()(const PullBatchResp& m) {
       PutU32(out, static_cast<std::uint32_t>(m.items.size()));
-      for (const PullBatchItem& item : m.items) {
-        if (const auto* full = std::get_if<PullShardResp>(&item)) {
-          PutU8(out, 0);
-          EncodePullShardResp(*full, out);
-        } else {
-          const auto& unchanged = std::get<PullShardNotModified>(item);
-          PutU8(out, 1);
-          PutU32(out, unchanged.shard);
-          PutU64(out, unchanged.shard_version);
-          PutU64(out, unchanged.global_version);
-        }
+      for (const PullShardResp& item : m.items) {
+        retired.push_back({out.size(), 1});
+        PutU8(out, 0);  // kind
+        EncodePullShardResp(item, out);
       }
     }
     // The fused types: the two standalone payloads back to back.
@@ -276,12 +252,14 @@ void EncodePayload(const WireMessage& message, std::vector<std::uint8_t>& out) {
       (*this)(m.pull);
     }
   };
-  std::visit(Visitor{out}, message);
+  std::visit(Visitor{out, retired}, message);
 }
 
-std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
-                                      std::uint64_t request_id,
-                                      const TraceContext* trace) {
+// `retired` (optional) receives the frame's RetiredBytes.
+std::vector<std::uint8_t> EncodeFrame(
+    const WireMessage& message, std::uint64_t request_id,
+    const TraceContext* trace, std::vector<RetiredByte>* retired = nullptr) {
+  std::vector<RetiredByte> unused;
   std::vector<std::uint8_t> frame;
   frame.reserve(kHeaderBytes + 64);
   PutU32(frame, kWireMagic);
@@ -289,7 +267,7 @@ std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
   PutU16(frame, static_cast<std::uint16_t>(TypeOf(message)));
   PutU64(frame, request_id);
   PutU32(frame, 0);  // payload_bytes, patched below
-  EncodePayload(message, frame);
+  EncodePayload(message, frame, retired != nullptr ? *retired : unused);
   if (trace != nullptr && trace->valid()) {
     PutU32(frame, kTraceExtMagic);
     PutU16(frame, kTraceExtBytes);
@@ -355,51 +333,8 @@ WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
   m.shard = r.TakeU32();
   m.epoch = r.TakeU64();
   const std::uint8_t kind = r.TakeU8();
-  if (!r.ok() || kind > 2) {
+  if (!r.ok() || kind > 1) {
     return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
-  }
-  if (kind == 2) {
-    const std::uint8_t codec = r.TakeU8();
-    const std::uint8_t sparse = r.TakeU8();
-    if (!r.ok() ||
-        (codec != static_cast<std::uint8_t>(CodecKind::kInt8) &&
-         codec != static_cast<std::uint8_t>(CodecKind::kFp16)) ||
-        sparse > 1) {
-      return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
-    }
-    m.coded = codec;
-    m.sparse = sparse == 1;
-    const bool int8 = codec == static_cast<std::uint8_t>(CodecKind::kInt8);
-    const double scale = int8 ? r.TakeF64() : 0.0;
-    const std::size_t value_bytes = int8 ? 1 : 2;
-    std::uint64_t count = 0;
-    if (m.sparse) {
-      count = r.TakeU64();
-      if (!r.ok() || !r.CanTake(count, 8 + value_bytes)) {
-        return WireStatus::kTruncated;
-      }
-      m.indices.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        m.indices.push_back(r.TakeU64());
-      }
-    } else {
-      m.dense_offset = r.TakeU64();
-      count = r.TakeU64();
-      if (!r.ok() || !r.CanTake(count, value_bytes)) {
-        return WireStatus::kTruncated;
-      }
-    }
-    std::vector<double>& values = m.sparse ? m.values : m.dense;
-    values.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (int8) {
-        values.push_back(
-            DequantizeInt8(static_cast<std::int8_t>(r.TakeU8()), scale));
-      } else {
-        values.push_back(DecodeFp16(r.TakeU16()));
-      }
-    }
-    return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
   }
   m.sparse = kind == 1;
   if (m.sparse) {
@@ -442,8 +377,8 @@ WireStatus DecodePullShardResp(Reader& r, PullShardResp& m) {
   return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
 }
 
-// The smallest pull batch item: u8 kind, then a not-modified slice.
-constexpr std::size_t kMinPullBatchItemBytes = 1 + 4 + 8 + 8;
+// The smallest pull batch item: u8 kind, then an empty shard.
+constexpr std::size_t kMinPullBatchItemBytes = 1 + 4 + 8 + 8 + 8 + 8;
 
 // A PullBatchResp's count and items. `ignore_kind` is a planted bug for the
 // harness: every item is read as a full shard whatever its kind byte says.
@@ -457,20 +392,11 @@ WireStatus DecodePullBatchResp(Reader& r, PullBatchResp& m,
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint8_t kind = r.TakeU8();
     if (!r.ok()) return WireStatus::kTruncated;
-    if (kind == 0 || ignore_kind) {
-      PullShardResp full;
-      const WireStatus status = DecodePullShardResp(r, full);
-      if (status != WireStatus::kOk) return status;
-      m.items.emplace_back(std::move(full));
-      continue;
-    }
-    if (kind != 1) return WireStatus::kMalformed;
-    PullShardNotModified unchanged;
-    unchanged.shard = r.TakeU32();
-    unchanged.shard_version = r.TakeU64();
-    unchanged.global_version = r.TakeU64();
-    if (!r.ok()) return WireStatus::kTruncated;
-    m.items.emplace_back(unchanged);
+    if (kind != 0 && !ignore_kind) return WireStatus::kMalformed;
+    PullShardResp full;
+    const WireStatus status = DecodePullShardResp(r, full);
+    if (status != WireStatus::kOk) return status;
+    m.items.push_back(std::move(full));
   }
   return WireStatus::kOk;
 }
@@ -506,7 +432,7 @@ WireStatus DecodePullBatchReq(Reader& r, PullBatchReq& m) {
   for (std::uint32_t i = 0; i < count; ++i) {
     PullBatchEntry entry;
     entry.shard = r.TakeU32();
-    entry.known_version = r.TakeU64();
+    if (r.TakeU64() != ~std::uint64_t{0}) return WireStatus::kMalformed;
     m.entries.push_back(entry);
   }
   return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
@@ -626,14 +552,6 @@ double RandomRawValue(Rng& rng) {
   return rng.Uniform(-10.0, 10.0);
 }
 
-// Coded values stay finite and inside float range; fp16 still sees -0,
-// underflow and overflow.
-double RandomCodedValue(Rng& rng) {
-  constexpr double kSpecial[] = {0.0, -0.0, 65504.0, 1e-9, -7e4, 0.5};
-  if (rng.Index(4) == 0) return kSpecial[rng.Index(std::size(kSpecial))];
-  return rng.Uniform(-100.0, 100.0);
-}
-
 std::size_t RandomLength(Rng& rng) {
   if (rng.Index(6) == 0) return 0;
   if (rng.Index(10) == 0) return 1 + rng.Index(80);
@@ -645,16 +563,11 @@ PushShardReq RandomSlice(Rng& rng) {
   m.shard = RandomU32(rng);
   m.epoch = RandomU64(rng);
   m.sparse = rng.Index(2) == 0;
-  constexpr std::uint8_t kCodecs[] = {
-      0, 0, static_cast<std::uint8_t>(CodecKind::kInt8),
-      static_cast<std::uint8_t>(CodecKind::kFp16)};
-  m.coded = kCodecs[rng.Index(std::size(kCodecs))];
   const std::size_t n = RandomLength(rng);
   std::vector<double>& values = m.sparse ? m.values : m.dense;
   for (std::size_t i = 0; i < n; ++i) {
     if (m.sparse) m.indices.push_back(RandomU64(rng));
-    values.push_back(m.coded != 0 ? RandomCodedValue(rng)
-                                  : RandomRawValue(rng));
+    values.push_back(RandomRawValue(rng));
   }
   if (!m.sparse) m.dense_offset = RandomU64(rng);
   return m;
@@ -688,23 +601,17 @@ PullBatchReq RandomPullBatchReq(Rng& rng) {
   PullBatchReq m;
   const std::size_t entries = rng.Index(6);
   for (std::size_t e = 0; e < entries; ++e) {
-    m.entries.push_back(
-        {RandomU32(rng), rng.Index(3) == 0 ? kPullAnyVersion : RandomU64(rng)});
+    m.entries.push_back({RandomU32(rng)});
   }
   return m;
 }
 
-// Full and not-modified items mixed; empty batches included.
+// Empty batches included.
 PullBatchResp RandomPullBatchResp(Rng& rng) {
   PullBatchResp m;
   const std::size_t items = rng.Index(5);
   for (std::size_t i = 0; i < items; ++i) {
-    if (rng.Index(2) == 0) {
-      m.items.emplace_back(RandomPullShardResp(rng));
-    } else {
-      m.items.emplace_back(
-          PullShardNotModified{RandomU32(rng), RandomU64(rng), RandomU64(rng)});
-    }
+    m.items.push_back(RandomPullShardResp(rng));
   }
   return m;
 }
@@ -765,8 +672,7 @@ void DescribeF64s(std::ostream& out, const std::vector<double>& values) {
 }
 
 void DescribeSlice(std::ostream& out, const PushShardReq& m) {
-  out << "{shard=" << m.shard << " epoch=" << m.epoch << " sparse=" << m.sparse
-      << " coded=" << int{m.coded};
+  out << "{shard=" << m.shard << " epoch=" << m.epoch << " sparse=" << m.sparse;
   if (m.sparse) {
     out << " indices=[";
     for (const std::uint64_t i : m.indices) out << i << ' ';
@@ -812,21 +718,14 @@ std::string Describe(const WireMessage& message) {
     void operator()(const PullBatchReq& m) {
       out << "PullBatchReq{entries=";
       for (const PullBatchEntry& entry : m.entries) {
-        out << '(' << entry.shard << ' ' << entry.known_version << ')';
+        out << '(' << entry.shard << ')';
       }
       out << '}';
     }
     void operator()(const PullBatchResp& m) {
       out << "PullBatchResp{items=";
-      for (const PullBatchItem& item : m.items) {
-        if (const auto* full = std::get_if<PullShardResp>(&item)) {
-          DescribePullShardResp(out, *full);
-          continue;
-        }
-        const auto& unchanged = std::get<PullShardNotModified>(item);
-        out << "NotModified{shard=" << unchanged.shard
-            << " versions=" << unchanged.shard_version << '/'
-            << unchanged.global_version << '}';
+      for (const PullShardResp& item : m.items) {
+        DescribePullShardResp(out, item);
       }
       out << '}';
     }
@@ -868,13 +767,13 @@ enum class SubjectKind {
   kIgnoredItemKind,    // planted: pull batch items all decoded as full
 };
 
-// The kSwappedPairs encoder: the real encoder fed every raw sparse pair with
+// The kSwappedPairs encoder: the real encoder fed every sparse pair with
 // its index and value bits exchanged, which is exactly the frame a pair
 // writer that stores the value first would produce.
 std::vector<std::uint8_t> EncodeSwappedPairs(const Case& c) {
   WireMessage message = c.message;
   const auto swap = [](PushShardReq& m) {
-    if (!m.sparse || m.coded != 0) return;
+    if (!m.sparse) return;
     for (std::size_t i = 0; i < m.indices.size(); ++i) {
       const std::uint64_t index = m.indices[i];
       m.indices[i] = std::bit_cast<std::uint64_t>(m.values[i]);
@@ -1023,8 +922,9 @@ std::optional<std::string> CheckCase(const Case& c, SubjectKind kind) {
       kind == SubjectKind::kSwappedPairs
           ? EncodeSwappedPairs(c)
           : EncodeFrame(c.message, c.request_id, &c.trace);
+  std::vector<ref::RetiredByte> retired;
   const std::vector<std::uint8_t> want =
-      ref::EncodeFrame(c.message, c.request_id, &c.trace);
+      ref::EncodeFrame(c.message, c.request_id, &c.trace, &retired);
   if (frame != want) {
     const auto diff = std::mismatch(frame.begin(), frame.end(), want.begin(),
                                     want.end());
@@ -1072,6 +972,15 @@ std::optional<std::string> CheckCase(const Case& c, SubjectKind kind) {
     flipped[pos] ^= static_cast<std::uint8_t>(1 + rng.Index(255));
     if (auto bad = Mismatch("byte " + std::to_string(pos) + " flipped",
                             DecodeFrameBoth(kind, flipped))) {
+      return bad;
+    }
+  }
+  // Every kind byte and reserved slot rewritten into a retired encoding.
+  for (const ref::RetiredByte& r : retired) {
+    std::vector<std::uint8_t> old = frame;
+    old[r.pos] = r.value;
+    if (auto bad = Mismatch("retired encoding at byte " + std::to_string(r.pos),
+                            DecodeFrameBoth(kind, old))) {
       return bad;
     }
   }
@@ -1136,21 +1045,20 @@ void ShrinkCommitPush(CommitPushReq& batch, const Fails& fails) {
   }
 }
 
-// Shrinks a pull batch answer's item list, then each full item's params;
+// Shrinks a pull batch answer's item list, then each item's params;
 // `fails` tests a candidate answer.
 template <typename Fails>
 void ShrinkPullBatchResp(PullBatchResp& pulls, const Fails& fails) {
-  ShrinkList(pulls.items, 0, [&](const std::vector<PullBatchItem>& items) {
+  ShrinkList(pulls.items, 0, [&](const std::vector<PullShardResp>& items) {
     return fails(PullBatchResp{items});
   });
   for (std::size_t i = 0; i < pulls.items.size(); ++i) {
-    auto* full = std::get_if<PullShardResp>(&pulls.items[i]);
-    if (full == nullptr) continue;
-    ShrinkList(full->params, 0, [&](const std::vector<double>& params) {
-      PullBatchResp shrunk = pulls;
-      std::get<PullShardResp>(shrunk.items[i]).params = params;
-      return fails(shrunk);
-    });
+    ShrinkList(pulls.items[i].params, 0,
+               [&](const std::vector<double>& params) {
+                 PullBatchResp shrunk = pulls;
+                 shrunk.items[i].params = params;
+                 return fails(shrunk);
+               });
   }
 }
 
@@ -1213,11 +1121,7 @@ std::size_t Entries(const Trial& trial) {
   };
   const auto pull_entries = [](const PullBatchResp& pulls) {
     std::size_t entries = pulls.items.size();
-    for (const PullBatchItem& item : pulls.items) {
-      if (const auto* full = std::get_if<PullShardResp>(&item)) {
-        entries += full->params.size();
-      }
-    }
+    for (const PullShardResp& item : pulls.items) entries += item.params.size();
     return entries;
   };
   std::size_t entries = 0;
@@ -1273,7 +1177,7 @@ TEST(WireCodecPropertyTest, PlantedBugsAreCaughtAndShrunk) {
           << "shrink left a large witness:" << FormatTrial(minimal);
       // A swapped pair needs one entry (plus its slice, in a batch); the
       // unchecked take needs one double to cut into; an ignored kind needs
-      // one not-modified item.
+      // one item to mark retired.
       EXPECT_LE(Entries(minimal), 2u)
           << "shrink left a large witness:" << FormatTrial(minimal);
     }
@@ -1301,7 +1205,7 @@ TEST(WireCodecPropertyTest, LargeFramesMatchReference) {
     }
     batch.slices.push_back(std::move(slice));
   }
-  const PushPullReq fused{batch, PullBatchReq{{{0, kPullAnyVersion}}}};
+  const PushPullReq fused{batch, PullBatchReq{{{0}}}};
   const PushPullResp answer{AckResp{kAckOk, 9}, PullBatchResp{{resp}}};
   const TraceContext trace{5, 6};
   for (const WireMessage& message :

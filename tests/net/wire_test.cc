@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "net/wire.h"
-#include "ps/compression.h"
 
 namespace specsync::net {
 namespace {
@@ -242,21 +241,7 @@ TEST(WireTest, BadDenseSparseKindRejected) {
   PushShardReq req;
   const auto good = EncodeFrame(req, 1);
   auto frame = good;
-  frame[kHeaderBytes + 4 + 8] = 3;  // kind byte: only 0/1/2 are defined
-  std::uint64_t id = 0;
-  WireMessage out;
-  EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kMalformed);
-}
-
-TEST(WireTest, BadCodecByteInCodedPushRejected) {
-  // kind 2 must carry codec 2 (int8) or 3 (fp16); anything else is malformed
-  // (codec byte here lands where the old dense offset began — the strict
-  // parser must not guess).
-  PushShardReq req;
-  const auto good = EncodeFrame(req, 1);
-  auto frame = good;
-  frame[kHeaderBytes + 4 + 8] = 2;  // kind: coded
-  // The next payload byte is now read as the codec id; offset bytes are 0.
+  frame[kHeaderBytes + 4 + 8] = 3;  // kind byte: only 0/1 are defined
   std::uint64_t id = 0;
   WireMessage out;
   EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kMalformed);
@@ -305,7 +290,7 @@ TEST(WireTraceExtTest, TraceContextRoundTripsOnEveryMessageType) {
   const std::vector<WireMessage> messages = {
       PullShardReq{1},       PushShardReq{},
       CommitPushReq{},       AckResp{kAckOk, 0},
-      PullBatchReq{{{1, 2}}}, PullBatchResp{{PullShardNotModified{}}},
+      PullBatchReq{{{1}}},   PullBatchResp{{PullShardResp{}}},
       PushPullReq{},         PushPullResp{}};
   for (const WireMessage& message : messages) {
     const auto frame = std::visit(
@@ -392,7 +377,7 @@ TEST(WireTraceExtTest, NonExtensionTrailingBytesStillRejected) {
   EXPECT_EQ(DecodeFrame(frame, id, out, &decoded), WireStatus::kMalformed);
 }
 
-// --- coded pushes and delta pulls --------------------------------------------
+// --- golden bytes and retired encodings --------------------------------------
 
 // Hand-assembled little-endian writer, independent of wire.cc's internals:
 // the golden-byte pins below must not share code with the encoder they pin.
@@ -431,10 +416,9 @@ struct GoldenFrame {
   }
 };
 
-// The codec=none bit-identity pin: a kind-0 (dense) and a kind-1 (sparse)
-// push frame must match golden bytes assembled by hand — the `coded` field
-// and the kind-2 encoding may not perturb the legacy layouts, or every
-// pre-codec golden trace digest drifts.
+// The push layout pin: a kind-0 (dense) and a kind-1 (sparse) push frame
+// must match golden bytes assembled by hand, or every transport golden
+// digest drifts.
 TEST(WireCodecTest, UncodedDensePushFrameBytesPinned) {
   PushShardReq req;
   req.shard = 1;
@@ -476,107 +460,50 @@ TEST(WireCodecTest, UncodedSparsePushFrameBytesPinned) {
   EXPECT_EQ(EncodeFrame(req, 7), golden.Finish());
 }
 
-// Quantization-idempotent doubles (what GradientCodec::Transform emits) must
-// survive a coded round trip bit-exactly, and re-encoding the decoded
-// message must reproduce the identical frame (the retry path re-encodes).
-TEST(WireCodecTest, CodedInt8DensePushRoundTripsBitExact) {
-  PushShardReq req;
-  req.shard = 2;
-  req.epoch = 11;
-  req.sparse = false;
-  req.coded = static_cast<std::uint8_t>(CodecKind::kInt8);
-  req.dense_offset = 32;
-  req.dense = {3.25, -0.5, 0.0, 100.0, -127.0};
-  const double scale = Int8ScaleFor(req.dense);
-  for (double& v : req.dense) {
-    v = DequantizeInt8(QuantizeInt8(v, scale), scale);
-  }
-
-  const auto frame = EncodeFrame(req, 5);
+// A kind-2 slice was a quantized (int8/fp16) push; gradient compression now
+// lives only in the simulator, so a peer still sending one fails loudly.
+TEST(WireTest, BadCodecByteInCodedPushRejected) {
+  GoldenFrame golden;
+  golden.Header(MsgType::kPushShardReq, 1);
+  golden.U32(0);      // shard
+  golden.U64(3);      // epoch
+  golden.U8(2);       // kind: coded
+  golden.U8(2);       // codec: int8
+  golden.U8(0);       // dense
+  golden.F64(0.125);  // scale
+  golden.U64(0);      // offset
+  golden.U64(2);      // count
+  golden.U8(8);       // q = 1.0 / scale
+  golden.U8(0xfc);    // q = -0.5 / scale
   std::uint64_t id = 0;
   WireMessage out;
-  ASSERT_EQ(DecodeFrame(frame, id, out), WireStatus::kOk);
-  const auto& decoded = std::get<PushShardReq>(out);
-  EXPECT_EQ(decoded.coded, req.coded);
-  EXPECT_EQ(decoded.dense_offset, 32u);
-  EXPECT_EQ(decoded.dense, req.dense);
-  EXPECT_EQ(EncodeFrame(decoded, 5), frame);
-  // The coded frame is materially smaller than the f64 encoding.
-  PushShardReq raw = req;
-  raw.coded = 0;
-  EXPECT_LT(frame.size(), EncodeFrame(raw, 5).size());
+  EXPECT_EQ(DecodeFrame(golden.Finish(), id, out), WireStatus::kMalformed);
 }
 
-TEST(WireCodecTest, CodedFp16SparsePushRoundTripsBitExact) {
-  PushShardReq req;
-  req.shard = 0;
-  req.epoch = 4;
-  req.sparse = true;
-  req.coded = static_cast<std::uint8_t>(CodecKind::kFp16);
-  req.indices = {1, 6, 13};
-  req.values = {1.5, -0.0, 65504.0};
-  for (double& v : req.values) v = DecodeFp16(EncodeFp16(v));
-
-  const auto frame = EncodeFrame(req, 6);
+// A delta pull was a batch entry naming a cached version, answered by a
+// kind-1 not-modified item. Both are retired: an entry's version slot must
+// be ~0 and an item's kind byte 0.
+TEST(WireCodecTest, DeltaPullMessagesRejected) {
+  GoldenFrame entry;
+  entry.Header(MsgType::kPullBatchReq, 1);
+  entry.U32(1);   // count
+  entry.U32(5);   // shard
+  entry.U64(77);  // a cached version
   std::uint64_t id = 0;
   WireMessage out;
-  ASSERT_EQ(DecodeFrame(frame, id, out), WireStatus::kOk);
-  const auto& decoded = std::get<PushShardReq>(out);
-  EXPECT_EQ(decoded.coded, req.coded);
-  EXPECT_EQ(decoded.indices, req.indices);
-  ASSERT_EQ(decoded.values.size(), req.values.size());
-  for (std::size_t i = 0; i < req.values.size(); ++i) {
-    std::uint64_t got = 0;
-    std::uint64_t want = 0;
-    std::memcpy(&got, &decoded.values[i], sizeof(got));
-    std::memcpy(&want, &req.values[i], sizeof(want));
-    EXPECT_EQ(got, want) << "entry " << i;  // -0.0 must keep its sign bit
-  }
-  EXPECT_EQ(EncodeFrame(decoded, 6), frame);
-}
+  EXPECT_EQ(DecodeFrame(entry.Finish(), id, out), WireStatus::kMalformed);
 
-TEST(WireCodecTest, CodedAllZeroInt8PushCarriesZeroScale) {
-  PushShardReq req;
-  req.coded = static_cast<std::uint8_t>(CodecKind::kInt8);
-  req.dense = {0.0, 0.0};
-  const auto frame = EncodeFrame(req, 8);
-  std::uint64_t id = 0;
-  WireMessage out;
-  ASSERT_EQ(DecodeFrame(frame, id, out), WireStatus::kOk);
-  EXPECT_EQ(std::get<PushShardReq>(out).dense,
-            std::vector<double>({0.0, 0.0}));
-}
-
-TEST(WireCodecTest, TruncatedCodedPushRejected) {
-  PushShardReq req;
-  req.coded = static_cast<std::uint8_t>(CodecKind::kFp16);
-  req.dense = {1.0, 2.0, 3.0};
-  const auto frame = EncodeFrame(req, 1);
-  FrameHeader header;
-  ASSERT_EQ(DecodeHeader(frame, header), WireStatus::kOk);
-  const std::span<const std::uint8_t> payload =
-      std::span(frame).subspan(kHeaderBytes);
-  WireMessage out;
-  // One byte short: the last fp16 value is torn.
-  EXPECT_EQ(DecodePayload(header, payload.first(payload.size() - 1), out),
-            WireStatus::kTruncated);
-}
-
-// A delta pull is a batch entry with a known version, answered by a
-// not-modified item.
-TEST(WireCodecTest, DeltaPullMessagesRoundTrip) {
-  const PullBatchReq req = RoundTrip(PullBatchReq{{{5, 77}}});
-  ASSERT_EQ(req.entries.size(), 1u);
-  EXPECT_EQ(req.entries[0].shard, 5u);
-  EXPECT_EQ(req.entries[0].known_version, 77u);
-
-  const PullBatchResp resp =
-      RoundTrip(PullBatchResp{{PullShardNotModified{5, 77, 130}}});
-  ASSERT_EQ(resp.items.size(), 1u);
-  const auto& unchanged = std::get<PullShardNotModified>(resp.items[0]);
-  EXPECT_EQ(unchanged.shard, 5u);
-  EXPECT_EQ(unchanged.shard_version, 77u);
-  EXPECT_EQ(unchanged.global_version, 130u);
+  GoldenFrame item;
+  item.Header(MsgType::kPullBatchResp, 1);
+  item.U32(1);    // count
+  item.U8(1);     // kind: not modified
+  item.U32(5);    // shard
+  item.U64(77);   // shard_version
+  item.U64(130);  // global_version
+  // Padded to a full item's size, so the count check passes and the kind
+  // byte is what rejects it.
+  for (int i = 0; i < 16; ++i) item.U8(0);
+  EXPECT_EQ(DecodeFrame(item.Finish(), id, out), WireStatus::kMalformed);
 }
 
 TEST(WireCodecTest, RetiredDeltaPullTypesDecodeAsBadType) {
@@ -594,8 +521,8 @@ TEST(WireCodecTest, RetiredDeltaPullTypesDecodeAsBadType) {
 // --- push batches -----------------------------------------------------------
 
 // The batch reuses the slice encoding verbatim: its payload is the batch
-// head followed by each slice's standalone PushShardReq payload, coded
-// slices included, with nothing in between.
+// head followed by each slice's standalone PushShardReq payload, with
+// nothing in between.
 TEST(WireBatchTest, SlicesAreByteIdenticalToStandalonePushPayloads) {
   PushShardReq dense;
   dense.shard = 0;
@@ -608,26 +535,25 @@ TEST(WireBatchTest, SlicesAreByteIdenticalToStandalonePushPayloads) {
   sparse.sparse = true;
   sparse.indices = {5, 9};
   sparse.values = {-1.5, 0.75};
-  PushShardReq coded;
-  coded.shard = 2;
-  coded.epoch = 2;
-  coded.sparse = true;
-  coded.coded = static_cast<std::uint8_t>(CodecKind::kInt8);
-  coded.indices = {12};
-  coded.values = {0.5};
+  PushShardReq last;
+  last.shard = 2;
+  last.epoch = 2;
+  last.sparse = true;
+  last.indices = {12};
+  last.values = {0.5};
 
   GoldenFrame golden;
   golden.Header(MsgType::kCommitPushReq, 3);
   golden.U64(0x1122334455667788ull);  // client_id
   golden.U64(42);                     // push_seq
   golden.U32(3);                      // count
-  for (const PushShardReq& slice : {dense, sparse, coded}) {
+  for (const PushShardReq& slice : {dense, sparse, last}) {
     const auto standalone = EncodeFrame(slice, 3);
     golden.bytes.insert(golden.bytes.end(), standalone.begin() + kHeaderBytes,
                         standalone.end());
   }
   EXPECT_EQ(EncodeFrame(CommitPushReq{0x1122334455667788ull, 42,
-                                      {dense, sparse, coded}},
+                                      {dense, sparse, last}},
                         3),
             golden.Finish());
 }
@@ -658,15 +584,14 @@ TEST(WirePullBatchTest, RequestFrameBytesPinned) {
   golden.Header(MsgType::kPullBatchReq, 12);
   golden.U32(2);   // count
   golden.U32(0);   // shard
-  golden.U64(~std::uint64_t{0});  // known_version: unconditional
+  golden.U64(~std::uint64_t{0});  // reserved
   golden.U32(3);   // shard
-  golden.U64(41);  // known_version
-  EXPECT_EQ(EncodeFrame(PullBatchReq{{{0, kPullAnyVersion}, {3, 41}}}, 12),
-            golden.Finish());
+  golden.U64(~std::uint64_t{0});  // reserved
+  EXPECT_EQ(EncodeFrame(PullBatchReq{{{0}, {3}}}, 12), golden.Finish());
 }
 
-// Each full item's bytes after its kind byte are a standalone PullShardResp
-// payload; a not-modified item is kind 1 and the three version fields.
+// Each item's bytes after its kind byte are a standalone PullShardResp
+// payload.
 TEST(WirePullBatchTest, FullItemsAreByteIdenticalToStandalonePullPayloads) {
   PullShardResp first;
   first.shard = 0;
@@ -674,6 +599,11 @@ TEST(WirePullBatchTest, FullItemsAreByteIdenticalToStandalonePullPayloads) {
   first.shard_version = 3;
   first.global_version = 9;
   first.params = {0.5, -1.25};
+  PullShardResp second;
+  second.shard = 1;
+  second.offset = 2;
+  second.shard_version = 6;
+  second.global_version = 9;
   PullShardResp empty;  // a zero-length shard is a valid item
   empty.shard = 2;
   empty.offset = 2;
@@ -687,27 +617,27 @@ TEST(WirePullBatchTest, FullItemsAreByteIdenticalToStandalonePullPayloads) {
   golden.bytes.insert(golden.bytes.end(),
                       standalone_first.begin() + kHeaderBytes,
                       standalone_first.end());
-  golden.U8(1);    // kind: not modified
-  golden.U32(1);   // shard
-  golden.U64(6);   // shard_version
-  golden.U64(9);   // global_version
-  golden.U8(0);    // kind: full
+  golden.U8(0);   // kind: full
+  const auto standalone_second = EncodeFrame(second, 4);
+  golden.bytes.insert(golden.bytes.end(),
+                      standalone_second.begin() + kHeaderBytes,
+                      standalone_second.end());
+  golden.U8(0);   // kind: full
   const auto standalone_empty = EncodeFrame(empty, 4);
   golden.bytes.insert(golden.bytes.end(),
                       standalone_empty.begin() + kHeaderBytes,
                       standalone_empty.end());
-  const PullBatchResp batch{{first, PullShardNotModified{1, 6, 9}, empty}};
+  const PullBatchResp batch{{first, second, empty}};
   EXPECT_EQ(EncodeFrame(batch, 4), golden.Finish());
   EXPECT_EQ(EncodedPayloadBytes(batch),
-            kPullBatchRespHeadBytes + PullBatchFullItemBytes(2) + 21 +
-                PullBatchFullItemBytes(0));
+            kPullBatchRespHeadBytes + PullBatchFullItemBytes(2) +
+                2 * PullBatchFullItemBytes(0));
 
   const PullBatchResp decoded = RoundTrip(batch);
   ASSERT_EQ(decoded.items.size(), 3u);
-  EXPECT_EQ(std::get<PullShardResp>(decoded.items[0]).params, first.params);
-  EXPECT_EQ(std::get<PullShardNotModified>(decoded.items[1]).shard_version,
-            6u);
-  EXPECT_TRUE(std::get<PullShardResp>(decoded.items[2]).params.empty());
+  EXPECT_EQ(decoded.items[0].params, first.params);
+  EXPECT_EQ(decoded.items[1].shard_version, 6u);
+  EXPECT_TRUE(decoded.items[2].params.empty());
 }
 
 TEST(WirePullBatchTest, EmptyBatchesRoundTrip) {
@@ -740,9 +670,9 @@ TEST(WireFusedTest, FusedFramesAreTheStandalonePayloadsBackToBack) {
   slice.indices = {7};
   slice.values = {-0.5};
   const CommitPushReq push{3, 4, {slice}};
-  const PullBatchReq pull{{{0, kPullAnyVersion}, {1, 9}}};
+  const PullBatchReq pull{{{0}, {1}}};
   const AckResp ack{kAckOk, 12};
-  const PullBatchResp answer{{PullShardNotModified{0, 9, 12},
+  const PullBatchResp answer{{PullShardResp{0, 0, 9, 12, {}},
                               PullShardResp{1, 5, 10, 12, {1.0, 2.0}}}};
   const auto payload = [](const WireMessage& m) {
     const std::vector<std::uint8_t> frame = EncodeFrame(m, 1);
@@ -769,19 +699,18 @@ TEST(WireFusedTest, FusedFramesAreTheStandalonePayloadsBackToBack) {
   ASSERT_EQ(req.push.slices.size(), 1u);
   EXPECT_EQ(req.push.slices[0].indices, slice.indices);
   ASSERT_EQ(req.pull.entries.size(), 2u);
-  EXPECT_EQ(req.pull.entries[1].known_version, 9u);
+  EXPECT_EQ(req.pull.entries[1].shard, 1u);
   ASSERT_EQ(DecodeFrame(EncodeFrame(PushPullResp{ack, answer}, 9), id, out),
             WireStatus::kOk);
   const auto& resp = std::get<PushPullResp>(out);
   EXPECT_EQ(resp.ack.value, 12u);
   ASSERT_EQ(resp.pull.items.size(), 2u);
-  EXPECT_EQ(std::get<PullShardResp>(resp.pull.items[1]).params,
-            (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(resp.pull.items[1].params, (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(WirePullBatchTest, UnknownItemKindRejected) {
-  auto frame = EncodeFrame(PullBatchResp{{PullShardNotModified{1, 2, 3}}}, 1);
-  frame[kHeaderBytes + 4] = 2;  // the item's kind byte: only 0/1 are defined
+  auto frame = EncodeFrame(PullBatchResp{{PullShardResp{1, 0, 2, 3, {}}}}, 1);
+  frame[kHeaderBytes + 4] = 2;  // the item's kind byte: only 0 is defined
   std::uint64_t id = 0;
   WireMessage out;
   EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kMalformed);

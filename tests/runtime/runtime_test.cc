@@ -238,9 +238,9 @@ TEST(RuntimeClusterTest, FinalEvalConfigControlsLossEvaluation) {
   EXPECT_TRUE(AllFinite(skipped.final_weights));
 
   config.final_eval = true;
-  config.final_eval_samples = 50;  // cheap subsample still evaluates
-  const RuntimeResult cheap = RuntimeCluster(model, schedule, config).Run();
-  EXPECT_GT(cheap.final_loss, 0.0);
+  const RuntimeResult evaluated =
+      RuntimeCluster(model, schedule, config).Run();
+  EXPECT_GT(evaluated.final_loss, 0.0);
 }
 
 TEST(RuntimeClusterTest, SspGatingBoundsRealThreadSkew) {
