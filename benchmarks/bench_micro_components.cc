@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): event-queue throughput, parameter-server
-// push/pull, gradient kernels (MLP and MF), the runtime's chunk merge, and the
-// O(m^3) adaptive tuner.
+// push/pull, gradient kernels (MLP and MF), the runtime's chunk merge and
+// sparse store push, and the O(m^3) adaptive tuner.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -134,12 +134,12 @@ void BM_MfGradientCold(benchmark::State& state) {
 }
 BENCHMARK(BM_MfGradientCold)->Arg(50)->Arg(200);
 
-// The runtime's push-side merge: the four 50-rating MF chunk gradients of
-// one 200-rating batch, merged by one reused merger into one reused output.
-void BM_ChunkMerge(benchmark::State& state) {
-  constexpr std::size_t kChunks = 4;
-  constexpr std::size_t kChunkSize = 50;
-  const Workload mf = MakeMfWorkload(/*seed=*/1);
+// The four 50-rating MF chunk gradients of one 200-rating batch, as a
+// runtime worker computes them before its push-side merge.
+constexpr std::size_t kChunks = 4;
+constexpr std::size_t kChunkSize = 50;
+
+std::vector<Gradient> MfBatchChunks(const Workload& mf) {
   Rng rng(1);
   std::vector<double> params(mf.model->param_dim());
   mf.model->InitParams(params, rng);
@@ -151,6 +151,14 @@ void BM_ChunkMerge(benchmark::State& state) {
         params, std::span(batch).subspan(c * kChunkSize, kChunkSize),
         chunks[c]);
   }
+  return chunks;
+}
+
+// The runtime's push-side merge: those chunks merged by one reused merger
+// into one reused output.
+void BM_ChunkMerge(benchmark::State& state) {
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  const std::vector<Gradient> chunks = MfBatchChunks(mf);
   ChunkMerger merger(mf.model->param_dim());
   Gradient out;
   for (auto _ : state) {
@@ -161,6 +169,31 @@ void BM_ChunkMerge(benchmark::State& state) {
                           static_cast<std::int64_t>(kChunks * kChunkSize));
 }
 BENCHMARK(BM_ChunkMerge);
+
+// The in-process store's apply: the merged gradient pushed over the
+// mf-inproc-ssp store's 4 shards with the routes already cut, then its
+// negation, so the parameters stay bounded. Items are applied entries.
+void BM_StorePushSparse(benchmark::State& state) {
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  ChunkMerger merger(mf.model->param_dim());
+  Gradient grad;
+  merger.Merge(MfBatchChunks(mf), grad);
+  Gradient negated = grad;
+  negated.sparse().ScaleValues(-1.0);
+  ParameterServer server(
+      mf.model->param_dim(), 4,
+      std::make_shared<SgdApplier>(std::make_shared<ConstantSchedule>(0.1)));
+  std::vector<ShardRoute> routes;
+  server.layout().RouteInto(grad, routes);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(server.Push(grad, 0, routes));
+    benchmark::DoNotOptimize(server.Push(negated, 0, routes));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(grad.sparse().nnz()));
+}
+BENCHMARK(BM_StorePushSparse);
 
 // Algorithm 1 is O(m^3): candidate deltas O(m^2) x evaluation O(m).
 void BM_AdaptiveTunerRetune(benchmark::State& state) {

@@ -24,8 +24,10 @@ void ChunkMerger::Merge(std::span<const Gradient> chunks, Gradient& out) {
 
 void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
                               SparseUpdate& out) {
-  // Every chunk is checked before the first bit is set, so a bad merge
-  // throws with the bitmap still empty and the next merge is unaffected.
+  // Every chunk is checked, and the row width fixed, before the first bit is
+  // set, so a bad merge throws with the bitmap still empty and the next
+  // merge is unaffected.
+  std::size_t width = 0;  // 0 until a non-empty chunk is seen
   for (const Gradient& chunk : chunks) {
     SPECSYNC_CHECK(chunk.is_sparse()) << "mixed dense and sparse chunks";
     const SparseUpdate& update = chunk.sparse();
@@ -37,7 +39,12 @@ void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
             ? indices.back()
             : *std::max_element(indices.begin(), indices.end());
     SPECSYNC_CHECK_LT(max_index, dim_);
+    // Chunks that disagree on their row width merge entry by entry.
+    width = (width == 0 || width == update.block_width())
+                ? update.block_width()
+                : 1;
   }
+  width = std::max<std::size_t>(width, 1);
   if (acc_.empty()) {
     acc_.resize(dim_);
     occupied_.Reserve(dim_);
@@ -48,17 +55,19 @@ void ChunkMerger::MergeSparse(std::span<const Gradient> chunks, double weight,
   for (const Gradient& chunk : chunks) {
     const auto indices = chunk.sparse().indices();
     const auto values = chunk.sparse().values();
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      const auto index = static_cast<std::size_t>(indices[i]);
-      const double value = values[i] * weight;
-      if (occupied_.Set(index)) {
-        acc_[index] = value;
+    // One bit per row of `width` consecutive entries starting at indices[i].
+    for (std::size_t i = 0; i < indices.size(); i += width) {
+      const auto first = static_cast<std::size_t>(indices[i]);
+      double* row = acc_.data() + first;
+      const double* value = values.data() + i;
+      if (occupied_.Set(first / width)) {
+        for (std::size_t k = 0; k < width; ++k) row[k] = value[k] * weight;
       } else {
-        acc_[index] += value;
+        for (std::size_t k = 0; k < width; ++k) row[k] += value[k] * weight;
       }
     }
   }
-  out.AssignOccupied(occupied_, acc_, 1);
+  out.AssignOccupied(occupied_, acc_, width);
 }
 
 }  // namespace specsync

@@ -6,10 +6,14 @@
 // merge allocates nothing once warmed up.
 //
 // Sparse chunks accumulate into a dense buffer of the parameter dimension
-// with an OccupancyBitmap beside it: the first entry for an index sets the
-// slot, later ones add to it. The merged gradient is read back in index
-// order in one sized write (SparseUpdate::AssignOccupied), which drains the
-// bitmap and clears the bits it read.
+// with an OccupancyBitmap beside it, one bit per row: when every non-empty
+// chunk has the same SparseUpdate::block_width() w (the MF kernel emits
+// whole factor rows), a row's w entries cost one bit and w scaled assigns
+// or adds; chunks that disagree merge with w = 1, entry by entry. The first
+// write to a row sets its bit and assigns, later ones add. The merged
+// gradient is read back in index order in one sized write
+// (SparseUpdate::AssignOccupied, width w), which drains the bitmap and
+// clears the bits it read.
 // Dense chunks are summed with Axpy into the output's own buffer.
 //
 // Summation order: duplicates of an index are summed in chunk order, and
@@ -34,11 +38,14 @@ class ChunkMerger {
   // sparse merge, so dense-only mergers never pay for it.
   explicit ChunkMerger(std::size_t dim) : dim_(dim) {}
 
-  // Overwrites `out` with the mean of `chunks` (each a mean over its chunk):
-  // sparse chunks give an index-sorted, duplicate-free sparse gradient, dense
-  // chunks a dense one. All chunks must share one representation, and every
-  // sparse index must be < dim. A merge that fails either throws before it
-  // touches the accumulator, so the merger stays usable.
+  // Overwrites `out` with the mean of `chunks`, each weighted 1 / size():
+  // a mean of chunk sums for MF, of chunk means for the other models
+  // (DESIGN.md §16, "Known discrepancy"). Sparse chunks give an
+  // index-sorted, duplicate-free sparse gradient, whose block_width() is
+  // the chunks' common one, or 1; dense chunks give a dense one. All chunks
+  // must share one representation, and every sparse index must be < dim. A
+  // merge that fails either throws before it touches the accumulator, so
+  // the merger stays usable.
   void Merge(std::span<const Gradient> chunks, Gradient& out);
 
  private:

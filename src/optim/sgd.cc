@@ -47,31 +47,46 @@ void SgdApplier::ApplyDenseSlice(std::span<const double> grad, EpochId epoch,
 std::size_t SgdApplier::ApplySparseSlice(const SparseUpdate& grad,
                                          EpochId epoch, std::size_t offset,
                                          std::span<double> params) const {
-  return ApplySparseSlice(grad.indices(), grad.values(), epoch, offset,
-                          params);
+  return ApplySparseSlice(grad.indices(), grad.values(), grad.block_width(),
+                          epoch, offset, params);
 }
 
 std::size_t SgdApplier::ApplySparseSlice(std::span<const std::uint64_t> indices,
                                          std::span<const double> values,
-                                         EpochId epoch, std::size_t offset,
+                                         std::size_t width, EpochId epoch,
+                                         std::size_t offset,
                                          std::span<double> params) const {
   SPECSYNC_CHECK_EQ(indices.size(), values.size());
+  SPECSYNC_CHECK_GT(width, 0u);
+  SPECSYNC_CHECK_EQ(indices.size() % width, 0u);
   const double eta = schedule_->Rate(epoch);
-  const double alpha = -eta;
+  const double clip = config_.clip;
   const std::size_t end = offset + params.size();
-  std::size_t applied = 0;
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const auto index = static_cast<std::size_t>(indices[i]);
-    if (index < offset || index >= end) continue;
-    if (config_.clip == 0.0) {
-      params[index - offset] += alpha * values[i];
-    } else {
-      params[index - offset] -=
-          eta * std::clamp(values[i], -config_.clip, config_.clip);
+  // One range check per row, then `step` on each of its entries; the step
+  // is chosen once, outside the loop.
+  const auto apply_rows = [&](auto step) {
+    std::size_t applied = 0;
+    for (std::size_t i = 0; i < indices.size(); i += width) {
+      const auto first = static_cast<std::size_t>(indices[i]);
+      if (first >= end || first + width <= offset) continue;
+      SPECSYNC_CHECK(first >= offset && first + width <= end)
+          << "a row of " << width << " at " << first
+          << " crosses the slice's edge";
+      double* row = params.data() + (first - offset);
+      const double* value = values.data() + i;
+      for (std::size_t k = 0; k < width; ++k) step(row[k], value[k]);
+      applied += width;
     }
-    ++applied;
+    return applied;
+  };
+  if (clip == 0.0) {
+    // params[i] += (-eta) * g[i], matching Gradient::AddTo bit for bit.
+    const double alpha = -eta;
+    return apply_rows([alpha](double& p, double g) { p += alpha * g; });
   }
-  return applied;
+  return apply_rows([eta, clip](double& p, double g) {
+    p -= eta * std::clamp(g, -clip, clip);
+  });
 }
 
 }  // namespace specsync

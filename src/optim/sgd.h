@@ -39,16 +39,22 @@ class SgdApplier {
 
   // Applies the entries of `grad` whose indices fall in
   // [offset, offset + params.size()) onto the slice (params[i] holds full
-  // index offset + i). Returns the number of entries applied.
+  // index offset + i), row by row at grad.block_width(). Returns the number
+  // of entries applied.
   std::size_t ApplySparseSlice(const SparseUpdate& grad, EpochId epoch,
                                std::size_t offset,
                                std::span<double> params) const;
 
-  // The same over decoded entry arrays (the wire path applies a pushed
-  // slice in place): values[i] belongs to indices[i], so the two spans must
-  // be equally long.
+  // The same over entry arrays cut into rows of `width` entries (the wire
+  // path applies a decoded slice in place at width 1): values[i] belongs to
+  // indices[i], the two spans are equally long, and each row holds `width`
+  // consecutive indices (SparseUpdate::block_width()'s contract). A row is
+  // range-checked once and applied whole or skipped whole; one that crosses
+  // the slice's edge is a CheckError. Each element sees the same operation
+  // at every width.
   std::size_t ApplySparseSlice(std::span<const std::uint64_t> indices,
-                               std::span<const double> values, EpochId epoch,
+                               std::span<const double> values,
+                               std::size_t width, EpochId epoch,
                                std::size_t offset,
                                std::span<double> params) const;
 

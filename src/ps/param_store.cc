@@ -54,12 +54,17 @@ class TimedShardLock {
 
 ParameterServer::ParameterServer(std::size_t dim, std::size_t num_shards,
                                  std::shared_ptr<const SgdApplier> applier)
-    : layout_(ShardLayout::Even(dim, num_shards)),
+    : ParameterServer(ShardLayout::Even(dim, num_shards), std::move(applier)) {
+}
+
+ParameterServer::ParameterServer(ShardLayout layout,
+                                 std::shared_ptr<const SgdApplier> applier)
+    : layout_(std::move(layout)),
       applier_(std::move(applier)),
-      params_(dim, 0.0) {
+      params_(layout_.dim(), 0.0) {
   SPECSYNC_CHECK(applier_ != nullptr);
-  shards_.reserve(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
+  shards_.reserve(layout_.num_shards());
+  for (std::size_t s = 0; s < layout_.num_shards(); ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
@@ -162,24 +167,36 @@ bool ParameterServer::PushRoute(const ShardRoute& route, const Gradient& grad,
         std::span<const double>(grad.dense()).subspan(route.begin, count),
         epoch);
   }
-  SPECSYNC_CHECK_LE(route.end, grad.sparse().nnz());
-  return PushShardSparse(route.shard,
-                         grad.sparse().indices().subspan(route.begin, count),
-                         grad.sparse().values().subspan(route.begin, count),
-                         epoch);
+  const SparseUpdate& update = grad.sparse();
+  SPECSYNC_CHECK_LE(route.end, update.nnz());
+  // Whole rows apply row by row. A shard boundary that cuts a row leaves
+  // the route's range unaligned, and its entries apply one by one.
+  const std::size_t row = update.block_width();
+  const std::size_t width =
+      route.begin % row == 0 && route.end % row == 0 ? row : 1;
+  return ApplySparse(route.shard, update.indices().subspan(route.begin, count),
+                     update.values().subspan(route.begin, count), width,
+                     epoch);
 }
 
 bool ParameterServer::PushShardSparse(std::size_t s,
                                       std::span<const std::uint64_t> indices,
                                       std::span<const double> values,
                                       EpochId epoch) {
+  return ApplySparse(s, indices, values, /*width=*/1, epoch);
+}
+
+bool ParameterServer::ApplySparse(std::size_t s,
+                                  std::span<const std::uint64_t> indices,
+                                  std::span<const double> values,
+                                  std::size_t width, EpochId epoch) {
   SPECSYNC_CHECK_LT(s, shards_.size());
   Shard& shard = *shards_[s];
   const std::size_t offset = layout_.offset(s);
   TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
   const bool touched =
       applier_->ApplySparseSlice(
-          indices, values, epoch, offset,
+          indices, values, width, epoch, offset,
           std::span<double>(params_.data() + offset, layout_.length(s))) > 0;
   if (touched) ++shard.version;
   return touched;

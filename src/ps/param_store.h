@@ -69,6 +69,9 @@ class ParameterServer {
   // (ShardLayout::Even).
   ParameterServer(std::size_t dim, std::size_t num_shards,
                   std::shared_ptr<const SgdApplier> applier);
+  // Shards laid out as `layout` says (zero-length shards included).
+  ParameterServer(ShardLayout layout,
+                  std::shared_ptr<const SgdApplier> applier);
 
   // Attaches latency instrumentation (src/obs): whole-operation histograms
   // "ps.pull_s" / "ps.push_s" and per-shard lock contention
@@ -120,7 +123,8 @@ class ParameterServer {
 
   // Applies the entries of a sparse gradient that fall in shard `s`
   // (values[i] belongs to indices[i]) in place, never copying them into a
-  // Gradient first; entries outside the shard are skipped. Same version
+  // Gradient first; entries outside the shard are skipped. Entries apply
+  // one by one: a decoded wire slice carries no row width. Same version
   // semantics as PushShardDenseSlice.
   bool PushShardSparse(std::size_t s, std::span<const std::uint64_t> indices,
                        std::span<const double> values, EpochId epoch);
@@ -151,7 +155,8 @@ class ParameterServer {
   std::size_t shard_bytes(std::size_t s) const;
 
   // Applies one route of `grad` to its shard, reading only the route's
-  // entry range, with the version semantics of PushShardDenseSlice.
+  // entry range, with the version semantics of PushShardDenseSlice. A
+  // sparse route aligned to grad's block_width() applies row by row.
   // `route` must come from layout().RouteInto(grad). The store's Push and
   // the simulator's per-shard push messages (each applied at its own
   // arrival time) land here.
@@ -175,6 +180,12 @@ class ParameterServer {
     obs::LatencyHistogram* lock_wait = nullptr;
     obs::LatencyHistogram* lock_hold = nullptr;
   };
+
+  // PushShardSparse in rows of `width` consecutive entries
+  // (SgdApplier::ApplySparseSlice).
+  bool ApplySparse(std::size_t s, std::span<const std::uint64_t> indices,
+                   std::span<const double> values, std::size_t width,
+                   EpochId epoch);
 
   const ShardLayout layout_;
   std::shared_ptr<const SgdApplier> applier_;

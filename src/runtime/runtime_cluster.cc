@@ -158,8 +158,10 @@ struct RuntimeCluster::Impl {
   void WorkerLoop(WorkerId w, std::vector<std::size_t> shard) {
     Rng rng(config.seed * 7919 + w + 1);
     BatchSampler sampler(std::move(shard), config.batch_size, rng.Fork());
-    const std::size_t chunk_size =
-        std::max<std::size_t>(1, config.batch_size / config.compute_chunks);
+    // Exactly compute_chunks chunks, the first batch_size % compute_chunks
+    // of them one rating longer than the rest.
+    const std::size_t chunk_size = config.batch_size / config.compute_chunks;
+    const std::size_t longer_chunks = config.batch_size % config.compute_chunks;
 
     // Over the wire with no gate, each push but the last also fetches the
     // next iteration's snapshot in the same round trip (the pull needs no
@@ -295,8 +297,9 @@ struct RuntimeCluster::Impl {
       sampler.NextBatch(batch);
       std::size_t num_chunks = 0;
       bool interrupted = false;
-      for (std::size_t begin = 0; begin < batch.size(); begin += chunk_size) {
-        const std::size_t end = std::min(begin + chunk_size, batch.size());
+      for (std::size_t begin = 0, end = 0; num_chunks < config.compute_chunks;
+           begin = end) {
+        end = begin + chunk_size + (num_chunks < longer_chunks ? 1 : 0);
         std::span<const std::size_t> chunk(batch.data() + begin, end - begin);
         if (chunks.size() == num_chunks) chunks.emplace_back();
         model->LossAndGradient(snapshot.params, chunk, chunks[num_chunks++]);

@@ -49,8 +49,9 @@ struct RuntimeConfig {
   std::size_t num_workers = 4;
   std::size_t iterations_per_worker = 20;
   std::size_t batch_size = 32;
-  // The mini-batch is split into this many chunks; abort requests are honored
-  // at chunk boundaries (an in-flight chunk always completes).
+  // The mini-batch is split into exactly this many chunks, whose sizes
+  // differ by at most one; abort requests are honored at chunk boundaries
+  // (an in-flight chunk always completes).
   std::size_t compute_chunks = 4;
   // Optional artificial per-chunk delay to stretch iterations so speculation
   // windows are meaningful on small machines.

@@ -30,6 +30,7 @@ void SparseUpdate::Coalesce() {
 void SparseUpdate::AssignOccupied(OccupancyBitmap& occupied,
                                   std::span<const double> acc,
                                   std::size_t width) {
+  SPECSYNC_CHECK_GT(width, 0u);
   const std::size_t nnz = occupied.Count() * width;
   indices_.resize(nnz);
   values_.resize(nnz);
@@ -47,6 +48,7 @@ void SparseUpdate::AssignOccupied(OccupancyBitmap& occupied,
     value += width;
   });
   increasing_ = true;
+  block_width_ = width;
 }
 
 void SparseUpdate::ScatterAdd(double alpha, std::span<double> dest) const {

@@ -27,6 +27,7 @@ class SparseUpdate {
 
   void Add(std::uint64_t index, double value) {
     increasing_ = increasing_ && (indices_.empty() || indices_.back() < index);
+    block_width_ = 1;
     indices_.push_back(index);
     values_.push_back(value);
   }
@@ -37,16 +38,23 @@ class SparseUpdate {
   // are whenever every entry was added in index order. Add, Clear, Coalesce
   // and AssignOccupied keep it current; it costs one comparison per Add.
   bool strictly_increasing() const { return increasing_; }
+  // The row width w its producer guarantees: nnz() % w == 0, and each group
+  // of w entries starting at a multiple of w holds w consecutive indices,
+  // the first a multiple of w. AssignOccupied sets it; Add, Clear and a
+  // Coalesce that rebuilds reset it to 1; value rewrites keep it. The merge
+  // and the store's apply cost one bitmap bit and one range check per row.
+  std::size_t block_width() const { return block_width_; }
   std::span<const std::uint64_t> indices() const { return indices_; }
   std::span<const double> values() const { return values_; }
   // In-place value rewrites (the gradient codec quantizes without changing
-  // the support); indices stay immutable through this accessor.
+  // the support); indices, and so the row width, stay as they are.
   std::span<double> mutable_values() { return values_; }
 
   void Clear() {
     indices_.clear();
     values_.clear();
     increasing_ = true;
+    block_width_ = 1;
   }
 
   // Overwrites the update with the occupied runs of a dense accumulator and
@@ -55,7 +63,8 @@ class SparseUpdate {
   // occupied slot must satisfy (s + 1) * width <= acc.size(). The arrays are
   // sized once and written in place, so nothing allocates when the capacity
   // was reserved. Slots drain in ascending order and their runs are
-  // disjoint, so the result is strictly increasing by construction.
+  // disjoint, so the result is strictly increasing by construction, and its
+  // block_width() is `width`.
   void AssignOccupied(OccupancyBitmap& occupied, std::span<const double> acc,
                       std::size_t width);
 
@@ -80,6 +89,7 @@ class SparseUpdate {
   std::vector<std::uint64_t> indices_;
   std::vector<double> values_;
   bool increasing_ = true;
+  std::size_t block_width_ = 1;
 };
 
 // Densifies into a vector of the given size (entries outside are an error).

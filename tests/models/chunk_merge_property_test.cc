@@ -8,13 +8,18 @@
 // accumulation in chunk order). Generated cases cover duplicates inside a
 // chunk, empty chunks, one chunk, 8 chunks, index dim-1, bitmap-word
 // boundaries and dense chunks; values are non-dyadic so any change of
-// summation order shows in the bits.
+// summation order shows in the bits. Sparse chunks are built entry by entry
+// with Add, or emitted as whole rows of width 1, 2, 3 or 8 through
+// AssignOccupied, the way the MF kernel emits them: all at one width (the
+// merger's row path), or at widths that disagree (its entry path), over dims
+// that are often not a multiple of the width.
 //
 // On failure the harness shrinks the trial (greedy ddmin over merges, then
-// chunks, then entries — the compression_property_test recipe) and prints
-// it. Two planted bugs must be caught and shrunk: chunks merged in reverse
-// order, and an occupancy bitmap that is not reset between merges. A merge
-// that throws must leave the merger usable for the next one.
+// chunks, then rows: an Add-built chunk's rows are its entries — the
+// compression_property_test recipe) and prints it. Two planted bugs must be
+// caught and shrunk: chunks merged in reverse order, and an occupancy
+// bitmap that is not reset between merges. A merge that throws must leave
+// the merger usable for the next one.
 //
 // Trials are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 
@@ -25,6 +30,7 @@
 #include <cstring>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -37,17 +43,26 @@
 #include "harness/workload.h"
 #include "models/chunk_merger.h"
 #include "support/property.h"
+#include "tensor/occupancy_bitmap.h"
 
 namespace specsync {
 namespace {
 
 std::uint64_t BaseSeed() { return PropertySeed(20261017); }
 
-// A dense chunk has no indices and `dim` values.
+// A dense chunk has no indices and `dim` values. A sparse chunk with width
+// w > 0 holds whole rows: sorted, distinct, each w entries from a multiple
+// of w.
 struct Chunk {
+  std::size_t width = 0;  // 0: built entry by entry with Add
   std::vector<std::uint64_t> indices;
   std::vector<double> values;
 };
+
+// The unit the shrinker removes: a row, or an entry of an Add-built chunk.
+std::size_t RowWidth(const Chunk& chunk) {
+  return std::max<std::size_t>(chunk.width, 1);
+}
 
 struct MergeCase {
   bool dense = false;
@@ -84,6 +99,29 @@ Chunk RandomSparseChunk(Rng& rng, std::size_t dim) {
   return chunk;
 }
 
+// Whole rows of `width` below dim, from a narrow window so that rows repeat
+// across chunks; the last whole row rides along.
+Chunk RandomRowChunk(Rng& rng, std::size_t dim, std::size_t width) {
+  Chunk chunk;
+  chunk.width = width;
+  const std::size_t rows = dim / width;
+  if (rows == 0 || rng.Index(8) == 0) return chunk;  // empty chunk
+  const std::size_t window = 1 + rng.Index(std::min<std::size_t>(rows, 8));
+  const std::size_t base = rng.Index(rows - window + 1);
+  std::set<std::size_t> picked;
+  const std::size_t count = 1 + rng.Index(4);
+  for (std::size_t i = 0; i < count; ++i) {
+    picked.insert(rng.Index(6) == 0 ? rows - 1 : base + rng.Index(window));
+  }
+  for (const std::size_t row : picked) {
+    for (std::size_t k = 0; k < width; ++k) {
+      chunk.indices.push_back(row * width + k);
+      chunk.values.push_back(RandomValue(rng));
+    }
+  }
+  return chunk;
+}
+
 Trial GenerateTrial(std::uint64_t seed) {
   Rng rng(seed);
   Trial t;
@@ -96,6 +134,11 @@ Trial GenerateTrial(std::uint64_t seed) {
     merge.dense = rng.Index(6) == 0;
     constexpr std::size_t kChunkCounts[] = {1, 2, 3, 4, 4, 8};
     const std::size_t num_chunks = kChunkCounts[rng.Index(std::size(kChunkCounts))];
+    // Sparse chunks: all built with Add, all rows of one common width, or
+    // each its own (Add-built or rows), so that widths disagree.
+    constexpr std::size_t kWidths[] = {1, 2, 3, 8};
+    const std::size_t layout = rng.Index(3);
+    const std::size_t common = kWidths[rng.Index(std::size(kWidths))];
     for (std::size_t c = 0; c < num_chunks; ++c) {
       if (merge.dense) {
         Chunk chunk;
@@ -103,9 +146,15 @@ Trial GenerateTrial(std::uint64_t seed) {
           chunk.values.push_back(RandomValue(rng));
         }
         merge.chunks.push_back(std::move(chunk));
-      } else {
-        merge.chunks.push_back(RandomSparseChunk(rng, t.dim));
+        continue;
       }
+      std::size_t width = 0;  // built with Add
+      if (layout == 1) width = common;
+      if (layout == 2 && rng.Index(5) != 0) {
+        width = kWidths[rng.Index(std::size(kWidths))];
+      }
+      merge.chunks.push_back(width == 0 ? RandomSparseChunk(rng, t.dim)
+                                        : RandomRowChunk(rng, t.dim, width));
     }
     t.merges.push_back(std::move(merge));
   }
@@ -122,8 +171,20 @@ std::vector<Gradient> MakeChunks(const MergeCase& merge, std::size_t dim) {
       continue;
     }
     Gradient g = Gradient::Sparse();
-    for (std::size_t i = 0; i < chunk.indices.size(); ++i) {
-      g.sparse().Add(chunk.indices[i], chunk.values[i]);
+    if (chunk.width == 0) {
+      for (std::size_t i = 0; i < chunk.indices.size(); ++i) {
+        g.sparse().Add(chunk.indices[i], chunk.values[i]);
+      }
+    } else {
+      // Emitted as the MF kernel emits its factor rows.
+      std::vector<double> acc(dim);
+      OccupancyBitmap occupied;
+      occupied.Reserve(dim);
+      for (std::size_t i = 0; i < chunk.indices.size(); ++i) {
+        occupied.Set(chunk.indices[i] / chunk.width);
+        acc[chunk.indices[i]] = chunk.values[i];
+      }
+      g.sparse().AssignOccupied(occupied, acc, chunk.width);
     }
     grads.push_back(std::move(g));
   }
@@ -137,7 +198,9 @@ std::string FormatTrial(const Trial& t) {
   for (const MergeCase& merge : t.merges) {
     out << "\n  merge" << (merge.dense ? " (dense):" : ":");
     for (const Chunk& chunk : merge.chunks) {
-      out << " {";
+      out << ' ';
+      if (chunk.width > 0) out << 'w' << chunk.width;
+      out << '{';
       for (std::size_t i = 0; i < chunk.values.size(); ++i) {
         if (i > 0) out << ',';
         if (!merge.dense) out << chunk.indices[i] << ':';
@@ -270,6 +333,16 @@ std::optional<std::string> Compare(const Gradient& got, const Gradient& want) {
   return std::nullopt;
 }
 
+// The row width a sparse merge must emit: the non-empty chunks' common
+// block_width(), or 1 when they disagree or are all empty.
+std::size_t CommonWidth(const std::vector<Gradient>& chunks) {
+  std::set<std::size_t> widths;
+  for (const Gradient& chunk : chunks) {
+    if (!chunk.sparse().empty()) widths.insert(chunk.sparse().block_width());
+  }
+  return widths.size() == 1 ? *widths.begin() : 1;
+}
+
 std::optional<std::string> RunTrial(const Trial& trial, SubjectKind kind) {
   ChunkMerger merger(trial.dim);
   StaleBitmapMerger stale(trial.dim);
@@ -296,6 +369,12 @@ std::optional<std::string> RunTrial(const Trial& trial, SubjectKind kind) {
     if (auto diff = Compare(out, want)) {
       return "merge " + std::to_string(m) + ": " + *diff;
     }
+    if (kind == SubjectKind::kMerger && out.is_sparse() &&
+        out.sparse().block_width() != CommonWidth(chunks)) {
+      return "merge " + std::to_string(m) + ": block_width " +
+             std::to_string(out.sparse().block_width()) + ", want " +
+             std::to_string(CommonWidth(chunks));
+    }
   }
   return std::nullopt;
 }
@@ -319,22 +398,26 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
     if (trial.merges[m].dense) continue;  // dense chunks keep all dim values
     for (std::size_t c = 0; c < trial.merges[m].chunks.size(); ++c) {
       Chunk& chunk = trial.merges[m].chunks[c];
-      std::vector<std::size_t> entries(chunk.indices.size());
-      for (std::size_t i = 0; i < entries.size(); ++i) entries[i] = i;
+      const std::size_t width = RowWidth(chunk);
+      std::vector<std::size_t> rows(chunk.indices.size() / width);
+      for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
       const auto project = [&](const std::vector<std::size_t>& kept) {
         Chunk out;
-        for (const std::size_t i : kept) {
-          out.indices.push_back(chunk.indices[i]);
-          out.values.push_back(chunk.values[i]);
+        out.width = chunk.width;
+        for (const std::size_t r : kept) {
+          for (std::size_t i = r * width; i < (r + 1) * width; ++i) {
+            out.indices.push_back(chunk.indices[i]);
+            out.values.push_back(chunk.values[i]);
+          }
         }
         return out;
       };
-      ShrinkList(entries, 0, [&](const std::vector<std::size_t>& kept) {
+      ShrinkList(rows, 0, [&](const std::vector<std::size_t>& kept) {
         Trial candidate = trial;
         candidate.merges[m].chunks[c] = project(kept);
         return fails(candidate);
       });
-      chunk = project(entries);
+      chunk = project(rows);
     }
   }
   return trial;
@@ -342,8 +425,24 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
 
 TEST(ChunkMergePropertyTest, MergerMatchesStableSortReference) {
   const std::uint64_t base = BaseSeed();
+  // Non-vacuity: the generator reached the row path, at a dim that is not a
+  // multiple of the width, and chunks whose widths disagree.
+  std::size_t row_merges = 0;
+  std::size_t ragged_dim_row_merges = 0;
+  std::size_t disagreeing_merges = 0;
   for (std::uint64_t trial_idx = 0; trial_idx < 400; ++trial_idx) {
     const Trial trial = GenerateTrial(base + trial_idx);
+    for (const MergeCase& merge : trial.merges) {
+      if (merge.dense) continue;
+      std::set<std::size_t> widths;
+      for (const Chunk& chunk : merge.chunks) {
+        if (!chunk.indices.empty()) widths.insert(RowWidth(chunk));
+      }
+      const std::size_t width = widths.size() == 1 ? *widths.begin() : 1;
+      row_merges += width > 1;
+      ragged_dim_row_merges += width > 1 && trial.dim % width != 0;
+      disagreeing_merges += widths.size() > 1 && *widths.rbegin() > 1;
+    }
     const auto failure = RunTrial(trial, SubjectKind::kMerger);
     if (failure.has_value()) {
       const Trial minimal = ShrinkTrial(trial, SubjectKind::kMerger);
@@ -351,6 +450,9 @@ TEST(ChunkMergePropertyTest, MergerMatchesStableSortReference) {
              << "\nminimal counterexample: " << FormatTrial(minimal);
     }
   }
+  EXPECT_GT(row_merges, 0u);
+  EXPECT_GT(ragged_dim_row_merges, 0u);
+  EXPECT_GT(disagreeing_merges, 0u);
 }
 
 // The harness has teeth: each planted bug is caught within a few trials and
@@ -373,12 +475,16 @@ TEST(ChunkMergePropertyTest, PlantedBugsAreCaughtAndShrunk) {
           kind == SubjectKind::kReversedChunks ? 1u : 2u;
       EXPECT_LE(minimal.merges.size(), max_merges)
           << "shrink left a large witness: " << FormatTrial(minimal);
-      std::size_t entries = 0;
+      // Rows are what the shrinker removes (an Add-built chunk's are its
+      // entries).
+      std::size_t rows = 0;
       for (const MergeCase& merge : minimal.merges) {
-        for (const Chunk& chunk : merge.chunks) entries += chunk.values.size();
+        for (const Chunk& chunk : merge.chunks) {
+          rows += chunk.values.size() / RowWidth(chunk);
+        }
       }
       if (!minimal.merges.front().dense) {
-        EXPECT_LE(entries, 4u)
+        EXPECT_LE(rows, 4u)
             << "shrink left a large witness: " << FormatTrial(minimal);
       }
     }

@@ -111,9 +111,38 @@ TEST(SgdApplierTest, SparseSpanOverloadMatchesSparseUpdate) {
   std::vector<double> b = a;
   EXPECT_EQ(applier.ApplySparseSlice(g.sparse(), 0, 1, a), 3u);
   EXPECT_EQ(applier.ApplySparseSlice(g.sparse().indices(),
-                                     g.sparse().values(), 0, 1, b),
+                                     g.sparse().values(), 1, 0, 1, b),
             3u);
   EXPECT_EQ(a, b);
+}
+
+// Rows of 3 apply exactly as their entries one by one, clipped: one range
+// check per row, the same per-element step. A row that crosses the slice's
+// edge is an error, never a silent drop.
+TEST(SgdApplierTest, RowApplyMatchesEntryApplyWithClip) {
+  auto schedule = std::make_shared<ConstantSchedule>(0.3);
+  SgdApplier applier(schedule, SgdConfig{.clip = 1.5});
+  // Rows at 0, 3 and 9; the slice [3, 9) holds only the middle one.
+  const std::vector<std::uint64_t> indices{0, 1, 2, 3, 4, 5, 9, 10, 11};
+  const std::vector<double> values{0.1, -4.0, 2.0, 1.7, -0.7, -1.6,
+                                   3.0, 0.2, -9.0};
+  std::vector<double> rows(6, 1.0 / 3.0);
+  std::vector<double> entries = rows;
+  EXPECT_EQ(applier.ApplySparseSlice(indices, values, 3, 0, 3, rows), 3u);
+  EXPECT_EQ(applier.ApplySparseSlice(indices, values, 1, 0, 3, entries), 3u);
+  EXPECT_EQ(rows, entries);
+  EXPECT_EQ(rows[0], 1.0 / 3.0 - 0.3 * 1.5);
+  EXPECT_EQ(rows[1], 1.0 / 3.0 - 0.3 * -0.7);
+  EXPECT_EQ(rows[2], 1.0 / 3.0 - 0.3 * -1.5);
+  EXPECT_EQ(rows[3], 1.0 / 3.0);
+
+  std::vector<double> cut(4, 0.0);  // [4, 8) cuts the row at 3
+  EXPECT_THROW(applier.ApplySparseSlice(indices, values, 3, 0, 4, cut),
+               CheckError);
+  const std::span<const std::uint64_t> ragged(indices.data(), 8);
+  EXPECT_THROW(applier.ApplySparseSlice(
+                   ragged, std::span(values).first(8), 3, 0, 3, rows),
+               CheckError);
 }
 
 TEST(SgdApplierTest, SparseSpanOverloadRejectsUnpairedEntries) {
@@ -122,7 +151,7 @@ TEST(SgdApplierTest, SparseSpanOverloadRejectsUnpairedEntries) {
   const std::vector<std::uint64_t> indices{0, 1};
   const std::vector<double> values{1.0};
   std::vector<double> params{0.0, 0.0};
-  EXPECT_THROW(applier.ApplySparseSlice(indices, values, 0, 0, params),
+  EXPECT_THROW(applier.ApplySparseSlice(indices, values, 1, 0, 0, params),
                CheckError);
   EXPECT_EQ(params, (std::vector<double>{0.0, 0.0}));
 }

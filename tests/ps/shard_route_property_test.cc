@@ -5,14 +5,20 @@
 // over its entries. Each trial draws a layout — an Even split or an explicit
 // FromLengths slice list with zero-length shards, one shard sometimes — and a
 // strictly increasing index set: empty, or mixing random indices with
-// offset(s) - 1 and offset(s) at shard boundaries and dim - 1. Three checks:
+// offset(s) - 1 and offset(s) at shard boundaries and dim - 1. Four checks:
 //
 //   1. the routes equal the per-index ShardOf reference in
 //      tests/support/shard_routes.h, shards, bytes and [begin, end) alike;
 //   2. the same entries added in a shuffled order, some of them twice, route
 //      as the reference says before Coalesce and identically to check 1
 //      after it;
-//   3. the set with dim appended throws CheckError.
+//   3. the set with dim appended throws CheckError;
+//   4. the rows of a drawn width (1-8) that hold those indices, emitted
+//      whole through AssignOccupied and pushed through PushRoute over the
+//      layout (row by row where a route is aligned; a boundary that cuts a
+//      row, or a zero-length shard, falls back to entries), leave a store
+//      bit-identical to the same entries applied one by one through
+//      PushShardSparse, shard versions included, with and without clipping.
 //
 // On failure the harness shrinks the trial (greedy ddmin over the index set,
 // then over the layout's shards) and prints it.
@@ -22,6 +28,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -34,9 +42,13 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "models/model.h"
+#include "optim/lr_schedule.h"
+#include "optim/sgd.h"
+#include "ps/param_store.h"
 #include "ps/shard_layout.h"
 #include "support/property.h"
 #include "support/shard_routes.h"
+#include "tensor/occupancy_bitmap.h"
 
 namespace specsync {
 namespace {
@@ -50,6 +62,8 @@ struct Trial {
   std::vector<std::size_t> lengths;  // never empty; total > 0
   std::vector<std::uint64_t> indices;  // strictly increasing, < dim
   std::uint64_t shuffle_seed = 0;      // check 2's order and duplicates
+  std::size_t width = 1;               // check 4's row width
+  bool clip = false;                   // check 4 clips the gradient
 };
 
 std::size_t Dim(const Trial& t) {
@@ -95,7 +109,20 @@ Trial GenerateTrial(std::uint64_t seed) {
   }
   t.indices.assign(set.begin(), set.end());
   t.shuffle_seed = rng.engine()();
+  t.width = 1 + rng.Index(8);
+  t.clip = rng.Index(4) == 0;
   return t;
+}
+
+// Check 4's rows: every row of t.width that holds one of t.indices and lies
+// wholly below dim, ascending.
+std::vector<std::size_t> RowsOf(const Trial& t) {
+  std::set<std::size_t> rows;
+  for (const std::uint64_t index : t.indices) {
+    const std::size_t row = index / t.width;
+    if ((row + 1) * t.width <= Dim(t)) rows.insert(row);
+  }
+  return {rows.begin(), rows.end()};
 }
 
 std::string FormatTrial(const Trial& t) {
@@ -108,7 +135,8 @@ std::string FormatTrial(const Trial& t) {
   for (std::size_t i = 0; i < t.indices.size(); ++i) {
     out << (i > 0 ? "," : "") << t.indices[i];
   }
-  out << "} shuffle_seed " << t.shuffle_seed;
+  out << "} shuffle_seed " << t.shuffle_seed << " width " << t.width
+      << (t.clip ? " clipped" : "");
   return out.str();
 }
 
@@ -138,7 +166,7 @@ Gradient SparseOf(const std::vector<std::uint64_t>& indices) {
   return g;
 }
 
-// Runs the three checks; returns the first failure, if any.
+// The four checks; returns the first failure, if any.
 std::optional<std::string> RunTrial(const Trial& t) {
   const ShardLayout layout = MakeLayout(t);
   // One routes vector across the checks: stale contents must be cleared.
@@ -186,6 +214,53 @@ std::optional<std::string> RunTrial(const Trial& t) {
     return "a set ending at dim routed" + FormatRoutes(routes);
   } catch (const CheckError&) {
   }
+
+  // 4. Whole rows through PushRoute, against their entries one by one.
+  const std::size_t dim = layout.dim();
+  std::vector<double> acc(dim);
+  OccupancyBitmap occupied;
+  occupied.Reserve(dim);
+  for (const std::size_t row : RowsOf(t)) {
+    occupied.Set(row);
+    for (std::size_t i = row * t.width; i < (row + 1) * t.width; ++i) {
+      acc[i] = (static_cast<double>(i % 11) - 5.0) / 3.0;  // some past clip
+    }
+  }
+  Gradient rows = Gradient::Sparse();
+  rows.sparse().AssignOccupied(occupied, acc, t.width);
+  auto applier = std::make_shared<SgdApplier>(
+      std::make_shared<ConstantSchedule>(0.3),
+      SgdConfig{.clip = t.clip ? 1.0 : 0.0});
+  ParameterServer by_row(layout, applier);
+  ParameterServer by_entry(layout, applier);
+  DenseVector init(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    init[i] = 0.1 + static_cast<double>(i) / 7.0;
+  }
+  by_row.SetParams(init);
+  by_entry.SetParams(init);
+  layout.RouteInto(rows, routes);
+  by_row.Push(rows, 0, routes);
+  for (std::size_t s = 0; s < layout.num_shards(); ++s) {
+    by_entry.PushShardSparse(s, rows.sparse().indices(),
+                             rows.sparse().values(), 0);
+  }
+  by_entry.CommitPush();
+  const DenseVector row_params = by_row.Pull().params;
+  const DenseVector entry_params = by_entry.Pull().params;
+  for (std::size_t i = 0; i < dim; ++i) {
+    if (std::memcmp(&row_params[i], &entry_params[i], sizeof(double)) != 0) {
+      return "row push differs at index " + std::to_string(i) + ", routes" +
+             FormatRoutes(routes);
+    }
+  }
+  for (std::size_t s = 0; s < layout.num_shards(); ++s) {
+    if (by_row.shard(s).version != by_entry.shard(s).version) {
+      return "row push left shard " + std::to_string(s) + " at version " +
+             std::to_string(by_row.shard(s).version) + ", want " +
+             std::to_string(by_entry.shard(s).version);
+    }
+  }
   return std::nullopt;
 }
 
@@ -225,6 +300,7 @@ TEST(ShardRoutePropertyTest, SortedRoutesMatchPerIndexReference) {
   std::size_t one_shard_layouts = 0;
   std::size_t last_index_sets = 0;
   std::size_t boundary_pairs = 0;  // offset(s) - 1 and offset(s), s > 0
+  std::size_t cut_rows = 0;        // check 4 rows a boundary cuts
   for (std::uint64_t i = 0; i < kTrials; ++i) {
     const Trial trial = GenerateTrial(base + i);
     if (const auto failure = RunTrial(trial)) {
@@ -242,9 +318,13 @@ TEST(ShardRoutePropertyTest, SortedRoutesMatchPerIndexReference) {
         std::count(trial.lengths.begin(), trial.lengths.end(), 0u) > 0;
     one_shard_layouts += trial.lengths.size() == 1;
     last_index_sets += set.contains(layout.dim() - 1);
+    const std::vector<std::size_t> rows = RowsOf(trial);
     for (std::size_t s = 1; s < layout.num_shards(); ++s) {
       const std::size_t offset = layout.offset(s);
       boundary_pairs += set.contains(offset - 1) && set.contains(offset);
+      cut_rows += offset % trial.width != 0 &&
+                  std::binary_search(rows.begin(), rows.end(),
+                                     offset / trial.width);
     }
   }
   EXPECT_GT(empty_sets, 0u);
@@ -252,6 +332,7 @@ TEST(ShardRoutePropertyTest, SortedRoutesMatchPerIndexReference) {
   EXPECT_GT(one_shard_layouts, 0u);
   EXPECT_GT(last_index_sets, 0u);
   EXPECT_GT(boundary_pairs, 0u);
+  EXPECT_GT(cut_rows, 0u);
 }
 
 }  // namespace

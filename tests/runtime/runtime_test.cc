@@ -297,13 +297,14 @@ std::size_t ThreadCount() {
 }
 
 // Forwards to a real model and records every gradient call: when it
-// started (obs::WallNanos), and the process's thread count as the calling
-// worker sees it.
+// started (obs::WallNanos), the process's thread count as the calling
+// worker sees it, and the chunk's size.
 class WatchedModel final : public Model {
  public:
   struct Call {
     std::uint64_t start_ns;
     std::size_t threads;
+    std::size_t batch;
   };
 
   explicit WatchedModel(std::shared_ptr<const Model> inner)
@@ -318,7 +319,7 @@ class WatchedModel final : public Model {
   double LossAndGradient(std::span<const double> params,
                          std::span<const std::size_t> batch,
                          Gradient& grad) const override {
-    const Call call{obs::WallNanos(), ThreadCount()};
+    const Call call{obs::WallNanos(), ThreadCount(), batch.size()};
     {
       std::scoped_lock lock(mutex_);
       calls_.push_back(call);
@@ -355,6 +356,30 @@ std::vector<obs::TraceEvent> SpansNamed(const obs::ObsContext& obs,
     if (e.name == name && e.track == track) spans.push_back(e);
   }
   return spans;
+}
+
+TEST(RuntimeClusterTest, CutsExactlyComputeChunksChunks) {
+  // Batch 10 in 4 chunks is 3, 3, 2 and 2 ratings, not five chunks of 2.
+  RuntimeConfig config;
+  config.num_workers = 1;
+  config.iterations_per_worker = 5;
+  config.batch_size = 10;
+  config.compute_chunks = 4;
+  auto model = std::make_shared<WatchedModel>(TinyModel(12));
+  RuntimeCluster cluster(model, std::make_shared<ConstantSchedule>(0.1),
+                         config);
+  const RuntimeResult result = cluster.Run();
+  EXPECT_EQ(result.total_pushes, 5u);
+  EXPECT_EQ(result.total_aborts, 0u);
+  const std::vector<WatchedModel::Call> calls = model->calls();
+  ASSERT_EQ(calls.size(), 4 * result.total_pushes);
+  for (std::size_t i = 0; i < calls.size(); i += 4) {
+    std::vector<std::size_t> sizes;
+    for (std::size_t c = i; c < i + 4; ++c) sizes.push_back(calls[c].batch);
+    std::sort(sizes.begin(), sizes.end());
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2, 3, 3}))
+        << "iteration " << i / 4;
+  }
 }
 
 TEST(RuntimeControlPlaneTest, SpeculativeRunStartsOnlyWorkerThreads) {

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -377,6 +378,65 @@ TEST(OccupancyDrainTest, EmptyBitmapGivesEmptySortedUpdate) {
     EXPECT_TRUE(update.empty());
     EXPECT_TRUE(update.strictly_increasing());
   }
+}
+
+// The row width is what AssignOccupied promised: Add, Clear and a Coalesce
+// that rebuilds reset it to 1; a copy, a move, a sorted Coalesce and value
+// rewrites keep it.
+TEST(OccupancyDrainTest, BlockWidthTracksItsProducer) {
+  constexpr std::size_t kWidth = 3;
+  std::vector<double> acc(10 * kWidth);
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = 0.5 + i;
+  OccupancyBitmap occupied;
+  occupied.Reserve(10);
+  const auto rows = [&](std::initializer_list<std::size_t> slots) {
+    for (const std::size_t s : slots) occupied.Set(s);
+    SparseUpdate update;
+    EXPECT_EQ(update.block_width(), 1u);
+    update.AssignOccupied(occupied, acc, kWidth);
+    return update;
+  };
+
+  SparseUpdate update = rows({7, 2});
+  EXPECT_EQ(update.block_width(), kWidth);
+  EXPECT_EQ(update.nnz(), 2 * kWidth);
+  EXPECT_EQ(update.indices().front(), 2 * kWidth);
+  // Copies, moves, a canonical Coalesce and value rewrites keep it.
+  SparseUpdate copy = update;
+  EXPECT_EQ(copy.block_width(), kWidth);
+  SparseUpdate moved = std::move(copy);
+  EXPECT_EQ(moved.block_width(), kWidth);
+  moved.Coalesce();
+  moved.ScaleValues(-2.0);
+  moved.mutable_values()[0] = 1.0;
+  EXPECT_EQ(moved.block_width(), kWidth);
+  // An empty drain still records the width it was asked for.
+  SparseUpdate empty = rows({});
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.block_width(), kWidth);
+
+  // Add resets it, even in index order: one entry breaks a row.
+  SparseUpdate added = update;
+  added.Add(100, 1.0);
+  EXPECT_TRUE(added.strictly_increasing());
+  EXPECT_EQ(added.block_width(), 1u);
+  // Clear resets it.
+  SparseUpdate cleared = update;
+  cleared.Clear();
+  EXPECT_EQ(cleared.block_width(), 1u);
+  // A later drain into a reset update sets it again.
+  cleared.AssignOccupied(occupied, acc, 2);
+  EXPECT_EQ(cleared.block_width(), 2u);
+  // Only Add makes an update unsorted, so a Coalesce that rebuilds one
+  // starts from width 1 and must leave it there.
+  SparseUpdate unsorted = rows({4});
+  EXPECT_EQ(unsorted.block_width(), kWidth);
+  unsorted.Add(0, 1.0);
+  unsorted.Coalesce();
+  EXPECT_TRUE(unsorted.strictly_increasing());
+  EXPECT_EQ(unsorted.block_width(), 1u);
+
+  EXPECT_THROW(update.AssignOccupied(occupied, acc, 0), CheckError);
 }
 
 // --- nn_ops ------------------------------------------------------------------
