@@ -9,6 +9,18 @@
 
 namespace specsync {
 
+namespace {
+
+// History retention multiple, in units of the longest span estimate.
+constexpr double kHistoryHorizonSpans = 50.0;
+// A check timer firing later than its armed deadline plus this slack is
+// counted as late. Both engines fire every check as of its deadline (a
+// runtime worker at its first poll point after it), so only a delayed timer
+// counts. The window is always clamped to the armed deadline.
+constexpr Duration kLateCheckSlack = Duration::Milliseconds(10.0);
+
+}  // namespace
+
 SpecSyncScheduler::SpecSyncScheduler(SchedulerConfig config,
                                      std::unique_ptr<SpeculationPolicy> policy)
     : config_(std::move(config)),
@@ -26,7 +38,6 @@ SpecSyncScheduler::SpecSyncScheduler(SchedulerConfig config,
   SPECSYNC_CHECK(config_.span_ewma_alpha > 0.0 &&
                  config_.span_ewma_alpha <= 1.0);
   SPECSYNC_CHECK_GT(config_.default_span.seconds(), 0.0);
-  SPECSYNC_CHECK_GE(config_.late_check_slack.seconds(), 0.0);
 }
 
 void SpecSyncScheduler::AttachObservability(obs::ObsContext* obs,
@@ -129,7 +140,7 @@ bool SpecSyncScheduler::HandleCheckTimer(WorkerId worker, std::uint64_t token,
   SimTime window_end = now;
   if (now > check.deadline) {
     window_end = check.deadline;
-    if (now - check.deadline > config_.late_check_slack) {
+    if (now - check.deadline > kLateCheckSlack) {
       ++stats_.late_checks;
       late = true;
     }
@@ -246,7 +257,7 @@ void SpecSyncScheduler::MaybeFinishEpoch(SimTime now) {
   // Bound ledger growth: keep a generous multiple of the slowest worker.
   const Duration max_span =
       *std::max_element(spans_.begin(), spans_.end());
-  history_.Trim(now, max_span * config_.history_horizon_spans);
+  history_.Trim(now, max_span * kHistoryHorizonSpans);
 }
 
 TuningInputs SpecSyncScheduler::BuildTuningInputs(SimTime epoch_end) const {

@@ -38,13 +38,6 @@ struct SchedulerConfig {
   double span_ewma_alpha = 0.5;
   // Fallback iteration span until a worker has two pushes.
   Duration default_span = Duration::Seconds(1.0);
-  // History retention multiple (in units of the longest span estimate).
-  double history_horizon_spans = 50.0;
-  // A check timer firing later than its armed deadline plus this slack is
-  // counted as late. Both engines fire every check as of its deadline (a
-  // runtime worker at its first poll point after it), so only a delayed
-  // timer counts. The window is always clamped to the armed deadline.
-  Duration late_check_slack = Duration::Milliseconds(10.0);
 };
 
 struct SchedulerStats {
@@ -55,7 +48,7 @@ struct SchedulerStats {
   std::uint64_t retunes = 0;
   // Fault tolerance: notifies recognized as replayed/reordered and ignored.
   std::uint64_t duplicate_notifies = 0;
-  // Check timers that fired past their armed deadline (plus slack).
+  // Check timers that fired more than 10 ms past their armed deadline.
   std::uint64_t late_checks = 0;
   // Epochs that could finish only because departed workers were excused.
   std::uint64_t lost_worker_epochs_unblocked = 0;

@@ -65,7 +65,7 @@ bool EventLoopServer::Start() {
   std::scoped_lock lock(lifecycle_mutex_);
   SPECSYNC_CHECK(!started_);
   listener_ = TcpListener::Bind(config_.bind);
-  if (listener_ == nullptr || !listener_->SetNonBlocking()) {
+  if (listener_ == nullptr) {
     SPECSYNC_LOG(kWarning) << "EventLoopServer: cannot bind "
                           << ToString(config_.bind);
     listener_.reset();

@@ -62,10 +62,7 @@ WireMessage RequestExecutor::Execute(const WireMessage& request,
   const std::uint64_t end_ns = obs::WallNanos();
   const char* name = "serve.reject";
   std::uint32_t shard = 0;
-  if (const auto* pull = std::get_if<PullShardReq>(&request)) {
-    name = "serve.pull";
-    shard = pull->shard;
-  } else if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
+  if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
     name = "serve.pull";
     if (!batch->entries.empty()) shard = batch->entries.front().shard;
   } else if (const auto* push = std::get_if<CommitPushReq>(&request)) {
@@ -91,13 +88,10 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
   if (service_delay_.count() > 0) {
     std::this_thread::sleep_for(service_delay_);
   }
-  if (const auto* pull = std::get_if<PullShardReq>(&request)) {
-    if (!ServesShard(pull->shard)) return Reject(kAckBadShard, pull->shard);
-    obs::ScopedTimer timer(pull_hist_);
-    return PullItem(pull->shard);
-  }
   if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
-    if (auto rejected = ValidatePull(*batch)) return *rejected;
+    if (auto rejected = ValidatePull(*batch, /*fused=*/false)) {
+      return *rejected;
+    }
     return ServePull(*batch);
   }
   if (const auto* push = std::get_if<CommitPushReq>(&request)) {
@@ -108,7 +102,8 @@ WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
     return ExecutePushPull(*fused);
   }
   // A response type arriving at the server is a confused peer; a standalone
-  // slice is not a push (applying it would bypass the watermark).
+  // slice is not a push (applying it would bypass the watermark), and a
+  // standalone shard pull is not a batch.
   return Reject(kAckBadRequest, 0);
 }
 
@@ -118,7 +113,9 @@ WireMessage RequestExecutor::ExecutePushPull(const PushPullReq& fused) {
   // the cache) before the pull reads, so the snapshot includes it; a repeat
   // still gets a fresh pull.
   if (auto rejected = ValidatePush(fused.push)) return *rejected;
-  if (auto rejected = ValidatePull(fused.pull)) return *rejected;
+  if (auto rejected = ValidatePull(fused.pull, /*fused=*/true)) {
+    return *rejected;
+  }
   PushPullResp resp;
   resp.ack = ApplyPush(fused.push);
   resp.pull = ServePull(fused.pull);
@@ -131,11 +128,20 @@ AckResp RequestExecutor::Reject(std::uint32_t status, std::uint64_t value) {
 }
 
 std::optional<AckResp> RequestExecutor::ValidatePull(
-    const PullBatchReq& batch) {
+    const PullBatchReq& batch, bool fused) {
   // A shard this server does not own is a client routing bug, and the whole
   // batch is refused.
+  std::size_t params = 0;
   for (const PullBatchEntry& entry : batch.entries) {
     if (!ServesShard(entry.shard)) return Reject(kAckBadShard, entry.shard);
+    params += store_->layout().length(entry.shard);
+  }
+  // A shard may repeat, so a short request can ask for an answer no frame
+  // can hold. Refuse it before copying anything: EncodeFrame would throw on
+  // the loop thread.
+  if (PullAnswerPayloadBytes(batch.entries.size(), params, fused) >
+      kMaxPayloadBytes) {
+    return Reject(kAckBadRequest, 0);
   }
   return std::nullopt;
 }
@@ -151,10 +157,15 @@ PullBatchResp RequestExecutor::ServePull(const PullBatchReq& batch) {
 }
 
 PullShardResp RequestExecutor::PullItem(std::uint32_t shard) {
-  ShardPullResult result = store_->PullShard(shard);
+  PullShardResp item;
+  item.shard = shard;
+  item.offset = store_->layout().offset(shard);
+  item.params.resize(store_->layout().length(shard));
+  // The shard version under the slice's lock, then the global version.
+  item.shard_version = store_->PullShardSlice(shard, item.params);
+  item.global_version = store_->version();
   pulls_.fetch_add(1, std::memory_order_relaxed);
-  return PullShardResp{shard, result.offset, result.shard_version,
-                       result.version, std::move(result.params)};
+  return item;
 }
 
 std::optional<AckResp> RequestExecutor::ValidatePush(

@@ -7,8 +7,10 @@
 // what Execute() does.
 //
 // A composed pull is one PullBatchReq per server. The executor validates
-// every shard in it before reading any, then snapshots each shard on its
-// own (version and slice under that shard's lock).
+// every shard in it, and that the answer fits one frame, before reading
+// any, then snapshots each shard on its own (version and slice under that
+// shard's lock, through ParameterServer::PullShardSlice). A standalone
+// PullShardReq is rejected: every pull is a batch.
 //
 // Pushes are exactly-once. A push is one CommitPushReq batch per server; the
 // executor validates every slice (a dense slice must be its shard's exact
@@ -55,8 +57,7 @@ namespace specsync::net {
 // frames that never decode never reach the executor — and merged into this
 // struct by the server's stats()).
 struct ServerStats {
-  // Shard snapshots read: one per PullShardReq, one per pull batch entry
-  // (standalone or fused).
+  // Shard snapshots read: one per pull batch entry (standalone or fused).
   std::uint64_t pulls = 0;
   // Slices applied, and push batches applied + committed.
   std::uint64_t pushes = 0;
@@ -132,8 +133,8 @@ class RequestExecutor {
                   std::uint32_t span_track_base = 0);
 
   // Executes one decoded request and returns the response to send back. A
-  // response-typed message (a confused peer) and a standalone PushShardReq
-  // get a kAckBadRequest ack.
+  // response-typed message (a confused peer), a standalone PushShardReq and
+  // a standalone PullShardReq get a kAckBadRequest ack.
   // `trace` (optional) is the request frame's trace context; valid contexts
   // become serve spans when a SpanRecorder is attached.
   WireMessage Execute(const WireMessage& request,
@@ -150,8 +151,9 @@ class RequestExecutor {
   WireMessage ExecutePushPull(const PushPullReq& fused);
   // Counts a rejected request and returns its error ack.
   AckResp Reject(std::uint32_t status, std::uint64_t value);
-  // The error ack for a batch naming a shard this server does not own.
-  std::optional<AckResp> ValidatePull(const PullBatchReq& batch);
+  // The error ack for a batch naming a shard this server does not own, or
+  // whose answer (a PushPullResp when `fused`) would not fit one frame.
+  std::optional<AckResp> ValidatePull(const PullBatchReq& batch, bool fused);
   // Answers every entry of a validated batch from its own snapshot.
   PullBatchResp ServePull(const PullBatchReq& batch);
   // One shard's snapshot, version and slice read under its lock.

@@ -64,28 +64,6 @@ ShardLayout LayoutOf(const ClusterTopology& topology) {
 
 }  // namespace
 
-std::vector<std::vector<std::size_t>> PlanPullBatches(
-    const ClusterTopology& topology, std::size_t max_payload_bytes) {
-  const std::vector<std::size_t> shard_link = topology.ShardLinkIndex();
-  constexpr std::size_t kNoBatch = ~std::size_t{0};
-  // Per link, the batch still being filled; per batch, its response payload.
-  std::vector<std::size_t> open(topology.DistinctEndpoints().size(), kNoBatch);
-  std::vector<std::size_t> payload;
-  std::vector<std::vector<std::size_t>> batches;
-  for (std::size_t s = 0; s < topology.shards.size(); ++s) {
-    const std::size_t item = PullBatchFullItemBytes(topology.shards[s].length);
-    std::size_t& b = open[shard_link[s]];
-    if (b == kNoBatch || payload[b] + item > max_payload_bytes) {
-      b = batches.size();
-      batches.emplace_back();
-      payload.push_back(kPullBatchRespHeadBytes);
-    }
-    batches[b].push_back(s);
-    payload[b] += item;
-  }
-  return batches;
-}
-
 // One connection to one server endpoint.
 struct ShardClient::Link {
   Endpoint endpoint;
@@ -159,17 +137,28 @@ ShardClient::ShardClient(ShardClientConfig config, FaultPlan* faults,
       client_id_(NextProcessUniqueId()) {
   SPECSYNC_CHECK_GT(config_.max_attempts, 0u);
   shard_link_ = config_.topology.ShardLinkIndex();
-  pull_batches_ = PlanPullBatches(config_.topology);
-  // The batch a fused push frame carries: its server's first.
-  link_pull_batch_.assign(config_.topology.DistinctEndpoints().size(),
-                          pull_batches_.size());
-  for (std::size_t b = pull_batches_.size(); b-- > 0;) {
-    link_pull_batch_[shard_link_[pull_batches_[b].front()]] = b;
-  }
-  push_frames_.resize(link_pull_batch_.size());
-  link_slices_.resize(link_pull_batch_.size());
   for (const Endpoint& endpoint : config_.topology.DistinctEndpoints()) {
     links_.emplace_back().endpoint = endpoint;
+  }
+  push_frames_.resize(links_.size());
+  link_slices_.resize(links_.size());
+  // Each link's pull batch names its shards in shard order, and its answer
+  // must fit one frame: a fused one, the largest a link is ever sent.
+  pull_frames_.resize(links_.size());
+  std::vector<std::size_t> link_params(links_.size(), 0);
+  for (std::size_t s = 0; s < num_shards(); ++s) {
+    const std::size_t l = shard_link_[s];
+    Reuse<PullBatchReq>(pull_frames_[l]).entries.push_back(
+        {static_cast<std::uint32_t>(s)});
+    link_params[l] += layout_.length(s);
+  }
+  for (std::size_t l = 0; l < links_.size(); ++l) {
+    const std::size_t bytes = PullAnswerPayloadBytes(
+        LinkPull(l).entries.size(), link_params[l], /*fused=*/true);
+    SPECSYNC_CHECK(bytes <= kMaxPayloadBytes)
+        << "a full pull from " << ToString(links_[l].endpoint) << " answers "
+        << bytes << " payload bytes, over the " << kMaxPayloadBytes
+        << "-byte frame cap";
   }
   if (metrics != nullptr) {
     rtt_hist_ = &metrics->histogram("net.rtt_s");
@@ -431,30 +420,10 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   tickets_.clear();
   if (grad != nullptr) BuildPushFrames(*grad, epoch, /*fused=*/pull != nullptr);
 
-  // The pull batches: a fused push frame carries its server's first batch;
-  // every other batch is a plain PullBatchReq.
-  std::size_t plain = 0;
-  plain_batches_.clear();
-  if (pull != nullptr) {
-    std::vector<bool> fused(pull_batches_.size(), false);
-    if (grad != nullptr) {
-      for (const std::size_t l : push_links_) {
-        const std::size_t b = link_pull_batch_[l];
-        FillPullBatch(b, std::get<PushPullReq>(push_frames_[l]).pull);
-        fused[b] = true;
-      }
-    }
-    for (std::size_t b = 0; b < pull_batches_.size(); ++b) {
-      if (fused[b]) continue;
-      if (plain == pull_frames_.size()) pull_frames_.emplace_back();
-      FillPullBatch(b, Reuse<PullBatchReq>(pull_frames_[plain++]));
-      plain_batches_.push_back(b);
-    }
-  }
-
   // Send every frame before reading any reply: they ride their links
   // back-to-back, so the exchange costs ~one round trip and one frame per
-  // server, whatever the shard count.
+  // server, whatever the shard count. A fused push frame carries its link's
+  // pull batch; every other link gets its plain PullBatchReq.
   const std::size_t push_count = grad != nullptr ? push_links_.size() : 0;
   for (std::size_t i = 0; i < push_count; ++i) {
     const WireMessage& frame = push_frames_[push_links_[i]];
@@ -463,8 +432,12 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
                         : std::get<CommitPushReq>(frame);
     AddTicket(batch.slices.front().shard, &frame);
   }
-  for (std::size_t i = 0; i < plain; ++i) {
-    AddTicket(pull_batches_[plain_batches_[i]].front(), &pull_frames_[i]);
+  if (pull != nullptr) {
+    for (std::size_t l = 0; l < links_.size(); ++l) {
+      // link_slices_ is nonzero on exactly the links this push touched.
+      if (grad != nullptr && link_slices_[l] > 0) continue;
+      AddTicket(LinkPull(l).entries.front().shard, &pull_frames_[l]);
+    }
   }
   for (Ticket& ticket : tickets_) IssueUntilInFlight(ticket);
 
@@ -472,11 +445,12 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   std::uint64_t pushed = 0;
   std::uint64_t pulled = 0;
   for (std::size_t t = 0; t < tickets_.size(); ++t) {
+    const WireMessage& request = *tickets_[t].request;
     WireMessage response = Await(tickets_[t]);
     if (t >= push_count) {
       const auto* batch = std::get_if<PullBatchResp>(&response);
       SPECSYNC_CHECK(batch != nullptr);
-      pulled = std::max(pulled, ComposeBatch(plain_batches_[t - push_count],
+      pulled = std::max(pulled, ComposeBatch(std::get<PullBatchReq>(request),
                                              *batch, pull->params));
     } else if (pull == nullptr) {
       const auto* ack = std::get_if<AckResp>(&response);
@@ -486,8 +460,9 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
       const auto* fused = std::get_if<PushPullResp>(&response);
       SPECSYNC_CHECK(fused != nullptr);
       pushed = std::max(pushed, fused->ack.value);
-      pulled = std::max(pulled, ComposeBatch(link_pull_batch_[push_links_[t]],
-                                             fused->pull, pull->params));
+      pulled = std::max(pulled,
+                        ComposeBatch(std::get<PushPullReq>(request).pull,
+                                     fused->pull, pull->params));
     }
   }
   if (pull != nullptr) pull->version = pulled;
@@ -495,22 +470,17 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   return pushed;
 }
 
-void ShardClient::FillPullBatch(std::size_t b, PullBatchReq& batch) const {
-  const std::vector<std::size_t>& shards = pull_batches_[b];
-  batch.entries.resize(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    batch.entries[i].shard = static_cast<std::uint32_t>(shards[i]);
-  }
+const PullBatchReq& ShardClient::LinkPull(std::size_t link) const {
+  return std::get<PullBatchReq>(pull_frames_[link]);
 }
 
-std::uint64_t ShardClient::ComposeBatch(std::size_t b,
+std::uint64_t ShardClient::ComposeBatch(const PullBatchReq& request,
                                         const PullBatchResp& batch,
                                         std::vector<double>& params) const {
-  const std::vector<std::size_t>& shards = pull_batches_[b];
-  SPECSYNC_CHECK_EQ(batch.items.size(), shards.size());
+  SPECSYNC_CHECK_EQ(batch.items.size(), request.entries.size());
   std::uint64_t version = 0;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const std::size_t s = shards[i];
+  for (std::size_t i = 0; i < request.entries.size(); ++i) {
+    const std::size_t s = request.entries[i].shard;
     const PullShardResp& item = batch.items[i];
     SPECSYNC_CHECK_EQ(item.shard, s);
     SPECSYNC_CHECK_EQ(item.offset, layout_.offset(s));
@@ -539,12 +509,15 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
     if (link_slices_[l]++ == 0) push_links_.push_back(l);
   }
   for (const std::size_t l : push_links_) {
-    CommitPushReq& batch = fused ? Reuse<PushPullReq>(push_frames_[l]).push
-                                 : Reuse<CommitPushReq>(push_frames_[l]);
+    WireMessage& frame = push_frames_[l];
+    CommitPushReq& batch = fused ? Reuse<PushPullReq>(frame).push
+                                 : Reuse<CommitPushReq>(frame);
     batch.client_id = client_id_;
     batch.push_seq = push_seq;
     batch.slices.resize(link_slices_[l]);
     link_slices_[l] = 0;  // now the fill position below
+    // A fused frame carries its link's pull batch.
+    if (fused) std::get<PushPullReq>(frame).pull.entries = LinkPull(l).entries;
   }
   for (const ShardRoute& route : push_routes_) {
     const std::size_t s = route.shard;

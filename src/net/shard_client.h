@@ -1,17 +1,19 @@
 // ShardClient: the worker side of the tcp transport (wire v2).
 //
 // One connection per distinct server endpoint — not per shard. All shards a
-// server owns share that server's link. Pull() sends one PullBatchReq per
-// server, naming every shard that server owns (split further only if one
-// response would outgrow the frame cap; see PlanPullBatches), and composes
-// the answers: one round trip and one frame per server. Push() groups the
-// per-shard slices by link and sends one CommitPushReq batch per server
-// touched, which each server applies and commits exactly once. PushAndPull()
-// is one round trip per iteration: each server the push touches gets one
-// PushPullReq carrying its push batch and its (first) pull batch, applied
-// and then served in that order, so the snapshot includes the push; any
-// other pull batch rides as a plain PullBatchReq alongside. All three share
-// one routing, batch-building and composing path.
+// server owns share that server's link, and one pull batch: a PullBatchReq
+// naming the link's shards in shard order, built once. Pull() sends each
+// link its batch and composes the answers: one round trip and one frame per
+// server. Push() groups the per-shard slices by link and sends one
+// CommitPushReq batch per server touched, which each server applies and
+// commits exactly once. PushAndPull() is one round trip per iteration: each
+// server the push touches gets one PushPullReq carrying its push batch and
+// its pull batch, applied and then served in that order, so the snapshot
+// includes the push; every other link gets its plain PullBatchReq
+// alongside. All three share one routing, batch-building and composing
+// path. The constructor refuses (CheckError, naming the endpoint and the
+// byte count) a topology where one link's full answer would not fit one
+// frame (PullAnswerPayloadBytes).
 //
 // The calling thread does its own receive. An exchange first sends every
 // frame, then reads the replies itself from each link's blocking socket, in
@@ -88,16 +90,6 @@ struct ShardClientConfig {
   std::uint32_t trace_track = 0;
 };
 
-// Groups the topology's shards into pull batches: each link's shards in
-// shard order, in as few batches as keep every full PullBatchResp payload
-// within `max_payload_bytes` (one batch per link unless the link's shards
-// would overflow it). A shard too large for the cap on its own gets a
-// batch of its own, which the server refuses to encode — as it would a
-// standalone PullShardResp of that size. Batches are ordered by first shard.
-std::vector<std::vector<std::size_t>> PlanPullBatches(
-    const ClusterTopology& topology,
-    std::size_t max_payload_bytes = kMaxPayloadBytes);
-
 class ShardClient {
  public:
   // `faults` (optional, not owned) injects data-link faults per attempt.
@@ -124,11 +116,11 @@ class ShardClient {
   // endpoint stays unreachable.
   bool Connect();
 
-  // Composed full-vector snapshot: one PullBatchReq per server (see
-  // PlanPullBatches), all sent before any reply is read, each shard checked
-  // against the topology. Like the in-process store's composed Pull, the
-  // cross-shard snapshot may be torn under concurrent pushes; `version` is
-  // the largest global version any shard reported.
+  // Composed full-vector snapshot: one PullBatchReq per server, all sent
+  // before any reply is read, each shard checked against the topology. Like
+  // the in-process store's composed Pull, the cross-shard snapshot may be
+  // torn under concurrent pushes; `version` is the largest global version
+  // any shard reported.
   PullResult Pull();
 
   // Routes `grad` to its owning shards (ShardLayout::RouteInto, as the
@@ -138,10 +130,10 @@ class ShardClient {
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
   // Push() and the next Pull() in one round trip: one PushPullReq per
-  // server the push touches (its push batch plus its first pull batch) and
-  // a plain PullBatchReq for every other pull batch. Each server serves
-  // the pull after applying the push, so `pull` includes this push (a
-  // retried frame still applies once, and gets a fresh pull).
+  // server the push touches (its push batch plus its pull batch) and a
+  // plain PullBatchReq to every other server. Each server serves the pull
+  // after applying the push, so `pull` includes this push (a retried frame
+  // still applies once, and gets a fresh pull).
   struct PushPullResult {
     std::uint64_t version = 0;  // as Push() returns it
     PullResult pull;            // as Pull() returns it
@@ -203,15 +195,16 @@ class ShardClient {
   // push).
   std::uint64_t Exchange(const Gradient* grad, EpochId epoch,
                          PullResult* pull);
-  // Routes `grad` into push_frames_ (PushPullReq frames when `fused`, else
-  // CommitPushReq) under a fresh push_seq and lists the links it touches in
-  // push_links_.
+  // Routes `grad` into push_frames_ (PushPullReq frames carrying their
+  // link's pull batch when `fused`, else CommitPushReq) under a fresh
+  // push_seq and lists the links it touches in push_links_.
   void BuildPushFrames(const Gradient& grad, EpochId epoch, bool fused);
-  // Writes pull batch `b`'s entries into `batch`.
-  void FillPullBatch(std::size_t b, PullBatchReq& batch) const;
-  // Checks pull batch `b`'s answer against the topology, composes it into
+  // Link `link`'s pull batch: its shards, in shard order.
+  const PullBatchReq& LinkPull(std::size_t link) const;
+  // Checks the answer to `request` against the topology, composes it into
   // `params`, and returns the largest global version its items reported.
-  std::uint64_t ComposeBatch(std::size_t b, const PullBatchResp& batch,
+  std::uint64_t ComposeBatch(const PullBatchReq& request,
+                             const PullBatchResp& batch,
                              std::vector<double>& params) const;
 
   ShardClientConfig config_;
@@ -234,20 +227,16 @@ class ShardClient {
   std::vector<ShardRoute> push_routes_;
   std::vector<std::size_t> push_links_;
   std::vector<std::size_t> link_slices_;
-  // The current exchange's plain pull frames, the batch each one carries,
-  // and its tickets (push frames first, in push_links_ order).
+  // One PullBatchReq frame per link (LinkPull), built by the constructor
+  // and never changed, and the current exchange's tickets (push frames
+  // first, in push_links_ order, then plain pulls in link order).
   std::vector<WireMessage> pull_frames_;
-  std::vector<std::size_t> plain_batches_;
   std::vector<Ticket> tickets_;
   std::vector<std::uint8_t> recv_frame_;
   // Largest global version any push batch was acked at (for diagnoses).
   std::uint64_t last_acked_version_ = 0;
   std::vector<std::size_t> shard_link_;  // shard id → links_ index
   std::vector<Link> links_;
-  // PlanPullBatches(topology): the shards of each pull batch, and per link
-  // the batch a fused push frame carries (the link's first).
-  std::vector<std::vector<std::size_t>> pull_batches_;
-  std::vector<std::size_t> link_pull_batch_;
 
   obs::LatencyHistogram* rtt_hist_ = nullptr;
   obs::Counter* retry_counter_ = nullptr;

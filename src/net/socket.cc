@@ -106,10 +106,6 @@ TcpConnection TcpConnection::Connect(const Endpoint& endpoint) {
   return TcpConnection(fd);
 }
 
-TcpConnection TcpConnection::ConnectLoopback(std::uint16_t port) {
-  return Connect(Endpoint{"127.0.0.1", port});
-}
-
 bool TcpConnection::SetNonBlocking() {
   return fd_ >= 0 && MakeNonBlocking(fd_);
 }
@@ -215,26 +211,18 @@ TcpConnection::IoStatus TcpConnection::SendSome(
   return IoStatus::kError;
 }
 
-void TcpConnection::ShutdownBoth() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
-TcpListener::TcpListener(int listen_fd, int wake_rd, int wake_wr,
-                         std::uint16_t port)
-    : listen_fd_(listen_fd), wake_rd_(wake_rd), wake_wr_(wake_wr),
-      port_(port) {}
+TcpListener::TcpListener(int listen_fd, std::uint16_t port)
+    : listen_fd_(listen_fd), port_(port) {}
 
 TcpListener::~TcpListener() {
-  Shutdown();
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
 }
 
 std::unique_ptr<TcpListener> TcpListener::Bind(const Endpoint& endpoint) {
   sockaddr_in addr;
   if (!EndpointAddr(endpoint, &addr)) return nullptr;
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) return nullptr;
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -248,40 +236,8 @@ std::unique_ptr<TcpListener> TcpListener::Bind(const Endpoint& endpoint) {
     ::close(fd);
     return nullptr;
   }
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_CLOEXEC) < 0) {
-    ::close(fd);
-    return nullptr;
-  }
-  return std::unique_ptr<TcpListener>(new TcpListener(
-      fd, pipe_fds[0], pipe_fds[1], ntohs(addr.sin_port)));
-}
-
-std::unique_ptr<TcpListener> TcpListener::BindLoopback(std::uint16_t port) {
-  return Bind(Endpoint{"127.0.0.1", port});
-}
-
-bool TcpListener::SetNonBlocking() {
-  return listen_fd_ >= 0 && MakeNonBlocking(listen_fd_);
-}
-
-TcpConnection TcpListener::Accept() {
-  for (;;) {
-    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {wake_rd_, POLLIN, 0}};
-    const int pr = ::poll(pfds, 2, -1);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return TcpConnection();
-    }
-    if (pfds[1].revents != 0) return TcpConnection();  // shutdown requested
-    if ((pfds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (client < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return TcpConnection();
-    }
-    return TcpConnection(client);
-  }
+  return std::unique_ptr<TcpListener>(
+      new TcpListener(fd, ntohs(addr.sin_port)));
 }
 
 TcpConnection TcpListener::TryAccept() {
@@ -290,13 +246,6 @@ TcpConnection TcpListener::TryAccept() {
     if (client >= 0) return TcpConnection(client);
     if (errno == EINTR || errno == ECONNABORTED) continue;
     return TcpConnection();  // EAGAIN (no client) or a real error: none now
-  }
-}
-
-void TcpListener::Shutdown() {
-  if (wake_wr_ >= 0) {
-    const std::uint8_t byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_wr_, &byte, 1);
   }
 }
 

@@ -4,10 +4,11 @@
 // the tested default — see net/endpoint.h), blocking sockets with
 // poll()-bounded receives for the client and test-proxy paths, a small
 // non-blocking surface (TryAccept / RecvSome / SendSome) for the epoll
-// event-loop server, TCP_NODELAY on every connection (the protocol is
+// event-loop server, and TCP_NODELAY on every connection (the protocol is
 // request/response with small frames — Nagle would serialize the pipelined
-// fan-out), and a self-pipe so Accept() can be woken for shutdown without
-// racing a close().
+// fan-out). A listener only ever accepts without blocking: the event-loop
+// server polls it with the rest of its descriptors and wakes through its
+// own eventfd.
 #pragma once
 
 #include <chrono>
@@ -36,10 +37,6 @@ class TcpConnection {
   // Connects to `endpoint` ("" / "localhost" → 127.0.0.1). Invalid
   // connection on failure.
   static TcpConnection Connect(const Endpoint& endpoint);
-
-  // Connects to 127.0.0.1:port (loopback convenience, equivalent to
-  // Connect({"127.0.0.1", port})).
-  static TcpConnection ConnectLoopback(std::uint16_t port);
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
@@ -88,22 +85,16 @@ class TcpConnection {
   // without special cases.
   IoStatus SendSome(std::span<const std::uint8_t> bytes, std::size_t& n);
 
-  // Half-closes both directions, waking a peer blocked in RecvFrame.
-  void ShutdownBoth();
-
  private:
   int fd_ = -1;
 };
 
-// Listening socket with a self-pipe shutdown.
+// Non-blocking listening socket.
 class TcpListener {
  public:
-  // Binds `endpoint` and listens; port 0 picks an ephemeral port (read it
-  // back via port()). Null on failure.
+  // Binds `endpoint` and listens on a non-blocking socket; port 0 picks an
+  // ephemeral port (read it back via port()). Null on failure.
   static std::unique_ptr<TcpListener> Bind(const Endpoint& endpoint);
-
-  // Binds 127.0.0.1:port (loopback convenience).
-  static std::unique_ptr<TcpListener> BindLoopback(std::uint16_t port);
 
   ~TcpListener();
 
@@ -113,27 +104,14 @@ class TcpListener {
   std::uint16_t port() const { return port_; }
   int listen_fd() const { return listen_fd_; }
 
-  // Switches the listening socket to non-blocking mode (for TryAccept from
-  // an event loop; Accept() assumes blocking mode).
-  bool SetNonBlocking();
-
-  // Blocks until a client connects or Shutdown() is called (then returns an
-  // invalid connection, as it does on accept errors after shutdown).
-  TcpConnection Accept();
-
-  // Non-blocking accept: invalid connection when no client is waiting (or
-  // on transient accept errors). Never blocks.
+  // Accepts a waiting client as a blocking connection: invalid when no
+  // client is waiting (or on transient accept errors). Never blocks.
   TcpConnection TryAccept();
 
-  // Unblocks Accept(); idempotent and callable from any thread.
-  void Shutdown();
-
  private:
-  TcpListener(int listen_fd, int wake_rd, int wake_wr, std::uint16_t port);
+  TcpListener(int listen_fd, std::uint16_t port);
 
   int listen_fd_ = -1;
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
   std::uint16_t port_ = 0;
 };
 

@@ -178,6 +178,12 @@ std::size_t PullShardRespBytes(std::size_t params) {
   return kPullShardRespHeadBytes + 8 * params;
 }
 
+// A PullBatchResp's u32 count, and one full item: its kind byte and slice.
+constexpr std::size_t kPullBatchRespHeadBytes = 4;
+std::size_t PullBatchFullItemBytes(std::size_t params) {
+  return 1 + PullShardRespBytes(params);
+}
+
 // EncodePushShard's output size.
 std::size_t PushShardBytes(const PushShardReq& m) {
   if (m.sparse) {
@@ -322,8 +328,10 @@ std::size_t EncodedPayloadBytes(const WireMessage& message,
          (traced ? kTraceExtFrameBytes : 0);
 }
 
-std::size_t PullBatchFullItemBytes(std::size_t params) {
-  return 1 + PullShardRespBytes(params);
+std::size_t PullAnswerPayloadBytes(std::size_t items, std::size_t params,
+                                   bool fused) {
+  return (fused ? BodyBytes(AckResp{}) : 0) + kPullBatchRespHeadBytes +
+         items * PullBatchFullItemBytes(0) + 8 * params;
 }
 
 std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,

@@ -1,7 +1,7 @@
 // Wire format for the parameter-server shard protocol.
 //
-// The sharded store's seam (PullShard / PushShard / CommitPush) becomes a
-// real protocol here: length-prefixed binary framing with fixed-width
+// The sharded store's seam (PullShardSlice / PushShard* / CommitPush)
+// becomes a real protocol here: length-prefixed binary framing with fixed-width
 // little-endian fields, so a shard server on one machine and a ShardClient on
 // another agree on bytes, not on C++ object layout.
 //
@@ -30,9 +30,12 @@
 //
 // Payloads (all integers little-endian, doubles as IEEE-754 bit patterns in
 // little-endian u64):
-//   PullShardReq   u32 shard
+//   PullShardReq   u32 shard. Encodes and decodes, but servers answer it
+//                  standalone with kAckBadRequest: every pull travels in a
+//                  PullBatchReq.
 //   PullShardResp  u32 shard, u64 offset, u64 shard_version,
-//                  u64 global_version, u64 count, f64[count]
+//                  u64 global_version, u64 count, f64[count]  (the item of
+//                  a PullBatchResp; no server sends one alone)
 //   PushShardReq   one slice (servers answer it standalone with
 //                  kAckBadRequest; it travels inside CommitPushReq):
 //                  u32 shard, u64 epoch, u8 kind (0 dense, 1 sparse);
@@ -55,7 +58,8 @@
 //                  One composed pull to one server. The reserved slot is
 //                  always ~0; any other value is kMalformed (it was the
 //                  cached version of a delta pull). The server validates
-//                  every shard before reading any.
+//                  every shard, and that the answer fits one frame
+//                  (PullAnswerPayloadBytes), before reading any.
 //   PullBatchResp  u32 count, count x (u8 kind, slice), in request order.
 //                  The kind is always 0 and the slice byte-identical to a
 //                  standalone PullShardResp payload; other kinds are
@@ -190,8 +194,9 @@ struct CommitPushReq {
 
 // Response to CommitPushReq (value = the global version the push committed
 // at, also for a duplicate answered from the server's cache), and the error
-// reply to any request the server cannot serve (a standalone PushShardReq is
-// one: a slice outside a batch is not a push).
+// reply to any request the server cannot serve (a standalone PushShardReq or
+// PullShardReq is one: a slice outside a batch is not a push, and every pull
+// is a batch).
 struct AckResp {
   std::uint32_t status = kAckOk;
   std::uint64_t value = 0;
@@ -258,11 +263,14 @@ struct FrameHeader {
 std::size_t EncodedPayloadBytes(const WireMessage& message,
                                 const TraceContext* trace = nullptr);
 
-// What a PullBatchResp payload spends before its items (the u32 count), and
-// on one item of `params` doubles: enough for a client to keep each batch's
-// response under kMaxPayloadBytes before sending it.
-inline constexpr std::size_t kPullBatchRespHeadBytes = 4;
-std::size_t PullBatchFullItemBytes(std::size_t params);
+// The payload bytes of the answer to a pull of `items` full shards holding
+// `params` doubles between them: a PullBatchResp, or with `fused` a
+// PushPullResp (the same behind its AckResp). The one bound both ends apply:
+// a ShardClient refuses a topology where a link's answer would exceed
+// kMaxPayloadBytes, and a server refuses such a batch with kAckBadRequest,
+// so neither ever asks EncodeFrame for a frame it must refuse.
+std::size_t PullAnswerPayloadBytes(std::size_t items, std::size_t params,
+                                   bool fused);
 
 // Serializes one message into a complete frame (header + payload), allocated
 // once at its exact size. A valid (nonzero trace_id) context is appended as

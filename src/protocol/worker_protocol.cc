@@ -67,11 +67,6 @@ WorkerProtocol::WorkerProtocol(
       std::make_shared<SgdApplier>(schedule, SgdConfig{config.sgd_clip}));
   store_->Initialize(*model, init_rng);
 
-  if (config.compression.transforms_pushes()) {
-    codec_ = std::make_unique<GradientCodec>(
-        config.compression, config.num_workers, store_->layout());
-  }
-
   controller_ = MakeConsistencyController(
       config.scheme.consistency, config.num_workers, store_->num_shards());
   if (auto* dssp = dynamic_cast<DynamicSspController*>(controller_.get())) {
@@ -216,11 +211,8 @@ std::optional<Duration> WorkerProtocol::ReSync(WorkerId w,
   return wasted;
 }
 
-void WorkerProtocol::PrepareCommit(WorkerId w, Gradient& grad, PushPlan& plan,
+void WorkerProtocol::PrepareCommit(const Gradient& grad, PushPlan& plan,
                                    bool route) {
-  // What routes, and what the consistency layer learns as the write set, is
-  // the gradient that ships: top-k may shrink the touched-shard set.
-  if (codec_) codec_->Transform(w, grad);
   plan.routes.clear();
   plan.write_set.clear();
   if (!route && !controller_) return;

@@ -35,7 +35,6 @@
 #include "fault/fault_plan.h"
 #include "models/model.h"
 #include "optim/lr_schedule.h"
-#include "ps/compression.h"
 #include "ps/consistency.h"
 #include "ps/param_store.h"
 
@@ -136,9 +135,6 @@ struct WorkerProtocolConfig {
   SchemeSpec scheme;      // naive waiting is the executor's (it delays pulls)
   // The iteration span the scheduler assumes before a worker pushed twice.
   Duration default_span = Duration::Seconds(1.0);
-  // topk/int8/fp16 transform every commit. Only the simulator sets it; the
-  // braces let the runtime's designated initializer leave it out.
-  CompressionSpec compression{};
   // Optional, not owned. Counters and gauges are named "<metric_prefix>.*".
   obs::ObsContext* obs = nullptr;
   std::string metric_prefix;
@@ -146,10 +142,10 @@ struct WorkerProtocolConfig {
 
 class WorkerProtocol {
  public:
-  // Builds the store (initialized from `init_rng`), the codec, the
-  // controller and the scheduler. `faults` is the executor's plan, which
-  // must outlive the protocol: its events must name existing workers, and
-  // crashes and rejoins are counted on it.
+  // Builds the store (initialized from `init_rng`), the controller and the
+  // scheduler. `faults` is the executor's plan, which must outlive the
+  // protocol: its events must name existing workers, and crashes and
+  // rejoins are counted on it.
   WorkerProtocol(const std::shared_ptr<const Model>& model,
                  const std::shared_ptr<const LearningRateSchedule>& schedule,
                  WorkerProtocolConfig config, FaultPlan& faults,
@@ -205,8 +201,9 @@ class WorkerProtocol {
   std::optional<Duration> ReSync(WorkerId w, IterationId notified_iteration,
                                  SimTime now);
 
-  // Codec transform, then routes (if `route` or gated), then the write set.
-  void PrepareCommit(WorkerId w, Gradient& grad, PushPlan& plan, bool route);
+  // Routes `grad` (if `route` or gated), then the write set. The gradient
+  // is the one that ships: the simulator's codec has already transformed it.
+  void PrepareCommit(const Gradient& grad, PushPlan& plan, bool route);
   // Worker w's push resolved: the controller learns `write_set`, completed
   // advances, blocked peers re-check. A push with every slice lost
   // (`landed` false) still commits for a live worker and commits nothing
@@ -266,7 +263,6 @@ class WorkerProtocol {
   std::vector<Slot> slots_;
   FaultPlan& faults_;
   std::unique_ptr<ParameterServer> store_;
-  std::unique_ptr<GradientCodec> codec_;  // null = codec off
   // The gate. Liveness: the least-progressed live writer of a shard always
   // passes, so with departed workers excused some thread can always run.
   std::unique_ptr<PerShardSspController> controller_;

@@ -114,30 +114,11 @@ void ParameterServer::PullInto(PullResult* result) const {
   // resize() keeps existing capacity, so a caller reusing one PullResult per
   // worker pays zero allocations per pull.
   out.params.resize(dim());
+  const std::span<double> params(out.params);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    const auto offset = static_cast<std::ptrdiff_t>(layout_.offset(s));
-    TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
-    std::copy_n(params_.begin() + offset, layout_.length(s),
-                out.params.begin() + offset);
+    PullShardSlice(s, params.subspan(layout_.offset(s), layout_.length(s)));
   }
   out.version = version_.load(std::memory_order_acquire);
-}
-
-ShardPullResult ParameterServer::PullShard(std::size_t s) const {
-  SPECSYNC_CHECK_LT(s, shards_.size());
-  const Shard& shard = *shards_[s];
-  ShardPullResult out;
-  out.offset = layout_.offset(s);
-  out.params.resize(layout_.length(s));
-  {
-    TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
-    std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(out.offset),
-                out.params.size(), out.params.begin());
-    out.shard_version = shard.version;
-  }
-  out.version = version_.load(std::memory_order_acquire);
-  return out;
 }
 
 std::uint64_t ParameterServer::PullShardSlice(std::size_t s,

@@ -3,9 +3,10 @@
 //
 // The canonical model parameters live here as one flat vector partitioned
 // into contiguous shards, each shard standing for one server process with its
-// *own* mutex and version counter. Workers Pull() composed snapshots (or
-// PullShard() individual shards) and Push() gradients; the store applies
-// pushes through an SgdApplier exactly like MXNet's KVStore server-side
+// *own* mutex and version counter. Workers Pull() composed snapshots and
+// Push() gradients; a shard server answers per-shard pulls through
+// PullShardSlice, the one locked shard read. The store applies pushes
+// through an SgdApplier exactly like MXNet's KVStore server-side
 // updater. Sparse pushes route only to the shards that own their indices;
 // dense pushes update every shard. A monotone global counter tracks logical
 // pushes — the freshness bookkeeping that SpecSync reasons about.
@@ -54,15 +55,6 @@ struct ShardInfo {
   std::uint64_t version = 0;  // pushes that touched this shard
 };
 
-// One shard's snapshot: the slice [offset, offset + params.size()) of the
-// full parameter vector.
-struct ShardPullResult {
-  std::size_t offset = 0;
-  DenseVector params;
-  std::uint64_t shard_version = 0;  // pushes that touched this shard
-  std::uint64_t version = 0;        // global logical-push counter
-};
-
 class ParameterServer {
  public:
   // Splits `dim` parameters into `num_shards` near-equal contiguous shards
@@ -93,18 +85,16 @@ class ParameterServer {
   PullResult Pull(ThreadPool* ignored = nullptr) const;
 
   // Allocation-free Pull: fills `result` in place, reusing its params buffer
-  // when already sized. Both engines keep one snapshot buffer per worker and
-  // refill it here, so a steady-state pull allocates nothing.
+  // when already sized, one PullShardSlice per shard. Both engines keep one
+  // snapshot buffer per worker and refill it here, so a steady-state pull
+  // allocates nothing.
   void PullInto(PullResult* result) const;
 
-  // Snapshot of one shard (internally consistent: slice + shard version are
-  // read under the shard's mutex).
-  ShardPullResult PullShard(std::size_t s) const;
-
-  // Allocation-free single-shard refresh: copies shard `s`'s slice into
-  // `dest` (which must be exactly the shard's length) and returns the shard
-  // version read under the same lock. Delta-mode pulls use this to refresh
-  // only the shards whose version advanced.
+  // The one locked shard read: copies shard `s`'s slice into `dest` (which
+  // must be exactly the shard's length) and returns the shard version read
+  // under the same lock, so slice and version always agree. PullInto, the
+  // shard server's pull items and the simulator's delta pulls all read
+  // through it.
   std::uint64_t PullShardSlice(std::size_t s, std::span<double> dest) const;
 
   // Applies one worker's gradient with the learning rate of `epoch`; returns
@@ -149,8 +139,6 @@ class ParameterServer {
     return layout_.ShardOf(index);
   }
 
-  // Bytes a full pull moves over the wire (8 bytes per parameter).
-  std::size_t pull_bytes() const { return dim() * sizeof(double); }
   // Bytes the per-shard pull response for shard `s` carries.
   std::size_t shard_bytes(std::size_t s) const;
 

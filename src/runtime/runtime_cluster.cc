@@ -337,7 +337,7 @@ struct RuntimeCluster::Impl {
                    merged);
       // The in-process store applies the routes as they are; a wire client
       // cuts its frames itself, so only the gate's write set needs them.
-      protocol.PrepareCommit(w, merged, plan,
+      protocol.PrepareCommit(merged, plan,
                              /*route=*/shard_clients.empty());
       const SimTime merge_end = Stamp();
       const bool last = iteration + 1 == config.iterations_per_worker;

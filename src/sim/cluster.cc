@@ -22,6 +22,9 @@ struct ClusterSim::Impl {
   StallSchedule stalls;
   FaultPlan faults;
   WorkerProtocol protocol;  // the store, the gate, each worker's state
+  // topk/int8/fp16 transform every gradient before it routes (DESIGN §15).
+  // Null when the codec leaves pushes alone.
+  std::unique_ptr<GradientCodec> codec;
   TrainingTrace trace;
   TransferAccountant transfers;
 
@@ -80,6 +83,10 @@ struct ClusterSim::Impl {
                  rng.Fork()),
         trace(config.num_workers) {
     SPECSYNC_CHECK_GT(config.batch_size, 0u);
+    if (config.compression.transforms_pushes()) {
+      codec = std::make_unique<GradientCodec>(
+          config.compression, config.num_workers, store().layout());
+    }
     if (config.compression.delta_pulls()) {
       known_shard_versions.assign(
           config.num_workers,
@@ -122,7 +129,6 @@ struct ClusterSim::Impl {
             .sgd_clip = config.sgd_clip,
             .scheme = config.scheme,
             .default_span = speed->MeanComputeTime(0),
-            .compression = config.compression,
             .obs = config.obs,
             .metric_prefix = "sim"};
   }
@@ -312,12 +318,15 @@ struct ClusterSim::Impl {
     auto attempt = std::make_shared<PushAttempt>();
     worker.sampler->NextBatch(batch_scratch);
     model->LossAndGradient(worker.snapshot, batch_scratch, attempt->grad);
+    // What routes, and what the consistency layer learns as the write set,
+    // is the gradient that ships: top-k may shrink the touched-shard set.
+    if (codec) codec->Transform(w, attempt->grad);
     // The push fans out as one message per dirty shard (sparse gradients
     // route only to the shards owning their indices); each slice applies at
     // its own arrival, and the worker proceeds once every message resolved.
-    protocol.PrepareCommit(w, attempt->grad, attempt->plan, /*route=*/true);
+    protocol.PrepareCommit(attempt->grad, attempt->plan, /*route=*/true);
     std::vector<ShardRoute>& routes = attempt->plan.routes;
-    if (config.compression.transforms_pushes()) {
+    if (codec) {
       // Charge the coded wire size; the raw-minus-coded delta goes to the
       // savings ledger (top-k's savings are implicit in the smaller nnz).
       const std::uint64_t saved = CodeRoutes(

@@ -11,7 +11,7 @@
 // commits, re-sync aborts, crash and rejoin. The simulator decides when each
 // step runs (events on the virtual clock, naive-waiting delays) and how its
 // bytes move (NetworkModel fan-out per shard, drops, duplicates, stalls,
-// delta pulls and the transfer ledger).
+// the gradient codec, delta pulls and the transfer ledger).
 #pragma once
 
 #include <memory>

@@ -111,15 +111,19 @@ TEST(SchedulerFaultTest, LateCheckStillCountsPushesInsideWindow) {
 }
 
 TEST(SchedulerFaultTest, SlackToleratesJitteryTimers) {
-  SchedulerConfig config = Config(4, D(2.0), 0.5);
-  config.late_check_slack = Duration::Milliseconds(10.0);
-  SpecSyncScheduler scheduler(std::move(config), Keep(D(2.0), 0.5));
+  SpecSyncScheduler scheduler(Config(4, D(2.0), 0.5), Keep(D(2.0), 0.5));
   const auto request = scheduler.HandleNotify(0, 0, T(0.0));
   ASSERT_TRUE(request.has_value());
-  // 5 ms past the deadline: within slack, not counted as late.
+  const auto other = scheduler.HandleNotify(1, 0, T(0.0));
+  ASSERT_TRUE(other.has_value());
+  // 5 ms past the deadline: within the 10 ms slack, not counted as late.
   scheduler.HandleCheckTimer(0, request->token, T(2.005));
   EXPECT_EQ(scheduler.stats().late_checks, 0u);
   EXPECT_EQ(scheduler.stats().checks_performed, 1u);
+  // 15 ms past it: beyond the slack.
+  scheduler.HandleCheckTimer(1, other->token, T(2.015));
+  EXPECT_EQ(scheduler.stats().late_checks, 1u);
+  EXPECT_EQ(scheduler.stats().checks_performed, 2u);
 }
 
 // --- worker departure / rejoin -----------------------------------------------

@@ -6,12 +6,14 @@
 // bound listener.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/endpoint.h"
 #include "net/socket.h"
+#include "support/loopback.h"
 
 namespace specsync::net {
 namespace {
@@ -104,8 +106,10 @@ TEST(EndpointResolutionTest, EmptyAndLocalhostHostsReachALoopbackListener) {
   for (const char* host : {"", "localhost", "127.0.0.1"}) {
     TcpConnection conn =
         TcpConnection::Connect(Endpoint{host, listener->port()});
-    EXPECT_TRUE(conn.valid()) << "host '" << host << "'";
-    TcpConnection accepted = listener->Accept();
+    // Asserted: AcceptUntil would wait forever for a refused client.
+    ASSERT_TRUE(conn.valid()) << "host '" << host << "'";
+    const std::atomic<bool> never{false};
+    TcpConnection accepted = AcceptUntil(*listener, never);
     EXPECT_TRUE(accepted.valid()) << "host '" << host << "'";
   }
 }

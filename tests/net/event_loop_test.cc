@@ -22,6 +22,7 @@
 #include "net/wire.h"
 #include "optim/lr_schedule.h"
 #include "ps/param_store.h"
+#include "support/loopback.h"
 
 namespace specsync::net {
 namespace {
@@ -47,6 +48,13 @@ ShardClientConfig ClientConfigFor(const ParameterServer& store,
         ShardPlacement{info.offset, info.length, endpoint});
   }
   return config;
+}
+
+// Shard `s`'s slice of the store, read under its lock.
+std::vector<double> ShardParams(const ParameterServer& store, std::size_t s) {
+  std::vector<double> out(store.shard(s).length);
+  store.PullShardSlice(s, out);
+  return out;
 }
 
 // Receives one frame (5s deadline) and returns its decoded id + message.
@@ -84,7 +92,7 @@ INSTANTIATE_TEST_SUITE_P(Models, ReassemblyTest,
 TEST_P(ReassemblyTest, FrameDribbledOneByteAtATimeIsReassembled) {
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
   // A payload-bearing request (a one-slice push batch) so the dribble
@@ -115,7 +123,7 @@ TEST_P(ReassemblyTest, TracedPullFrameDribbledByteWiseIsReassembled) {
   // f64-aligned frame hits.
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
   const TraceContext trace{0x1234, 0x1234};
@@ -136,15 +144,15 @@ TEST_P(ReassemblyTest, TracedPullFrameDribbledByteWiseIsReassembled) {
   ASSERT_NE(batch, nullptr);
   ASSERT_EQ(batch->items.size(), 1u);
   EXPECT_EQ(batch->items[0].shard, 1u);
-  EXPECT_EQ(batch->items[0].params, store->PullShard(1).params);
+  EXPECT_EQ(batch->items[0].params, ShardParams(*store, 1));
 }
 
 TEST_P(ReassemblyTest, FrameSplitAtEveryByteBoundaryIsReassembled) {
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
-  const auto frame = EncodeFrame(PullShardReq{1}, 7);
+  const auto frame = EncodeFrame(PullBatchReq{{{1}}}, 7);
   for (std::size_t split = 1; split < frame.size(); ++split) {
-    TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+    TcpConnection conn = ConnectLoopback(server->port());
     ASSERT_TRUE(conn.valid());
     ASSERT_TRUE(conn.SendAll(std::span(frame).first(split)));
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -153,15 +161,17 @@ TEST_P(ReassemblyTest, FrameSplitAtEveryByteBoundaryIsReassembled) {
     WireMessage out;
     ASSERT_TRUE(RecvOne(conn, id, out)) << "split at byte " << split;
     EXPECT_EQ(id, 7u);
-    EXPECT_TRUE(std::holds_alternative<PullShardResp>(out))
-        << "split at byte " << split;
+    const auto* batch = std::get_if<PullBatchResp>(&out);
+    ASSERT_NE(batch, nullptr) << "split at byte " << split;
+    ASSERT_EQ(batch->items.size(), 1u);
+    EXPECT_EQ(batch->items[0].shard, 1u);
   }
 }
 
 TEST_P(ReassemblyTest, CoalescedFramesAreAllAnswered) {
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
   // Eight pipelined requests in ONE write: the server must peel frame after
@@ -172,7 +182,7 @@ TEST_P(ReassemblyTest, CoalescedFramesAreAllAnswered) {
   std::vector<std::uint8_t> burst;
   for (std::size_t i = 0; i < kCount; ++i) {
     const auto frame = EncodeFrame(
-        PullShardReq{static_cast<std::uint32_t>(i % store->num_shards())},
+        PullBatchReq{{{static_cast<std::uint32_t>(i % store->num_shards())}}},
         kBase + i);
     burst.insert(burst.end(), frame.begin(), frame.end());
   }
@@ -183,7 +193,7 @@ TEST_P(ReassemblyTest, CoalescedFramesAreAllAnswered) {
     std::uint64_t id = 0;
     WireMessage out;
     ASSERT_TRUE(RecvOne(conn, id, out)) << "response " << i;
-    EXPECT_TRUE(std::holds_alternative<PullShardResp>(out));
+    EXPECT_TRUE(std::holds_alternative<PullBatchResp>(out));
     answered.insert(id);
   }
   EXPECT_EQ(answered.size(), kCount);
@@ -195,16 +205,16 @@ TEST_P(ReassemblyTest, TruncatedFrameThenCloseLeavesServerServing) {
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
   {
-    TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+    TcpConnection conn = ConnectLoopback(server->port());
     ASSERT_TRUE(conn.valid());
-    const auto frame = EncodeFrame(PullShardReq{0}, 1);
+    const auto frame = EncodeFrame(PullBatchReq{{{0}}}, 1);
     ASSERT_TRUE(conn.SendAll(std::span(frame).first(kHeaderBytes / 2)));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }  // stream closes mid-header
   {
-    TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+    TcpConnection conn = ConnectLoopback(server->port());
     ASSERT_TRUE(conn.valid());
-    const auto frame = EncodeFrame(PullShardReq{0}, 2);
+    const auto frame = EncodeFrame(PullBatchReq{{{0}}}, 2);
     // Full header + half the payload, then close.
     ASSERT_TRUE(conn.SendAll(
         std::span(frame).first(kHeaderBytes + (frame.size() - kHeaderBytes) / 2)));
@@ -219,7 +229,7 @@ TEST_P(ReassemblyTest, TruncatedFrameThenCloseLeavesServerServing) {
 TEST_P(ReassemblyTest, MalformedPayloadKillsOnlyItsConnection) {
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
-  TcpConnection bad = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection bad = ConnectLoopback(server->port());
   ASSERT_TRUE(bad.valid());
 
   // Valid header, corrupt body: the dense/sparse kind byte (offset
@@ -252,7 +262,7 @@ TEST(PipeliningTest, PipelinedPullsAreAnsweredOnceInArrivalOrder) {
   ShardServerConfig server_config;
   server_config.service_delay = kDelay;
   auto server = StartServer(store.get(), server_config);
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
   PullBatchReq batch;
   for (std::uint32_t s = 0; s < store->num_shards(); ++s) {
@@ -290,9 +300,9 @@ TEST(EventLoopTest, ThreadCountStaysConstantUnderManyConnections) {
 
   std::vector<TcpConnection> held;
   for (int i = 0; i < 24; ++i) {
-    TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+    TcpConnection conn = ConnectLoopback(server->port());
     ASSERT_TRUE(conn.valid());
-    ASSERT_TRUE(conn.SendAll(EncodeFrame(PullShardReq{0}, 1 + i)));
+    ASSERT_TRUE(conn.SendAll(EncodeFrame(PullBatchReq{{{0}}}, 1 + i)));
     std::uint64_t id = 0;
     WireMessage out;
     ASSERT_TRUE(RecvOne(conn, id, out));

@@ -63,6 +63,7 @@
 #include "net/wire.h"
 #include "optim/lr_schedule.h"
 #include "ps/param_store.h"
+#include "support/loopback.h"
 #include "support/property.h"
 
 namespace specsync::net {
@@ -400,20 +401,20 @@ class FaultProxy {
       : upstream_port_(upstream_port),
         faults_(std::move(faults)),
         late_pull_(late_pull),
-        listener_(TcpListener::BindLoopback(0)) {
+        listener_(TcpListener::Bind(Endpoint{"127.0.0.1", 0})) {
     SPECSYNC_CHECK(listener_ != nullptr);
     accept_thread_ = std::thread([this] { AcceptLoop(); });
   }
 
   ~FaultProxy() {
-    listener_->Shutdown();
+    stop_.store(true, std::memory_order_release);
     accept_thread_.join();
     // With the accept thread gone nothing adds relays, so join them without
     // mutex_: a pump that is handling a frame still takes mutex_, and
     // joining it under the lock would deadlock.
     for (auto& relay : relays_) {
-      relay->client.ShutdownBoth();
-      relay->server.ShutdownBoth();
+      ShutdownBoth(relay->client);
+      ShutdownBoth(relay->server);
       relay->up.join();
       relay->down.join();
     }
@@ -434,11 +435,11 @@ class FaultProxy {
 
   void AcceptLoop() {
     for (;;) {
-      TcpConnection client = listener_->Accept();
+      TcpConnection client = AcceptUntil(*listener_, stop_);
       if (!client.valid()) return;
       auto relay = std::make_unique<Relay>();
       relay->client = std::move(client);
-      relay->server = TcpConnection::ConnectLoopback(upstream_port_);
+      relay->server = ConnectLoopback(upstream_port_);
       Relay* raw = relay.get();
       std::scoped_lock lock(mutex_);
       raw->up = std::thread([this, raw] { PumpUp(raw); });
@@ -484,14 +485,14 @@ class FaultProxy {
       }
       // Kill: the client's link dies before the batch lands, so its ack can
       // never make it back — but the batch still reaches the server.
-      if (fault == PushFault::kKillLink) relay->client.ShutdownBoth();
+      if (fault == PushFault::kKillLink) ShutdownBoth(relay->client);
       bool ok = relay->server.SendAll(frame);
       if (ok && fault == PushFault::kDuplicate) {
         ok = relay->server.SendAll(frame);
       }
       if (!ok || fault == PushFault::kKillLink) break;
     }
-    relay->client.ShutdownBoth();
+    ShutdownBoth(relay->client);
   }
 
   void PumpDown(Relay* relay) {
@@ -525,13 +526,14 @@ class FaultProxy {
       held.clear();
       if (!ok) break;
     }
-    relay->client.ShutdownBoth();
+    ShutdownBoth(relay->client);
   }
 
   const std::uint16_t upstream_port_;
   const std::map<std::uint64_t, PushFault> faults_;
   const std::size_t late_pull_;
   std::unique_ptr<TcpListener> listener_;
+  std::atomic<bool> stop_{false};  // ends the accept loop
   std::thread accept_thread_;
   std::mutex mutex_;
   std::vector<std::unique_ptr<Relay>> relays_;  // guarded by mutex_
@@ -1141,7 +1143,7 @@ TEST(ExactlyOnceTransportProperty, TwoCopiesExecutingAtOnceApplyOnce) {
   const auto frame = EncodeFrame(CommitPushReq{77, 1, {slice}}, 5);
   std::vector<std::uint8_t> both(frame);
   both.insert(both.end(), frame.begin(), frame.end());
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
   ASSERT_TRUE(conn.SendAll(both));
   for (int i = 0; i < 2; ++i) {

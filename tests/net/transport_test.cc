@@ -30,6 +30,7 @@
 #include "obs/span_recorder.h"
 #include "optim/lr_schedule.h"
 #include "ps/param_store.h"
+#include "support/loopback.h"
 
 namespace specsync::net {
 namespace {
@@ -110,14 +111,16 @@ TEST_P(TransportTest, PullMatchesDirectPullBitwise) {
   EXPECT_EQ(wire.version, direct.version);
 
   // Shard 2's slice of the composed pull is that shard's own snapshot.
-  const ShardPullResult shard_direct = store->PullShard(2);
+  const ShardInfo info = store->shard(2);
+  std::vector<double> shard_direct(info.length);
+  EXPECT_EQ(store->PullShardSlice(2, shard_direct), info.version);
   const auto shard_wire =
-      wire.params.begin() + static_cast<std::ptrdiff_t>(shard_direct.offset);
+      wire.params.begin() + static_cast<std::ptrdiff_t>(info.offset);
   EXPECT_EQ(std::vector<double>(
-                shard_wire, shard_wire + static_cast<std::ptrdiff_t>(
-                                             shard_direct.params.size())),
-            shard_direct.params);
-  EXPECT_EQ(wire.version, shard_direct.version);
+                shard_wire,
+                shard_wire + static_cast<std::ptrdiff_t>(info.length)),
+            shard_direct);
+  EXPECT_EQ(wire.version, store->version());
 }
 
 TEST_P(TransportTest, PullIsOneRequestPerServer) {
@@ -194,37 +197,38 @@ TEST_P(TransportTest, PullIsOneRequestPerServer) {
   }
 }
 
-TEST(PullBatchPlanTest, SplitsALinksShardsOnlyToStayUnderTheCap) {
-  // Two endpoints, shards interleaved; lengths 4/4/4/2/1 (36 + 8n payload
-  // bytes per full item, plus its kind byte).
-  ClusterTopology topology;
+TEST(ShardClientTopologyTest, LinkWhoseFullAnswerOverflowsAFrameIsRefused) {
+  // Only lengths: the constructor sizes each link's full answer (a fused
+  // one, the largest a link is sent) before it connects or sizes a buffer.
   const Endpoint a{"127.0.0.1", 1};
-  const Endpoint b{"127.0.0.1", 2};
-  const std::size_t lengths[] = {4, 4, 4, 2, 1};
-  const Endpoint* owners[] = {&a, &b, &a, &a, &b};
-  std::size_t offset = 0;
-  for (std::size_t s = 0; s < 5; ++s) {
-    topology.shards.push_back({offset, lengths[s], *owners[s]});
-    offset += lengths[s];
-  }
-  using Batches = std::vector<std::vector<std::size_t>>;
-  // Under the real cap: one batch per link, ordered by first shard.
-  EXPECT_EQ(PlanPullBatches(topology), (Batches{{0, 2, 3}, {1, 4}}));
+  const std::size_t head = PullAnswerPayloadBytes(1, 0, /*fused=*/true);
+  // The most doubles one shard can hold and still answer in one frame.
+  const std::size_t fits = (kMaxPayloadBytes - head) / sizeof(double);
+  ASSERT_LE(PullAnswerPayloadBytes(1, fits, true), kMaxPayloadBytes);
+  ASSERT_GT(PullAnswerPayloadBytes(1, fits + 1, true), kMaxPayloadBytes);
 
-  const std::size_t item4 = PullBatchFullItemBytes(4);  // 69
-  const std::size_t item2 = PullBatchFullItemBytes(2);  // 53
-  // Exactly enough for link a's three shards in one response.
-  const std::size_t all_a = kPullBatchRespHeadBytes + 2 * item4 + item2;
-  EXPECT_EQ(PlanPullBatches(topology, all_a), (Batches{{0, 2, 3}, {1, 4}}));
-  // One byte less: link a splits before the shard that overflows it.
-  EXPECT_EQ(PlanPullBatches(topology, all_a - 1),
-            (Batches{{0, 2}, {1, 4}, {3}}));
-  // Room for a 4-wide and a 1-wide shard: only link b's pair shares one.
-  EXPECT_EQ(PlanPullBatches(topology, kPullBatchRespHeadBytes + item4 +
-                                          PullBatchFullItemBytes(1)),
-            (Batches{{0}, {1, 4}, {2}, {3}}));
-  // A cap below any one shard: each shard alone, none dropped.
-  EXPECT_EQ(PlanPullBatches(topology, 1), (Batches{{0}, {1}, {2}, {3}, {4}}));
+  ShardClientConfig config;
+  config.topology.shards = {{0, fits, a}};
+  EXPECT_NO_THROW(ShardClient{config});
+
+  config.topology.shards = {{0, fits + 1, a}};
+  try {
+    ShardClient client(config);
+    ADD_FAILURE() << "a link over the frame cap was accepted";
+  } catch (const CheckError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("127.0.0.1:1"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(
+                  PullAnswerPayloadBytes(1, fits + 1, true))),
+              std::string::npos)
+        << what;
+  }
+
+  // Two shards that each fit alone overflow together: a link's shards are
+  // one batch, never split.
+  const std::size_t half = fits / 2 + 1;
+  config.topology.shards = {{0, half, a}, {half, half, a}};
+  EXPECT_THROW(ShardClient{config}, CheckError);
 }
 
 // The scripted op timeline: one deterministic sequence of pulls and pushes
@@ -383,9 +387,9 @@ TEST_P(TransportTest, UnservedShardAnsweredWithBadShardAck) {
   config.served_shards = {0};  // this server owns shard 0 only
   auto server = StartServer(store.get(), std::move(config));
 
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
-  const auto frame = EncodeFrame(PullShardReq{1}, 77);
+  const auto frame = EncodeFrame(PullBatchReq{{{1}}}, 77);
   ASSERT_TRUE(conn.SendAll(frame));
   std::vector<std::uint8_t> reply;
   ASSERT_EQ(conn.RecvFrame(reply,
@@ -398,7 +402,9 @@ TEST_P(TransportTest, UnservedShardAnsweredWithBadShardAck) {
   EXPECT_EQ(id, 77u);
   ASSERT_TRUE(std::holds_alternative<AckResp>(out));
   EXPECT_EQ(std::get<AckResp>(out).status, kAckBadShard);
+  EXPECT_EQ(std::get<AckResp>(out).value, 1u);
   EXPECT_EQ(server->stats().rejected, 1u);
+  EXPECT_EQ(server->stats().pulls, 0u);
 }
 
 TEST_P(TransportTest, MalformedFrameKillsOnlyItsConnection) {
@@ -406,7 +412,7 @@ TEST_P(TransportTest, MalformedFrameKillsOnlyItsConnection) {
   auto server = StartServer(store.get());
 
   // Connection 1 sends garbage with a valid-looking length and dies.
-  TcpConnection bad = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection bad = ConnectLoopback(server->port());
   ASSERT_TRUE(bad.valid());
   std::vector<std::uint8_t> garbage(kHeaderBytes, 0xff);
   ASSERT_TRUE(bad.SendAll(garbage));
@@ -461,9 +467,9 @@ TEST_P(TransportTest, StartStopSurvivesConnectionHammer) {
     std::vector<std::jthread> hammers;
     for (int t = 0; t < 4; ++t) {
       hammers.emplace_back([&, t] {
-        const auto frame = EncodeFrame(PullShardReq{0}, 1 + t);
+        const auto frame = EncodeFrame(PullBatchReq{{{0}}}, 1 + t);
         while (!quit.load(std::memory_order_relaxed)) {
-          TcpConnection conn = TcpConnection::ConnectLoopback(port);
+          TcpConnection conn = ConnectLoopback(port);
           if (!conn.valid()) continue;  // server already gone this round
           if (!conn.SendAll(frame)) continue;
           std::vector<std::uint8_t> reply;
@@ -569,15 +575,20 @@ PushShardReq SparseSlice(std::uint32_t shard, std::uint64_t index,
 
 TEST_P(TransportTest, StandaloneSliceIsRejectedNotApplied) {
   // A slice outside a batch is not a push: it would bypass the watermark.
+  // A shard pull outside a batch is refused the same way and reads nothing.
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
   const DenseVector before = store->Snapshot();
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
   EXPECT_EQ(RawAck(conn, SparseSlice(0, 1, 4.0), 1).status, kAckBadRequest);
+  EXPECT_EQ(RawAck(conn, PullShardReq{0}, 2).status, kAckBadRequest);
   EXPECT_EQ(store->Snapshot(), before);
   EXPECT_EQ(store->shard(0).version, 0u);
-  EXPECT_EQ(server->stats().rejected, 1u);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.pushes, 0u);
+  EXPECT_EQ(stats.pulls, 0u);
 }
 
 TEST_P(TransportTest, BadBatchChangesNothing) {
@@ -588,7 +599,7 @@ TEST_P(TransportTest, BadBatchChangesNothing) {
   config.served_shards = {0};
   auto server = StartServer(store.get(), std::move(config));
   const DenseVector before = store->Snapshot();
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
   const CommitPushReq unserved{9, 1, {SparseSlice(0, 1, 4.0),
@@ -623,7 +634,7 @@ TEST_P(TransportTest, PullBatchWithAForeignShardReadsNothing) {
   ShardServerConfig config;
   config.served_shards = {0};
   auto server = StartServer(store.get(), std::move(config));
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
   const AckResp ack = RawAck(
       conn, PullBatchReq{{{0}, {1}}}, 1);
@@ -634,10 +645,48 @@ TEST_P(TransportTest, PullBatchWithAForeignShardReadsNothing) {
   EXPECT_EQ(stats.rejected, 1u);
 }
 
+TEST_P(TransportTest, PullTooLargeForOneFrameIsRejected) {
+  // A shard may repeat in a batch, so a short request can ask for an answer
+  // no frame holds: 129 copies of an 8 MiB shard. The server refuses it,
+  // plain or fused, before copying anything, and keeps serving.
+  constexpr std::size_t kBig = std::size_t{1} << 20;  // doubles
+  auto store = std::make_unique<ParameterServer>(
+      ShardLayout::FromLengths({kBig, 4}), UnitApplier());
+  auto server = StartServer(store.get());
+  TcpConnection conn = ConnectLoopback(server->port());
+  ASSERT_TRUE(conn.valid());
+
+  PullBatchReq huge;
+  huge.entries.assign(129, PullBatchEntry{0});
+  ASSERT_GT(PullAnswerPayloadBytes(129, 129 * kBig, /*fused=*/false),
+            kMaxPayloadBytes);
+  EXPECT_EQ(RawAck(conn, huge, 1).status, kAckBadRequest);
+  const CommitPushReq push{9, 1, {SparseSlice(1, kBig + 1, 4.0)}};
+  EXPECT_EQ(RawAck(conn, PushPullReq{push, huge}, 2).status, kAckBadRequest);
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.pulls, 0u);
+  EXPECT_EQ(stats.pushes, 0u);
+  EXPECT_EQ(stats.commits, 0u);
+  EXPECT_EQ(store->version(), 0u);
+  EXPECT_EQ(store->shard(1).version, 0u);
+
+  // The same connection still gets a normal pull, and the refused push
+  // (never recorded under its seq) still applies.
+  const WireMessage out = RawReply(conn, PullBatchReq{{{1}, {0}}}, 3);
+  const auto* batch = std::get_if<PullBatchResp>(&out);
+  ASSERT_NE(batch, nullptr);
+  ASSERT_EQ(batch->items.size(), 2u);
+  EXPECT_EQ(batch->items[0].params.size(), 4u);
+  EXPECT_EQ(batch->items[1].params.size(), kBig);
+  EXPECT_EQ(server->stats().pulls, 2u);
+  EXPECT_EQ(RawAck(conn, push, 4).value, 1u);
+}
+
 TEST_P(TransportTest, RepeatedBatchIsAnsweredFromTheWatermark) {
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
   const CommitPushReq first{5, 1, {SparseSlice(0, 2, 1.0)}};
@@ -668,7 +717,7 @@ TEST_P(TransportTest, MisroutedSparseEntryRejectsTheBatch) {
   auto store = MakeStore(10, 2);  // shards [0,5) and [5,10)
   auto server = StartServer(store.get());
   const DenseVector before = store->Snapshot();
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
   const CommitPushReq foreign{9, 1, {SparseSlice(0, 1, 4.0),
@@ -697,7 +746,7 @@ TEST_P(TransportTest, FusedFrameWithAForeignPullShardAppliesNothing) {
   config.served_shards = {0};
   auto server = StartServer(store.get(), std::move(config));
   const DenseVector before = store->Snapshot();
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
 
   const CommitPushReq push{9, 1, {SparseSlice(0, 1, 4.0)}};
@@ -718,7 +767,7 @@ TEST_P(TransportTest, FusedFrameServesThePullAfterThePush) {
   // frame gets the cached ack and a fresh snapshot.
   auto store = MakeStore(10, 2);
   auto server = StartServer(store.get());
-  TcpConnection conn = TcpConnection::ConnectLoopback(server->port());
+  TcpConnection conn = ConnectLoopback(server->port());
   ASSERT_TRUE(conn.valid());
   const PushPullReq fused{CommitPushReq{5, 1, {SparseSlice(0, 2, 1.0)}},
                           PullBatchReq{{{0}, {1}}}};

@@ -630,8 +630,10 @@ TEST(WirePullBatchTest, FullItemsAreByteIdenticalToStandalonePullPayloads) {
   const PullBatchResp batch{{first, second, empty}};
   EXPECT_EQ(EncodeFrame(batch, 4), golden.Finish());
   EXPECT_EQ(EncodedPayloadBytes(batch),
-            kPullBatchRespHeadBytes + PullBatchFullItemBytes(2) +
-                2 * PullBatchFullItemBytes(0));
+            PullAnswerPayloadBytes(3, 2, /*fused=*/false));
+  // A fused answer is the same batch behind its AckResp.
+  EXPECT_EQ(EncodedPayloadBytes(PushPullResp{AckResp{}, batch}),
+            PullAnswerPayloadBytes(3, 2, /*fused=*/true));
 
   const PullBatchResp decoded = RoundTrip(batch);
   ASSERT_EQ(decoded.items.size(), 3u);

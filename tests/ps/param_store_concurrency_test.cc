@@ -93,8 +93,9 @@ TEST(ParamStoreConcurrencyTest, PulledShardsAreInternallyConsistent) {
   EXPECT_EQ(server.version(), 900u);
 }
 
-// PullShard's slice and shard version are read under one lock, so with +1
-// dense pushes the slice value must equal the shard's push count exactly.
+// PullShardSlice reads the slice and the shard version under one lock, so
+// with +1 dense pushes the slice value must equal the shard's push count
+// exactly.
 TEST(ParamStoreConcurrencyTest, PullShardSliceMatchesItsShardVersion) {
   constexpr std::size_t kDim = 96;
   constexpr std::size_t kShards = 4;
@@ -108,10 +109,12 @@ TEST(ParamStoreConcurrencyTest, PullShardSliceMatchesItsShardVersion) {
     for (int r = 0; r < 2; ++r) {
       readers.emplace_back([&] {
         std::size_t s = 0;
+        std::vector<double> slice(kDim / kShards);  // even shards
         while (!stop.load(std::memory_order_relaxed)) {
-          const ShardPullResult pulled = server.PullShard(s % kShards);
-          for (double v : pulled.params) {
-            if (v != static_cast<double>(pulled.shard_version)) {
+          const std::uint64_t version =
+              server.PullShardSlice(s % kShards, slice);
+          for (double v : slice) {
+            if (v != static_cast<double>(version)) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
               break;
             }
@@ -160,10 +163,9 @@ TEST(ParamStoreConcurrencyTest, DisjointSparsePushesAllLand) {
   }
   EXPECT_EQ(server.version(), kThreads * kPushesPerThread);
   for (std::size_t s = 0; s < kShards; ++s) {
-    const ShardPullResult pulled = server.PullShard(s);
-    EXPECT_DOUBLE_EQ(pulled.params.front(),
-                     static_cast<double>(kPushesPerThread));
-    EXPECT_EQ(pulled.shard_version, kPushesPerThread);
+    std::vector<double> slice(server.shard(s).length);
+    EXPECT_EQ(server.PullShardSlice(s, slice), kPushesPerThread);
+    EXPECT_DOUBLE_EQ(slice.front(), static_cast<double>(kPushesPerThread));
   }
 }
 

@@ -104,12 +104,14 @@ TEST(ParamStoreTest, PullShardReturnsInternallyConsistentSlice) {
   DenseVector params(10);
   std::iota(params.begin(), params.end(), 0.0);
   server.SetParams(std::move(params));
-  const ShardPullResult pulled = server.PullShard(1);
-  EXPECT_EQ(pulled.offset, 4u);
-  EXPECT_EQ(pulled.params, (std::vector<double>{4.0, 5.0, 6.0}));
-  EXPECT_EQ(pulled.shard_version, 0u);
-  EXPECT_EQ(pulled.version, 0u);
-  EXPECT_THROW(server.PullShard(3), CheckError);
+  std::vector<double> slice(3);
+  EXPECT_EQ(server.PullShardSlice(1, slice), 0u);  // the shard version
+  EXPECT_EQ(slice, (std::vector<double>{4.0, 5.0, 6.0}));
+  server.Push(Gradient::Dense(10), 0);
+  EXPECT_EQ(server.PullShardSlice(1, slice), 1u);
+  EXPECT_THROW(server.PullShardSlice(3, slice), CheckError);
+  std::vector<double> wrong_length(4);
+  EXPECT_THROW(server.PullShardSlice(1, wrong_length), CheckError);
 }
 
 TEST(ParamStoreTest, ShardOfMapsIndicesToOwners) {
@@ -384,7 +386,7 @@ TEST(ParamStoreTest, ShardBytesCoverPullBytes) {
   for (std::size_t s = 0; s < server.num_shards(); ++s) {
     total += server.shard_bytes(s);
   }
-  EXPECT_EQ(total, server.pull_bytes());
+  EXPECT_EQ(total, server.dim() * sizeof(double));
 }
 
 TEST(ParamStoreTest, InitializeUsesModel) {
@@ -409,7 +411,11 @@ TEST(ParamStoreTest, InitializeUsesModel) {
 
 TEST(ParamStoreTest, PullBytes) {
   ParameterServer server(100, 4, UnitApplier());
-  EXPECT_EQ(server.pull_bytes(), 800u);
+  std::size_t total = 0;
+  for (std::size_t s = 0; s < server.num_shards(); ++s) {
+    total += server.shard_bytes(s);
+  }
+  EXPECT_EQ(total, 800u);
 }
 
 // --- consistency controllers -------------------------------------------------

@@ -135,7 +135,7 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
     }
     protocol.EndCompute(w, now);
     b.merger.Merge(b.chunks, b.merged);
-    protocol.PrepareCommit(w, b.merged, b.plan, /*route=*/true);
+    protocol.PrepareCommit(b.merged, b.plan, /*route=*/true);
     const std::uint64_t version =
         server.Push(b.merged, protocol.GlobalEpoch(), b.plan.routes);
     protocol.Commit(w, now, b.plan.write_set, /*landed=*/true);
