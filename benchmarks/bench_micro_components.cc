@@ -10,6 +10,8 @@
 #include "harness/workload.h"
 #include "models/chunk_merger.h"
 #include "models/mlp.h"
+#include "net/event_loop_server.h"
+#include "net/shard_client.h"
 #include "ps/param_store.h"
 #include "sim/simulator.h"
 
@@ -194,6 +196,50 @@ void BM_StorePushSparse(benchmark::State& state) {
                           static_cast<std::int64_t>(grad.sparse().nnz()));
 }
 BENCHMARK(BM_StorePushSparse);
+
+// One fused TCP exchange (ShardClient::PushAndPull) on the mf-tcp store
+// shape: the merged 200-rating MF gradient pushed to one EventLoopServer
+// over loopback serving 4 shards, then its negation (so the parameters stay
+// bounded), each answered with a full pull into one reused snapshot. Items
+// are exchanges; bytes are both answers' pulled doubles.
+void BM_TcpPushPull(benchmark::State& state) {
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  ChunkMerger merger(mf.model->param_dim());
+  Gradient grad;
+  merger.Merge(MfBatchChunks(mf), grad);
+  Gradient negated = grad;
+  negated.sparse().ScaleValues(-1.0);
+  ParameterServer store(
+      mf.model->param_dim(), 4,
+      std::make_shared<SgdApplier>(std::make_shared<ConstantSchedule>(0.1)));
+  net::EventLoopServer server(&store, net::ShardServerConfig{});
+  if (!server.Start()) {
+    state.SkipWithError("cannot bind a loopback port");
+    return;
+  }
+  net::ShardClientConfig config;
+  for (std::size_t s = 0; s < store.num_shards(); ++s) {
+    const ShardInfo info = store.shard(s);
+    config.topology.shards.push_back(net::ShardPlacement{
+        info.offset, info.length, net::Endpoint{"127.0.0.1", server.port()}});
+  }
+  net::ShardClient client(config);
+  if (!client.Connect()) {
+    state.SkipWithError("cannot connect to the loopback server");
+    return;
+  }
+  PullResult snapshot;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.PushAndPull(grad, 0, snapshot));
+    benchmark::DoNotOptimize(client.PushAndPull(negated, 0, snapshot));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          static_cast<std::int64_t>(store.dim() *
+                                                    sizeof(double)));
+}
+BENCHMARK(BM_TcpPushPull);
 
 // Algorithm 1 is O(m^3): candidate deltas O(m^2) x evaluation O(m).
 void BM_AdaptiveTunerRetune(benchmark::State& state) {

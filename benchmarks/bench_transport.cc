@@ -519,7 +519,7 @@ int main(int argc, char** argv) {
             SPECSYNC_CHECK_EQ(snapshot.params.size(), args.dim);
             ++tallies[w].pulls;
             if (it + 1 < args.iters) {
-              snapshot = client.PushAndPull(grad, it).pull;
+              client.PushAndPull(grad, it, snapshot);
             } else {
               client.Push(grad, it);
             }

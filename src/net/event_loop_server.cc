@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstring>
 #include <deque>
 #include <span>
 #include <utility>
@@ -25,8 +26,14 @@ constexpr std::size_t kRecvChunk = 64 * 1024;
 
 struct EventLoopServer::Conn {
   TcpConnection connection;
-  // Reassembly buffer: bytes received but not yet peeled into frames.
+  // Reassembly buffer: its first in_bytes bytes were received but not yet
+  // peeled into frames. It keeps its size across reads and grows only when
+  // a read needs room past it, so recv never waits on a fill.
   std::vector<std::uint8_t> in;
+  std::size_t in_bytes = 0;
+  // The frame the executor answers into, reused for every answer that the
+  // socket takes whole.
+  std::vector<std::uint8_t> response;
   // Encoded response frames not yet fully sent, and how much of the front
   // frame already left. queued_ns stamps when the frame was produced so the
   // flush can record its queue → wire residency ("net.eloop.out_queue_s";
@@ -187,8 +194,13 @@ void EventLoopServer::AcceptNew() {
 
 bool EventLoopServer::ReadAndDispatch(Conn& conn) {
   for (;;) {
+    if (conn.in.size() < conn.in_bytes + kRecvChunk) {
+      conn.in.resize(conn.in_bytes + kRecvChunk);
+    }
     std::size_t got = 0;
-    const auto status = conn.connection.RecvSome(conn.in, kRecvChunk, got);
+    const auto status = conn.connection.RecvSome(
+        std::span(conn.in).subspan(conn.in_bytes, kRecvChunk), got);
+    conn.in_bytes += got;
     if (reassembly_gauge_ != nullptr && got > 0) {
       reassembly_gauge_->Add(static_cast<double>(got));
     }
@@ -202,9 +214,9 @@ bool EventLoopServer::ReadAndDispatch(Conn& conn) {
     // push the server has read runs; the connection drops after them.
     std::size_t consumed = 0;
     bool alive = true;
-    const std::span<const std::uint8_t> buf(conn.in);
+    const std::span<const std::uint8_t> buf(conn.in.data(), conn.in_bytes);
     for (;;) {
-      const std::size_t avail = conn.in.size() - consumed;
+      const std::size_t avail = buf.size() - consumed;
       if (avail < kHeaderBytes) break;
       FrameHeader header;
       if (DecodeHeader(buf.subspan(consumed, kHeaderBytes), header) !=
@@ -214,23 +226,21 @@ bool EventLoopServer::ReadAndDispatch(Conn& conn) {
       }
       const std::size_t total = kHeaderBytes + header.payload_bytes;
       if (avail < total) break;
-      WireMessage request;
       TraceContext trace;
       if (DecodePayload(header,
                         buf.subspan(consumed + kHeaderBytes,
                                     header.payload_bytes),
-                        request, &trace) != WireStatus::kOk) {
+                        request_, &trace) != WireStatus::kOk) {
         bad_frames_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
       consumed += total;
-      const WireMessage response = executor_.Execute(request, &trace);
-      alive = alive &&
-              QueueResponse(conn, EncodeFrame(response, header.request_id));
+      executor_.Execute(request_, header.request_id, &trace, conn.response);
+      alive = alive && SendResponse(conn);
     }
     if (consumed > 0) {
-      conn.in.erase(conn.in.begin(),
-                    conn.in.begin() + static_cast<std::ptrdiff_t>(consumed));
+      conn.in_bytes -= consumed;
+      std::memmove(conn.in.data(), conn.in.data() + consumed, conn.in_bytes);
       if (reassembly_gauge_ != nullptr) {
         reassembly_gauge_->Add(-static_cast<double>(consumed));
       }
@@ -239,14 +249,34 @@ bool EventLoopServer::ReadAndDispatch(Conn& conn) {
   }
 }
 
-bool EventLoopServer::QueueResponse(Conn& conn,
-                                    std::vector<std::uint8_t> frame) {
+bool EventLoopServer::SendResponse(Conn& conn) {
+  std::vector<std::uint8_t>& frame = conn.response;
+  const std::uint64_t queued_ns =
+      out_queue_hist_ != nullptr ? obs::WallNanos() : 0;
+  std::size_t sent = 0;
+  if (conn.out.empty()) {
+    // Nothing queued ahead: the frame goes straight to the socket, and the
+    // connection keeps its buffer for the next answer.
+    if (conn.connection.SendSome(frame, sent) ==
+        TcpConnection::IoStatus::kError) {
+      return false;
+    }
+    if (sent == frame.size()) {
+      if (out_queue_hist_ != nullptr) {
+        out_queue_hist_->Record((obs::WallNanos() - queued_ns) * 1e-9);
+      }
+      return true;
+    }
+    conn.out_offset = sent;  // the new entry is the front frame
+  }
+  // The unsent rest waits for EPOLLOUT, and takes the buffer with it.
   if (out_bytes_gauge_ != nullptr) {
     out_bytes_gauge_->Add(static_cast<double>(frame.size()));
   }
   Conn::OutFrame& entry = conn.out.emplace_back();
   entry.bytes = std::move(frame);
-  entry.queued_ns = out_queue_hist_ != nullptr ? obs::WallNanos() : 0;
+  frame.clear();
+  entry.queued_ns = queued_ns;
   return FlushOut(conn);
 }
 
@@ -293,8 +323,8 @@ void EventLoopServer::DropConn(int fd) {
   const Conn& conn = *it->second;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   // Retire this connection's contribution to the byte gauges.
-  if (reassembly_gauge_ != nullptr && !conn.in.empty()) {
-    reassembly_gauge_->Add(-static_cast<double>(conn.in.size()));
+  if (reassembly_gauge_ != nullptr && conn.in_bytes > 0) {
+    reassembly_gauge_->Add(-static_cast<double>(conn.in_bytes));
   }
   if (out_bytes_gauge_ != nullptr) {
     std::size_t queued = 0;

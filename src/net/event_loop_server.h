@@ -21,12 +21,15 @@
 // Data flow per connection:
 //   readable → RecvSome() until EAGAIN into the connection's reassembly
 //   buffer → peel complete frames (a malformed header or payload kills only
-//   that connection) → RequestExecutor::Execute each request in arrival
-//   order → append the encoded response to the connection's out-queue and
-//   flush it at once. With nothing queued ahead, the response goes straight
-//   to the socket; only a partial write or EAGAIN leaves the unsent rest
-//   queued, with EPOLLOUT armed until the queue drains. A write error drops
-//   the connection after the frames already read have executed.
+//   that connection), each decoded into the one request message the loop
+//   reuses → RequestExecutor::Execute each request in arrival order, which
+//   encodes its response into the connection's reused response frame (a
+//   pull's shards copied from the store straight into it) → with nothing
+//   queued ahead, send it straight to the socket; only a partial write or
+//   EAGAIN moves the frame to the connection's out-queue, with EPOLLOUT
+//   armed until the queue drains. A write error drops the connection after
+//   the frames already read have executed. At steady state, with answers
+//   the socket takes whole, a request allocates nothing.
 //
 // Responses on one connection leave in request order. Clients match them
 // by request_id (the wire v2 pipelining contract) and may send several
@@ -128,9 +131,9 @@ class EventLoopServer {
   // registration. False = the connection must be dropped.
   bool FlushOut(Conn& conn);
   void DropConn(int fd);
-  // Appends `frame` to the out-queue and flushes it. False = the connection
-  // must be dropped.
-  bool QueueResponse(Conn& conn, std::vector<std::uint8_t> frame);
+  // Sends the connection's response frame, or queues what the socket did
+  // not take. False = the connection must be dropped.
+  bool SendResponse(Conn& conn);
   bool UpdateEpoll(Conn& conn, bool want_write);
   // Releases listener/epoll/eventfd descriptors.
   void Cleanup();
@@ -154,8 +157,10 @@ class EventLoopServer {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;  // eventfd: Stop() wakes the loop through it
 
-  // Loop-thread state: every open connection, owned here.
+  // Loop-thread state: every open connection, owned here, and the message
+  // each request decodes into, its buffers reused from request to request.
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+  WireMessage request_;
 
   mutable std::mutex lifecycle_mutex_;
   bool started_ = false;  // guarded by lifecycle_mutex_

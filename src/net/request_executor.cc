@@ -47,10 +47,13 @@ bool RequestExecutor::ServesShard(std::size_t shard) const {
          served_shards_.end();
 }
 
-WireMessage RequestExecutor::Execute(const WireMessage& request,
-                                     const TraceContext* trace) {
+void RequestExecutor::Execute(const WireMessage& request,
+                              std::uint64_t request_id,
+                              const TraceContext* trace,
+                              std::vector<std::uint8_t>& response) {
   if (spans_ == nullptr || trace == nullptr || !trace->valid()) {
-    return ExecuteInner(request);
+    ExecuteInner(request, request_id, response);
+    return;
   }
   // The serve span covers everything the client's RTT contains on this side:
   // the injected service delay, shard-lock wait inside the store, and the
@@ -58,7 +61,7 @@ WireMessage RequestExecutor::Execute(const WireMessage& request,
   // the frame carried.
   const std::uint64_t epoch = spans_->EnsureWallEpochNanos();
   const std::uint64_t begin_ns = obs::WallNanos();
-  WireMessage response = ExecuteInner(request);
+  ExecuteInner(request, request_id, response);
   const std::uint64_t end_ns = obs::WallNanos();
   const char* name = "serve.reject";
   std::uint32_t shard = 0;
@@ -81,45 +84,53 @@ WireMessage RequestExecutor::Execute(const WireMessage& request,
                           /*flow_in=*/trace->trace_id,
                           {{"trace_id", TraceIdHex(trace->trace_id)},
                            {"shard", std::to_string(shard)}});
-  return response;
 }
 
-WireMessage RequestExecutor::ExecuteInner(const WireMessage& request) {
+void RequestExecutor::ExecuteInner(const WireMessage& request,
+                                   std::uint64_t request_id,
+                                   std::vector<std::uint8_t>& response) {
   if (service_delay_.count() > 0) {
     std::this_thread::sleep_for(service_delay_);
   }
+  std::optional<AckResp> ack;
   if (const auto* batch = std::get_if<PullBatchReq>(&request)) {
-    if (auto rejected = ValidatePull(*batch, /*fused=*/false)) {
-      return *rejected;
+    std::size_t params = 0;
+    ack = ValidatePull(*batch, /*fused=*/false, params);
+    if (!ack) {
+      ServePull(*batch, params, nullptr, request_id, response);
+      return;
     }
-    return ServePull(*batch);
+  } else if (const auto* push = std::get_if<CommitPushReq>(&request)) {
+    ack = ValidatePush(*push);
+    if (!ack) ack = ApplyPush(*push);
+  } else if (const auto* fused = std::get_if<PushPullReq>(&request)) {
+    ExecutePushPull(*fused, request_id, response);
+    return;
+  } else {
+    // A response type arriving at the server is a confused peer; a
+    // standalone slice is not a push (applying it would bypass the
+    // watermark), and a standalone shard pull is not a batch.
+    ack = Reject(kAckBadRequest, 0);
   }
-  if (const auto* push = std::get_if<CommitPushReq>(&request)) {
-    if (auto rejected = ValidatePush(*push)) return *rejected;
-    return ApplyPush(*push);
-  }
-  if (const auto* fused = std::get_if<PushPullReq>(&request)) {
-    return ExecutePushPull(*fused);
-  }
-  // A response type arriving at the server is a confused peer; a standalone
-  // slice is not a push (applying it would bypass the watermark), and a
-  // standalone shard pull is not a batch.
-  return Reject(kAckBadRequest, 0);
+  EncodeFrame(*ack, request_id, nullptr, response);
 }
 
-WireMessage RequestExecutor::ExecutePushPull(const PushPullReq& fused) {
+void RequestExecutor::ExecutePushPull(const PushPullReq& fused,
+                                      std::uint64_t request_id,
+                                      std::vector<std::uint8_t>& response) {
   // Both halves validate before either touches the store, so a bad frame
   // changes nothing. The push then applies (or, for a repeat, answers from
   // the cache) before the pull reads, so the snapshot includes it; a repeat
   // still gets a fresh pull.
-  if (auto rejected = ValidatePush(fused.push)) return *rejected;
-  if (auto rejected = ValidatePull(fused.pull, /*fused=*/true)) {
-    return *rejected;
+  std::size_t params = 0;
+  std::optional<AckResp> rejected = ValidatePush(fused.push);
+  if (!rejected) rejected = ValidatePull(fused.pull, /*fused=*/true, params);
+  if (rejected) {
+    EncodeFrame(*rejected, request_id, nullptr, response);
+    return;
   }
-  PushPullResp resp;
-  resp.ack = ApplyPush(fused.push);
-  resp.pull = ServePull(fused.pull);
-  return resp;
+  const AckResp ack = ApplyPush(fused.push);
+  ServePull(fused.pull, params, &ack, request_id, response);
 }
 
 AckResp RequestExecutor::Reject(std::uint32_t status, std::uint64_t value) {
@@ -128,17 +139,17 @@ AckResp RequestExecutor::Reject(std::uint32_t status, std::uint64_t value) {
 }
 
 std::optional<AckResp> RequestExecutor::ValidatePull(
-    const PullBatchReq& batch, bool fused) {
+    const PullBatchReq& batch, bool fused, std::size_t& params) {
   // A shard this server does not own is a client routing bug, and the whole
   // batch is refused.
-  std::size_t params = 0;
+  params = 0;
   for (const PullBatchEntry& entry : batch.entries) {
     if (!ServesShard(entry.shard)) return Reject(kAckBadShard, entry.shard);
     params += store_->layout().length(entry.shard);
   }
   // A shard may repeat, so a short request can ask for an answer no frame
-  // can hold. Refuse it before copying anything: EncodeFrame would throw on
-  // the loop thread.
+  // can hold. Refuse it before copying anything: the answer's writer would
+  // throw on the loop thread.
   if (PullAnswerPayloadBytes(batch.entries.size(), params, fused) >
       kMaxPayloadBytes) {
     return Reject(kAckBadRequest, 0);
@@ -146,26 +157,22 @@ std::optional<AckResp> RequestExecutor::ValidatePull(
   return std::nullopt;
 }
 
-PullBatchResp RequestExecutor::ServePull(const PullBatchReq& batch) {
+void RequestExecutor::ServePull(const PullBatchReq& batch, std::size_t params,
+                                const AckResp* ack, std::uint64_t request_id,
+                                std::vector<std::uint8_t>& response) {
   obs::ScopedTimer timer(pull_hist_);
-  PullBatchResp resp;
-  resp.items.reserve(batch.entries.size());
+  const ShardLayout& layout = store_->layout();
+  PullAnswerWriter answer(response, request_id, batch.entries.size(), params,
+                          ack);
   for (const PullBatchEntry& entry : batch.entries) {
-    resp.items.push_back(PullItem(entry.shard));
+    const std::uint32_t shard = entry.shard;
+    const std::span<std::byte> dest =
+        answer.BeginItem(shard, layout.offset(shard), layout.length(shard));
+    // The shard version under the slice's lock, then the global version.
+    const std::uint64_t shard_version = store_->PullShardSlice(shard, dest);
+    answer.EndItem(shard_version, store_->version());
+    pulls_.fetch_add(1, std::memory_order_relaxed);
   }
-  return resp;
-}
-
-PullShardResp RequestExecutor::PullItem(std::uint32_t shard) {
-  PullShardResp item;
-  item.shard = shard;
-  item.offset = store_->layout().offset(shard);
-  item.params.resize(store_->layout().length(shard));
-  // The shard version under the slice's lock, then the global version.
-  item.shard_version = store_->PullShardSlice(shard, item.params);
-  item.global_version = store_->version();
-  pulls_.fetch_add(1, std::memory_order_relaxed);
-  return item;
 }
 
 std::optional<AckResp> RequestExecutor::ValidatePush(
@@ -189,7 +196,11 @@ std::optional<AckResp> RequestExecutor::ValidatePush(
         slice.indices, [&](std::uint64_t index) {
           return index >= offset && index - offset < length;
         });
-    if (!routed || slice.indices.size() != slice.values.size()) {
+    // Rows apply whole (a decoded kind-3 slice's rows are consecutive by
+    // construction), so the entries must split into them.
+    if (!routed || slice.indices.size() != slice.values.size() ||
+        slice.block_width == 0 ||
+        slice.indices.size() % slice.block_width != 0) {
       return Reject(kAckBadRequest, slice.shard);
     }
   }
@@ -214,7 +225,7 @@ void RequestExecutor::ApplySlice(const PushShardReq& slice) {
   pushes_.fetch_add(1, std::memory_order_relaxed);
   if (slice.sparse) {
     store_->PushShardSparse(slice.shard, slice.indices, slice.values,
-                            slice.epoch);
+                            slice.epoch, slice.block_width);
   } else {
     store_->PushShardDenseSlice(slice.shard, slice.dense, slice.epoch);
   }

@@ -9,13 +9,16 @@
 // A composed pull is one PullBatchReq per server. The executor validates
 // every shard in it, and that the answer fits one frame, before reading
 // any, then snapshots each shard on its own (version and slice under that
-// shard's lock, through ParameterServer::PullShardSlice). A standalone
-// PullShardReq is rejected: every pull is a batch.
+// shard's lock, through ParameterServer::PullShardSlice) straight into the
+// response frame (PullAnswerWriter): one copy per shard, no intermediate
+// PullShardResp. A standalone PullShardReq is rejected: every pull is a
+// batch.
 //
 // Pushes are exactly-once. A push is one CommitPushReq batch per server; the
 // executor validates every slice (a dense slice must be its shard's exact
 // range, every sparse entry must fall inside its slice's shard), then
-// applies the slices in place and commits under the sending client's
+// applies the slices in place (a sparse slice by row when it carries a row
+// width) and commits under the sending client's
 // watermark (PushWatermarks), so a retried, duplicated, or concurrently
 // re-executed batch is answered from the cache instead of being applied
 // again. A standalone PushShardReq is rejected: no path applies a gradient
@@ -132,13 +135,15 @@ class RequestExecutor {
                   obs::SpanRecorder* spans = nullptr,
                   std::uint32_t span_track_base = 0);
 
-  // Executes one decoded request and returns the response to send back. A
+  // Executes one decoded request and writes the encoded response frame,
+  // answering `request_id`, into `response` (resized to the frame; reuse it
+  // across requests and a steady stream of answers allocates nothing). A
   // response-typed message (a confused peer), a standalone PushShardReq and
   // a standalone PullShardReq get a kAckBadRequest ack.
   // `trace` (optional) is the request frame's trace context; valid contexts
   // become serve spans when a SpanRecorder is attached.
-  WireMessage Execute(const WireMessage& request,
-                      const TraceContext* trace = nullptr);
+  void Execute(const WireMessage& request, std::uint64_t request_id,
+               const TraceContext* trace, std::vector<std::uint8_t>& response);
 
   bool ServesShard(std::size_t shard) const;
 
@@ -146,18 +151,24 @@ class RequestExecutor {
   ServerStats stats() const;
 
  private:
-  WireMessage ExecuteInner(const WireMessage& request);
+  void ExecuteInner(const WireMessage& request, std::uint64_t request_id,
+                    std::vector<std::uint8_t>& response);
   // Validates both halves, applies the push once, then serves the pull.
-  WireMessage ExecutePushPull(const PushPullReq& fused);
+  void ExecutePushPull(const PushPullReq& fused, std::uint64_t request_id,
+                       std::vector<std::uint8_t>& response);
   // Counts a rejected request and returns its error ack.
   AckResp Reject(std::uint32_t status, std::uint64_t value);
   // The error ack for a batch naming a shard this server does not own, or
-  // whose answer (a PushPullResp when `fused`) would not fit one frame.
-  std::optional<AckResp> ValidatePull(const PullBatchReq& batch, bool fused);
-  // Answers every entry of a validated batch from its own snapshot.
-  PullBatchResp ServePull(const PullBatchReq& batch);
-  // One shard's snapshot, version and slice read under its lock.
-  PullShardResp PullItem(std::uint32_t shard);
+  // whose answer (a PushPullResp when `fused`) would not fit one frame;
+  // otherwise the doubles the answer carries, in `params`.
+  std::optional<AckResp> ValidatePull(const PullBatchReq& batch, bool fused,
+                                      std::size_t& params);
+  // Writes the answer to a validated batch holding `params` doubles: each
+  // entry's shard snapshotted straight into the frame, behind `ack` (a
+  // PushPullResp) when that is non-null.
+  void ServePull(const PullBatchReq& batch, std::size_t params,
+                 const AckResp* ack, std::uint64_t request_id,
+                 std::vector<std::uint8_t>& response);
   // The error ack for a batch that must not be applied.
   std::optional<AckResp> ValidatePush(const CommitPushReq& batch);
   // Applies + commits a validated batch once per (client, seq).

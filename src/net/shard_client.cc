@@ -72,6 +72,9 @@ struct ShardClient::Link {
   // Never reset, not even by a reconnect: a late reply can never carry the
   // id of a later attempt.
   std::uint64_t next_id = 1;
+  // Each attempt's request frame, encoded into this one buffer, reused
+  // across exchanges and attempts.
+  std::vector<std::uint8_t> send_frame;
 
   std::uint64_t requests = 0;
   std::uint64_t retries = 0;
@@ -113,8 +116,11 @@ struct ShardClient::Ticket {
   std::chrono::steady_clock::time_point sent_at{};
   std::size_t attempts = 0;
   bool in_flight = false;  // the current attempt's reply is still due
-  bool done = false;       // `response` holds the reply
-  WireMessage response;
+  bool done = false;       // `reply` holds the reply
+  // The reply's frame and its answer, read in place from it. Both outlive
+  // the exchange, so a reused ticket receives into buffers already sized.
+  std::vector<std::uint8_t> reply;
+  Answer answer;
 
   // Every change of `in_flight` goes through here, keeping the link's
   // gauge (summed over every client sharing the registry) in step.
@@ -216,22 +222,36 @@ void ShardClient::KillLink(Link& link) {
   link.connection = TcpConnection();
   if (link.deaths_counter != nullptr) link.deaths_counter->Increment();
   RecordNetState("link_down", link.endpoint.port);
-  for (Ticket& ticket : tickets_) {
+  for (Ticket& ticket : tickets()) {
     if (ticket.link == &link) ticket.SetInFlight(false);
   }
 }
 
 void ShardClient::AddTicket(std::size_t shard, const WireMessage* request) {
   SPECSYNC_CHECK_LT(shard, num_shards());
-  Ticket& ticket = tickets_.emplace_back();
+  if (ticket_count_ == tickets_.size()) tickets_.emplace_back();
+  Ticket& ticket = tickets_[ticket_count_++];
+  // An idle ticket is out of flight (Exchange takes every ticket out before
+  // reusing any), so its link's gauge owes it nothing.
+  SPECSYNC_CHECK(!ticket.in_flight);
   ticket.link = &links_[shard_link_[shard]];
   ticket.shard = shard;
   ticket.request = request;
+  ticket.id = 0;
+  ticket.trace_id = 0;
+  ticket.started_ns = 0;
+  ticket.sent_at = {};
+  ticket.attempts = 0;
+  ticket.done = false;
   ++ticket.link->requests;
   if (spans_ != nullptr) {
     ticket.trace_id = NextProcessUniqueId();
     ticket.started_ns = obs::WallNanos();
   }
+}
+
+std::span<ShardClient::Ticket> ShardClient::tickets() {
+  return std::span<Ticket>(tickets_).first(ticket_count_);
 }
 
 void ShardClient::IssueAttempt(Ticket& ticket) {
@@ -267,8 +287,9 @@ void ShardClient::IssueAttempt(Ticket& ticket) {
   // trace is per logical request), so the server's serve spans for retries
   // and duplicates all flow from one client span.
   const TraceContext trace{ticket.trace_id, ticket.trace_id};
-  const std::vector<std::uint8_t> bytes = EncodeFrame(
-      *ticket.request, ticket.id, ticket.trace_id != 0 ? &trace : nullptr);
+  EncodeFrame(*ticket.request, ticket.id,
+              ticket.trace_id != 0 ? &trace : nullptr, link.send_frame);
+  const std::span<const std::uint8_t> bytes(link.send_frame);
   ticket.sent_at = std::chrono::steady_clock::now();
 
   if (decision.drop) {
@@ -314,16 +335,17 @@ void ShardClient::IssueUntilInFlight(Ticket& ticket) {
   }
 }
 
-WireMessage ShardClient::Await(Ticket& ticket) {
+const Answer& ShardClient::Await(Ticket& ticket) {
   Link& link = *ticket.link;
   while (!ticket.done) {
     if (!ticket.in_flight) {
       IssueUntilInFlight(ticket);
       continue;
     }
+    std::size_t frame_bytes = 0;
     const auto status = link.connection.RecvFrame(
-        recv_frame_, ticket.sent_at + config_.request_timeout);
-    if (status == TcpConnection::RecvStatus::kTimeout && recv_frame_.empty()) {
+        recv_frame_, frame_bytes, ticket.sent_at + config_.request_timeout);
+    if (status == TcpConnection::RecvStatus::kTimeout && frame_bytes == 0) {
       // No byte arrived by the deadline: the attempt timed out. Its late
       // reply, if any, will find no ticket and count as stale.
       ticket.SetInFlight(false);
@@ -331,20 +353,24 @@ WireMessage ShardClient::Await(Ticket& ticket) {
       if (timeout_counter_ != nullptr) timeout_counter_->Increment();
       continue;
     }
-    std::uint64_t id = 0;
-    WireMessage response;
+    FrameHeader header;
     if (status != TcpConnection::RecvStatus::kFrame ||
-        DecodeFrame(recv_frame_, id, response) != WireStatus::kOk) {
+        DecodeHeader(recv_frame_, header) != WireStatus::kOk ||
+        DecodeAnswer(header,
+                     std::span<const std::uint8_t>(recv_frame_)
+                         .subspan(kHeaderBytes, header.payload_bytes),
+                     recv_answer_) != WireStatus::kOk) {
       // EOF, a socket error, a malformed frame, or a deadline that fell
       // mid-frame: either way the stream has lost its framing.
       KillLink(link);
       continue;
     }
+    const std::span<Ticket> current = tickets();
     const auto owner =
-        std::find_if(tickets_.begin(), tickets_.end(), [&](const Ticket& t) {
-          return t.link == &link && t.in_flight && t.id == id;
+        std::find_if(current.begin(), current.end(), [&](const Ticket& t) {
+          return t.link == &link && t.in_flight && t.id == header.request_id;
         });
-    if (owner == tickets_.end()) {
+    if (owner == current.end()) {
       // A late answer to a timed-out attempt, the echo of an injected
       // duplicate, or an attempt of an exchange that threw.
       ++link.stale_frames;
@@ -353,7 +379,10 @@ WireMessage ShardClient::Await(Ticket& ticket) {
     }
     owner->SetInFlight(false);
     owner->done = true;
-    owner->response = std::move(response);
+    // The answer's views point into recv_frame_'s block, which the swap
+    // hands to the ticket along with them.
+    std::swap(owner->reply, recv_frame_);
+    std::swap(owner->answer, recv_answer_);
     if (rtt_hist_ != nullptr) {
       const double rtt = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - owner->sent_at)
@@ -363,14 +392,14 @@ WireMessage ShardClient::Await(Ticket& ticket) {
     }
     if (spans_ != nullptr && owner->trace_id != 0) RecordClientSpan(*owner);
   }
-  if (const auto* ack = std::get_if<AckResp>(&ticket.response)) {
+  if (ticket.answer.type == MsgType::kAck) {
     // Error acks mean the client routed a request the server does not
     // own — a wiring bug, not a transient fault.
-    SPECSYNC_CHECK(ack->status == kAckOk)
+    SPECSYNC_CHECK(ticket.answer.ack.status == kAckOk)
         << "shard " << ticket.shard << " rejected request (status "
-        << ack->status << ")";
+        << ticket.answer.ack.status << ")";
   }
-  return std::move(ticket.response);
+  return ticket.answer;
 }
 
 void ShardClient::RecordClientSpan(const Ticket& ticket) {
@@ -396,19 +425,21 @@ void ShardClient::RecordClientSpan(const Ticket& ticket) {
 
 PullResult ShardClient::Pull() {
   PullResult out;
-  Exchange(nullptr, 0, &out);
+  PullInto(&out);
   return out;
+}
+
+void ShardClient::PullInto(PullResult* result) {
+  Exchange(nullptr, 0, result);
 }
 
 std::uint64_t ShardClient::Push(const Gradient& grad, EpochId epoch) {
   return Exchange(&grad, epoch, nullptr);
 }
 
-ShardClient::PushPullResult ShardClient::PushAndPull(const Gradient& grad,
-                                                     EpochId epoch) {
-  PushPullResult out;
-  out.version = Exchange(&grad, epoch, &out.pull);
-  return out;
+std::uint64_t ShardClient::PushAndPull(const Gradient& grad, EpochId epoch,
+                                       PullResult& pull) {
+  return Exchange(&grad, epoch, &pull);
 }
 
 std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
@@ -416,8 +447,8 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
   std::scoped_lock lock(call_mutex_);
   // An exchange that threw (a shard unreachable) left attempts outstanding;
   // their replies are stale from here on.
-  for (Ticket& ticket : tickets_) ticket.SetInFlight(false);
-  tickets_.clear();
+  for (Ticket& ticket : tickets()) ticket.SetInFlight(false);
+  ticket_count_ = 0;
   if (grad != nullptr) BuildPushFrames(*grad, epoch, /*fused=*/pull != nullptr);
 
   // Send every frame before reading any reply: they ride their links
@@ -439,30 +470,27 @@ std::uint64_t ShardClient::Exchange(const Gradient* grad, EpochId epoch,
       AddTicket(LinkPull(l).entries.front().shard, &pull_frames_[l]);
     }
   }
-  for (Ticket& ticket : tickets_) IssueUntilInFlight(ticket);
+  for (Ticket& ticket : tickets()) IssueUntilInFlight(ticket);
 
   if (pull != nullptr) pull->params.resize(dim());
   std::uint64_t pushed = 0;
   std::uint64_t pulled = 0;
-  for (std::size_t t = 0; t < tickets_.size(); ++t) {
+  for (std::size_t t = 0; t < ticket_count_; ++t) {
     const WireMessage& request = *tickets_[t].request;
-    WireMessage response = Await(tickets_[t]);
+    const Answer& answer = Await(tickets_[t]);
     if (t >= push_count) {
-      const auto* batch = std::get_if<PullBatchResp>(&response);
-      SPECSYNC_CHECK(batch != nullptr);
+      SPECSYNC_CHECK(answer.type == MsgType::kPullBatchResp);
       pulled = std::max(pulled, ComposeBatch(std::get<PullBatchReq>(request),
-                                             *batch, pull->params));
+                                             answer.items, pull->params));
     } else if (pull == nullptr) {
-      const auto* ack = std::get_if<AckResp>(&response);
-      SPECSYNC_CHECK(ack != nullptr);
-      pushed = std::max(pushed, ack->value);
+      SPECSYNC_CHECK(answer.type == MsgType::kAck);
+      pushed = std::max(pushed, answer.ack.value);
     } else {
-      const auto* fused = std::get_if<PushPullResp>(&response);
-      SPECSYNC_CHECK(fused != nullptr);
-      pushed = std::max(pushed, fused->ack.value);
+      SPECSYNC_CHECK(answer.type == MsgType::kPushPullResp);
+      pushed = std::max(pushed, answer.ack.value);
       pulled = std::max(pulled,
                         ComposeBatch(std::get<PushPullReq>(request).pull,
-                                     fused->pull, pull->params));
+                                     answer.items, pull->params));
     }
   }
   if (pull != nullptr) pull->version = pulled;
@@ -475,18 +503,17 @@ const PullBatchReq& ShardClient::LinkPull(std::size_t link) const {
 }
 
 std::uint64_t ShardClient::ComposeBatch(const PullBatchReq& request,
-                                        const PullBatchResp& batch,
+                                        std::span<const PullItemView> items,
                                         std::vector<double>& params) const {
-  SPECSYNC_CHECK_EQ(batch.items.size(), request.entries.size());
+  SPECSYNC_CHECK_EQ(items.size(), request.entries.size());
   std::uint64_t version = 0;
   for (std::size_t i = 0; i < request.entries.size(); ++i) {
     const std::size_t s = request.entries[i].shard;
-    const PullShardResp& item = batch.items[i];
+    const PullItemView& item = items[i];
     SPECSYNC_CHECK_EQ(item.shard, s);
     SPECSYNC_CHECK_EQ(item.offset, layout_.offset(s));
-    SPECSYNC_CHECK_EQ(item.params.size(), layout_.length(s));
-    std::copy(item.params.begin(), item.params.end(),
-              params.begin() + static_cast<std::ptrdiff_t>(item.offset));
+    SPECSYNC_CHECK_EQ(item.count(), layout_.length(s));
+    item.CopyTo(std::span<double>(params).subspan(item.offset, item.count()));
     version = std::max(version, item.global_version);
   }
   return version;
@@ -529,6 +556,7 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
     slice.shard = static_cast<std::uint32_t>(s);
     slice.epoch = epoch;
     slice.sparse = grad.is_sparse();
+    slice.block_width = 1;
     slice.indices.clear();
     slice.values.clear();
     if (!slice.sparse) {
@@ -544,7 +572,10 @@ void ShardClient::BuildPushFrames(const Gradient& grad, EpochId epoch,
     const auto indices = grad.sparse().indices();
     const auto values = grad.sparse().values();
     if (grad.sparse().strictly_increasing()) {
-      // A sorted gradient's range holds exactly the shard's entries.
+      // A sorted gradient's range holds exactly the shard's entries, which
+      // travel as rows when the range is aligned to them.
+      slice.block_width = static_cast<std::uint32_t>(
+          RouteRowWidth(route, grad.sparse().block_width()));
       const auto begin = static_cast<std::ptrdiff_t>(route.begin);
       const auto end = static_cast<std::ptrdiff_t>(route.end);
       slice.indices.assign(indices.begin() + begin, indices.begin() + end);

@@ -11,9 +11,19 @@
 // its pull batch, applied and then served in that order, so the snapshot
 // includes the push; every other link gets its plain PullBatchReq
 // alongside. All three share one routing, batch-building and composing
-// path. The constructor refuses (CheckError, naming the endpoint and the
-// byte count) a topology where one link's full answer would not fit one
-// frame (PullAnswerPayloadBytes).
+// path. A sparse slice whose route is aligned to its gradient's row width
+// travels as rows (kind 3; RouteRowWidth, the store's own rule). The
+// constructor refuses (CheckError, naming the endpoint and the byte count)
+// a topology where one link's full answer would not fit one frame
+// (PullAnswerPayloadBytes).
+//
+// One copy per shard. Each link encodes its request frames into one buffer
+// it reuses across exchanges and attempts; a reply is read in place
+// (DecodeAnswer), checked against the request (shard, offset and length of
+// every item; an error ack fails loudly), and each shard's doubles are
+// copied once, from the frame straight into the caller's snapshot. With a
+// caller that reuses its PullResult, a steady-state exchange allocates
+// nothing on the calling thread.
 //
 // The calling thread does its own receive. An exchange first sends every
 // frame, then reads the replies itself from each link's blocking socket, in
@@ -56,6 +66,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -122,6 +133,8 @@ class ShardClient {
   // torn under concurrent pushes; `version` is the largest global version
   // any shard reported.
   PullResult Pull();
+  // Pull() into `result`, reusing its params buffer when already sized.
+  void PullInto(PullResult* result);
 
   // Routes `grad` to its owning shards (ShardLayout::RouteInto, as the
   // store routes) and sends one CommitPushReq batch per server touched, all
@@ -129,16 +142,14 @@ class ShardClient {
   // once. Returns the largest committed global version reported.
   std::uint64_t Push(const Gradient& grad, EpochId epoch);
 
-  // Push() and the next Pull() in one round trip: one PushPullReq per
-  // server the push touches (its push batch plus its pull batch) and a
+  // Push() and the next PullInto(pull) in one round trip: one PushPullReq
+  // per server the push touches (its push batch plus its pull batch) and a
   // plain PullBatchReq to every other server. Each server serves the pull
   // after applying the push, so `pull` includes this push (a retried frame
-  // still applies once, and gets a fresh pull).
-  struct PushPullResult {
-    std::uint64_t version = 0;  // as Push() returns it
-    PullResult pull;            // as Pull() returns it
-  };
-  PushPullResult PushAndPull(const Gradient& grad, EpochId epoch);
+  // still applies once, and gets a fresh pull). Returns what Push()
+  // returns.
+  std::uint64_t PushAndPull(const Gradient& grad, EpochId epoch,
+                            PullResult& pull);
 
   std::size_t dim() const { return layout_.dim(); }
   std::size_t num_shards() const { return layout_.num_shards(); }
@@ -172,8 +183,11 @@ class ShardClient {
   // retries on a fresh connection instead of burning its timeout.
   void KillLink(Link& link);
   // Queues a ticket for `request` (caller-owned, outliving the exchange) on
-  // `shard`'s link.
+  // `shard`'s link, reusing a ticket (and its reply buffers) from an
+  // earlier exchange when there is one.
   void AddTicket(std::size_t shard, const WireMessage* request);
+  // The current exchange's tickets.
+  std::span<Ticket> tickets();
   // One attempt: fault draw, reconnect if the link is down, send. Leaves the
   // ticket in flight on success; a failed attempt is consumed silently (the
   // caller loops).
@@ -184,8 +198,9 @@ class ShardClient {
   void IssueUntilInFlight(Ticket& ticket);
   // Reads the ticket's link until its reply arrives, keeping replies for
   // the exchange's other tickets on that link and retrying timed-out and
-  // link-failed attempts. Validates error acks.
-  WireMessage Await(Ticket& ticket);
+  // link-failed attempts. Validates error acks. Returns the reply, read in
+  // place: its views point into the ticket's reply buffer.
+  const Answer& Await(Ticket& ticket);
   // Emits the completed request's "net.client" span (spans_ attached only).
   void RecordClientSpan(const Ticket& ticket);
   // The engine behind Push, Pull and PushAndPull: pushes `grad` when it is
@@ -201,10 +216,12 @@ class ShardClient {
   void BuildPushFrames(const Gradient& grad, EpochId epoch, bool fused);
   // Link `link`'s pull batch: its shards, in shard order.
   const PullBatchReq& LinkPull(std::size_t link) const;
-  // Checks the answer to `request` against the topology, composes it into
-  // `params`, and returns the largest global version its items reported.
+  // Checks the answer's items against `request` and the topology (shard,
+  // offset and length, failing loudly on a mismatch), copies each shard
+  // from the frame into `params`, and returns the largest global version
+  // the items reported.
   std::uint64_t ComposeBatch(const PullBatchReq& request,
-                             const PullBatchResp& batch,
+                             std::span<const PullItemView> items,
                              std::vector<double>& params) const;
 
   ShardClientConfig config_;
@@ -228,11 +245,16 @@ class ShardClient {
   std::vector<std::size_t> push_links_;
   std::vector<std::size_t> link_slices_;
   // One PullBatchReq frame per link (LinkPull), built by the constructor
-  // and never changed, and the current exchange's tickets (push frames
-  // first, in push_links_ order, then plain pulls in link order).
+  // and never changed, and the tickets: the current exchange's are the
+  // first ticket_count_ (push frames first, in push_links_ order, then
+  // plain pulls in link order); the rest wait, buffers kept, for reuse.
   std::vector<WireMessage> pull_frames_;
   std::vector<Ticket> tickets_;
+  std::size_t ticket_count_ = 0;
+  // The frame being received and its reply, read in place; both trade
+  // buffers with the ticket the frame answers.
   std::vector<std::uint8_t> recv_frame_;
+  Answer recv_answer_;
   // Largest global version any push batch was acked at (for diagnoses).
   std::uint64_t last_acked_version_ = 0;
   std::vector<std::size_t> shard_link_;  // shard id → links_ index

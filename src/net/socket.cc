@@ -126,15 +126,17 @@ bool TcpConnection::SendAll(std::span<const std::uint8_t> bytes) {
 }
 
 TcpConnection::RecvStatus TcpConnection::RecvFrame(
-    std::vector<std::uint8_t>& frame,
+    std::vector<std::uint8_t>& buffer, std::size_t& frame_bytes,
     std::chrono::steady_clock::time_point deadline) {
+  frame_bytes = 0;
   if (fd_ < 0) return RecvStatus::kError;
-  frame.clear();
-  frame.resize(kHeaderBytes);
-  std::size_t have = 0;
+  std::size_t& have = frame_bytes;
   std::size_t want = kHeaderBytes;
   bool header_parsed = false;
   for (;;) {
+    // Grow only: a buffer that held a frame this size already is reused as
+    // it is, with no fill ahead of recv.
+    if (buffer.size() < want) buffer.resize(want);
     while (have < want) {
       pollfd pfd{fd_, POLLIN, 0};
       const int pr = ::poll(&pfd, 1, PollTimeoutMs(deadline));
@@ -142,11 +144,8 @@ TcpConnection::RecvStatus TcpConnection::RecvFrame(
         if (errno == EINTR) continue;
         return RecvStatus::kError;
       }
-      if (pr == 0) {
-        frame.resize(have);
-        return RecvStatus::kTimeout;
-      }
-      const ssize_t n = ::recv(fd_, frame.data() + have, want - have, 0);
+      if (pr == 0) return RecvStatus::kTimeout;
+      const ssize_t n = ::recv(fd_, buffer.data() + have, want - have, 0);
       if (n == 0) return RecvStatus::kClosed;
       if (n < 0) {
         if (errno == EINTR) continue;
@@ -156,36 +155,31 @@ TcpConnection::RecvStatus TcpConnection::RecvFrame(
     }
     if (header_parsed) return RecvStatus::kFrame;
     FrameHeader header;
-    if (DecodeHeader(frame, header) != WireStatus::kOk) {
+    if (DecodeHeader(std::span(buffer).first(kHeaderBytes), header) !=
+        WireStatus::kOk) {
       return RecvStatus::kBadFrame;
     }
     header_parsed = true;
     want = kHeaderBytes + header.payload_bytes;
-    frame.resize(want);
     if (have == want) return RecvStatus::kFrame;
   }
 }
 
-TcpConnection::IoStatus TcpConnection::RecvSome(std::vector<std::uint8_t>& out,
-                                                std::size_t max,
+TcpConnection::IoStatus TcpConnection::RecvSome(std::span<std::uint8_t> dest,
                                                 std::size_t& n) {
   n = 0;
   if (fd_ < 0) return IoStatus::kError;
   // recv(fd, ptr, 0) returns 0, which the check below would misreport as
   // kClosed — a zero-byte read request must stay a no-op.
-  if (max == 0) return IoStatus::kOk;
-  const std::size_t old_size = out.size();
-  out.resize(old_size + max);
+  if (dest.empty()) return IoStatus::kOk;
   ssize_t got;
   do {
-    got = ::recv(fd_, out.data() + old_size, max, 0);
+    got = ::recv(fd_, dest.data(), dest.size(), 0);
   } while (got < 0 && errno == EINTR);
   if (got > 0) {
     n = static_cast<std::size_t>(got);
-    out.resize(old_size + n);
     return IoStatus::kOk;
   }
-  out.resize(old_size);
   if (got == 0) return IoStatus::kClosed;
   if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kWouldBlock;
   return IoStatus::kError;

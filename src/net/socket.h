@@ -57,12 +57,16 @@ class TcpConnection {
     kBadFrame,  // header failed wire validation; the stream is unusable
   };
 
-  // Receives exactly one frame, blocking until `deadline` (steady clock;
-  // time_point::max() blocks indefinitely). On kBadFrame the caller must
-  // drop the connection: framing is lost. On kTimeout `frame` holds the
-  // bytes that did arrive: non-empty means the deadline fell mid-frame, and
-  // framing is lost too. Blocking sockets only.
-  RecvStatus RecvFrame(std::vector<std::uint8_t>& frame,
+  // Receives exactly one frame into the front of `buffer`, blocking until
+  // `deadline` (steady clock; time_point::max() blocks indefinitely), and
+  // sets `frame_bytes` to its length. The buffer keeps its size across
+  // frames and grows only when a frame outgrows it, so a steady stream of
+  // frames never zero-fills bytes recv is about to overwrite. On kBadFrame
+  // the caller must drop the connection: framing is lost. On kTimeout
+  // `frame_bytes` counts the bytes that did arrive: nonzero means the
+  // deadline fell mid-frame, and framing is lost too. Blocking sockets only.
+  RecvStatus RecvFrame(std::vector<std::uint8_t>& buffer,
+                       std::size_t& frame_bytes,
                        std::chrono::steady_clock::time_point deadline);
 
   // Non-blocking IO results (event-loop paths).
@@ -73,11 +77,10 @@ class TcpConnection {
     kError,       // socket error; drop the connection
   };
 
-  // Reads at most `max` bytes into `out` (appended). Non-blocking sockets.
-  // max == 0 is a clean no-op (kOk, n = 0) — never misreported as kClosed
-  // even though a zero-length recv() returns 0.
-  IoStatus RecvSome(std::vector<std::uint8_t>& out, std::size_t max,
-                    std::size_t& n);
+  // Reads at most dest.size() bytes into the front of `dest`. Non-blocking
+  // sockets. An empty `dest` is a clean no-op (kOk, n = 0) — never
+  // misreported as kClosed even though a zero-length recv() returns 0.
+  IoStatus RecvSome(std::span<std::uint8_t> dest, std::size_t& n);
 
   // Writes a prefix of `bytes`; `n` reports how much went out. Non-blocking
   // sockets. Retries EINTR internally; an empty span is a clean no-op, so a

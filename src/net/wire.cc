@@ -39,17 +39,29 @@ class Writer {
     pos_ += values.size_bytes();
   }
 
-  // indices.size() x (u64 index, f64 value); values.size() == indices.size().
-  void PutPairs(std::span<const std::uint64_t> indices,
-                std::span<const double> values) {
+  // indices.size() / width rows of (u64 first index, width x f64): kind 1's
+  // pairs at width 1, kind 3's rows above it. values.size() ==
+  // indices.size(), a multiple of width.
+  void PutRows(std::span<const std::uint64_t> indices,
+               std::span<const double> values, std::size_t width) {
     std::uint8_t* out = pos_;
-    for (std::size_t i = 0; i < indices.size(); ++i) {
+    const std::size_t row_bytes = 8 * width;
+    for (std::size_t i = 0; i < indices.size(); i += width) {
       std::memcpy(out, &indices[i], 8);
-      std::memcpy(out + 8, &values[i], 8);
-      out += 16;
+      std::memcpy(out + 8, &values[i], row_bytes);
+      out += 8 + row_bytes;
     }
     pos_ = out;
   }
+
+  // Skips `n` bytes, to be filled in later; returns where they start.
+  std::uint8_t* Reserve(std::size_t n) {
+    std::uint8_t* at = pos_;
+    pos_ += n;
+    return at;
+  }
+
+  std::uint8_t* pos() const { return pos_; }
 
  private:
   template <typename T>
@@ -100,19 +112,33 @@ class Reader {
     return true;
   }
 
-  // `count` interleaved (u64 index, f64 value) pairs, split into two arrays.
-  bool TakePairs(std::uint64_t count, std::vector<std::uint64_t>& indices,
-                 std::vector<double>& values) {
-    const std::span<const std::uint8_t> in = TakeBytes(count, 16);
-    if (!ok_) return false;
-    indices.resize(count);
-    values.resize(count);
-    const std::uint8_t* pair = in.data();
-    for (std::size_t i = 0; i < count; ++i, pair += 16) {
-      std::memcpy(&indices[i], pair, 8);
-      std::memcpy(&values[i], pair + 8, 8);
+  // `rows` rows of (u64 first index, width x f64), each expanded into
+  // `width` consecutive indices and their values. Rejects, before sizing
+  // either array, a row count the payload cannot hold (kTruncated; the
+  // overflow-safe bound also covers rows x width) and a first index whose
+  // row would pass UINT64_MAX (kMalformed).
+  WireStatus TakeRows(std::uint64_t rows, std::size_t width,
+                      std::vector<std::uint64_t>& indices,
+                      std::vector<double>& values) {
+    const std::size_t row_bytes = 8 + 8 * width;
+    const std::span<const std::uint8_t> in = TakeBytes(rows, row_bytes);
+    if (!ok_) return WireStatus::kTruncated;
+    const std::uint64_t last_first = ~std::uint64_t{0} - (width - 1);
+    for (std::size_t r = 0; width > 1 && r < rows; ++r) {
+      std::uint64_t first;
+      std::memcpy(&first, in.data() + r * row_bytes, 8);
+      if (first > last_first) return WireStatus::kMalformed;
     }
-    return true;
+    indices.resize(rows * width);
+    values.resize(rows * width);
+    const std::uint8_t* row = in.data();
+    for (std::size_t i = 0; i < indices.size(); i += width, row += row_bytes) {
+      std::uint64_t first;
+      std::memcpy(&first, row, 8);
+      for (std::size_t k = 0; k < width; ++k) indices[i + k] = first + k;
+      std::memcpy(&values[i], row + 8, 8 * width);
+    }
+    return WireStatus::kOk;
   }
 
   void Skip(std::size_t n) { TakeBytes(n, 1); }
@@ -184,15 +210,24 @@ std::size_t PullBatchFullItemBytes(std::size_t params) {
   return 1 + PullShardRespBytes(params);
 }
 
+// The sparse kinds: width-1 entry pairs, and rows of block_width > 1.
+constexpr std::uint8_t kSparseKind = 1;
+constexpr std::uint8_t kRowsKind = 3;
+
 // EncodePushShard's output size.
 std::size_t PushShardBytes(const PushShardReq& m) {
-  if (m.sparse) {
-    // One index per value: the encoder reads values[i] for every index.
-    SPECSYNC_CHECK_EQ(m.indices.size(), m.values.size());
-  }
-  // u32 shard, u64 epoch, u8 kind, then u64 nnz or u64 offset + u64 count.
-  const std::size_t head = 4 + 8 + 1 + (m.sparse ? 8 : 16);
-  return head + (m.sparse ? 16 * m.values.size() : 8 * m.dense.size());
+  // u32 shard, u64 epoch, u8 kind.
+  constexpr std::size_t kHead = 4 + 8 + 1;
+  if (!m.sparse) return kHead + 16 + 8 * m.dense.size();
+  // One index per value, and whole rows: the encoder reads values[i] for
+  // every index and one index per row.
+  SPECSYNC_CHECK_EQ(m.indices.size(), m.values.size());
+  SPECSYNC_CHECK_GE(m.block_width, 1u);
+  SPECSYNC_CHECK_EQ(m.indices.size() % m.block_width, 0u);
+  const std::size_t width = m.block_width;
+  const std::size_t rows = m.indices.size() / width;
+  // Kind 3 adds its u32 width; both kinds then carry a u64 row count.
+  return kHead + (width > 1 ? 4 : 0) + 8 + rows * (8 + 8 * width);
 }
 
 // One slice's payload: the whole of a standalone PushShardReq frame's
@@ -200,26 +235,64 @@ std::size_t PushShardBytes(const PushShardReq& m) {
 void EncodePushShard(const PushShardReq& m, Writer& w) {
   w.PutU32(m.shard);
   w.PutU64(m.epoch);
-  w.PutU8(m.sparse ? 1 : 0);
-  if (m.sparse) {
-    w.PutU64(m.indices.size());
-    w.PutPairs(m.indices, m.values);
-  } else {
+  if (!m.sparse) {
+    w.PutU8(0);
     w.PutU64(m.dense_offset);
     w.PutU64(m.dense.size());
     w.PutArray<double>(m.dense);
+    return;
   }
+  const std::size_t width = m.block_width;
+  if (width == 1) {
+    w.PutU8(kSparseKind);
+  } else {
+    w.PutU8(kRowsKind);
+    w.PutU32(m.block_width);
+  }
+  w.PutU64(m.indices.size() / width);
+  w.PutRows(m.indices, m.values, width);
 }
 
-// One full shard: the whole of a standalone PullShardResp frame's payload,
-// and the slice of a PullBatchResp item.
+// The one pull-item layout: a standalone PullShardResp payload, and a
+// PullBatchResp item behind its kind byte. Writes the head with the version
+// slots left open (the versions are read during and after the shard's copy)
+// and returns them.
+std::uint8_t* PutPullItemHead(Writer& w, std::uint32_t shard,
+                              std::uint64_t offset, std::uint64_t count) {
+  w.PutU32(shard);
+  w.PutU64(offset);
+  std::uint8_t* versions = w.Reserve(16);
+  w.PutU64(count);
+  return versions;
+}
+void PutPullItemVersions(std::uint8_t* versions, std::uint64_t shard_version,
+                         std::uint64_t global_version) {
+  std::memcpy(versions, &shard_version, 8);
+  std::memcpy(versions + 8, &global_version, 8);
+}
+
 void EncodePullShardResp(const PullShardResp& m, Writer& w) {
-  w.PutU32(m.shard);
-  w.PutU64(m.offset);
-  w.PutU64(m.shard_version);
-  w.PutU64(m.global_version);
-  w.PutU64(m.params.size());
+  std::uint8_t* versions =
+      PutPullItemHead(w, m.shard, m.offset, m.params.size());
   w.PutArray<double>(m.params);
+  PutPullItemVersions(versions, m.shard_version, m.global_version);
+}
+
+// Refuses a frame every peer would reject.
+void CheckPayloadFits(MsgType type, std::size_t payload) {
+  SPECSYNC_CHECK_LE(payload, kMaxPayloadBytes)
+      << "refusing to encode a " << MsgTypeName(type) << " frame with "
+      << payload << " payload bytes: the wire caps a payload at "
+      << kMaxPayloadBytes << " bytes";
+}
+
+void PutHeader(Writer& w, MsgType type, std::uint64_t request_id,
+               std::size_t payload) {
+  w.PutU32(kWireMagic);
+  w.PutU16(kWireVersion);
+  w.PutU16(static_cast<std::uint16_t>(type));
+  w.PutU64(request_id);
+  w.PutU32(static_cast<std::uint32_t>(payload));
 }
 
 // One overload per message: the payload fields, trace extension excluded.
@@ -334,22 +407,14 @@ std::size_t PullAnswerPayloadBytes(std::size_t items, std::size_t params,
          items * PullBatchFullItemBytes(0) + 8 * params;
 }
 
-std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
-                                      std::uint64_t request_id,
-                                      const TraceContext* trace) {
+void EncodeFrame(const WireMessage& message, std::uint64_t request_id,
+                 const TraceContext* trace, std::vector<std::uint8_t>& frame) {
   const MsgType type = TypeOf(message);
   const std::size_t payload = EncodedPayloadBytes(message, trace);
-  SPECSYNC_CHECK_LE(payload, kMaxPayloadBytes)
-      << "refusing to encode a " << MsgTypeName(type) << " frame with "
-      << payload << " payload bytes: the wire caps a payload at "
-      << kMaxPayloadBytes << " bytes";
-  std::vector<std::uint8_t> frame(kHeaderBytes + payload);
+  CheckPayloadFits(type, payload);
+  frame.resize(kHeaderBytes + payload);
   Writer w(frame.data());
-  w.PutU32(kWireMagic);
-  w.PutU16(kWireVersion);
-  w.PutU16(static_cast<std::uint16_t>(type));
-  w.PutU64(request_id);
-  w.PutU32(static_cast<std::uint32_t>(payload));
+  PutHeader(w, type, request_id, payload);
   std::visit([&w](const auto& m) { EncodeBody(m, w); }, message);
   if (trace != nullptr && trace->valid()) {
     w.PutU32(kTraceExtMagic);
@@ -357,7 +422,57 @@ std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
     w.PutU64(trace->trace_id);
     w.PutU64(trace->parent_span);
   }
+}
+
+std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
+                                      std::uint64_t request_id,
+                                      const TraceContext* trace) {
+  std::vector<std::uint8_t> frame;
+  EncodeFrame(message, request_id, trace, frame);
   return frame;
+}
+
+PullAnswerWriter::PullAnswerWriter(std::vector<std::uint8_t>& frame,
+                                   std::uint64_t request_id,
+                                   std::size_t items, std::size_t params,
+                                   const AckResp* ack) {
+  const bool fused = ack != nullptr;
+  const MsgType type = fused ? MsgType::kPushPullResp : MsgType::kPullBatchResp;
+  const std::size_t payload = PullAnswerPayloadBytes(items, params, fused);
+  CheckPayloadFits(type, payload);
+  frame.resize(kHeaderBytes + payload);
+  Writer w(frame.data());
+  PutHeader(w, type, request_id, payload);
+  if (fused) EncodeBody(*ack, w);
+  w.PutU32(static_cast<std::uint32_t>(items));
+  pos_ = w.pos();
+  end_ = frame.data() + frame.size();
+}
+
+std::span<std::byte> PullAnswerWriter::BeginItem(std::uint32_t shard,
+                                                 std::uint64_t offset,
+                                                 std::size_t count) {
+  SPECSYNC_CHECK_LE(PullBatchFullItemBytes(count),
+                    static_cast<std::size_t>(end_ - pos_))
+      << "item past the answer the writer was sized for";
+  Writer w(pos_);
+  w.PutU8(0);  // kind
+  versions_ = PutPullItemHead(w, shard, offset, count);
+  auto* params = reinterpret_cast<std::byte*>(w.Reserve(8 * count));
+  pos_ = w.pos();
+  return {params, 8 * count};
+}
+
+void PullAnswerWriter::EndItem(std::uint64_t shard_version,
+                               std::uint64_t global_version) {
+  SPECSYNC_CHECK(versions_ != nullptr);
+  PutPullItemVersions(versions_, shard_version, global_version);
+  versions_ = nullptr;
+}
+
+void PullItemView::CopyTo(std::span<double> dest) const {
+  SPECSYNC_CHECK_EQ(dest.size(), count());
+  if (!params.empty()) std::memcpy(dest.data(), params.data(), params.size());
 }
 
 WireStatus DecodeHeader(std::span<const std::uint8_t> bytes,
@@ -415,51 +530,83 @@ WireStatus DecodeTraceTail(Reader& r, TraceContext* trace) {
   return WireStatus::kOk;
 }
 
-// Parses one slice (EncodePushShard's layout) from the reader's position.
+// Parses one slice (EncodePushShard's layout) from the reader's position,
+// setting every field, so a reused slice keeps nothing of its last value.
 WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
   m.shard = r.TakeU32();
   m.epoch = r.TakeU64();
   const std::uint8_t kind = r.TakeU8();
-  if (!r.ok() || kind > 1) {
-    return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
+  if (!r.ok()) return WireStatus::kTruncated;
+  if (kind != 0 && kind != kSparseKind && kind != kRowsKind) {
+    return WireStatus::kMalformed;
   }
-  m.sparse = kind == 1;
-  if (m.sparse) {
-    const std::uint64_t nnz = r.TakeU64();
-    if (!r.TakePairs(nnz, m.indices, m.values)) return WireStatus::kTruncated;
-  } else {
+  m.sparse = kind != 0;
+  m.block_width = 1;
+  if (!m.sparse) {
+    m.indices.clear();
+    m.values.clear();
     m.dense_offset = r.TakeU64();
     const std::uint64_t count = r.TakeU64();
-    if (!r.TakeArray(count, m.dense)) return WireStatus::kTruncated;
+    return r.TakeArray(count, m.dense) ? WireStatus::kOk
+                                       : WireStatus::kTruncated;
   }
-  return WireStatus::kOk;
+  m.dense_offset = 0;
+  m.dense.clear();
+  if (kind == kRowsKind) {
+    m.block_width = r.TakeU32();
+    if (!r.ok()) return WireStatus::kTruncated;
+    if (m.block_width < 2) return WireStatus::kMalformed;
+  }
+  const std::uint64_t rows = r.TakeU64();
+  if (!r.ok()) return WireStatus::kTruncated;
+  return r.TakeRows(rows, m.block_width, m.indices, m.values);
 }
 
 // The smallest slice: u32 shard, u64 epoch, u8 kind, u64 count/nnz. Bounds a
 // batch's claimed slice count before anything is reserved for it.
 constexpr std::size_t kMinPushShardBytes = 4 + 8 + 1 + 8;
 
-// Parses one full shard (EncodePullShardResp's layout); false = truncated.
-bool DecodePullShardResp(Reader& r, PullShardResp& m) {
-  m.shard = r.TakeU32();
-  m.offset = r.TakeU64();
-  m.shard_version = r.TakeU64();
-  m.global_version = r.TakeU64();
+// Reads one item (PutPullItemHead's layout, then its doubles) in place;
+// false = truncated.
+bool ReadPullItem(Reader& r, PullItemView& item) {
+  item.shard = r.TakeU32();
+  item.offset = r.TakeU64();
+  item.shard_version = r.TakeU64();
+  item.global_version = r.TakeU64();
   const std::uint64_t count = r.TakeU64();
-  return r.TakeArray(count, m.params);
+  item.params = r.TakeBytes(count, 8);
+  return r.ok();
 }
 
-// One item: the kind byte, which must be 0, then a full shard.
-WireStatus DecodePullBatchItem(Reader& r, PullShardResp& item) {
-  const std::uint8_t kind = r.TakeU8();
-  if (!r.ok()) return WireStatus::kTruncated;
-  if (kind != 0) return WireStatus::kMalformed;
-  return DecodePullShardResp(r, item) ? WireStatus::kOk
-                                      : WireStatus::kTruncated;
+// The struct form of one item, copied out of the frame.
+void ToStruct(const PullItemView& item, PullShardResp& m) {
+  m.shard = item.shard;
+  m.offset = item.offset;
+  m.shard_version = item.shard_version;
+  m.global_version = item.global_version;
+  m.params.resize(item.count());
+  item.CopyTo(m.params);
 }
 
 // The smallest item: a kind byte and an empty shard.
 constexpr std::size_t kMinPullBatchItemBytes = 1 + kPullShardRespHeadBytes;
+
+// A PullBatchResp body read in place: the count, then each item's kind
+// byte, which must be 0, and its shard.
+WireStatus ReadPullBatch(Reader& r, std::vector<PullItemView>& items) {
+  const std::uint32_t count = r.TakeU32();
+  if (!r.ok() || !r.CanTake(count, kMinPullBatchItemBytes)) {
+    return WireStatus::kTruncated;
+  }
+  items.resize(count);
+  for (PullItemView& item : items) {
+    const std::uint8_t kind = r.TakeU8();
+    if (!r.ok()) return WireStatus::kTruncated;
+    if (kind != 0) return WireStatus::kMalformed;
+    if (!ReadPullItem(r, item)) return WireStatus::kTruncated;
+  }
+  return WireStatus::kOk;
+}
 
 // One overload per message, EncodeBody's inverse: the payload fields from
 // the reader's position, trace extension excluded.
@@ -468,7 +615,10 @@ WireStatus DecodeBody(Reader& r, PullShardReq& m) {
   return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
 }
 WireStatus DecodeBody(Reader& r, PullShardResp& m) {
-  return DecodePullShardResp(r, m) ? WireStatus::kOk : WireStatus::kTruncated;
+  PullItemView item;
+  if (!ReadPullItem(r, item)) return WireStatus::kTruncated;
+  ToStruct(item, m);
+  return WireStatus::kOk;
 }
 WireStatus DecodeBody(Reader& r, PushShardReq& m) {
   return DecodePushShard(r, m);
@@ -505,15 +655,11 @@ WireStatus DecodeBody(Reader& r, PullBatchReq& m) {
   return WireStatus::kOk;
 }
 WireStatus DecodeBody(Reader& r, PullBatchResp& m) {
-  const std::uint32_t count = r.TakeU32();
-  if (!r.ok() || !r.CanTake(count, kMinPullBatchItemBytes)) {
-    return WireStatus::kTruncated;
-  }
-  m.items.resize(count);
-  for (PullShardResp& item : m.items) {
-    const WireStatus status = DecodePullBatchItem(r, item);
-    if (status != WireStatus::kOk) return status;
-  }
+  std::vector<PullItemView> items;
+  const WireStatus status = ReadPullBatch(r, items);
+  if (status != WireStatus::kOk) return status;
+  m.items.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) ToStruct(items[i], m.items[i]);
   return WireStatus::kOk;
 }
 WireStatus DecodeBody(Reader& r, PushPullReq& m) {
@@ -525,15 +671,14 @@ WireStatus DecodeBody(Reader& r, PushPullResp& m) {
   return ack != WireStatus::kOk ? ack : DecodeBody(r, m.pull);
 }
 
-// A whole payload: the body, then the optional trace extension. `out` is
-// assigned only when both decode.
+// A whole payload: the body, then the optional trace extension, decoded in
+// place when `out` already holds a T.
 template <typename T>
 WireStatus DecodeMessage(Reader& r, WireMessage& out, TraceContext* trace) {
-  T m;
-  WireStatus status = DecodeBody(r, m);
-  if (status == WireStatus::kOk) status = DecodeTraceTail(r, trace);
-  if (status == WireStatus::kOk) out = std::move(m);
-  return status;
+  T* m = std::get_if<T>(&out);
+  if (m == nullptr) m = &out.emplace<T>();
+  const WireStatus status = DecodeBody(r, *m);
+  return status == WireStatus::kOk ? DecodeTraceTail(r, trace) : status;
 }
 
 }  // namespace
@@ -565,6 +710,34 @@ WireStatus DecodePayload(const FrameHeader& header,
       return DecodeMessage<PushPullResp>(r, out, trace);
   }
   return WireStatus::kBadType;
+}
+
+WireStatus DecodeAnswer(const FrameHeader& header,
+                        std::span<const std::uint8_t> payload, Answer& out) {
+  out.type = header.type;
+  out.ack = AckResp{};
+  out.items.clear();
+  if (payload.size() < header.payload_bytes) return WireStatus::kTruncated;
+  if (payload.size() > header.payload_bytes) return WireStatus::kMalformed;
+  Reader r(payload);
+  WireStatus status = WireStatus::kOk;
+  switch (header.type) {
+    case MsgType::kAck:
+      status = DecodeBody(r, out.ack);
+      break;
+    case MsgType::kPullBatchResp:
+      status = ReadPullBatch(r, out.items);
+      break;
+    case MsgType::kPushPullResp:
+      status = DecodeBody(r, out.ack);
+      if (status == WireStatus::kOk) status = ReadPullBatch(r, out.items);
+      break;
+    default: {
+      WireMessage message;
+      return DecodePayload(header, payload, message);
+    }
+  }
+  return status == WireStatus::kOk ? DecodeTraceTail(r, nullptr) : status;
 }
 
 WireStatus DecodeFrame(std::span<const std::uint8_t> frame,

@@ -38,11 +38,23 @@
 //                  a PullBatchResp; no server sends one alone)
 //   PushShardReq   one slice (servers answer it standalone with
 //                  kAckBadRequest; it travels inside CommitPushReq):
-//                  u32 shard, u64 epoch, u8 kind (0 dense, 1 sparse);
-//                  dense:  u64 offset, u64 count, f64[count]  (the shard's
-//                          slice only — never the full vector)
-//                  sparse: u64 nnz, nnz x (u64 index, f64 value)  (global
-//                          indices, pre-routed to the owning shard)
+//                  u32 shard, u64 epoch, u8 kind, then by kind:
+//                  0 dense:  u64 offset, u64 count, f64[count]  (the shard's
+//                            slice only — never the full vector)
+//                  1 sparse: u64 nnz, nnz x (u64 index, f64 value)  (global
+//                            indices, pre-routed to the owning shard)
+//                  3 rows:   u32 width, u64 rows,
+//                            rows x (u64 first index, width x f64)
+//                            (a sparse slice of block_width > 1: row r
+//                            holds entries first .. first + width - 1, so
+//                            an entry costs 8 bytes, not 16). Kind 1 is
+//                            kind 3 at width 1 with the width implied; one
+//                            encode and one decode loop serve both. The
+//                            decoder rejects, before sizing anything, a
+//                            width below 2 and a row count the payload
+//                            cannot hold (kMalformed, kTruncated), and a
+//                            first index whose row would pass UINT64_MAX
+//                            (kMalformed).
 //                  Other kinds are kMalformed (kind 2 was a quantized
 //                  slice; gradient compression is modelled only in the
 //                  simulator, see ps/compression.h).
@@ -65,7 +77,11 @@
 //                  standalone PullShardResp payload; other kinds are
 //                  kMalformed (kind 1 was a delta pull's not-modified
 //                  answer). No per-item length prefix — slices are
-//                  self-delimiting.
+//                  self-delimiting. A server writes each item's doubles
+//                  straight from its store into the frame
+//                  (PullAnswerWriter), and a client reads them straight
+//                  from the frame into its snapshot (DecodeAnswer): one
+//                  copy of each shard on each side.
 //   PushPullReq    a CommitPushReq payload, then a PullBatchReq payload, each
 //                  byte-identical to its standalone payload. One push to one
 //                  server fused with the same client's next pull from it:
@@ -87,10 +103,13 @@
 // Codec. Encoding and decoding copy fields and f64/u64 arrays in bulk in the
 // host's byte order, which wire.cc pins to little-endian with a
 // static_assert (there is no byte-swapping path). EncodeFrame computes the
-// exact payload size first (EncodedPayloadBytes), allocates the frame once
-// at that size, and refuses (CheckError) a payload over kMaxPayloadBytes
+// exact payload size first (EncodedPayloadBytes), sizes the frame once at
+// that size, and refuses (CheckError) a payload over kMaxPayloadBytes
 // instead of sending a frame every peer would reject. Decoding checks each
-// array's claimed count against the bytes left before sizing anything.
+// array's claimed count against the bytes left before sizing anything. A
+// pull answer's items have one writer and one reader (wire.cc), which the
+// struct codec and the in-place paths (PullAnswerWriter, DecodeAnswer)
+// share.
 //
 // Trace-context extension (optional, length-prefixed). A frame MAY carry a
 // trace context after its message fields, still inside payload_bytes:
@@ -106,6 +125,7 @@
 // Trailing bytes that do not start with kTraceExtMagic remain kMalformed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -175,6 +195,10 @@ struct PushShardReq {
   // vector). Sparse: global (index, value) entries owned by the shard; an
   // empty entry list is a valid slice (the empty-gradient push still
   // crosses the wire as one batch holding one empty slice).
+  // Sparse only: the row width. Above 1, the entries are rows of
+  // `block_width` consecutive indices (indices.size() a multiple of it),
+  // which travel as kind 3 and apply row by row; 1 travels as kind 1.
+  std::uint32_t block_width = 1;
   std::uint64_t dense_offset = 0;
   std::vector<double> dense;
   std::vector<std::uint64_t> indices;
@@ -272,14 +296,75 @@ std::size_t EncodedPayloadBytes(const WireMessage& message,
 std::size_t PullAnswerPayloadBytes(std::size_t items, std::size_t params,
                                    bool fused);
 
-// Serializes one message into a complete frame (header + payload), allocated
-// once at its exact size. A valid (nonzero trace_id) context is appended as
-// the trace extension; null or invalid contexts produce a byte-identical
-// pre-extension frame. Throws CheckError, naming the message type, when the
-// payload would exceed kMaxPayloadBytes.
+// Serializes one message into `frame` (header + payload), resized to the
+// frame's exact size, so a buffer reused across frames allocates only when
+// it grows. A valid (nonzero trace_id) context is appended as the trace
+// extension; null or invalid contexts produce a byte-identical pre-extension
+// frame. Throws CheckError, naming the message type, when the payload would
+// exceed kMaxPayloadBytes.
+void EncodeFrame(const WireMessage& message, std::uint64_t request_id,
+                 const TraceContext* trace, std::vector<std::uint8_t>& frame);
+// The same frame in a fresh buffer, allocated once at its exact size.
 std::vector<std::uint8_t> EncodeFrame(const WireMessage& message,
                                       std::uint64_t request_id,
                                       const TraceContext* trace = nullptr);
+
+// Writes the answer to a pull in place, item by item, so a server copies
+// each shard once: from its store into the frame. The constructor sizes
+// `frame` for `items` full shards holding `params` doubles between them
+// (PullAnswerPayloadBytes, which must not exceed kMaxPayloadBytes) and
+// writes the header and, for a PushPullResp (`ack` non-null), the ack; with
+// a null `ack` the frame is a PullBatchResp. Each item is then BeginItem,
+// the shard's doubles copied into the bytes it returns, and EndItem with
+// the versions read during and after that copy. The finished frame is
+// byte-identical to EncodeFrame of the same answer; it carries no trace
+// extension.
+class PullAnswerWriter {
+ public:
+  PullAnswerWriter(std::vector<std::uint8_t>& frame, std::uint64_t request_id,
+                   std::size_t items, std::size_t params, const AckResp* ack);
+
+  // Lays out the next item's head and returns where its `count` doubles go:
+  // 8 * count bytes, unaligned, little-endian.
+  std::span<std::byte> BeginItem(std::uint32_t shard, std::uint64_t offset,
+                                 std::size_t count);
+  // Fills in the versions of the item BeginItem laid out.
+  void EndItem(std::uint64_t shard_version, std::uint64_t global_version);
+
+ private:
+  std::uint8_t* pos_;
+  std::uint8_t* end_;
+  std::uint8_t* versions_ = nullptr;  // the open item's version slots
+};
+
+// One item of a pull answer as it sits in a frame: the shard's head fields
+// and its doubles, still the frame's bytes (8 per double, unaligned). Valid
+// while the frame's buffer is.
+struct PullItemView {
+  std::uint32_t shard = 0;
+  std::uint64_t offset = 0;
+  std::uint64_t shard_version = 0;
+  std::uint64_t global_version = 0;
+  std::span<const std::uint8_t> params;
+
+  std::size_t count() const { return params.size() / 8; }
+  // Copies the item's doubles into `dest`, which must hold exactly count().
+  void CopyTo(std::span<double> dest) const;
+};
+
+// A response read in place, as a client reads one. `type` is the header's.
+// An AckResp fills `ack`; a PullBatchResp fills `items`, one view per item
+// in order; a PushPullResp fills both. Nothing is copied out of `payload`:
+// each view points into it. Any other type decodes through DecodePayload
+// and leaves `items` empty. The status is DecodePayload's for the same
+// bytes.
+struct Answer {
+  MsgType type = MsgType::kAck;
+  AckResp ack;
+  std::vector<PullItemView> items;
+};
+WireStatus DecodeAnswer(const FrameHeader& header,
+                        std::span<const std::uint8_t> payload, Answer& out);
 
 // Validates and parses the 20-byte header prefix of `bytes`.
 WireStatus DecodeHeader(std::span<const std::uint8_t> bytes, FrameHeader& out);
@@ -288,7 +373,11 @@ WireStatus DecodeHeader(std::span<const std::uint8_t> bytes, FrameHeader& out);
 // exactly header.payload_bytes long (the transport reads exactly that many).
 // When `trace` is non-null it receives the frame's trace context (zeroed if
 // the frame carries none); callers that pass null still decode extension
-// frames correctly — the context is parsed and discarded.
+// frames correctly — the context is parsed and discarded. When `out`
+// already holds the frame's type, it is decoded in place, reusing its
+// buffers (a server decoding every request into one message allocates only
+// when a request outgrows the last); on an error status `out` holds an
+// unspecified value of that type.
 WireStatus DecodePayload(const FrameHeader& header,
                          std::span<const std::uint8_t> payload,
                          WireMessage& out, TraceContext* trace = nullptr);

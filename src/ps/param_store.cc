@@ -1,6 +1,7 @@
 #include "ps/param_store.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "common/check.h"
@@ -122,13 +123,14 @@ void ParameterServer::PullInto(PullResult* result) const {
 }
 
 std::uint64_t ParameterServer::PullShardSlice(std::size_t s,
-                                              std::span<double> dest) const {
+                                              std::span<std::byte> dest) const {
   SPECSYNC_CHECK_LT(s, shards_.size());
   const Shard& shard = *shards_[s];
-  SPECSYNC_CHECK_EQ(dest.size(), layout_.length(s));
+  SPECSYNC_CHECK_EQ(dest.size(), shard_bytes(s));
   TimedShardLock lock(shard.mutex, shard.lock_wait, shard.lock_hold);
-  std::copy_n(params_.begin() + static_cast<std::ptrdiff_t>(layout_.offset(s)),
-              dest.size(), dest.begin());
+  if (!dest.empty()) {
+    std::memcpy(dest.data(), params_.data() + layout_.offset(s), dest.size());
+  }
   return shard.version;
 }
 
@@ -150,27 +152,18 @@ bool ParameterServer::PushRoute(const ShardRoute& route, const Gradient& grad,
   }
   const SparseUpdate& update = grad.sparse();
   SPECSYNC_CHECK_LE(route.end, update.nnz());
-  // Whole rows apply row by row. A shard boundary that cuts a row leaves
-  // the route's range unaligned, and its entries apply one by one.
-  const std::size_t row = update.block_width();
-  const std::size_t width =
-      route.begin % row == 0 && route.end % row == 0 ? row : 1;
-  return ApplySparse(route.shard, update.indices().subspan(route.begin, count),
-                     update.values().subspan(route.begin, count), width,
-                     epoch);
+  // Whole rows apply row by row; a route a shard boundary cut applies entry
+  // by entry.
+  return PushShardSparse(route.shard,
+                         update.indices().subspan(route.begin, count),
+                         update.values().subspan(route.begin, count), epoch,
+                         RouteRowWidth(route, update.block_width()));
 }
 
 bool ParameterServer::PushShardSparse(std::size_t s,
                                       std::span<const std::uint64_t> indices,
                                       std::span<const double> values,
-                                      EpochId epoch) {
-  return ApplySparse(s, indices, values, /*width=*/1, epoch);
-}
-
-bool ParameterServer::ApplySparse(std::size_t s,
-                                  std::span<const std::uint64_t> indices,
-                                  std::span<const double> values,
-                                  std::size_t width, EpochId epoch) {
+                                      EpochId epoch, std::size_t width) {
   SPECSYNC_CHECK_LT(s, shards_.size());
   Shard& shard = *shards_[s];
   const std::size_t offset = layout_.offset(s);

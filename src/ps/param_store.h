@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -91,11 +92,16 @@ class ParameterServer {
   void PullInto(PullResult* result) const;
 
   // The one locked shard read: copies shard `s`'s slice into `dest` (which
-  // must be exactly the shard's length) and returns the shard version read
-  // under the same lock, so slice and version always agree. PullInto, the
-  // shard server's pull items and the simulator's delta pulls all read
-  // through it.
-  std::uint64_t PullShardSlice(std::size_t s, std::span<double> dest) const;
+  // must be exactly the shard's bytes, shard_bytes(s)) and returns the shard
+  // version read under the same lock, so slice and version always agree.
+  // The destination is bytes, not doubles, so a shard server copies each
+  // shard straight into its response frame, where the doubles sit
+  // unaligned; PullInto and the simulator's delta pulls pass their doubles'
+  // bytes.
+  std::uint64_t PullShardSlice(std::size_t s, std::span<std::byte> dest) const;
+  std::uint64_t PullShardSlice(std::size_t s, std::span<double> dest) const {
+    return PullShardSlice(s, std::as_writable_bytes(dest));
+  }
 
   // Applies one worker's gradient with the learning rate of `epoch`; returns
   // the new global version. Routes to dirty shards only: sparse gradients
@@ -113,11 +119,16 @@ class ParameterServer {
 
   // Applies the entries of a sparse gradient that fall in shard `s`
   // (values[i] belongs to indices[i]) in place, never copying them into a
-  // Gradient first; entries outside the shard are skipped. Entries apply
-  // one by one: a decoded wire slice carries no row width. Same version
-  // semantics as PushShardDenseSlice.
+  // Gradient first; entries outside the shard are skipped. With `width`
+  // above 1 the entries are rows of `width` consecutive indices
+  // (indices.size() a multiple of it), applied row by row
+  // (SgdApplier::ApplySparseSlice) exactly as PushRoute applies an aligned
+  // route: a decoded kind-3 wire slice carries its row width, so the shard
+  // server applies by row too. Same version semantics as
+  // PushShardDenseSlice.
   bool PushShardSparse(std::size_t s, std::span<const std::uint64_t> indices,
-                       std::span<const double> values, EpochId epoch);
+                       std::span<const double> values, EpochId epoch,
+                       std::size_t width = 1);
 
   // Completes a logical push whose slices were applied shard by shard: bumps
   // and returns the global version. A network-duplicated slice re-applied
@@ -168,12 +179,6 @@ class ParameterServer {
     obs::LatencyHistogram* lock_wait = nullptr;
     obs::LatencyHistogram* lock_hold = nullptr;
   };
-
-  // PushShardSparse in rows of `width` consecutive entries
-  // (SgdApplier::ApplySparseSlice).
-  bool ApplySparse(std::size_t s, std::span<const std::uint64_t> indices,
-                   std::span<const double> values, std::size_t width,
-                   EpochId epoch);
 
   const ShardLayout layout_;
   std::shared_ptr<const SgdApplier> applier_;

@@ -30,6 +30,18 @@ struct ShardRoute {
   std::size_t end = 0;
 };
 
+// The row width a sparse route applies and travels in: `block_width` (its
+// gradient's SparseUpdate::block_width()) when the route's [begin, end) is
+// aligned to it, else 1 — a shard boundary that cuts a row leaves the range
+// unaligned, and its entries go one by one. The store's PushRoute and the
+// wire client's push slices both cut by this rule.
+inline std::size_t RouteRowWidth(const ShardRoute& route,
+                                 std::size_t block_width) {
+  return route.begin % block_width == 0 && route.end % block_width == 0
+             ? block_width
+             : 1;
+}
+
 class ShardLayout {
  public:
   // The canonical near-equal split: `num_shards` contiguous shards whose

@@ -142,15 +142,12 @@ struct RuntimeCluster::Impl {
   // push applied. Returns the committed version.
   std::uint64_t PushGradient(WorkerId w, const Gradient& grad, EpochId epoch,
                              std::span<const ShardRoute> routes,
-                             std::optional<PullResult>* next_pull) {
+                             PullResult* next_pull) {
     if (shard_clients.empty()) {
       return protocol.store().Push(grad, epoch, routes);
     }
     if (next_pull == nullptr) return shard_clients[w]->Push(grad, epoch);
-    net::ShardClient::PushPullResult result =
-        shard_clients[w]->PushAndPull(grad, epoch);
-    *next_pull = std::move(result.pull);
-    return result.version;
+    return shard_clients[w]->PushAndPull(grad, epoch, *next_pull);
   }
 
   // --- worker threads --------------------------------------------------------
@@ -166,9 +163,12 @@ struct RuntimeCluster::Impl {
     // Over the wire with no gate, each push but the last also fetches the
     // next iteration's snapshot in the same round trip (the pull needs no
     // admission, so nothing has to happen between the two). An abort or a
-    // crash rejoin discards it: those re-pull fresher parameters.
+    // crash rejoin discards it: those re-pull fresher parameters. The
+    // prefetch lands in its own buffer, which trades places with the
+    // snapshot when the next iteration starts, so neither is reallocated.
     const bool fuse_pull = !shard_clients.empty() && !protocol.gated();
-    std::optional<PullResult> prefetched;
+    PullResult prefetched;
+    bool has_prefetched = false;
 
     // No scheduler thread: this worker hands its pull, down and up notices
     // to the scheduler itself, as the sim does. Its notifies ride its own
@@ -242,7 +242,7 @@ struct RuntimeCluster::Impl {
     // discarded: a rejoined worker re-pulls and restarts.
     const auto go_down = [&] {
       crash_pending = false;
-      prefetched.reset();
+      has_prefetched = false;
       notice(protocol.Crash(w, clock.Now()));
       if (!crash->rejoin.has_value()) return true;
       std::this_thread::sleep_until(clock.ToTimePoint(*crash->rejoin));
@@ -283,13 +283,13 @@ struct RuntimeCluster::Impl {
       // in-process pull copies every shard into the reused snapshot on this
       // thread: a few microseconds, far less than a hand-off to others.
       const SimTime pull_begin = Stamp();
-      if (prefetched.has_value()) {
-        snapshot = std::move(*prefetched);
-        prefetched.reset();
+      if (has_prefetched) {
+        std::swap(snapshot, prefetched);
+        has_prefetched = false;
       } else if (shard_clients.empty()) {
         protocol.store().PullInto(&snapshot);
       } else {
-        snapshot = shard_clients[w]->Pull();
+        shard_clients[w]->PullInto(&snapshot);
       }
       notice(
           protocol.RecordPull(w, pull_begin, clock.Now(), snapshot.version));
@@ -341,9 +341,10 @@ struct RuntimeCluster::Impl {
                              /*route=*/shard_clients.empty());
       const SimTime merge_end = Stamp();
       const bool last = iteration + 1 == config.iterations_per_worker;
+      has_prefetched = fuse_pull && !last;
       const std::uint64_t version =
           PushGradient(w, merged, protocol.GlobalEpoch(), plan.routes,
-                       fuse_pull && !last ? &prefetched : nullptr);
+                       has_prefetched ? &prefetched : nullptr);
       const SimTime store_end = Stamp();
       protocol.Commit(w, clock.Now(), plan.write_set, /*landed=*/true);
       const SimTime gate_end = Stamp();

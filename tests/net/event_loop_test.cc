@@ -60,12 +60,14 @@ std::vector<double> ShardParams(const ParameterServer& store, std::size_t s) {
 // Receives one frame (5s deadline) and returns its decoded id + message.
 bool RecvOne(TcpConnection& conn, std::uint64_t& id, WireMessage& out) {
   std::vector<std::uint8_t> reply;
-  if (conn.RecvFrame(reply, std::chrono::steady_clock::now() +
-                                std::chrono::seconds(5)) !=
+  std::size_t n = 0;
+  if (conn.RecvFrame(reply, n,
+                     std::chrono::steady_clock::now() +
+                         std::chrono::seconds(5)) !=
       TcpConnection::RecvStatus::kFrame) {
     return false;
   }
-  return DecodeFrame(reply, id, out) == WireStatus::kOk;
+  return DecodeFrame(std::span(reply).first(n), id, out) == WireStatus::kOk;
 }
 
 std::unique_ptr<EventLoopServer> StartServer(ParameterServer* store,
@@ -238,8 +240,10 @@ TEST_P(ReassemblyTest, MalformedPayloadKillsOnlyItsConnection) {
   frame[kHeaderBytes + 4 + 8] = 7;
   ASSERT_TRUE(bad.SendAll(frame));
   std::vector<std::uint8_t> reply;
-  EXPECT_EQ(bad.RecvFrame(reply, std::chrono::steady_clock::now() +
-                                     std::chrono::seconds(5)),
+  std::size_t n = 0;
+  EXPECT_EQ(bad.RecvFrame(reply, n,
+                          std::chrono::steady_clock::now() +
+                              std::chrono::seconds(5)),
             TcpConnection::RecvStatus::kClosed);
 
   ShardClient client(ClientConfigFor(*store, server->port()));

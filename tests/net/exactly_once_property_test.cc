@@ -477,8 +477,10 @@ class FaultProxy {
   void PumpUp(Relay* relay) {
     std::vector<std::uint8_t> frame;
     constexpr auto kForever = std::chrono::steady_clock::time_point::max();
-    while (relay->client.RecvFrame(frame, kForever) ==
+    std::size_t frame_bytes = 0;
+    while (relay->client.RecvFrame(frame, frame_bytes, kForever) ==
            TcpConnection::RecvStatus::kFrame) {
+      frame.resize(frame_bytes);  // the frame alone, as it is relayed
       const PushFault fault = FaultFor(frame);
       if (fault == PushFault::kDelay) {
         std::this_thread::sleep_for(std::chrono::milliseconds(3));
@@ -499,8 +501,10 @@ class FaultProxy {
     std::vector<std::uint8_t> frame;
     std::vector<std::vector<std::uint8_t>> held;  // late, sent after the next
     constexpr auto kForever = std::chrono::steady_clock::time_point::max();
-    while (relay->server.RecvFrame(frame, kForever) ==
+    std::size_t frame_bytes = 0;
+    while (relay->server.RecvFrame(frame, frame_bytes, kForever) ==
            TcpConnection::RecvStatus::kFrame) {
+      frame.resize(frame_bytes);  // the frame alone, as it is relayed
       FrameHeader header;
       if (DecodeHeader(frame, header) != WireStatus::kOk) break;
       bool split = false;
@@ -629,9 +633,9 @@ Observations RunTimeline(const Timeline& t, PullFn pull, PushFn push,
   };
   for (const TimelineOp& op : t.ops) {
     if (op.fused) {
-      ShardClient::PushPullResult r = push_pull(op.grad, op.epoch);
-      out.versions.push_back(r.version);
-      observe(std::move(r.pull));
+      PullResult pulled;
+      out.versions.push_back(push_pull(op.grad, op.epoch, pulled));
+      observe(std::move(pulled));
     } else if (op.push) {
       out.versions.push_back(push(op.grad, op.epoch));
     } else {
@@ -645,7 +649,9 @@ Observations RunOnClient(const Timeline& t, ShardClient& client) {
   return RunTimeline(
       t, [&] { return client.Pull(); },
       [&](const Gradient& g, EpochId e) { return client.Push(g, e); },
-      [&](const Gradient& g, EpochId e) { return client.PushAndPull(g, e); });
+      [&](const Gradient& g, EpochId e, PullResult& pulled) {
+        return client.PushAndPull(g, e, pulled);
+      });
 }
 
 struct DirectRun {
@@ -661,11 +667,10 @@ DirectRun RunDirect(const Timeline& t) {
   run.observed = RunTimeline(
       t, [&] { return store->Pull(); },
       [&](const Gradient& g, EpochId e) { return store->Push(g, e); },
-      [&](const Gradient& g, EpochId e) {
-        ShardClient::PushPullResult r;
-        r.version = store->Push(g, e);
-        r.pull = store->Pull();
-        return r;
+      [&](const Gradient& g, EpochId e, PullResult& pulled) {
+        const std::uint64_t version = store->Push(g, e);
+        pulled = store->Pull();
+        return version;
       });
   run.digest = StoreDigest(*store);
   return run;
@@ -677,11 +682,23 @@ DirectRun RunDirect(const Timeline& t) {
 // that serves the pull half before applying the push half.
 enum class FusedSubject { kExecutor, kPullBeforePush };
 
+// The message the executor answers `request` with: the frame it encodes,
+// decoded.
+WireMessage Respond(RequestExecutor& executor, const WireMessage& request) {
+  std::vector<std::uint8_t> frame;
+  executor.Execute(request, /*request_id=*/1, nullptr, frame);
+  std::uint64_t id = 0;
+  WireMessage out;
+  EXPECT_EQ(DecodeFrame(frame, id, out), WireStatus::kOk);
+  EXPECT_EQ(id, 1u);
+  return out;
+}
+
 WireMessage ExecuteFused(FusedSubject subject, RequestExecutor& executor,
                          const PushPullReq& fused) {
-  if (subject == FusedSubject::kExecutor) return executor.Execute(fused);
-  const WireMessage pulled = executor.Execute(fused.pull);
-  const WireMessage acked = executor.Execute(fused.push);
+  if (subject == FusedSubject::kExecutor) return Respond(executor, fused);
+  const WireMessage pulled = Respond(executor, fused.pull);
+  const WireMessage acked = Respond(executor, fused.push);
   return PushPullResp{std::get<AckResp>(acked),
                       std::get<PullBatchResp>(pulled)};
 }
@@ -1148,12 +1165,15 @@ TEST(ExactlyOnceTransportProperty, TwoCopiesExecutingAtOnceApplyOnce) {
   ASSERT_TRUE(conn.SendAll(both));
   for (int i = 0; i < 2; ++i) {
     std::vector<std::uint8_t> reply;
-    ASSERT_EQ(conn.RecvFrame(reply, std::chrono::steady_clock::now() +
-                                        std::chrono::seconds(5)),
+    std::size_t n = 0;
+    ASSERT_EQ(conn.RecvFrame(reply, n,
+                             std::chrono::steady_clock::now() +
+                                 std::chrono::seconds(5)),
               TcpConnection::RecvStatus::kFrame);
     std::uint64_t id = 0;
     WireMessage out;
-    ASSERT_EQ(DecodeFrame(reply, id, out), WireStatus::kOk);
+    ASSERT_EQ(DecodeFrame(std::span(reply).first(n), id, out),
+              WireStatus::kOk);
     const auto& ack = std::get<AckResp>(out);
     EXPECT_EQ(ack.status, kAckOk);
     EXPECT_EQ(ack.value, 1u) << "both copies report the one commit";

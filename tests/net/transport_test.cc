@@ -9,7 +9,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "core/scheduler.h"
 #include "core/speculation.h"
 #include "fault/fault_plan.h"
+#include "harness/workload.h"
 #include "net/endpoint.h"
 #include "net/event_loop_server.h"
 #include "net/shard_client.h"
@@ -30,6 +33,7 @@
 #include "obs/span_recorder.h"
 #include "optim/lr_schedule.h"
 #include "ps/param_store.h"
+#include "ps/shard_layout.h"
 #include "support/loopback.h"
 
 namespace specsync::net {
@@ -392,13 +396,14 @@ TEST_P(TransportTest, UnservedShardAnsweredWithBadShardAck) {
   const auto frame = EncodeFrame(PullBatchReq{{{1}}}, 77);
   ASSERT_TRUE(conn.SendAll(frame));
   std::vector<std::uint8_t> reply;
-  ASSERT_EQ(conn.RecvFrame(reply,
+  std::size_t n = 0;
+  ASSERT_EQ(conn.RecvFrame(reply, n,
                            std::chrono::steady_clock::now() +
                                std::chrono::seconds(5)),
             TcpConnection::RecvStatus::kFrame);
   std::uint64_t id = 0;
   WireMessage out;
-  ASSERT_EQ(DecodeFrame(reply, id, out), WireStatus::kOk);
+  ASSERT_EQ(DecodeFrame(std::span(reply).first(n), id, out), WireStatus::kOk);
   EXPECT_EQ(id, 77u);
   ASSERT_TRUE(std::holds_alternative<AckResp>(out));
   EXPECT_EQ(std::get<AckResp>(out).status, kAckBadShard);
@@ -417,7 +422,8 @@ TEST_P(TransportTest, MalformedFrameKillsOnlyItsConnection) {
   std::vector<std::uint8_t> garbage(kHeaderBytes, 0xff);
   ASSERT_TRUE(bad.SendAll(garbage));
   std::vector<std::uint8_t> reply;
-  EXPECT_EQ(bad.RecvFrame(reply,
+  std::size_t n = 0;
+  EXPECT_EQ(bad.RecvFrame(reply, n,
                           std::chrono::steady_clock::now() +
                               std::chrono::seconds(5)),
             TcpConnection::RecvStatus::kClosed);
@@ -473,8 +479,10 @@ TEST_P(TransportTest, StartStopSurvivesConnectionHammer) {
           if (!conn.valid()) continue;  // server already gone this round
           if (!conn.SendAll(frame)) continue;
           std::vector<std::uint8_t> reply;
-          (void)conn.RecvFrame(reply, std::chrono::steady_clock::now() +
-                                          std::chrono::milliseconds(100));
+          std::size_t n = 0;
+          (void)conn.RecvFrame(reply, n,
+                               std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(100));
         }
       });
     }
@@ -545,12 +553,15 @@ WireMessage RawReply(TcpConnection& conn, const WireMessage& request,
                      std::uint64_t id) {
   EXPECT_TRUE(conn.SendAll(EncodeFrame(request, id)));
   std::vector<std::uint8_t> reply;
-  EXPECT_EQ(conn.RecvFrame(reply, std::chrono::steady_clock::now() +
-                                      std::chrono::seconds(5)),
+  std::size_t n = 0;
+  EXPECT_EQ(conn.RecvFrame(reply, n,
+                           std::chrono::steady_clock::now() +
+                               std::chrono::seconds(5)),
             TcpConnection::RecvStatus::kFrame);
   std::uint64_t reply_id = 0;
   WireMessage out;
-  EXPECT_EQ(DecodeFrame(reply, reply_id, out), WireStatus::kOk);
+  EXPECT_EQ(DecodeFrame(std::span(reply).first(n), reply_id, out),
+            WireStatus::kOk);
   EXPECT_EQ(reply_id, id);
   return out;
 }
@@ -803,6 +814,183 @@ TEST_P(TransportTest, FusedFrameServesThePullAfterThePush) {
   EXPECT_EQ(stats.pulls, 4u);
 }
 
+// Forwards one client connection to a server in lockstep (each request
+// frame, then its reply) and records, for every push it relays, each
+// slice's shard and row width.
+class RowWidthRelay {
+ public:
+  using Slices = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+  explicit RowWidthRelay(std::uint16_t server_port)
+      : listener_(TcpListener::Bind(Endpoint{"127.0.0.1", 0})),
+        thread_([this, server_port] { Run(server_port); }) {}
+  ~RowWidthRelay() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+
+  std::uint16_t port() const { return listener_->port(); }
+  // (shard, block_width) of each slice, per push relayed so far.
+  std::vector<Slices> pushes() {
+    std::scoped_lock lock(mutex_);
+    return pushes_;
+  }
+
+ private:
+  void Run(std::uint16_t server_port) {
+    TcpConnection client = AcceptUntil(*listener_, stop_);
+    TcpConnection server = ConnectLoopback(server_port);
+    std::vector<std::uint8_t> frame;
+    std::size_t bytes = 0;
+    while (!stop_.load(std::memory_order_acquire)) {
+      const auto status = client.RecvFrame(
+          frame, bytes,
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(20));
+      if (status == TcpConnection::RecvStatus::kTimeout && bytes == 0) {
+        continue;
+      }
+      if (status != TcpConnection::RecvStatus::kFrame) return;
+      Record(std::span(frame).first(bytes));
+      if (!server.SendAll(std::span(frame).first(bytes)) ||
+          server.RecvFrame(frame, bytes,
+                           std::chrono::steady_clock::time_point::max()) !=
+              TcpConnection::RecvStatus::kFrame ||
+          !client.SendAll(std::span(frame).first(bytes))) {
+        return;
+      }
+    }
+  }
+
+  void Record(std::span<const std::uint8_t> frame) {
+    std::uint64_t id = 0;
+    WireMessage message;
+    ASSERT_EQ(DecodeFrame(frame, id, message), WireStatus::kOk);
+    const CommitPushReq* push = std::get_if<CommitPushReq>(&message);
+    if (const auto* fused = std::get_if<PushPullReq>(&message)) {
+      push = &fused->push;
+    }
+    if (push == nullptr) return;
+    Slices slices;
+    for (const PushShardReq& slice : push->slices) {
+      slices.emplace_back(slice.shard, slice.block_width);
+    }
+    std::scoped_lock lock(mutex_);
+    pushes_.push_back(std::move(slices));
+  }
+
+  std::atomic<bool> stop_{false};
+  std::mutex mutex_;
+  std::vector<Slices> pushes_;  // guarded by mutex_
+  std::unique_ptr<TcpListener> listener_;
+  std::thread thread_;  // last: it reads every member above
+};
+
+TEST_P(TransportTest, MfRowsTravelAsRowsAndApplyBitForBit) {
+  // A merged MF gradient is rows of rank 8. Over a FromLengths layout whose
+  // middle boundary cuts a row the gradient touches, the slices aligned to
+  // rows travel as kind 3 and the two the cut leaves unaligned as kind 1
+  // (RouteRowWidth). Plain and fused pushes through the wire then leave the
+  // store's parameters and shard versions bit for bit where an in-process
+  // Push of the same gradients leaves them, and every fused snapshot equals
+  // the in-process Pull.
+  const Workload mf = MakeMfWorkload(/*seed=*/3);
+  const Model& model = *mf.model;
+  constexpr std::size_t kRank = 8;
+  constexpr std::size_t kBatch = 200;
+  DenseVector initial(model.param_dim());
+  Rng rng(5);
+  model.InitParams(initial, rng);
+  std::vector<std::size_t> batch(kBatch);
+  const auto gradient_at = [&](std::size_t step, const DenseVector& params,
+                               Gradient& grad) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      batch[i] = (step * kBatch + i) * 7919 % model.dataset_size();
+    }
+    model.LossAndGradient(params, batch, grad);
+    ASSERT_TRUE(grad.is_sparse());
+    ASSERT_EQ(grad.sparse().block_width(), kRank);
+  };
+
+  // Cut the middle of a row the first gradient touches; the other two
+  // boundaries fall on rows.
+  Gradient grad;
+  gradient_at(0, initial, grad);
+  const auto indices = grad.sparse().indices();
+  const std::size_t row = indices.size() / 2 / kRank * kRank;  // a first
+  const std::size_t cut = indices[row] + kRank / 2;
+  const std::size_t first = cut / 2 / kRank * kRank;
+  const std::size_t last = (cut + model.param_dim()) / 2 / kRank * kRank;
+  ASSERT_LT(0u, first);
+  ASSERT_LT(cut, last);
+  ASSERT_LT(last, model.param_dim());
+  const ShardLayout layout = ShardLayout::FromLengths(
+      {first, cut - first, last - cut, model.param_dim() - last});
+  const auto applier = std::make_shared<SgdApplier>(mf.schedule);
+  ParameterServer wire_store(layout, applier);
+  ParameterServer direct(layout, applier);
+  wire_store.SetParams(initial);
+  direct.SetParams(initial);
+
+  auto server = StartServer(&wire_store);
+  RowWidthRelay relay(server->port());
+  ShardClient client(ClientConfigFor(wire_store, relay.port()));
+  ASSERT_TRUE(client.Connect());
+
+  constexpr std::size_t kSteps = 12;
+  std::vector<RowWidthRelay::Slices> expected;
+  std::vector<ShardRoute> routes;
+  PullResult pulled;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    if (step > 0) gradient_at(step, direct.Snapshot(), grad);
+    layout.RouteInto(grad, routes);
+    RowWidthRelay::Slices& slices = expected.emplace_back();
+    for (const ShardRoute& route : routes) {
+      slices.emplace_back(static_cast<std::uint32_t>(route.shard),
+                          static_cast<std::uint32_t>(RouteRowWidth(route, kRank)));
+    }
+    const EpochId epoch = step / 4;
+    const std::uint64_t version = direct.Push(grad, epoch);
+    if (step % 2 == 0) {
+      EXPECT_EQ(client.Push(grad, epoch), version);
+      continue;
+    }
+    EXPECT_EQ(client.PushAndPull(grad, epoch, pulled), version);
+    const PullResult want = direct.Pull();
+    EXPECT_EQ(pulled.version, want.version);
+    ASSERT_EQ(pulled.params.size(), want.params.size());
+    EXPECT_EQ(std::memcmp(pulled.params.data(), want.params.data(),
+                          want.params.size() * sizeof(double)),
+              0)
+        << "fused snapshot after push " << step;
+  }
+
+  const DenseVector got = wire_store.Snapshot();
+  const DenseVector want = direct.Snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(wire_store.version(), direct.version());
+  for (std::size_t s = 0; s < layout.num_shards(); ++s) {
+    EXPECT_EQ(wire_store.shard(s).version, direct.shard(s).version) << s;
+  }
+
+  // Each push's slices went by the rule, and both kinds crossed: the cut
+  // shards 1 and 2 as single entries in the first push, shards 0 and 3 as
+  // rows.
+  EXPECT_EQ(relay.pushes(), expected);
+  ASSERT_EQ(expected.size(), kSteps);
+  const RowWidthRelay::Slices& cut_push = expected.front();
+  const auto width_of = [&](std::uint32_t shard) {
+    const auto it = std::find_if(cut_push.begin(), cut_push.end(),
+                                 [&](const auto& s) { return s.first == shard; });
+    return it == cut_push.end() ? 0u : it->second;
+  };
+  EXPECT_EQ(width_of(0), kRank);
+  EXPECT_EQ(width_of(1), 1u);
+  EXPECT_EQ(width_of(2), 1u);
+  EXPECT_EQ(width_of(3), kRank);
+}
+
 TEST_P(TransportTest, PushAndPullIsOneRequestPerServer) {
   // Shards interleaved across two endpoints: PushAndPull() sends one fused
   // frame to each server its push touches and a plain pull batch to the
@@ -829,13 +1017,13 @@ TEST_P(TransportTest, PushAndPullIsOneRequestPerServer) {
   ASSERT_EQ(client.num_links(), 2u);
   for (const Gradient* g : {&sparse, &dense, &sparse}) {
     const std::uint64_t before = client.stats().requests;
-    const ShardClient::PushPullResult wire = client.PushAndPull(*g, 0);
-    EXPECT_EQ(client.stats().requests - before, client.num_links())
-       ;
+    PullResult pulled;
+    const std::uint64_t version = client.PushAndPull(*g, 0, pulled);
+    EXPECT_EQ(client.stats().requests - before, client.num_links());
     const PullResult direct = store->Pull();
-    EXPECT_EQ(wire.version, store->version());
-    EXPECT_EQ(wire.pull.params, direct.params);
-    EXPECT_EQ(wire.pull.version, direct.version);
+    EXPECT_EQ(version, store->version());
+    EXPECT_EQ(pulled.params, direct.params);
+    EXPECT_EQ(pulled.version, direct.version);
   }
   // The sparse pushes commit on one server, the dense on both.
   EXPECT_EQ(even->stats().commits + odd->stats().commits, 1u + 2 + 1);

@@ -4,25 +4,29 @@
 // on below as the reference, extended in the same style to the pull batch
 // types; the fused push+pull types are built from its existing payloads,
 // back to back. Each trial is a short list of seeded random messages — all
-// nine types; dense and sparse slices; pull batches; empty arrays and
-// batches; NaN and -0 bit patterns; trace extension on and off — and for
-// every message:
+// nine types; dense slices, sparse slices of single entries (kind 1) and of
+// rows of width 2, 3 and 8 (kind 3), some with first indices at the top of
+// the u64 range; pull batches; empty arrays, slices and batches; NaN and -0
+// bit patterns; trace extension on and off — and for every message:
 //  - EncodeFrame equals the reference frame byte for byte;
 //  - EncodedPayloadBytes equals the frame's payload size;
 //  - the whole frame, every prefix of it, every payload prefix under a
 //    header patched to that length, a few random single-byte flips, and
-//    each kind byte or reserved slot rewritten into a retired encoding
-//    (a quantized slice, a not-modified item, a delta pull's cached
-//    version) decode to the reference decoder's WireStatus (and, when
-//    both accept, to the same message and trace context, compared bit for
-//    bit).
+//    each kind byte, reserved slot or row width rewritten into a retired
+//    or invalid encoding (a quantized slice, a not-modified item, a delta
+//    pull's cached version, rows of width 1) decode to the reference
+//    decoder's WireStatus (and, when both accept, to the same message and
+//    trace context, compared bit for bit);
+//  - a pull answer read in place (DecodeAnswer) gets the same status, and
+//    its items the same fields and bits as the struct decode.
 //
 // On failure the harness shrinks the trial (greedy ddmin over messages, then
 // batch slices or items, then array entries — the compression_property_test
 // recipe, descending into both halves of a fused message) and prints it.
-// Three planted bugs must be caught and shrunk:
-// sparse pairs written value first, a bulk f64 take that skips CanTake, and
-// a pull batch decoder that ignores each item's kind byte.
+// Four planted bugs must be caught and shrunk:
+// sparse pairs written value first, a bulk f64 take that skips CanTake, a
+// pull batch decoder that ignores each item's kind byte, and a row decoder
+// that starts each row's indices one past its first index.
 //
 // Trials are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 
@@ -175,9 +179,10 @@ void EncodePullShardResp(const PullShardResp& m,
 }
 
 // A byte of an encoded frame and the value that turns the frame into a
-// retired encoding: a slice's kind byte into 2 (a quantized slice), an
-// item's kind byte into 1 (a not-modified answer), the first byte of an
-// entry's reserved slot into 0 (a delta pull's cached version).
+// retired or invalid encoding: a slice's kind byte into 2 (a quantized
+// slice), an item's kind byte into 1 (a not-modified answer), the first
+// byte of an entry's reserved slot into 0 (a delta pull's cached version),
+// the low byte of a row slice's width into 1 (rows are 2 wide or more).
 struct RetiredByte {
   std::size_t pos = 0;
   std::uint8_t value = 0;
@@ -190,6 +195,18 @@ void EncodePushShard(const PushShardReq& m, std::vector<std::uint8_t>& out,
   PutU32(out, m.shard);
   PutU64(out, m.epoch);
   retired.push_back({out.size(), 2});
+  if (m.sparse && m.block_width > 1) {
+    // Kind 3: the width, then each row's first index and its values.
+    PutU8(out, 3);
+    retired.push_back({out.size(), 1});
+    PutU32(out, m.block_width);
+    PutU64(out, m.indices.size() / m.block_width);
+    for (std::size_t i = 0; i < m.indices.size(); i += m.block_width) {
+      PutU64(out, m.indices[i]);
+      for (std::size_t k = 0; k < m.block_width; ++k) PutF64(out, m.values[i + k]);
+    }
+    return;
+  }
   PutU8(out, m.sparse ? 1 : 0);
   if (m.sparse) {
     PutU64(out, m.indices.size());
@@ -329,13 +346,36 @@ WireStatus DecodeTraceTail(Reader& r, TraceContext* trace) {
 }
 
 // Parses one slice (EncodePushShard's layout) from the reader's position.
-WireStatus DecodePushShard(Reader& r, PushShardReq& m) {
+// `row_skew` is a planted bug for the harness: a row's k-th index is read
+// as first + row_skew + k.
+WireStatus DecodePushShard(Reader& r, PushShardReq& m,
+                           std::uint64_t row_skew) {
   m.shard = r.TakeU32();
   m.epoch = r.TakeU64();
   const std::uint8_t kind = r.TakeU8();
-  if (!r.ok() || kind > 1) {
-    return r.ok() ? WireStatus::kMalformed : WireStatus::kTruncated;
+  if (!r.ok()) return WireStatus::kTruncated;
+  if (kind == 3) {
+    m.sparse = true;
+    m.block_width = r.TakeU32();
+    if (!r.ok()) return WireStatus::kTruncated;
+    if (m.block_width < 2) return WireStatus::kMalformed;
+    const std::uint64_t rows = r.TakeU64();
+    const std::size_t row_bytes = 8 + 8 * std::size_t{m.block_width};
+    if (!r.ok() || !r.CanTake(rows, row_bytes)) return WireStatus::kTruncated;
+    for (std::uint64_t row = 0; row < rows; ++row) {
+      const std::uint64_t first = r.TakeU64();
+      if (first > std::numeric_limits<std::uint64_t>::max() -
+                      (m.block_width - 1)) {
+        return WireStatus::kMalformed;
+      }
+      for (std::uint64_t k = 0; k < m.block_width; ++k) {
+        m.indices.push_back(first + row_skew + k);
+        m.values.push_back(r.TakeF64());
+      }
+    }
+    return r.ok() ? WireStatus::kOk : WireStatus::kTruncated;
   }
+  if (kind > 1) return WireStatus::kMalformed;
   m.sparse = kind == 1;
   if (m.sparse) {
     const std::uint64_t nnz = r.TakeU64();
@@ -402,7 +442,8 @@ WireStatus DecodePullBatchResp(Reader& r, PullBatchResp& m,
 }
 
 // A CommitPushReq payload: the standalone message, and a fused push half.
-WireStatus DecodeCommitPush(Reader& r, CommitPushReq& m) {
+WireStatus DecodeCommitPush(Reader& r, CommitPushReq& m,
+                            std::uint64_t row_skew) {
   m.client_id = r.TakeU64();
   m.push_seq = r.TakeU64();
   const std::uint32_t count = r.TakeU32();
@@ -411,7 +452,7 @@ WireStatus DecodeCommitPush(Reader& r, CommitPushReq& m) {
   }
   m.slices.resize(count);
   for (PushShardReq& slice : m.slices) {
-    const WireStatus status = DecodePushShard(r, slice);
+    const WireStatus status = DecodePushShard(r, slice, row_skew);
     if (status != WireStatus::kOk) return status;
   }
   return WireStatus::kOk;
@@ -450,9 +491,11 @@ WireStatus Finish(WireStatus fields, Reader& r, TraceContext* trace, T& m,
   return WireStatus::kOk;
 }
 
+// `row_skew` (a planted bug, 0 for the reference) is DecodePushShard's.
 WireStatus DecodePayload(const FrameHeader& header,
                          std::span<const std::uint8_t> payload,
-                         WireMessage& out, TraceContext* trace) {
+                         WireMessage& out, TraceContext* trace,
+                         std::uint64_t row_skew = 0) {
   if (payload.size() < header.payload_bytes) return WireStatus::kTruncated;
   if (payload.size() > header.payload_bytes) return WireStatus::kMalformed;
   Reader r(payload);
@@ -469,11 +512,11 @@ WireStatus DecodePayload(const FrameHeader& header,
     }
     case MsgType::kPushShardReq: {
       PushShardReq m;
-      return Finish(DecodePushShard(r, m), r, trace, m, out);
+      return Finish(DecodePushShard(r, m, row_skew), r, trace, m, out);
     }
     case MsgType::kCommitPushReq: {
       CommitPushReq m;
-      return Finish(DecodeCommitPush(r, m), r, trace, m, out);
+      return Finish(DecodeCommitPush(r, m, row_skew), r, trace, m, out);
     }
     case MsgType::kAck: {
       AckResp m;
@@ -490,7 +533,7 @@ WireStatus DecodePayload(const FrameHeader& header,
     }
     case MsgType::kPushPullReq: {
       PushPullReq m;
-      WireStatus fields = DecodeCommitPush(r, m.push);
+      WireStatus fields = DecodeCommitPush(r, m.push, row_skew);
       if (fields == WireStatus::kOk) fields = DecodePullBatchReq(r, m.pull);
       return Finish(fields, r, trace, m, out);
     }
@@ -558,7 +601,33 @@ std::size_t RandomLength(Rng& rng) {
   return 1 + rng.Index(12);
 }
 
+// Rows of width 2, 3 or 8 (kind 3): each row's first index is random or at
+// the very top of the u64 range, where the last index of the row is
+// UINT64_MAX or just below it.
+PushShardReq RandomRowSlice(Rng& rng) {
+  constexpr std::uint32_t kWidths[] = {2, 3, 8};
+  PushShardReq m;
+  m.shard = RandomU32(rng);
+  m.epoch = RandomU64(rng);
+  m.sparse = true;
+  m.block_width = kWidths[rng.Index(std::size(kWidths))];
+  const std::uint64_t last_first =
+      std::numeric_limits<std::uint64_t>::max() - (m.block_width - 1);
+  const std::size_t rows = rng.Index(5) == 0 ? 0 : 1 + rng.Index(4);
+  for (std::size_t row = 0; row < rows; ++row) {
+    const std::uint64_t first = rng.Index(3) == 0
+                                    ? last_first - rng.Index(3)
+                                    : std::min(RandomU64(rng), last_first);
+    for (std::uint64_t k = 0; k < m.block_width; ++k) {
+      m.indices.push_back(first + k);
+      m.values.push_back(RandomRawValue(rng));
+    }
+  }
+  return m;
+}
+
 PushShardReq RandomSlice(Rng& rng) {
+  if (rng.Index(4) == 0) return RandomRowSlice(rng);
   PushShardReq m;
   m.shard = RandomU32(rng);
   m.epoch = RandomU64(rng);
@@ -674,7 +743,7 @@ void DescribeF64s(std::ostream& out, const std::vector<double>& values) {
 void DescribeSlice(std::ostream& out, const PushShardReq& m) {
   out << "{shard=" << m.shard << " epoch=" << m.epoch << " sparse=" << m.sparse;
   if (m.sparse) {
-    out << " indices=[";
+    out << " width=" << m.block_width << " indices=[";
     for (const std::uint64_t i : m.indices) out << i << ' ';
     out << "] values=";
     DescribeF64s(out, m.values);
@@ -765,6 +834,7 @@ enum class SubjectKind {
   kSwappedPairs,       // planted: sparse pairs written value first
   kUncheckedBulkTake,  // planted: the pull-response f64 take skips CanTake
   kIgnoredItemKind,    // planted: pull batch items all decoded as full
+  kSkewedRows,         // planted: each row's indices start one past first
 };
 
 // The kSwappedPairs encoder: the real encoder fed every sparse pair with
@@ -773,7 +843,7 @@ enum class SubjectKind {
 std::vector<std::uint8_t> EncodeSwappedPairs(const Case& c) {
   WireMessage message = c.message;
   const auto swap = [](PushShardReq& m) {
-    if (!m.sparse) return;
+    if (!m.sparse || m.block_width > 1) return;  // rows carry no pairs
     for (std::size_t i = 0; i < m.indices.size(); ++i) {
       const std::uint64_t index = m.indices[i];
       m.indices[i] = std::bit_cast<std::uint64_t>(m.values[i]);
@@ -864,8 +934,40 @@ Decoded Outcome(WireStatus status, const WireMessage& message,
   return {status, Describe(message), trace.trace_id, trace.parent_span};
 }
 
+// The answer types read in place (DecodeAnswer), as the message they hold:
+// nullopt for other types. Its items' doubles are copied out of the payload
+// through PullItemView::CopyTo; the trace context is not read in place, so
+// the caller's is reported.
+std::optional<Decoded> InPlaceOutcome(const FrameHeader& header,
+                                      std::span<const std::uint8_t> payload,
+                                      const TraceContext& trace) {
+  if (header.type != MsgType::kAck && header.type != MsgType::kPullBatchResp &&
+      header.type != MsgType::kPushPullResp) {
+    return std::nullopt;
+  }
+  Answer answer;
+  const WireStatus status = DecodeAnswer(header, payload, answer);
+  PullBatchResp pulls;
+  for (const PullItemView& item : answer.items) {
+    PullShardResp& full = pulls.items.emplace_back();
+    full.shard = item.shard;
+    full.offset = item.offset;
+    full.shard_version = item.shard_version;
+    full.global_version = item.global_version;
+    full.params.resize(item.count());
+    item.CopyTo(full.params);
+  }
+  WireMessage message = answer.ack;
+  if (header.type == MsgType::kPullBatchResp) message = pulls;
+  if (header.type == MsgType::kPushPullResp) {
+    message = PushPullResp{answer.ack, pulls};
+  }
+  return Outcome(status, message, trace);
+}
+
 // Decodes `payload` (cut from `backing`) under `header` with the subject and
-// with the reference.
+// with the reference. The real codec's answers are also read in place, which
+// must agree with its struct decode.
 std::pair<Decoded, Decoded> DecodeBoth(SubjectKind kind,
                                        const FrameHeader& header,
                                        std::span<const std::uint8_t> payload,
@@ -880,15 +982,28 @@ std::pair<Decoded, Decoded> DecodeBoth(SubjectKind kind,
   } else if (kind == SubjectKind::kIgnoredItemKind &&
              header.type == MsgType::kPullBatchResp) {
     got_status = DecodeIgnoringItemKind(header, payload, got, &got_trace);
+  } else if (kind == SubjectKind::kSkewedRows) {
+    // The byte-wise decoder, every row read one index past its first.
+    got_status = ref::DecodePayload(header, payload, got, &got_trace,
+                                    /*row_skew=*/1);
   } else {
     got_status = DecodePayload(header, payload, got, &got_trace);
+  }
+  const Decoded got_outcome = Outcome(got_status, got, got_trace);
+  if (kind == SubjectKind::kCodec) {
+    const std::optional<Decoded> in_place =
+        InPlaceOutcome(header, payload, got_trace);
+    if (in_place.has_value() && *in_place != got_outcome) {
+      Decoded labelled = *in_place;
+      labelled.message = "(read in place) " + labelled.message;
+      return {labelled, got_outcome};
+    }
   }
   WireMessage want;
   TraceContext want_trace{99, 99};
   const WireStatus want_status =
       ref::DecodePayload(header, payload, want, &want_trace);
-  return {Outcome(got_status, got, got_trace),
-          Outcome(want_status, want, want_trace)};
+  return {got_outcome, Outcome(want_status, want, want_trace)};
 }
 
 // Whole-frame decode (header included) with the subject and the reference.
@@ -1009,15 +1124,20 @@ void ShrinkSlice(PushShardReq& slice, const Fails& fails) {
     });
     return;
   }
-  std::vector<std::size_t> entries(slice.indices.size());
+  // A row slice shrinks by whole rows: the entries of kept row r are
+  // r * width .. r * width + width - 1.
+  const std::size_t width = slice.block_width;
+  std::vector<std::size_t> entries(slice.indices.size() / width);
   for (std::size_t i = 0; i < entries.size(); ++i) entries[i] = i;
   const auto project = [&](const std::vector<std::size_t>& kept) {
     PushShardReq out = slice;
     out.indices.clear();
     out.values.clear();
-    for (const std::size_t i : kept) {
-      out.indices.push_back(slice.indices[i]);
-      out.values.push_back(slice.values[i]);
+    for (const std::size_t row : kept) {
+      for (std::size_t i = row * width; i < (row + 1) * width; ++i) {
+        out.indices.push_back(slice.indices[i]);
+        out.values.push_back(slice.values[i]);
+      }
     }
     return out;
   };
@@ -1109,10 +1229,11 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
   return trial;
 }
 
-// Array entries left in a trial: the size of a shrunk witness.
+// Array entries left in a trial (a row slice's entries are its rows): the
+// size of a shrunk witness.
 std::size_t Entries(const Trial& trial) {
   const auto slice_entries = [](const PushShardReq& m) {
-    return m.sparse ? m.values.size() : m.dense.size();
+    return m.sparse ? m.values.size() / m.block_width : m.dense.size();
   };
   const auto push_entries = [&](const CommitPushReq& batch) {
     std::size_t entries = batch.slices.size();
@@ -1164,7 +1285,7 @@ TEST(WireCodecPropertyTest, PlantedBugsAreCaughtAndShrunk) {
   const std::uint64_t base = BaseSeed();
   for (const SubjectKind kind :
        {SubjectKind::kSwappedPairs, SubjectKind::kUncheckedBulkTake,
-        SubjectKind::kIgnoredItemKind}) {
+        SubjectKind::kIgnoredItemKind, SubjectKind::kSkewedRows}) {
     bool caught = false;
     for (std::uint64_t trial_idx = 0; trial_idx < 200 && !caught;
          ++trial_idx) {
@@ -1177,7 +1298,7 @@ TEST(WireCodecPropertyTest, PlantedBugsAreCaughtAndShrunk) {
           << "shrink left a large witness:" << FormatTrial(minimal);
       // A swapped pair needs one entry (plus its slice, in a batch); the
       // unchecked take needs one double to cut into; an ignored kind needs
-      // one item to mark retired.
+      // one item to mark retired; a skewed row needs one row.
       EXPECT_LE(Entries(minimal), 2u)
           << "shrink left a large witness:" << FormatTrial(minimal);
     }
@@ -1186,7 +1307,8 @@ TEST(WireCodecPropertyTest, PlantedBugsAreCaughtAndShrunk) {
 }
 
 // Full-size arrays, like a pull response and a push batch on the MF
-// workload (standalone and fused), through the bulk memcpy and pair loops:
+// workload (standalone and fused, of single entries and of rows), through
+// the bulk memcpy, pair and row loops:
 // equal to the reference
 // and round-tripping bit for bit.
 TEST(WireCodecPropertyTest, LargeFramesMatchReference) {
@@ -1205,12 +1327,27 @@ TEST(WireCodecPropertyTest, LargeFramesMatchReference) {
     }
     batch.slices.push_back(std::move(slice));
   }
+  // The merged MF push: rows of 8 (kind 3).
+  CommitPushReq rows{7, 9, {}};
+  for (int s = 0; s < 4; ++s) {
+    PushShardReq slice;
+    slice.shard = static_cast<std::uint32_t>(s);
+    slice.sparse = true;
+    slice.block_width = 8;
+    for (std::uint64_t row = 0; row < 82; ++row) {
+      for (std::uint64_t k = 0; k < 8; ++k) {
+        slice.indices.push_back(s * 2000 + row * 24 + k);
+        slice.values.push_back(RandomRawValue(rng));
+      }
+    }
+    rows.slices.push_back(std::move(slice));
+  }
   const PushPullReq fused{batch, PullBatchReq{{{0}}}};
   const PushPullResp answer{AckResp{kAckOk, 9}, PullBatchResp{{resp}}};
   const TraceContext trace{5, 6};
   for (const WireMessage& message :
-       {WireMessage(resp), WireMessage(batch), WireMessage(fused),
-        WireMessage(answer)}) {
+       {WireMessage(resp), WireMessage(batch), WireMessage(rows),
+        WireMessage(fused), WireMessage(answer)}) {
     const std::vector<std::uint8_t> frame = EncodeFrame(message, 1, &trace);
     EXPECT_EQ(frame, ref::EncodeFrame(message, 1, &trace));
     EXPECT_EQ(EncodedPayloadBytes(message, &trace),

@@ -1,6 +1,7 @@
 // Pins the runtime's steady-state in-process iteration (pull, batch sample,
-// compute and push) as allocation-free, and the wire encoder at one
-// allocation per frame.
+// compute and push) as allocation-free, the fused TCP exchange as
+// allocation-free on its calling thread, and the wire encoder at no
+// allocation into a reused frame and one into a fresh one.
 //
 // This file replaces the global operator new with a counting one, so it is
 // its own test binary. It drives real matrix-factorization gradients through
@@ -13,7 +14,8 @@
 // epoch, routes), Commit, Notify and RecordPush. Speculation is on, so the
 // pull and notify messages are built; obs and the codec are off. After each
 // worker's first iteration has sized its buffers, no iteration may
-// allocate.
+// allocate. Allocations are also counted per thread, so a test that runs a
+// server loop beside its caller can pin the two apart.
 
 #include <algorithm>
 #include <atomic>
@@ -30,6 +32,8 @@
 #include "fault/fault_plan.h"
 #include "harness/workload.h"
 #include "models/chunk_merger.h"
+#include "net/event_loop_server.h"
+#include "net/shard_client.h"
 #include "net/wire.h"
 #include "protocol/worker_protocol.h"
 
@@ -37,10 +41,13 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocations{0};
+// This thread's share of g_allocations.
+thread_local std::size_t t_allocations = 0;
 
 void* CountedAlloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    ++t_allocations;
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -170,32 +177,121 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   EXPECT_EQ(protocol.completed(0), (kWorkers + kPushes) / kWorkers);
 }
 
-// EncodeFrame sizes the frame exactly before writing it, so a pull response
-// and an MF-sized push batch each cost the one allocation of the frame.
+// A fused TCP exchange on the mf-tcp store shape (one EventLoopServer over
+// loopback serving four shards of an MF store): each PushAndPull pushes a
+// merged 200-rating MF gradient and pulls into the one reused snapshot.
+// Once a few rounds over the same gradients have sized every buffer, the
+// calling thread allocates nothing, and the server (the only other thread)
+// at most one frame per exchange, its response.
+TEST(PushAllocTest, SteadyStateFusedExchangeAllocatesNothingOnTheCaller) {
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kChunks = 4;
+  constexpr std::size_t kGradients = 8;
+  constexpr std::size_t kRounds = 25;
+
+  const Workload mf = MakeMfWorkload(/*seed=*/1);
+  const std::size_t dim = mf.model->param_dim();
+  ParameterServer store(dim, kShards,
+                        std::make_shared<SgdApplier>(mf.schedule));
+  Rng rng(1);
+  store.Initialize(*mf.model, rng);
+  net::EventLoopServer server(&store, net::ShardServerConfig{});
+  ASSERT_TRUE(server.Start());
+  net::ShardClientConfig config;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const ShardInfo info = store.shard(s);
+    config.topology.shards.push_back(net::ShardPlacement{
+        info.offset, info.length, net::Endpoint{"127.0.0.1", server.port()}});
+  }
+  net::ShardClient client(config);
+  ASSERT_TRUE(client.Connect());
+
+  // Merged gradients of four 50-rating chunks, as WorkerLoop merges them.
+  const DenseVector params = store.Snapshot();
+  BatchSampler sampler(ShardIndices(mf.model->dataset_size(), 1)[0],
+                       mf.batch_size, rng.Fork());
+  std::vector<std::size_t> batch;
+  std::vector<Gradient> chunks(kChunks);
+  ChunkMerger merger(dim);
+  std::vector<Gradient> merged(kGradients);
+  for (Gradient& grad : merged) {
+    sampler.NextBatch(batch);
+    const std::size_t chunk_size = batch.size() / kChunks;
+    for (std::size_t c = 0; c < kChunks; ++c) {
+      mf.model->LossAndGradient(
+          params, std::span<const std::size_t>(batch).subspan(
+                      c * chunk_size, chunk_size),
+          chunks[c]);
+    }
+    merger.Merge(chunks, grad);
+  }
+
+  PullResult snapshot;
+  std::uint64_t version = 0;
+  for (int warm = 0; warm < 3; ++warm) {
+    for (const Gradient& grad : merged) {
+      version = client.PushAndPull(grad, 0, snapshot);
+    }
+  }
+  t_allocations = 0;
+  const std::size_t total = CountAllocations([&] {
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      for (const Gradient& grad : merged) {
+        version = client.PushAndPull(grad, 0, snapshot);
+      }
+    }
+  });
+  const std::size_t caller = t_allocations;
+  const std::size_t exchanges = kRounds * kGradients;
+  EXPECT_EQ(caller, 0u) << "over " << exchanges << " fused exchanges";
+  EXPECT_LE(total - caller, exchanges)
+      << "server allocations over " << exchanges << " fused exchanges";
+  // Non-vacuity: every exchange pushed and pulled a full snapshot of real
+  // MF rows.
+  EXPECT_EQ(version, store.version());
+  EXPECT_EQ(store.version(), 3 * kGradients + exchanges);
+  EXPECT_EQ(snapshot.version, store.version());
+  EXPECT_EQ(snapshot.params.size(), dim);
+  EXPECT_EQ(merged.front().sparse().block_width(), 8u);
+  EXPECT_GT(merged.front().sparse().nnz(), 1000u);
+  server.Stop();
+}
+
+// EncodeFrame sizes the frame exactly before writing it: into a fresh
+// buffer a pull response and an MF-sized push batch (single entries and
+// rows) each cost the one allocation of the frame, and into a buffer that
+// already held a frame that size, nothing.
 TEST(PushAllocTest, EncodeFrameAllocatesOnce) {
   net::PullShardResp resp;
   resp.params.assign(2000, 0.25);
   net::CommitPushReq batch{1, 1, {}};
+  net::CommitPushReq rows{1, 2, {}};
   for (std::uint32_t s = 0; s < 4; ++s) {
     net::PushShardReq slice;
     slice.shard = s;
     slice.sparse = true;
-    for (std::uint64_t i = 0; i < 625; ++i) {
+    for (std::uint64_t i = 0; i < 624; ++i) {
       slice.indices.push_back(s * 10000 + i);
       slice.values.push_back(0.5);
     }
-    batch.slices.push_back(std::move(slice));
+    batch.slices.push_back(slice);
+    slice.block_width = 8;
+    rows.slices.push_back(std::move(slice));
   }
   const net::TraceContext trace{1, 2};
   const net::TraceContext no_trace;
   for (const net::WireMessage& message :
-       {net::WireMessage(resp), net::WireMessage(batch)}) {
+       {net::WireMessage(resp), net::WireMessage(batch),
+        net::WireMessage(rows)}) {
     for (const net::TraceContext* context : {&trace, &no_trace}) {
       std::vector<std::uint8_t> frame;
       EXPECT_EQ(CountAllocations(
                     [&] { frame = net::EncodeFrame(message, 7, context); }),
                 1u);
       EXPECT_GT(frame.size(), 16000u);  // non-vacuity: a full-size frame
+      EXPECT_EQ(CountAllocations(
+                    [&] { net::EncodeFrame(message, 8, context, frame); }),
+                0u);
     }
   }
 }
