@@ -17,6 +17,7 @@
 
 #include "benchmarks/bench_util.h"
 #include "core/adaptive_tuner.h"
+#include "tests/core/tuner_full_replay.h"
 
 using namespace specsync;
 
@@ -93,11 +94,11 @@ int main() {
 
   const auto candidates = AdaptiveTuner::CandidateDeltas(
       inputs, Duration::Seconds(4.0), 0);
-  // EvaluateCandidates computes Eq. 7 for an ascending Δ list, bit-identical
-  // to evaluating each Δ on its own (tuner_equivalence_test).
+  // The reference EvaluateCandidates computes Eq. 7 for an ascending Δ list,
+  // bit-identical to evaluating each Δ on its own (tuner_equivalence_test).
   const auto best_of = [&inputs](const std::vector<Duration>& deltas) {
     const std::vector<double> values =
-        AdaptiveTuner::EvaluateCandidates(inputs, deltas, 1.0);
+        reference::EvaluateCandidates(inputs, deltas, 1.0);
     return std::max(0.0, *std::max_element(values.begin(), values.end()));
   };
   const double best_enumerated = best_of(candidates);

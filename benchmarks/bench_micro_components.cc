@@ -241,7 +241,15 @@ void BM_TcpPushPull(benchmark::State& state) {
 }
 BENCHMARK(BM_TcpPushPull);
 
-// Algorithm 1 is O(m^3): candidate deltas O(m^2) x evaluation O(m).
+void RunTunerRetune(benchmark::State& state, const TuningInputs& inputs) {
+  AdaptiveTuner tuner;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tuner.OnEpochEnd(inputs));
+  }
+}
+
+// Algorithm 1 enumerates O(m^2) candidate deltas. One push per worker, every
+// pull at 0 and every span 1 s.
 void BM_AdaptiveTunerRetune(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   TuningInputs inputs;
@@ -254,18 +262,35 @@ void BM_AdaptiveTunerRetune(benchmark::State& state) {
   }
   inputs.last_pull.assign(m, SimTime::Zero());
   inputs.iteration_span.assign(m, Duration::Seconds(1.0));
-  AdaptiveTuner tuner;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tuner.OnEpochEnd(inputs));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(m));
+  RunTunerRetune(state, inputs);
 }
-BENCHMARK(BM_AdaptiveTunerRetune)
-    ->Arg(10)
-    ->Arg(20)
-    ->Arg(40)
-    ->Arg(80)
-    ->Complexity(benchmark::oNCubed);
+BENCHMARK(BM_AdaptiveTunerRetune)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
+
+// An epoch as the engines retune it: range(1) pushes by range(0) workers in
+// round-robin order at exponential gaps (the epoch lasts ~1 s), every span
+// half the epoch, and each worker's last pull uniform in the epoch's last
+// span (the iteration it was running when the epoch ended). /2/3 is the
+// runtime's 2-worker epoch; /40/80 is sim-mf-adaptive's (~2,300 candidates).
+void BM_AdaptiveTunerRetuneStaggered(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
+  const auto pushes = static_cast<std::size_t>(state.range(1));
+  TuningInputs inputs;
+  inputs.num_workers = workers;
+  Rng rng(3);
+  SimTime t = SimTime::Zero();
+  for (std::size_t i = 0; i < pushes; ++i) {
+    t += Duration::Seconds(rng.Exponential(static_cast<double>(pushes)));
+    inputs.pushes.emplace_back(t, static_cast<WorkerId>(i % workers));
+  }
+  const Duration span = (t - SimTime::Zero()) / 2.0;
+  inputs.iteration_span.assign(workers, span);
+  inputs.last_pull.resize(workers);
+  for (auto& pull : inputs.last_pull) {
+    pull = t - span * rng.Uniform(0.0, 1.0);
+  }
+  RunTunerRetune(state, inputs);
+}
+BENCHMARK(BM_AdaptiveTunerRetuneStaggered)->Args({2, 3})->Args({40, 80});
 
 }  // namespace
 }  // namespace specsync

@@ -3,8 +3,8 @@
 // The ROADMAP's north star is "what does SpecSync do at datacenter scale";
 // BENCH_harness.json named the two engine blockers: the Adaptive tuner's
 // O(pushes²) Algorithm-1 replay and DES throughput collapse once sharding
-// multiplies events. This bench tracks both after the calendar-queue /
-// incremental-tuner rewrite, in four sections:
+// multiplies events. This bench tracks both after the calendar-queue and
+// tuner rewrites, in four sections:
 //
 //  1. DES-core hold model — the classic queue benchmark (pop the minimum,
 //     push a successor at popped_time + jitter) at simulator-like occupancy,
@@ -16,8 +16,8 @@
 //     BENCH_scale.json.
 //  2. End-to-end engine cells — a 16-server transfer-bound convex run (the
 //     shape BENCH_harness.json flagged at 7 s/sim-second) and the MF
-//     SpecSync-Adaptive cell whose tuner cost motivated the incremental
-//     replay (4.8 s/cell before; ≥2× better now).
+//     SpecSync-Adaptive cell whose tuner cost motivated the tuner rewrites
+//     (4.8 s/cell before the first; ≥2× better now).
 //  3. workers=1000 — a thousand-worker, 16-shard transfer-bound run, the
 //     scale the old engines could not reach interactively. Under --smoke
 //     this run is a CI gate: a pinned events/sec floor and wall-time ceiling
@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
   setenv("SPECSYNC_BENCH_JSON", "BENCH_scale.json", /*overwrite=*/0);
   const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   bench::PrintHeader(
-      "scale — calendar-queue DES core + incremental Adaptive tuner",
+      "scale — calendar-queue DES core + exact-argmax Adaptive tuner",
       "engine throughput at datacenter scale: >=3x DES events/sec at "
       "16-server occupancy, >=2x MF Adaptive cell, workers=1000 viable");
 
@@ -405,7 +405,7 @@ int main(int argc, char** argv) {
       tuner_ab.tuner_seconds > 0.0
           ? tuner_ab.full_replay_seconds / tuner_ab.tuner_seconds
           : 0.0;
-  std::cout << "tuner replay speedup (full / incremental): " << tuner_speedup
+  std::cout << "tuner replay speedup (full / tuner): " << tuner_speedup
             << "x (acceptance floor 2x)\n";
   reporter.AddMetric("tuner_replay_speedup_mf", tuner_speedup);
 
@@ -447,8 +447,8 @@ int main(int argc, char** argv) {
                 << "x < 1.5x regression canary\n";
       ok = false;
     }
-    // Same idea for the tuner A/B (anything under 1.5x means the
-    // incremental replay lost its asymptotic edge).
+    // Same idea for the tuner A/B (anything under 1.5x means the tuner
+    // lost its asymptotic edge over the literal loop).
     if (tuner_speedup < 1.5) {
       std::cout << "SMOKE FAIL: tuner replay speedup " << tuner_speedup
                 << "x < 1.5x regression canary\n";

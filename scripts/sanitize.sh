@@ -27,7 +27,9 @@
 # and the round-trip checks hammer span views over reallocating buffers.
 # exactly_once_property_test drives copies of one push through the server's
 # watermark and kills links mid-batch, so TSan proves the watermark locking
-# and ASan the connection teardown. chunk_merge_property_test rides along
+# and ASan the connection teardown. candidate_deltas_property_test rides
+# along for ASan+UBSan: the tuner's radix sort scatters through computed
+# offsets into a ping-pong buffer. chunk_merge_property_test rides along
 # for ASan: the chunk merger indexes a reused accumulator and bitmap by
 # gradient index, where an off-by-one would read stale memory instead of
 # crashing. mf_gradient_property_test rides along for the same reason: the
@@ -71,7 +73,8 @@ cd "$(dirname "$0")/.."
 SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         fault_test thread_pool_test parallel_runner_test obs_test net_test
         exactly_once_property_test sim_test calendar_queue_property_test
-        tuner_equivalence_test compression_property_test
+        tuner_equivalence_test candidate_deltas_property_test
+        compression_property_test
         shard_route_property_test tensor_test
         chunk_merge_property_test mf_gradient_property_test
         wire_codec_property_test consistency_property_test protocol_test

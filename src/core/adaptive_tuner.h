@@ -13,19 +13,23 @@
 // where a pull coincides with a push, so the enumeration can miss the
 // maximum (EXPERIMENTS.md measures one such epoch).
 //
-// The tuner computes that argmax with an incremental replay: one pass per
-// worker that buckets each push event into the first candidate window
-// covering it (binary search over the sorted thresholds pull_i + Δ_c) and
-// turns the buckets into per-candidate gains by prefix sum, plus a
-// saturation prune that drops candidates provably never selected —
-// O(W·(P·log C + C)) instead of the literal Algorithm-1 loop's O(C·W·P).
-// It is bit-identical to that literal loop (the reference EstimateImprovement
-// per candidate): the sweep accumulates per-candidate values worker-by-worker
-// with the exact same floating-point expressions and summation order, so the
-// per-epoch ABORT_TIME sequence and every audit retune record match to the
-// bit. DESIGN.md §12 states the invariant; the literal loop lives in
+// The tuner computes that argmax without scoring every candidate:
+//  1. one bucket pass gives the exact integer gain G(c) = Σ_i ũ_i(Δ_c) of
+//     every candidate (each push by another worker is binary-searched into
+//     the first candidate whose window pull_i + Δ_c covers it, then one
+//     prefix sum),
+//  2. F̃(Δ_c) ≈ G(c) − Δ_c·Σ_i lw(m−1)/T_i, and a floating-point rounding
+//     bound on that approximation drops every candidate that provably cannot
+//     be the first maximum,
+//  3. the survivors are scored with the literal Eq. 7 expression, in worker
+//     order, and the first maximum wins.
+// The candidates themselves are sorted by an LSD radix sort on their bit
+// patterns (positive finite doubles order like their bits). The decision is
+// bit-identical to the literal Algorithm-1 loop: every F̃ that can win is the
+// literal value, and the bound never drops the literal first maximum.
+// DESIGN.md §12 derives the bound; the literal loop lives in
 // tests/core/tuner_full_replay.h, and tests/core/tuner_equivalence_test.cc
-// enforces it.
+// enforces the equivalence.
 //
 // ABORT_RATE is then set so a restart is triggered only when the observed
 // gain covers the estimated loss: Γ = Δ*(m−1)/(T·m) with T the mean iteration
@@ -64,51 +68,46 @@ class AdaptiveTuner final : public SpeculationPolicy {
   explicit AdaptiveTuner(AdaptiveTunerConfig config = {});
 
   std::string name() const override { return "adaptive"; }
+  // Steady state allocates nothing: every buffer below keeps its capacity
+  // across epochs.
   SpeculationParams OnEpochEnd(const TuningInputs& inputs) override;
 
   // The candidate set Algorithm 1 enumerates (positive pairwise differences,
-  // deduplicated, capped at max_delta). Exposed for tests/ablation.
+  // sorted ascending, deduplicated, capped at max_delta, and an evenly
+  // strided subset when more than max_candidates remain). Exposed for
+  // tests/ablation.
   static std::vector<Duration> CandidateDeltas(const TuningInputs& inputs,
                                                Duration max_delta,
                                                std::size_t max_candidates);
 
-  // F̃ for every candidate via the incremental sweep; element c equals the
-  // literal Eq. 7 loop (reference::EstimateImprovement in
-  // tests/core/tuner_full_replay.h) at candidates[c] to the bit. `loss_weight`
-  // scales the l̃ term (1.0 = the paper's objective).
-  // `candidates` must be sorted ascending (CandidateDeltas output is).
-  // Exposed for the equivalence battery; the member path reuses scratch.
-  static std::vector<double> EvaluateCandidates(
-      const TuningInputs& inputs, const std::vector<Duration>& candidates,
-      double loss_weight);
+  // Step 1 for an ascending candidate list: G(c) = Σ_i ũ_i(Δ_c) over the
+  // workers with an observed pull, exact. Exposed so the planted-bug checks
+  // can assemble a wrong argmax from the tuner's own pieces.
+  static std::vector<std::uint32_t> CandidateGains(
+      const TuningInputs& inputs, const std::vector<Duration>& candidates);
 
-  // First candidate index at which every pulled worker's window
-  // (last_pull_i, last_pull_i + Δ_c] already covers the epoch's last push.
-  // Beyond it gains are constant and losses non-decreasing, so the
-  // first-maximum argmax can never select a later candidate — candidates
-  // after this index are dominated and safely pruned. Returns
-  // candidates.size() - 1 when no such index exists (prune disabled).
-  // Exposed so the planted-bug test can demonstrate a wrong prune is caught.
-  static std::size_t SaturationIndex(const TuningInputs& inputs,
-                                     const std::vector<Duration>& candidates);
+  // Step 2's bound: |literal F̃(Δ) − approximate F̃(Δ)| <= RoundingSlack, for
+  // `pulled` workers in the sum, gain G and approximate loss Δ·S (DESIGN.md
+  // §12 derives it). Exposed for the same checks.
+  static double RoundingSlack(std::size_t pulled, double gain,
+                              double approx_loss);
 
  private:
-  // Incremental engine behind EvaluateCandidates, writing into reusable
-  // scratch buffers. Evaluates candidates [0, eval_count).
-  static void EvaluateCandidatesInto(const TuningInputs& inputs,
-                                     const std::vector<Duration>& candidates,
-                                     double loss_weight,
-                                     std::size_t eval_count,
-                                     std::vector<double>& values,
-                                     std::vector<double>& thresholds,
-                                     std::vector<std::uint32_t>& buckets);
+  // The literal Eq. 7 value of deltas_[c] (step 3).
+  double LiteralImprovement(const TuningInputs& inputs, std::size_t c) const;
 
   AdaptiveTunerConfig config_;
-  // Scratch reused across epochs (OnEpochEnd runs once per epoch per run);
-  // capacity persists, so steady-state retunes allocate nothing.
-  std::vector<double> values_;
-  std::vector<double> thresholds_;
-  std::vector<std::uint32_t> buckets_;
+  // Scratch reused across epochs (OnEpochEnd runs once per epoch per run).
+  std::vector<std::uint64_t> keys_;   // candidate bit patterns
+  std::vector<std::uint64_t> radix_;  // radix sort ping-pong buffer
+  std::vector<double> deltas_;        // candidates, ascending
+  std::vector<std::uint32_t> gains_;  // G(c)
+  // Per worker: index of the first push after its pull.
+  std::vector<std::size_t> first_after_pull_;
+  // Push indices grouped by worker: worker w's pushes, in time order, are
+  // own_pushes_[own_begin_[w] .. own_begin_[w + 1]).
+  std::vector<std::size_t> own_begin_;
+  std::vector<std::size_t> own_pushes_;
 };
 
 // Mean of the per-worker iteration spans.

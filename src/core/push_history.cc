@@ -51,14 +51,10 @@ std::size_t PushHistory::CountPushesInWindow(SimTime begin, SimTime end,
   return count;
 }
 
-std::vector<PushRecord> PushHistory::PushesInWindow(SimTime begin,
-                                                    SimTime end) const {
-  std::vector<PushRecord> out;
-  for (auto it = FirstAfter(pushes_, begin); it != pushes_.end(); ++it) {
-    if (it->time > end) break;
-    out.push_back(*it);
-  }
-  return out;
+std::span<const PushRecord> PushHistory::PushesInWindow(SimTime begin,
+                                                        SimTime end) const {
+  const auto first = FirstAfter(pushes_, begin);
+  return {first, std::max(first, FirstAfter(pushes_, end))};
 }
 
 std::optional<SimTime> PushHistory::LastPullBefore(WorkerId worker,

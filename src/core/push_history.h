@@ -45,8 +45,9 @@ class PushHistory {
   std::size_t CountPushesInWindow(SimTime begin, SimTime end,
                                   WorkerId exclude = kInvalidWorker) const;
 
-  // All pushes with time in (begin, end].
-  std::vector<PushRecord> PushesInWindow(SimTime begin, SimTime end) const;
+  // All pushes with time in (begin, end], in time order. Valid until the next
+  // RecordPush or Trim.
+  std::span<const PushRecord> PushesInWindow(SimTime begin, SimTime end) const;
 
   // Most recent pull by `worker` at or before `time` (nullopt if none).
   std::optional<SimTime> LastPullBefore(WorkerId worker, SimTime time) const;

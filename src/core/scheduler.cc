@@ -47,6 +47,7 @@ void SpecSyncScheduler::AttachObservability(obs::ObsContext* obs,
   if (obs_ == nullptr) {
     notify_counter_ = duplicate_counter_ = check_counter_ = stale_counter_ =
         resync_counter_ = retune_counter_ = nullptr;
+    retune_histogram_ = nullptr;
     return;
   }
   notify_counter_ = &obs_->metrics.counter("scheduler.notifies");
@@ -55,6 +56,7 @@ void SpecSyncScheduler::AttachObservability(obs::ObsContext* obs,
   stale_counter_ = &obs_->metrics.counter("scheduler.stale_checks");
   resync_counter_ = &obs_->metrics.counter("scheduler.resyncs");
   retune_counter_ = &obs_->metrics.counter("scheduler.retunes");
+  retune_histogram_ = &obs_->metrics.histogram("scheduler.retune_s");
 }
 
 std::optional<SpecSyncScheduler::CheckRequest> SpecSyncScheduler::HandleNotify(
@@ -228,8 +230,11 @@ void SpecSyncScheduler::MaybeFinishEpoch(SimTime now) {
   if (!any_active || !all_pushed) return;
   if (excused) ++stats_.lost_worker_epochs_unblocked;
 
-  TuningInputs inputs = BuildTuningInputs(now);
-  params_ = policy_->OnEpochEnd(inputs);
+  {
+    obs::ScopedTimer timer(retune_histogram_);  // no clock read when null
+    FillTuningInputs(now);
+    params_ = policy_->OnEpochEnd(tuning_inputs_);
+  }
   ++stats_.retunes;
   SPECSYNC_LOG(kDebug) << "epoch " << epoch_ << " finished at " << now
                        << "; retuned abort_time=" << params_.abort_time
@@ -241,7 +246,7 @@ void SpecSyncScheduler::MaybeFinishEpoch(SimTime now) {
     rec.at = now;
     rec.abort_time = params_.abort_time;
     rec.abort_rate = params_.abort_rate;
-    rec.epoch_pushes = inputs.pushes.size();
+    rec.epoch_pushes = tuning_inputs_.pushes.size();
     obs_->audit.RecordRetune(rec);
     obs_->spans.AddInstant(
         "retune", "scheduler", obs_track_, now,
@@ -260,12 +265,13 @@ void SpecSyncScheduler::MaybeFinishEpoch(SimTime now) {
   history_.Trim(now, max_span * kHistoryHorizonSpans);
 }
 
-TuningInputs SpecSyncScheduler::BuildTuningInputs(SimTime epoch_end) const {
-  TuningInputs inputs;
+void SpecSyncScheduler::FillTuningInputs(SimTime epoch_end) {
+  TuningInputs& inputs = tuning_inputs_;
   inputs.num_workers = config_.num_workers;
   inputs.finished_epoch = epoch_;
   inputs.epoch_begin = epoch_begin_;
   inputs.epoch_end = epoch_end;
+  inputs.pushes.clear();
   for (const PushRecord& rec :
        history_.PushesInWindow(epoch_begin_, epoch_end)) {
     inputs.pushes.emplace_back(rec.time, rec.worker);
@@ -275,7 +281,6 @@ TuningInputs SpecSyncScheduler::BuildTuningInputs(SimTime epoch_end) const {
     inputs.last_pull[w] = history_.LastPullBefore(w, epoch_end);
   }
   inputs.iteration_span = spans_;
-  return inputs;
 }
 
 std::unique_ptr<SpecSyncScheduler> MakeSpecSyncScheduler(

@@ -27,6 +27,7 @@ namespace specsync {
 namespace obs {
 struct ObsContext;
 class Counter;
+class LatencyHistogram;
 }  // namespace obs
 
 struct SchedulerConfig {
@@ -71,8 +72,10 @@ class SpecSyncScheduler {
   // appends one structured record to the context's DecisionAuditLog (the
   // recorded ABORT_TIME is the armed window length, i.e. what the decision
   // actually used), epoch retunes append RetuneRecords plus an instant event
-  // on SpanRecorder track `span_track`, and protocol counters mirror
-  // SchedulerStats into the MetricsRegistry. Null detaches. Attach before
+  // on SpanRecorder track `span_track`, protocol counters mirror
+  // SchedulerStats into the MetricsRegistry, and histogram
+  // "scheduler.retune_s" records each retune's wall time (gathering the
+  // epoch's inputs plus the policy's OnEpochEnd). Null detaches. Attach before
   // driving events; the scheduler only ever records — observability on or
   // off never changes a decision.
   void AttachObservability(obs::ObsContext* obs, std::uint32_t span_track = 0);
@@ -115,7 +118,8 @@ class SpecSyncScheduler {
 
  private:
   void MaybeFinishEpoch(SimTime now);
-  TuningInputs BuildTuningInputs(SimTime epoch_end) const;
+  // Refills tuning_inputs_ with the epoch ending at `epoch_end`.
+  void FillTuningInputs(SimTime epoch_end);
   std::size_t ActiveWorkerCount() const;
 
   SchedulerConfig config_;
@@ -142,6 +146,9 @@ class SpecSyncScheduler {
   std::vector<PendingCheck> pending_;
   std::uint64_t next_token_ = 1;
 
+  // Reused by every retune, so steady-state epochs allocate nothing.
+  TuningInputs tuning_inputs_;
+
   // Observability (null = off). Counters are resolved once at attach so the
   // per-event cost is one branch plus a relaxed atomic increment.
   obs::ObsContext* obs_ = nullptr;
@@ -152,6 +159,7 @@ class SpecSyncScheduler {
   obs::Counter* stale_counter_ = nullptr;
   obs::Counter* resync_counter_ = nullptr;
   obs::Counter* retune_counter_ = nullptr;
+  obs::LatencyHistogram* retune_histogram_ = nullptr;
 };
 
 // How a run speculates: not at all, with fixed (Cherrypick) parameters, or

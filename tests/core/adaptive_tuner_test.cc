@@ -230,7 +230,7 @@ std::vector<Duration> PushMinusPullOffsets(const TuningInputs& inputs,
 double BestImprovement(const TuningInputs& inputs,
                        const std::vector<Duration>& deltas) {
   double best = 0.0;
-  for (double value : AdaptiveTuner::EvaluateCandidates(inputs, deltas, 1.0)) {
+  for (double value : reference::EvaluateCandidates(inputs, deltas, 1.0)) {
     best = std::max(best, value);
   }
   return best;

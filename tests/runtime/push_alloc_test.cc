@@ -1,7 +1,8 @@
 // Pins the runtime's steady-state in-process iteration (pull, batch sample,
 // compute and push) as allocation-free, the fused TCP exchange as
-// allocation-free on its calling thread, and the wire encoder at no
-// allocation into a reused frame and one into a fresh one.
+// allocation-free on its calling thread, the scheduler's epoch retune (and
+// the Adaptive tuner in it) as allocation-free once warm, and the wire
+// encoder at no allocation into a reused frame and one into a fresh one.
 //
 // This file replaces the global operator new with a counting one, so it is
 // its own test binary. It drives real matrix-factorization gradients through
@@ -28,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/adaptive_tuner.h"
+#include "core/scheduler.h"
 #include "data/sharding.h"
 #include "fault/fault_plan.h"
 #include "harness/workload.h"
@@ -255,6 +258,87 @@ TEST(PushAllocTest, SteadyStateFusedExchangeAllocatesNothingOnTheCaller) {
   EXPECT_EQ(merged.front().sparse().block_width(), 8u);
   EXPECT_GT(merged.front().sparse().nnz(), 1000u);
   server.Stop();
+}
+
+// One finished epoch shaped like sim-mf-adaptive's (the tuner bench's
+// BM_AdaptiveTunerRetuneStaggered/40/80): 80 pushes by 40 workers at
+// exponential gaps, every span half the epoch, each worker's last pull
+// uniform in the epoch's last span.
+TuningInputs SimShapedEpoch(std::uint64_t seed) {
+  constexpr std::size_t kWorkers = 40;
+  constexpr std::size_t kPushes = 80;
+  TuningInputs inputs;
+  inputs.num_workers = kWorkers;
+  Rng rng(seed);
+  SimTime t = SimTime::Zero();
+  for (std::size_t i = 0; i < kPushes; ++i) {
+    t += Duration::Seconds(rng.Exponential(static_cast<double>(kPushes)));
+    inputs.pushes.emplace_back(t, static_cast<WorkerId>(i % kWorkers));
+  }
+  const Duration span = (t - SimTime::Zero()) / 2.0;
+  inputs.iteration_span.assign(kWorkers, span);
+  inputs.last_pull.resize(kWorkers);
+  for (auto& pull : inputs.last_pull) {
+    pull = t - span * rng.Uniform(0.0, 1.0);
+  }
+  return inputs;
+}
+
+// Once a retune of each epoch has sized the tuner's scratch (candidate keys,
+// radix buffer, gains, per-worker push groups), retuning any of them again
+// allocates nothing.
+TEST(PushAllocTest, WarmedTunerRetunesAllocateNothing) {
+  std::vector<TuningInputs> epochs;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    epochs.push_back(SimShapedEpoch(seed));
+  }
+  AdaptiveTuner tuner;
+  for (const TuningInputs& epoch : epochs) tuner.OnEpochEnd(epoch);
+  std::size_t engaged = 0;
+  const std::size_t allocations = CountAllocations([&] {
+    for (int round = 0; round < 10; ++round) {
+      for (const TuningInputs& epoch : epochs) {
+        engaged += tuner.OnEpochEnd(epoch).enabled() ? 1 : 0;
+      }
+    }
+  });
+  EXPECT_EQ(allocations, 0u) << "over " << 10 * epochs.size() << " retunes";
+  EXPECT_GT(engaged, 0u);  // non-vacuity: some retunes pick a window
+}
+
+// The scheduler's side of a retune: gathering the finished epoch into its
+// reused TuningInputs, the Adaptive tuner, and trimming the history. Eight
+// workers push and pull at jittered spans; after a warm-up has sized the
+// history and the inputs, epoch after epoch allocates nothing.
+TEST(PushAllocTest, SteadyStateSchedulerRetunesAllocateNothing) {
+  constexpr std::size_t kWorkers = 8;
+  const std::unique_ptr<SpecSyncScheduler> scheduler = MakeSpecSyncScheduler(
+      kWorkers, SpeculationMode::kAdaptive, SpeculationParams{},
+      AdaptiveTunerConfig{}, Duration::Seconds(1.0));
+  Rng rng(7);
+  std::vector<SimTime> next(kWorkers);
+  std::vector<IterationId> iteration(kWorkers, 0);
+  for (WorkerId w = 0; w < kWorkers; ++w) {
+    scheduler->HandlePull(w, SimTime::Zero());
+    next[w] = SimTime::FromSeconds(rng.Uniform(0.5, 1.5));
+  }
+  // One push by the worker due next, then its next pull.
+  const auto step = [&] {
+    const auto due = std::min_element(next.begin(), next.end());
+    const auto w = static_cast<WorkerId>(due - next.begin());
+    const SimTime now = *due;
+    scheduler->HandleNotify(w, iteration[w]++, now);
+    scheduler->HandlePull(w, now);
+    *due = now + Duration::Seconds(rng.Uniform(0.5, 1.5) * (1.0 + 0.1 * w));
+  };
+  for (int event = 0; event < 50000; ++event) step();
+  const std::uint64_t warm_retunes = scheduler->stats().retunes;
+  const std::size_t allocations = CountAllocations([&] {
+    for (int event = 0; event < 5000; ++event) step();
+  });
+  const std::uint64_t retunes = scheduler->stats().retunes - warm_retunes;
+  EXPECT_EQ(allocations, 0u) << "over " << retunes << " retunes";
+  EXPECT_GT(retunes, 100u);  // non-vacuity: the epochs really ended
 }
 
 // EncodeFrame sizes the frame exactly before writing it: into a fresh
