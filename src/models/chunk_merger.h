@@ -1,9 +1,9 @@
 // Reusable merger for a mini-batch's per-chunk gradients.
 //
 // The threaded runtime computes each mini-batch in chunks (so an abort can
-// land between them) and pushes the average of the chunk gradients. A worker
-// owns one ChunkMerger and one output Gradient for its whole life, so the
-// merge allocates nothing once warmed up.
+// land between them) and pushes the average of the chunk gradients. Each
+// worker's WorkerStep owns one ChunkMerger and one output Gradient for its
+// whole life, so the merge allocates nothing once warmed up.
 //
 // Sparse chunks accumulate into a dense buffer of the parameter dimension
 // with an OccupancyBitmap beside it, one bit per row: when every non-empty

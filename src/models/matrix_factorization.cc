@@ -91,7 +91,6 @@ double MatrixFactorizationModel::LossAndGradient(
   const std::size_t users = data_->num_users();
   const std::size_t rows = users + data_->num_items();
   const double inv_batch = 1.0 / static_cast<double>(n);
-  const double grad_scale = config_.sum_gradient ? 1.0 : inv_batch;
   const double reg = config_.regularization;
   if (ws.acc.size() < rows * r) ws.acc.resize(rows * r);
   ws.occupied.Reserve(rows);
@@ -112,11 +111,11 @@ double MatrixFactorizationModel::LossAndGradient(
     double* a = acc + row * r;
     if (occupied.Set(row)) {
       for (std::size_t k = 0; k < r; ++k) {
-        a[k] = grad_scale * (err * other[k] + reg * own[k]);
+        a[k] = err * other[k] + reg * own[k];
       }
     } else {
       for (std::size_t k = 0; k < r; ++k) {
-        a[k] += grad_scale * (err * other[k] + reg * own[k]);
+        a[k] += err * other[k] + reg * own[k];
       }
     }
   };

@@ -3,7 +3,12 @@
 // Parameters: [ user factors U (num_users x rank) | item factors V
 // (num_items x rank) ] flattened row-major. Loss per rating (u,i,r):
 //   0.5 * (r - U_u . V_i)^2 + 0.5 * reg * (|U_u|^2 + |V_i|^2) / n_touch
-// Gradients are sparse: only the factor rows present in the batch move.
+// Gradients are sparse: only the factor rows present in the batch move. The
+// gradient sums the per-rating gradients (it is batch size times the
+// gradient of the reported mean loss): a factor row is touched by only a
+// handful of ratings, and summing makes the learning rate act per rating
+// occurrence, the classical Koren-style MF SGD (and what MXNet's sparse push
+// amounts to).
 //
 // LossAndGradient is one pass over the batch (DESIGN.md §17). For each
 // rating it computes the error and loss term, then adds the rating's
@@ -33,11 +38,6 @@ struct MatrixFactorizationConfig {
   double regularization = 0.01;
   // Parameter init scale (uniform in [-scale, scale]).
   double init_scale = 0.1;
-  // Sum (rather than average) the per-rating gradients: with sparse batches a
-  // factor row is touched by only a handful of ratings, and summing makes the
-  // learning rate act per rating occurrence — the classical Koren-style MF
-  // SGD behaviour (and what MXNet's sparse push amounts to).
-  bool sum_gradient = true;
 };
 
 class MatrixFactorizationModel final : public Model {

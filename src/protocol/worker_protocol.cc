@@ -162,30 +162,6 @@ void WorkerProtocol::CloseBlocked(WorkerId w, SimTime now) {
   }
 }
 
-std::optional<ControlMessage> WorkerProtocol::RecordPull(
-    WorkerId w, SimTime begin, SimTime end, std::uint64_t version) {
-  Slot& slot = slots_[w];
-  slot.snapshot_version = version;
-  slot.computing = true;
-  slot.compute_start = end;
-  if (obs_ != nullptr) {
-    pull_counter_->Increment();
-    obs_->spans.AddSpan("pull", "pull", w, begin, end,
-                        {{"version", std::to_string(version)}});
-  }
-  if (!scheduler_) return std::nullopt;
-  return ControlMessage{ControlMessage::Kind::kPull, w};
-}
-
-void WorkerProtocol::EndCompute(WorkerId w, SimTime now) {
-  Slot& slot = slots_[w];
-  slot.computing = false;
-  if (obs_ != nullptr) {
-    obs_->spans.AddSpan("compute", "compute", w, slot.compute_start, now,
-                        {{"iteration", std::to_string(completed(w))}});
-  }
-}
-
 std::optional<Duration> WorkerProtocol::ReSync(WorkerId w,
                                                IterationId notified_iteration,
                                                SimTime now) {
@@ -211,16 +187,6 @@ std::optional<Duration> WorkerProtocol::ReSync(WorkerId w,
   return wasted;
 }
 
-void WorkerProtocol::PrepareCommit(const Gradient& grad, PushPlan& plan,
-                                   bool route) {
-  plan.routes.clear();
-  plan.write_set.clear();
-  if (!route && !controller_) return;
-  store_->layout().RouteInto(grad, plan.routes);
-  if (!controller_) return;
-  for (const ShardRoute& r : plan.routes) plan.write_set.push_back(r.shard);
-}
-
 std::optional<IterationId> WorkerProtocol::Commit(
     WorkerId w, SimTime now, std::span<const std::size_t> write_set,
     bool landed) {
@@ -232,20 +198,6 @@ std::optional<IterationId> WorkerProtocol::Commit(
   });
   slots_[w].completed.store(iteration + 1, std::memory_order_relaxed);
   return iteration;
-}
-
-std::uint64_t WorkerProtocol::RecordPush(WorkerId w, SimTime begin,
-                                         SimTime end, IterationId iteration,
-                                         std::uint64_t version) {
-  const std::uint64_t missed = version - 1 - slots_[w].snapshot_version;
-  if (obs_ != nullptr) {
-    push_counter_->Increment();
-    obs_->spans.AddSpan("push", "push", w, begin, end,
-                        {{"iteration", std::to_string(iteration)},
-                         {"version", std::to_string(version)},
-                         {"missed_updates", std::to_string(missed)}});
-  }
-  return missed;
 }
 
 std::optional<ControlMessage> WorkerProtocol::Notify(WorkerId w,

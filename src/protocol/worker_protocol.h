@@ -3,13 +3,16 @@
 // A worker loops gate -> pull -> compute -> commit, and a re-sync from the
 // scheduler aborts an iteration still computing on stale parameters.
 // WorkerProtocol holds each worker's state and makes every decision of that
-// loop, with its accounting and obs records. The executors (the DES in
-// src/sim, the threads in src/runtime) decide only when a step runs and how
-// its bytes move. Messages for the scheduler come back as ControlMessages;
-// the executor carries them and hands them to Deliver.
+// loop, with its accounting and obs records: the gate, commits, re-syncs,
+// crash and rejoin, and the scheduler side. Each worker's WorkerStep
+// (protocol/worker_step.h) makes the attempt's own calls in their one order.
+// The executors (the DES in src/sim, the threads in src/runtime) decide only
+// when a step runs and how its bytes move. Messages for the scheduler come
+// back as ControlMessages; the executor carries them and hands them to
+// Deliver.
 //
 // Threading: the DES calls everything from one event loop. In the runtime,
-// worker w's thread runs w's steps, w's re-syncs and w's scheduler calls
+// worker w's thread runs w's step, w's re-syncs and w's scheduler calls
 // (Deliver and ReSyncDue, under one mutex), and Finish runs after every
 // thread joined. The fields other threads read (completed, liveness) are
 // atomics; the consistency controller sits behind its lock.
@@ -121,13 +124,6 @@ struct ControlMessage {
   IterationId iteration = 0;  // kNotify: the iteration just pushed
 };
 
-// One push, filled by PrepareCommit: its routed slices and the write set
-// the consistency layer learns at Commit. Reused, it allocates nothing.
-struct PushPlan {
-  std::vector<ShardRoute> routes;
-  std::vector<std::size_t> write_set;
-};
-
 struct WorkerProtocolConfig {
   std::size_t num_workers = 0;
   std::size_t num_servers = 1;
@@ -187,12 +183,6 @@ class WorkerProtocol {
   bool AwaitAdmission(WorkerId w,
                       std::chrono::steady_clock::time_point deadline);
 
-  // Worker w pulled `version` over [begin, end] and computes from `end`.
-  // Returns the scheduler's pull notice.
-  std::optional<ControlMessage> RecordPull(WorkerId w, SimTime begin,
-                                           SimTime end, std::uint64_t version);
-  void EndCompute(WorkerId w, SimTime now);
-
   // A re-sync for the notify of `notified_iteration` reached worker w at
   // `now`, and the paper's rule (Sec. IV-A) applies at once: abort iff the
   // worker is computing iteration n + 1 and has not aborted it yet, so
@@ -201,9 +191,6 @@ class WorkerProtocol {
   std::optional<Duration> ReSync(WorkerId w, IterationId notified_iteration,
                                  SimTime now);
 
-  // Routes `grad` (if `route` or gated), then the write set. The gradient
-  // is the one that ships: the simulator's codec has already transformed it.
-  void PrepareCommit(const Gradient& grad, PushPlan& plan, bool route);
   // Worker w's push resolved: the controller learns `write_set`, completed
   // advances, blocked peers re-check. A push with every slice lost
   // (`landed` false) still commits for a live worker and commits nothing
@@ -212,10 +199,6 @@ class WorkerProtocol {
   std::optional<IterationId> Commit(WorkerId w, SimTime now,
                                     std::span<const std::size_t> write_set,
                                     bool landed);
-  // The push span of a landed commit at store `version`. Returns its missed
-  // updates: pushes committed since the worker's snapshot.
-  std::uint64_t RecordPush(WorkerId w, SimTime begin, SimTime end,
-                           IterationId iteration, std::uint64_t version);
   // The notify for `iteration`, if speculation is on and the worker lives.
   std::optional<ControlMessage> Notify(WorkerId w, IterationId iteration,
                                        SimTime now);
@@ -242,10 +225,11 @@ class WorkerProtocol {
                      std::uint64_t total_pushes, double final_loss) const;
 
  private:
+  friend class WorkerStep;  // the worker-side calls of an attempt
+
   struct Slot {
     std::atomic<IterationId> completed{0};
     std::atomic<bool> live{true};
-    std::uint64_t snapshot_version = 0;
     std::optional<IterationId> last_abort;
     bool computing = false;
     SimTime compute_start;

@@ -9,11 +9,11 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "data/sharding.h"
-#include "models/chunk_merger.h"
 #include "net/event_loop_server.h"
 #include "net/shard_client.h"
 #include "obs/obs.h"
 #include "protocol/worker_protocol.h"
+#include "protocol/worker_step.h"
 #include "runtime/fault_mailbox.h"
 #include "runtime/wall_clock.h"
 
@@ -153,12 +153,13 @@ struct RuntimeCluster::Impl {
   // --- worker threads --------------------------------------------------------
 
   void WorkerLoop(WorkerId w, std::vector<std::size_t> shard) {
+    // The step lives on its thread, and with obs off no in-process
+    // iteration allocates once the first has sized its buffers.
     Rng rng(config.seed * 7919 + w + 1);
-    BatchSampler sampler(std::move(shard), config.batch_size, rng.Fork());
-    // Exactly compute_chunks chunks, the first batch_size % compute_chunks
-    // of them one rating longer than the rest.
-    const std::size_t chunk_size = config.batch_size / config.compute_chunks;
-    const std::size_t longer_chunks = config.batch_size % config.compute_chunks;
+    WorkerStep step(protocol, *model, w,
+                    BatchSampler(std::move(shard), config.batch_size,
+                                 rng.Fork()),
+                    config.compute_chunks);
 
     // Over the wire with no gate, each push but the last also fetches the
     // next iteration's snapshot in the same round trip (the pull needs no
@@ -239,7 +240,7 @@ struct RuntimeCluster::Impl {
     };
     // Goes down; sleeps until the rejoin, if there is one. Returns true when
     // the death is permanent (the worker thread exits). In-flight work is
-    // discarded: a rejoined worker re-pulls and restarts.
+    // discarded but its batch: a rejoined worker re-pulls and restarts it.
     const auto go_down = [&] {
       crash_pending = false;
       has_prefetched = false;
@@ -249,18 +250,6 @@ struct RuntimeCluster::Impl {
       notice(protocol.Rejoin(w));
       return false;
     };
-
-    // Pull, sample, compute and push buffers reused by every iteration: with
-    // obs off, the in-process pull, the batch sample, the chunk gradients and
-    // the push span (merge, route, store, gate) allocate nothing once the
-    // first iteration has sized them.
-    PullResult snapshot;
-    std::vector<std::size_t> batch;
-    std::vector<Gradient> chunks;
-    ChunkMerger merger(model->param_dim());
-    Gradient merged;
-    PushPlan plan;
-    plan.write_set.reserve(protocol.store().num_shards());  // may touch all
 
     while (protocol.completed(w) < config.iterations_per_worker) {
       const IterationId iteration = protocol.completed(w);
@@ -284,25 +273,19 @@ struct RuntimeCluster::Impl {
       // thread: a few microseconds, far less than a hand-off to others.
       const SimTime pull_begin = Stamp();
       if (has_prefetched) {
-        std::swap(snapshot, prefetched);
+        std::swap(step.snapshot(), prefetched);
         has_prefetched = false;
       } else if (shard_clients.empty()) {
-        protocol.store().PullInto(&snapshot);
+        protocol.store().PullInto(&step.snapshot());
       } else {
-        shard_clients[w]->PullInto(&snapshot);
+        shard_clients[w]->PullInto(&step.snapshot());
       }
-      notice(
-          protocol.RecordPull(w, pull_begin, clock.Now(), snapshot.version));
+      notice(step.Pulled(pull_begin, clock.Now()));
 
-      sampler.NextBatch(batch);
-      std::size_t num_chunks = 0;
+      // An aborted or crashed attempt keeps its batch for the next one.
       bool interrupted = false;
-      for (std::size_t begin = 0, end = 0; num_chunks < config.compute_chunks;
-           begin = end) {
-        end = begin + chunk_size + (num_chunks < longer_chunks ? 1 : 0);
-        std::span<const std::size_t> chunk(batch.data() + begin, end - begin);
-        if (chunks.size() == num_chunks) chunks.emplace_back();
-        model->LossAndGradient(snapshot.params, chunk, chunks[num_chunks++]);
+      for (bool done = false; !done;) {
+        done = step.ComputeChunk();
         if (config.chunk_delay.count() > 0) {
           // Injected slowdown stretches the artificial per-chunk delay.
           const double factor = faults.SlowdownFactor(w, clock.Now());
@@ -325,28 +308,25 @@ struct RuntimeCluster::Impl {
         }
       }
       if (interrupted) continue;  // crash at the loop top, or re-pull
-      protocol.EndCompute(w, clock.Now());
 
       // The push span covers the whole commit and nests one sub-span per
       // step: push.merge (chunk merge), push.store (route, apply, commit; a
       // fused wire push also carries the next pull's round trip here),
       // push.gate (consistency bookkeeping, gated runs only) and push.notify
       // (delivering the notify to the scheduler, speculative runs only). Recording them is charged to the push span.
-      const SimTime push_begin = Stamp();
-      merger.Merge(std::span<const Gradient>(chunks).first(num_chunks),
-                   merged);
+      const SimTime push_begin = clock.Now();
+      step.EndCompute(push_begin);
       // The in-process store applies the routes as they are; a wire client
       // cuts its frames itself, so only the gate's write set needs them.
-      protocol.PrepareCommit(merged, plan,
-                             /*route=*/shard_clients.empty());
+      step.PrepareCommit(/*route=*/shard_clients.empty());
       const SimTime merge_end = Stamp();
       const bool last = iteration + 1 == config.iterations_per_worker;
       has_prefetched = fuse_pull && !last;
-      const std::uint64_t version =
-          PushGradient(w, merged, protocol.GlobalEpoch(), plan.routes,
-                       has_prefetched ? &prefetched : nullptr);
+      const std::uint64_t version = PushGradient(
+          w, step.gradient(), protocol.GlobalEpoch(), step.plan().routes,
+          has_prefetched ? &prefetched : nullptr);
       const SimTime store_end = Stamp();
-      protocol.Commit(w, clock.Now(), plan.write_set, /*landed=*/true);
+      step.Commit(clock.Now(), step.plan().write_set, /*landed=*/true);
       const SimTime gate_end = Stamp();
       poll();  // before the notify supersedes a due check
       if (const auto notify = protocol.Notify(w, iteration, gate_end)) {
@@ -363,7 +343,7 @@ struct RuntimeCluster::Impl {
           obs->spans.AddSpan("push.notify", "push", w, gate_end, clock.Now());
         }
       }
-      protocol.RecordPush(w, push_begin, Stamp(), iteration, version);
+      step.RecordPush(push_begin, Stamp(), iteration, version);
     }
     // Quota met, or dead for good: delayed notifies go out now. A check
     // still pending has nothing left to abort.

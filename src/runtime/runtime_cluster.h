@@ -1,17 +1,16 @@
 // Threaded in-process cluster: the SpecSync protocol under real concurrency.
 //
 // The discrete-event simulator (src/sim) drives the experiments; this runtime
-// runs the same worker protocol (protocol/worker_protocol.h) in a real
-// system. The protocol makes every decision (gating, commits, re-sync
-// aborts, crash and rejoin); the runtime decides when each step runs and how
-// its bytes move: worker threads compute gradients chunk by chunk and honour
-// re-syncs and crashes at chunk boundaries, wait in the gate no longer than
-// a crash falling due, and reach the store directly or over a ShardClient.
-// No thread serves the scheduler: each worker hands it its pull, down and
-// up notices directly, delivers its notifies through a fault-injecting
-// outbox, and fires its own speculation checks at its chunk boundaries.
-// Time is wall time mapped onto SimTime, so SpecSyncScheduler is reused
-// verbatim.
+// runs the same worker protocol (protocol/worker_protocol.h) and WorkerStep
+// (protocol/worker_step.h) in a real system. Each worker thread drives its
+// step with compute_chunks chunks and keeps only what is its own: the
+// in-process store or a ShardClient with its fused prefetch, re-syncs and
+// crashes honoured at chunk boundaries, a gate wait no longer than a crash
+// falling due, and the push's sub-spans. No thread serves the scheduler:
+// each worker hands it its pull, down and up notices directly, delivers its
+// notifies through a fault-injecting outbox, and fires its own speculation
+// checks at its poll points. Time is wall time mapped onto SimTime, so
+// SpecSyncScheduler is reused verbatim.
 #pragma once
 
 #include <atomic>

@@ -5,6 +5,7 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "obs/obs.h"
+#include "protocol/worker_step.h"
 
 namespace specsync {
 
@@ -29,7 +30,7 @@ struct ClusterSim::Impl {
   TransferAccountant transfers;
 
   // Delta pulls only: per-worker last-known shard versions; the worker's
-  // persistent `snapshot` doubles as its parameter cache. Empty = delta off.
+  // step snapshot doubles as its parameter cache. Empty = delta off.
   static constexpr std::uint64_t kUnknownVersion = ~0ull;
   std::vector<std::vector<std::uint64_t>> known_shard_versions;
 
@@ -46,19 +47,11 @@ struct ClusterSim::Impl {
   double wasted_compute_seconds = 0.0;
 
   struct WorkerState {
-    std::unique_ptr<BatchSampler> sampler;
-    Rng rng;  // worker-private stream (compute jitter, batches share sampler's)
-    DenseVector snapshot;          // parameters pulled for current iteration
+    Rng rng;  // worker-private stream (compute jitter, transfer draws)
+    WorkerStep step;
     std::uint64_t compute_generation = 0;  // invalidates stale finish events
   };
   std::vector<WorkerState> workers;
-
-  // Shared pull buffer (single-threaded event loop): OnPullComplete donates
-  // the worker's old snapshot into it, PullInto refills it in place.
-  PullResult pull_scratch;
-  // Shared batch buffer (single-threaded event loop): each compute-done
-  // event samples into it and is done with it before the next event runs.
-  std::vector<std::size_t> batch_scratch;
 
   // --- convergence tracking ------------------------------------------------
   std::size_t below_target_streak = 0;
@@ -96,10 +89,13 @@ struct ClusterSim::Impl {
     auto shards = ShardIndices(model->dataset_size(), config.num_workers);
     workers.reserve(config.num_workers);
     for (WorkerId w = 0; w < config.num_workers; ++w) {
-      workers.emplace_back(
-          std::make_unique<BatchSampler>(std::move(shards[w]),
-                                         config.batch_size, rng.Fork()),
-          rng.Fork());
+      // Braces evaluate in order: the worker's stream is forked before its
+      // sampler's, the order the golden digests pin.
+      workers.push_back(
+          {rng.Fork(), WorkerStep(protocol, *model, w,
+                                  BatchSampler(std::move(shards[w]),
+                                               config.batch_size, rng.Fork()),
+                                  /*compute_chunks=*/1)});
     }
 
     obs = config.obs;
@@ -258,37 +254,31 @@ struct ClusterSim::Impl {
   }
 
   void OnPullComplete(WorkerId w, const PullAttempt& attempt) {
-    WorkerState& worker = workers[w];
-    std::uint64_t version = 0;
+    WorkerStep& step = workers[w].step;
+    PullResult& snapshot = step.snapshot();
     if (!attempt.refreshed.empty()) {
       // Delta mode: copy only the refreshed shards over the worker's cached
       // snapshot; unchanged shards keep the cached content their matching
       // version guarantees is current (as of the plan-time check).
-      worker.snapshot.resize(model->param_dim());
+      snapshot.params.resize(model->param_dim());
       for (std::size_t s = 0; s < store().num_shards(); ++s) {
         if (attempt.refreshed[s] == 0) continue;
         const ShardInfo info = store().shard(s);
         known_shard_versions[w][s] = store().PullShardSlice(
-            s, std::span<double>(worker.snapshot.data() + info.offset,
+            s, std::span<double>(snapshot.params.data() + info.offset,
                                  info.length));
       }
-      version = store().version();
+      snapshot.version = store().version();
     } else {
       // The snapshot is composed when the slowest shard response lands; in
       // the single-threaded sim this is never torn (see param_store.h for
       // the threaded runtime's semantics).
-      // Reuse the worker's previous snapshot buffer (donated to the shared
-      // scratch) so steady-state pulls allocate nothing.
-      pull_scratch.params = std::move(worker.snapshot);
-      store().PullInto(&pull_scratch);
-      worker.snapshot = std::move(pull_scratch.params);
-      version = pull_scratch.version;
+      store().PullInto(&snapshot);
     }
-    trace.RecordPull(w, sim.now(), version);
+    trace.RecordPull(w, sim.now(), snapshot.version);
     // The scheduler sits beside the event loop: its pull notice is direct.
     // The worker computes from now on.
-    if (const auto notice =
-            protocol.RecordPull(w, attempt.begin, sim.now(), version)) {
+    if (const auto notice = step.Pulled(attempt.begin, sim.now())) {
       protocol.Deliver(*notice, sim.now());
     }
     StartCompute(w);
@@ -311,20 +301,23 @@ struct ClusterSim::Impl {
 
   void OnComputeDone(WorkerId w) {
     WorkerState& worker = workers[w];
-    protocol.EndCompute(w, sim.now());
     // The gradient is evaluated on the snapshot pulled at iteration start —
     // any pushes applied since then are invisible to it (the staleness the
-    // paper studies).
-    auto attempt = std::make_shared<PushAttempt>();
-    worker.sampler->NextBatch(batch_scratch);
-    model->LossAndGradient(worker.snapshot, batch_scratch, attempt->grad);
+    // paper studies). A simulated computation is one chunk.
+    worker.step.ComputeChunk();
+    worker.step.EndCompute(sim.now());
     // What routes, and what the consistency layer learns as the write set,
     // is the gradient that ships: top-k may shrink the touched-shard set.
-    if (codec) codec->Transform(w, attempt->grad);
+    if (codec) codec->Transform(w, worker.step.gradient());
     // The push fans out as one message per dirty shard (sparse gradients
     // route only to the shards owning their indices); each slice applies at
     // its own arrival, and the worker proceeds once every message resolved.
-    protocol.PrepareCommit(attempt->grad, attempt->plan, /*route=*/true);
+    worker.step.PrepareCommit(/*route=*/true);
+    // The push takes the gradient and its plan: a rejoined worker may
+    // compute again before a stalled slice of this one lands.
+    auto attempt = std::make_shared<PushAttempt>();
+    std::swap(attempt->grad, worker.step.gradient());
+    std::swap(attempt->plan, worker.step.plan());
     std::vector<ShardRoute>& routes = attempt->plan.routes;
     if (codec) {
       // Charge the coded wire size; the raw-minus-coded delta goes to the
@@ -405,12 +398,13 @@ struct ClusterSim::Impl {
   void FinalizePush(WorkerId w, const PushAttempt& attempt) {
     const bool landed = attempt.any_landed;
     const std::uint64_t version = landed ? store().CommitPush() : 0;
+    WorkerStep& step = workers[w].step;
     const std::optional<IterationId> iteration =
-        protocol.Commit(w, sim.now(), attempt.plan.write_set, landed);
+        step.Commit(sim.now(), attempt.plan.write_set, landed);
     if (!iteration.has_value()) return;
     if (landed) {
       const std::uint64_t missed =
-          protocol.RecordPush(w, attempt.begin, sim.now(), *iteration, version);
+          step.RecordPush(attempt.begin, sim.now(), *iteration, version);
       trace.RecordPush(w, sim.now(), *iteration, version, missed);
       if (config.max_pushes != 0 && TotalPushes() >= config.max_pushes) {
         stopped = true;

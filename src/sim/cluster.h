@@ -6,12 +6,12 @@
 // snapshot the worker pulled — so staleness has its true algorithmic effect
 // on convergence, which is precisely what the paper measures.
 //
-// The simulator is one of the two executors of the worker protocol
-// (protocol/worker_protocol.h), which makes every protocol decision: gating,
-// commits, re-sync aborts, crash and rejoin. The simulator decides when each
-// step runs (events on the virtual clock, naive-waiting delays) and how its
-// bytes move (NetworkModel fan-out per shard, drops, duplicates, stalls,
-// the gradient codec, delta pulls and the transfer ledger).
+// The simulator drives the worker protocol (protocol/worker_protocol.h) and
+// each worker's WorkerStep (protocol/worker_step.h, one chunk per
+// computation) from its events. It keeps only what is its own: timing on
+// the virtual clock, the per-shard NetworkModel fan-out with drops,
+// duplicates and stalls, the gradient codec, delta pulls, the transfer
+// ledger, the control link and crash timing.
 #pragma once
 
 #include <memory>

@@ -10,13 +10,13 @@
 // through ONE model and ONE output gradient (which starts out dense), so the
 // kernel's reuse of the caller's gradient and of its own workspace is
 // covered. Generated cases cover duplicate-heavy tiny datasets (3 users x 2
-// items, batch 64), batch size 1, rank 1 and 16, zero regularization,
-// parameters that are exactly +-0.0, and both sum_gradient settings; values
-// are non-dyadic so any change of summation order shows in the bits. Wide
-// trials (more than 128 factor rows) touch rows 63, 64, 127, 128 and the
-// last row in every batch, so contributions land on both sides of each
-// bitmap word boundary, and they alternate with tiny trials on the same
-// thread, so one workspace serves models of very different sizes.
+// items, batch 64), batch size 1, rank 1 and 16, zero regularization and
+// parameters that are exactly +-0.0; values are non-dyadic so any change of
+// summation order shows in the bits. Wide trials (more than 128 factor
+// rows) touch rows 63, 64, 127, 128 and the last row in every batch, so
+// contributions land on both sides of each bitmap word boundary, and they
+// alternate with tiny trials on the same thread, so one workspace serves
+// models of very different sizes.
 //
 // On failure the harness shrinks the trial (greedy ddmin over batches, then
 // batch entries — the chunk_merge_property_test recipe) and prints it. Three
@@ -89,7 +89,6 @@ Trial GenerateTrial(std::uint64_t seed) {
   t.config.rank = kRanks[rng.Index(std::size(kRanks))];
   constexpr double kRegs[] = {0.0, 0.02, 0.1, 1.0 / 3};
   t.config.regularization = kRegs[rng.Index(std::size(kRegs))];
-  t.config.sum_gradient = rng.Index(2) == 0;
 
   const std::size_t num_ratings = 1 + rng.Index(300);
   for (std::size_t i = 0; i < num_ratings; ++i) {
@@ -128,7 +127,6 @@ Trial GenerateWideTrial(std::uint64_t seed) {
   t.config.rank = kRanks[rng.Index(std::size(kRanks))];
   constexpr double kRegs[] = {0.0, 0.02, 1.0 / 3};
   t.config.regularization = kRegs[rng.Index(std::size(kRegs))];
-  t.config.sum_gradient = rng.Index(2) == 0;
 
   const std::size_t rows = t.num_users + t.num_items;
   const auto random_user = [&] {
@@ -182,8 +180,7 @@ std::string FormatTrial(const Trial& t) {
   std::ostringstream out;
   out.precision(17);
   out << t.num_users << " users x " << t.num_items << " items, rank "
-      << t.config.rank << ", reg " << t.config.regularization
-      << ", sum_gradient " << t.config.sum_gradient;
+      << t.config.rank << ", reg " << t.config.regularization;
   for (const std::vector<std::size_t>& batch : t.batches) {
     out << "\n  batch:";
     for (const std::size_t idx : batch) {
@@ -205,7 +202,6 @@ double ReferenceEntries(const Trial& t, std::span<const std::size_t> batch,
   const std::size_t r = t.config.rank;
   const double reg = t.config.regularization;
   const double inv_batch = 1.0 / static_cast<double>(batch.size());
-  const double grad_scale = t.config.sum_gradient ? 1.0 : inv_batch;
   entries.clear();
   double loss = 0.0;
   for (const std::size_t idx : batch) {
@@ -222,8 +218,8 @@ double ReferenceEntries(const Trial& t, std::span<const std::size_t> batch,
       const double uk = t.params[uo + k];
       const double vk = t.params[io + k];
       reg_term += uk * uk + vk * vk;
-      entries.emplace_back(uo + k, grad_scale * (err * vk + reg * uk));
-      entries.emplace_back(io + k, grad_scale * (err * uk + reg * vk));
+      entries.emplace_back(uo + k, err * vk + reg * uk);
+      entries.emplace_back(io + k, err * uk + reg * vk);
     }
     loss += 0.5 * err * err + 0.5 * reg * reg_term;
   }
@@ -345,13 +341,6 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
   const auto fails = [&](const Trial& candidate) {
     return RunTrial(candidate, kind).has_value();
   };
-  // Averaged gradients scale every value by 1/batch, so no rating could be
-  // removed without moving the rest: prefer summed ones when they still fail.
-  if (!trial.config.sum_gradient) {
-    Trial candidate = trial;
-    candidate.config.sum_gradient = true;
-    if (fails(candidate)) trial = std::move(candidate);
-  }
   ShrinkList(trial.batches, 1,
              [&](const std::vector<std::vector<std::size_t>>& batches) {
                Trial candidate = trial;

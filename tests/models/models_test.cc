@@ -38,9 +38,10 @@ std::shared_ptr<const RatingsDataset> SmallRatings(std::uint64_t seed) {
 }
 
 // Central-difference gradient check on a batch. Sparse gradients are
-// densified. Checks a strided subset of coordinates for speed.
+// densified. Checks a strided subset of coordinates for speed. A `summed`
+// gradient must be batch times the derivative of the mean loss.
 void CheckGradient(const Model& model, std::uint64_t seed,
-                   double tolerance = 1e-5) {
+                   double tolerance = 1e-5, bool summed = false) {
   Rng rng(seed);
   std::vector<double> params(model.param_dim());
   model.InitParams(params, rng);
@@ -62,8 +63,9 @@ void CheckGradient(const Model& model, std::uint64_t seed,
     params[i] = saved - eps;
     const double down = model.Loss(params, batch);
     params[i] = saved;
-    const double numeric = (up - down) / (2.0 * eps);
-    EXPECT_NEAR(dense[i], numeric, tolerance)
+    const double scale = summed ? static_cast<double>(batch.size()) : 1.0;
+    const double numeric = scale * (up - down) / (2.0 * eps);
+    EXPECT_NEAR(dense[i], numeric, scale * tolerance)
         << model.name() << " param " << i;
   }
 }
@@ -95,36 +97,13 @@ TEST(GradientCheckTest, MlpNoHiddenIsSoftmaxTopology) {
 }
 
 TEST(GradientCheckTest, MatrixFactorization) {
+  // The MF gradient sums the per-rating gradients: batch times the
+  // derivative of the reported mean loss.
   MatrixFactorizationConfig config;
   config.rank = 3;
   config.regularization = 0.05;
-  config.sum_gradient = false;  // gradient of the reported mean loss
   MatrixFactorizationModel model(SmallRatings(6), config);
-  CheckGradient(model, 16);
-}
-
-TEST(MfModelTest, SumGradientIsBatchTimesMean) {
-  MatrixFactorizationConfig mean_config;
-  mean_config.rank = 3;
-  mean_config.sum_gradient = false;
-  MatrixFactorizationConfig sum_config = mean_config;
-  sum_config.sum_gradient = true;
-  auto data = SmallRatings(9);
-  MatrixFactorizationModel mean_model(data, mean_config);
-  MatrixFactorizationModel sum_model(data, sum_config);
-
-  Rng rng(10);
-  std::vector<double> params(mean_model.param_dim());
-  mean_model.InitParams(params, rng);
-  std::vector<std::size_t> batch{0, 1, 2, 3};
-  Gradient gm, gs;
-  mean_model.LossAndGradient(params, batch, gm);
-  sum_model.LossAndGradient(params, batch, gs);
-  const auto dm = ToDense(gm.sparse(), params.size());
-  const auto ds = ToDense(gs.sparse(), params.size());
-  for (std::size_t i = 0; i < dm.size(); ++i) {
-    EXPECT_NEAR(ds[i], dm[i] * 4.0, 1e-12);
-  }
+  CheckGradient(model, 16, 1e-5, /*summed=*/true);
 }
 
 TEST(MfModelTest, ParamLayoutOffsets) {

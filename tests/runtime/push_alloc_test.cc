@@ -6,17 +6,12 @@
 //
 // This file replaces the global operator new with a counting one, so it is
 // its own test binary. It drives real matrix-factorization gradients through
-// the steps of RuntimeCluster's WorkerLoop, with per-worker buffers reused
-// the way WorkerLoop reuses them: WorkerProtocol::Admit at the SSP gate,
-// ParameterServer::PullInto the worker's snapshot and RecordPull (which
-// starts the computation), BatchSampler::NextBatch into the worker's batch,
-// the model's LossAndGradient into each chunk's gradient, EndCompute, then
-// ChunkMerger::Merge, PrepareCommit (routes and write set), Push(grad,
-// epoch, routes), Commit, Notify and RecordPush. Speculation is on, so the
-// pull and notify messages are built; obs and the codec are off. After each
-// worker's first iteration has sized its buffers, no iteration may
-// allocate. Allocations are also counted per thread, so a test that runs a
-// server loop beside its caller can pin the two apart.
+// the WorkerStep that RuntimeCluster's WorkerLoop drives, in the loop's
+// order, with the in-process store. Speculation is on, so the pull and
+// notify messages are built; obs is off. After each worker's first
+// iteration has sized its buffers, no iteration may allocate. Allocations
+// are also counted per thread, so a test that runs a server loop beside its
+// caller can pin the two apart.
 
 #include <algorithm>
 #include <atomic>
@@ -39,6 +34,7 @@
 #include "net/shard_client.h"
 #include "net/wire.h"
 #include "protocol/worker_protocol.h"
+#include "protocol/worker_step.h"
 
 namespace {
 
@@ -94,7 +90,6 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   constexpr std::size_t kPushes = 1000;
 
   const Workload mf = MakeMfWorkload(/*seed=*/1);
-  const std::size_t dim = mf.model->param_dim();
   // The mf-inproc-ssp shape: SSP(2) over four shards, speculation adaptive.
   WorkerProtocolConfig config;
   config.num_workers = kWorkers;
@@ -107,50 +102,35 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   ParameterServer& server = protocol.store();
   Rng rng(1);
   auto shards = ShardIndices(mf.model->dataset_size(), kWorkers);
-
-  struct WorkerBuffers {
-    WorkerBuffers(std::size_t dim, BatchSampler sampler_in)
-        : sampler(std::move(sampler_in)), chunks(kChunks), merger(dim) {
-      plan.write_set.reserve(kShards);
-    }
-    BatchSampler sampler;
-    std::vector<std::size_t> batch;
-    std::vector<Gradient> chunks;
-    ChunkMerger merger;
-    Gradient merged;
-    PushPlan plan;
-    PullResult snapshot;
-  };
-  std::vector<WorkerBuffers> workers;
+  std::vector<WorkerStep> steps;
+  steps.reserve(kWorkers);
   for (WorkerId w = 0; w < kWorkers; ++w) {
-    workers.emplace_back(dim, BatchSampler(std::move(shards[w]),
-                                           mf.batch_size, rng.Fork()));
+    steps.emplace_back(
+        protocol, *mf.model, w,
+        BatchSampler(std::move(shards[w]), mf.batch_size, rng.Fork()),
+        kChunks);
   }
 
-  const std::size_t chunk_size = mf.batch_size / kChunks;
   const SimTime now = SimTime::Zero();
   bool all_admitted = true;
+  std::size_t chunks_computed = 0;
   const auto iterate = [&](WorkerId w) {
-    WorkerBuffers& b = workers[w];
+    WorkerStep& step = steps[w];
     const IterationId iteration = protocol.completed(w);
     all_admitted = protocol.Admit(w, now) && all_admitted;
-    server.PullInto(&b.snapshot);
-    protocol.RecordPull(w, now, now, b.snapshot.version);
-    b.sampler.NextBatch(b.batch);
-    const std::span<const std::size_t> batch(b.batch);
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      mf.model->LossAndGradient(b.snapshot.params,
-                                batch.subspan(c * chunk_size, chunk_size),
-                                b.chunks[c]);
+    server.PullInto(&step.snapshot());
+    step.Pulled(now, now);
+    for (bool done = false; !done;) {
+      done = step.ComputeChunk();
+      ++chunks_computed;
     }
-    protocol.EndCompute(w, now);
-    b.merger.Merge(b.chunks, b.merged);
-    protocol.PrepareCommit(b.merged, b.plan, /*route=*/true);
-    const std::uint64_t version =
-        server.Push(b.merged, protocol.GlobalEpoch(), b.plan.routes);
-    protocol.Commit(w, now, b.plan.write_set, /*landed=*/true);
+    step.EndCompute(now);
+    step.PrepareCommit(/*route=*/true);
+    const std::uint64_t version = server.Push(
+        step.gradient(), protocol.GlobalEpoch(), step.plan().routes);
+    step.Commit(now, step.plan().write_set, /*landed=*/true);
     protocol.Notify(w, iteration, now);
-    protocol.RecordPush(w, now, now, iteration, version);
+    step.RecordPush(now, now, iteration, version);
   };
 
   std::size_t allocations = 0;
@@ -163,9 +143,9 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
       continue;
     }
     allocations += CountAllocations([&] { iterate(w); });
-    max_nnz = std::max(max_nnz, workers[w].merged.sparse().nnz());
+    max_nnz = std::max(max_nnz, steps[w].gradient().sparse().nnz());
     // Each pull saw every push before it: the snapshot is fresh, not reused.
-    ASSERT_EQ(workers[w].snapshot.version, p);
+    ASSERT_EQ(steps[w].snapshot().version, p);
   }
   EXPECT_EQ(allocations, 0u)
       << "over " << kPushes << " steady-state iterations";
@@ -175,7 +155,8 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   EXPECT_TRUE(protocol.gated());
   EXPECT_NE(protocol.scheduler(), nullptr);
   EXPECT_GT(max_nnz, 1000u);
-  EXPECT_EQ(workers[0].plan.write_set.size(), kShards);
+  EXPECT_EQ(chunks_computed, kChunks * (kWorkers + kPushes));
+  EXPECT_EQ(steps[0].plan().write_set.size(), kShards);
   EXPECT_EQ(server.version(), kWorkers + kPushes);
   EXPECT_EQ(protocol.completed(0), (kWorkers + kPushes) / kWorkers);
 }
