@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark): event-queue throughput, parameter-server
-// push/pull, gradient kernels (MLP and MF), the runtime's chunk merge and
-// sparse store push, and the O(m^3) adaptive tuner.
+// push/pull, gradient kernels (MLP and MF), the runtime's chunked MF batch
+// sum and sparse store push, and the O(m^3) adaptive tuner.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -8,7 +8,6 @@
 #include "core/adaptive_tuner.h"
 #include "data/synthetic.h"
 #include "harness/workload.h"
-#include "models/chunk_merger.h"
 #include "models/mlp.h"
 #include "net/event_loop_server.h"
 #include "net/shard_client.h"
@@ -136,50 +135,68 @@ void BM_MfGradientCold(benchmark::State& state) {
 }
 BENCHMARK(BM_MfGradientCold)->Arg(50)->Arg(200);
 
-// The four 50-rating MF chunk gradients of one 200-rating batch, as a
-// runtime worker computes them before its push-side merge.
+// One 200-rating MF batch computed as a runtime worker computes it: four
+// 50-rating chunk calls add into one open sum, whose close emits the batch's
+// rows once, at weight 1/4.
 constexpr std::size_t kChunks = 4;
 constexpr std::size_t kChunkSize = 50;
 
-std::vector<Gradient> MfBatchChunks(const Workload& mf) {
+struct MfBatch {
+  std::vector<double> params;
+  std::vector<std::size_t> batch;
+};
+
+MfBatch MakeMfBatch(const Workload& mf) {
   Rng rng(1);
-  std::vector<double> params(mf.model->param_dim());
-  mf.model->InitParams(params, rng);
-  const std::vector<std::size_t> batch =
-      rng.SampleIndices(mf.model->dataset_size(), kChunks * kChunkSize);
-  std::vector<Gradient> chunks(kChunks);
-  for (std::size_t c = 0; c < kChunks; ++c) {
-    mf.model->LossAndGradient(
-        params, std::span(batch).subspan(c * kChunkSize, kChunkSize),
-        chunks[c]);
-  }
-  return chunks;
+  MfBatch b;
+  b.params.resize(mf.model->param_dim());
+  mf.model->InitParams(b.params, rng);
+  b.batch = rng.SampleIndices(mf.model->dataset_size(), kChunks * kChunkSize);
+  return b;
 }
 
-// The runtime's push-side merge: those chunks merged by one reused merger
-// into one reused output.
-void BM_ChunkMerge(benchmark::State& state) {
+void SumChunks(const Workload& mf, const MfBatch& b, SumWorkspace& workspace,
+               Gradient& grad) {
+  grad.OpenSum(workspace);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    mf.model->LossAndGradient(
+        b.params, std::span(b.batch).subspan(c * kChunkSize, kChunkSize),
+        grad);
+  }
+  grad.CloseSum(1.0 / kChunks);
+}
+
+// The batch's summed gradient, what the runtime pushes.
+Gradient MfBatchGradient(const Workload& mf) {
+  SumWorkspace workspace;
+  Gradient grad;
+  SumChunks(mf, MakeMfBatch(mf), workspace, grad);
+  return grad;
+}
+
+// The runtime's whole chunked compute of one batch, into one reused
+// workspace and gradient: four chunk calls and the close.
+void BM_MfChunkedGradient(benchmark::State& state) {
   const Workload mf = MakeMfWorkload(/*seed=*/1);
-  const std::vector<Gradient> chunks = MfBatchChunks(mf);
-  ChunkMerger merger(mf.model->param_dim());
-  Gradient out;
+  const MfBatch b = MakeMfBatch(mf);
+  SumWorkspace workspace;
+  Gradient grad;
   for (auto _ : state) {
-    merger.Merge(chunks, out);
-    benchmark::DoNotOptimize(out.sparse().values().data());
+    SumChunks(mf, b, workspace, grad);
+    benchmark::DoNotOptimize(grad.sparse().values().data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChunks * kChunkSize));
 }
-BENCHMARK(BM_ChunkMerge);
+BENCHMARK(BM_MfChunkedGradient);
 
-// The in-process store's apply: the merged gradient pushed over the
+// The in-process store's apply: the batch's gradient pushed over the
 // mf-inproc-ssp store's 4 shards with the routes already cut, then its
 // negation, so the parameters stay bounded. Items are applied entries.
 void BM_StorePushSparse(benchmark::State& state) {
   const Workload mf = MakeMfWorkload(/*seed=*/1);
-  ChunkMerger merger(mf.model->param_dim());
-  Gradient grad;
-  merger.Merge(MfBatchChunks(mf), grad);
+  const Gradient grad = MfBatchGradient(mf);
   Gradient negated = grad;
   negated.sparse().ScaleValues(-1.0);
   ParameterServer server(
@@ -198,15 +215,13 @@ void BM_StorePushSparse(benchmark::State& state) {
 BENCHMARK(BM_StorePushSparse);
 
 // One fused TCP exchange (ShardClient::PushAndPull) on the mf-tcp store
-// shape: the merged 200-rating MF gradient pushed to one EventLoopServer
+// shape: the summed 200-rating MF gradient pushed to one EventLoopServer
 // over loopback serving 4 shards, then its negation (so the parameters stay
 // bounded), each answered with a full pull into one reused snapshot. Items
 // are exchanges; bytes are both answers' pulled doubles.
 void BM_TcpPushPull(benchmark::State& state) {
   const Workload mf = MakeMfWorkload(/*seed=*/1);
-  ChunkMerger merger(mf.model->param_dim());
-  Gradient grad;
-  merger.Merge(MfBatchChunks(mf), grad);
+  const Gradient grad = MfBatchGradient(mf);
   Gradient negated = grad;
   negated.sparse().ScaleValues(-1.0);
   ParameterServer store(

@@ -30,9 +30,10 @@
 # and ASan the connection teardown. candidate_deltas_property_test rides
 # along for ASan+UBSan: the tuner's radix sort scatters through computed
 # offsets into a ping-pong buffer. chunk_merge_property_test rides along
-# for ASan: the chunk merger indexes a reused accumulator and bitmap by
-# gradient index, where an off-by-one would read stale memory instead of
-# crashing. mf_gradient_property_test rides along for the same reason: the
+# for ASan: an open gradient sum adds chunks into one reused workspace's
+# accumulator and bitmap, indexed by factor row, and an abandoned sum's
+# bitmap words are cleared at the next open, where an off-by-one would read
+# stale memory instead of crashing. mf_gradient_property_test rides along for the same reason: the
 # MF gradient kernel reuses a per-thread row accumulator and occupancy
 # bitmap across batches and models of every size and indexes both by factor
 # row, where a missed bound would read another batch's leftovers;

@@ -1,10 +1,8 @@
 #include "models/matrix_factorization.h"
 
 #include <cstdint>
-#include <vector>
 
 #include "common/check.h"
-#include "tensor/occupancy_bitmap.h"
 
 namespace specsync {
 
@@ -73,18 +71,9 @@ double MatrixFactorizationModel::LossAndGradient(
   SPECSYNC_CHECK_EQ(params.size(), param_dim());
   SPECSYNC_CHECK(!batch.empty());
   const std::span<const Rating> ratings = data_->ratings();
-  // Every index is checked before the first accumulator bit is set, so a
-  // bad batch throws with the workspace still clean.
+  // Every index is checked before the sum is opened or its first bit set,
+  // so a bad batch throws leaving both as they were.
   for (const std::size_t idx : batch) SPECSYNC_CHECK_LT(idx, ratings.size());
-
-  // Row sums reused across calls: the model is shared read-only by every
-  // worker thread, so each thread keeps its own. They grow to the largest
-  // model the thread has seen, and the bitmap is empty between calls.
-  struct Workspace {
-    std::vector<double> acc;    // rows x rank, valid where occupied is set
-    OccupancyBitmap occupied;   // one bit per factor row
-  };
-  thread_local Workspace ws;
 
   const std::size_t n = batch.size();
   const std::size_t r = config_.rank;
@@ -92,11 +81,11 @@ double MatrixFactorizationModel::LossAndGradient(
   const std::size_t rows = users + data_->num_items();
   const double inv_batch = 1.0 / static_cast<double>(n);
   const double reg = config_.regularization;
-  if (ws.acc.size() < rows * r) ws.acc.resize(rows * r);
-  ws.occupied.Reserve(rows);
-  grad.ResetSparse();
-  SparseUpdate& out = grad.sparse();
-  out.Reserve(2 * n * r);
+  // A plain call is a sum of one call, on this thread's workspace.
+  const bool plain = !grad.sum_open();
+  if (plain) grad.OpenSum(SumWorkspace::ThisThread());
+  // Each rating touches at most two rows.
+  SumWorkspace& ws = grad.SparseTerms(rows, r, 2 * n);
 
   const double* p = params.data();
   double* acc = ws.acc.data();
@@ -152,9 +141,9 @@ double MatrixFactorizationModel::LossAndGradient(
     accumulate(item_row, v, u, err);
   }
 
-  // Touched rows come out in ascending order, each as its `rank` entries,
-  // into the capacity reserved above: index-sorted with no duplicates.
-  out.AssignOccupied(occupied, std::span<const double>(acc, rows * r), r);
+  // A plain call emits its rows now, an open sum at its close: each touched
+  // row as its `rank` entries, index-sorted with no duplicates.
+  if (plain) grad.CloseSum(1.0);
   return loss * inv_batch;
 }
 

@@ -12,18 +12,22 @@
 //
 // LossAndGradient is one pass over the batch (DESIGN.md §17). For each
 // rating it computes the error and loss term, then adds the rating's
-// user-row and item-row contributions into a per-thread dense accumulator
-// over factor rows, with an OccupancyBitmap beside it: a row's first
-// contribution is assigned, later ones added. Draining the bitmap emits the
-// touched rows in index order. User and item rows are disjoint, so each row
-// sums its contributions in batch order: the result is canonical
-// (index-sorted, no duplicates) and equals appending every per-rating entry
-// and coalescing with SparseUpdate::Coalesce's stable rule, bit for bit.
+// user-row and item-row contributions into the open sum's dense accumulator
+// over factor rows (Gradient::SparseTerms), with an OccupancyBitmap beside
+// it: a row's first contribution in the sum is assigned, later ones added.
+// A plain call opens a sum of its own on the thread's SumWorkspace and
+// closes it at once; inside a sum the runtime opened, successive chunks of a
+// batch add into the same rows, and the close emits them once. Draining the
+// bitmap emits the touched rows in index order. User and item rows are
+// disjoint, so each row sums its contributions in batch order however the
+// batch was cut: the result is canonical (index-sorted, no duplicates) and
+// equals appending every per-rating entry and coalescing with
+// SparseUpdate::Coalesce's stable rule, bit for bit.
 // The loop software-prefetches each rating a fixed distance ahead, and at a
 // shorter distance that rating's two parameter rows and two accumulator
 // rows, because with many workers' snapshots the rows it reads are cold.
-// Every batch index is checked before the accumulator is touched, so a bad
-// index throws without leaving the thread's workspace dirty.
+// Every batch index is checked before the sum is touched, so a bad index
+// throws without leaving the workspace dirty.
 #pragma once
 
 #include <memory>

@@ -96,8 +96,7 @@ double MlpClassifierModel::LossAndGradient(
     Gradient& grad) const {
   SPECSYNC_CHECK_EQ(params.size(), param_dim_);
   SPECSYNC_CHECK(!batch.empty());
-  grad.ResetDense(param_dim_);
-  std::span<double> g = grad.dense();
+  std::span<double> g = grad.DenseTerms(param_dim_);
   Workspace ws = MakeWorkspace();
   const double inv_batch = 1.0 / static_cast<double>(batch.size());
   const std::size_t last = num_layers() - 1;

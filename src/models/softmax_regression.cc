@@ -46,8 +46,7 @@ double SoftmaxRegressionModel::LossAndGradient(
     Gradient& grad) const {
   SPECSYNC_CHECK_EQ(params.size(), param_dim());
   SPECSYNC_CHECK(!batch.empty());
-  grad.ResetDense(param_dim());
-  std::span<double> g = grad.dense();
+  std::span<double> g = grad.DenseTerms(param_dim());
 
   const std::size_t c = data_->num_classes();
   const std::size_t d = data_->feature_dim();

@@ -11,13 +11,13 @@ namespace specsync {
 
 WorkerStep::WorkerStep(WorkerProtocol& protocol, const Model& model,
                        WorkerId w, BatchSampler sampler,
-                       std::size_t compute_chunks)
+                       std::size_t compute_chunks, SumWorkspace& workspace)
     : protocol_(protocol),
       model_(model),
       w_(w),
       sampler_(std::move(sampler)),
       chunks_(compute_chunks),
-      merger_(model.param_dim()) {
+      workspace_(workspace) {
   SPECSYNC_CHECK_GT(compute_chunks, 0u);
   SPECSYNC_CHECK_LE(compute_chunks, sampler_.batch_size());
   plan_.write_set.reserve(protocol.store().num_shards());  // may touch all
@@ -38,16 +38,17 @@ std::optional<ControlMessage> WorkerStep::Pulled(SimTime begin, SimTime end) {
 }
 
 bool WorkerStep::ComputeChunk() {
-  SPECSYNC_CHECK_LT(next_chunk_, chunks_.size());
+  SPECSYNC_CHECK_LT(next_chunk_, chunks_);
   if (batch_.empty()) sampler_.NextBatch(batch_);
   // The first batch_size % chunks chunks are one example longer.
   const std::size_t c = next_chunk_++;
-  const std::size_t size = batch_.size() / chunks_.size();
-  const std::size_t longer = batch_.size() % chunks_.size();
+  const std::size_t size = batch_.size() / chunks_;
+  const std::size_t longer = batch_.size() % chunks_;
   const auto chunk = std::span<const std::size_t>(batch_).subspan(
       c * size + std::min(c, longer), size + (c < longer ? 1 : 0));
-  model_.LossAndGradient(snapshot_.params, chunk, chunks_[c]);
-  return next_chunk_ == chunks_.size();
+  if (c == 0) gradient_.OpenSum(workspace_);
+  model_.LossAndGradient(snapshot_.params, chunk, gradient_);
+  return next_chunk_ == chunks_;
 }
 
 void WorkerStep::EndCompute(SimTime now) {
@@ -58,10 +59,8 @@ void WorkerStep::EndCompute(SimTime now) {
         {{"iteration", std::to_string(protocol_.completed(w_))}});
   }
   batch_.clear();
-  if (chunks_.size() == 1) {
-    std::swap(gradient_, chunks_.front());  // one chunk is the gradient
-  } else {
-    merger_.Merge(chunks_, gradient_);
+  if (gradient_.sum_open()) {
+    gradient_.CloseSum(1.0 / static_cast<double>(chunks_));
   }
 }
 

@@ -153,13 +153,15 @@ struct RuntimeCluster::Impl {
   // --- worker threads --------------------------------------------------------
 
   void WorkerLoop(WorkerId w, std::vector<std::size_t> shard) {
-    // The step lives on its thread, and with obs off no in-process
-    // iteration allocates once the first has sized its buffers.
+    // The step and the workspace it sums on live on this thread, and with
+    // obs off no in-process iteration allocates once the first has sized
+    // their buffers.
     Rng rng(config.seed * 7919 + w + 1);
+    SumWorkspace workspace;
     WorkerStep step(protocol, *model, w,
                     BatchSampler(std::move(shard), config.batch_size,
                                  rng.Fork()),
-                    config.compute_chunks);
+                    config.compute_chunks, workspace);
 
     // Over the wire with no gate, each push but the last also fetches the
     // next iteration's snapshot in the same round trip (the pull needs no
@@ -310,10 +312,11 @@ struct RuntimeCluster::Impl {
       if (interrupted) continue;  // crash at the loop top, or re-pull
 
       // The push span covers the whole commit and nests one sub-span per
-      // step: push.merge (chunk merge), push.store (route, apply, commit; a
-      // fused wire push also carries the next pull's round trip here),
-      // push.gate (consistency bookkeeping, gated runs only) and push.notify
-      // (delivering the notify to the scheduler, speculative runs only). Recording them is charged to the push span.
+      // step: push.merge (the batch sum's one emit), push.store (route,
+      // apply, commit; a fused wire push also carries the next pull's round
+      // trip here), push.gate (consistency bookkeeping, gated runs only) and
+      // push.notify (delivering the notify to the scheduler, speculative runs
+      // only). Recording them is charged to the push span.
       const SimTime push_begin = clock.Now();
       step.EndCompute(push_begin);
       // The in-process store applies the routes as they are; a wire client

@@ -46,6 +46,9 @@ struct ClusterSim::Impl {
   obs::LatencyHistogram* codec_push_ratio_hist = nullptr;
   double wasted_compute_seconds = 0.0;
 
+  // One thread computes every worker's gradient, each whole in one event,
+  // so all the steps sum on this one workspace.
+  SumWorkspace workspace;
   struct WorkerState {
     Rng rng;  // worker-private stream (compute jitter, transfer draws)
     WorkerStep step;
@@ -95,7 +98,7 @@ struct ClusterSim::Impl {
           {rng.Fork(), WorkerStep(protocol, *model, w,
                                   BatchSampler(std::move(shards[w]),
                                                config.batch_size, rng.Fork()),
-                                  /*compute_chunks=*/1)});
+                                  /*compute_chunks=*/1, workspace)});
     }
 
     obs = config.obs;

@@ -1,13 +1,15 @@
 // Occupancy bitmap for a dense accumulator.
 //
-// A sparse-into-dense accumulation (ChunkMerger's merge, the MF gradient
-// kernel's row sums) keeps a dense buffer of slots and this bitmap beside
-// it. The first write to a slot sets its bit and assigns the slot; later
-// writes add to it, so a slot never needs zeroing and a lone -0.0 keeps its
-// sign. Drain then visits the set slots in ascending order by scanning only
-// the words between the lowest and highest touched word, and clears every
-// bit it reads: between accumulations the bitmap is all zero.
-// SparseUpdate::AssignOccupied is the drain both accumulators emit through.
+// A sparse-into-dense accumulation (an open gradient sum's SumWorkspace, into
+// which the MF kernel adds its factor rows) keeps a dense buffer of slots and
+// this bitmap beside it. The first write to a slot sets its bit and assigns
+// the slot; later writes add to it, so a slot never needs zeroing and a lone
+// -0.0 keeps its sign. Drain then visits the set slots in ascending order by
+// scanning only the words between the lowest and highest touched word, and
+// clears every bit it reads: between accumulations the bitmap is all zero.
+// SparseUpdate::AssignOccupied is the drain a closing sum emits through; an
+// accumulation abandoned before its drain is discarded by Clear, which
+// touches the same words.
 #pragma once
 
 #include <bit>
@@ -46,6 +48,15 @@ class OccupancyBitmap {
       count += static_cast<std::size_t>(std::popcount(words_[word]));
     }
     return count;
+  }
+
+  // Empties the bitmap without visiting: zeroes only the touched words.
+  void Clear() {
+    for (std::size_t word = first_word_; word < end_word_; ++word) {
+      words_[word] = 0;
+    }
+    first_word_ = kNoWord;
+    end_word_ = 0;
   }
 
   // Calls visit(slot) for every occupied slot in ascending order and leaves

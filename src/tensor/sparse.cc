@@ -29,7 +29,7 @@ void SparseUpdate::Coalesce() {
 
 void SparseUpdate::AssignOccupied(OccupancyBitmap& occupied,
                                   std::span<const double> acc,
-                                  std::size_t width) {
+                                  std::size_t width, double scale) {
   SPECSYNC_CHECK_GT(width, 0u);
   const std::size_t nnz = occupied.Count() * width;
   indices_.resize(nnz);
@@ -42,7 +42,7 @@ void SparseUpdate::AssignOccupied(OccupancyBitmap& occupied,
     const std::span<const double> run = acc.subspan(first, width);
     for (std::size_t k = 0; k < width; ++k) {
       index[k] = first + k;
-      value[k] = run[k];
+      value[k] = run[k] * scale;
     }
     index += width;
     value += width;

@@ -41,8 +41,8 @@ class SparseUpdate {
   // The row width w its producer guarantees: nnz() % w == 0, and each group
   // of w entries starting at a multiple of w holds w consecutive indices,
   // the first a multiple of w. AssignOccupied sets it; Add, Clear and a
-  // Coalesce that rebuilds reset it to 1; value rewrites keep it. The merge
-  // and the store's apply cost one bitmap bit and one range check per row.
+  // Coalesce that rebuilds reset it to 1; value rewrites keep it. The store's
+  // apply costs one range check per row.
   std::size_t block_width() const { return block_width_; }
   std::span<const std::uint64_t> indices() const { return indices_; }
   std::span<const double> values() const { return values_; }
@@ -59,21 +59,21 @@ class SparseUpdate {
 
   // Overwrites the update with the occupied runs of a dense accumulator and
   // leaves `occupied` empty: for each occupied slot s, in ascending order,
-  // the `width` entries (s * width + k, acc[s * width + k]), k < width. Every
+  // the `width` entries (s * width + k, acc[s * width + k] * scale), k <
+  // width (a scale of 1 copies the values bit for bit). Every
   // occupied slot must satisfy (s + 1) * width <= acc.size(). The arrays are
   // sized once and written in place, so nothing allocates when the capacity
   // was reserved. Slots drain in ascending order and their runs are
   // disjoint, so the result is strictly increasing by construction, and its
   // block_width() is `width`.
   void AssignOccupied(OccupancyBitmap& occupied, std::span<const double> acc,
-                      std::size_t width);
+                      std::size_t width, double scale = 1.0);
 
   // Brings the update to canonical form: sorted by index, no duplicates.
   // Duplicates of an index are summed in entry order (a stable sort, then a
-  // left-to-right sum), the one rule ChunkMerger and the MF gradient kernel
-  // share, so the result's bits depend only on the entry sequence. An update
-  // already strictly_increasing() returns at once, without a scan or an
-  // allocation.
+  // left-to-right sum), the rule the MF gradient kernel's row sums follow,
+  // so the result's bits depend only on the entry sequence. An update already
+  // strictly_increasing() returns at once, without a scan or an allocation.
   void Coalesce();
 
   // dest[index] += alpha * value for each entry; indices must be < dest size.

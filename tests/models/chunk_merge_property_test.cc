@@ -1,36 +1,47 @@
-// Property suite for ChunkMerger, the runtime's per-worker chunk merge.
+// Property suite for the open gradient sum (Gradient::OpenSum/CloseSum in
+// models/model.h), the way the runtime computes a mini-batch in chunks: one
+// sum per batch, each chunk added into it, one emit at the close.
 //
-// Each trial is a sequence of merges pushed through ONE merger and ONE output
-// gradient, the way a worker reuses them across iterations. Every merge is
-// compared bit for bit against a transparent reference kept here: concatenate
-// the chunks' (index, value * weight) entries in chunk order, stable-sort by
-// index, and sum duplicates left to right (dense merges: Axpy-style
-// accumulation in chunk order). Generated cases cover duplicates inside a
-// chunk, empty chunks, one chunk, 8 chunks, index dim-1, bitmap-word
-// boundaries and dense chunks; values are non-dyadic so any change of
-// summation order shows in the bits. Sparse chunks are built entry by entry
-// with Add, or emitted as whole rows of width 1, 2, 3 or 8 through
-// AssignOccupied, the way the MF kernel emits them: all at one width (the
-// merger's row path), or at widths that disagree (its entry path), over dims
-// that are often not a multiple of the width.
+// Each trial is a sequence of sums pushed through ONE workspace and ONE
+// output gradient, the way a runtime worker reuses them across attempts, on
+// one model: matrix factorization, softmax regression or an MLP. A sum cuts
+// its batch anywhere into 1 to 8 non-empty chunks and is either closed, with
+// weight 1 or 1/C for C chunks, or abandoned after some of its chunks, as an
+// aborted attempt is. Every closed sum is compared against one-call
+// gradients of the same parameters:
+//  - MF, bit for bit: the close equals the one-call gradient of the whole
+//    batch times the weight, entry by entry, for any cut and any weight,
+//    with block_width() the rank. Each factor row sums its contributions in
+//    batch order however the batch was cut, and the close scales each sum
+//    once. (mf_gradient_property_test pins the one-call gradient against the
+//    stable-sort reference.)
+//  - dense models, to rounding: the close equals the sum over chunks of
+//    weight times the chunk's own one-call gradient. The chunks add into one
+//    buffer, so the rounding differs from that of separate chunk gradients.
+// Parameters are random and non-dyadic, and weights 1/3, 1/5, 1/6 and 1/7
+// are not powers of two, so any change of summation or scaling order shows
+// in the MF bits.
 //
-// On failure the harness shrinks the trial (greedy ddmin over merges, then
-// chunks, then rows: an Add-built chunk's rows are its entries — the
-// compression_property_test recipe) and prints it. Two planted bugs must be
-// caught and shrunk: chunks merged in reverse order, and an occupancy
-// bitmap that is not reset between merges. A merge that throws must leave
-// the merger usable for the next one.
+// On failure the harness shrinks the trial (greedy ddmin over sums, then
+// chunks, then samples, the compression_property_test recipe) and prints it.
+// Three planted bugs must be caught and shrunk: a cut that drops the batch's
+// last sample, a weight applied to each chunk before it joins the sum, and
+// an abandoned sum whose rows leak into the next one. A chunk with an index
+// past the dataset must throw, and the next sum must come out clean.
+//
+// The case names are the ones this suite had when a separate merger summed
+// the chunk gradients; the open sum replaced it.
 //
 // Trials are seeded; set SPECSYNC_PROPERTY_SEED to reproduce or explore.
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <optional>
-#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -40,171 +51,128 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "data/synthetic.h"
 #include "harness/workload.h"
-#include "models/chunk_merger.h"
+#include "models/matrix_factorization.h"
+#include "models/mlp.h"
+#include "models/model.h"
+#include "models/softmax_regression.h"
 #include "support/property.h"
-#include "tensor/occupancy_bitmap.h"
 
 namespace specsync {
 namespace {
 
 std::uint64_t BaseSeed() { return PropertySeed(20261017); }
 
-// A dense chunk has no indices and `dim` values. A sparse chunk with width
-// w > 0 holds whole rows: sorted, distinct, each w entries from a multiple
-// of w.
-struct Chunk {
-  std::size_t width = 0;  // 0: built entry by entry with Add
-  std::vector<std::uint64_t> indices;
-  std::vector<double> values;
-};
+enum class ModelKind { kMf, kSoftmax, kMlp };
 
-// The unit the shrinker removes: a row, or an entry of an Add-built chunk.
-std::size_t RowWidth(const Chunk& chunk) {
-  return std::max<std::size_t>(chunk.width, 1);
+// Small models, so that a short batch revisits its factor rows often.
+const Model& TrialModel(ModelKind kind) {
+  static const std::shared_ptr<const Model> mf = [] {
+    Rng rng(11);
+    RatingsSpec spec;
+    spec.num_users = 12;
+    spec.num_items = 9;
+    spec.num_ratings = 200;
+    spec.true_rank = 3;
+    return std::make_shared<MatrixFactorizationModel>(
+        std::make_shared<RatingsDataset>(GenerateRatings(spec, rng)),
+        MatrixFactorizationConfig{.rank = 3});
+  }();
+  static const auto classification = [] {
+    Rng rng(12);
+    ClassificationSpec spec;
+    spec.num_examples = 120;
+    spec.feature_dim = 4;
+    spec.num_classes = 3;
+    return std::make_shared<ClassificationDataset>(
+        GenerateClassification(spec, rng));
+  }();
+  static const std::shared_ptr<const Model> softmax =
+      std::make_shared<SoftmaxRegressionModel>(classification,
+                                               SoftmaxRegressionConfig{});
+  static const std::shared_ptr<const Model> mlp =
+      std::make_shared<MlpClassifierModel>(classification,
+                                           MlpConfig{.hidden = {5}});
+  switch (kind) {
+    case ModelKind::kMf:
+      return *mf;
+    case ModelKind::kSoftmax:
+      return *softmax;
+    case ModelKind::kMlp:
+      return *mlp;
+  }
+  return *mf;
 }
 
-struct MergeCase {
-  bool dense = false;
-  std::vector<Chunk> chunks;  // never empty
+struct SumCase {
+  std::vector<std::vector<std::size_t>> chunks;  // the batch, cut; none empty
+  bool unit_weight = true;                       // else 1 / chunks.size()
+  std::size_t abandon_after = 0;  // > 0: abandoned after this many chunks
+
+  double weight() const {
+    return unit_weight ? 1.0 : 1.0 / static_cast<double>(chunks.size());
+  }
+  std::vector<std::size_t> batch() const {
+    std::vector<std::size_t> all;
+    for (const auto& chunk : chunks) all.insert(all.end(), chunk.begin(), chunk.end());
+    return all;
+  }
 };
 
 struct Trial {
-  std::size_t dim = 1;
-  std::vector<MergeCase> merges;
+  ModelKind model = ModelKind::kMf;
+  std::uint64_t params_seed = 0;
+  std::vector<SumCase> sums;
 };
-
-double RandomValue(Rng& rng) {
-  constexpr double kSpecial[] = {0.0, -0.0, 1e20, -1e20, 1e-300, 0.1, 1.0 / 3};
-  if (rng.Index(8) == 0) return kSpecial[rng.Index(std::size(kSpecial))];
-  return rng.Uniform(-10.0, 10.0);
-}
-
-Chunk RandomSparseChunk(Rng& rng, std::size_t dim) {
-  Chunk chunk;
-  if (rng.Index(8) == 0) return chunk;  // empty chunk
-  // A narrow window makes cross-chunk duplicates common; dim-1 rides along.
-  const std::size_t window = 1 + rng.Index(std::min<std::size_t>(dim, 24));
-  const std::size_t base = rng.Index(dim - window + 1);
-  const std::size_t nnz = 1 + rng.Index(12);
-  for (std::size_t i = 0; i < nnz; ++i) {
-    std::uint64_t index = base + rng.Index(window);
-    if (rng.Index(10) == 0) index = dim - 1;
-    if (!chunk.indices.empty() && rng.Index(4) == 0) {
-      index = chunk.indices[rng.Index(chunk.indices.size())];  // in-chunk dup
-    }
-    chunk.indices.push_back(index);
-    chunk.values.push_back(RandomValue(rng));
-  }
-  return chunk;
-}
-
-// Whole rows of `width` below dim, from a narrow window so that rows repeat
-// across chunks; the last whole row rides along.
-Chunk RandomRowChunk(Rng& rng, std::size_t dim, std::size_t width) {
-  Chunk chunk;
-  chunk.width = width;
-  const std::size_t rows = dim / width;
-  if (rows == 0 || rng.Index(8) == 0) return chunk;  // empty chunk
-  const std::size_t window = 1 + rng.Index(std::min<std::size_t>(rows, 8));
-  const std::size_t base = rng.Index(rows - window + 1);
-  std::set<std::size_t> picked;
-  const std::size_t count = 1 + rng.Index(4);
-  for (std::size_t i = 0; i < count; ++i) {
-    picked.insert(rng.Index(6) == 0 ? rows - 1 : base + rng.Index(window));
-  }
-  for (const std::size_t row : picked) {
-    for (std::size_t k = 0; k < width; ++k) {
-      chunk.indices.push_back(row * width + k);
-      chunk.values.push_back(RandomValue(rng));
-    }
-  }
-  return chunk;
-}
 
 Trial GenerateTrial(std::uint64_t seed) {
   Rng rng(seed);
   Trial t;
-  constexpr std::size_t kDims[] = {1, 2, 63, 64, 65, 128, 200, 1000};
-  t.dim = rng.Index(2) == 0 ? kDims[rng.Index(std::size(kDims))]
-                            : 1 + rng.Index(300);
-  const std::size_t num_merges = 1 + rng.Index(5);
-  for (std::size_t m = 0; m < num_merges; ++m) {
-    MergeCase merge;
-    merge.dense = rng.Index(6) == 0;
-    constexpr std::size_t kChunkCounts[] = {1, 2, 3, 4, 4, 8};
-    const std::size_t num_chunks = kChunkCounts[rng.Index(std::size(kChunkCounts))];
-    // Sparse chunks: all built with Add, all rows of one common width, or
-    // each its own (Add-built or rows), so that widths disagree.
-    constexpr std::size_t kWidths[] = {1, 2, 3, 8};
-    const std::size_t layout = rng.Index(3);
-    const std::size_t common = kWidths[rng.Index(std::size(kWidths))];
+  const std::size_t pick = rng.Index(4);
+  t.model = pick < 2 ? ModelKind::kMf
+                     : (pick == 2 ? ModelKind::kSoftmax : ModelKind::kMlp);
+  t.params_seed = seed;
+  const std::size_t examples = TrialModel(t.model).dataset_size();
+  const std::size_t num_sums = 1 + rng.Index(5);
+  for (std::size_t s = 0; s < num_sums; ++s) {
+    SumCase sum;
+    const std::size_t num_chunks = 1 + rng.Index(8);
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      if (merge.dense) {
-        Chunk chunk;
-        for (std::size_t i = 0; i < t.dim; ++i) {
-          chunk.values.push_back(RandomValue(rng));
-        }
-        merge.chunks.push_back(std::move(chunk));
-        continue;
-      }
-      std::size_t width = 0;  // built with Add
-      if (layout == 1) width = common;
-      if (layout == 2 && rng.Index(5) != 0) {
-        width = kWidths[rng.Index(std::size(kWidths))];
-      }
-      merge.chunks.push_back(width == 0 ? RandomSparseChunk(rng, t.dim)
-                                        : RandomRowChunk(rng, t.dim, width));
+      // Ragged cuts: chunks of 1 to 6 samples.
+      sum.chunks.push_back(rng.SampleIndices(examples, 1 + rng.Index(6)));
     }
-    t.merges.push_back(std::move(merge));
+    sum.unit_weight = rng.Index(3) == 0;
+    if (rng.Index(4) == 0) sum.abandon_after = 1 + rng.Index(num_chunks);
+    t.sums.push_back(std::move(sum));
   }
   return t;
 }
 
-std::vector<Gradient> MakeChunks(const MergeCase& merge, std::size_t dim) {
-  std::vector<Gradient> grads;
-  for (const Chunk& chunk : merge.chunks) {
-    if (merge.dense) {
-      Gradient g = Gradient::Dense(dim);
-      std::copy(chunk.values.begin(), chunk.values.end(), g.dense().begin());
-      grads.push_back(std::move(g));
-      continue;
-    }
-    Gradient g = Gradient::Sparse();
-    if (chunk.width == 0) {
-      for (std::size_t i = 0; i < chunk.indices.size(); ++i) {
-        g.sparse().Add(chunk.indices[i], chunk.values[i]);
-      }
-    } else {
-      // Emitted as the MF kernel emits its factor rows.
-      std::vector<double> acc(dim);
-      OccupancyBitmap occupied;
-      occupied.Reserve(dim);
-      for (std::size_t i = 0; i < chunk.indices.size(); ++i) {
-        occupied.Set(chunk.indices[i] / chunk.width);
-        acc[chunk.indices[i]] = chunk.values[i];
-      }
-      g.sparse().AssignOccupied(occupied, acc, chunk.width);
-    }
-    grads.push_back(std::move(g));
-  }
-  return grads;
+std::vector<double> TrialParams(const Trial& t) {
+  const Model& model = TrialModel(t.model);
+  std::vector<double> params(model.param_dim());
+  Rng rng(t.params_seed);
+  model.InitParams(params, rng);
+  return params;
 }
 
 std::string FormatTrial(const Trial& t) {
   std::ostringstream out;
-  out.precision(17);
-  out << "dim=" << t.dim;
-  for (const MergeCase& merge : t.merges) {
-    out << "\n  merge" << (merge.dense ? " (dense):" : ":");
-    for (const Chunk& chunk : merge.chunks) {
-      out << ' ';
-      if (chunk.width > 0) out << 'w' << chunk.width;
-      out << '{';
-      for (std::size_t i = 0; i < chunk.values.size(); ++i) {
-        if (i > 0) out << ',';
-        if (!merge.dense) out << chunk.indices[i] << ':';
-        out << chunk.values[i];
+  out << "model=" << static_cast<int>(t.model)
+      << " params_seed=" << t.params_seed;
+  for (const SumCase& sum : t.sums) {
+    out << "\n  sum";
+    if (sum.abandon_after > 0) {
+      out << " (abandoned after " << sum.abandon_after << ")";
+    } else {
+      out << " (weight " << (sum.unit_weight ? "1" : "1/C") << ")";
+    }
+    out << ':';
+    for (const auto& chunk : sum.chunks) {
+      out << " {";
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        out << (i > 0 ? "," : "") << chunk[i];
       }
       out << '}';
     }
@@ -212,90 +180,36 @@ std::string FormatTrial(const Trial& t) {
   return out.str();
 }
 
-// --- reference ---------------------------------------------------------------
-
-Gradient ReferenceMerge(const std::vector<Gradient>& chunks) {
-  const double weight = 1.0 / static_cast<double>(chunks.size());
-  if (!chunks.front().is_sparse()) {
-    Gradient out = Gradient::Dense(chunks.front().dense().size());
-    for (const Gradient& chunk : chunks) {
-      for (std::size_t i = 0; i < out.dense().size(); ++i) {
-        out.dense()[i] += weight * chunk.dense()[i];
-      }
-    }
-    return out;
-  }
-  std::vector<std::pair<std::uint64_t, double>> entries;
-  for (const Gradient& chunk : chunks) {
-    for (std::size_t i = 0; i < chunk.sparse().nnz(); ++i) {
-      entries.emplace_back(chunk.sparse().indices()[i],
-                           chunk.sparse().values()[i] * weight);
-    }
-  }
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  Gradient out = Gradient::Sparse();
-  std::vector<std::uint64_t> indices;
-  std::vector<double> values;
-  for (const auto& [index, value] : entries) {
-    if (!indices.empty() && indices.back() == index) {
-      values.back() += value;
-    } else {
-      indices.push_back(index);
-      values.push_back(value);
-    }
-  }
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    out.sparse().Add(indices[i], values[i]);
-  }
-  return out;
+std::size_t Samples(const Trial& t) {
+  std::size_t samples = 0;
+  for (const SumCase& sum : t.sums) samples += sum.batch().size();
+  return samples;
 }
 
-// --- subjects ----------------------------------------------------------------
+// --- references --------------------------------------------------------------
 
-enum class SubjectKind {
-  kMerger,          // the real ChunkMerger
-  kReversedChunks,  // planted: the real merger fed the chunks back to front
-  kStaleBitmap,     // planted: the bitmap is never cleared between merges
-};
+Gradient OneCall(const Model& model, std::span<const double> params,
+                 std::span<const std::size_t> batch) {
+  Gradient g;
+  model.LossAndGradient(params, batch, g);
+  return g;
+}
 
-// The kStaleBitmap subject: ChunkMerger's sparse algorithm with the bit
-// reset left out of the emit scan, so a merge sees the previous merges'
-// occupancy. (Dense merges go to the real merger.)
-class StaleBitmapMerger {
- public:
-  explicit StaleBitmapMerger(std::size_t dim)
-      : acc_(dim), bits_((dim + 63) / 64, 0) {}
-
-  void MergeSparse(const std::vector<Gradient>& chunks, Gradient& out) {
-    const double weight = 1.0 / static_cast<double>(chunks.size());
-    out.ResetSparse();
-    for (const Gradient& chunk : chunks) {
-      for (std::size_t i = 0; i < chunk.sparse().nnz(); ++i) {
-        const auto index = static_cast<std::size_t>(chunk.sparse().indices()[i]);
-        const double value = chunk.sparse().values()[i] * weight;
-        const std::uint64_t bit = std::uint64_t{1} << (index % 64);
-        if ((bits_[index / 64] & bit) != 0) {
-          acc_[index] += value;
-        } else {
-          bits_[index / 64] |= bit;
-          acc_[index] = value;
-        }
-      }
-    }
-    for (std::size_t word = 0; word < bits_.size(); ++word) {
-      for (std::uint64_t bits = bits_[word]; bits != 0; bits &= bits - 1) {
-        const std::size_t index =
-            word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        out.sparse().Add(index, acc_[index]);
-      }
-    }
+// MF: the whole batch's one-call gradient, times the weight. Dense: the
+// weighted sum of the chunks' one-call gradients.
+Gradient Reference(const Model& model, std::span<const double> params,
+                   const SumCase& sum) {
+  if (model.prefers_sparse_gradients()) {
+    Gradient g = OneCall(model, params, sum.batch());
+    g.sparse().ScaleValues(sum.weight());
+    return g;
   }
-
- private:
-  std::vector<double> acc_;
-  std::vector<std::uint64_t> bits_;
-};
+  Gradient g = Gradient::Dense(model.param_dim());
+  for (const auto& chunk : sum.chunks) {
+    Axpy(sum.weight(), OneCall(model, params, chunk).dense(), g.dense());
+  }
+  return g;
+}
 
 bool SameBits(double a, double b) {
   std::uint64_t bits_a = 0;
@@ -305,13 +219,16 @@ bool SameBits(double a, double b) {
   return bits_a == bits_b;
 }
 
-std::optional<std::string> Compare(const Gradient& got, const Gradient& want) {
+std::optional<std::string> Compare(const Model& model, const Gradient& got,
+                                   const Gradient& want) {
   if (got.is_sparse() != want.is_sparse()) return "representation differs";
   if (!got.is_sparse()) {
     if (got.dense().size() != want.dense().size()) return "dense size differs";
     for (std::size_t i = 0; i < want.dense().size(); ++i) {
-      if (!SameBits(got.dense()[i], want.dense()[i])) {
-        return "dense value bits differ at coord " + std::to_string(i);
+      const double g = got.dense()[i];
+      const double w = want.dense()[i];
+      if (!(std::abs(g - w) <= 1e-12 * (1.0 + std::abs(w)))) {
+        return "dense value differs at coord " + std::to_string(i);
       }
     }
     return std::nullopt;
@@ -330,50 +247,89 @@ std::optional<std::string> Compare(const Gradient& got, const Gradient& want) {
       return "value bits differ at index " + std::to_string(w.indices()[i]);
     }
   }
+  const auto rank =
+      static_cast<const MatrixFactorizationModel&>(model).rank();
+  if (!g.strictly_increasing() || g.block_width() != rank) {
+    return "block_width " + std::to_string(g.block_width()) + ", want " +
+           std::to_string(rank);
+  }
   return std::nullopt;
 }
 
-// The row width a sparse merge must emit: the non-empty chunks' common
-// block_width(), or 1 when they disagree or are all empty.
-std::size_t CommonWidth(const std::vector<Gradient>& chunks) {
-  std::set<std::size_t> widths;
-  for (const Gradient& chunk : chunks) {
-    if (!chunk.sparse().empty()) widths.insert(chunk.sparse().block_width());
+// --- subjects ----------------------------------------------------------------
+
+enum class SubjectKind {
+  kOpenSum,         // the real open sum
+  kDroppedSample,   // planted: the cut loses the batch's last sample
+  kPerChunkWeight,  // planted: each chunk weighted before it joins the sum
+  kLeakyAbort,      // planted: an abandoned sum is not reopened, so its
+                    // rows join the next one
+};
+
+// The kPerChunkWeight subject: each chunk's one-call gradient, times the
+// weight, added into a map of entries in chunk order.
+Gradient PerChunkWeightedSum(const Model& model,
+                             std::span<const double> params,
+                             const SumCase& sum) {
+  if (!model.prefers_sparse_gradients()) return Reference(model, params, sum);
+  std::vector<double> acc(model.param_dim());
+  std::vector<bool> set(model.param_dim(), false);
+  for (const auto& chunk : sum.chunks) {
+    const Gradient g = OneCall(model, params, chunk);
+    for (std::size_t i = 0; i < g.sparse().nnz(); ++i) {
+      const auto index = static_cast<std::size_t>(g.sparse().indices()[i]);
+      const double value = g.sparse().values()[i] * sum.weight();
+      acc[index] = set[index] ? acc[index] + value : value;
+      set[index] = true;
+    }
   }
-  return widths.size() == 1 ? *widths.begin() : 1;
+  Gradient out = Gradient::Sparse();
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    if (set[i]) out.sparse().Add(i, acc[i]);
+  }
+  return out;
+}
+
+// Runs one sum through `out` on `workspace`: closes it, or abandons it
+// after its first abandon_after chunks.
+void RunSum(const Model& model, std::span<const double> params,
+            const SumCase& sum, SubjectKind kind, SumWorkspace& workspace,
+            Gradient& out) {
+  if (kind == SubjectKind::kPerChunkWeight && sum.abandon_after == 0) {
+    out = PerChunkWeightedSum(model, params, sum);
+    return;
+  }
+  if (kind != SubjectKind::kLeakyAbort || !out.sum_open()) {
+    out.OpenSum(workspace);
+  }
+  const std::size_t count =
+      sum.abandon_after > 0 ? sum.abandon_after : sum.chunks.size();
+  for (std::size_t c = 0; c < count; ++c) {
+    std::span<const std::size_t> chunk = sum.chunks[c];
+    if (kind == SubjectKind::kDroppedSample && c + 1 == sum.chunks.size()) {
+      chunk = chunk.first(chunk.size() - 1);
+      if (chunk.empty()) continue;
+    }
+    model.LossAndGradient(params, chunk, out);
+  }
+  if (sum.abandon_after == 0) out.CloseSum(sum.weight());
 }
 
 std::optional<std::string> RunTrial(const Trial& trial, SubjectKind kind) {
-  ChunkMerger merger(trial.dim);
-  StaleBitmapMerger stale(trial.dim);
-  Gradient out;  // reused across merges, like the runtime's
-  for (std::size_t m = 0; m < trial.merges.size(); ++m) {
-    std::vector<Gradient> chunks = MakeChunks(trial.merges[m], trial.dim);
-    const Gradient want = ReferenceMerge(chunks);
-    switch (kind) {
-      case SubjectKind::kMerger:
-        merger.Merge(chunks, out);
-        break;
-      case SubjectKind::kReversedChunks:
-        std::reverse(chunks.begin(), chunks.end());
-        merger.Merge(chunks, out);
-        break;
-      case SubjectKind::kStaleBitmap:
-        if (trial.merges[m].dense) {
-          merger.Merge(chunks, out);
-        } else {
-          stale.MergeSparse(chunks, out);
-        }
-        break;
+  const Model& model = TrialModel(trial.model);
+  const std::vector<double> params = TrialParams(trial);
+  SumWorkspace workspace;
+  Gradient out;  // reused across sums, like the runtime's
+  for (std::size_t s = 0; s < trial.sums.size(); ++s) {
+    const SumCase& sum = trial.sums[s];
+    try {
+      RunSum(model, params, sum, kind, workspace, out);
+    } catch (const CheckError& e) {
+      return "sum " + std::to_string(s) + " threw: " + e.what();
     }
-    if (auto diff = Compare(out, want)) {
-      return "merge " + std::to_string(m) + ": " + *diff;
-    }
-    if (kind == SubjectKind::kMerger && out.is_sparse() &&
-        out.sparse().block_width() != CommonWidth(chunks)) {
-      return "merge " + std::to_string(m) + ": block_width " +
-             std::to_string(out.sparse().block_width()) + ", want " +
-             std::to_string(CommonWidth(chunks));
+    if (sum.abandon_after > 0) continue;
+    if (auto diff = Compare(model, out, Reference(model, params, sum))) {
+      return "sum " + std::to_string(s) + ": " + *diff;
     }
   }
   return std::nullopt;
@@ -383,41 +339,31 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
   const auto fails = [&](const Trial& candidate) {
     return RunTrial(candidate, kind).has_value();
   };
-  ShrinkList(trial.merges, 1, [&](const std::vector<MergeCase>& merges) {
+  ShrinkList(trial.sums, 1, [&](const std::vector<SumCase>& sums) {
     Trial candidate = trial;
-    candidate.merges = merges;
+    candidate.sums = sums;
     return fails(candidate);
   });
-  for (std::size_t m = 0; m < trial.merges.size(); ++m) {
-    ShrinkList(trial.merges[m].chunks, 1,
-               [&](const std::vector<Chunk>& chunks) {
-                 Trial candidate = trial;
-                 candidate.merges[m].chunks = chunks;
-                 return fails(candidate);
+  for (std::size_t s = 0; s < trial.sums.size(); ++s) {
+    const auto with_chunks = [&](std::vector<std::vector<std::size_t>> chunks) {
+      Trial candidate = trial;
+      SumCase& sum = candidate.sums[s];
+      sum.chunks = std::move(chunks);
+      sum.abandon_after = std::min(sum.abandon_after, sum.chunks.size());
+      return candidate;
+    };
+    ShrinkList(trial.sums[s].chunks, 1,
+               [&](const std::vector<std::vector<std::size_t>>& chunks) {
+                 return fails(with_chunks(chunks));
                });
-    if (trial.merges[m].dense) continue;  // dense chunks keep all dim values
-    for (std::size_t c = 0; c < trial.merges[m].chunks.size(); ++c) {
-      Chunk& chunk = trial.merges[m].chunks[c];
-      const std::size_t width = RowWidth(chunk);
-      std::vector<std::size_t> rows(chunk.indices.size() / width);
-      for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
-      const auto project = [&](const std::vector<std::size_t>& kept) {
-        Chunk out;
-        out.width = chunk.width;
-        for (const std::size_t r : kept) {
-          for (std::size_t i = r * width; i < (r + 1) * width; ++i) {
-            out.indices.push_back(chunk.indices[i]);
-            out.values.push_back(chunk.values[i]);
-          }
-        }
-        return out;
-      };
-      ShrinkList(rows, 0, [&](const std::vector<std::size_t>& kept) {
-        Trial candidate = trial;
-        candidate.merges[m].chunks[c] = project(kept);
-        return fails(candidate);
-      });
-      chunk = project(rows);
+    trial = with_chunks(trial.sums[s].chunks);
+    for (std::size_t c = 0; c < trial.sums[s].chunks.size(); ++c) {
+      ShrinkList(trial.sums[s].chunks[c], 1,
+                 [&](const std::vector<std::size_t>& samples) {
+                   Trial candidate = trial;
+                   candidate.sums[s].chunks[c] = samples;
+                   return fails(candidate);
+                 });
     }
   }
   return trial;
@@ -425,34 +371,41 @@ Trial ShrinkTrial(Trial trial, SubjectKind kind) {
 
 TEST(ChunkMergePropertyTest, MergerMatchesStableSortReference) {
   const std::uint64_t base = BaseSeed();
-  // Non-vacuity: the generator reached the row path, at a dim that is not a
-  // multiple of the width, and chunks whose widths disagree.
-  std::size_t row_merges = 0;
-  std::size_t ragged_dim_row_merges = 0;
-  std::size_t disagreeing_merges = 0;
+  // Non-vacuity: MF sums with ragged cuts, with weights that are not powers
+  // of two, and closed right after an abandoned sum; dense closed sums.
+  std::size_t ragged_mf = 0;
+  std::size_t odd_weight_mf = 0;
+  std::size_t after_abandon_mf = 0;
+  std::size_t dense = 0;
   for (std::uint64_t trial_idx = 0; trial_idx < 400; ++trial_idx) {
     const Trial trial = GenerateTrial(base + trial_idx);
-    for (const MergeCase& merge : trial.merges) {
-      if (merge.dense) continue;
-      std::set<std::size_t> widths;
-      for (const Chunk& chunk : merge.chunks) {
-        if (!chunk.indices.empty()) widths.insert(RowWidth(chunk));
+    for (std::size_t s = 0; s < trial.sums.size(); ++s) {
+      const SumCase& sum = trial.sums[s];
+      if (sum.abandon_after > 0) continue;
+      if (trial.model != ModelKind::kMf) {
+        ++dense;
+        continue;
       }
-      const std::size_t width = widths.size() == 1 ? *widths.begin() : 1;
-      row_merges += width > 1;
-      ragged_dim_row_merges += width > 1 && trial.dim % width != 0;
-      disagreeing_merges += widths.size() > 1 && *widths.rbegin() > 1;
+      const std::size_t chunks = sum.chunks.size();
+      bool ragged = false;
+      for (const auto& chunk : sum.chunks) {
+        ragged = ragged || chunk.size() != sum.chunks.front().size();
+      }
+      ragged_mf += ragged;
+      odd_weight_mf += !sum.unit_weight && (chunks & (chunks - 1)) != 0;
+      after_abandon_mf += s > 0 && trial.sums[s - 1].abandon_after > 0;
     }
-    const auto failure = RunTrial(trial, SubjectKind::kMerger);
+    const auto failure = RunTrial(trial, SubjectKind::kOpenSum);
     if (failure.has_value()) {
-      const Trial minimal = ShrinkTrial(trial, SubjectKind::kMerger);
+      const Trial minimal = ShrinkTrial(trial, SubjectKind::kOpenSum);
       FAIL() << *failure << "\nseed " << base + trial_idx
              << "\nminimal counterexample: " << FormatTrial(minimal);
     }
   }
-  EXPECT_GT(row_merges, 0u);
-  EXPECT_GT(ragged_dim_row_merges, 0u);
-  EXPECT_GT(disagreeing_merges, 0u);
+  EXPECT_GT(ragged_mf, 0u);
+  EXPECT_GT(odd_weight_mf, 0u);
+  EXPECT_GT(after_abandon_mf, 0u);
+  EXPECT_GT(dense, 0u);
 }
 
 // The harness has teeth: each planted bug is caught within a few trials and
@@ -460,7 +413,8 @@ TEST(ChunkMergePropertyTest, MergerMatchesStableSortReference) {
 TEST(ChunkMergePropertyTest, PlantedBugsAreCaughtAndShrunk) {
   const std::uint64_t base = BaseSeed();
   for (const SubjectKind kind :
-       {SubjectKind::kReversedChunks, SubjectKind::kStaleBitmap}) {
+       {SubjectKind::kDroppedSample, SubjectKind::kPerChunkWeight,
+        SubjectKind::kLeakyAbort}) {
     bool caught = false;
     for (std::uint64_t trial_idx = 0; trial_idx < 200 && !caught;
          ++trial_idx) {
@@ -469,96 +423,86 @@ TEST(ChunkMergePropertyTest, PlantedBugsAreCaughtAndShrunk) {
       caught = true;
       const Trial minimal = ShrinkTrial(trial, kind);
       EXPECT_TRUE(RunTrial(minimal, kind).has_value());
-      // Reversal needs one merge; a stale bitmap needs a second merge to
-      // read the first one's leftovers.
-      const std::size_t max_merges =
-          kind == SubjectKind::kReversedChunks ? 1u : 2u;
-      EXPECT_LE(minimal.merges.size(), max_merges)
+      // A leak needs the abandoned sum and the one it leaks into; the other
+      // bugs show in one sum.
+      const std::size_t max_sums = kind == SubjectKind::kLeakyAbort ? 2u : 1u;
+      EXPECT_LE(minimal.sums.size(), max_sums)
           << "shrink left a large witness: " << FormatTrial(minimal);
-      // Rows are what the shrinker removes (an Add-built chunk's are its
-      // entries).
-      std::size_t rows = 0;
-      for (const MergeCase& merge : minimal.merges) {
-        for (const Chunk& chunk : merge.chunks) {
-          rows += chunk.values.size() / RowWidth(chunk);
-        }
-      }
-      if (!minimal.merges.front().dense) {
-        EXPECT_LE(rows, 4u)
-            << "shrink left a large witness: " << FormatTrial(minimal);
-      }
+      EXPECT_LE(Samples(minimal), 8u)
+          << "shrink left a large witness: " << FormatTrial(minimal);
     }
-    EXPECT_TRUE(caught) << "planted bug survived 200 trials";
+    EXPECT_TRUE(caught) << "planted bug " << static_cast<int>(kind)
+                        << " survived 200 trials";
   }
 }
 
-// A merge that throws, for a dense chunk after sparse ones or an index past
-// dim in a sorted or an unsorted chunk, leaves the merger as it was: before
-// every merge of a trial, the same chunks plus a bad one must throw, and the
-// merge itself must still equal the reference bit for bit.
+// A chunk with an index past the dataset throws, whether it comes first or
+// after others were added, and the next sum on the same workspace and
+// gradient must still equal the reference. A plain call with a bad index
+// throws too and leaves no sum open.
 TEST(ChunkMergePropertyTest, ThrowingMergeLeavesMergerUsable) {
-  enum class Bad { kDenseAfterSparse, kSortedPastDim, kUnsortedPastDim };
   const std::uint64_t base = BaseSeed();
-  for (const Bad bad : {Bad::kDenseAfterSparse, Bad::kSortedPastDim,
-                        Bad::kUnsortedPastDim}) {
-    for (std::uint64_t trial_idx = 0; trial_idx < 100; ++trial_idx) {
-      const Trial trial = GenerateTrial(base + trial_idx);
-      ChunkMerger merger(trial.dim);
-      Gradient out;
-      for (std::size_t m = 0; m < trial.merges.size(); ++m) {
-        const std::vector<Gradient> chunks =
-            MakeChunks(trial.merges[m], trial.dim);
-        if (!trial.merges[m].dense) {
-          std::vector<Gradient> throwing = chunks;
-          Gradient last = Gradient::Sparse();
-          switch (bad) {
-            case Bad::kDenseAfterSparse:
-              last = Gradient::Dense(trial.dim);
-              break;
-            case Bad::kSortedPastDim:
-              last.sparse().Add(0, 1.0);
-              last.sparse().Add(trial.dim, 1.0);
-              break;
-            case Bad::kUnsortedPastDim:
-              last.sparse().Add(trial.dim, 1.0);
-              last.sparse().Add(0, 1.0);
-              break;
-          }
-          throwing.push_back(std::move(last));
-          EXPECT_THROW(merger.Merge(throwing, out), CheckError);
-        }
-        merger.Merge(chunks, out);
-        const auto diff = Compare(out, ReferenceMerge(chunks));
-        ASSERT_FALSE(diff.has_value())
-            << "bad chunk " << static_cast<int>(bad) << ", seed "
-            << base + trial_idx << ", merge " << m << ": " << *diff;
+  for (std::uint64_t trial_idx = 0; trial_idx < 100; ++trial_idx) {
+    const Trial trial = GenerateTrial(base + trial_idx);
+    const Model& model = TrialModel(trial.model);
+    const std::vector<double> params = TrialParams(trial);
+    Rng rng(base + trial_idx);
+    SumWorkspace workspace;
+    Gradient out;
+    for (std::size_t s = 0; s < trial.sums.size(); ++s) {
+      const SumCase& sum = trial.sums[s];
+      std::vector<std::size_t> bad = sum.chunks.back();
+      bad[rng.Index(bad.size())] = model.dataset_size();
+      out.OpenSum(workspace);
+      const std::size_t good = rng.Index(sum.chunks.size());
+      for (std::size_t c = 0; c < good; ++c) {
+        model.LossAndGradient(params, sum.chunks[c], out);
       }
+      EXPECT_THROW(model.LossAndGradient(params, bad, out), CheckError);
+      Gradient plain;
+      EXPECT_THROW(model.LossAndGradient(params, bad, plain), CheckError);
+      EXPECT_FALSE(plain.sum_open());
+
+      SumCase closed = sum;
+      closed.abandon_after = 0;
+      RunSum(model, params, closed, SubjectKind::kOpenSum, workspace, out);
+      const auto diff = Compare(model, out, Reference(model, params, closed));
+      ASSERT_FALSE(diff.has_value())
+          << "seed " << base + trial_idx << ", sum " << s << " after "
+          << good << " good chunks: " << *diff;
     }
   }
 }
 
-// The runtime's own input: four MF chunk gradients per mini-batch, merged by
-// one reused merger, equal the reference on every batch.
+// The runtime's own input: 200-rating MF batches in four 50-rating chunks
+// through one reused workspace and gradient, every other batch first
+// abandoned after two chunks, as an aborted attempt is. Each close at 1/4
+// equals the batch's one-call gradient times 1/4, bit for bit.
 TEST(ChunkMergePropertyTest, MfChunkGradientsMatchReference) {
   const Workload mf = MakeMfWorkload(/*seed=*/1);
-  const std::size_t dim = mf.model->param_dim();
-  std::vector<double> params(dim);
+  std::vector<double> params(mf.model->param_dim());
   Rng rng(BaseSeed());
   mf.model->InitParams(params, rng);
-  ChunkMerger merger(dim);
+  SumWorkspace workspace;
   Gradient out;
   for (int batch = 0; batch < 20; ++batch) {
+    SumCase sum;
     const std::vector<std::size_t> indices =
         rng.SampleIndices(mf.model->dataset_size(), mf.batch_size);
-    std::vector<Gradient> chunks(4);
-    const std::size_t chunk_size = indices.size() / chunks.size();
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      mf.model->LossAndGradient(
-          params, std::span(indices).subspan(c * chunk_size, chunk_size),
-          chunks[c]);
+    const std::size_t chunk_size = indices.size() / 4;
+    for (std::size_t c = 0; c < 4; ++c) {
+      sum.chunks.emplace_back(indices.begin() + c * chunk_size,
+                              indices.begin() + (c + 1) * chunk_size);
     }
-    merger.Merge(chunks, out);
-    const auto diff = Compare(out, ReferenceMerge(chunks));
+    sum.unit_weight = false;
+    if (batch % 2 == 1) {
+      SumCase aborted = sum;
+      aborted.abandon_after = 2;
+      RunSum(*mf.model, params, aborted, SubjectKind::kOpenSum, workspace, out);
+    }
+    RunSum(*mf.model, params, sum, SubjectKind::kOpenSum, workspace, out);
+    const auto diff =
+        Compare(*mf.model, out, Reference(*mf.model, params, sum));
     EXPECT_FALSE(diff.has_value()) << "batch " << batch << ": " << *diff;
   }
 }

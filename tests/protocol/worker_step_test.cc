@@ -3,10 +3,14 @@
 // aborted attempt's chunks are a prefix of the batch the worker's next
 // completed computation uses, and completed computations consume the
 // worker's sampler draws in order. A recording model sees every gradient
-// call; its batch contents are replayed against each worker's sampler.
+// call; its batch contents are replayed against each worker's sampler. And
+// every push the runtime lands is its batch's one-call gradient on its
+// snapshot times 1 / compute_chunks, bit for bit, however often the batch's
+// attempts were aborted.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -19,7 +23,9 @@
 #include "fault/fault_plan.h"
 #include "harness/experiment.h"
 #include "harness/workload.h"
+#include "models/matrix_factorization.h"
 #include "models/softmax_regression.h"
+#include "optim/sgd.h"
 #include "protocol/worker_step.h"
 #include "runtime/runtime_cluster.h"
 
@@ -244,6 +250,110 @@ TEST(WorkerStepTest, RuntimeInProcessFollowsTheDrawRule) {
 
 TEST(WorkerStepTest, RuntimeOverTcpFollowsTheDrawRule) {
   ExpectRuntimeFollowsTheDrawRule(RuntimeTransport::kTcpLoopback);
+}
+
+// Forwards to a real model, but draws its initial parameters from a fixed
+// stream, so a test can replay a run from them.
+class FixedInitModel final : public Model {
+ public:
+  explicit FixedInitModel(std::shared_ptr<const Model> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::size_t param_dim() const override { return inner_->param_dim(); }
+  std::size_t dataset_size() const override { return inner_->dataset_size(); }
+  void InitParams(std::span<double> params, Rng&) const override {
+    Rng fixed(99);
+    inner_->InitParams(params, fixed);
+  }
+  double LossAndGradient(std::span<const double> params,
+                         std::span<const std::size_t> batch,
+                         Gradient& grad) const override {
+    return inner_->LossAndGradient(params, batch, grad);
+  }
+  double Loss(std::span<const double> params,
+              std::span<const std::size_t> batch) const override {
+    return inner_->Loss(params, batch);
+  }
+  bool prefers_sparse_gradients() const override {
+    return inner_->prefers_sparse_gradients();
+  }
+
+ private:
+  std::shared_ptr<const Model> inner_;
+};
+
+// MF over 2 workers whose factor rows are disjoint: ShardIndices deals
+// rating i to worker i % 2, and rating i names a user and an item of parity
+// i % 2. A worker's gradients then read and write only its own rows, so its
+// pushes depend on nothing the other worker does, and each of its pulls
+// holds its own rows exactly as its previous push left them.
+std::shared_ptr<const Model> DisjointRowsMf() {
+  Rng rng(4);
+  auto data = std::make_shared<RatingsDataset>(16, 12);
+  for (std::uint32_t i = 0; i < 240; ++i) {
+    const std::uint32_t parity = i % 2;
+    data->Add(Rating{
+        .user = 2 * static_cast<std::uint32_t>(rng.Index(8)) + parity,
+        .item = 2 * static_cast<std::uint32_t>(rng.Index(6)) + parity,
+        .value = rng.Uniform(1.0, 5.0)});
+  }
+  return std::make_shared<FixedInitModel>(
+      std::make_shared<MatrixFactorizationModel>(
+          std::move(data), MatrixFactorizationConfig{.rank = 4}));
+}
+
+// Runs the hair-trigger runtime on DisjointRowsMf and replays each worker
+// alone: its k-th completed computation's batch is its sampler's k-th draw
+// (the draw rule), its push that batch's one-call gradient on the worker's
+// own rows times 1 / compute_chunks, applied as the store applies it. The
+// run's final weights must equal the replay's bit for bit, so no row of an
+// aborted attempt reached a push, and no push lost a chunk.
+void ExpectRuntimePushesAreBatchSums(RuntimeTransport transport) {
+  const RuntimeConfig config = HairTriggerRuntime(transport);
+  ASSERT_EQ(config.num_workers, 2u);
+  const std::shared_ptr<const Model> model = DisjointRowsMf();
+  const auto schedule = std::make_shared<ConstantSchedule>(0.1);
+  RuntimeCluster cluster(model, schedule, config);
+  const RuntimeResult result = cluster.Run();
+  ASSERT_GT(result.total_aborts, 0u);
+  ASSERT_EQ(result.total_pushes,
+            config.num_workers * config.iterations_per_worker);
+
+  std::vector<double> replay(model->param_dim());
+  Rng unused(0);
+  model->InitParams(replay, unused);
+  const SgdApplier applier(schedule);
+  const auto shards = ShardIndices(model->dataset_size(), config.num_workers);
+  std::vector<std::size_t> batch;
+  for (WorkerId w = 0; w < config.num_workers; ++w) {
+    Rng rng(config.seed * 7919 + w + 1);  // the runtime's stream for w
+    BatchSampler sampler(shards[w], config.batch_size, rng.Fork());
+    for (std::size_t k = 0; k < config.iterations_per_worker; ++k) {
+      sampler.NextBatch(batch);
+      Gradient push;
+      model->LossAndGradient(replay, batch, push);
+      push.sparse().ScaleValues(1.0 /
+                                static_cast<double>(config.compute_chunks));
+      applier.Apply(push, /*epoch=*/0, replay);
+    }
+  }
+  ASSERT_EQ(result.final_weights.size(), replay.size());
+  for (std::size_t i = 0; i < replay.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&result.final_weights[i], &replay[i],
+                          sizeof(double)),
+              0)
+        << "parameter " << i << ": " << result.final_weights[i]
+        << ", replayed " << replay[i];
+  }
+}
+
+TEST(WorkerStepTest, RuntimeInProcessPushesAreBatchSums) {
+  ExpectRuntimePushesAreBatchSums(RuntimeTransport::kInProcess);
+}
+
+TEST(WorkerStepTest, RuntimeOverTcpPushesAreBatchSums) {
+  ExpectRuntimePushesAreBatchSums(RuntimeTransport::kTcpLoopback);
 }
 
 TEST(WorkerStepTest, GoldenSimFollowsTheDrawRule) {

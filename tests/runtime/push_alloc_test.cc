@@ -29,7 +29,7 @@
 #include "data/sharding.h"
 #include "fault/fault_plan.h"
 #include "harness/workload.h"
-#include "models/chunk_merger.h"
+#include "models/model.h"
 #include "net/event_loop_server.h"
 #include "net/shard_client.h"
 #include "net/wire.h"
@@ -102,13 +102,15 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   ParameterServer& server = protocol.store();
   Rng rng(1);
   auto shards = ShardIndices(mf.model->dataset_size(), kWorkers);
+  // Each runtime worker thread lends its step a workspace of its own.
+  std::vector<SumWorkspace> workspaces(kWorkers);
   std::vector<WorkerStep> steps;
   steps.reserve(kWorkers);
   for (WorkerId w = 0; w < kWorkers; ++w) {
     steps.emplace_back(
         protocol, *mf.model, w,
         BatchSampler(std::move(shards[w]), mf.batch_size, rng.Fork()),
-        kChunks);
+        kChunks, workspaces[w]);
   }
 
   const SimTime now = SimTime::Zero();
@@ -149,7 +151,7 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
   }
   EXPECT_EQ(allocations, 0u)
       << "over " << kPushes << " steady-state iterations";
-  // Non-vacuity: real MF merges, every push admitted, gated and committed
+  // Non-vacuity: real MF batch sums, every push admitted, gated and committed
   // with its write set.
   EXPECT_TRUE(all_admitted);
   EXPECT_TRUE(protocol.gated());
@@ -163,7 +165,7 @@ TEST(PushAllocTest, SteadyStateMfPushAllocatesNothing) {
 
 // A fused TCP exchange on the mf-tcp store shape (one EventLoopServer over
 // loopback serving four shards of an MF store): each PushAndPull pushes a
-// merged 200-rating MF gradient and pulls into the one reused snapshot.
+// summed 200-rating MF gradient and pulls into the one reused snapshot.
 // Once a few rounds over the same gradients have sized every buffer, the
 // calling thread allocates nothing, and the server (the only other thread)
 // at most one frame per exchange, its response.
@@ -190,37 +192,37 @@ TEST(PushAllocTest, SteadyStateFusedExchangeAllocatesNothingOnTheCaller) {
   net::ShardClient client(config);
   ASSERT_TRUE(client.Connect());
 
-  // Merged gradients of four 50-rating chunks, as WorkerLoop merges them.
+  // Batch sums of four 50-rating chunks, as WorkerStep sums them.
   const DenseVector params = store.Snapshot();
   BatchSampler sampler(ShardIndices(mf.model->dataset_size(), 1)[0],
                        mf.batch_size, rng.Fork());
   std::vector<std::size_t> batch;
-  std::vector<Gradient> chunks(kChunks);
-  ChunkMerger merger(dim);
-  std::vector<Gradient> merged(kGradients);
-  for (Gradient& grad : merged) {
+  SumWorkspace workspace;
+  std::vector<Gradient> summed(kGradients);
+  for (Gradient& grad : summed) {
     sampler.NextBatch(batch);
     const std::size_t chunk_size = batch.size() / kChunks;
+    grad.OpenSum(workspace);
     for (std::size_t c = 0; c < kChunks; ++c) {
       mf.model->LossAndGradient(
           params, std::span<const std::size_t>(batch).subspan(
                       c * chunk_size, chunk_size),
-          chunks[c]);
+          grad);
     }
-    merger.Merge(chunks, grad);
+    grad.CloseSum(1.0 / kChunks);
   }
 
   PullResult snapshot;
   std::uint64_t version = 0;
   for (int warm = 0; warm < 3; ++warm) {
-    for (const Gradient& grad : merged) {
+    for (const Gradient& grad : summed) {
       version = client.PushAndPull(grad, 0, snapshot);
     }
   }
   t_allocations = 0;
   const std::size_t total = CountAllocations([&] {
     for (std::size_t round = 0; round < kRounds; ++round) {
-      for (const Gradient& grad : merged) {
+      for (const Gradient& grad : summed) {
         version = client.PushAndPull(grad, 0, snapshot);
       }
     }
@@ -236,8 +238,8 @@ TEST(PushAllocTest, SteadyStateFusedExchangeAllocatesNothingOnTheCaller) {
   EXPECT_EQ(store.version(), 3 * kGradients + exchanges);
   EXPECT_EQ(snapshot.version, store.version());
   EXPECT_EQ(snapshot.params.size(), dim);
-  EXPECT_EQ(merged.front().sparse().block_width(), 8u);
-  EXPECT_GT(merged.front().sparse().nnz(), 1000u);
+  EXPECT_EQ(summed.front().sparse().block_width(), 8u);
+  EXPECT_GT(summed.front().sparse().nnz(), 1000u);
   server.Stop();
 }
 
