@@ -76,8 +76,7 @@ SimResult Run(SchemeSpec scheme) {
   config.seed = 3;
   // Distinct deterministic speeds so the interleaving is legible, mirroring
   // the staggered workers of the paper's Fig. 2.
-  auto speed = std::make_unique<HeterogeneousSpeedModel>(
-      Duration::Seconds(4.0), std::vector<double>{1.0, 1.15, 0.85, 1.3}, 0.02);
+  SpeedModel speed(Duration::Seconds(4.0), {1.0, 1.15, 0.85, 1.3}, 0.02);
   ClusterSim sim(TinyModel(), std::make_shared<ConstantSchedule>(0.1),
                  std::move(speed), config);
   return sim.Run();

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -11,6 +9,7 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace specsync::bench {
@@ -299,41 +298,8 @@ double CellBatch::serial_wall_estimate() const {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonNumber(double v) {
-  // JSON has no NaN/Infinity literals; a diverged loss (the MF proxy can
-  // blow up at high worker counts) must serialize as null, not "-nan".
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream out;
-  out << std::setprecision(12) << v;
-  return out.str();
-}
+using obs::internal::JsonEscape;
+using obs::internal::JsonNumber;
 
 std::string HexDigest(std::uint64_t digest) {
   std::ostringstream out;

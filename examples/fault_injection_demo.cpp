@@ -48,8 +48,8 @@ SimResult RunSim(const FaultPlanConfig& faults) {
   config.scheme = SchemeSpec::Cherrypick(params);
   config.faults = faults;
   ClusterSim sim(MakeModel(7, 600), std::make_shared<ConstantSchedule>(0.2),
-                 std::make_unique<HomogeneousSpeedModel>(
-                     Duration::Seconds(1.0), 0.1),
+                 SpeedModel::Homogeneous(Duration::Seconds(1.0),
+                                         config.num_workers, 0.1),
                  config);
   return sim.Run();
 }

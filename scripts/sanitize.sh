@@ -56,6 +56,9 @@
 # scheduler's audit records and retune instants are written from whichever
 # worker thread delivers the notify or fires the check, under the runtime's
 # scheduler mutex, while the other workers record their own spans.
+# speed_model_property_test rides along for ASan+UBSan: the one speed
+# model indexes its per-worker multipliers by worker ids the suite draws at
+# random and scans its contention events in reverse.
 # shard_route_property_test rides along for ASan+UBSan: sorted routing
 # turns lower_bound iterators into entry ranges, where a cut past the end
 # would hand PushRoute a range outside the gradient.
@@ -79,7 +82,7 @@ SUITES=(runtime_test runtime_chaos_test consistency_hammer_test ps_test
         shard_route_property_test tensor_test
         chunk_merge_property_test mf_gradient_property_test
         wire_codec_property_test consistency_property_test protocol_test
-        obs_integration_test)
+        obs_integration_test speed_model_property_test)
 MODE="${1:-all}"
 
 run_mode() {

@@ -151,7 +151,6 @@ std::size_t GainsInto(const TuningInputs& inputs,
 }  // namespace
 
 AdaptiveTuner::AdaptiveTuner(AdaptiveTunerConfig config) : config_(config) {
-  SPECSYNC_CHECK_GT(config_.max_delta_spans, 0.0);
   SPECSYNC_CHECK(std::isfinite(config_.loss_weight));
 }
 
@@ -238,7 +237,7 @@ SpeculationParams AdaptiveTuner::OnEpochEnd(const TuningInputs& inputs) {
   if (inputs.pushes.size() < 2) return {};  // nothing to enumerate
 
   const Duration mean_span = MeanSpan(inputs);
-  CandidateDeltasInto(inputs, (mean_span * config_.max_delta_spans).seconds(),
+  CandidateDeltasInto(inputs, (mean_span * kMaxDeltaSpans).seconds(),
                       config_.max_candidates, keys_, radix_, deltas_);
   if (deltas_.empty()) return {};
   const std::size_t pulled =

@@ -44,12 +44,13 @@
 
 namespace specsync {
 
+// Upper bound on candidate Δ (guards against pathological epochs where a
+// huge pairwise difference would stall workers); expressed as a multiple of
+// the mean iteration span. The paper's cherry-pick search uses half the
+// batch time as its upper bound — the tuner allows a full span for headroom.
+inline constexpr double kMaxDeltaSpans = 1.0;
+
 struct AdaptiveTunerConfig {
-  // Upper bound on candidate Δ (guards against pathological epochs where a
-  // huge pairwise difference would stall workers); expressed as a multiple of
-  // the mean iteration span. The paper's cherry-pick search uses half the
-  // batch time as its upper bound — we default to a full span for headroom.
-  double max_delta_spans = 1.0;
   // Emit per-worker thresholds Γ_i instead of the pooled Algorithm-1 rate.
   bool per_worker_rate = false;
   // Cap on candidate Δ values actually evaluated (keeps retuning cheap when

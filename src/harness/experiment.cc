@@ -9,34 +9,24 @@ namespace specsync {
 
 namespace {
 
-std::unique_ptr<SpeedModel> MakeSpeedModel(const Workload& workload,
-                                           const ClusterSpec& cluster,
-                                           std::uint64_t seed) {
-  std::unique_ptr<SpeedModel> base;
-  if (cluster.class_multipliers.empty()) {
-    base = std::make_unique<HomogeneousSpeedModel>(
-        workload.iteration_time, cluster.compute_jitter_sigma);
-  } else {
-    base = HeterogeneousSpeedModel::EvenClasses(
-        workload.iteration_time, cluster.num_workers,
-        cluster.class_multipliers, cluster.compute_jitter_sigma);
-  }
-  if (cluster.straggler_probability > 0.0) {
-    base = std::make_unique<StragglerInjectingSpeedModel>(
-        std::move(base), cluster.straggler_probability,
-        cluster.straggler_slowdown);
-  }
+SpeedModel MakeSpeedModel(const Workload& workload, const ClusterSpec& cluster,
+                          std::uint64_t seed) {
+  SpeedModel speed =
+      cluster.class_multipliers.empty()
+          ? SpeedModel::Homogeneous(workload.iteration_time,
+                                    cluster.num_workers, kComputeJitterSigma)
+          : SpeedModel::EvenClasses(workload.iteration_time,
+                                    cluster.num_workers,
+                                    cluster.class_multipliers,
+                                    kComputeJitterSigma);
+  speed.SetStragglers(cluster.straggler_probability, kStragglerSlowdown);
   if (cluster.enable_contention) {
-    ContentionConfig contention;
-    contention.mean_gap = workload.iteration_time * cluster.contention_gap_iters;
-    contention.mean_duration =
-        workload.iteration_time * cluster.contention_duration_iters;
-    contention.cohort_fraction = cluster.contention_cohort_fraction;
-    contention.slowdown = cluster.contention_slowdown;
-    base = std::make_unique<ContentionSpeedModel>(std::move(base), contention,
-                                                  Rng(seed ^ 0xC047E47u));
+    speed.SetContention(
+        {.mean_gap = workload.iteration_time * kContentionGapIters,
+         .mean_duration = workload.iteration_time * kContentionDurationIters},
+        Rng(seed ^ 0xC047E47u));
   }
-  return base;
+  return speed;
 }
 
 }  // namespace
@@ -62,10 +52,9 @@ ExperimentResult RunExperiment(const Workload& workload,
   sim_config.compression = config.compression;
   if (config.cluster.enable_stalls) {
     sim_config.stalls.enabled = true;
-    sim_config.stalls.mean_gap =
-        workload.iteration_time * config.cluster.stall_gap_iters;
+    sim_config.stalls.mean_gap = workload.iteration_time * kStallGapIters;
     sim_config.stalls.mean_duration =
-        workload.iteration_time * config.cluster.stall_duration_iters;
+        workload.iteration_time * kStallDurationIters;
   }
   sim_config.faults = config.cluster.faults;
 
@@ -92,23 +81,6 @@ std::optional<double> LossAtTime(const TrainingTrace& trace, SimTime time) {
     loss = sample.loss;
   }
   return loss;
-}
-
-std::optional<SimTime> TimeToTarget(const TrainingTrace& trace, double target,
-                                    std::size_t patience) {
-  SPECSYNC_CHECK_GT(patience, 0u);
-  std::size_t streak = 0;
-  SimTime streak_start = SimTime::Zero();
-  for (const LossSample& sample : trace.losses()) {
-    if (sample.loss < target) {
-      if (streak == 0) streak_start = sample.time;
-      ++streak;
-      if (streak >= patience) return streak_start;
-    } else {
-      streak = 0;
-    }
-  }
-  return std::nullopt;
 }
 
 }  // namespace specsync

@@ -10,37 +10,42 @@
 
 namespace specsync {
 
+// The testbed timing no caller varies; the ClusterSpec switches turn each
+// mechanism on or off.
+//
+// Log-normal sigma of per-iteration compute jitter. Homogeneous EC2 nodes
+// doing identical work vary by a few percent iteration to iteration; the
+// transient stragglers supply the heavy tail.
+inline constexpr double kComputeJitterSigma = 0.08;
+// A transient straggler's iteration runs this many times slower.
+inline constexpr double kStragglerSlowdown = 3.0;
+// Contention events and server stalls: mean gap between two and mean length
+// of one, in units of the workload's iteration time so every workload sees
+// comparable burstiness. A contention event's cohort and slowdown are
+// ContentionConfig's defaults (sim/speed_model.h).
+inline constexpr double kContentionGapIters = 5.0;
+inline constexpr double kContentionDurationIters = 1.5;
+inline constexpr double kStallGapIters = 3.0;
+inline constexpr double kStallDurationIters = 0.4;
+
 // Cluster shape, mirroring the paper's testbeds (Sec. VI-A).
 struct ClusterSpec {
   std::size_t num_workers = 40;
   // Parameter-server shard count (paper-like default: 4 server processes).
   std::size_t num_servers = 4;
-  // Log-normal sigma of per-iteration compute jitter. Homogeneous EC2 nodes
-  // doing identical work vary by a few percent iteration to iteration; the
-  // transient-straggler knob below supplies the heavy tail.
-  double compute_jitter_sigma = 0.08;
   // Per-class speed multipliers assigned round-robin; empty = homogeneous.
   // Cluster 2 (4 instance classes) uses {1.7, 0.9, 1.0, 0.5}-style factors.
   std::vector<double> class_multipliers;
   // Transient straggler injection (independent background load spikes): with
-  // this probability an iteration runs `straggler_slowdown` times slower.
+  // this probability an iteration runs kStragglerSlowdown times slower.
   double straggler_probability = 0.02;
-  double straggler_slowdown = 3.0;
   // Correlated contention events (noisy neighbors / congestion hitting a
   // cohort of nodes at once) — the source of the bursty push arrivals the
-  // paper's Fig. 3 traces show. Timescales are in units of the workload's
-  // iteration time so every workload sees comparable burstiness.
+  // paper's Fig. 3 traces show.
   bool enable_contention = true;
-  double contention_gap_iters = 5.0;       // mean gap between events
-  double contention_duration_iters = 1.5;  // mean event length
-  double contention_cohort_fraction = 0.3;
-  double contention_slowdown = 2.5;
   // Server-side stalls (incast congestion / pauses): deliveries queued during
-  // a stall land in one batch when it ends — the burst source. Timescales in
-  // iteration units.
+  // a stall land in one batch when it ends — the burst source.
   bool enable_stalls = true;
-  double stall_gap_iters = 3.0;       // mean gap between stalls
-  double stall_duration_iters = 0.4;  // mean stall length
   // Fault injection (message drop/duplication/delay, slowdown windows, worker
   // crashes), forwarded to ClusterSimConfig::faults. Disabled by default.
   FaultPlanConfig faults;
@@ -89,10 +94,5 @@ ExperimentResult RunExperiment(const Workload& workload,
 
 // Loss at or before `time` (last sample <= time); nullopt before first sample.
 std::optional<double> LossAtTime(const TrainingTrace& trace, SimTime time);
-
-// Post-hoc convergence extraction: first sample time from which `patience`
-// consecutive samples are below `target`.
-std::optional<SimTime> TimeToTarget(const TrainingTrace& trace, double target,
-                                    std::size_t patience = 5);
 
 }  // namespace specsync

@@ -29,7 +29,6 @@ GridSearchResult CherrypickSearch(const Workload& workload,
       cell.config.cluster = cluster;
       cell.config.scheme = SchemeSpec::Cherrypick(params);
       cell.config.max_time = config.trial_max_time;
-      cell.config.max_pushes = config.trial_max_pushes;
       cell.explicit_seed = config.seed;
       std::ostringstream label;
       label << "grid f=" << fraction << " r=" << rate;

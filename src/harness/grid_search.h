@@ -22,7 +22,6 @@ struct GridSearchConfig {
                                0.3,  0.4, 0.5,  0.6, 0.75};
   // Budget per trial.
   SimTime trial_max_time = SimTime::FromSeconds(4000.0);
-  std::uint64_t trial_max_pushes = 0;
   std::uint64_t seed = 11;
   // Trials are independent cells; >1 fans them over a thread pool. The
   // selected optimum and all trial results are identical at any thread count

@@ -43,9 +43,8 @@ std::size_t MlpClassifierModel::bias_offset(std::size_t layer) const {
 void MlpClassifierModel::InitParams(std::span<double> params, Rng& rng) const {
   SPECSYNC_CHECK_EQ(params.size(), param_dim_);
   for (std::size_t l = 0; l < num_layers(); ++l) {
-    // He initialization: stddev = gain * sqrt(2 / fan_in).
-    const double stddev =
-        config_.init_gain * std::sqrt(2.0 / static_cast<double>(layer_in_[l]));
+    // He initialization: stddev = sqrt(2 / fan_in).
+    const double stddev = std::sqrt(2.0 / static_cast<double>(layer_in_[l]));
     const std::size_t wo = weight_offset(l);
     const std::size_t count = layer_in_[l] * layer_out_[l];
     for (std::size_t i = 0; i < count; ++i) {

@@ -23,8 +23,6 @@ struct MlpConfig {
   // Hidden layer widths; empty means softmax regression topology.
   std::vector<std::size_t> hidden = {128};
   double regularization = 1e-4;
-  // He-style init scale multiplier.
-  double init_gain = 1.0;
 };
 
 class MlpClassifierModel final : public Model {

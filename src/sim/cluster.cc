@@ -13,13 +13,13 @@ struct ClusterSim::Impl {
   // --- immutable setup -----------------------------------------------------
   std::shared_ptr<const Model> model;
   std::shared_ptr<const LearningRateSchedule> schedule;
-  std::unique_ptr<SpeedModel> speed;
+  SpeedModel speed;
   ClusterSimConfig config;
 
   // --- live components -----------------------------------------------------
   Simulator sim;
   Rng rng;
-  NetworkModel network;
+  NetworkModel network;  // the default NetworkConfig
   StallSchedule stalls;
   FaultPlan faults;
   WorkerProtocol protocol;  // the store, the gate, each worker's state
@@ -55,30 +55,24 @@ struct ClusterSim::Impl {
     std::uint64_t compute_generation = 0;  // invalidates stale finish events
   };
   std::vector<WorkerState> workers;
-
-  // --- convergence tracking ------------------------------------------------
-  std::size_t below_target_streak = 0;
-  std::optional<SimTime> convergence_time;
-  std::optional<std::uint64_t> convergence_pushes;
-  SimTime streak_start = SimTime::Zero();
-  std::uint64_t streak_start_pushes = 0;
   bool stopped = false;
 
   Impl(std::shared_ptr<const Model> model_in,
        std::shared_ptr<const LearningRateSchedule> schedule_in,
-       std::unique_ptr<SpeedModel> speed_in, ClusterSimConfig config_in)
+       SpeedModel speed_in, ClusterSimConfig config_in)
       : model(std::move(model_in)),
         schedule(std::move(schedule_in)),
         speed(std::move(speed_in)),
         config(std::move(config_in)),
         rng(config.seed),
-        network(config.network),
+        network(NetworkConfig{}),
         stalls(config.stalls, Rng(config.seed ^ 0x57A11u)),
         faults(config.faults),
-        protocol(model, schedule, ProtocolConfig(config, speed.get()), faults,
+        protocol(model, schedule, ProtocolConfig(config, speed), faults,
                  rng.Fork()),
         trace(config.num_workers) {
     SPECSYNC_CHECK_GT(config.batch_size, 0u);
+    SPECSYNC_CHECK_GT(config.convergence_patience, 0u);
     if (config.compression.transforms_pushes()) {
       codec = std::make_unique<GradientCodec>(
           config.compression, config.num_workers, store().layout());
@@ -121,13 +115,13 @@ struct ClusterSim::Impl {
   }
 
   static WorkerProtocolConfig ProtocolConfig(const ClusterSimConfig& config,
-                                             const SpeedModel* speed) {
-    SPECSYNC_CHECK(speed != nullptr);
+                                             const SpeedModel& speed) {
+    SPECSYNC_CHECK_EQ(speed.num_workers(), config.num_workers);
     return {.num_workers = config.num_workers,
             .num_servers = config.num_servers,
             .sgd_clip = config.sgd_clip,
             .scheme = config.scheme,
-            .default_span = speed->MeanComputeTime(0),
+            .default_span = speed.MeanComputeTime(0),
             .obs = config.obs,
             .metric_prefix = "sim"};
   }
@@ -290,7 +284,7 @@ struct ClusterSim::Impl {
   void StartCompute(WorkerId w) {
     WorkerState& worker = workers[w];
     const std::uint64_t generation = ++worker.compute_generation;
-    Duration span = speed->ComputeTime(w, sim.now(), worker.rng);
+    Duration span = speed.ComputeTime(w, sim.now(), worker.rng);
     // Injected slowdown (background load, thermal throttling). The exact-1.0
     // guard keeps fault-free runs bit-identical.
     const double factor = faults.SlowdownFactor(w, sim.now());
@@ -531,29 +525,17 @@ struct ClusterSim::Impl {
           "eval", "eval", static_cast<std::uint32_t>(config.num_workers),
           sim.now(), {{"loss", std::to_string(loss)}});
     }
-    if (config.loss_target > 0.0) {
-      if (loss < config.loss_target) {
-        if (below_target_streak == 0) {
-          streak_start = sim.now();
-          streak_start_pushes = TotalPushes();
-        }
-        ++below_target_streak;
-        if (below_target_streak >= config.convergence_patience &&
-            !convergence_time.has_value()) {
-          convergence_time = streak_start;
-          convergence_pushes = streak_start_pushes;
-          if (config.stop_on_convergence) {
-            stopped = true;
-            sim.RequestStop();
-            return;
-          }
-        }
-      } else {
-        below_target_streak = 0;
-        // A later excursion above target does not un-converge a run that
-        // already met the patience criterion (matches "staying below for 5
-        // consecutive" read as first-hit time).
-      }
+    // Stop when this sample completes a streak: the trace's first
+    // convergence sample is then among its last `patience` samples.
+    const std::span<const LossSample> losses = trace.losses();
+    if (config.stop_on_convergence && config.loss_target > 0.0 &&
+        losses.size() >= config.convergence_patience &&
+        ConvergenceSample(losses.last(config.convergence_patience),
+                          config.loss_target,
+                          config.convergence_patience) != nullptr) {
+      stopped = true;
+      sim.RequestStop();
+      return;
     }
     sim.ScheduleAfter(config.eval_interval, [this] { OnEvalTimer(); });
   }
@@ -576,8 +558,6 @@ struct ClusterSim::Impl {
     result.total_pushes = TotalPushes();
     result.total_aborts = trace.total_aborts();
     result.sim_events = sim.events_processed();
-    result.convergence_time = convergence_time;
-    result.convergence_pushes = convergence_pushes;
     if (const SpecSyncScheduler* scheduler = protocol.scheduler()) {
       result.scheduler_stats = scheduler->stats();
       result.final_params = scheduler->params();
@@ -586,6 +566,14 @@ struct ClusterSim::Impl {
     result.consistency = protocol.Finish(sim.now());
     trace.RecordLoss(sim.now(), result.final_loss, TotalPushes(),
                      protocol.GlobalEpoch());
+    if (config.loss_target > 0.0) {
+      if (const LossSample* converged =
+              ConvergenceSample(trace.losses(), config.loss_target,
+                                config.convergence_patience)) {
+        result.convergence_time = converged->time;
+        result.convergence_pushes = converged->total_iterations;
+      }
+    }
     protocol.PublishGauges(result.consistency, result.total_pushes,
                            result.final_loss);
     if (obs != nullptr) {
@@ -602,8 +590,7 @@ struct ClusterSim::Impl {
 
 ClusterSim::ClusterSim(std::shared_ptr<const Model> model,
                        std::shared_ptr<const LearningRateSchedule> schedule,
-                       std::unique_ptr<SpeedModel> speed,
-                       ClusterSimConfig config)
+                       SpeedModel speed, ClusterSimConfig config)
     : impl_(std::make_unique<Impl>(std::move(model), std::move(schedule),
                                    std::move(speed), std::move(config))) {}
 

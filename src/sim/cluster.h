@@ -38,7 +38,6 @@ struct ClusterSimConfig {
   std::size_t num_servers = 1;
   std::size_t batch_size = 32;
   SchemeSpec scheme;
-  NetworkConfig network;
   StallConfig stalls;
   // Fault injection (message drop/duplication/delay, slowdowns, crashes).
   // Default-constructed = disabled; with all-zero probabilities and no
@@ -79,7 +78,9 @@ struct SimResult {
   TrainingTrace trace;
   TransferAccountant transfers;
   SchedulerStats scheduler_stats;
-  // Time of the first loss sample of the convergence streak, if converged.
+  // The trace's ConvergenceSample (trace/trace.h), end-of-run sample
+  // included: its time and the pushes applied by then. Unset when the run
+  // never converged or loss_target <= 0.
   std::optional<SimTime> convergence_time;
   std::optional<std::uint64_t> convergence_pushes;
   double final_loss = 0.0;
@@ -97,12 +98,13 @@ struct SimResult {
 };
 
 // Runs one full training simulation. The model and schedule are shared
-// (immutable); the speed model is owned for the run.
+// (immutable); the speed model, built for `config.num_workers` workers, is
+// owned for the run.
 class ClusterSim {
  public:
   ClusterSim(std::shared_ptr<const Model> model,
              std::shared_ptr<const LearningRateSchedule> schedule,
-             std::unique_ptr<SpeedModel> speed, ClusterSimConfig config);
+             SpeedModel speed, ClusterSimConfig config);
   ~ClusterSim();
 
   ClusterSim(const ClusterSim&) = delete;

@@ -1,25 +1,13 @@
 #include "sim/speed_model.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
 namespace specsync {
 
-HomogeneousSpeedModel::HomogeneousSpeedModel(Duration base, double jitter_sigma)
-    : base_(base), jitter_sigma_(jitter_sigma) {
-  SPECSYNC_CHECK_GT(base.seconds(), 0.0);
-  SPECSYNC_CHECK_GE(jitter_sigma, 0.0);
-}
-
-Duration HomogeneousSpeedModel::ComputeTime(WorkerId /*worker*/,
-                                            SimTime /*now*/, Rng& rng) {
-  if (jitter_sigma_ == 0.0) return base_;
-  return base_ * rng.LogNormal(0.0, jitter_sigma_);
-}
-
-HeterogeneousSpeedModel::HeterogeneousSpeedModel(
-    Duration base, std::vector<double> multipliers, double jitter_sigma)
+SpeedModel::SpeedModel(Duration base, std::vector<double> multipliers,
+                       double jitter_sigma)
     : base_(base),
       multipliers_(std::move(multipliers)),
       jitter_sigma_(jitter_sigma) {
@@ -29,68 +17,73 @@ HeterogeneousSpeedModel::HeterogeneousSpeedModel(
   SPECSYNC_CHECK_GE(jitter_sigma, 0.0);
 }
 
-Duration HeterogeneousSpeedModel::ComputeTime(WorkerId worker,
-                                              SimTime /*now*/, Rng& rng) {
-  const Duration mean = MeanComputeTime(worker);
-  if (jitter_sigma_ == 0.0) return mean;
-  return mean * rng.LogNormal(0.0, jitter_sigma_);
+SpeedModel SpeedModel::Homogeneous(Duration base, std::size_t num_workers,
+                                   double jitter_sigma) {
+  // base * 1.0 is base exactly: a homogeneous run draws like a classed one.
+  return SpeedModel(base, std::vector<double>(num_workers, 1.0), jitter_sigma);
 }
 
-Duration HeterogeneousSpeedModel::MeanComputeTime(WorkerId worker) const {
-  SPECSYNC_CHECK_LT(worker, multipliers_.size());
-  return base_ * multipliers_[worker];
-}
-
-std::unique_ptr<HeterogeneousSpeedModel> HeterogeneousSpeedModel::EvenClasses(
-    Duration base, std::size_t num_workers,
-    std::vector<double> class_multipliers, double jitter_sigma) {
+SpeedModel SpeedModel::EvenClasses(Duration base, std::size_t num_workers,
+                                   const std::vector<double>& class_multipliers,
+                                   double jitter_sigma) {
   SPECSYNC_CHECK(!class_multipliers.empty());
   std::vector<double> multipliers(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
     multipliers[w] = class_multipliers[w % class_multipliers.size()];
   }
-  return std::make_unique<HeterogeneousSpeedModel>(base, std::move(multipliers),
-                                                   jitter_sigma);
+  return SpeedModel(base, std::move(multipliers), jitter_sigma);
 }
 
-StragglerInjectingSpeedModel::StragglerInjectingSpeedModel(
-    std::unique_ptr<SpeedModel> inner, double probability, double slowdown)
-    : inner_(std::move(inner)), probability_(probability), slowdown_(slowdown) {
-  SPECSYNC_CHECK(inner_ != nullptr);
-  SPECSYNC_CHECK(probability_ >= 0.0 && probability_ <= 1.0);
-  SPECSYNC_CHECK_GE(slowdown_, 1.0);
+void SpeedModel::SetStragglers(double probability, double slowdown) {
+  SPECSYNC_CHECK(probability >= 0.0 && probability <= 1.0);
+  SPECSYNC_CHECK_GE(slowdown, 1.0);
+  straggler_probability_ = probability;
+  straggler_slowdown_ = slowdown;
 }
 
-Duration StragglerInjectingSpeedModel::ComputeTime(WorkerId worker,
-                                                   SimTime now, Rng& rng) {
-  Duration t = inner_->ComputeTime(worker, now, rng);
-  if (probability_ > 0.0 && rng.Bernoulli(probability_)) t = t * slowdown_;
+void SpeedModel::SetContention(ContentionConfig config, Rng rng) {
+  SPECSYNC_CHECK_GT(config.mean_gap.seconds(), 0.0);
+  SPECSYNC_CHECK_GT(config.mean_duration.seconds(), 0.0);
+  SPECSYNC_CHECK(config.cohort_fraction > 0.0 && config.cohort_fraction <= 1.0);
+  SPECSYNC_CHECK_GE(config.slowdown, 1.0);
+  contention_ = config;
+  event_rng_ = std::move(rng);
+}
+
+Duration SpeedModel::ComputeTime(WorkerId worker, SimTime now, Rng& rng) {
+  SPECSYNC_CHECK_LT(worker, multipliers_.size());
+  Duration t = base_ * multipliers_[worker];
+  if (jitter_sigma_ > 0.0) t = t * rng.LogNormal(0.0, jitter_sigma_);
+  if (straggler_probability_ > 0.0 && rng.Bernoulli(straggler_probability_)) {
+    t = t * straggler_slowdown_;
+  }
+  if (IsContended(worker, now)) t = t * contention_->slowdown;
   return t;
 }
 
-Duration StragglerInjectingSpeedModel::MeanComputeTime(WorkerId worker) const {
-  // Expected value over the straggler coin flip.
-  const Duration base = inner_->MeanComputeTime(worker);
-  return base * (1.0 + probability_ * (slowdown_ - 1.0));
+Duration SpeedModel::MeanComputeTime(WorkerId worker) const {
+  SPECSYNC_CHECK_LT(worker, multipliers_.size());
+  // The straggler factor is exactly 1.0 without stragglers.
+  Duration mean = base_ * multipliers_[worker] *
+                  (1.0 + straggler_probability_ * (straggler_slowdown_ - 1.0));
+  if (contention_.has_value()) {
+    // Stationary expectation over the contention process.
+    const ContentionConfig& c = *contention_;
+    const double busy_fraction =
+        c.mean_duration.seconds() /
+        (c.mean_duration.seconds() + c.mean_gap.seconds());
+    const double hit = busy_fraction * c.cohort_fraction;
+    mean = mean * (1.0 + hit * (c.slowdown - 1.0));
+  }
+  return mean;
 }
 
-ContentionSpeedModel::ContentionSpeedModel(std::unique_ptr<SpeedModel> inner,
-                                           ContentionConfig config, Rng rng)
-    : inner_(std::move(inner)), config_(config), event_rng_(std::move(rng)) {
-  SPECSYNC_CHECK(inner_ != nullptr);
-  SPECSYNC_CHECK_GT(config_.mean_gap.seconds(), 0.0);
-  SPECSYNC_CHECK_GT(config_.mean_duration.seconds(), 0.0);
-  SPECSYNC_CHECK(config_.cohort_fraction > 0.0 &&
-                 config_.cohort_fraction <= 1.0);
-  SPECSYNC_CHECK_GE(config_.slowdown, 1.0);
-}
-
-void ContentionSpeedModel::GenerateEventsUpTo(SimTime now) {
+void SpeedModel::GenerateEventsUpTo(SimTime now) {
   while (generated_until_ <= now) {
     const Duration gap = Duration::Seconds(
-        event_rng_.Exponential(1.0 / config_.mean_gap.seconds()));
+        event_rng_.Exponential(1.0 / contention_->mean_gap.seconds()));
     const Duration length = Duration::Seconds(
-        event_rng_.Exponential(1.0 / config_.mean_duration.seconds()));
+        event_rng_.Exponential(1.0 / contention_->mean_duration.seconds()));
     Event event;
     event.begin = generated_until_ + gap;
     event.end = event.begin + length;
@@ -102,7 +95,7 @@ void ContentionSpeedModel::GenerateEventsUpTo(SimTime now) {
   }
 }
 
-bool ContentionSpeedModel::InCohort(WorkerId worker, const Event& event) const {
+bool SpeedModel::InCohort(WorkerId worker, const Event& event) const {
   // Deterministic membership hash: SplitMix-style mix of (worker, salt).
   std::uint64_t z = (static_cast<std::uint64_t>(worker) << 32) ^
                     event.cohort_salt;
@@ -110,10 +103,11 @@ bool ContentionSpeedModel::InCohort(WorkerId worker, const Event& event) const {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   z ^= z >> 31;
   const double u = static_cast<double>(z >> 11) * 0x1.0p-53;
-  return u < config_.cohort_fraction;
+  return u < contention_->cohort_fraction;
 }
 
-bool ContentionSpeedModel::IsContended(WorkerId worker, SimTime now) {
+bool SpeedModel::IsContended(WorkerId worker, SimTime now) {
+  if (!contention_.has_value()) return false;
   GenerateEventsUpTo(now);
   // Events are sparse (hundreds over a long run); a reverse scan is cheap and
   // exact even with the occasional very long exponential duration.
@@ -123,23 +117,6 @@ bool ContentionSpeedModel::IsContended(WorkerId worker, SimTime now) {
     }
   }
   return false;
-}
-
-Duration ContentionSpeedModel::ComputeTime(WorkerId worker, SimTime now,
-                                           Rng& rng) {
-  Duration t = inner_->ComputeTime(worker, now, rng);
-  if (IsContended(worker, now)) t = t * config_.slowdown;
-  return t;
-}
-
-Duration ContentionSpeedModel::MeanComputeTime(WorkerId worker) const {
-  // Stationary expectation over the contention process.
-  const double busy_fraction =
-      config_.mean_duration.seconds() /
-      (config_.mean_duration.seconds() + config_.mean_gap.seconds());
-  const double hit = busy_fraction * config_.cohort_fraction;
-  return inner_->MeanComputeTime(worker) *
-         (1.0 + hit * (config_.slowdown - 1.0));
 }
 
 }  // namespace specsync

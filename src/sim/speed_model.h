@@ -1,14 +1,16 @@
-// Worker compute-speed models.
+// Worker compute-speed model.
 //
-// Per-iteration compute time = base_time * worker_multiplier * jitter.
-// Three configurations reproduce the paper's testbeds:
-//  - homogeneous (Cluster 1: 40x m4.xlarge),
+// Per-iteration compute time =
+//   base * multiplier[worker] * jitter * straggler slowdown * contention
+// which reproduces the paper's testbeds:
+//  - homogeneous (Cluster 1: 40x m4.xlarge): every multiplier 1.0,
 //  - heterogeneous instance classes (Cluster 2: 10x m3.xlarge, 10x m3.2xlarge,
-//    10x m4.xlarge, 10x m4.2xlarge),
-//  - transient stragglers (background load / multi-tenancy effects).
+//    10x m4.xlarge, 10x m4.2xlarge): one multiplier per class,
+//  - transient stragglers (background load / multi-tenancy effects),
+//  - correlated contention events slowing a cohort of workers at once.
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/ids.h"
@@ -17,66 +19,10 @@
 
 namespace specsync {
 
-class SpeedModel {
- public:
-  virtual ~SpeedModel() = default;
-  // Compute duration of one full iteration attempt for `worker`, starting at
-  // simulated time `now` (time-varying models use it; stationary ones don't).
-  virtual Duration ComputeTime(WorkerId worker, SimTime now, Rng& rng) = 0;
-  // Stationary mean compute time for `worker` (no jitter, no events).
-  virtual Duration MeanComputeTime(WorkerId worker) const = 0;
-};
-
-// All workers share one mean with log-normal jitter.
-class HomogeneousSpeedModel final : public SpeedModel {
- public:
-  HomogeneousSpeedModel(Duration base, double jitter_sigma);
-  Duration ComputeTime(WorkerId worker, SimTime now, Rng& rng) override;
-  Duration MeanComputeTime(WorkerId worker) const override {
-    (void)worker;
-    return base_;
-  }
-
- private:
-  Duration base_;
-  double jitter_sigma_;
-};
-
-// Per-worker speed multipliers (e.g. 4 instance classes). multiplier > 1
-// means slower.
-class HeterogeneousSpeedModel final : public SpeedModel {
- public:
-  HeterogeneousSpeedModel(Duration base, std::vector<double> multipliers,
-                          double jitter_sigma);
-  Duration ComputeTime(WorkerId worker, SimTime now, Rng& rng) override;
-  Duration MeanComputeTime(WorkerId worker) const override;
-
-  // Builds the paper's Cluster-2 shape: `num_workers` workers split evenly
-  // across `class_multipliers` (round-robin).
-  static std::unique_ptr<HeterogeneousSpeedModel> EvenClasses(
-      Duration base, std::size_t num_workers,
-      std::vector<double> class_multipliers, double jitter_sigma);
-
- private:
-  Duration base_;
-  std::vector<double> multipliers_;
-  double jitter_sigma_;
-};
-
-// Wraps another model; with probability `probability` an iteration is slowed
-// by `slowdown` (independent transient straggler).
-class StragglerInjectingSpeedModel final : public SpeedModel {
- public:
-  StragglerInjectingSpeedModel(std::unique_ptr<SpeedModel> inner,
-                               double probability, double slowdown);
-  Duration ComputeTime(WorkerId worker, SimTime now, Rng& rng) override;
-  Duration MeanComputeTime(WorkerId worker) const override;
-
- private:
-  std::unique_ptr<SpeedModel> inner_;
-  double probability_;
-  double slowdown_;
-};
+// Fraction of workers each contention event hits, and the slowdown of an
+// iteration started during one.
+inline constexpr double kContentionCohortFraction = 0.3;
+inline constexpr double kContentionSlowdown = 2.5;
 
 // Correlated contention events: multi-tenant clouds periodically slow a
 // cohort of nodes at once (noisy neighbors, network congestion, host
@@ -91,21 +37,46 @@ struct ContentionConfig {
   Duration mean_gap = Duration::Seconds(40.0);
   // Event duration (exponential with this mean).
   Duration mean_duration = Duration::Seconds(20.0);
-  // Fraction of workers hit by each event.
-  double cohort_fraction = 0.3;
-  // Slowdown multiplier applied to iterations started during an event.
-  double slowdown = 2.5;
+  double cohort_fraction = kContentionCohortFraction;
+  double slowdown = kContentionSlowdown;
 };
 
-class ContentionSpeedModel final : public SpeedModel {
+class SpeedModel {
  public:
-  ContentionSpeedModel(std::unique_ptr<SpeedModel> inner,
-                       ContentionConfig config, Rng rng);
-  Duration ComputeTime(WorkerId worker, SimTime now, Rng& rng) override;
-  Duration MeanComputeTime(WorkerId worker) const override;
+  // Worker w computes at `base * multipliers[w]` (multiplier > 1 means
+  // slower) with log-normal jitter of sigma `jitter_sigma` (0 = none). The
+  // model serves exactly `multipliers.size()` workers.
+  SpeedModel(Duration base, std::vector<double> multipliers,
+             double jitter_sigma);
+  // `num_workers` workers sharing one mean.
+  static SpeedModel Homogeneous(Duration base, std::size_t num_workers,
+                                double jitter_sigma);
+  // The paper's Cluster-2 shape: `num_workers` workers split evenly across
+  // `class_multipliers` (round-robin).
+  static SpeedModel EvenClasses(Duration base, std::size_t num_workers,
+                                const std::vector<double>& class_multipliers,
+                                double jitter_sigma);
 
-  // True if `worker` is slowed at `now` (generates events up to `now`).
+  // With probability `probability` an iteration runs `slowdown` times slower
+  // (independent transient straggler).
+  void SetStragglers(double probability, double slowdown);
+  // Correlated contention, its events drawn from their own stream `rng`.
+  void SetContention(ContentionConfig config, Rng rng);
+
+  // Compute duration of one full iteration attempt for `worker`, starting at
+  // simulated time `now`. Draws from `rng`, the worker's stream, the jitter
+  // (sigma > 0) and then the straggler coin (probability > 0); contention
+  // events come from the model's own stream.
+  Duration ComputeTime(WorkerId worker, SimTime now, Rng& rng);
+  // Stationary mean compute time for `worker`: no jitter, the expectation
+  // over the straggler coin and over the contention process.
+  Duration MeanComputeTime(WorkerId worker) const;
+
+  // True if `worker` is slowed by contention at `now` (generates events up
+  // to `now`); always false without contention.
   bool IsContended(WorkerId worker, SimTime now);
+
+  std::size_t num_workers() const { return multipliers_.size(); }
 
  private:
   struct Event {
@@ -116,9 +87,13 @@ class ContentionSpeedModel final : public SpeedModel {
   void GenerateEventsUpTo(SimTime now);
   bool InCohort(WorkerId worker, const Event& event) const;
 
-  std::unique_ptr<SpeedModel> inner_;
-  ContentionConfig config_;
-  Rng event_rng_;
+  Duration base_;
+  std::vector<double> multipliers_;
+  double jitter_sigma_;
+  double straggler_probability_ = 0.0;
+  double straggler_slowdown_ = 1.0;
+  std::optional<ContentionConfig> contention_;
+  Rng event_rng_{0};
   std::vector<Event> events_;  // time-ordered
   SimTime generated_until_ = SimTime::Zero();
 };

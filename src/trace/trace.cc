@@ -90,4 +90,23 @@ std::uint64_t TraceDigest(const TrainingTrace& trace) {
   return hash.digest();
 }
 
+const LossSample* ConvergenceSample(std::span<const LossSample> losses,
+                                    double target, std::size_t patience) {
+  SPECSYNC_CHECK_GT(patience, 0u);
+  std::size_t streak = 0;
+  for (std::size_t i = 0; i < losses.size(); ++i) {
+    streak = losses[i].loss < target ? streak + 1 : 0;
+    if (streak == patience) return &losses[i + 1 - patience];
+  }
+  return nullptr;
+}
+
+std::optional<SimTime> TimeToTarget(const TrainingTrace& trace, double target,
+                                    std::size_t patience) {
+  const LossSample* sample =
+      ConvergenceSample(trace.losses(), target, patience);
+  if (sample == nullptr) return std::nullopt;
+  return sample->time;
+}
+
 }  // namespace specsync

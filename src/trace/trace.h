@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -85,5 +86,14 @@ class TrainingTrace {
 // iff they recorded identical histories. Pinned by the golden-trace test and
 // compared across thread counts by the parallel-equivalence test.
 std::uint64_t TraceDigest(const TrainingTrace& trace);
+
+// Convergence (paper Sec. VI-B): the first sample of the first run of
+// `patience` consecutive samples with loss below `target`; null when no run
+// completes.
+const LossSample* ConvergenceSample(std::span<const LossSample> losses,
+                                    double target, std::size_t patience = 5);
+// The time of the trace's ConvergenceSample.
+std::optional<SimTime> TimeToTarget(const TrainingTrace& trace, double target,
+                                    std::size_t patience = 5);
 
 }  // namespace specsync

@@ -471,8 +471,7 @@ Duration PlantedArgmax(const TuningInputs& inputs,
     return Duration::Zero();
   }
   const std::vector<Duration> candidates = AdaptiveTuner::CandidateDeltas(
-      inputs, MeanSpan(inputs) * config.max_delta_spans,
-      config.max_candidates);
+      inputs, MeanSpan(inputs) * kMaxDeltaSpans, config.max_candidates);
   const std::vector<std::uint32_t> gains =
       AdaptiveTuner::CandidateGains(inputs, candidates);
   const double m = static_cast<double>(inputs.num_workers);

@@ -157,7 +157,7 @@ inline SpeculationParams FullReplayOnEpochEnd(const AdaptiveTunerConfig& config,
   if (inputs.num_workers < 2 || inputs.pushes.size() < 2) return {};
   const Duration mean_span = MeanSpan(inputs);
   const std::vector<Duration> candidates = CandidateDeltas(
-      inputs, mean_span * config.max_delta_spans, config.max_candidates);
+      inputs, mean_span * kMaxDeltaSpans, config.max_candidates);
 
   Duration best_delta = Duration::Zero();
   double best_value = 0.0;  // Δ=0 yields F̃=0; only positive improvements win

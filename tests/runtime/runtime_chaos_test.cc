@@ -247,8 +247,8 @@ TEST(RuntimeChaosTest, OnlyNotifiesDrawControlLinkFaults) {
   // run before its notify is sent.
   sim_config.max_time = SimTime::FromSeconds(20.0);
   ClusterSim sim(TinyModel(5), std::make_shared<ConstantSchedule>(0.2),
-                 std::make_unique<HomogeneousSpeedModel>(
-                     Duration::Seconds(1.0), 0.1),
+                 SpeedModel::Homogeneous(Duration::Seconds(1.0),
+                                         sim_config.num_workers, 0.1),
                  sim_config);
   const SimResult simulated = sim.Run();
   EXPECT_GT(simulated.total_pushes, 0u);

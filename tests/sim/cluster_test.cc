@@ -35,13 +35,14 @@ ClusterSimConfig BaseConfig() {
   return config;
 }
 
-std::unique_ptr<SpeedModel> Speed() {
-  return std::make_unique<HomogeneousSpeedModel>(Duration::Seconds(1.0), 0.1);
+SpeedModel Speed(const ClusterSimConfig& config) {
+  return SpeedModel::Homogeneous(Duration::Seconds(1.0), config.num_workers,
+                                 0.1);
 }
 
 SimResult RunOnce(const ClusterSimConfig& config, std::uint64_t seed = 1) {
   ClusterSim sim(TinyModel(seed), std::make_shared<ConstantSchedule>(0.2),
-                 Speed(), config);
+                 Speed(config), config);
   return sim.Run();
 }
 
@@ -176,6 +177,26 @@ TEST(ClusterSimTest, ConvergenceDetectionStopsEarly) {
   EXPECT_DOUBLE_EQ(result.convergence_time->seconds(), 5.0);
 }
 
+TEST(ClusterSimTest, EndOfRunSampleCanCompleteTheStreak) {
+  ClusterSimConfig config = BaseConfig();
+  config.loss_target = 10.0;  // every sample is below
+  config.stop_on_convergence = false;
+  const std::size_t samples = RunOnce(config).trace.losses().size();
+  // The evaluations alone are one short of the patience; the end-of-run
+  // sample completes the streak, as it does for TimeToTarget.
+  config.convergence_patience = samples;
+  const SimResult result = RunOnce(config);
+  ASSERT_EQ(result.trace.losses().size(), samples);
+  ASSERT_TRUE(result.convergence_time.has_value());
+  EXPECT_EQ(*result.convergence_time, result.trace.losses().front().time);
+  EXPECT_EQ(result.convergence_pushes,
+            result.trace.losses().front().total_iterations);
+  EXPECT_EQ(TimeToTarget(result.trace, config.loss_target, samples),
+            result.convergence_time);
+  config.convergence_patience = samples + 1;
+  EXPECT_FALSE(RunOnce(config).convergence_time.has_value());
+}
+
 TEST(ClusterSimTest, MaxPushesCapStops) {
   ClusterSimConfig config = BaseConfig();
   config.max_pushes = 40;
@@ -197,8 +218,8 @@ TEST(ClusterSimTest, TransferAccountingConsistency) {
       std::move(data), SoftmaxRegressionConfig{});
   ClusterSimConfig config = BaseConfig();
   config.scheme = SchemeSpec::Adaptive();
-  ClusterSim sim(model, std::make_shared<ConstantSchedule>(0.2), Speed(),
-                 config);
+  ClusterSim sim(model, std::make_shared<ConstantSchedule>(0.2),
+                 Speed(config), config);
   const SimResult result = sim.Run();
   const auto& transfers = result.transfers;
   // Pulls: every pull moves the full dense model.

@@ -42,24 +42,19 @@ ClusterSimConfig BaseConfig() {
 
 // One worker 3x slower than the rest: the straggler regime the dynamic
 // bound is tuned for.
-std::unique_ptr<SpeedModel> StragglerSpeed(std::size_t num_workers) {
+SpeedModel StragglerSpeed(std::size_t num_workers) {
   std::vector<double> multipliers(num_workers, 1.0);
   multipliers[0] = 3.0;
-  return std::make_unique<HeterogeneousSpeedModel>(
-      Duration::Seconds(1.0), std::move(multipliers), 0.1);
+  return SpeedModel(Duration::Seconds(1.0), std::move(multipliers), 0.1);
 }
 
 SimResult RunOnce(const ClusterSimConfig& config, bool straggler = false,
                   std::uint64_t seed = 1) {
-  std::unique_ptr<SpeedModel> speed;
-  if (straggler) {
-    speed = StragglerSpeed(config.num_workers);
-  } else {
-    speed = std::make_unique<HomogeneousSpeedModel>(Duration::Seconds(1.0),
-                                                    0.1);
-  }
   ClusterSim sim(TinyModel(seed), std::make_shared<ConstantSchedule>(0.2),
-                 std::move(speed), config);
+                 straggler ? StragglerSpeed(config.num_workers)
+                           : SpeedModel::Homogeneous(Duration::Seconds(1.0),
+                                                     config.num_workers, 0.1),
+                 config);
   return sim.Run();
 }
 

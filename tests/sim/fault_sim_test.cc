@@ -44,13 +44,14 @@ ClusterSimConfig BaseConfig() {
   return config;
 }
 
-std::unique_ptr<SpeedModel> Speed() {
-  return std::make_unique<HomogeneousSpeedModel>(Duration::Seconds(1.0), 0.1);
+SpeedModel Speed(const ClusterSimConfig& config) {
+  return SpeedModel::Homogeneous(Duration::Seconds(1.0), config.num_workers,
+                                 0.1);
 }
 
 SimResult RunOnce(const ClusterSimConfig& config) {
   ClusterSim sim(TinyModel(1), std::make_shared<ConstantSchedule>(0.2),
-                 Speed(), config);
+                 Speed(config), config);
   return sim.Run();
 }
 

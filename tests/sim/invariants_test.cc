@@ -76,10 +76,10 @@ ClusterSimConfig InvariantsConfig(const SchemeSpec& scheme, bool stalls) {
 }
 
 SimResult RunInvariantsSim(const ClusterSimConfig& config) {
-  auto speed = std::make_unique<HomogeneousSpeedModel>(Duration::Seconds(1.0),
-                                                       0.15);
   ClusterSim sim(SmallModel(), std::make_shared<ConstantSchedule>(0.1),
-                 std::move(speed), config);
+                 SpeedModel::Homogeneous(Duration::Seconds(1.0),
+                                         config.num_workers, 0.15),
+                 config);
   return sim.Run();
 }
 
@@ -227,10 +227,10 @@ TEST(StalenessConservationTest, AspMeanLagNearMMinus1) {
   config.eval_subsample = 50;
   config.max_time = SimTime::FromSeconds(400.0);
   config.seed = 13;
-  auto speed = std::make_unique<HomogeneousSpeedModel>(Duration::Seconds(1.0),
-                                                       0.1);
   ClusterSim sim(SmallModel(), std::make_shared<ConstantSchedule>(0.05),
-                 std::move(speed), config);
+                 SpeedModel::Homogeneous(Duration::Seconds(1.0),
+                                         config.num_workers, 0.1),
+                 config);
   const SimResult result = sim.Run();
   double total = 0.0;
   for (const PushEvent& push : result.trace.pushes()) {

@@ -230,24 +230,24 @@ TEST(StallScheduleTest, OutOfOrderQueriesMatchMonotone) {
 // --- speed models ---------------------------------------------------------------
 
 TEST(SpeedModelTest, HomogeneousNoJitterIsExact) {
-  HomogeneousSpeedModel model(D(2.0), 0.0);
+  SpeedModel model = SpeedModel::Homogeneous(D(2.0), 8, 0.0);
   Rng rng(1);
   EXPECT_EQ(model.ComputeTime(0, T(0.0), rng), D(2.0));
   EXPECT_EQ(model.MeanComputeTime(5), D(2.0));
 }
 
 TEST(SpeedModelTest, HeterogeneousClasses) {
-  auto model = HeterogeneousSpeedModel::EvenClasses(D(1.0), 4, {1.0, 2.0}, 0.0);
-  EXPECT_EQ(model->MeanComputeTime(0), D(1.0));
-  EXPECT_EQ(model->MeanComputeTime(1), D(2.0));
-  EXPECT_EQ(model->MeanComputeTime(2), D(1.0));
-  EXPECT_EQ(model->MeanComputeTime(3), D(2.0));
-  EXPECT_THROW(model->MeanComputeTime(4), CheckError);
+  const SpeedModel model = SpeedModel::EvenClasses(D(1.0), 4, {1.0, 2.0}, 0.0);
+  EXPECT_EQ(model.MeanComputeTime(0), D(1.0));
+  EXPECT_EQ(model.MeanComputeTime(1), D(2.0));
+  EXPECT_EQ(model.MeanComputeTime(2), D(1.0));
+  EXPECT_EQ(model.MeanComputeTime(3), D(2.0));
+  EXPECT_THROW(model.MeanComputeTime(4), CheckError);
 }
 
 TEST(SpeedModelTest, StragglerInjectionRate) {
-  auto inner = std::make_unique<HomogeneousSpeedModel>(D(1.0), 0.0);
-  StragglerInjectingSpeedModel model(std::move(inner), 0.2, 4.0);
+  SpeedModel model = SpeedModel::Homogeneous(D(1.0), 1, 0.0);
+  model.SetStragglers(0.2, 4.0);
   Rng rng(6);
   int slowed = 0;
   for (int i = 0; i < 5000; ++i) {
@@ -263,8 +263,8 @@ TEST(ContentionModelTest, CohortSlowsTogetherDuringEvent) {
   config.mean_duration = D(10.0);
   config.cohort_fraction = 0.5;
   config.slowdown = 3.0;
-  auto inner = std::make_unique<HomogeneousSpeedModel>(D(1.0), 0.0);
-  ContentionSpeedModel model(std::move(inner), config, Rng(7));
+  SpeedModel model = SpeedModel::Homogeneous(D(1.0), 16, 0.0);
+  model.SetContention(config, Rng(7));
   Rng rng(8);
   // Over a long horizon, roughly busy_frac * cohort_frac of samples slowed.
   int slowed = 0;
@@ -284,8 +284,8 @@ TEST(ContentionModelTest, MembershipDeterministicWithinEvent) {
   config.mean_duration = D(100.0);
   config.cohort_fraction = 0.5;
   config.slowdown = 2.0;
-  auto inner = std::make_unique<HomogeneousSpeedModel>(D(1.0), 0.0);
-  ContentionSpeedModel model(std::move(inner), config, Rng(9));
+  SpeedModel model = SpeedModel::Homogeneous(D(1.0), 8, 0.0);
+  model.SetContention(config, Rng(9));
   // Within one long event, a worker's contended status must not flip.
   const SimTime probe = T(50.0);
   for (WorkerId w = 0; w < 8; ++w) {

@@ -37,6 +37,23 @@ TEST(TrainingTraceTest, InvalidWorkerThrows) {
   EXPECT_THROW(trace.PushTimes(2), CheckError);
 }
 
+TEST(TrainingTraceTest, ConvergenceSampleIsTheFirstStreaksFirst) {
+  TrainingTrace trace(1);
+  trace.RecordLoss(T(1.0), 0.5, 10, 0);  // a streak of one
+  trace.RecordLoss(T(2.0), 2.0, 20, 0);  // excursion
+  trace.RecordLoss(T(3.0), 0.5, 30, 0);
+  trace.RecordLoss(T(4.0), 0.5, 40, 0);
+  trace.RecordLoss(T(5.0), 0.5, 50, 0);
+  const auto losses = trace.losses();
+  EXPECT_EQ(ConvergenceSample(losses, 1.0, 2), &losses[2]);
+  EXPECT_EQ(ConvergenceSample(losses, 1.0, 3), &losses[2]);
+  EXPECT_EQ(ConvergenceSample(losses, 1.0, 4), nullptr);
+  // A tail that ends a streak (the simulator's stop check) finds it too.
+  EXPECT_EQ(ConvergenceSample(losses.last(2), 1.0, 2), &losses[3]);
+  EXPECT_EQ(ConvergenceSample(losses.first(2), 1.0, 2), nullptr);
+  EXPECT_THROW(ConvergenceSample(losses, 1.0, 0), CheckError);
+}
+
 // PAP: pulls at t=0 (worker 0); other workers push at 0.5, 1.5, 1.6.
 TEST(PapAnalysisTest, CountsPushesPerInterval) {
   TrainingTrace trace(2);
