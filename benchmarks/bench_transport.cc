@@ -17,14 +17,14 @@
 // Phase 2 (fan-in, --clients=N): one in-process server serving every shard,
 // N concurrent clients each running pipelined pulls against it. This is the
 // scaling claim of the event-loop server: p99 RTT holds a pinned ceiling and
-// the server's thread count stays 1 (its loop) regardless of N. Both
-// numbers are emitted into BENCH_harness.json (fanin_p99_rtt_us,
-// fanin_server_threads) and gated: the bench FAILS if the server's observed
-// thread count exceeds the loop + a small constant, and
-// --fanin_p99_ceiling_us=X (off by default) fails the run when p99 crosses
-// the ceiling. The peak thread count of the whole process
+// the server's thread count stays its loop count (one loop per core)
+// regardless of N. The numbers are emitted into BENCH_harness.json
+// (fanin_rtt_p99_us, fanin_server_threads, fanin_server_loops) and gated:
+// the bench FAILS if the server's observed thread count exceeds its loop
+// count, and --fanin_p99_ceiling_us=X (off by default) fails the run when
+// p99 crosses the ceiling. The peak thread count of the whole process
 // (fanin_process_threads) is emitted too: clients start no threads, so it
-// stays one per client thread plus the server's loop and a few more; CI
+// stays one per client thread plus the server's loops and a few more; CI
 // gates it.
 //
 // Fault injection runs over the actual wire: --drop/--delay/--dup attach a
@@ -71,6 +71,7 @@
 #include "benchmarks/bench_util.h"
 #include "common/check.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "fault/fault_plan.h"
 #include "net/endpoint.h"
 #include "net/event_loop_server.h"
@@ -367,18 +368,22 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
       max_server_threads.load(std::memory_order_relaxed);
   const std::size_t process_threads =
       max_process_threads.load(std::memory_order_relaxed);
+  // One loop per core: the count the server starts, fixed at Start().
+  const std::size_t loops = ThreadPool::DefaultThreadCount();
   server->Stop();
 
   std::cout << "fan-in: clients=" << args.clients
             << " iters_per_client=" << args.fanin_iters << "\n"
             << "  rtt_p50_us=" << p50_us << " rtt_p99_us=" << p99_us
             << " server_threads_peak=" << server_threads
+            << " server_loops=" << loops
             << " process_threads_peak=" << process_threads
             << " wall_s=" << wall_seconds << "\n";
 
   reporter.AddMetric("fanin_clients", static_cast<double>(args.clients));
   reporter.AddMetric("fanin_server_threads",
                      static_cast<double>(server_threads));
+  reporter.AddMetric("fanin_server_loops", static_cast<double>(loops));
   reporter.AddMetric("fanin_process_threads",
                      static_cast<double>(process_threads));
   reporter.AddMetric("fanin_rtt_p50_us", p50_us);
@@ -387,13 +392,11 @@ bool RunFanIn(const Args& args, bench::BenchReporter& reporter) {
 
   bool ok = failures.load(std::memory_order_relaxed) == 0;
   if (!ok) std::cerr << "fan-in: " << failures.load() << " clients failed\n";
-  // The structural claim: server threads = 1 loop, never O(clients).
-  // +2 slack covers sampler skew around Start/Stop edges.
-  constexpr std::size_t kCeiling = 1 + 2;
-  if (server_threads > kCeiling) {
+  // The structural claim: server threads = its loops, never O(clients).
+  if (server_threads > loops) {
     std::cerr << "fan-in: server used " << server_threads
-              << " threads (ceiling " << kCeiling
-              << ") — O(clients) thread growth\n";
+              << " threads (ceiling " << loops
+              << " loops) — O(clients) thread growth\n";
     ok = false;
   }
   if (args.fanin_p99_ceiling_us > 0.0 && p99_us > args.fanin_p99_ceiling_us) {

@@ -12,12 +12,14 @@
 # has one owner and no lock; TSan would flag a second thread touching it.
 # net_test runs the whole transport suite under both sanitizers: the
 # caller-driven ShardClient (no threads of its own; each caller reads its
-# replies and reconnects inline) against the single-threaded epoll
-# event-loop server (it executes every request on its loop thread), so the
-# server's start/stop against its callers' threads, its connection
-# lifetimes and out-queues, and the client's socket and reply-buffer
-# handling are TSan/ASan proven on every CI run, including the start/stop
-# hammer. runtime_test's TCP runs go through the same server. The
+# replies and reconnects inline) against the epoll event-loop server (one
+# loop per core, each executing the requests it reads, fed new connections
+# by loop 0 through a locked inbox), so the server's start/stop against its
+# callers' threads, the inbox hand-off, the executor and store shared by
+# concurrent loops, its connection lifetimes and out-queues, and the
+# client's socket and reply-buffer handling are TSan/ASan proven on every
+# CI run, including the start/stop hammer. runtime_test's TCP runs go
+# through the same server. The
 # calendar-queue and tuner equivalence property suites ride along for
 # ASan's sake: the
 # pooled event queue recycles nodes through a free list and moves payloads

@@ -8,10 +8,13 @@
 #include <cstring>
 #include <deque>
 #include <span>
+#include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -44,8 +47,38 @@ struct EventLoopServer::Conn {
   };
   std::deque<OutFrame> out;
   std::size_t out_offset = 0;
+  int epoll_fd = -1;        // the epoll set of the loop that owns it
   bool want_write = false;  // EPOLLOUT registered
 };
+
+struct EventLoopServer::Loop {
+  int epoll_fd = -1;
+  int wake_fd = -1;  // eventfd: Stop() and loop 0's hand-offs wake the loop
+  // This loop's open connections, owned here, and the message each request
+  // decodes into, its buffers reused from request to request.
+  std::unordered_map<int, std::unique_ptr<Conn>> conns;
+  WireMessage request;
+  // Connections loop 0 dealt to this loop that it has not registered yet.
+  std::mutex inbox_mutex;
+  std::vector<TcpConnection> inbox;
+  std::thread thread;
+};
+
+namespace {
+
+bool WatchReadable(int epoll_fd, int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+void Wake(int wake_fd) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
+}
+
+}  // namespace
 
 EventLoopServer::EventLoopServer(ParameterServer* store,
                                  ShardServerConfig config,
@@ -79,23 +112,26 @@ bool EventLoopServer::Start() {
     return false;
   }
   port_ = listener_->port();
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listener_->listen_fd();
-  if (epoll_fd_ < 0 || wake_fd_ < 0 ||
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_->listen_fd(), &ev) != 0) {
-    Cleanup();
-    return false;
+  const std::size_t num_loops = ThreadPool::DefaultThreadCount();
+  for (std::size_t i = 0; i < num_loops; ++i) {
+    Loop& loop = *loops_.emplace_back(std::make_unique<Loop>());
+    loop.epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+    loop.wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (loop.epoll_fd < 0 || loop.wake_fd < 0 ||
+        !WatchReadable(loop.epoll_fd, loop.wake_fd)) {
+      Cleanup();
+      return false;
+    }
   }
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+  if (!WatchReadable(loops_[0]->epoll_fd, listener_->listen_fd())) {
     Cleanup();
     return false;
   }
   stopping_.store(false, std::memory_order_release);
-  loop_thread_ = std::thread([this] { Loop(); });
+  dealt_ = 0;
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    loop->thread = std::thread([this, &loop = *loop] { Run(loop); });
+  }
   started_ = true;
   return true;
 }
@@ -103,30 +139,29 @@ bool EventLoopServer::Start() {
 void EventLoopServer::Stop() {
   std::scoped_lock lock(lifecycle_mutex_);
   if (!started_) return;
-  // Stop flag → wake → join the loop → drop connections and descriptors.
+  // Stop flag → wake → join every loop → drop connections and descriptors.
   stopping_.store(true, std::memory_order_release);
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  if (loop_thread_.joinable()) loop_thread_.join();
-  conns_.clear();
+  for (const std::unique_ptr<Loop>& loop : loops_) Wake(loop->wake_fd);
+  for (const std::unique_ptr<Loop>& loop : loops_) loop->thread.join();
+  Cleanup();  // drops every connection, registered or in an inbox
   // The byte gauges track live per-conn buffers; with every connection gone
   // they must read zero rather than whatever the last drop left behind.
   if (conns_gauge_ != nullptr) conns_gauge_->Set(0.0);
   if (reassembly_gauge_ != nullptr) reassembly_gauge_->Set(0.0);
   if (out_bytes_gauge_ != nullptr) out_bytes_gauge_->Set(0.0);
-  Cleanup();
   started_ = false;
 }
 
 void EventLoopServer::Cleanup() {
   listener_.reset();
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  epoll_fd_ = -1;
-  wake_fd_ = -1;
+  for (const std::unique_ptr<Loop>& loop : loops_) {
+    if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
+    if (loop->wake_fd >= 0) ::close(loop->wake_fd);
+  }
+  loops_.clear();
 }
 
-void EventLoopServer::Loop() {
+void EventLoopServer::Run(Loop& loop) {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stopping_.load(std::memory_order_acquire)) {
@@ -135,7 +170,7 @@ void EventLoopServer::Loop() {
     // of the loop's duty cycle.
     const std::uint64_t wait_begin_ns =
         epoll_wait_hist_ != nullptr ? obs::WallNanos() : 0;
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    const int n = ::epoll_wait(loop.epoll_fd, events, kMaxEvents, -1);
     if (epoll_wait_hist_ != nullptr) {
       epoll_wait_hist_->Record((obs::WallNanos() - wait_begin_ns) * 1e-9);
     }
@@ -147,25 +182,37 @@ void EventLoopServer::Loop() {
         dispatch_hist_ != nullptr ? obs::WallNanos() : 0;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) continue;  // Stop(): the loop condition exits
-      if (listener_ != nullptr && fd == listener_->listen_fd()) {
-        AcceptNew();
+      if (fd == loop.wake_fd) {
+        // A hand-off or Stop(); after Stop() the loop condition exits.
+        std::uint64_t count = 0;
+        [[maybe_unused]] const ssize_t r =
+            ::read(loop.wake_fd, &count, sizeof(count));
+        std::vector<TcpConnection> arrived;
+        {
+          std::scoped_lock lock(loop.inbox_mutex);
+          arrived.swap(loop.inbox);
+        }
+        for (TcpConnection& client : arrived) Adopt(loop, std::move(client));
         continue;
       }
-      const auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;  // dropped earlier in this batch
+      if (fd == listener_->listen_fd()) {
+        AcceptNew(loop);
+        continue;
+      }
+      const auto it = loop.conns.find(fd);
+      if (it == loop.conns.end()) continue;  // dropped earlier in this batch
       Conn& conn = *it->second;
-      if ((events[i].events & EPOLLIN) != 0 && !ReadAndDispatch(conn)) {
-        DropConn(fd);
+      if ((events[i].events & EPOLLIN) != 0 && !ReadAndDispatch(loop, conn)) {
+        DropConn(loop, fd);
         continue;
       }
       if ((events[i].events & EPOLLOUT) != 0 && !FlushOut(conn)) {
-        DropConn(fd);
+        DropConn(loop, fd);
         continue;
       }
       if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0 &&
           (events[i].events & (EPOLLIN | EPOLLOUT)) == 0) {
-        DropConn(fd);
+        DropConn(loop, fd);
       }
     }
     if (dispatch_hist_ != nullptr) {
@@ -174,25 +221,36 @@ void EventLoopServer::Loop() {
   }
 }
 
-void EventLoopServer::AcceptNew() {
+void EventLoopServer::AcceptNew(Loop& self) {
   for (;;) {
     TcpConnection client = listener_->TryAccept();
     if (!client.valid()) return;
     if (!client.SetNonBlocking()) continue;
-    auto conn = std::make_unique<Conn>();
-    conn->connection = std::move(client);
-    const int fd = conn->connection.fd();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) continue;
-    conns_.emplace(fd, std::move(conn));
-    if (accepts_counter_ != nullptr) accepts_counter_->Increment();
-    if (conns_gauge_ != nullptr) conns_gauge_->Add(1.0);
+    Loop& target = *loops_[dealt_++ % loops_.size()];
+    if (&target == &self) {
+      Adopt(self, std::move(client));
+      continue;
+    }
+    {
+      std::scoped_lock lock(target.inbox_mutex);
+      target.inbox.push_back(std::move(client));
+    }
+    Wake(target.wake_fd);
   }
 }
 
-bool EventLoopServer::ReadAndDispatch(Conn& conn) {
+void EventLoopServer::Adopt(Loop& loop, TcpConnection connection) {
+  auto conn = std::make_unique<Conn>();
+  conn->connection = std::move(connection);
+  conn->epoll_fd = loop.epoll_fd;
+  const int fd = conn->connection.fd();
+  if (!WatchReadable(loop.epoll_fd, fd)) return;
+  loop.conns.emplace(fd, std::move(conn));
+  if (accepts_counter_ != nullptr) accepts_counter_->Increment();
+  if (conns_gauge_ != nullptr) conns_gauge_->Add(1.0);
+}
+
+bool EventLoopServer::ReadAndDispatch(Loop& loop, Conn& conn) {
   for (;;) {
     if (conn.in.size() < conn.in_bytes + kRecvChunk) {
       conn.in.resize(conn.in_bytes + kRecvChunk);
@@ -230,12 +288,13 @@ bool EventLoopServer::ReadAndDispatch(Conn& conn) {
       if (DecodePayload(header,
                         buf.subspan(consumed + kHeaderBytes,
                                     header.payload_bytes),
-                        request_, &trace) != WireStatus::kOk) {
+                        loop.request, &trace) != WireStatus::kOk) {
         bad_frames_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
       consumed += total;
-      executor_.Execute(request_, header.request_id, &trace, conn.response);
+      executor_.Execute(loop.request, header.request_id, &trace,
+                        conn.response);
       alive = alive && SendResponse(conn);
     }
     if (consumed > 0) {
@@ -310,18 +369,19 @@ bool EventLoopServer::UpdateEpoll(Conn& conn, bool want_write) {
   epoll_event ev{};
   ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
   ev.data.fd = conn.connection.fd();
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.connection.fd(), &ev) != 0) {
+  if (::epoll_ctl(conn.epoll_fd, EPOLL_CTL_MOD, conn.connection.fd(), &ev) !=
+      0) {
     return false;
   }
   conn.want_write = want_write;
   return true;
 }
 
-void EventLoopServer::DropConn(int fd) {
-  const auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
+void EventLoopServer::DropConn(Loop& loop, int fd) {
+  const auto it = loop.conns.find(fd);
+  if (it == loop.conns.end()) return;
   const Conn& conn = *it->second;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   // Retire this connection's contribution to the byte gauges.
   if (reassembly_gauge_ != nullptr && conn.in_bytes > 0) {
     reassembly_gauge_->Add(-static_cast<double>(conn.in_bytes));
@@ -333,7 +393,7 @@ void EventLoopServer::DropConn(int fd) {
   }
   if (drops_counter_ != nullptr) drops_counter_->Increment();
   if (conns_gauge_ != nullptr) conns_gauge_->Add(-1.0);
-  conns_.erase(it);  // closes the socket
+  loop.conns.erase(it);  // closes the socket
 }
 
 ServerStats EventLoopServer::stats() const {
@@ -344,7 +404,7 @@ ServerStats EventLoopServer::stats() const {
 
 std::size_t EventLoopServer::thread_count() const {
   std::scoped_lock lock(lifecycle_mutex_);
-  return started_ ? 1 : 0;
+  return started_ ? loops_.size() : 0;
 }
 
 }  // namespace specsync::net

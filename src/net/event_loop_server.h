@@ -7,10 +7,15 @@
 // for shards it does not own with kAckBadShard — misrouting is a client bug
 // and must be loud, not silent.
 //
-// One thread does everything: it multiplexes every connection with
-// level-triggered epoll and executes each request itself. The server has
-// exactly one thread however many clients connect — the property the
-// fan-in bench pins, holding p99 RTT with a constant thread count.
+// One epoll loop per core (ThreadPool::DefaultThreadCount(), fixed at
+// Start()) multiplexes the connections with level-triggered epoll, and each
+// loop executes the requests it reads itself, with no hand-off. Loop 0 owns
+// the listener and deals accepted connection i to loop i mod K through that
+// loop's locked inbox and eventfd; a connection then stays on its loop for
+// life. With one client per core, each client's round trip stays on one
+// core. The server's thread count is its loop count, never a function of
+// how many clients connect — the property the fan-in bench pins, holding
+// p99 RTT with a constant thread count.
 //
 // Failure semantics: pushes are exactly-once — the RequestExecutor applies
 // each (client_id, push_seq) batch at most once and answers retries and
@@ -21,7 +26,7 @@
 // Data flow per connection:
 //   readable → RecvSome() until EAGAIN into the connection's reassembly
 //   buffer → peel complete frames (a malformed header or payload kills only
-//   that connection), each decoded into the one request message the loop
+//   that connection), each decoded into the one request message its loop
 //   reuses → RequestExecutor::Execute each request in arrival order, which
 //   encodes its response into the connection's reused response frame (a
 //   pull's shards copied from the store straight into it) → with nothing
@@ -40,11 +45,13 @@
 // frame of an exchange before reading any reply (ShardClient) therefore
 // cannot deadlock against it.
 //
-// Ownership and shutdown: the loop's fd → connection map owns each
-// connection, and nothing else refers to one. Stop() sets the stopping
-// flag, wakes the loop through the eventfd, joins the loop thread (which
-// finishes its current event batch first), then drops every connection and
-// releases the listener, epoll and eventfd descriptors.
+// Ownership and shutdown: each loop's fd → connection map owns that loop's
+// connections, and nothing else refers to one; a connection dealt but not
+// yet registered sits in its loop's inbox. Stop() sets the stopping flag,
+// wakes every loop through its eventfd, joins every loop thread (each
+// finishes its current event batch first), then drops every connection,
+// registered or in an inbox, and releases the listener and every loop's
+// epoll and eventfd descriptors.
 #pragma once
 
 #include <atomic>
@@ -52,8 +59,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/endpoint.h"
@@ -67,6 +72,7 @@ class Gauge;
 
 namespace specsync::net {
 
+class TcpConnection;
 class TcpListener;
 
 struct ShardServerConfig {
@@ -95,8 +101,9 @@ class EventLoopServer {
   // "net.eloop.dispatch_s" (one event batch, request execution included) /
   // "net.eloop.out_queue_s" histograms, "net.eloop.reassembly_bytes" /
   // "net.eloop.out_queue_bytes" / "net.eloop.conns" gauges, and
-  // "net.eloop.accepts" / "net.eloop.drops" counters. `spans` (optional)
-  // records trace-linked serve spans (DESIGN.md §14).
+  // "net.eloop.accepts" / "net.eloop.drops" counters, each shared by every
+  // loop. `spans` (optional) records trace-linked serve spans (DESIGN.md
+  // §14).
   EventLoopServer(ParameterServer* store, ShardServerConfig config,
                   obs::MetricsRegistry* metrics = nullptr,
                   obs::SpanRecorder* spans = nullptr);
@@ -107,35 +114,41 @@ class EventLoopServer {
 
   // Binds and starts serving. False if the endpoint cannot be bound.
   bool Start();
-  // Stops accepting, drops every open connection, joins the loop thread.
+  // Stops accepting, joins every loop thread, drops every open connection.
   // Idempotent and safe to call from multiple threads; also run by the
   // destructor.
   void Stop();
   // Listening port (valid after a successful Start()).
   std::uint16_t port() const { return port_; }
   ServerStats stats() const;
-  // 1 while running (the loop thread), 0 otherwise; never a function of the
-  // number of connected clients.
+  // The loop count while running (one thread per loop), 0 otherwise; never
+  // a function of the number of connected clients.
   std::size_t thread_count() const;
 
  private:
   struct Conn;
+  struct Loop;
 
-  void Loop();
-  void AcceptNew();
+  void Run(Loop& loop);
+  // Loop 0 only: accepts every pending client and deals connection i to
+  // loop i mod K.
+  void AcceptNew(Loop& self);
+  // Registers a connection with `loop`; on that loop's thread only.
+  void Adopt(Loop& loop, TcpConnection connection);
   // Reads until EAGAIN, executing each complete frame and sending its
   // response. False = the connection must be dropped (EOF, error, malformed
   // input).
-  bool ReadAndDispatch(Conn& conn);
+  bool ReadAndDispatch(Loop& loop, Conn& conn);
   // Flushes the outbound queue until empty or EAGAIN; manages EPOLLOUT
   // registration. False = the connection must be dropped.
   bool FlushOut(Conn& conn);
-  void DropConn(int fd);
+  void DropConn(Loop& loop, int fd);
   // Sends the connection's response frame, or queues what the socket did
   // not take. False = the connection must be dropped.
   bool SendResponse(Conn& conn);
   bool UpdateEpoll(Conn& conn, bool want_write);
-  // Releases listener/epoll/eventfd descriptors.
+  // Releases the listener and every loop: its connections, registered or
+  // in its inbox, and its epoll/eventfd descriptors.
   void Cleanup();
 
   ShardServerConfig config_;
@@ -154,22 +167,16 @@ class EventLoopServer {
   obs::Counter* accepts_counter_ = nullptr;
   obs::Counter* drops_counter_ = nullptr;
 
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: Stop() wakes the loop through it
-
-  // Loop-thread state: every open connection, owned here, and the message
-  // each request decodes into, its buffers reused from request to request.
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  WireMessage request_;
+  // Built by Start(), destroyed by Stop() after every loop has joined; the
+  // loops only read the vector.
+  std::vector<std::unique_ptr<Loop>> loops_;
+  std::uint64_t dealt_ = 0;  // loop 0 only: connections dealt so far
 
   mutable std::mutex lifecycle_mutex_;
   bool started_ = false;  // guarded by lifecycle_mutex_
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> bad_frames_{0};
-
-  // Declared after every member the loop uses.
-  std::thread loop_thread_;
 };
 
 }  // namespace specsync::net

@@ -149,7 +149,7 @@ std::optional<AckResp> RequestExecutor::ValidatePull(
   }
   // A shard may repeat, so a short request can ask for an answer no frame
   // can hold. Refuse it before copying anything: the answer's writer would
-  // throw on the loop thread.
+  // throw on a server loop thread.
   if (PullAnswerPayloadBytes(batch.entries.size(), params, fused) >
       kMaxPayloadBytes) {
     return Reject(kAckBadRequest, 0);

@@ -33,7 +33,8 @@
 // Thread safety: Execute() is safe to call concurrently from any number of
 // threads; the ParameterServer's per-shard locks and the per-client
 // watermark locks are the serialization points, and the counters are atomics.
-// One EventLoopServer calls it from its loop thread only.
+// One EventLoopServer calls it from each of its loop threads, one per core,
+// at once.
 #pragma once
 
 #include <atomic>

@@ -1,5 +1,7 @@
-// Event-loop server tests: the server's structural guarantees (constant
-// thread count, pipelined out-of-order service) plus the incremental frame
+// Event-loop server tests: the server's structural guarantees (one thread
+// per loop and one loop per core, whatever the client count; connections on
+// different loops served in parallel; a push sent on two loops at once
+// applied once; pipelined in-order service) plus the incremental frame
 // reassembly fuzz — frames split at every byte boundary, coalesced frames,
 // truncated-then-closed streams, and malformed bytes that must kill exactly
 // one connection.
@@ -11,15 +13,18 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "net/endpoint.h"
 #include "net/event_loop_server.h"
 #include "net/shard_client.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "optim/lr_schedule.h"
 #include "ps/param_store.h"
 #include "support/loopback.h"
@@ -256,9 +261,9 @@ TEST_P(ReassemblyTest, MalformedPayloadKillsOnlyItsConnection) {
 
 // Pipelining saves round trips, not execution: 8 PullBatchReq frames sent
 // back to back on one connection, each with an injected 25 ms service
-// delay, run one after another on the loop thread. Each is answered exactly
-// once and in arrival order, and the whole run costs at least 8 delays,
-// which shows the delay is really in the path.
+// delay, run one after another on the connection's loop. Each is answered
+// exactly once and in arrival order, and the whole run costs at least 8
+// delays, which shows the delay is really in the path.
 TEST(PipeliningTest, PipelinedPullsAreAnsweredOnceInArrivalOrder) {
   constexpr std::uint64_t kBatches = 8;
   constexpr std::chrono::milliseconds kDelay{25};
@@ -300,7 +305,9 @@ TEST(PipeliningTest, PipelinedPullsAreAnsweredOnceInArrivalOrder) {
 TEST(EventLoopTest, ThreadCountStaysConstantUnderManyConnections) {
   auto store = MakeStore(16, 2);
   auto server = StartServer(store.get());
-  EXPECT_EQ(server->thread_count(), 1u);  // the loop, nothing per-connection
+  // One thread per loop and one loop per core, nothing per connection.
+  const std::size_t loops = ThreadPool::DefaultThreadCount();
+  EXPECT_EQ(server->thread_count(), loops);
 
   std::vector<TcpConnection> held;
   for (int i = 0; i < 24; ++i) {
@@ -312,8 +319,123 @@ TEST(EventLoopTest, ThreadCountStaysConstantUnderManyConnections) {
     ASSERT_TRUE(RecvOne(conn, id, out));
     held.push_back(std::move(conn));  // keep every connection open
   }
-  EXPECT_EQ(server->thread_count(), 1u);
+  EXPECT_EQ(server->thread_count(), loops);
   EXPECT_GE(server->stats().pulls, 24u);
+}
+
+// --- Per-core loops -----------------------------------------------------------
+
+// Opens `count` connections to a fresh server and waits until its loops have
+// registered them all, so connection i sits on loop i mod K before anything
+// is sent.
+std::vector<TcpConnection> ConnectAndWaitAdopted(const EventLoopServer& server,
+                                                 obs::MetricsRegistry& metrics,
+                                                 std::size_t count) {
+  std::vector<TcpConnection> conns;
+  for (std::size_t i = 0; i < count; ++i) {
+    conns.push_back(ConnectLoopback(server.port()));
+    EXPECT_TRUE(conns.back().valid());
+  }
+  const obs::Counter& accepts = metrics.counter("net.eloop.accepts");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (accepts.value() < count &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(accepts.value(), count);
+  return conns;
+}
+
+// Connections 0 and 1 sit on loops 0 and 1, and each loop executes what it
+// reads: two requests that each take D are answered together, not back to
+// back as one loop would answer them.
+TEST(EventLoopTest, TwoConnectionsOnTwoLoopsAreServedInParallel) {
+  if (ThreadPool::DefaultThreadCount() < 2) {
+    GTEST_SKIP() << "one core, one loop";
+  }
+  constexpr auto kDelay = std::chrono::milliseconds(200);
+  auto store = MakeStore(16, 2);
+  obs::MetricsRegistry metrics;
+  ShardServerConfig config;
+  config.service_delay = kDelay;
+  EventLoopServer server(store.get(), std::move(config), &metrics);
+  ASSERT_TRUE(server.Start());
+  std::vector<TcpConnection> conns =
+      ConnectAndWaitAdopted(server, metrics, 2);
+
+  const auto begin = std::chrono::steady_clock::now();
+  for (std::size_t c = 0; c < 2; ++c) {
+    ASSERT_TRUE(conns[c].SendAll(EncodeFrame(PullBatchReq{{{0}, {1}}}, 1)));
+  }
+  for (TcpConnection& conn : conns) {
+    std::uint64_t id = 0;
+    WireMessage out;
+    ASSERT_TRUE(RecvOne(conn, id, out));
+    const auto* reply = std::get_if<PullBatchResp>(&out);
+    ASSERT_NE(reply, nullptr);
+    EXPECT_EQ(reply->items.size(), 2u);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_LT(elapsed, kDelay * 3 / 2)
+      << "the two requests were served one after the other";
+  EXPECT_EQ(server.stats().pulls, 4u);
+}
+
+// One push sent at once on two connections that sit on different loops:
+// each loop holds all of its copy but the last byte, so the two last bytes,
+// sent back to back, complete both copies together and the two loops
+// execute them concurrently. A wide dense slice keeps each apply long
+// enough for the executions to overlap. The client's watermark lets exactly
+// one apply, and both acks carry the one commit's version.
+TEST(EventLoopTest, PushSentOnTwoLoopsAtOnceAppliesOnce) {
+  constexpr std::uint64_t kRounds = 200;
+  constexpr std::uint64_t kClient = 42;
+  constexpr std::size_t kWidth = 1 << 17;
+  auto store = MakeStore(2 * kWidth, 2);
+  obs::MetricsRegistry metrics;
+  EventLoopServer server(store.get(), ShardServerConfig{}, &metrics);
+  ASSERT_TRUE(server.Start());
+  std::vector<TcpConnection> conns =
+      ConnectAndWaitAdopted(server, metrics, 2);
+  const obs::Gauge& buffered = metrics.gauge("net.eloop.reassembly_bytes");
+
+  PushShardReq slice;
+  slice.shard = 1;  // [kWidth, 2 kWidth)
+  slice.dense_offset = kWidth;
+  slice.dense.assign(kWidth, 1.0);
+  for (std::uint64_t seq = 1; seq <= kRounds; ++seq) {
+    const auto frame = EncodeFrame(CommitPushReq{kClient, seq, {slice}}, seq);
+    const std::span<const std::uint8_t> head =
+        std::span(frame).first(frame.size() - 1);
+    const std::span<const std::uint8_t> last = std::span(frame).last(1);
+    const std::uint64_t before = store->version();
+    for (TcpConnection& conn : conns) ASSERT_TRUE(conn.SendAll(head));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (buffered.value() < 2.0 * static_cast<double>(head.size()) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    for (TcpConnection& conn : conns) ASSERT_TRUE(conn.SendAll(last));
+    for (TcpConnection& conn : conns) {
+      std::uint64_t id = 0;
+      WireMessage out;
+      ASSERT_TRUE(RecvOne(conn, id, out));
+      EXPECT_EQ(id, seq);
+      const auto* ack = std::get_if<AckResp>(&out);
+      ASSERT_NE(ack, nullptr);
+      EXPECT_EQ(ack->status, kAckOk);
+      EXPECT_EQ(ack->value, before + 1) << "push_seq " << seq;
+    }
+    ASSERT_EQ(store->version(), before + 1) << "push_seq " << seq;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.commits, kRounds);
+  EXPECT_EQ(stats.duplicate_pushes, kRounds);
+  // MakeStore sets parameter i to i + 1, and each applied push subtracts 1.
+  EXPECT_EQ(ShardParams(*store, 1)[0],
+            static_cast<double>(kWidth + 1 - kRounds));
 }
 
 }  // namespace

@@ -1138,7 +1138,7 @@ TEST(ExactlyOnceTransportProperty, LostResponseAppliesOnceAcrossRetries) {
 
 TEST(ExactlyOnceTransportProperty, TwoCopiesExecutingAtOnceApplyOnce) {
   // Both copies of one batch arrive in one read and run back to back on the
-  // loop thread: the first applies, the second is answered from the
+  // connection's loop: the first applies, the second is answered from the
   // client's watermark cache.
   auto direct_store = MakeStore();
   Gradient g = Gradient::Sparse();

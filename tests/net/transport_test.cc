@@ -20,6 +20,7 @@
 
 #include "common/check.h"
 #include "common/hash.h"
+#include "common/thread_pool.h"
 #include "core/scheduler.h"
 #include "core/speculation.h"
 #include "fault/fault_plan.h"
@@ -461,14 +462,35 @@ TEST_P(TransportTest, ReconnectsAfterServerRestartOnSamePort) {
 }
 
 // The join-while-accepting audit: Stop() racing live connection churn must
-// join the accept thread before reaping connections, never deadlock, and
-// never crash. Hammered across repeated start/stop rounds with raw
-// connections arriving the whole time, plus concurrent Stop() callers.
+// join every loop before reaping connections, never deadlock, and never
+// crash. Hammered across repeated start/stop rounds with raw connections
+// arriving the whole time, plus concurrent Stop() callers. Each round holds
+// one answered connection per loop (connection i sits on loop i mod K), and
+// every request takes a few milliseconds, so when Stop() runs every loop is
+// busy and loop 0 keeps dealing new connections into inboxes their loops
+// have not drained yet.
 TEST_P(TransportTest, StartStopSurvivesConnectionHammer) {
   auto store = MakeStore(16, 2);
+  const std::size_t loops = ThreadPool::DefaultThreadCount();
   for (int round = 0; round < 8; ++round) {
-    auto server = StartServer(store.get());
+    ShardServerConfig config;
+    config.service_delay = std::chrono::milliseconds(2);
+    auto server = StartServer(store.get(), std::move(config));
     const std::uint16_t port = server->port();
+    const auto pull = EncodeFrame(PullBatchReq{{{0}}}, 1);
+    std::vector<TcpConnection> held;
+    for (std::size_t i = 0; i < loops; ++i) {
+      TcpConnection conn = ConnectLoopback(port);
+      ASSERT_TRUE(conn.valid());
+      ASSERT_TRUE(conn.SendAll(pull));
+      std::vector<std::uint8_t> reply;
+      std::size_t n = 0;
+      ASSERT_EQ(conn.RecvFrame(reply, n,
+                               std::chrono::steady_clock::now() +
+                                   std::chrono::seconds(5)),
+                TcpConnection::RecvStatus::kFrame);
+      held.push_back(std::move(conn));
+    }
     std::atomic<bool> quit{false};
     std::vector<std::jthread> hammers;
     for (int t = 0; t < 4; ++t) {
@@ -486,6 +508,9 @@ TEST_P(TransportTest, StartStopSurvivesConnectionHammer) {
         }
       });
     }
+    // Every held connection asks again without reading, so each loop has
+    // work in hand when the stop lands.
+    for (TcpConnection& conn : held) ASSERT_TRUE(conn.SendAll(pull));
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     // Two concurrent stoppers while connections keep arriving.
     std::jthread other_stopper([&] { server->Stop(); });
